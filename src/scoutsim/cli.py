@@ -16,7 +16,7 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import engine, renewal, walks
+from . import engine, renewal, streams, walks
 from .analysis import analyze_protocol, ray_domain
 from .errors import BudgetExceededError, PreconditionError
 from .protocol import (ProtocolError, ScoutProtocol, builtin, parse_protocol,
@@ -69,6 +69,27 @@ def _parse_targets(text: str, dim: int) -> list[tuple[int, ...]]:
     if not targets:
         raise UsageError("no targets given")
     return targets
+
+
+# (flag, least value, bound above or None), checked on every subcommand
+# that has the flag, so edge values fail as usage errors, not tracebacks
+_RANGES = (
+    ("horizon", 0, None),
+    ("cap", 1, None),
+    ("replicas", 1, None),
+    ("trials", 1, None),
+    ("replica", 0, streams.COUNTER_LIMIT),
+)
+
+
+def _check_ranges(args) -> None:
+    for name, least, above in _RANGES:
+        value = getattr(args, name, None)
+        if value is None:
+            continue
+        if value < least or (above is not None and value >= above):
+            bound = f">= {least}" if above is None else f"in [{least}, {above})"
+            raise UsageError(f"--{name} must be {bound}, got {value}")
 
 
 def _dump_json(obj) -> str:
@@ -374,6 +395,7 @@ def main(argv: list[str] | None = None) -> int:
         expanded = _apply_config(argv)
         parser = build_parser()
         args = parser.parse_args(expanded)
+        _check_ranges(args)
         return args.fn(args, argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

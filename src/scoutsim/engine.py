@@ -5,10 +5,14 @@ read from the current configuration, then each scout independently draws a
 (state, move) pair from its matching rule row.  The variate consumed by
 scout i at step n of replica r is ``streams.uniforms(root_seed, r, i, n)``,
 so scalar stepping, vectorized batches, and threaded replica chunks all
-produce bit-identical trajectories.
+produce bit-identical trajectories.  :class:`VectorSim` fetches these
+variates a block of steps at a time, keyed by the same absolute counters,
+so prefetching changes no value.
 
 Hitting and meeting measurements stream; they never materialize traces, so
-caps of 2**24 steps run in bounded memory.
+caps of 2**24 steps run in bounded memory.  Target detection looks each
+scout's position up among the distinct targets: per step O(replicas *
+scouts * log targets), not a compare against every target.
 """
 
 from __future__ import annotations
@@ -30,6 +34,12 @@ from .tails import CensoredSummary, SurvivalCurve, summarize_censored
 DEFAULT_CAP = 1 << 20
 _MEMORY_LIMIT_BYTES = 1 << 28
 _CENSORED_FLAG_FRACTION = 0.01
+# VectorSim draws at most this many variates per streams call, over at most
+# _PREFETCH_MAX_STEPS steps: small batches amortize the per-call overhead,
+# and batches of more than _PREFETCH_VARIATES scout-steps draw one step per
+# call and hold no larger buffer than without prefetching
+_PREFETCH_VARIATES = 1 << 13
+_PREFETCH_MAX_STEPS = 64
 
 
 class ResourceLimitError(RuntimeError):
@@ -313,7 +323,9 @@ class VectorSim:
 
     Rows can be dropped with :meth:`compact` as replicas finish; remaining
     rows keep their absolute replica indices, so trajectories are unaffected
-    by when (or whether) compaction happens.
+    by when (or whether) compaction happens.  Uniforms are drawn for a block
+    of steps at once, keyed by the absolute (replica, scout, step) counters,
+    so the block size never changes a trajectory either.
     """
 
     def __init__(self, p: ScoutProtocol, n_replicas: int, root_seed: int,
@@ -326,6 +338,10 @@ class VectorSim:
         self.states = np.tile(comp.init_state_idx, (n_replicas, 1))
         self.time = 0
         self._scouts = np.arange(comp.c, dtype=np.int64)
+        self._off_diagonal = ~np.eye(comp.c, dtype=bool)
+        # uniforms (block steps, replicas, scouts) for steps _u_start onwards
+        self._u = np.empty((0, n_replicas, comp.c))
+        self._u_start = 0
 
     @property
     def n_active(self) -> int:
@@ -335,6 +351,7 @@ class VectorSim:
         self.replicas = self.replicas[keep]
         self.positions = self.positions[keep]
         self.states = self.states[keep]
+        self._u = self._u[:, keep]
 
     def _lookup_rows(self, masks: np.ndarray) -> np.ndarray:
         comp = self.comp
@@ -351,6 +368,17 @@ class VectorSim:
         flat_r[:] = table[inverse]
         return rows
 
+    def _uniforms(self, n: int) -> np.ndarray:
+        """Variates (replicas, scouts) of step n, refilling the block when spent."""
+        if n - self._u_start >= self._u.shape[0]:
+            R, c = self.positions.shape[:2]
+            B = max(1, min(_PREFETCH_MAX_STEPS, _PREFETCH_VARIATES // (R * c)))
+            steps = n + np.arange(B, dtype=np.int64)
+            self._u = streams.uniforms(self.root_seed, self.replicas[None, :, None],
+                                       self._scouts[None, None, :], steps[:, None, None])
+            self._u_start = n
+        return self._u[n - self._u_start]
+
     def step(self) -> None:
         comp = self.comp
         R = self.replicas.size
@@ -361,21 +389,17 @@ class VectorSim:
         if comp.env_free or c == 1:
             masks = np.zeros((R, c), dtype=np.int64)
         else:
-            masks = np.zeros((R, c), dtype=np.int64)
+            # bit s of masks[r, i]: some other scout at i's point is in state s
+            co = (self.positions[:, :, None, :] == self.positions[:, None, :, :]).all(-1)
+            co &= self._off_diagonal
             bits = np.int64(1) << self.states.astype(np.int64)
-            for i in range(c):
-                for j in range(c):
-                    if i == j:
-                        continue
-                    co = (self.positions[:, i, :] == self.positions[:, j, :]).all(axis=1)
-                    masks[:, i] |= np.where(co, bits[:, j], 0)
+            masks = np.bitwise_or.reduce(np.where(co, bits[:, None, :], 0), axis=2)
         rows = self._lookup_rows(masks)
         if (rows < 0).any():
             bad = np.argwhere(rows < 0)[0]
             name = comp.protocol.state_names[int(self.states[bad[0], bad[1]])]
             raise ProtocolError(f"no matching rule for state {name!r}")
-        u = streams.uniforms(self.root_seed, self.replicas[:, None],
-                             self._scouts[None, :], np.int64(self.time - 1))
+        u = self._uniforms(self.time - 1)
         branch = (comp.row_cum[rows] <= u[..., None]).sum(axis=-1)
         np.minimum(branch, comp.row_len[rows] - 1, out=branch)
         self.states = comp.row_state[rows, branch]
@@ -465,18 +489,52 @@ def _hit_times_iid_chunk(p: ScoutProtocol, targets: np.ndarray, n: int, cap: int
     return out
 
 
+class _TargetIndex:
+    """Map grid points to the index of the equal distinct target, or -1.
+
+    Each coordinate is ranked among the targets' distinct values on its
+    axis, and the rank vector is searched among the targets' sorted rank
+    keys: O(log T) per point, with memory O(T) however far apart the
+    targets lie.
+    """
+
+    def __init__(self, targets: np.ndarray):
+        # distinct targets in lexicographic order; ``inverse`` expands them
+        # back to the caller's columns, duplicates included
+        self.distinct, inverse = np.unique(targets, axis=0, return_inverse=True)
+        self.inverse = inverse.reshape(-1)
+        self.axes = [np.unique(self.distinct[:, k]) for k in range(targets.shape[1])]
+        self.keys = self._rank_key(self.distinct)
+
+    def _rank_key(self, points: np.ndarray) -> np.ndarray:
+        key = np.zeros(points.shape[:-1], dtype=np.int64)
+        for k, axis in enumerate(self.axes):
+            key *= axis.size + 1
+            key += axis.searchsorted(points[..., k])
+        return key
+
+    def find(self, points: np.ndarray) -> np.ndarray:
+        j = self.keys.searchsorted(self._rank_key(points))
+        np.minimum(j, self.keys.size - 1, out=j)
+        # a point off the targets' axis values can share a rank key; only
+        # an exact coordinate match counts
+        return np.where((self.distinct[j] == points).all(-1), j, -1)
+
+
 def _hit_times_general_chunk(p: ScoutProtocol, targets: np.ndarray, n: int, cap: int,
                              root_seed: int, replica_start: int) -> np.ndarray:
     sim = VectorSim(p, n, root_seed, replica_start)
-    n_t = targets.shape[0]
+    index = _TargetIndex(targets)
+    n_t = index.distinct.shape[0]
     ht = np.full((n, n_t), cap + 1, dtype=np.int64)
     out = np.full((n, n_t), cap + 1, dtype=np.int64)
     check_every = 64
     while sim.n_active:
-        eq = (sim.positions[:, :, None, :] == targets[None, None, :, :]).all(-1).any(1)
-        newly = eq & (ht > cap)
-        if newly.any():
-            ht[newly] = sim.time
+        found = index.find(sim.positions)
+        rep, scout = np.nonzero(found >= 0)
+        if rep.size:
+            col = found[rep, scout]
+            ht[rep, col] = np.minimum(ht[rep, col], sim.time)
         if sim.time >= cap:
             break
         if sim.time % check_every == 0:
@@ -487,11 +545,11 @@ def _hit_times_general_chunk(p: ScoutProtocol, targets: np.ndarray, n: int, cap:
                 sim.compact(keep)
                 ht = ht[keep]
                 if not sim.n_active:
-                    return out
+                    break
         sim.step()
     if sim.n_active:
         out[sim.replicas - replica_start] = ht
-    return out
+    return out[:, index.inverse]
 
 
 def hit_times(p: ScoutProtocol, targets: Sequence[Sequence[int]], replicas: int,

@@ -135,9 +135,6 @@ class ScoutProtocol:
     def states(self) -> tuple[StateId, ...]:
         return tuple(StateId(n, i) for i, n in enumerate(self.state_names))
 
-    def state_index(self, name: str) -> int:
-        return self.state_names.index(name)
-
     def canonical(self) -> "ScoutProtocol":
         """Equivalent protocol in canonical order (sorted states and rules)."""
         return parse_protocol(serialize(self))
@@ -367,15 +364,9 @@ def protocol_hash(p: ScoutProtocol) -> str:
 
 
 def _row_sum_ok(outcomes: Sequence[Outcome]) -> bool:
-    total = Fraction(0)
-    exact = True
-    for o in outcomes:
-        if isinstance(o.probability, Fraction):
-            total += o.probability
-        else:
-            exact = False
-    if exact:
-        return abs(float(total) - 1.0) <= ROW_SUM_TOLERANCE
+    """Exact rows must sum to exactly 1; rows with a float get the tolerance."""
+    if all(isinstance(o.probability, Fraction) for o in outcomes):
+        return sum(o.probability for o in outcomes) == 1
     acc = float(sum(float(o.probability) for o in outcomes))
     return abs(acc - 1.0) <= ROW_SUM_TOLERANCE
 
@@ -439,9 +430,10 @@ def validate(p: ScoutProtocol) -> list[Violation]:
             if len(o.move) != p.dim or any(c not in _MOVE_COMPONENTS for c in o.move):
                 v.append(Violation("bad-move", f"move {o.move} illegal for dim {p.dim}"))
         if not _row_sum_ok(rule.outcomes):
-            total = float(sum(float(o.probability) for o in rule.outcomes))
+            # shortest repr, so an exact sum just below 1 does not print as 1
+            total = float(sum(o.probability for o in rule.outcomes))
             v.append(Violation("row-sum",
-                               f"row sum {total:.10g} != 1 for state {rule.state!r} "
+                               f"row sum {total!r} != 1 for state {rule.state!r} "
                                f"pattern {rule.pattern.render()}"))
 
     # coverage: every state must dispatch every realizable environment
@@ -480,10 +472,6 @@ def environment_of(cfg: Configuration, i: int) -> frozenset[str]:
 
 # ---------------------------------------------------------------------------
 # builtins
-
-
-def _r(prob: str) -> Fraction:
-    return Fraction(prob)
 
 
 def _coerce_prob(p) -> Fraction:

@@ -79,10 +79,29 @@ def _key_words(root_seed: int) -> tuple[int, int]:
 _CHUNK = 1 << 15  # keep the working set cache-resident
 
 
+COUNTER_LIMIT = 1 << 32  # replica and scout each fill one 32-bit counter word
+
+
+def _counter_word(values, name: str) -> np.ndarray:
+    """``values`` as uint64, rejecting any that would not fit 32 bits.
+
+    Masking instead would let e.g. replica r and r + 2**32 share a stream.
+    The range test reduces the input once, before it is broadcast.
+    """
+    values = np.asarray(values)
+    if values.size and (values.min() < 0 or values.max() >= COUNTER_LIMIT):
+        raise ValueError(f"{name} counter outside [0, 2**32)")
+    return values.astype(np.uint64, copy=False)
+
+
 def raw64(root_seed: int, replica, scout, step) -> np.ndarray:
-    """64 uniform bits at counter (root_seed, replica, scout, step)."""
-    replica = np.asarray(replica, dtype=np.uint64)
-    scout = np.asarray(scout, dtype=np.uint64)
+    """64 uniform bits at counter (root_seed, replica, scout, step).
+
+    ``replica`` and ``scout`` must lie in [0, 2**32); ``step`` uses all 64
+    counter bits.
+    """
+    replica = _counter_word(replica, "replica")
+    scout = _counter_word(scout, "scout")
     step = np.asarray(step, dtype=np.uint64)
     shape = np.broadcast(step, replica, scout).shape
     x0 = np.empty(shape, dtype=np.uint64)
@@ -91,8 +110,8 @@ def raw64(root_seed: int, replica, scout, step) -> np.ndarray:
     x3 = np.empty(shape, dtype=np.uint64)
     x0[...] = step & _LO32
     x1[...] = step >> _S32
-    x2[...] = replica & _LO32
-    x3[...] = scout & _LO32
+    x2[...] = replica
+    x3[...] = scout
     k0, k1 = _key_words(root_seed)
     out = np.empty(shape, dtype=np.uint64)
     f0, f1, f2, f3 = (x.reshape(-1) for x in (x0, x1, x2, x3))
@@ -119,10 +138,10 @@ def uniforms(root_seed: int, replica, scout, step) -> np.ndarray:
 
 def uniform_scalar(root_seed: int, replica: int, scout: int, step: int) -> float:
     """Single stream value; exact scalar equivalent of :func:`uniforms`."""
-    return float(uniforms(root_seed, np.uint64(replica), np.uint64(scout), np.uint64(step)))
+    return float(uniforms(root_seed, replica, scout, np.uint64(step)))
 
 
 def uniform_block(root_seed: int, replica: int, scout: int, start: int, count: int) -> np.ndarray:
     """Stream values for steps start .. start+count-1 of one (replica, scout)."""
     steps = np.arange(start, start + count, dtype=np.uint64)
-    return uniforms(root_seed, np.uint64(replica), np.uint64(scout), steps)
+    return uniforms(root_seed, replica, scout, steps)

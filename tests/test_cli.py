@@ -184,3 +184,26 @@ def test_config_cli_overrides(tmp_path, capsys):
                  "--config", str(cfg), "--horizon", "2"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 4  # header + 3 configurations
+
+
+@pytest.mark.parametrize("argv", [
+    ["hitting", "--protocol", "builtin:srw?d=1", "--targets", "1", "--cap", "0"],
+    ["hitting", "--protocol", "builtin:srw?d=1", "--targets", "1", "--replicas", "0"],
+    ["simulate", "--protocol", "builtin:srw?d=1", "--horizon", "-3"],
+    ["simulate", "--protocol", "builtin:srw?d=1", "--replica", "-1"],
+    ["simulate", "--protocol", "builtin:srw?d=1", "--replica", str(2**32)],
+    ["lemma", "lemma50", "--trials", "0"],
+])
+def test_edge_inputs_exit_usage(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error:")
+
+
+def test_analyze_inexact_rational_row(tmp_path, capsys):
+    # an exact row 1e-10 short of 1 is invalid, not a crash in the analysis
+    f = tmp_path / "short.proto"
+    f.write_text(SRW_TEXT.replace("0.5 A (+1)", "4999999999/10000000000 A (+1)"))
+    assert main(["analyze", "--protocol", str(f)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "row sum" in err[0]

@@ -214,6 +214,73 @@ def test_hit_times_fast_and_general_paths_agree():
     assert np.array_equal(a, b)
 
 
+def _hit_times_oracle(p, targets, replicas, cap, root_seed):
+    """First passage from scalar traces, comparing every scout with every target."""
+    tgt = np.array(targets, dtype=np.int64)
+    out = np.full((replicas, len(tgt)), cap + 1, dtype=np.int64)
+    for r in range(replicas):
+        pos = run(p, cap, SeedSpec(root_seed, replica=r)).positions  # (cap+1, c, d)
+        hit = (pos[:, :, None, :] == tgt[None, None]).all(-1).any(1)  # (cap+1, T)
+        seen = hit.any(0)
+        out[r, seen] = hit[:, seen].argmax(0)
+    return out
+
+
+@pytest.mark.parametrize("name,d,targets", [
+    # duplicates, the origin (time 0), unreachable and far-apart points
+    ("anchored_geometric", 1, [(1,), (-2,), (1,), (0,), (3,), (10**9,), (-10**9,)]),
+    ("anchored_geometric", 2, [(1, 0), (0, 0), (1, 0), (-2, 1), (0, -3),
+                               (10**9, -10**9), (2, 2)]),
+    ("srw", 2, [(1, 1), (-1, 0), (1, 1), (0, 0), (10**9, -10**9)]),
+])
+def test_hit_times_general_path_matches_oracle(name, d, targets):
+    p = builtin(name, d=d)
+    cap = 300
+    want = _hit_times_oracle(p, targets, 10, cap, 4)
+    got = _hit_times_general_chunk(p, np.array(targets, dtype=np.int64), 10, cap, 4, 0)
+    assert np.array_equal(got, want)
+    if name == "anchored_geometric":  # general path under hit_times, chunked
+        assert np.array_equal(hit_times(p, targets, 10, cap, 4, chunk=3), want)
+    origin = targets.index((0,) * d)
+    far = [i for i, t in enumerate(targets) if max(map(abs, t)) > cap]
+    assert (want[:, origin] == 0).all() and (want[:, far] == cap + 1).all()
+
+
+@pytest.mark.parametrize("replicas,block", [(40, 64), (3000, 1)])
+def test_vectorsim_compaction_mid_block_matches_scalar(replicas, block):
+    # compaction at steps that are not multiples of the prefetch block; with
+    # 3000 replicas x 3 scouts one streams call covers a single step
+    p = builtin("anchored_geometric", d=2)
+    horizon = 150
+    tracked = np.linspace(0, replicas - 1, 8).astype(np.int64)
+    ref = {int(r): run(p, horizon, SeedSpec(9, replica=int(r))) for r in tracked}
+    sim = VectorSim(p, replicas, 9)
+    rng = np.random.default_rng(0)
+    for t in range(1, horizon + 1):
+        sim.step()
+        if t == 1:
+            assert sim._u.shape[0] == block
+        if t in (5, 37, 100):
+            keep = rng.random(sim.n_active) < 0.7
+            keep[np.isin(sim.replicas, tracked)] = True
+            sim.compact(keep)
+        rows = np.flatnonzero(np.isin(sim.replicas, tracked))
+        for row in rows:
+            tr = ref[int(sim.replicas[row])]
+            assert np.array_equal(sim.positions[row], tr.positions[t])
+            assert np.array_equal(sim.states[row], tr.state_idx[t])
+    assert sim.n_active < replicas
+
+
+def test_three_scout_env_protocol_batch_matches_run():
+    p = builtin("anchored_geometric", d=2)
+    P, S = run_batch(p, 300, 13, replicas=6, replica_start=3)
+    for k in range(6):
+        tr = run(p, 300, SeedSpec(13, replica=3 + k))
+        assert np.array_equal(tr.positions, P[k])
+        assert np.array_equal(tr.state_idx, S[k])
+
+
 def test_hit_times_threads_and_chunks_identical():
     p = builtin("independent_walks", d=1, c=2)
     a = hit_times(p, [(2,)], 400, 800, 3, threads=1, chunk=57)

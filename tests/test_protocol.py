@@ -33,6 +33,21 @@ def test_row_sum_error():
         parse_protocol(bad)
 
 
+def test_exact_row_sum_must_be_exactly_one():
+    from dataclasses import replace
+    from scoutsim.protocol import EnvPattern, Outcome, TransitionRule
+
+    def with_row(*probs):
+        outs = tuple(Outcome(q, "A", (m,)) for q, m in zip(probs, (1, -1)))
+        return replace(srw, rules=(TransitionRule("A", EnvPattern.wildcard(), outs),))
+
+    srw = parse_protocol(SRW_TEXT)
+    short = with_row(Fraction(1, 2) - Fraction(1, 10**10), Fraction(1, 2))
+    assert [v.code for v in validate(short)] == ["row-sum"]
+    # a row with a float keeps the tolerance
+    assert validate(with_row(0.5 - 1e-12, Fraction(1, 2))) == []
+
+
 def test_move_component_error():
     bad = SRW_TEXT.replace("(+1)", "(+2)")
     with pytest.raises(ProtocolSyntaxError, match=r"out of \{-1,0,\+1\}"):

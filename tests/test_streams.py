@@ -85,3 +85,18 @@ def test_large_step_counters():
     assert a == b
     # the high counter word must matter
     assert a != streams.uniform_scalar(5, 3, 1, big & 0xFFFFFFFF)
+
+
+def test_out_of_range_counters_rejected():
+    # masking to 32 bits would let replica 3 and 3 + 2**32 share a stream
+    with pytest.raises(ValueError, match="replica"):
+        streams.uniforms(0, 3 + 2**32, 0, 5)
+    with pytest.raises(ValueError, match="replica"):
+        streams.uniforms(0, np.array([0, 1, -1]), 0, 5)
+    with pytest.raises(ValueError, match="scout"):
+        streams.raw64(0, 3, 2**32, 5)
+    with pytest.raises(ValueError, match="replica"):
+        streams.uniform_scalar(0, -1, 0, 5)
+    top = 2**32 - 1
+    assert streams.uniform_scalar(0, top, top, 5) == float(
+        streams.uniforms(0, np.array([top]), np.uint64(top), 5)[0])

@@ -3,10 +3,11 @@
 Under the empty environment a single scout's state marginal is a finite
 Markov chain.  This module reduces a protocol to that chain, decomposes it
 into strongly connected classes, solves stationary distributions exactly
-(rational arithmetic whenever the rule probabilities are rational), and
-derives the quantities the structural dichotomies hinge on: per-class drift
-vectors, displacement degeneracy with explicit potential offsets or a
-witness cycle, product chains of scout pairs, and thick-ray domains.
+whenever the rule probabilities are rational (fraction-free elimination on
+integers, see :func:`_solve_exact`), and derives the quantities the
+structural dichotomies hinge on: per-class drift vectors, displacement
+degeneracy with explicit potential offsets or a witness cycle, product
+chains of scout pairs, and thick-ray domains.
 
 Exactness matters here: whether a drift is zero, and whether return
 displacements vanish identically, are sign/support questions that floating
@@ -18,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -52,8 +54,12 @@ class ReducedKernel:
     def n_states(self) -> int:
         return len(self.states)
 
-    @property
+    @cached_property
     def is_exact(self) -> bool:
+        """Every probability is a Fraction and every row sums to exactly 1.
+
+        Computed once per kernel: the rows are immutable.
+        """
         for row in self.rows:
             total = Fraction(0)
             for e in row:
@@ -202,60 +208,70 @@ def classes(k: ReducedKernel) -> ClassReport:
 # stationary distributions and drift
 
 
-def _solve_exact(A: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
+def _solve_exact(A: Sequence[Sequence], b: Sequence) -> list[Fraction]:
+    """Solve A x = b for a nonsingular rational (int or Fraction) system.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss 1968) on integers: each
+    row of [A | b] is first scaled by the lcm of its denominators.  Step k
+    replaces every entry off the pivot row by (p_k m_ij - m_ik m_kj) / p_{k-1},
+    where p_k is the step's pivot and p_{-1} = 1.  By Sylvester's identity
+    every entry is then a minor of the scaled (row-permuted) matrix, so each
+    division is exact and no rational arithmetic runs.  At the end every
+    diagonal entry is the last pivot, +-det, and x_i = m_in / m_ii.  A
+    column with no nonzero pivot candidate means A is singular.
+    """
     n = len(A)
-    M = [row[:] + [b[i]] for i, row in enumerate(A)]
-    col = 0
-    for row_i in range(n):
-        pivot = next((r for r in range(row_i, n) if M[r][col] != 0), None)
-        while pivot is None and col < n - 1:
-            col += 1
-            pivot = next((r for r in range(row_i, n) if M[r][col] != 0), None)
+    M = []
+    for row, rhs in zip(A, b):
+        entries = list(row) + [rhs]
+        scale = math.lcm(*(x.denominator for x in entries))
+        M.append([x.numerator * (scale // x.denominator) for x in entries])
+    prev = 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if M[r][k]), None)
         if pivot is None:
             raise ArithmeticError("singular system")
-        M[row_i], M[pivot] = M[pivot], M[row_i]
-        inv = 1 / M[row_i][col]
-        M[row_i] = [x * inv for x in M[row_i]]
-        for r in range(n):
-            if r != row_i and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[row_i])]
-        col += 1
-        if col > n:
-            break
-    return [M[i][n] for i in range(n)]
+        M[k], M[pivot] = M[pivot], M[k]
+        row_k = M[k]
+        p = row_k[k]
+        for i, row in enumerate(M):
+            if i == k:
+                continue
+            f = row[k]
+            for j in range(k + 1, n + 1):
+                row[j] = (p * row[j] - f * row_k[j]) // prev
+            row[k] = 0
+            if i < k:
+                row[i] = p
+        prev = p
+    return [Fraction(row[n], row[i]) for i, row in enumerate(M)]
 
 
 def stationary_distribution(k: ReducedKernel, cls: Sequence[str]):
     """Stationary law of the chain restricted to a recurrent class.
 
-    Exact rationals when the kernel is rational; otherwise a float solve
-    checked to residual 1e-12.
+    Exact rationals when the kernel is rational: the balance equations
+    (P^T - I) pi = 0, one of them replaced by sum(pi) = 1, are solved by
+    :func:`_solve_exact` and the result is checked against every balance
+    equation.  Otherwise a float solve checked to residual 1e-12.
     """
     idx = [k.states.index(s) for s in cls]
     pos = {q: j for j, q in enumerate(idx)}
     m = len(idx)
-    P = k.state_matrix()
     if k.is_exact:
-        A = [[Fraction(0)] * m for _ in range(m)]
+        A = [[0] * m for _ in range(m)]       # A = P^T - I on the class
         for j, q in enumerate(idx):
             for e in k.rows[q]:
                 if e.to not in pos:
                     raise PreconditionError(f"class {cls} is not closed")
-            for j2, q2 in enumerate(idx):
-                A[j2][j] += P[q][q2]          # transpose: columns index source
+                A[pos[e.to]][j] += e.probability
             A[j][j] -= 1
-        # replace last equation by normalization
-        A[m - 1] = [Fraction(1)] * m
-        b = [Fraction(0)] * (m - 1) + [Fraction(1)]
-        pi = _solve_exact(A, b)
-        # exact residual check
-        for j2, q2 in enumerate(idx):
-            acc = Fraction(0)
-            for j, q in enumerate(idx):
-                acc += pi[j] * P[q][q2]
-            if acc != pi[j2]:
-                raise ArithmeticError("exact stationarity failed")
+        pi = _solve_exact(A[:-1] + [[1] * m], [0] * (m - 1) + [1])
+        # exact residual check on pi scaled to integers
+        den = math.lcm(*(x.denominator for x in pi))
+        scaled = [x.numerator * (den // x.denominator) for x in pi]
+        if any(sum(a * v for a, v in zip(row, scaled)) for row in A):
+            raise ArithmeticError("exact stationarity failed")
         return pi
     A = np.zeros((m + 1, m))
     for j, q in enumerate(idx):
@@ -278,6 +294,29 @@ def stationary_distribution(k: ReducedKernel, cls: Sequence[str]):
     return [float(x) for x in pi]
 
 
+def _recurrent_class(k: ReducedKernel, cls: Sequence[str]) -> ClassInfo:
+    """The class of ``k`` whose states are ``cls``, which must be recurrent."""
+    cls_set = frozenset(cls)
+    info = next((c for c in classes(k).classes if frozenset(c.states) == cls_set), None)
+    if info is None:
+        raise PreconditionError(f"{sorted(cls)} is not a class of the kernel")
+    if not info.recurrent:
+        raise PreconditionError(f"class {sorted(cls)} is transient")
+    return info
+
+
+def _drift(k: ReducedKernel, states: Sequence[str], pi) -> tuple:
+    """sum_q pi(q) * E[move | q] over a class with stationary law ``pi``."""
+    zero = Fraction(0) if k.is_exact else 0.0
+    drift = [zero] * k.dim
+    for weight, name in zip(pi, states):
+        q = k.states.index(name)
+        for e in k.rows[q]:
+            for a in range(k.dim):
+                drift[a] = drift[a] + weight * e.probability * e.move[a]
+    return tuple(drift)
+
+
 def effective_drift(k: ReducedKernel, cls: Sequence[str]):
     """Mean displacement per unit time on a recurrent class.
 
@@ -285,22 +324,8 @@ def effective_drift(k: ReducedKernel, cls: Sequence[str]):
     this equals the displacement-per-return over return-time ratio at any
     state of the class.  Exact rationals on the rational path.
     """
-    rep = classes(k)
-    cls_set = frozenset(cls)
-    info = next((c for c in rep.classes if frozenset(c.states) == cls_set), None)
-    if info is None:
-        raise PreconditionError(f"{sorted(cls)} is not a class of the kernel")
-    if not info.recurrent:
-        raise PreconditionError(f"class {sorted(cls)} is transient")
-    pi = stationary_distribution(k, info.states)
-    zero = Fraction(0) if k.is_exact else 0.0
-    drift = [zero] * k.dim
-    for weight, name in zip(pi, info.states):
-        q = k.states.index(name)
-        for e in k.rows[q]:
-            for a in range(k.dim):
-                drift[a] = drift[a] + weight * e.probability * e.move[a]
-    return tuple(drift)
+    info = _recurrent_class(k, cls)
+    return _drift(k, info.states, stationary_distribution(k, info.states))
 
 
 # ---------------------------------------------------------------------------
@@ -314,15 +339,11 @@ def degeneracy_check(k: ReducedKernel, cls: Sequence[str]) -> DegeneracyVerdict:
     every support edge q -> q' with move m must satisfy x[q'] = x[q] + m.
     Any conflict yields a cycle with nonzero net displacement.
     """
-    rep = classes(k)
-    cls_set = frozenset(cls)
-    info = next((c for c in rep.classes if frozenset(c.states) == cls_set), None)
-    if info is None:
-        raise PreconditionError(f"{sorted(cls)} is not a class of the kernel")
-    if not info.recurrent:
-        raise PreconditionError(f"class {sorted(cls)} is transient")
+    return _degeneracy(k, _recurrent_class(k, cls).states)
 
-    idx = sorted(k.states.index(s) for s in info.states)
+
+def _degeneracy(k: ReducedKernel, states: Sequence[str]) -> DegeneracyVerdict:
+    idx = sorted(k.states.index(s) for s in states)
     inside = set(idx)
     edges: dict[int, list[tuple[int, tuple[int, ...]]]] = {q: [] for q in idx}
     for q in idx:
@@ -539,15 +560,15 @@ def difference_drift(p_or_pair, cls: Sequence[str] | None = None):
     else:
         k1, k2 = p_or_pair
         kd = product_kernel(k1, k2, difference=True)
-    if cls is None:
-        reachable = _reachable_set(kd, kd.initial_state)
-        rep = classes(kd)
-        rec = [c for c in rep.classes
-               if c.recurrent and kd.states.index(c.states[0]) in reachable]
-        if not rec:
-            raise PreconditionError("no recurrent class reachable from the start")
-        cls = rec[0].states
-    return effective_drift(kd, cls)
+    if cls is not None:
+        return effective_drift(kd, cls)
+    reachable = _reachable_set(kd, kd.initial_state)
+    rec = [c for c in classes(kd).classes
+           if c.recurrent and kd.states.index(c.states[0]) in reachable]
+    if not rec:
+        raise PreconditionError("no recurrent class reachable from the start")
+    states = rec[0].states
+    return _drift(kd, states, stationary_distribution(kd, states))
 
 
 def _reachable_set(k: ReducedKernel, src: int) -> set[int]:
@@ -679,7 +700,7 @@ def ray_domain(p: ScoutProtocol, M: float | None = None, root_seed: int = 0,
     rep = classes(k)
     rays = []
     for info in rep.recurrent_classes():
-        drift = effective_drift(k, info.states)
+        drift = _drift(k, info.states, stationary_distribution(k, info.states))
         norm = math.hypot(float(drift[0]), float(drift[1]))
         if norm > 0:
             direction = (float(drift[0]) / norm, float(drift[1]) / norm)
@@ -689,7 +710,7 @@ def ray_domain(p: ScoutProtocol, M: float | None = None, root_seed: int = 0,
                 w = _estimate_half_width(k, info.states, direction, root_seed)
                 rays.append(ClassRay(info.states, ThickRay(direction, w), "estimate"))
             continue
-        verdict = degeneracy_check(k, info.states)
+        verdict = _degeneracy(k, info.states)
         if verdict.degenerate:
             width = float(M) if M is not None else verdict.radius + k.n_states
             rays.append(ClassRay(info.states, ThickRay(None, width),
@@ -710,14 +731,12 @@ def ray_domain(p: ScoutProtocol, M: float | None = None, root_seed: int = 0,
 def analyze_kernel(k: ReducedKernel) -> ClassReport:
     """Class decomposition with stationary laws, drifts, and degeneracy verdicts."""
     rep = classes(k)
-    for info in rep.classes:
-        if not info.recurrent:
-            continue
+    for info in rep.recurrent_classes():
         info.pi = stationary_distribution(k, info.states)
-        drift = effective_drift(k, info.states)
+        drift = _drift(k, info.states, info.pi)
         info.mean_step = drift
         info.drift = drift
-        info.degeneracy = degeneracy_check(k, info.states)
+        info.degeneracy = _degeneracy(k, info.states)
         fl = [float(v) for v in drift]
         norm = math.sqrt(sum(v * v for v in fl))
         if norm > 0:

@@ -79,6 +79,7 @@ _RANGES = (
     ("replicas", 1, None),
     ("trials", 1, None),
     ("replica", 0, streams.COUNTER_LIMIT),
+    ("seed", 0, streams.SEED_LIMIT),
 )
 
 

@@ -254,6 +254,8 @@ def divergence_flag(curve: SurvivalCurve | CensoredSummary) -> str:
         curve = curve.curve
     if curve.total <= 0:
         raise InsufficientDataError("empty survival curve")
+    if curve.thresholds.size == 0:
+        raise InsufficientDataError("survival curve has no thresholds")
     probs = curve.probabilities()
     censored_frac = float(probs[-1]) if curve.censor_cap is not None else 0.0
     blocks = probs * curve.thresholds

@@ -27,7 +27,7 @@ _S32 = np.uint64(32)
 _ROUNDS = 10
 _INV53 = float(2.0**-53)
 
-_U64_MASK = (1 << 64) - 1
+SEED_LIMIT = 1 << 64  # the root seed fills the two 32-bit key words
 
 
 def _philox_u64(x0, x1, x2, x3, key0: int, key1: int):
@@ -72,7 +72,13 @@ def philox4x32(c0, c1, c2, c3, k0, k1):
 
 
 def _key_words(root_seed: int) -> tuple[int, int]:
-    root = int(root_seed) & _U64_MASK
+    """The Philox key of a root seed in [0, 2**64).
+
+    Masking instead would let e.g. seeds -1 and 2**64 - 1 share every stream.
+    """
+    root = int(root_seed)
+    if not 0 <= root < SEED_LIMIT:
+        raise ValueError(f"root seed {root} outside [0, 2**64)")
     return root & 0xFFFFFFFF, root >> 32
 
 
@@ -97,8 +103,8 @@ def _counter_word(values, name: str) -> np.ndarray:
 def raw64(root_seed: int, replica, scout, step) -> np.ndarray:
     """64 uniform bits at counter (root_seed, replica, scout, step).
 
-    ``replica`` and ``scout`` must lie in [0, 2**32); ``step`` uses all 64
-    counter bits.
+    ``root_seed`` must lie in [0, 2**64), ``replica`` and ``scout`` in
+    [0, 2**32); ``step`` uses all 64 counter bits.
     """
     replica = _counter_word(replica, "replica")
     scout = _counter_word(scout, "scout")

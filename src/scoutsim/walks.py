@@ -10,8 +10,13 @@ The checks estimate the tail laws such walks obey in the three structural
 regimes (positive drift, zero drift, degenerate steps) and report
 PASS/FAIL verdicts against the expected shapes.  Verdicts are consistency
 statements about finite samples, not proofs.  An exact forward dynamic
-program over rational arithmetic provides the independent oracle for every
-event with integer displacements.
+program provides the independent oracle for every event with integer
+displacements.  It runs on Python integers: with D the lcm of the outcome
+probabilities' denominators, outcome j carries the integer weight
+a_j = p_j * D, and the surviving mass at each position after n steps is an
+integer numerator over D**n.  Integer sums and products are exact, so the
+one ``Fraction(numerator, D**n)`` built at the end equals the rational
+answer bit for bit.
 """
 
 from __future__ import annotations
@@ -249,18 +254,56 @@ def _sample_block(law_tables, root_seed, trials_idx, walk_id, t0, B, s_prev):
 # exact dynamic-programming oracles
 
 
-def _exact_outcomes(law: StepLaw):
+def _exact_outcomes(law: StepLaw) -> tuple[int, list[tuple[int, int, int]]]:
+    """Common denominator D and integer (weight, zeta, floor radius) outcomes.
+
+    D is the lcm of the probabilities' denominators and weight = p * D, so
+    the weights sum to D exactly when the probabilities sum to 1.
+    """
     if not law.integer_zeta:
         raise PreconditionError("the exact oracle requires integer displacements")
-    outs = []
-    total = Fraction(0)
-    for o in law.outcomes:
-        p = o.probability if isinstance(o.probability, Fraction) else Fraction(o.probability)
-        total += p
-        outs.append((p, int(o.zeta), int(o.nu), Fraction(o.radius).limit_denominator(10**9)))
-    if total != 1:
+    probs = [o.probability if isinstance(o.probability, Fraction) else Fraction(o.probability)
+             for o in law.outcomes]
+    D = math.lcm(*(p.denominator for p in probs))
+    outs = [(p.numerator * (D // p.denominator), int(o.zeta),
+             math.floor(Fraction(o.radius).limit_denominator(10**9)))
+            for p, o in zip(probs, law.outcomes)]
+    if sum(a for a, _z, _r in outs) != D:
         raise PreconditionError("exact oracle needs probabilities summing exactly to 1")
-    return outs
+    return D, outs
+
+
+def _merged(weighted) -> tuple[tuple[int, int], ...]:
+    """(zeta, weight) pairs with one entry per displacement and no zero weight."""
+    acc: dict[int, int] = defaultdict(int)
+    for a, z in weighted:
+        acc[z] += a
+    return tuple((z, a) for z, a in acc.items() if a)
+
+
+class _MoveTable(dict):
+    """Position -> the merged (zeta, weight) moves that survive there.
+
+    ``rule(s)`` runs once per position, on first lookup; the DP then costs a
+    dict lookup per (position, step).
+    """
+
+    def __init__(self, rule):
+        super().__init__()
+        self.rule = rule
+
+    def __missing__(self, s: int):
+        moves = self[s] = self.rule(s)
+        return moves
+
+
+def _advance(dist: dict[int, int], moves: _MoveTable) -> dict[int, int]:
+    """One step of the integer forward DP: each position's mass along its moves."""
+    new: dict[int, int] = defaultdict(int)
+    for s, w in dist.items():
+        for z, a in moves[s]:
+            new[s + z] += w * a
+    return new
 
 
 def _budget_check(law: StepLaw, horizon: int, factor: int = 1) -> None:
@@ -271,49 +314,54 @@ def _budget_check(law: StepLaw, horizon: int, factor: int = 1) -> None:
 
 
 def _dp_survival_radius(law: StepLaw, s0: int, horizon: int, cond) -> Fraction:
-    """P(for all n in [0, horizon]: not cond(S_n, R_{n+1})).
+    """P(for all n in [0, horizon]: not cond(S_n, floor(R_{n+1}))).
 
     The check at time n is paired with the radius of the outcome performing
-    step n+1, including one final unmoved draw at n = horizon.
+    step n+1, including one final unmoved draw at n = horizon.  Every event
+    compares an integer g(S_n) with R, and for integer g, g <= R exactly when
+    g <= floor(R), so ``cond`` sees the integer floor.  It runs once per
+    (position, distinct radius).
     """
     _budget_check(law, horizon + 1)
-    outs = _exact_outcomes(law)
-    dist = {int(s0): Fraction(1)}
+    D, outs = _exact_outcomes(law)
+    radii = {r for _a, _z, r in outs}
+
+    def rule(s):
+        free = {r for r in radii if not cond(s, r)}
+        return _merged((a, z) for a, z, r in outs if r in free)
+
+    moves = _MoveTable(rule)
+    dist = {int(s0): 1}
     for _ in range(horizon):
-        new: dict[int, Fraction] = defaultdict(Fraction)
-        for s, w in dist.items():
-            for p, z, _nu, r in outs:
-                if not cond(s, r):
-                    new[s + z] += w * p
-        dist = new
+        dist = _advance(dist, moves)
         if not dist:
             return Fraction(0)
-    total = Fraction(0)
-    for s, w in dist.items():
-        for p, _z, _nu, r in outs:
-            if not cond(s, r):
-                total += w * p
-    return total
+    total = sum(w * sum(a for _z, a in moves[s]) for s, w in dist.items())
+    return Fraction(total, D ** (horizon + 1))
+
+
+def _integral(x) -> int:
+    """``x`` as an int; the floor-radius comparison is exact only for integers."""
+    if x != int(x):
+        raise PreconditionError(f"exact radius events need integer arguments, got {x!r}")
+    return int(x)
 
 
 def _dp_survival_position(law: StepLaw, s0: int, horizon: int, cond,
                           check_from: int = 0) -> Fraction:
     """P(for all n in [check_from, horizon]: not cond(S_n))."""
     _budget_check(law, horizon + 1)
-    outs = _exact_outcomes(law)
-    dist = {int(s0): Fraction(1)}
+    D, outs = _exact_outcomes(law)
+    every = _merged((a, z) for a, z, _r in outs)
+    unchecked = _MoveTable(lambda s: every)
+    checked = _MoveTable(lambda s: () if cond(s) else every)
+    dist = {int(s0): 1}
     for n in range(horizon):
-        filtered = dist if n < check_from else \
-            {s: w for s, w in dist.items() if not cond(s)}
-        new: dict[int, Fraction] = defaultdict(Fraction)
-        for s, w in filtered.items():
-            for p, z, _nu, _r in outs:
-                new[s + z] += w * p
-        dist = new
+        dist = _advance(dist, unchecked if n < check_from else checked)
         if not dist:
             return Fraction(0)
-    return sum((w for s, w in dist.items() if horizon < check_from or not cond(s)),
-               Fraction(0))
+    total = sum(w for s, w in dist.items() if horizon < check_from or not cond(s))
+    return Fraction(total, D ** horizon)
 
 
 def oracle_exact_hit_survival(law: StepLaw, s0: int, target: int, horizon: int) -> Fraction:
@@ -323,11 +371,13 @@ def oracle_exact_hit_survival(law: StepLaw, s0: int, target: int, horizon: int) 
 
 def oracle_lookaround_survival(law: StepLaw, s0: int, target: int, horizon: int) -> Fraction:
     """P(|S_n - target| > R_{n+1} for all n <= horizon)."""
+    target = _integral(target)
     return _dp_survival_radius(law, s0, horizon, lambda s, r: abs(s - target) <= r)
 
 
 def oracle_reach_survival(law: StepLaw, s0: int, x: int, horizon: int) -> Fraction:
     """P(S_n + R_{n+1} < x for all n <= horizon)."""
+    x = _integral(x)
     return _dp_survival_radius(law, s0, horizon, lambda s, r: s + r >= x)
 
 
@@ -335,6 +385,7 @@ def oracle_interval_survival(law: StepLaw, s0: int, lo: int, hi: int, horizon: i
     """P(dist(S_n, [lo, hi]) > R_{n+1} for all n <= horizon)."""
     if hi < lo:
         raise ValueError("empty interval")
+    lo, hi = _integral(lo), _integral(hi)
 
     def cond(s, r):
         d = lo - s if s < lo else (s - hi if s > hi else 0)
@@ -358,15 +409,13 @@ def oracle_exit_survival(law: StepLaw, s0: int, rho: int, horizon: int) -> Fract
 def oracle_position_probability(law: StepLaw, s0: int, horizon: int, y: int) -> Fraction:
     """P(S_horizon = y)."""
     _budget_check(law, horizon + 1)
-    outs = _exact_outcomes(law)
-    dist = {int(s0): Fraction(1)}
+    D, outs = _exact_outcomes(law)
+    every = _merged((a, z) for a, z, _r in outs)
+    moves = _MoveTable(lambda s: every)
+    dist = {int(s0): 1}
     for _ in range(horizon):
-        new: dict[int, Fraction] = defaultdict(Fraction)
-        for s, w in dist.items():
-            for p, z, _nu, _r in outs:
-                new[s + z] += w * p
-        dist = new
-    return dist.get(int(y), Fraction(0))
+        dist = _advance(dist, moves)
+    return Fraction(dist.get(int(y), 0), D ** horizon)
 
 
 def _difference_law(law1: StepLaw, law2: StepLaw, sum_radii: bool) -> StepLaw:

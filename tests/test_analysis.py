@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from scoutsim import builtin, parse_protocol
 from scoutsim.analysis import (PreconditionError, ThickRay,
@@ -12,6 +13,7 @@ from scoutsim.analysis import (PreconditionError, ThickRay,
                                joint_product_chain, kernel_renewal_samples,
                                product_kernel, ray_domain, reduce_kernel,
                                renewal_samples, stationary_distribution)
+from scoutsim.analysis import _solve_exact
 from scoutsim.engine import SeedSpec
 from scoutsim.tails import SurvivalCurve, fit_tail
 
@@ -109,6 +111,82 @@ def test_stationary_residual_on_random_kernels():
             for j2, q2 in enumerate(idx):
                 acc = sum(pi[j] * P[q][q2] for j, q in enumerate(idx))
                 assert acc == pi[j2]  # exact rational stationarity
+
+
+# exact linear solves
+
+
+def reference_solve(A, b):
+    """Independent oracle: Fraction Gaussian elimination with back substitution.
+
+    Returns None for a singular system.
+    """
+    n = len(A)
+    M = [[Fraction(x) for x in row] + [Fraction(r)] for row, r in zip(A, b)]
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if M[r][k] != 0), None)
+        if pivot is None:
+            return None
+        M[k], M[pivot] = M[pivot], M[k]
+        for r in range(k + 1, n):
+            f = M[r][k] / M[k][k]
+            M[r] = [x - f * y for x, y in zip(M[r], M[k])]
+    x = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        acc = M[i][n] - sum(M[i][j] * x[j] for j in range(i + 1, n))
+        x[i] = acc / M[i][i]
+    return x
+
+
+RATIONALS = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 5, 6, 7, 12])))
+
+
+@st.composite
+def rational_systems(draw):
+    n = draw(st.integers(1, 12))
+    A = [[draw(RATIONALS) for _ in range(n)] for _ in range(n)]
+    # zero leading entries force row swaps in the first columns
+    for k in range(draw(st.integers(0, n - 1))):
+        A[k][k] = Fraction(0)
+    b = [draw(RATIONALS) for _ in range(n)]
+    return A, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_systems())
+def test_solve_exact_matches_reference(system):
+    A, b = system
+    want = reference_solve(A, b)
+    assume(want is not None)
+    got = _solve_exact(A, b)
+    assert got == want
+    assert all(type(x) is Fraction for x in got)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_systems(), st.data())
+def test_solve_exact_singular_raises(system, data):
+    A, b = system
+    n = len(A)
+    # make one row a rational combination of the others (or zero for n = 1)
+    r = data.draw(st.integers(0, n - 1))
+    coef = [data.draw(RATIONALS) for _ in range(n)]
+    A[r] = [sum((coef[i] * A[i][j] for i in range(n) if i != r), Fraction(0))
+            for j in range(n)]
+    assert reference_solve(A, b) is None
+    with pytest.raises(ArithmeticError, match="singular"):
+        _solve_exact(A, b)
+
+
+def test_solve_exact_swaps_mid_elimination():
+    # the second pivot vanishes after the first step and must be swapped in
+    A = [[1, 1, 0], [1, 1, 1], [0, 1, 1]]
+    b = [Fraction(1, 3), Fraction(1, 6), 1]
+    assert _solve_exact(A, b) == reference_solve(A, b)
+    assert _solve_exact([[0, Fraction(1, 3)], [Fraction(2, 7), 0]], [1, 1]) == \
+        [Fraction(7, 2), Fraction(3)]
 
 
 def test_drift_deterministic_plus():

@@ -193,6 +193,8 @@ def test_config_cli_overrides(tmp_path, capsys):
     ["simulate", "--protocol", "builtin:srw?d=1", "--replica", "-1"],
     ["simulate", "--protocol", "builtin:srw?d=1", "--replica", str(2**32)],
     ["lemma", "lemma50", "--trials", "0"],
+    ["simulate", "--protocol", "builtin:srw?d=1", "--seed", "-1"],
+    ["hitting", "--protocol", "builtin:srw?d=1", "--targets", "1", "--seed", str(2**64)],
 ])
 def test_edge_inputs_exit_usage(argv, capsys):
     assert main(argv) == 1

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from scoutsim import SeedSpec, builtin, parse_protocol, run
-from scoutsim.engine import first_meeting_times, monte_carlo_hitting
+from scoutsim.engine import (first_meeting_times, monte_carlo_hitting,
+                             monte_carlo_hitting_multi)
 from scoutsim.errors import PreconditionError
 from scoutsim.renewal import (FINITE, INFINITE,
                               EnvelopeViolation, MeetingRenewal,
                               divergence_flag, divergence_report,
                               explorer_cover_time, extract_renewal,
                               markov_homogeneity, meeting_tail, trap_detect)
-from scoutsim.tails import SurvivalCurve, summarize_censored
+from scoutsim.tails import InsufficientDataError, SurvivalCurve, summarize_censored
 
 STAY_PUT = ("dim 1\nscouts 2\nstates a b\ninit 1 a\ninit 2 b\n"
             "trans a * -> 1 a (0)\ntrans b * -> 1 b (0)\n")
@@ -234,6 +235,16 @@ def test_divergence_flag_on_simulated_controls():
     trip = builtin("independent_walks", d=1, c=3)
     t = monte_carlo_hitting(trip, (3,), replicas=6000, cap=1 << 16, root_seed=3)
     assert divergence_flag(t.summary) == FINITE
+
+
+def test_divergence_on_curve_without_thresholds():
+    # cap 0 leaves the curve with no thresholds: a data error, not an IndexError
+    [h] = monte_carlo_hitting_multi(builtin("srw", d=1), [(1,)], 10, cap=0)
+    assert h.summary.curve.thresholds.size == 0
+    with pytest.raises(InsufficientDataError):
+        divergence_flag(h.summary)
+    with pytest.raises(InsufficientDataError):
+        divergence_report(h.summary)
 
     pair = builtin("independent_walks", d=1, c=2)
     mt = first_meeting_times(pair, 8000, 1 << 14, 3)

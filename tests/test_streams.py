@@ -100,3 +100,14 @@ def test_out_of_range_counters_rejected():
     top = 2**32 - 1
     assert streams.uniform_scalar(0, top, top, 5) == float(
         streams.uniforms(0, np.array([top]), np.uint64(top), 5)[0])
+
+
+def test_out_of_range_root_seed_rejected():
+    # masking to 64 bits would let seed -1 and seed 2**64 - 1 share streams
+    with pytest.raises(ValueError, match="root seed"):
+        streams.uniforms(-1, 0, 0, 0)
+    with pytest.raises(ValueError, match="root seed"):
+        streams.raw64(2**64, 0, 0, 0)
+    top = 2**64 - 1
+    assert streams.uniform_scalar(top, 0, 0, 0) == float(streams.uniforms(top, 0, 0, 0))
+    assert streams.uniform_scalar(top, 0, 0, 0) != streams.uniform_scalar(0, 0, 0, 0)

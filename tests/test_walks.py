@@ -94,6 +94,10 @@ def enumerate_event(law: StepLaw, s0: int, horizon: int, indicator) -> Fraction:
     ("srw", 0, 5),
     ("1/4:2;1/4:-2;1/2:0", 0, 4),
     ("1/3:1,1,2;2/3:-1,1,1", 1, 4),
+    # non-dyadic weights over D = 6 and fractional radii: lcm scaling and
+    # the floor(R) comparison
+    ("1/3:1,1,1.5;1/6:-2,1,2.5;1/2:0", 0, 4),
+    ("1/6:1,1,1.5;1/3:-1,1,3.5;1/2:0,1,1", -1, 4),
 ])
 def test_oracles_match_enumeration(law_text, s0, horizon):
     law = parse_law(law_text)
@@ -124,6 +128,87 @@ def test_oracles_match_enumeration(law_text, s0, horizon):
         law, s0, horizon,
         lambda path, radii: all(dist(x) > r for x, r in zip(path, radii)))
     assert got == want
+
+
+ENUM_LAWS = (
+    "srw",
+    "1/3:1,1,1.5;1/6:-2,1,2.5;1/2:0",     # zero drift
+    "1/3:2,1,1.5;1/6:-1,1,3;1/2:1",        # positive drift
+    "1/6:1,1,1.5;1/3:-1,1,1;1/2:0,1,2.5",  # negative drift
+)
+
+
+@pytest.mark.parametrize("law_text", ENUM_LAWS)
+def test_position_and_exit_oracles_match_enumeration(law_text):
+    law = parse_law(law_text)
+    horizon = 4
+    for s0, y in ((0, 0), (1, 2), (-1, -3)):
+        got = oracle_position_probability(law, s0, horizon, y)
+        want = enumerate_event(law, s0, horizon, lambda path, radii: path[-1] == y)
+        assert got == want
+    drift = law.mean_zeta
+    for s0, rho in ((0, 1), (1, 2), (0, 0)):
+        if drift == 0:
+            out = lambda x: abs(x) > rho
+        elif drift > 0:
+            out = lambda x: x > rho
+        else:
+            out = lambda x: x < -rho
+        got = oracle_exit_survival(law, s0, rho, horizon)
+        want = enumerate_event(law, s0, horizon,
+                               lambda path, radii: not any(out(x) for x in path))
+        assert got == want
+
+
+def enumerate_pair(law1: StepLaw, law2: StepLaw, s01: int, s02: int, horizon: int,
+                   indicator) -> Fraction:
+    """Sum over both walks' outcome sequences: two independent walks."""
+    def paths(law, s0):
+        outs = [(Fraction(o.probability), int(o.zeta), float(o.radius))
+                for o in law.outcomes]
+        for seq in itertools.product(outs, repeat=horizon + 1):
+            prob = math.prod(p for p, _z, _r in seq)
+            path = [s0]
+            for _p, z, _r in seq[:-1]:
+                path.append(path[-1] + z)
+            yield prob, path, [r for _p, _z, r in seq]
+
+    total = Fraction(0)
+    second = list(paths(law2, s02))
+    for p1, path1, radii1 in paths(law1, s01):
+        for p2, path2, radii2 in second:
+            if indicator(path1, radii1, path2, radii2):
+                total += p1 * p2
+    return total
+
+
+@pytest.mark.parametrize("law_text1,law_text2,s01,s02", [
+    ("srw", "srw", 0, 2),
+    (ENUM_LAWS[1], ENUM_LAWS[3], 0, 3),
+    (ENUM_LAWS[2], ENUM_LAWS[1], -2, 2),
+])
+def test_two_walk_oracles_match_enumeration(law_text1, law_text2, s01, s02):
+    law1, law2 = parse_law(law_text1), parse_law(law_text2)
+    horizon = 3
+    got = exact_dp_oracle(law1, s01, horizon, "meeting", law2=law2, s02=s02)
+    want = enumerate_pair(
+        law1, law2, s01, s02, horizon,
+        lambda p1, r1, p2, r2: all(a != b for a, b in zip(p1[1:], p2[1:])))
+    assert got == want
+    got = exact_dp_oracle(law1, s01, horizon, "ballmeeting", law2=law2, s02=s02)
+    want = enumerate_pair(
+        law1, law2, s01, s02, horizon,
+        lambda p1, r1, p2, r2: all(abs(a - b) > ra + rb
+                                   for a, b, ra, rb in zip(p1, p2, r1, r2)))
+    assert got == want
+
+
+def test_radius_oracles_need_integer_arguments():
+    # the floor(R) comparison is exact only against integer distances
+    law = parse_law(ENUM_LAWS[1])
+    with pytest.raises(PreconditionError, match="integer"):
+        oracle_lookaround_survival(law, 0, 2.5, 3)
+    assert oracle_reach_survival(law, 0, 2.0, 3) == oracle_reach_survival(law, 0, 2, 3)
 
 
 def test_oracle_frozen_values():

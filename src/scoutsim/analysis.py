@@ -134,8 +134,7 @@ class ClassInfo:
     states: tuple[str, ...]
     recurrent: bool
     pi: list | None = None                      # stationary distribution (Fraction or float)
-    mean_step: tuple | None = None              # per-step expected displacement
-    drift: tuple | None = None                  # equal to mean_step (renewal ratio)
+    drift: tuple | None = None                  # per-step expected displacement
     degeneracy: DegeneracyVerdict | None = None
     ray_direction: tuple[float, ...] | None = None
     ray_zero_flag: bool = False
@@ -149,7 +148,6 @@ class ClassInfo:
             "states": list(self.states),
             "recurrent": self.recurrent,
             "pi": None if self.pi is None else [num(v) for v in self.pi],
-            "mean_step": None if self.mean_step is None else [num(v) for v in self.mean_step],
             "drift": None if self.drift is None else [num(v) for v in self.drift],
             "degeneracy": None if self.degeneracy is None else self.degeneracy.to_json(),
             "ray_direction": None if self.ray_direction is None else list(self.ray_direction),
@@ -438,6 +436,13 @@ class RenewalSamples:
         return int(self.nu.size)
 
 
+def _sampler(k: ReducedKernel) -> tuple[streams.Categorical, np.ndarray, np.ndarray]:
+    """The kernel rows as a categorical table, with successor states and moves."""
+    table = streams.Categorical([[e.probability for e in row] for row in k.rows])
+    return (table, table.pad([[e.to for e in row] for row in k.rows], np.int64),
+            table.pad([[e.move for e in row] for row in k.rows], np.int64))
+
+
 def kernel_renewal_samples(k: ReducedKernel, q0: str, count: int,
                            root_seed: int, max_steps: int = 10**7) -> RenewalSamples:
     """Sample i.i.d. return triples of the reduced chain observed at q0.
@@ -451,7 +456,7 @@ def kernel_renewal_samples(k: ReducedKernel, q0: str, count: int,
     if home is None or not home.recurrent:
         raise PreconditionError(f"state {q0!r} is not in a recurrent class")
 
-    cum, to, mv, length = _kernel_tables(k)
+    table, to, mv = _sampler(k)
     q0_idx = k.states.index(q0)
     reps = np.arange(count, dtype=np.int64)
     state = np.full(count, q0_idx, dtype=np.int64)
@@ -465,8 +470,7 @@ def kernel_renewal_samples(k: ReducedKernel, q0: str, count: int,
             raise RuntimeError("return sampling exceeded the step budget")
         u = streams.uniforms(root_seed, reps[active], np.int64(0), np.int64(t))
         s = state[active]
-        branch = (cum[s] <= u[:, None]).sum(axis=1)
-        np.minimum(branch, length[s] - 1, out=branch)
+        branch = table.select(s, u)
         state[active] = to[s, branch]
         disp[active] += mv[s, branch]
         t += 1
@@ -640,29 +644,11 @@ class RayDomain:
         return {"rays": [r.to_json() for r in self.rays]}
 
 
-def _kernel_tables(k: ReducedKernel):
-    n_states = k.n_states
-    max_o = max(len(r) for r in k.rows)
-    cum = np.full((n_states, max_o), 2.0)
-    to = np.zeros((n_states, max_o), dtype=np.int64)
-    mv = np.zeros((n_states, max_o, k.dim), dtype=np.int64)
-    length = np.zeros(n_states, dtype=np.int64)
-    for q, row in enumerate(k.rows):
-        acc = Fraction(0) if k.is_exact else 0.0
-        for j, e in enumerate(row):
-            acc = acc + e.probability
-            cum[q, j] = float(acc)
-            to[q, j] = e.to
-            mv[q, j] = e.move
-        length[q] = len(row)
-    return cum, to, mv, length
-
-
 def _estimate_half_width(k: ReducedKernel, cls: Sequence[str], direction,
                          root_seed: int, pilot_runs: int = 200,
                          pilot_steps: int = 512) -> float:
     """99th-percentile excursion perpendicular to the drift over pilot runs."""
-    cum, to, mv, length = _kernel_tables(k)
+    table, to, mv = _sampler(k)
     start = k.states.index(cls[0])
     reps = np.arange(pilot_runs, dtype=np.int64)
     state = np.full(pilot_runs, start, dtype=np.int64)
@@ -670,8 +656,7 @@ def _estimate_half_width(k: ReducedKernel, cls: Sequence[str], direction,
     worst = np.zeros(pilot_runs)
     for t in range(pilot_steps):
         u = streams.uniforms(root_seed, reps, np.int64(1), np.int64(t))
-        branch = (cum[state] <= u[:, None]).sum(axis=1)
-        np.minimum(branch, length[state] - 1, out=branch)
+        branch = table.select(state, u)
         pos += mv[state, branch]
         state = to[state, branch]
         if direction is None:
@@ -734,7 +719,6 @@ def analyze_kernel(k: ReducedKernel) -> ClassReport:
     for info in rep.recurrent_classes():
         info.pi = stationary_distribution(k, info.states)
         drift = _drift(k, info.states, info.pi)
-        info.mean_step = drift
         info.drift = drift
         info.degeneracy = _degeneracy(k, info.states)
         fl = [float(v) for v in drift]

@@ -281,13 +281,11 @@ def cmd_oracle(args, argv) -> int:
 # parser
 
 
-def _add_common(sp, cap_default=None, replicas_default=1000):
-    sp.add_argument("--seed", type=int, default=0, help="root seed (all randomness)")
-    sp.add_argument("--threads", type=int, default=1)
-    sp.add_argument("--cap", type=int, default=cap_default)
-    sp.add_argument("--replicas", type=int, default=replicas_default)
+def _add_common(sp, seed=True):
+    """--out-dir and --config on every subcommand, --seed where it is read."""
+    if seed:
+        sp.add_argument("--seed", type=int, default=0, help="root seed (all randomness)")
     sp.add_argument("--out-dir", default=None)
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--config", default=None,
                     help="flat key=value file supplying defaults")
 
@@ -305,6 +303,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--protocol", required=True)
     sp.add_argument("--horizon", type=int, default=1000)
     sp.add_argument("--replica", type=int, default=0)
+    sp.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_common(sp)
     sp.set_defaults(fn=cmd_simulate)
 
@@ -312,7 +311,10 @@ def build_parser() -> _Parser:
     sp.add_argument("--protocol", required=True)
     sp.add_argument("--targets", required=True,
                     help="semicolon-separated points, e.g. '1;-2' or '2,1;0,3'")
-    _add_common(sp, cap_default=None, replicas_default=1000)
+    sp.add_argument("--replicas", type=int, default=1000)
+    sp.add_argument("--cap", type=int, default=None)
+    sp.add_argument("--threads", type=int, default=1)
+    _add_common(sp)
     sp.set_defaults(fn=cmd_hitting)
 
     sp = sub.add_parser("analyze", help="exact class/drift/degeneracy report")
@@ -330,7 +332,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--trials", type=int, default=1000)
     sp.add_argument("--k-min", type=int, default=1)
     sp.add_argument("--k-max", type=int, default=64)
-    _add_common(sp, cap_default=1 << 14)
+    sp.add_argument("--cap", type=int, default=1 << 14)
+    _add_common(sp)
     sp.set_defaults(fn=cmd_renewal)
 
     sp = sub.add_parser("lemma", help="statistical tail-law checks")
@@ -347,7 +350,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--interval", default="-2:2")
     sp.add_argument("--trials", type=int, default=20000)
     sp.add_argument("--horizon", type=int, default=2048)
-    _add_common(sp, cap_default=1 << 13)
+    sp.add_argument("--cap", type=int, default=1 << 13)
+    _add_common(sp)
     sp.set_defaults(fn=cmd_lemma)
 
     sp = sub.add_parser("oracle", help="exact event probabilities")
@@ -358,7 +362,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--event", required=True,
                     help="hit:T | lookaround:T | reach:X | exit:R | position:Y | meeting")
     sp.add_argument("--horizon", type=int, required=True)
-    _add_common(sp)
+    _add_common(sp, seed=False)
     sp.set_defaults(fn=cmd_oracle)
 
     return parser

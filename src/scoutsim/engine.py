@@ -7,7 +7,12 @@ scout i at step n of replica r is ``streams.uniforms(root_seed, r, i, n)``,
 so scalar stepping, vectorized batches, and threaded replica chunks all
 produce bit-identical trajectories.  :class:`VectorSim` fetches these
 variates a block of steps at a time, keyed by the same absolute counters,
-so prefetching changes no value.
+so prefetching changes no value.  Every path turns a variate into a branch
+of the rule row through the one sampler, :class:`streams.Categorical`:
+scalar stepping bisects the row, :class:`VectorSim` compares a gathered
+row per scout, and the iid block path draws whole blocks from one row.
+All three compare against the same floats; a row of ``Fraction``
+probabilities is cumulated exactly and only then rounded.
 
 Hitting and meeting measurements stream; they never materialize traces, so
 caps of 2**24 steps run in bounded memory.  Target detection looks each
@@ -17,10 +22,8 @@ scouts * log targets), not a compare against every target.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -40,6 +43,8 @@ _CENSORED_FLAG_FRACTION = 0.01
 # call and hold no larger buffer than without prefetching
 _PREFETCH_VARIATES = 1 << 13
 _PREFETCH_MAX_STEPS = 64
+# steps per block of the iid paths, which draw each scout's steps in bulk
+_IID_BLOCK = 2048
 
 
 class ResourceLimitError(RuntimeError):
@@ -82,28 +87,10 @@ class _Compiled:
             raise ProtocolError("more than 63 states not supported")
         self.state_index = {n: i for i, n in enumerate(names)}
 
-        cums: list[list[float]] = []
-        tos: list[list[int]] = []
-        moves: list[list[tuple[int, ...]]] = []
         self.wildcard_row = np.full(self.n_states, -1, dtype=np.int32)
         self.exact_rows: dict[tuple[int, int], int] = {}
-        for rule in p.rules:
+        for row_idx, rule in enumerate(p.rules):
             si = self.state_index[rule.state]
-            acc = Fraction(0)
-            acc_f = 0.0
-            exact = all(isinstance(o.probability, Fraction) for o in rule.outcomes)
-            cum: list[float] = []
-            for o in rule.outcomes:
-                if exact:
-                    acc += o.probability
-                    cum.append(float(acc))
-                else:
-                    acc_f += float(o.probability)
-                    cum.append(acc_f)
-            row_idx = len(cums)
-            cums.append(cum)
-            tos.append([self.state_index[o.state] for o in rule.outcomes])
-            moves.append([o.move for o in rule.outcomes])
             if rule.pattern.is_wildcard:
                 self.wildcard_row[si] = row_idx
             else:
@@ -111,20 +98,11 @@ class _Compiled:
                 for s in rule.pattern.states:
                     mask |= 1 << self.state_index[s]
                 self.exact_rows[(si, mask)] = row_idx
-
-        n_rows = len(cums)
-        max_o = max(len(c_) for c_ in cums)
-        self.row_cum = np.full((n_rows, max_o), 2.0)
-        self.row_state = np.zeros((n_rows, max_o), dtype=np.int16)
-        self.row_move = np.zeros((n_rows, max_o, self.d), dtype=np.int8)
-        self.row_len = np.zeros(n_rows, dtype=np.int64)
-        self.row_cum_lists = [list(c_) for c_ in cums]
-        for r in range(n_rows):
-            k = len(cums[r])
-            self.row_len[r] = k
-            self.row_cum[r, :k] = cums[r]
-            self.row_state[r, :k] = tos[r]
-            self.row_move[r, :k] = moves[r]
+        outcomes = [rule.outcomes for rule in p.rules]
+        self.table = streams.Categorical([[o.probability for o in r] for r in outcomes])
+        self.row_state = self.table.pad(
+            [[self.state_index[o.state] for o in r] for r in outcomes], np.int16)
+        self.row_move = self.table.pad([[o.move for o in r] for r in outcomes], np.int8)
 
         self.env_free = not self.exact_rows
         if self.n_states <= 16:
@@ -150,7 +128,7 @@ class _Compiled:
                 if row < 0:
                     ok = False
                     break
-                k = int(self.row_len[row])
+                k = int(self.table.length[row])
                 if not np.all(self.row_state[row, :k] == si):
                     ok = False
                     break
@@ -166,11 +144,6 @@ class _Compiled:
 @lru_cache(maxsize=128)
 def _compile(p: ScoutProtocol) -> _Compiled:
     return _Compiled(p)
-
-
-def _select_branch(cum: Sequence[float], u: float) -> int:
-    # branch j iff cum[j-1] <= u < cum[j]; clamp guards float row sums < 1
-    return min(bisect_right(cum, u), len(cum) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +164,7 @@ def _advance(p: ScoutProtocol, comp: _Compiled, cfg: Configuration, ufn) -> Conf
             raise ProtocolError(
                 f"no matching rule for state {cfg.states[i]!r} with environment "
                 f"{sorted(envs[i])}")
-        branch = _select_branch(comp.row_cum_lists[row], ufn(i, cfg.time))
+        branch = comp.table.select_one(row, ufn(i, cfg.time))
         new_states.append(p.state_names[comp.row_state[row, branch]])
         move = comp.row_move[row, branch]
         new_pos.append(tuple(int(x) + int(m) for x, m in zip(cfg.positions[i], move)))
@@ -307,7 +280,6 @@ def run(p: ScoutProtocol, horizon: int, seed: SeedSpec) -> Trace:
             "use iter_run for streaming")
     positions = np.empty((horizon + 1, comp.c, comp.d), dtype=np.int64)
     state_idx = np.empty((horizon + 1, comp.c), dtype=np.int16)
-    cfg = initial_configuration(p)
     for n, cfg in enumerate(iter_run(p, seed, horizon)):
         positions[n] = cfg.positions
         state_idx[n] = [comp.state_index[s] for s in cfg.states]
@@ -400,8 +372,7 @@ class VectorSim:
             name = comp.protocol.state_names[int(self.states[bad[0], bad[1]])]
             raise ProtocolError(f"no matching rule for state {name!r}")
         u = self._uniforms(self.time - 1)
-        branch = (comp.row_cum[rows] <= u[..., None]).sum(axis=-1)
-        np.minimum(branch, comp.row_len[rows] - 1, out=branch)
+        branch = comp.table.select(rows, u)
         self.states = comp.row_state[rows, branch]
         self.positions += comp.row_move[rows, branch]
 
@@ -432,21 +403,20 @@ def run_batch(p: ScoutProtocol, horizon: int, root_seed: int, replicas: int,
 # hitting times
 
 
-def _iid_scout_tables(comp: _Compiled) -> list[tuple[np.ndarray, np.ndarray]]:
-    tables = []
-    for si in comp.init_state_idx:
-        row = int(comp.wildcard_row[si])
-        k = int(comp.row_len[row])
-        tables.append((comp.row_cum[row, :k].copy(),
-                       comp.row_move[row, :k].astype(np.int64)))
-    return tables
+def _iid_trajectories(comp: _Compiled, root_seed: int, reps: np.ndarray,
+                      pos: np.ndarray, t0: int, B: int) -> list[np.ndarray]:
+    """Each scout's positions after steps t0+1 .. t0+B, as (replicas, B, d)."""
+    trajs = []
+    for i, row in enumerate(comp.wildcard_row[comp.init_state_idx]):
+        branch = comp.table.draw(row, root_seed, reps, i, t0, B)
+        moves = comp.row_move[row].astype(np.int64)
+        trajs.append(pos[:, i, None, :] + np.cumsum(moves[branch], axis=1))
+    return trajs
 
 
 def _hit_times_iid_chunk(p: ScoutProtocol, targets: np.ndarray, n: int, cap: int,
-                         root_seed: int, replica_start: int,
-                         block: int = 2048) -> np.ndarray:
+                         root_seed: int, replica_start: int) -> np.ndarray:
     comp = _compile(p)
-    tables = _iid_scout_tables(comp)
     n_t = targets.shape[0]
     reps = np.arange(replica_start, replica_start + n, dtype=np.int64)
     pos = np.tile(comp.origin, (n, comp.c, 1))
@@ -457,15 +427,8 @@ def _hit_times_iid_chunk(p: ScoutProtocol, targets: np.ndarray, n: int, cap: int
     ht[at0] = 0
     t0 = 0
     while t0 < cap and reps.size:
-        B = min(block, cap - t0)
-        trajs = []
-        for i, (cum, moves) in enumerate(tables):
-            u = streams.uniforms(root_seed, reps[:, None], np.int64(i),
-                                 t0 + np.arange(B, dtype=np.int64)[None, :])
-            branch = (cum[None, None, :] <= u[..., None]).sum(-1)
-            np.minimum(branch, len(cum) - 1, out=branch)
-            traj = pos[:, i, None, :] + np.cumsum(moves[branch], axis=1)
-            trajs.append(traj)
+        B = min(_IID_BLOCK, cap - t0)
+        trajs = _iid_trajectories(comp, root_seed, reps, pos, t0, B)
         for k in range(n_t):
             unhit = ht[:, k] > cap
             if not unhit.any():
@@ -674,22 +637,15 @@ def first_meeting_times(p: ScoutProtocol, replicas: int, cap: int, root_seed: in
 
 
 def _first_meeting_iid_chunk(p: ScoutProtocol, n: int, cap: int, root_seed: int,
-                             replica_start: int, block: int = 2048) -> np.ndarray:
+                             replica_start: int) -> np.ndarray:
     comp = _compile(p)
-    tables = _iid_scout_tables(comp)
     reps = np.arange(replica_start, replica_start + n, dtype=np.int64)
     pos = np.tile(comp.origin, (n, comp.c, 1))
     out = np.full(n, cap + 1, dtype=np.int64)
     t0 = 0
     while t0 < cap and reps.size:
-        B = min(block, cap - t0)
-        trajs = []
-        for i, (cum, moves) in enumerate(tables):
-            u = streams.uniforms(root_seed, reps[:, None], np.int64(i),
-                                 t0 + np.arange(B, dtype=np.int64)[None, :])
-            branch = (cum[None, None, :] <= u[..., None]).sum(-1)
-            np.minimum(branch, len(cum) - 1, out=branch)
-            trajs.append(pos[:, i, None, :] + np.cumsum(moves[branch], axis=1))
+        B = min(_IID_BLOCK, cap - t0)
+        trajs = _iid_trajectories(comp, root_seed, reps, pos, t0, B)
         met = (trajs[0] == trajs[1]).all(-1)
         has = met.any(1)
         hit_time = t0 + 1 + met[has].argmax(1)

@@ -12,9 +12,20 @@ root seed.  The implementation keeps the four 32-bit lanes in uint64 arrays
 and runs the rounds in place, which is considerably faster in numpy than a
 literal 32-bit transcription; outputs are bit-identical to the reference
 function (see the known-answer tests).
+
+:class:`Categorical` is the one sampler that turns these uniforms into
+outcomes of finite distributions: a scout's rule row in the engine, a
+reduced-kernel row in the analysis, a step law in the walks.  Branch b of a
+row is drawn by u when cum[b-1] <= u < cum[b].  A row whose probabilities
+are all ``Fraction`` is cumulated exactly and each partial sum rounded to
+float once; any other row is cumulated in float.  The scalar, vector and
+block paths compare against the same floats, so they pick the same branch.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
+from fractions import Fraction
 
 import numpy as np
 
@@ -151,3 +162,63 @@ def uniform_block(root_seed: int, replica: int, scout: int, start: int, count: i
     """Stream values for steps start .. start+count-1 of one (replica, scout)."""
     steps = np.arange(start, start + count, dtype=np.uint64)
     return uniforms(root_seed, replica, scout, steps)
+
+
+class Categorical:
+    """Finite distributions as padded cumulative rows.
+
+    ``cum[j]`` holds the cumulative probabilities of row j, padded with 2.0
+    (above every uniform) past its ``length[j]`` outcomes.  A float row
+    summing below 1 gives the remainder to its last outcome: every
+    selection is clamped to ``length - 1``.  Payloads (successor states,
+    moves, step sizes) stay with the caller, indexed by the branch.
+    """
+
+    def __init__(self, rows):
+        self.lists: list[list[float]] = []
+        for row in rows:
+            exact = all(isinstance(p, Fraction) for p in row)
+            acc = Fraction(0) if exact else 0.0
+            cum = []
+            for p in row:
+                acc += p if exact else float(p)
+                cum.append(float(acc))
+            self.lists.append(cum)
+        self.length = np.array([len(c) for c in self.lists], dtype=np.int64)
+        self.cum = self.pad(self.lists, np.float64, fill=2.0)
+
+    def pad(self, values, dtype, fill=0) -> np.ndarray:
+        """Per-outcome ``values`` (one list per row) in the layout of ``cum``."""
+        shape = np.shape(values[0][0])
+        out = np.full((len(values), max(len(v) for v in values)) + shape, fill, dtype=dtype)
+        for j, row in enumerate(values):
+            out[j, :len(row)] = row
+        return out
+
+    def select(self, rows, u: np.ndarray) -> np.ndarray:
+        """Branch of each uniform in ``u`` under its row.
+
+        ``rows`` is an array of ``u``'s shape, or one row index; one row is
+        compared through its own unpadded slice, not a gather.
+        """
+        cum = self.cum[rows, :self.length[rows]] if np.ndim(rows) == 0 else self.cum[rows]
+        branch = (cum <= u[..., None]).sum(axis=-1)
+        return np.minimum(branch, self.length[rows] - 1, out=branch)
+
+    def select_one(self, row: int, u: float) -> int:
+        """:meth:`select` for one uniform, by bisection of the row's list."""
+        cum = self.lists[row]
+        return min(bisect_right(cum, u), len(cum) - 1)
+
+    def draw(self, row: int, root_seed: int, replicas, lane: int, t0: int,
+             count: int) -> np.ndarray:
+        """Branches of ``count`` iid draws from one row for each replica.
+
+        Draw k of replica r uses the uniform at counter (r, lane, t0 + k).
+        The shape is (len(replicas), count), or (count,) for one replica
+        given as a scalar.
+        """
+        steps = t0 + np.arange(count, dtype=np.int64)
+        u = uniforms(root_seed, np.asarray(replicas, dtype=np.int64)[..., None],
+                     np.int64(lane), steps)
+        return self.select(row, u)

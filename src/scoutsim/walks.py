@@ -9,7 +9,10 @@ models a process that at time n "sees" everything within R_{n+1} of S_n.
 The checks estimate the tail laws such walks obey in the three structural
 regimes (positive drift, zero drift, degenerate steps) and report
 PASS/FAIL verdicts against the expected shapes.  Verdicts are consistency
-statements about finite samples, not proofs.  An exact forward dynamic
+statements about finite samples, not proofs.  Samplers draw steps through
+the package's one categorical sampler, :class:`streams.Categorical`, with
+the law as its one row: cumulated exactly when every probability is a
+``Fraction``, in float otherwise.  An exact forward dynamic
 program provides the independent oracle for every event with integer
 displacements.  It runs on Python integers: with D the lcm of the outcome
 probabilities' denominators, outcome j carries the integer weight
@@ -25,6 +28,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -76,6 +80,20 @@ class StepLaw:
     @property
     def is_exact(self) -> bool:
         return all(isinstance(o.probability, Fraction) for o in self.outcomes)
+
+    @cached_property
+    def table(self) -> streams.Categorical:
+        """The outcomes as the one row of a categorical table."""
+        return streams.Categorical([[o.probability for o in self.outcomes]])
+
+    @cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-outcome zeta (int64 when every zeta is an integer), nu and radius."""
+        zeta = np.array([float(o.zeta) for o in self.outcomes])
+        if self.integer_zeta:
+            zeta = zeta.astype(np.int64)
+        return (zeta, np.array([int(o.nu) for o in self.outcomes], dtype=np.int64),
+                np.array([float(o.radius) for o in self.outcomes]))
 
     @property
     def integer_zeta(self) -> bool:
@@ -195,36 +213,11 @@ class WalkPath:
     times: np.ndarray
 
 
-def _law_tables(law: StepLaw):
-    k = len(law.outcomes)
-    cum = np.empty(k)
-    acc = Fraction(0) if law.is_exact else 0.0
-    zeta = np.empty(k)
-    nu = np.empty(k, dtype=np.int64)
-    rad = np.empty(k)
-    for j, o in enumerate(law.outcomes):
-        acc = acc + o.probability
-        cum[j] = float(acc)
-        zeta[j] = float(o.zeta)
-        nu[j] = int(o.nu)
-        rad[j] = float(o.radius)
-    if law.integer_zeta:
-        zeta = zeta.astype(np.int64)
-    return cum, zeta, nu, rad
-
-
-def _branches(law_cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    b = (law_cum[(None,) * u.ndim] <= u[..., None]).sum(-1)
-    return np.minimum(b, len(law_cum) - 1)
-
-
 def sample_walk(w: LookAroundWalk, horizon: int, seed_root: int,
                 trial: int = 0, walk_id: int = 0) -> WalkPath:
     """Deterministic single path: draw indices are (seed_root, trial, walk_id, step)."""
-    cum, zeta, nu, rad = _law_tables(w.law)
-    u = streams.uniforms(seed_root, np.int64(trial), np.int64(walk_id),
-                         np.arange(horizon + 1, dtype=np.int64))
-    b = _branches(cum, u)
+    zeta, nu, rad = w.law.arrays
+    b = w.law.table.draw(0, seed_root, trial, walk_id, 0, horizon + 1)
     S = np.empty(horizon + 1, dtype=zeta.dtype)
     S[0] = w.s0
     if horizon:
@@ -235,19 +228,28 @@ def sample_walk(w: LookAroundWalk, horizon: int, seed_root: int,
     return WalkPath(S, rad[b], T)
 
 
-def _sample_block(law_tables, root_seed, trials_idx, walk_id, t0, B, s_prev):
+def _sample_block(law: StepLaw, root_seed, trials_idx, walk_id, t0, B, s_prev):
     """Positions after steps t0+1..t0+B plus the radii paired with those steps.
 
-    Returns (S_block, R_block, b) where S_block[:, k] = S_{t0+k+1} and
+    Returns (S_block, R_block) where S_block[:, k] = S_{t0+k+1} and
     R_block[:, k] = R_{t0+k+1}; s_prev is updated by the caller from
     S_block[:, -1].
     """
-    cum, zeta, nu, rad = law_tables
-    u = streams.uniforms(root_seed, trials_idx[:, None], np.int64(walk_id),
-                         t0 + np.arange(B, dtype=np.int64)[None, :])
-    b = _branches(cum, u)
+    zeta, _, rad = law.arrays
+    b = law.table.draw(0, root_seed, trials_idx, walk_id, t0, B)
     S = s_prev[:, None] + np.cumsum(zeta[b], axis=1)
-    return S, rad[b], b
+    return S, rad[b]
+
+
+def _paths(law: StepLaw, root_seed: int, trials_idx, walk_id: int, s0,
+           horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions S_0..S_horizon, as float, and the radii R_1..R_{horizon+1}."""
+    zeta, _, rad = law.arrays
+    b = law.table.draw(0, root_seed, trials_idx, walk_id, 0, horizon + 1)
+    S = np.empty(b.shape)
+    S[:, 0] = s0
+    S[:, 1:] = s0 + np.cumsum(zeta[b[:, :-1]], axis=1)
+    return S, rad[b]
 
 
 # ---------------------------------------------------------------------------
@@ -486,30 +488,11 @@ def mc_event_frequency(law: StepLaw, s0: int, horizon: int, event: str,
     """Empirical frequency of the oracle events, using the same conventions."""
     name, _, arg = event.partition(":")
     hits = 0
-    tables1 = _law_tables(law)
-    tables2 = _law_tables(law2) if law2 is not None else None
     for start in range(0, trials, _CHUNK):
-        n = min(_CHUNK, trials - start)
-        idx = np.arange(start, start + n, dtype=np.int64)
-        u1 = streams.uniforms(root_seed, idx[:, None], np.int64(0),
-                              np.arange(horizon + 1, dtype=np.int64)[None, :])
-        b1 = _branches(tables1[0], u1)
-        Z1 = tables1[1][b1]
-        R1 = tables1[3][b1]
-        S1 = np.empty((n, horizon + 1))
-        S1[:, 0] = s0
-        if horizon:
-            S1[:, 1:] = s0 + np.cumsum(Z1[:, :-1], axis=1)
+        idx = np.arange(start, min(start + _CHUNK, trials), dtype=np.int64)
+        S1, R1 = _paths(law, root_seed, idx, 0, s0, horizon)
         if name in ("meeting", "ballmeeting"):
-            u2 = streams.uniforms(root_seed, idx[:, None], np.int64(1),
-                                  np.arange(horizon + 1, dtype=np.int64)[None, :])
-            b2 = _branches(tables2[0], u2)
-            Z2 = tables2[1][b2]
-            R2 = tables2[3][b2]
-            S2 = np.empty((n, horizon + 1))
-            S2[:, 0] = s02
-            if horizon:
-                S2[:, 1:] = s02 + np.cumsum(Z2[:, :-1], axis=1)
+            S2, R2 = _paths(law2, root_seed, idx, 1, s02, horizon)
             if name == "meeting":
                 ok = (S1[:, 1:] != S2[:, 1:]).all(axis=1)
             else:
@@ -588,7 +571,6 @@ def check_escape_under_drift(w: LookAroundWalk, x: float, trials: int = 20000,
     drift = w.law.mean_zeta
     _require(float(drift) > 0, "escape check requires E[zeta] > 0")
     _require(x < w.s0, "escape check requires a target x < s0")
-    tables = _law_tables(w.law)
     h2 = 2 * horizon
     alive_h = 0
     alive_2h = 0
@@ -605,7 +587,7 @@ def check_escape_under_drift(w: LookAroundWalk, x: float, trials: int = 20000,
             # must be taken after exactly horizon+1 checks
             limit = horizon + 1 if t0 <= horizon else h2 + 1
             B = min(block, limit - t0)
-            S_blk, R_blk, _ = _sample_block(tables, root_seed, idx, 0, t0, B, s_prev)
+            S_blk, R_blk = _sample_block(w.law, root_seed, idx, 0, t0, B, s_prev)
             # check at times t0..t0+B-1 pairs (S_n, R_{n+1})
             S_check = np.concatenate([s_prev[:, None], S_blk[:, :-1]], axis=1)
             ok = np.abs(S_check - x) > R_blk
@@ -657,7 +639,6 @@ def check_zero_drift_reach_tail(w: LookAroundWalk, x: float, trials: int = 30000
     offsets = sorted(set(float(o) for o in x_offsets) | {float(x) - float(w.s0)})
     _require(all(o > 0 for o in offsets), "offsets must be positive")
     levels = np.array([w.s0 + o for o in offsets])
-    tables = _law_tables(w.law)
     T = np.full((trials, len(levels)), cap + 1, dtype=np.int64)
     block = 1024
     for start in range(0, trials, _CHUNK):
@@ -668,7 +649,7 @@ def check_zero_drift_reach_tail(w: LookAroundWalk, x: float, trials: int = 30000
         Tc = T[start:start + n]
         while t0 <= cap:
             B = min(block, cap + 1 - t0)
-            S_blk, R_blk, _ = _sample_block(tables, root_seed, idx, 0, t0, B, s_prev)
+            S_blk, R_blk = _sample_block(w.law, root_seed, idx, 0, t0, B, s_prev)
             S_check = np.concatenate([s_prev[:, None], S_blk[:, :-1]], axis=1)
             w_vals = S_check + R_blk
             for k, level in enumerate(levels):
@@ -763,7 +744,6 @@ def check_exit_time_tail(w: LookAroundWalk, rho: float, trials: int = 20000,
     drift = float(w.law.mean_zeta)
     if u_max is None:
         u_max = max(64, int(8 * max(1.0, rho) ** 2))
-    tables = _law_tables(w.law)
     tau = np.full(trials, u_max + 1, dtype=np.int64)
     block = 512
     for start in range(0, trials, _CHUNK):
@@ -783,7 +763,7 @@ def check_exit_time_tail(w: LookAroundWalk, rho: float, trials: int = 20000,
             continue
         while t0 < u_max:
             B = min(block, u_max - t0)
-            S_blk, _, _ = _sample_block(tables, root_seed, idx, 0, t0, B, s_prev)
+            S_blk, _ = _sample_block(w.law, root_seed, idx, 0, t0, B, s_prev)
             if drift == 0:
                 outside = np.abs(S_blk) > rho
             elif drift > 0:
@@ -844,15 +824,11 @@ def check_upper_deviation_bound(w: LookAroundWalk, mu: float, n: int, y: float,
     res = minimize_scalar(objective, bounds=(1e-9, 60.0 / zmax), method="bounded")
     bound = min(1.0, math.exp(res.fun))
 
-    tables = _law_tables(w.law)
+    zeta = w.law.arrays[0]
     count = 0
     for start in range(0, trials, _CHUNK):
-        m = min(_CHUNK, trials - start)
-        idx = np.arange(start, start + m, dtype=np.int64)
-        u = streams.uniforms(root_seed, idx[:, None], np.int64(0),
-                             np.arange(n, dtype=np.int64)[None, :])
-        b = _branches(tables[0], u)
-        S_n = tables[1][b].sum(axis=1)
+        idx = np.arange(start, min(start + _CHUNK, trials), dtype=np.int64)
+        S_n = zeta[w.law.table.draw(0, root_seed, idx, 0, 0, n)].sum(axis=1)
         count += int((S_n >= y).sum())
     freq = count / trials
     lo, hi = wilson_interval(count, trials)
@@ -869,8 +845,6 @@ def check_upper_deviation_bound(w: LookAroundWalk, mu: float, n: int, y: float,
 
 def _joint_min_times_unit(w1: LookAroundWalk, w2: LookAroundWalk, lo: float, hi: float,
                           trials: int, cap: int, root_seed: int) -> np.ndarray:
-    t1 = _law_tables(w1.law)
-    t2 = _law_tables(w2.law)
     out = np.full(trials, cap + 1, dtype=np.int64)
     block = 512
     for start in range(0, trials, _CHUNK):
@@ -881,8 +855,8 @@ def _joint_min_times_unit(w1: LookAroundWalk, w2: LookAroundWalk, lo: float, hi:
         t0 = 0
         while t0 <= cap and idx.size:
             B = min(block, cap + 1 - t0)
-            S1, R1, _ = _sample_block(t1, root_seed, idx, 0, t0, B, s1)
-            S2, R2, _ = _sample_block(t2, root_seed, idx, 1, t0, B, s2)
+            S1, R1 = _sample_block(w1.law, root_seed, idx, 0, t0, B, s1)
+            S2, R2 = _sample_block(w2.law, root_seed, idx, 1, t0, B, s2)
             C1 = np.concatenate([s1[:, None], S1[:, :-1]], axis=1)
             C2 = np.concatenate([s2[:, None], S2[:, :-1]], axis=1)
             sigma_hit = np.abs(C1 - C2) <= R1 + R2

@@ -15,8 +15,7 @@ import pytest
 
 from scoutsim import SeedSpec, builtin, parse_protocol
 from scoutsim.analysis import (classes, degeneracy_check, effective_drift,
-                               kernel_renewal_samples, product_kernel,
-                               _kernel_tables)
+                               kernel_renewal_samples, product_kernel)
 from scoutsim import streams
 from scoutsim.engine import (Trace, first_meeting_times, hit_times,
                              monte_carlo_hitting_multi, run_batch)
@@ -289,7 +288,9 @@ def test_criterion_05_exact_drift_identities():
 
 
 def _confinement_holds(k, verdict, root_seed, chains=64, steps=512):
-    cum, to, mv, length = _kernel_tables(k)
+    table = streams.Categorical([[e.probability for e in row] for row in k.rows])
+    to = table.pad([[e.to for e in row] for row in k.rows], np.int64)
+    mv = table.pad([[e.move for e in row] for row in k.rows], np.int64)
     root = None
     for name, off in verdict.offsets.items():
         if off == (0,) * k.dim:
@@ -301,8 +302,7 @@ def _confinement_holds(k, verdict, root_seed, chains=64, steps=512):
     reps = np.arange(chains, dtype=np.int64)
     for t in range(steps):
         u = streams.uniforms(root_seed, reps, np.int64(0), np.int64(t))
-        b = (cum[state] <= u[:, None]).sum(axis=1)
-        np.minimum(b, length[state] - 1, out=b)
+        b = table.select(state, u)
         pos += mv[state, b]
         state = to[state, b]
         if not np.array_equal(pos, offsets[state]):

@@ -243,23 +243,22 @@ def test_nondegenerate_selfloop_conflict():
 
 def test_degeneracy_matches_simulated_confinement():
     from conftest import random_degenerate_kernel
-    from scoutsim.analysis import _kernel_tables
     from scoutsim import streams
     rng = np.random.default_rng(8)
     k = random_degenerate_kernel(rng, 4, 2)
     v = degeneracy_check(k, k.states)
     assert v.degenerate
     # simulate from the BFS root: position must always equal the offset
-    cum, to, mv, length = _kernel_tables(k)
+    table = streams.Categorical([[e.probability for e in row] for row in k.rows])
     root = k.states.index(next(iter(v.offsets)))
     q = root
     pos = np.zeros(2, dtype=np.int64)
     base = np.array(v.offsets[k.states[root]])
     for t in range(3000):
         u = streams.uniform_scalar(77, 0, 0, t)
-        b = min(int((cum[q] <= u).sum()), int(length[q]) - 1)
-        pos += mv[q, b]
-        q = int(to[q, b])
+        e = k.rows[q][table.select_one(q, u)]
+        pos += e.move
+        q = e.to
         assert tuple(pos + base) == v.offsets[k.states[q]]
 
 

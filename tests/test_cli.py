@@ -195,9 +195,27 @@ def test_config_cli_overrides(tmp_path, capsys):
     ["lemma", "lemma50", "--trials", "0"],
     ["simulate", "--protocol", "builtin:srw?d=1", "--seed", "-1"],
     ["hitting", "--protocol", "builtin:srw?d=1", "--targets", "1", "--seed", str(2**64)],
+    # flags a subcommand does not read are not accepted
+    ["oracle", "--law", "srw", "--event", "hit:1", "--horizon", "3", "--seed", "1"],
+    ["analyze", "--protocol", "builtin:srw?d=1", "--replicas", "5"],
+    ["renewal", "--protocol", "builtin:independent_walks?d=1,c=2", "--horizon", "8",
+     "--threads", "2"],
+    ["simulate", "--protocol", "builtin:srw?d=1", "--horizon", "2", "--cap", "5"],
+    ["hitting", "--protocol", "builtin:srw?d=1", "--targets", "1", "--replicas", "10",
+     "--cap", "16", "--format", "json"],
+    ["lemma", "lemma50", "--trials", "100", "--replicas", "5"],
 ])
 def test_edge_inputs_exit_usage(argv, capsys):
     assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error:")
+
+
+def test_config_key_of_absent_flag_exits_usage(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=1\n")
+    assert main(["oracle", "--law", "srw", "--event", "hit:1", "--horizon", "3",
+                 "--config", str(cfg)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("usage error:")
 

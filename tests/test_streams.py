@@ -1,7 +1,12 @@
 """Counter-based stream contract: known answers, purity, uniformity."""
 
+import itertools
+from bisect import bisect_right
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
 from scoutsim import streams
@@ -111,3 +116,59 @@ def test_out_of_range_root_seed_rejected():
     top = 2**64 - 1
     assert streams.uniform_scalar(top, 0, 0, 0) == float(streams.uniforms(top, 0, 0, 0))
     assert streams.uniform_scalar(top, 0, 0, 0) != streams.uniform_scalar(0, 0, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# categorical tables
+
+
+@st.composite
+def _rows(draw):
+    """A row of 1-5 outcomes: all Fraction, all float, or mixed; some short of 1."""
+    cells = draw(st.lists(st.tuples(st.integers(0, 12), st.booleans()),
+                          min_size=1, max_size=5).filter(lambda c: any(w for w, _ in c)))
+    scale = Fraction(100 - draw(st.integers(0, 5)), sum(w for w, _ in cells) * 100)
+    return [float(w * scale) if as_float else w * scale for w, as_float in cells]
+
+
+def _reference_cum(row):
+    if all(isinstance(p, Fraction) for p in row):
+        return [float(c) for c in itertools.accumulate(row)]
+    return list(itertools.accumulate(float(p) for p in row))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_rows(), min_size=1, max_size=6),
+       st.lists(st.floats(0, 1, exclude_max=True), max_size=20))
+def test_categorical_selections_agree(rows, extra_u):
+    table = streams.Categorical(rows)
+    refs = [_reference_cum(r) for r in rows]
+    # every cumulative value below 1 is a uniform the boundary rule must place
+    u = np.array(sorted({*extra_u, *(c for ref in refs for c in ref if c < 1)}))
+    want = {j: [min(bisect_right(ref, x), len(ref) - 1) for x in u]
+            for j, ref in enumerate(refs)}
+    for j in want:
+        assert table.select(j, u).tolist() == want[j]
+        assert [table.select_one(j, float(x)) for x in u] == want[j]
+    # a gather over padded rows of different lengths
+    which = np.arange(u.size) % len(rows)
+    assert table.select(which, u).tolist() == [want[j][i] for i, j in enumerate(which)]
+    assert table.cum.shape == (len(rows), max(len(r) for r in rows))
+
+
+def test_categorical_cumulates_exact_rows_exactly():
+    row = [Fraction(1, 10), Fraction(2, 10), Fraction(7, 10)]
+    # a float cumsum reaches 0.30000000000000004 and would pick branch 1
+    assert streams.Categorical([[float(p) for p in row]]).select_one(0, 0.3) == 1
+    table = streams.Categorical([row])
+    assert table.select_one(0, 0.3) == 2
+    assert table.select(0, np.array([0.3])).tolist() == [2]
+
+
+def test_categorical_draw_keys():
+    table = streams.Categorical([[Fraction(1, 3)] * 3, [0.25, 0.75]])
+    reps = np.array([0, 5, 9])
+    got = table.draw(1, 11, reps, 2, 40, 7)
+    u = streams.uniforms(11, reps[:, None], 2, 40 + np.arange(7)[None, :])
+    assert np.array_equal(got, (u >= 0.25).astype(np.int64))
+    assert np.array_equal(table.draw(1, 11, 5, 2, 40, 7), got[1])

@@ -80,6 +80,7 @@ _RANGES = (
     ("trials", 1, None),
     ("replica", 0, streams.COUNTER_LIMIT),
     ("seed", 0, streams.SEED_LIMIT),
+    ("k_min", 1, None),
 )
 
 
@@ -90,7 +91,10 @@ def _check_ranges(args) -> None:
             continue
         if value < least or (above is not None and value >= above):
             bound = f">= {least}" if above is None else f"in [{least}, {above})"
-            raise UsageError(f"--{name} must be {bound}, got {value}")
+            raise UsageError(f"--{name.replace('_', '-')} must be {bound}, got {value}")
+    k_min, k_max = getattr(args, "k_min", None), getattr(args, "k_max", None)
+    if k_max is not None and k_max < k_min:
+        raise UsageError(f"--k-max must be >= --k-min ({k_min}), got {k_max}")
 
 
 def _dump_json(obj) -> str:
@@ -193,6 +197,8 @@ def cmd_hitting(args, argv) -> int:
 
 def cmd_analyze(args, argv) -> int:
     p = _load_protocol(args.protocol)
+    if not 1 <= args.scout <= p.scouts:
+        raise UsageError(f"--scout must be in [1, {p.scouts}], got {args.scout}")
     report = analyze_protocol(p, scout=args.scout)
     body = report.to_json()
     body["protocol_hash"] = protocol_hash(p)
@@ -368,8 +374,21 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _apply_config(argv: list[str]) -> list[str]:
-    """Expand --config FILE into leading --key value pairs (CLI args win)."""
+def _switches(parser: _Parser, command: str) -> set[str]:
+    """Option strings of the store_true flags of ``command``."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction) and command in action.choices:
+            return {opt for a in action.choices[command]._actions
+                    if isinstance(a, argparse._StoreTrueAction) for opt in a.option_strings}
+    return set()
+
+
+def _apply_config(argv: list[str], parser: _Parser) -> list[str]:
+    """Expand --config FILE into leading --key value pairs (CLI args win).
+
+    A key naming a store_true flag takes 1/true (flag passed) or 0/false
+    (flag omitted).
+    """
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
@@ -377,6 +396,7 @@ def _apply_config(argv: list[str]) -> list[str]:
         raise UsageError("--config needs a file path")
     path = Path(argv[i + 1])
     injected: list[str] = []
+    switches = _switches(parser, argv[0])
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -388,7 +408,14 @@ def _apply_config(argv: list[str]) -> list[str]:
         key, _, value = line.partition("=")
         if not value:
             raise UsageError(f"bad config line {raw!r}")
-        injected.extend([f"--{key.strip().replace('_', '-')}", value.strip()])
+        flag, value = f"--{key.strip().replace('_', '-')}", value.strip()
+        if flag not in switches:
+            injected.extend([flag, value])
+        elif value.lower() in ("1", "true"):
+            injected.append(flag)
+        elif value.lower() not in ("0", "false"):
+            raise UsageError(f"config key {key.strip()!r} is a switch: use 1, true, 0 "
+                             f"or false, not {value!r}")
     # insert after the subcommand so subparser options resolve
     head = argv[:1]
     return head + injected + argv[1:]
@@ -397,8 +424,8 @@ def _apply_config(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        expanded = _apply_config(argv)
         parser = build_parser()
+        expanded = _apply_config(argv, parser)
         args = parser.parse_args(expanded)
         _check_ranges(args)
         return args.fn(args, argv)

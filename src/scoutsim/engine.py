@@ -14,6 +14,15 @@ row per scout, and the iid block path draws whole blocks from one row.
 All three compare against the same floats; a row of ``Fraction``
 probabilities is cumulated exactly and only then rounded.
 
+Protocols whose scouts all walk i.i.d. take the block path for hitting
+times, first meetings and meeting gaps.  A block after step t0 is
+min(cap - t0, max(1, V // R)) steps for R active replicas and a budget of
+V = 2**14 variates per scout, so blocks start short while most replicas
+run and grow as they finish.  Every draw is keyed by its absolute step, so
+the partition changes no value: the block path equals the stepwise
+:class:`VectorSim` loop bit for bit, meeting gaps in its (time, replica)
+order.
+
 Hitting and meeting measurements stream; they never materialize traces, so
 caps of 2**24 steps run in bounded memory.  Target detection looks each
 scout's position up among the distinct targets: per step O(replicas *
@@ -43,8 +52,9 @@ _CENSORED_FLAG_FRACTION = 0.01
 # call and hold no larger buffer than without prefetching
 _PREFETCH_VARIATES = 1 << 13
 _PREFETCH_MAX_STEPS = 64
-# steps per block of the iid paths, which draw each scout's steps in bulk
-_IID_BLOCK = 2048
+# variates per scout in one block of the iid paths (see _iid_block): a
+# block's arrays stay near 128 KiB however many replicas are active
+_IID_VARIATES = 1 << 14
 
 
 class ResourceLimitError(RuntimeError):
@@ -403,6 +413,12 @@ def run_batch(p: ScoutProtocol, horizon: int, root_seed: int, replicas: int,
 # hitting times
 
 
+def _iid_block(t0: int, cap: int, active: int) -> int:
+    """Steps of the iid block after step t0: the variate budget over the
+    active replicas, at least one and at most up to the cap."""
+    return min(cap - t0, max(1, _IID_VARIATES // active))
+
+
 def _iid_trajectories(comp: _Compiled, root_seed: int, reps: np.ndarray,
                       pos: np.ndarray, t0: int, B: int) -> list[np.ndarray]:
     """Each scout's positions after steps t0+1 .. t0+B, as (replicas, B, d)."""
@@ -427,7 +443,7 @@ def _hit_times_iid_chunk(p: ScoutProtocol, targets: np.ndarray, n: int, cap: int
     ht[at0] = 0
     t0 = 0
     while t0 < cap and reps.size:
-        B = min(_IID_BLOCK, cap - t0)
+        B = _iid_block(t0, cap, reps.size)
         trajs = _iid_trajectories(comp, root_seed, reps, pos, t0, B)
         for k in range(n_t):
             unhit = ht[:, k] > cap
@@ -644,7 +660,7 @@ def _first_meeting_iid_chunk(p: ScoutProtocol, n: int, cap: int, root_seed: int,
     out = np.full(n, cap + 1, dtype=np.int64)
     t0 = 0
     while t0 < cap and reps.size:
-        B = min(_IID_BLOCK, cap - t0)
+        B = _iid_block(t0, cap, reps.size)
         trajs = _iid_trajectories(comp, root_seed, reps, pos, t0, B)
         met = (trajs[0] == trajs[1]).all(-1)
         has = met.any(1)
@@ -675,13 +691,50 @@ def meeting_gap_samples(p: ScoutProtocol, replicas: int, cap: int, root_seed: in
     """Inter-meeting gaps N_k - N_{k-1} pooled over replicas, k_min <= k <= k_max.
 
     Raising k_min discards the burn-in gaps tied to the fixed initial state
-    pair; the remaining gaps are pooled across the k range.
+    pair; the remaining gaps are pooled across the k range, in order of
+    meeting time and then replica on every path.
     """
     comp = _compile(p)
     if comp.c != 2:
         raise ValueError("meeting gaps need a two-scout protocol")
     if not 1 <= k_min <= k_max:
         raise ValueError("need 1 <= k_min <= k_max")
+    fn = _meeting_gaps_iid if comp.iid_single else _meeting_gaps_general
+    return fn(p, replicas, cap, root_seed, k_min, k_max)
+
+
+def _meeting_gaps_iid(p: ScoutProtocol, replicas: int, cap: int, root_seed: int,
+                      k_min: int, k_max: int) -> np.ndarray:
+    comp = _compile(p)
+    reps = np.arange(replicas, dtype=np.int64)
+    pos = np.tile(comp.origin, (replicas, comp.c, 1))
+    last = np.zeros(replicas, dtype=np.int64)
+    count = np.zeros(replicas, dtype=np.int64)
+    gaps: list[np.ndarray] = []
+    t0 = 0
+    while t0 < cap and reps.size:
+        B = _iid_block(t0, cap, reps.size)
+        trajs = _iid_trajectories(comp, root_seed, reps, pos, t0, B)
+        met = (trajs[0] == trajs[1]).all(-1)
+        t = t0 + 1 + np.arange(B, dtype=np.int64)
+        k = count[:, None] + np.cumsum(met, axis=1)  # index of each step's meeting
+        upto = np.maximum.accumulate(np.where(met, t, 0), axis=1)
+        np.maximum(upto, last[:, None], out=upto)  # last meeting at or before each step
+        before = np.concatenate([last[:, None], upto[:, :-1]], axis=1)
+        # nonzero over the (B, R) transpose lists meetings by time, then replica
+        b, r = np.nonzero((met & (k >= k_min) & (k <= k_max)).T)
+        gaps.append(t[b] - before[r, b])
+        count, last = k[:, -1], upto[:, -1]
+        pos = np.stack([traj[:, -1, :] for traj in trajs], axis=1)
+        t0 += B
+        keep = count < k_max
+        if not keep.all():
+            reps, pos, last, count = reps[keep], pos[keep], last[keep], count[keep]
+    return np.concatenate(gaps) if gaps else np.zeros(0, dtype=np.int64)
+
+
+def _meeting_gaps_general(p: ScoutProtocol, replicas: int, cap: int, root_seed: int,
+                          k_min: int, k_max: int) -> np.ndarray:
     sim = VectorSim(p, replicas, root_seed)
     last = np.zeros(replicas, dtype=np.int64)
     count = np.zeros(replicas, dtype=np.int64)

@@ -83,16 +83,32 @@ def extract_renewal(t: Trace, pair: tuple[int, int] | None = None) -> MeetingRen
     pairs = [(names[t.state_idx[n, i]], names[t.state_idx[n, j]]) for n in times]
     gaps = np.zeros(times.size, dtype=np.int64)
     gaps[1:] = np.diff(times)
-    watched = t.positions[:, (i, j), :]
-    for k in range(1, times.size):
-        seg = watched[times[k - 1]:times[k] + 1]  # (len, 2, d)
-        for endpoint in (pts[k - 1], pts[k]):
-            dist = np.abs(seg - endpoint[None, None, :]).max(axis=2)
-            if int(dist.max()) > gaps[k]:
-                raise EnvelopeViolation(
-                    f"scout strayed {int(dist.max())} > gap {int(gaps[k])} "
-                    f"between meetings {k-1} and {k}")
+    if times.size > 1:
+        _check_envelope(t.positions[:, (i, j), :], times, pts, gaps)
     return MeetingRenewal(times, pts, pairs, gaps)
+
+
+def _check_envelope(watched: np.ndarray, times: np.ndarray, pts: np.ndarray,
+                    gaps: np.ndarray) -> None:
+    """Raise EnvelopeViolation for the first segment straying beyond its gap.
+
+    Segment k spans steps N_{k-1} .. N_k, both included.  The sup-norm
+    distance of its positions to a point y is the largest of max - y and
+    y - min over the segment's per-axis extremes, so one reduceat per
+    extreme replaces a loop over meetings.
+    """
+    ends = times[1:]
+    hi, lo = watched.max(axis=1), watched.min(axis=1)  # (steps, d) over both scouts
+    seg_hi = np.maximum(np.maximum.reduceat(hi[:times[-1]], times[:-1]), hi[ends])
+    seg_lo = np.minimum(np.minimum.reduceat(lo[:times[-1]], times[:-1]), lo[ends])
+    strays = [np.maximum(seg_hi - y, y - seg_lo).max(axis=1) for y in (pts[:-1], pts[1:])]
+    bad = (strays[0] > gaps[1:]) | (strays[1] > gaps[1:])
+    if bad.any():
+        k = int(np.argmax(bad)) + 1
+        dist = strays[0][k - 1] if strays[0][k - 1] > gaps[k] else strays[1][k - 1]
+        raise EnvelopeViolation(
+            f"scout strayed {int(dist)} > gap {int(gaps[k])} "
+            f"between meetings {k-1} and {k}")
 
 
 # ---------------------------------------------------------------------------

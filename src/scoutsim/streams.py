@@ -198,11 +198,14 @@ class Categorical:
     def select(self, rows, u: np.ndarray) -> np.ndarray:
         """Branch of each uniform in ``u`` under its row.
 
-        ``rows`` is an array of ``u``'s shape, or one row index; one row is
-        compared through its own unpadded slice, not a gather.
+        ``rows`` is an array of ``u``'s shape, or one row index.  One row is
+        searched through its own unpadded slice; gathered rows count the
+        entries <= u, which is the same branch because rows never decrease.
         """
-        cum = self.cum[rows, :self.length[rows]] if np.ndim(rows) == 0 else self.cum[rows]
-        branch = (cum <= u[..., None]).sum(axis=-1)
+        if np.ndim(rows) == 0:
+            branch = np.searchsorted(self.cum[rows, :self.length[rows]], u, side="right")
+        else:
+            branch = (self.cum[rows] <= u[..., None]).sum(axis=-1)
         return np.minimum(branch, self.length[rows] - 1, out=branch)
 
     def select_one(self, row: int, u: float) -> int:

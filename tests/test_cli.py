@@ -204,6 +204,13 @@ def test_config_cli_overrides(tmp_path, capsys):
     ["hitting", "--protocol", "builtin:srw?d=1", "--targets", "1", "--replicas", "10",
      "--cap", "16", "--format", "json"],
     ["lemma", "lemma50", "--trials", "100", "--replicas", "5"],
+    # library argument checks, made at the CLI boundary
+    ["analyze", "--protocol", "builtin:srw?d=1", "--scout", "3"],
+    ["analyze", "--protocol", "builtin:srw?d=1", "--scout", "0"],
+    ["renewal", "--protocol", "builtin:independent_walks?d=1,c=2", "--horizon", "8",
+     "--tail", "--trials", "5", "--k-min", "0"],
+    ["renewal", "--protocol", "builtin:independent_walks?d=1,c=2", "--horizon", "8",
+     "--tail", "--trials", "5", "--k-min", "5", "--k-max", "2"],
 ])
 def test_edge_inputs_exit_usage(argv, capsys):
     assert main(argv) == 1
@@ -216,6 +223,30 @@ def test_config_key_of_absent_flag_exits_usage(tmp_path, capsys):
     cfg.write_text("seed=1\n")
     assert main(["oracle", "--law", "srw", "--event", "hit:1", "--horizon", "3",
                  "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("usage error:")
+
+
+RENEWAL_TAIL = ["renewal", "--protocol", "builtin:independent_walks?d=1,c=2",
+                "--horizon", "16", "--trials", "20", "--cap", "64", "--seed", "4"]
+
+
+@pytest.mark.parametrize("value,tail", [("1", True), ("true", True), ("TRUE", True),
+                                        ("0", False), ("false", False)])
+def test_config_switch(tmp_path, capsys, value, tail):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"tail={value}\n")
+    assert main(RENEWAL_TAIL + ["--config", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert main(RENEWAL_TAIL + ["--tail"] * tail) == 0
+    assert capsys.readouterr().out == out
+    assert ('"n_gaps"' in out) == tail
+
+
+def test_config_switch_bad_value_exits_usage(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tail=yes\n")
+    assert main(RENEWAL_TAIL + ["--config", str(cfg)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("usage error:")
 

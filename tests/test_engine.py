@@ -8,13 +8,14 @@ import pytest
 
 from scoutsim import (SeedSpec, builtin, meeting_times, monte_carlo_hitting,
                       parse_protocol, run, step)
+from scoutsim import engine
 from scoutsim.engine import (ResourceLimitError, VectorSim,
                              _hit_times_general_chunk, _hit_times_iid_chunk,
                              first_meeting_times,
                              _first_meeting_general_chunk,
-                             _first_meeting_iid_chunk, hit_times,
-                             hitting_time, initial_configuration, iter_run,
-                             run_batch)
+                             _first_meeting_iid_chunk, _meeting_gaps_general,
+                             hit_times, hitting_time, initial_configuration,
+                             iter_run, meeting_gap_samples, run_batch)
 
 DET_PLUS = "dim 1\nscouts 1\nstates A\ninit 1 A\ntrans A * -> 1 A (+1)\n"
 
@@ -370,6 +371,51 @@ def test_first_meeting_paths_agree():
     a = _first_meeting_iid_chunk(p, 500, 600, 21, 0)
     b = _first_meeting_general_chunk(p, 500, 600, 21, 0)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("replicas", [5, 60])
+def test_iid_block_budget_changes_no_value(monkeypatch, replicas):
+    # budget 1 gives one-step blocks, 7 gives blocks that grow as replicas
+    # finish, 2**40 one block up to the cap
+    srw = builtin("srw", d=2)
+    pair = builtin("independent_walks", d=1, c=2)
+    targets = np.array([(1, 0), (0, -2), (1, 0)], dtype=np.int64)
+    results = []
+    for budget in (1, 7, 2**40):
+        monkeypatch.setattr(engine, "_IID_VARIATES", budget)
+        results.append((_hit_times_iid_chunk(srw, targets, replicas, 300, 5, 11),
+                        _first_meeting_iid_chunk(pair, replicas, 300, 5, 11),
+                        meeting_gap_samples(pair, replicas, 300, 5, k_min=2, k_max=9)))
+    for got in results[1:]:
+        for a, b in zip(results[0], got):
+            assert np.array_equal(a, b)
+    assert results[0][2].size > 0
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("cap,k_min,k_max", [
+    (800, 1, 64), (800, 3, 3), (800, 1, 1), (1, 1, 4),
+    (5, 1, 4),  # a cap shorter than the first block of 2**14 // 40 steps
+])
+def test_iid_meeting_gaps_match_stepwise_loop(d, cap, k_min, k_max):
+    p = builtin("independent_walks", d=d, c=2)
+    assert engine._compile(p).iid_single
+    got = meeting_gap_samples(p, 40, cap, 17, k_min, k_max)
+    want = _meeting_gaps_general(p, 40, cap, 17, k_min, k_max)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("k_max", [1, 3])
+def test_iid_meeting_gaps_kmax_meeting_on_block_end(monkeypatch, k_max):
+    # size the first block so that replica 0's k_max-th meeting is its last step
+    p = builtin("independent_walks", d=1, c=2)
+    replicas = 30
+    n_k = meeting_times(run(p, 400, SeedSpec(8)))[k_max]
+    monkeypatch.setattr(engine, "_IID_VARIATES", n_k * replicas)
+    assert engine._iid_block(0, 400, replicas) == n_k
+    got = meeting_gap_samples(p, replicas, 400, 8, 1, k_max)
+    want = _meeting_gaps_general(p, replicas, 400, 8, 1, k_max)
+    assert np.array_equal(got, want)
 
 
 def test_first_meeting_survival_slope():

@@ -55,6 +55,63 @@ def test_envelope_violation_detected_on_corrupted_trace():
         extract_renewal(tr)
 
 
+def _envelope_message(tr, pair):
+    """The per-meeting envelope loop: message of the first violation, or None."""
+    watched = tr.positions[:, (pair[0] - 1, pair[1] - 1), :]
+    eq = (watched[:, 0] == watched[:, 1]).all(axis=1)
+    eq[0] = True
+    times = np.flatnonzero(eq)
+    pts = watched[times, 0]
+    for k in range(1, times.size):
+        seg = watched[times[k - 1]:times[k] + 1]
+        gap = times[k] - times[k - 1]
+        for endpoint in (pts[k - 1], pts[k]):
+            dist = int(np.abs(seg - endpoint).max())
+            if dist > gap:
+                return f"scout strayed {dist} > gap {gap} between meetings {k-1} and {k}"
+    return None
+
+
+def test_envelope_check_matches_per_meeting_loop():
+    rng = np.random.default_rng(7)
+    violations = 0
+    for name, d, params in (("anchored_geometric", 1, {}), ("anchored_geometric", 2, {}),
+                            ("independent_walks", 2, {"c": 2})):
+        p = builtin(name, d=d, **params)
+        for rep in range(12):
+            tr = run(p, 300, SeedSpec(5, rep))
+            if rep % 3:  # corrupt one coordinate of one scout at one step
+                n, i, k = rng.integers(1, 301), rng.integers(2), rng.integers(d)
+                tr.positions[n, i, k] += rng.integers(-5, 6)
+            want = _envelope_message(tr, (1, 2))
+            if want is None:
+                extract_renewal(tr, pair=(1, 2))
+            else:
+                violations += 1
+                with pytest.raises(EnvelopeViolation) as info:
+                    extract_renewal(tr, pair=(1, 2))
+                assert str(info.value) == want
+    assert violations >= 5
+
+
+@pytest.mark.parametrize("moved,want", [
+    # both teleported to 5 at step 2: the end point is 5 from Y_0, which is
+    # reported although (1, -1) lies 6 from Y_1
+    ({2: (5, 5)}, "scout strayed 5 > gap 2 between meetings 0 and 1"),
+    # 4 strays from Y_0 = 0 but lies within gap 3 of Y_1 = 2
+    ({2: (4, 1), 3: (2, 2)}, "scout strayed 4 > gap 3 between meetings 0 and 1"),
+    # -2 lies within gap 3 of Y_0 = 0 but strays 4 from Y_1 = 2
+    ({2: (-2, 1), 3: (2, 2)}, "scout strayed 4 > gap 3 between meetings 0 and 1"),
+])
+def test_envelope_violation_reports_the_loop_distance(moved, want):
+    tr = run(parse_protocol(SEPARATING), 3, SeedSpec(0))  # 0, (1, -1), (2, -2), ...
+    for n, xs in moved.items():
+        tr.positions[n, :, 0] = xs
+    assert _envelope_message(tr, (1, 2)) == want
+    with pytest.raises(EnvelopeViolation, match=want):
+        extract_renewal(tr)
+
+
 # meeting tails
 
 

@@ -165,6 +165,19 @@ def test_categorical_cumulates_exact_rows_exactly():
     assert table.select(0, np.array([0.3])).tolist() == [2]
 
 
+def test_categorical_single_row_search_matches_gather():
+    # zero-probability outcomes repeat a cumulative value; a uniform equal to
+    # a cumulative value belongs to the next outcome with positive weight
+    rows = [[Fraction(1, 4), Fraction(0), Fraction(1, 4), Fraction(0), Fraction(1, 2)],
+            [0.0, 0.5, 0.0, 0.5], [Fraction(1)]]
+    table = streams.Categorical(rows)
+    u = np.array([[0.0, 0.25, 0.5], [0.75, 0.9999, 0.1]])
+    want = {0: [[0, 2, 4], [4, 4, 0]], 1: [[1, 1, 3], [3, 3, 1]], 2: [[0, 0, 0], [0, 0, 0]]}
+    for j, branches in want.items():
+        assert table.select(j, u).tolist() == branches
+        assert table.select(np.full(u.shape, j), u).tolist() == branches
+
+
 def test_categorical_draw_keys():
     table = streams.Categorical([[Fraction(1, 3)] * 3, [0.25, 0.75]])
     reps = np.array([0, 5, 9])

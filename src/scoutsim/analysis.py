@@ -491,24 +491,10 @@ def renewal_samples(p: ScoutProtocol, scout: int, q0: str, count: int,
     initial state.
     """
     k = reduce_kernel(p, scout)
-    _require_reachable(k, k.initial_state, k.states.index(q0))
-    return kernel_renewal_samples(k, q0, count, seed.root_seed)
-
-
-def _require_reachable(k: ReducedKernel, src: int, dst: int) -> None:
-    seen = {src}
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for q in frontier:
-            for e in k.rows[q]:
-                if float(e.probability) > 0 and e.to not in seen:
-                    seen.add(e.to)
-                    nxt.append(e.to)
-        frontier = nxt
-    if dst not in seen:
+    if k.states.index(q0) not in _reachable_set(k.rows, k.initial_state):
         raise PreconditionError(
-            f"state {k.states[dst]!r} unreachable from {k.states[src]!r}")
+            f"state {q0!r} unreachable from {k.states[k.initial_state]!r}")
+    return kernel_renewal_samples(k, q0, count, seed.root_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -525,63 +511,94 @@ def product_kernel(k1: ReducedKernel, k2: ReducedKernel,
     if k1.dim != k2.dim:
         raise ValueError("kernels must share a dimension")
     names = tuple(f"{a}|{b}" for a in k1.states for b in k2.states)
-    n2 = k2.n_states
-    rows = []
-    for q1, row1 in enumerate(k1.rows):
-        for q2, row2 in enumerate(k2.rows):
-            entries = []
-            for e1 in row1:
-                for e2 in row2:
-                    prob = e1.probability * e2.probability
-                    if difference:
-                        move = tuple(a - b for a, b in zip(e1.move, e2.move))
-                    else:
-                        move = e1.move + e2.move
-                    entries.append(KernelEntry(prob, e1.to * n2 + e2.to, move))
-            rows.append(tuple(entries))
+    rows = _ProductRows(k1, k2, difference)
     dim = k1.dim if difference else k1.dim + k2.dim
-    init = k1.initial_state * n2 + k2.initial_state
-    return ReducedKernel(dim, names, tuple(rows), initial_state=init)
+    return ReducedKernel(dim, names, tuple(rows[q] for q in range(len(names))),
+                         initial_state=k1.initial_state * k2.n_states + k2.initial_state)
+
+
+class _ProductRows(dict):
+    """Rows of :func:`product_kernel` by joint state q1 * n2 + q2, each
+    built on first access."""
+
+    def __init__(self, k1: ReducedKernel, k2: ReducedKernel, difference: bool):
+        super().__init__()
+        self.k1, self.k2, self.difference = k1, k2, difference
+
+    def __missing__(self, q: int) -> tuple[KernelEntry, ...]:
+        n2 = self.k2.n_states
+        q1, q2 = divmod(q, n2)
+        entries = []
+        for e1 in self.k1.rows[q1]:
+            for e2 in self.k2.rows[q2]:
+                prob = e1.probability * e2.probability
+                if self.difference:
+                    move = tuple(a - b for a, b in zip(e1.move, e2.move))
+                else:
+                    move = e1.move + e2.move
+                entries.append(KernelEntry(prob, e1.to * n2 + e2.to, move))
+        row = self[q] = tuple(entries)
+        return row
+
+
+def _scout_kernels(p: ScoutProtocol) -> tuple[ReducedKernel, ReducedKernel]:
+    if p.scouts != 2:
+        raise PreconditionError("joint product chain needs exactly two scouts")
+    return reduce_kernel(p, 1), reduce_kernel(p, 2)
 
 
 def joint_product_chain(p: ScoutProtocol, difference: bool = False) -> ReducedKernel:
     """Product chain of a two-scout protocol's reduced kernels."""
-    if p.scouts != 2:
-        raise PreconditionError("joint product chain needs exactly two scouts")
-    return product_kernel(reduce_kernel(p, 1), reduce_kernel(p, 2),
-                          difference=difference)
+    return product_kernel(*_scout_kernels(p), difference=difference)
 
 
 def difference_drift(p_or_pair, cls: Sequence[str] | None = None):
     """Drift vector of the difference walk of two independent scouts.
 
     Accepts a two-scout protocol or a (kernel, kernel) pair.  The class
-    defaults to the recurrent class reachable from the joint initial state;
-    by independence every recurrent class gives drift1 - drift2.
+    defaults to the first recurrent class reachable from the joint initial
+    state; by independence every recurrent class gives drift1 - drift2.
+    Without ``cls`` only the joint states reachable from the initial pair
+    are built, in the full product kernel's order, so the classes, the
+    class chosen and its stationary law are those of the full kernel.
     """
     if isinstance(p_or_pair, ScoutProtocol):
-        kd = joint_product_chain(p_or_pair, difference=True)
+        k1, k2 = _scout_kernels(p_or_pair)
     else:
         k1, k2 = p_or_pair
-        kd = product_kernel(k1, k2, difference=True)
     if cls is not None:
-        return effective_drift(kd, cls)
-    reachable = _reachable_set(kd, kd.initial_state)
-    rec = [c for c in classes(kd).classes
-           if c.recurrent and kd.states.index(c.states[0]) in reachable]
+        return effective_drift(product_kernel(k1, k2, difference=True), cls)
+    if k1.dim != k2.dim:
+        raise ValueError("kernels must share a dimension")
+    rows = _ProductRows(k1, k2, difference=True)
+    start = k1.initial_state * k2.n_states + k2.initial_state
+    joint = sorted(_reachable_set(rows, start))  # builds exactly these rows
+    index = {q: i for i, q in enumerate(joint)}
+    # a zero-probability entry may lead outside the reachable states; it
+    # adds nothing to the drift or the balance equations
+    kd = ReducedKernel(
+        k1.dim, tuple(f"{k1.states[q // k2.n_states]}|{k2.states[q % k2.n_states]}"
+                      for q in joint),
+        tuple(tuple(KernelEntry(e.probability, index[e.to], e.move) for e in rows[q]
+                    if float(e.probability) > 0)
+              for q in joint),
+        initial_state=index[start])
+    rec = [c for c in classes(kd).classes if c.recurrent]
     if not rec:
         raise PreconditionError("no recurrent class reachable from the start")
     states = rec[0].states
     return _drift(kd, states, stationary_distribution(kd, states))
 
 
-def _reachable_set(k: ReducedKernel, src: int) -> set[int]:
+def _reachable_set(rows, src: int) -> set[int]:
+    """States reachable from ``src`` along positive-probability entries of
+    ``rows`` (a kernel's rows, or anything indexed by state)."""
     seen = {src}
     frontier = [src]
     while frontier:
         nxt = []
         for q in frontier:
-            for e in k.rows[q]:
+            for e in rows[q]:
                 if float(e.probability) > 0 and e.to not in seen:
                     seen.add(e.to)
                     nxt.append(e.to)

@@ -24,9 +24,21 @@ the partition changes no value: the block path equals the stepwise
 order.
 
 Hitting and meeting measurements stream; they never materialize traces, so
-caps of 2**24 steps run in bounded memory.  Target detection looks each
-scout's position up among the distinct targets: per step O(replicas *
-scouts * log targets), not a compare against every target.
+caps of 2**24 steps run in bounded memory.
+
+Simulation paths carry each grid point as one int64 key: k = x for d = 1
+and k = x * 2**32 + y for d = 2.  A move adds its own key, two scouts share
+a point exactly when their keys are equal, and keys sort like the points
+in ``np.unique(axis=0)`` order.  The d = 2 key is exact while every
+coordinate stays inside (-2**31, 2**31), so a d = 2 run whose origin plus
+cap (or horizon) steps could leave that range raises
+:class:`PreconditionError` before it starts; targets farther from the
+origin than the cap can never be hit and are dropped before packing.
+Positions leave the engine unpacked, in their (..., scouts, d) layout.
+Target detection buffers the keys of a 64-step window and looks them all
+up with one ``searchsorted`` among the sorted distinct target keys: per
+step O(replicas * scouts * log targets), not a compare against every
+target.  The iid path looks up each scout's key block the same way.
 """
 
 from __future__ import annotations
@@ -39,6 +51,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import streams
+from .errors import PreconditionError
 from .protocol import (Configuration, ProtocolError, ScoutProtocol,
                        environment_of, protocol_hash)
 from .tails import CensoredSummary, SurvivalCurve, summarize_censored
@@ -55,6 +68,11 @@ _PREFETCH_MAX_STEPS = 64
 # variates per scout in one block of the iid paths (see _iid_block): a
 # block's arrays stay near 128 KiB however many replicas are active
 _IID_VARIATES = 1 << 14
+# steps between target lookups (and compactions) of the general hitting path
+_HIT_WINDOW = 64
+# d = 2 grid keys are exact while |coordinate| < _KEY_HALF (see _pack)
+_KEY_HALF = 1 << 31
+_KEY_LOW = (1 << 32) - 1
 
 
 class ResourceLimitError(RuntimeError):
@@ -78,6 +96,52 @@ class HittingResult:
     @property
     def censored(self) -> bool:
         return self.time is None
+
+
+# ---------------------------------------------------------------------------
+# grid keys
+
+
+def _pack(points: np.ndarray) -> np.ndarray:
+    """Grid keys of int64 points (..., d): x for d = 1, x * 2**32 + y for d = 2.
+
+    Exact, and ordered like the points lexicographically, while every
+    coordinate lies inside (-2**31, 2**31).
+    """
+    if points.shape[-1] == 1:
+        return points[..., 0].copy()
+    return (points[..., 0] << 32) + points[..., 1]
+
+
+def _unpack(keys: np.ndarray, d: int) -> np.ndarray:
+    """Points (..., d) of grid keys; the inverse of :func:`_pack`."""
+    points = np.empty(keys.shape + (d,), dtype=np.int64)
+    points[..., -1] = keys
+    _unpack_in_place(points)
+    return points
+
+
+def _unpack_in_place(points: np.ndarray) -> None:
+    """Turn the keys held in ``points[..., -1]`` into the points' coordinates."""
+    if points.shape[-1] == 2:
+        low = points[..., 1]
+        low += _KEY_HALF  # x * 2**32 + (y + 2**31), with 0 <= y + 2**31 < 2**32
+        np.right_shift(low, 32, out=points[..., 0])
+        low &= _KEY_LOW
+        low -= _KEY_HALF
+
+
+def _check_key_range(comp: "_Compiled", steps: int) -> None:
+    """Raise PreconditionError unless every point within ``steps`` steps of
+    the origin has an exact grid key."""
+    if comp.d not in (1, 2):
+        raise PreconditionError(f"grid keys cover d = 1 and 2, not d = {comp.d}")
+    if comp.d == 2:
+        reach = max(abs(v) for v in comp.protocol.initial_position) + steps * comp.max_move
+        if reach >= _KEY_HALF:
+            raise PreconditionError(
+                f"d = 2 coordinates must stay below 2**31 in absolute value; origin "
+                f"{comp.protocol.initial_position} plus {steps} steps reaches {reach}")
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +177,8 @@ class _Compiled:
         self.row_state = self.table.pad(
             [[self.state_index[o.state] for o in r] for r in outcomes], np.int16)
         self.row_move = self.table.pad([[o.move for o in r] for r in outcomes], np.int8)
+        self.row_key = _pack(self.row_move.astype(np.int64))
+        self.max_move = int(np.abs(self.row_move).max(initial=0))
 
         self.env_free = not self.exact_rows
         if self.n_states <= 16:
@@ -126,6 +192,7 @@ class _Compiled:
         self.init_state_idx = np.array(
             [self.state_index[s] for s in p.initial_states], dtype=np.int16)
         self.origin = np.array(p.initial_position, dtype=np.int64)
+        self.origin_key = _pack(self.origin)
 
         # a scout whose initial state is environment-free and self-absorbing
         # performs an i.i.d. walk; protocols where every scout does qualify
@@ -308,15 +375,20 @@ class VectorSim:
     by when (or whether) compaction happens.  Uniforms are drawn for a block
     of steps at once, keyed by the absolute (replica, scout, step) counters,
     so the block size never changes a trajectory either.
+
+    Positions are held as grid keys (replicas, scouts); they are exact while
+    every coordinate stays inside (-2**31, 2**31), which the drivers check
+    for their cap or horizon before they start.
     """
 
     def __init__(self, p: ScoutProtocol, n_replicas: int, root_seed: int,
                  replica_start: int = 0):
         comp = _compile(p)
+        _check_key_range(comp, 0)
         self.comp = comp
         self.root_seed = root_seed
         self.replicas = np.arange(replica_start, replica_start + n_replicas, dtype=np.int64)
-        self.positions = np.tile(comp.origin, (n_replicas, comp.c, 1))
+        self.keys = np.full((n_replicas, comp.c), comp.origin_key, dtype=np.int64)
         self.states = np.tile(comp.init_state_idx, (n_replicas, 1))
         self.time = 0
         self._scouts = np.arange(comp.c, dtype=np.int64)
@@ -329,9 +401,14 @@ class VectorSim:
     def n_active(self) -> int:
         return self.replicas.size
 
+    @property
+    def positions(self) -> np.ndarray:
+        """Positions (replicas, scouts, d), unpacked from the keys."""
+        return _unpack(self.keys, self.comp.d)
+
     def compact(self, keep: np.ndarray) -> None:
         self.replicas = self.replicas[keep]
-        self.positions = self.positions[keep]
+        self.keys = self.keys[keep]
         self.states = self.states[keep]
         self._u = self._u[:, keep]
 
@@ -353,7 +430,7 @@ class VectorSim:
     def _uniforms(self, n: int) -> np.ndarray:
         """Variates (replicas, scouts) of step n, refilling the block when spent."""
         if n - self._u_start >= self._u.shape[0]:
-            R, c = self.positions.shape[:2]
+            R, c = self.keys.shape
             B = max(1, min(_PREFETCH_MAX_STEPS, _PREFETCH_VARIATES // (R * c)))
             steps = n + np.arange(B, dtype=np.int64)
             self._u = streams.uniforms(self.root_seed, self.replicas[None, :, None],
@@ -372,7 +449,7 @@ class VectorSim:
             masks = np.zeros((R, c), dtype=np.int64)
         else:
             # bit s of masks[r, i]: some other scout at i's point is in state s
-            co = (self.positions[:, :, None, :] == self.positions[:, None, :, :]).all(-1)
+            co = self.keys[:, :, None] == self.keys[:, None, :]
             co &= self._off_diagonal
             bits = np.int64(1) << self.states.astype(np.int64)
             masks = np.bitwise_or.reduce(np.where(co, bits[:, None, :], 0), axis=2)
@@ -384,7 +461,7 @@ class VectorSim:
         u = self._uniforms(self.time - 1)
         branch = comp.table.select(rows, u)
         self.states = comp.row_state[rows, branch]
-        self.positions += comp.row_move[rows, branch]
+        self.keys += comp.row_key[rows, branch]
 
 
 def run_batch(p: ScoutProtocol, horizon: int, root_seed: int, replicas: int,
@@ -392,20 +469,24 @@ def run_batch(p: ScoutProtocol, horizon: int, root_seed: int, replicas: int,
     """Positions (R, horizon+1, c, d) and state indices (R, horizon+1, c).
 
     Bit-identical to stacking :func:`run` over replicas; bounded by the same
-    memory policy.
+    memory policy.  A d = 2 batch whose origin plus horizon steps could reach
+    a coordinate of 2**31 in absolute value raises PreconditionError.
     """
     comp = _compile(p)
     footprint = replicas * (horizon + 1) * comp.c * (8 * comp.d + 2)
     if footprint > _MEMORY_LIMIT_BYTES:
         raise ResourceLimitError("batch too large; chunk the replica range")
+    _check_key_range(comp, horizon)
     sim = VectorSim(p, replicas, root_seed, replica_start)
     positions = np.empty((replicas, horizon + 1, comp.c, comp.d), dtype=np.int64)
+    keys = positions[..., -1]  # keys until unpacked in place at the end
     state_idx = np.empty((replicas, horizon + 1, comp.c), dtype=np.int16)
     for t in range(horizon + 1):
-        positions[:, t] = sim.positions
+        keys[:, t] = sim.keys
         state_idx[:, t] = sim.states
         if t < horizon:
             sim.step()
+    _unpack_in_place(positions)
     return positions, state_idx
 
 
@@ -420,115 +501,120 @@ def _iid_block(t0: int, cap: int, active: int) -> int:
 
 
 def _iid_trajectories(comp: _Compiled, root_seed: int, reps: np.ndarray,
-                      pos: np.ndarray, t0: int, B: int) -> list[np.ndarray]:
-    """Each scout's positions after steps t0+1 .. t0+B, as (replicas, B, d)."""
+                      keys: np.ndarray, t0: int, B: int) -> list[np.ndarray]:
+    """Each scout's keys after steps t0+1 .. t0+B, as (replicas, B)."""
     trajs = []
     for i, row in enumerate(comp.wildcard_row[comp.init_state_idx]):
         branch = comp.table.draw(row, root_seed, reps, i, t0, B)
-        moves = comp.row_move[row].astype(np.int64)
-        trajs.append(pos[:, i, None, :] + np.cumsum(moves[branch], axis=1))
+        trajs.append(keys[:, i, None] + np.cumsum(comp.row_key[row][branch], axis=1))
     return trajs
+
+
+def _target_keys(comp: _Compiled, targets: np.ndarray,
+                 cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct keys of the targets within reach of the cap, and each
+    target's column among them (-1 for a target out of reach).
+
+    A target farther from the origin than cap steps of the longest move can
+    never be hit, so it is dropped before packing, where it could alias a
+    reachable point.
+    """
+    _check_key_range(comp, cap)
+    span = cap * comp.max_move
+    near = ((targets >= comp.origin - span) & (targets <= comp.origin + span)).all(axis=1)
+    keys, inverse = np.unique(_pack(targets[near]), return_inverse=True)
+    columns = np.full(targets.shape[0], -1, dtype=np.int64)
+    columns[near] = inverse.reshape(-1)
+    return keys, columns
+
+
+def _target_columns(ht: np.ndarray, columns: np.ndarray, cap: int) -> np.ndarray:
+    """Hit times per caller target from hit times per distinct target key."""
+    out = np.full((ht.shape[0], columns.size), cap + 1, dtype=np.int64)
+    near = columns >= 0
+    out[:, near] = ht[:, columns[near]]
+    return out
+
+
+def _find_targets(tkeys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the keys equal to a target key, and those targets' columns."""
+    flat = keys.reshape(-1)
+    j = tkeys.searchsorted(flat)
+    np.minimum(j, tkeys.size - 1, out=j)
+    i = np.flatnonzero(tkeys[j] == flat)
+    return i, j[i]
+
+
+def _first_hits(ht: np.ndarray, rows: np.ndarray, cols: np.ndarray, times: np.ndarray) -> None:
+    """ht[rows, cols] = min(ht[rows, cols], times), repeats included; ht is
+    C-contiguous, so the update goes through a flat view."""
+    np.minimum.at(ht.reshape(-1), rows * ht.shape[1] + cols, times)
 
 
 def _hit_times_iid_chunk(p: ScoutProtocol, targets: np.ndarray, n: int, cap: int,
                          root_seed: int, replica_start: int) -> np.ndarray:
     comp = _compile(p)
-    n_t = targets.shape[0]
+    tkeys, columns = _target_keys(comp, targets, cap)
+    out = np.full((n, tkeys.size), cap + 1, dtype=np.int64)
+    if not tkeys.size:
+        return _target_columns(out, columns, cap)
     reps = np.arange(replica_start, replica_start + n, dtype=np.int64)
-    pos = np.tile(comp.origin, (n, comp.c, 1))
-    ht = np.full((n, n_t), cap + 1, dtype=np.int64)
-    out = np.full((n, n_t), cap + 1, dtype=np.int64)
-    # time-0 check
-    at0 = (pos[:, :, None, :] == targets[None, None, :, :]).all(-1).any(1)
-    ht[at0] = 0
+    keys = np.full((n, comp.c), comp.origin_key, dtype=np.int64)
+    ht = out.copy()
+    i, col = _find_targets(tkeys, keys)
+    ht[i // comp.c, col] = 0
     t0 = 0
     while t0 < cap and reps.size:
         B = _iid_block(t0, cap, reps.size)
-        trajs = _iid_trajectories(comp, root_seed, reps, pos, t0, B)
-        for k in range(n_t):
-            unhit = ht[:, k] > cap
-            if not unhit.any():
-                continue
-            seen = np.zeros((reps.size, B), dtype=bool)
-            for traj in trajs:
-                seen |= (traj == targets[k]).all(-1)
-            seen &= unhit[:, None]
-            has = seen.any(1)
-            ht[has, k] = t0 + 1 + seen[has].argmax(1)
-        for i in range(comp.c):
-            pos[:, i, :] = trajs[i][:, -1, :]
+        trajs = _iid_trajectories(comp, root_seed, reps, keys, t0, B)
+        for traj in trajs:
+            i, col = _find_targets(tkeys, traj)
+            r, b = np.divmod(i, B)
+            _first_hits(ht, r, col, t0 + 1 + b)
+        keys = np.stack([traj[:, -1] for traj in trajs], axis=1)
         t0 += B
         done = (ht <= cap).all(axis=1)
         if done.any():
             out[reps[done] - replica_start] = ht[done]
             keep = ~done
-            reps, pos, ht = reps[keep], pos[keep], ht[keep]
+            reps, keys, ht = reps[keep], keys[keep], ht[keep]
     if reps.size:
         out[reps - replica_start] = ht
-    return out
-
-
-class _TargetIndex:
-    """Map grid points to the index of the equal distinct target, or -1.
-
-    Each coordinate is ranked among the targets' distinct values on its
-    axis, and the rank vector is searched among the targets' sorted rank
-    keys: O(log T) per point, with memory O(T) however far apart the
-    targets lie.
-    """
-
-    def __init__(self, targets: np.ndarray):
-        # distinct targets in lexicographic order; ``inverse`` expands them
-        # back to the caller's columns, duplicates included
-        self.distinct, inverse = np.unique(targets, axis=0, return_inverse=True)
-        self.inverse = inverse.reshape(-1)
-        self.axes = [np.unique(self.distinct[:, k]) for k in range(targets.shape[1])]
-        self.keys = self._rank_key(self.distinct)
-
-    def _rank_key(self, points: np.ndarray) -> np.ndarray:
-        key = np.zeros(points.shape[:-1], dtype=np.int64)
-        for k, axis in enumerate(self.axes):
-            key *= axis.size + 1
-            key += axis.searchsorted(points[..., k])
-        return key
-
-    def find(self, points: np.ndarray) -> np.ndarray:
-        j = self.keys.searchsorted(self._rank_key(points))
-        np.minimum(j, self.keys.size - 1, out=j)
-        # a point off the targets' axis values can share a rank key; only
-        # an exact coordinate match counts
-        return np.where((self.distinct[j] == points).all(-1), j, -1)
+    return _target_columns(out, columns, cap)
 
 
 def _hit_times_general_chunk(p: ScoutProtocol, targets: np.ndarray, n: int, cap: int,
                              root_seed: int, replica_start: int) -> np.ndarray:
+    comp = _compile(p)
+    tkeys, columns = _target_keys(comp, targets, cap)
+    out = np.full((n, tkeys.size), cap + 1, dtype=np.int64)
+    if not tkeys.size:
+        return _target_columns(out, columns, cap)
     sim = VectorSim(p, n, root_seed, replica_start)
-    index = _TargetIndex(targets)
-    n_t = index.distinct.shape[0]
-    ht = np.full((n, n_t), cap + 1, dtype=np.int64)
-    out = np.full((n, n_t), cap + 1, dtype=np.int64)
-    check_every = 64
+    ht = out.copy()
     while sim.n_active:
-        found = index.find(sim.positions)
-        rep, scout = np.nonzero(found >= 0)
-        if rep.size:
-            col = found[rep, scout]
-            ht[rep, col] = np.minimum(ht[rep, col], sim.time)
+        # keys at steps t0 .. t0+B of one window, looked up together
+        t0 = sim.time
+        B = max(0, min(_HIT_WINDOW, cap - t0))
+        window = np.empty((B + 1,) + sim.keys.shape, dtype=np.int64)
+        window[0] = sim.keys
+        for b in range(1, B + 1):
+            sim.step()
+            window[b] = sim.keys
+        i, col = _find_targets(tkeys, window)
+        b, rs = np.divmod(i, window[0].size)
+        _first_hits(ht, rs // comp.c, col, t0 + b)
         if sim.time >= cap:
             break
-        if sim.time % check_every == 0:
-            done = (ht <= cap).all(axis=1)
-            if done.sum() > sim.n_active // 4:
-                out[sim.replicas[done] - replica_start] = ht[done]
-                keep = ~done
-                sim.compact(keep)
-                ht = ht[keep]
-                if not sim.n_active:
-                    break
-        sim.step()
+        done = (ht <= cap).all(axis=1)
+        if done.sum() > sim.n_active // 4:
+            out[sim.replicas[done] - replica_start] = ht[done]
+            keep = ~done
+            sim.compact(keep)
+            ht = ht[keep]
     if sim.n_active:
         out[sim.replicas - replica_start] = ht
-    return out[:, index.inverse]
+    return _target_columns(out, columns, cap)
 
 
 def hit_times(p: ScoutProtocol, targets: Sequence[Sequence[int]], replicas: int,
@@ -538,7 +624,9 @@ def hit_times(p: ScoutProtocol, targets: Sequence[Sequence[int]], replicas: int,
 
     Streaming: no trace is stored.  Trajectories depend only on
     (protocol, replica, root_seed) — never on the target set, chunking, or
-    thread count — so any execution plan yields the same array.
+    thread count — so any execution plan yields the same array.  A d = 2
+    run whose origin plus cap steps could reach a coordinate of 2**31 in
+    absolute value raises PreconditionError (see the module docstring).
     """
     comp = _compile(p)
     targets_arr = np.array([tuple(t) for t in targets], dtype=np.int64)
@@ -638,6 +726,7 @@ def first_meeting_times(p: ScoutProtocol, replicas: int, cap: int, root_seed: in
     comp = _compile(p)
     if comp.c != 2:
         raise ValueError("first_meeting_times needs a two-scout protocol")
+    _check_key_range(comp, cap)
     ranges = [(s, min(chunk, replicas - s)) for s in range(0, replicas, chunk)]
     fn = _first_meeting_iid_chunk if comp.iid_single else _first_meeting_general_chunk
 
@@ -656,19 +745,19 @@ def _first_meeting_iid_chunk(p: ScoutProtocol, n: int, cap: int, root_seed: int,
                              replica_start: int) -> np.ndarray:
     comp = _compile(p)
     reps = np.arange(replica_start, replica_start + n, dtype=np.int64)
-    pos = np.tile(comp.origin, (n, comp.c, 1))
+    keys = np.full((n, comp.c), comp.origin_key, dtype=np.int64)
     out = np.full(n, cap + 1, dtype=np.int64)
     t0 = 0
     while t0 < cap and reps.size:
         B = _iid_block(t0, cap, reps.size)
-        trajs = _iid_trajectories(comp, root_seed, reps, pos, t0, B)
-        met = (trajs[0] == trajs[1]).all(-1)
+        trajs = _iid_trajectories(comp, root_seed, reps, keys, t0, B)
+        met = trajs[0] == trajs[1]
         has = met.any(1)
         hit_time = t0 + 1 + met[has].argmax(1)
         out[reps[has] - replica_start] = hit_time
         keep = ~has
         reps = reps[keep]
-        pos = np.stack([trajs[0][keep, -1, :], trajs[1][keep, -1, :]], axis=1)
+        keys = np.stack([trajs[0][keep, -1], trajs[1][keep, -1]], axis=1)
         t0 += B
     return out
 
@@ -679,7 +768,7 @@ def _first_meeting_general_chunk(p: ScoutProtocol, n: int, cap: int, root_seed: 
     out = np.full(n, cap + 1, dtype=np.int64)
     while sim.n_active and sim.time < cap:
         sim.step()
-        met = (sim.positions[:, 0, :] == sim.positions[:, 1, :]).all(axis=1)
+        met = sim.keys[:, 0] == sim.keys[:, 1]
         if met.any():
             out[sim.replicas[met] - replica_start] = sim.time
             sim.compact(~met)
@@ -699,6 +788,7 @@ def meeting_gap_samples(p: ScoutProtocol, replicas: int, cap: int, root_seed: in
         raise ValueError("meeting gaps need a two-scout protocol")
     if not 1 <= k_min <= k_max:
         raise ValueError("need 1 <= k_min <= k_max")
+    _check_key_range(comp, cap)
     fn = _meeting_gaps_iid if comp.iid_single else _meeting_gaps_general
     return fn(p, replicas, cap, root_seed, k_min, k_max)
 
@@ -707,15 +797,15 @@ def _meeting_gaps_iid(p: ScoutProtocol, replicas: int, cap: int, root_seed: int,
                       k_min: int, k_max: int) -> np.ndarray:
     comp = _compile(p)
     reps = np.arange(replicas, dtype=np.int64)
-    pos = np.tile(comp.origin, (replicas, comp.c, 1))
+    keys = np.full((replicas, comp.c), comp.origin_key, dtype=np.int64)
     last = np.zeros(replicas, dtype=np.int64)
     count = np.zeros(replicas, dtype=np.int64)
     gaps: list[np.ndarray] = []
     t0 = 0
     while t0 < cap and reps.size:
         B = _iid_block(t0, cap, reps.size)
-        trajs = _iid_trajectories(comp, root_seed, reps, pos, t0, B)
-        met = (trajs[0] == trajs[1]).all(-1)
+        trajs = _iid_trajectories(comp, root_seed, reps, keys, t0, B)
+        met = trajs[0] == trajs[1]
         t = t0 + 1 + np.arange(B, dtype=np.int64)
         k = count[:, None] + np.cumsum(met, axis=1)  # index of each step's meeting
         upto = np.maximum.accumulate(np.where(met, t, 0), axis=1)
@@ -725,11 +815,11 @@ def _meeting_gaps_iid(p: ScoutProtocol, replicas: int, cap: int, root_seed: int,
         b, r = np.nonzero((met & (k >= k_min) & (k <= k_max)).T)
         gaps.append(t[b] - before[r, b])
         count, last = k[:, -1], upto[:, -1]
-        pos = np.stack([traj[:, -1, :] for traj in trajs], axis=1)
+        keys = np.stack([traj[:, -1] for traj in trajs], axis=1)
         t0 += B
         keep = count < k_max
         if not keep.all():
-            reps, pos, last, count = reps[keep], pos[keep], last[keep], count[keep]
+            reps, keys, last, count = reps[keep], keys[keep], last[keep], count[keep]
     return np.concatenate(gaps) if gaps else np.zeros(0, dtype=np.int64)
 
 
@@ -741,7 +831,7 @@ def _meeting_gaps_general(p: ScoutProtocol, replicas: int, cap: int, root_seed: 
     gaps: list[np.ndarray] = []
     while sim.n_active and sim.time < cap:
         sim.step()
-        met = (sim.positions[:, 0, :] == sim.positions[:, 1, :]).all(axis=1)
+        met = sim.keys[:, 0] == sim.keys[:, 1]
         if met.any():
             count[met] += 1
             eligible = met & (count >= k_min)

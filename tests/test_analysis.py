@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from scoutsim import builtin, parse_protocol
-from scoutsim.analysis import (PreconditionError, ThickRay,
+from scoutsim.analysis import (PreconditionError, ReducedKernel, ThickRay,
                                analyze_protocol, classes, degeneracy_check,
                                difference_drift, effective_drift,
                                joint_product_chain, kernel_renewal_samples,
@@ -434,3 +434,52 @@ def test_analyze_deterministic_plus_ray_direction():
     p = parse_protocol("dim 1\nscouts 1\nstates a\ninit 1 a\ntrans a * -> 1 a (+1)\n")
     rep = analyze_protocol(p)
     assert rep.classes[0].ray_direction == (1.0,)
+
+
+def _full_kernel_difference_drift(k1, k2):
+    """Reference: the full (n1 * n2)-state difference kernel, the first
+    recurrent class reachable from the joint initial state, and its drift."""
+    kd = product_kernel(k1, k2, difference=True)
+    seen, frontier = {kd.initial_state}, [kd.initial_state]
+    while frontier:
+        q = frontier.pop()
+        for e in kd.rows[q]:
+            if e.probability > 0 and e.to not in seen:
+                seen.add(e.to)
+                frontier.append(e.to)
+    rec = [c for c in classes(kd).classes
+           if c.recurrent and kd.states.index(c.states[0]) in seen]
+    return effective_drift(kd, rec[0].states)
+
+
+def test_difference_drift_equals_full_kernel_drift():
+    from conftest import random_two_scout_protocol
+    rng = np.random.default_rng(21)
+    for trial in range(40):
+        p = random_two_scout_protocol(rng, 1 + trial % 2)
+        want = _full_kernel_difference_drift(reduce_kernel(p, 1), reduce_kernel(p, 2))
+        assert difference_drift(p) == want
+    for _ in range(20):
+        # several classes, transient states and periodic chains
+        k1 = random_rational_kernel(rng, int(rng.integers(1, 7)), 1)
+        k2 = random_rational_kernel(rng, int(rng.integers(1, 7)), 1)
+        k2 = ReducedKernel(k2.dim, k2.states, k2.rows, int(rng.integers(k2.n_states)))
+        assert difference_drift((k1, k2)) == _full_kernel_difference_drift(k1, k2)
+    periodic = _kernel("dim 1\nscouts 1\nstates a b\ninit 1 a\n"
+                       "trans a * -> 1 b (+1)\ntrans b * -> 1 a (0)\n")
+    assert difference_drift((periodic, periodic)) == \
+        _full_kernel_difference_drift(periodic, periodic) == (Fraction(0),)
+    # two reachable recurrent classes with different drifts: both ways
+    # choose the first, whose lowest joint state comes first
+    fork = _kernel("dim 1\nscouts 1\nstates s up down\ninit 1 s\n"
+                   "trans s * -> 1/2 up (0) | 1/2 down (0)\n"
+                   "trans up * -> 1 up (+1)\ntrans down * -> 1 down (-1)\n")
+    still = _kernel("dim 1\nscouts 1\nstates z\ninit 1 z\ntrans z * -> 1 z (0)\n")
+    assert difference_drift((fork, still)) == \
+        _full_kernel_difference_drift(fork, still) == (Fraction(1),)
+    assert difference_drift((still, fork)) == (Fraction(-1),)
+    # a zero-probability outcome leads nowhere reachable
+    zero = parse_protocol("dim 1\nscouts 2\nstates a b c\ninit 1 a\ninit 2 b\n"
+                          "trans a * -> 1 a (+1) | 0 c (0)\ntrans b * -> 1 b (0)\n"
+                          "trans c * -> 1 c (0)\n")
+    assert difference_drift(zero) == (Fraction(1),)

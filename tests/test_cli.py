@@ -258,3 +258,18 @@ def test_analyze_inexact_rational_row(tmp_path, capsys):
     assert main(["analyze", "--protocol", str(f)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "row sum" in err[0]
+
+
+def test_hitting_beyond_key_range_exits_one_line(tmp_path, capsys):
+    # d = 2 grid keys need every reachable coordinate below 2**31; the
+    # origin plus the default cap of 2**20 steps passes that bound
+    f = tmp_path / "far.proto"
+    f.write_text("dim 2\nscouts 1\nstates A\ninit 1 A\norigin 2147483000 0\n"
+                 "trans A * -> 0.5 A (1,0) | 0.5 A (0,1)\n")
+    assert main(["validate", str(f)]) == 0
+    capsys.readouterr()
+    assert main(["hitting", "--protocol", str(f), "--targets", "2147483001,0",
+                 "--replicas", "4"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("precondition violation:")
+    assert "2**31" in err[0]

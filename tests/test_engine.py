@@ -1,14 +1,17 @@
 """Engine contracts: stepping semantics, determinism, hitting, meetings."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scoutsim import (SeedSpec, builtin, meeting_times, monte_carlo_hitting,
                       parse_protocol, run, step)
 from scoutsim import engine
+from scoutsim.errors import PreconditionError
 from scoutsim.engine import (ResourceLimitError, VectorSim,
                              _hit_times_general_chunk, _hit_times_iid_chunk,
                              first_meeting_times,
@@ -426,3 +429,93 @@ def test_first_meeting_survival_slope():
     curve = SurvivalCurve.from_samples(times, 1 << 14)
     fit = fit_tail(curve, "power")
     assert abs(fit.slope + 0.5) < 0.05
+
+
+# grid keys
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2).flatmap(lambda d: st.lists(
+    st.tuples(*[st.integers(-(2**31) + 1, 2**31 - 1)] * d), min_size=1, max_size=30)))
+def test_pack_round_trip_and_order(points):
+    pts = np.array(points, dtype=np.int64)
+    keys = engine._pack(pts)
+    assert keys.shape == pts.shape[:1]
+    assert np.array_equal(engine._unpack(keys, pts.shape[1]), pts)
+    # sorted distinct keys unpack to the points in np.unique(axis=0) order
+    assert np.array_equal(engine._unpack(np.unique(keys), pts.shape[1]),
+                          np.unique(pts, axis=0))
+
+
+def _with_origin(p, origin):
+    return dataclasses.replace(p, initial_position=origin)
+
+
+def test_far_targets_do_not_alias():
+    # packed without the reach filter, (0, 2**32) would share the key of
+    # (1, 0), and (2**40, -2**40) would wrap onto a near point
+    p = builtin("anchored_geometric", d=2)
+    targets = [(1, 0), (0, 2**32), (2**40, -2**40), (-1, 2**32 - 1), (0, 0)]
+    want = _hit_times_oracle(p, targets, 12, 200, 3)
+    assert (want[:, 1:4] == 201).all() and (want[:, 0] <= 200).any()
+    got = _hit_times_general_chunk(p, np.array(targets, dtype=np.int64), 12, 200, 3, 0)
+    assert np.array_equal(got, want)
+    srw = builtin("srw", d=2)
+    want = _hit_times_oracle(srw, targets, 12, 200, 3)
+    got = _hit_times_iid_chunk(srw, np.array(targets, dtype=np.int64), 12, 200, 3, 0)
+    assert np.array_equal(got, want)
+
+
+def test_key_range_error():
+    far = _with_origin(builtin("anchored_geometric", d=2), (2**31 - 100, 0))
+    pair = _with_origin(builtin("independent_walks", d=2, c=2), (0, -(2**31) + 50))
+    with pytest.raises(PreconditionError, match="2\\*\\*31"):
+        hit_times(far, [(0, 0)], 2, 100, 0)
+    with pytest.raises(PreconditionError, match="2\\*\\*31"):
+        hitting_time(far, (0, 0), 100, SeedSpec(0))
+    with pytest.raises(PreconditionError, match="2\\*\\*31"):
+        run_batch(far, 100, 0, 2)
+    with pytest.raises(PreconditionError, match="2\\*\\*31"):
+        first_meeting_times(pair, 2, 50, 0)
+    with pytest.raises(PreconditionError, match="2\\*\\*31"):
+        meeting_gap_samples(pair, 2, 50, 0)
+    with pytest.raises(PreconditionError, match="2\\*\\*31"):
+        VectorSim(_with_origin(far, (0, 2**31)), 2, 0)
+    # one step less stays inside the range
+    assert hit_times(far, [(0, 0)], 2, 99, 0).shape == (2, 1)
+    assert run_batch(far, 99, 0, 2)[0].shape == (2, 100, 3, 2)
+
+
+@pytest.mark.parametrize("cap", [1, 63, 64, 65, 130])
+def test_hit_times_general_path_window_edges(cap):
+    p = builtin("anchored_geometric", d=2)
+    targets = [(x, y) for x in range(-2, 3) for y in range(-2, 3)] + [(9, 9)]
+    want = _hit_times_oracle(p, targets, 10, cap, 6)
+    got = _hit_times_general_chunk(p, np.array(targets, dtype=np.int64), 10, cap, 6, 0)
+    assert np.array_equal(got, want)
+
+
+def test_hit_times_general_path_done_on_window_boundary():
+    # deterministic +1 walk: the last target is hit at exactly step 64, a
+    # window boundary, where the replica finishes and is compacted away
+    p = parse_protocol(DET_PLUS)
+    targets = np.array([(64,), (3,), (63,)], dtype=np.int64)
+    got = _hit_times_general_chunk(p, targets, 3, 200, 0, 0)
+    assert (got == [64, 3, 63]).all()
+    targets = np.array([(65,), (64,)], dtype=np.int64)
+    assert (_hit_times_general_chunk(p, targets, 3, 64, 0, 0) == [65, 64]).all()
+
+
+def test_d2_batch_and_vectorsim_positions_at_negative_coordinates():
+    for p in (_with_origin(builtin("anchored_geometric", d=2), (-5, -9)),
+              _with_origin(builtin("srw", d=2), (-(2**31) + 301, 2**31 - 301))):
+        P, S = run_batch(p, 300, 13, replicas=4, replica_start=2)
+        sim = VectorSim(p, 4, 13, replica_start=2)
+        for _ in range(300):
+            sim.step()
+        for k in range(4):
+            tr = run(p, 300, SeedSpec(13, replica=2 + k))
+            assert np.array_equal(tr.positions, P[k])
+            assert np.array_equal(tr.state_idx, S[k])
+            assert np.array_equal(sim.positions[k], tr.positions[-1])
+        assert P.min() < 0

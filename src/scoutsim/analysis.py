@@ -256,13 +256,19 @@ def stationary_distribution(k: ReducedKernel, cls: Sequence[str]):
     idx = [k.states.index(s) for s in cls]
     pos = {q: j for j, q in enumerate(idx)}
     m = len(idx)
-    if k.is_exact:
-        A = [[0] * m for _ in range(m)]       # A = P^T - I on the class
-        for j, q in enumerate(idx):
-            for e in k.rows[q]:
+    # (from, to, probability) on the class; zero entries are no edges, as in classes()
+    edges = []
+    for j, q in enumerate(idx):
+        for e in k.rows[q]:
+            if float(e.probability) > 0:
                 if e.to not in pos:
                     raise PreconditionError(f"class {cls} is not closed")
-                A[pos[e.to]][j] += e.probability
+                edges.append((j, pos[e.to], e.probability))
+    if k.is_exact:
+        A = [[0] * m for _ in range(m)]       # A = P^T - I on the class
+        for j, to, p in edges:
+            A[to][j] += p
+        for j in range(m):
             A[j][j] -= 1
         pi = _solve_exact(A[:-1] + [[1] * m], [0] * (m - 1) + [1])
         # exact residual check on pi scaled to integers
@@ -271,21 +277,15 @@ def stationary_distribution(k: ReducedKernel, cls: Sequence[str]):
         if any(sum(a * v for a, v in zip(row, scaled)) for row in A):
             raise ArithmeticError("exact stationarity failed")
         return pi
+    Pm = np.zeros((m, m))
+    for j, to, p in edges:
+        Pm[j, to] += float(p)
     A = np.zeros((m + 1, m))
-    for j, q in enumerate(idx):
-        for e in k.rows[q]:
-            if e.to not in pos:
-                raise PreconditionError(f"class {cls} is not closed")
-            A[pos[e.to], j] += float(e.probability)
-        A[j, j] -= 1.0
+    A[:m] = Pm.T - np.eye(m)
     A[m, :] = 1.0
     b = np.zeros(m + 1)
     b[m] = 1.0
     pi, *_ = np.linalg.lstsq(A, b, rcond=None)
-    Pm = np.zeros((m, m))
-    for j, q in enumerate(idx):
-        for e in k.rows[q]:
-            Pm[j, pos[e.to]] += float(e.probability)
     resid = float(np.max(np.abs(pi @ Pm - pi)))
     if resid > STATIONARY_RESIDUAL_TOL:
         raise ArithmeticError(f"stationary residual {resid} exceeds tolerance")

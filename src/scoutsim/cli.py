@@ -56,13 +56,21 @@ def _load_protocol(src: str) -> ScoutProtocol:
     return parse_protocol(path.read_text(encoding="utf-8"))
 
 
+_INT64 = 1 << 63
+
+
 def _parse_targets(text: str, dim: int) -> list[tuple[int, ...]]:
     targets = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
         if not chunk:
             continue
-        coords = tuple(int(v) for v in chunk.split(","))
+        try:
+            coords = tuple(int(v) for v in chunk.split(","))
+        except ValueError:
+            raise UsageError(f"target {chunk!r} is not a list of integers") from None
+        if any(not -_INT64 <= v < _INT64 for v in coords):
+            raise UsageError(f"target {chunk!r} has a coordinate outside int64")
         if len(coords) != dim:
             raise UsageError(f"target {chunk!r} has {len(coords)} coordinates, needs {dim}")
         targets.append(coords)
@@ -232,12 +240,29 @@ def cmd_renewal(args, argv) -> int:
     return EXIT_OK
 
 
+def _parse_law(text: str, flag: str) -> walks.StepLaw:
+    try:
+        return walks.parse_law(text)
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {exc}") from None
+
+
 def _build_walks(args) -> tuple[walks.LookAroundWalk, walks.LookAroundWalk | None]:
-    w1 = walks.LookAroundWalk(walks.parse_law(args.law), args.s0)
+    w1 = walks.LookAroundWalk(_parse_law(args.law, "--law"), args.s0)
     w2 = None
     if args.law2:
-        w2 = walks.LookAroundWalk(walks.parse_law(args.law2), args.s02)
+        w2 = walks.LookAroundWalk(_parse_law(args.law2, "--law2"), args.s02)
     return w1, w2
+
+
+def _parse_interval(text: str) -> tuple[float, float]:
+    lo, sep, hi = text.partition(":")
+    try:
+        if not sep:
+            raise ValueError
+        return float(lo), float(hi)
+    except ValueError:
+        raise UsageError(f"--interval must be LO:HI with numbers, got {text!r}") from None
 
 
 def cmd_lemma(args, argv) -> int:
@@ -259,8 +284,7 @@ def cmd_lemma(args, argv) -> int:
     else:
         if w2 is None:
             raise UsageError("this check needs --law2")
-        lo, _, hi = args.interval.partition(":")
-        res = fn(w1, w2, (float(lo), float(hi)), trials=args.trials,
+        res = fn(w1, w2, _parse_interval(args.interval), trials=args.trials,
                  cap=args.cap, root_seed=args.seed)
     body = res.to_json()
     body["lemma"] = name
@@ -271,10 +295,13 @@ def cmd_lemma(args, argv) -> int:
 
 
 def cmd_oracle(args, argv) -> int:
-    law = walks.parse_law(args.law)
-    law2 = walks.parse_law(args.law2) if args.law2 else None
-    prob = walks.exact_dp_oracle(law, int(args.s0), args.horizon, args.event,
-                                 law2=law2, s02=int(args.s02))
+    law = _parse_law(args.law, "--law")
+    law2 = _parse_law(args.law2, "--law2") if args.law2 else None
+    try:
+        prob = walks.exact_dp_oracle(law, int(args.s0), args.horizon, args.event,
+                                     law2=law2, s02=int(args.s02))
+    except ValueError as exc:  # the event spec; checked before any work
+        raise UsageError(f"--event: {exc}") from None
     body = {"event": args.event, "horizon": args.horizon, "s0": int(args.s0),
             "probability": str(prob), "probability_float": float(prob)}
     payload = _dump_json(body)

@@ -20,6 +20,20 @@ a_j = p_j * D, and the surviving mass at each position after n steps is an
 integer numerator over D**n.  Integer sums and products are exact, so the
 one ``Fraction(numerator, D**n)`` built at the end equals the rational
 answer bit for bit.
+
+The escape, reach-tail, exit-time and corridor checks are stopping times,
+and one helper, :func:`_stopping_times`, finds them all: per trial and
+event column, the first check m in [0, cap] at which the event holds.  It
+draws in blocks of ``engine._iid_block`` checks (2**14 variates per walk
+over the active trials, so blocks grow as trials finish) and drops a trial
+once every column is decided.  Draws are keyed by (trial, walk, step)
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11), so
+neither the partition nor the dropping changes a value, and integer
+displacements are carried exactly as int64 offsets from s0.  Single-walk
+checks run on the step clock.  The corridor runs on the integer time
+clock: at time m walk i stands at step k_i(m), the last k with
+T_k <= m, read per trial from the block's cumulated durations; for
+unit-time laws k(m) = m.
 """
 
 from __future__ import annotations
@@ -35,7 +49,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import logsumexp
 
-from . import streams
+from . import engine, streams
 from .errors import BudgetExceededError, PreconditionError
 from .tails import (InsufficientDataError, SurvivalCurve, TailFit,
                     fit_tail, wilson_interval)
@@ -194,7 +208,11 @@ def parse_law(text: str) -> StepLaw:
         zeta = float(parts[0]) if "." in parts[0] else int(parts[0])
         nu = int(parts[1]) if len(parts) > 1 else 1
         rad = float(parts[2]) if len(parts) > 2 else 1.0
-        entries.append((Fraction(prob_s), zeta, nu, rad))
+        try:
+            prob = Fraction(prob_s)
+        except ZeroDivisionError:
+            raise ValueError(f"bad law probability {prob_s!r}") from None
+        entries.append((prob, zeta, nu, rad))
     return make_law(entries)
 
 
@@ -215,10 +233,13 @@ class WalkPath:
 
 def sample_walk(w: LookAroundWalk, horizon: int, seed_root: int,
                 trial: int = 0, walk_id: int = 0) -> WalkPath:
-    """Deterministic single path: draw indices are (seed_root, trial, walk_id, step)."""
+    """Deterministic single path: draw indices are (seed_root, trial, walk_id, step).
+
+    Positions are int64 when the steps and s0 are integers, float otherwise.
+    """
     zeta, nu, rad = w.law.arrays
     b = w.law.table.draw(0, seed_root, trial, walk_id, 0, horizon + 1)
-    S = np.empty(horizon + 1, dtype=zeta.dtype)
+    S = np.empty(horizon + 1, dtype=zeta.dtype if float(w.s0).is_integer() else float)
     S[0] = w.s0
     if horizon:
         S[1:] = w.s0 + np.cumsum(zeta[b[:-1]])
@@ -226,19 +247,6 @@ def sample_walk(w: LookAroundWalk, horizon: int, seed_root: int,
     if horizon:
         T[1:] = np.cumsum(nu[b[:-1]])
     return WalkPath(S, rad[b], T)
-
-
-def _sample_block(law: StepLaw, root_seed, trials_idx, walk_id, t0, B, s_prev):
-    """Positions after steps t0+1..t0+B plus the radii paired with those steps.
-
-    Returns (S_block, R_block) where S_block[:, k] = S_{t0+k+1} and
-    R_block[:, k] = R_{t0+k+1}; s_prev is updated by the caller from
-    S_block[:, -1].
-    """
-    zeta, _, rad = law.arrays
-    b = law.table.draw(0, root_seed, trials_idx, walk_id, t0, B)
-    S = s_prev[:, None] + np.cumsum(zeta[b], axis=1)
-    return S, rad[b]
 
 
 def _paths(law: StepLaw, root_seed: int, trials_idx, walk_id: int, s0,
@@ -250,6 +258,71 @@ def _paths(law: StepLaw, root_seed: int, trials_idx, walk_id: int, s0,
     S[:, 0] = s0
     S[:, 1:] = s0 + np.cumsum(zeta[b[:, :-1]], axis=1)
     return S, rad[b]
+
+
+def _stopping_times(walks: Sequence[LookAroundWalk], event, trials: int, cap: int,
+                    root_seed: int, columns: int = 1, timed: bool = False) -> np.ndarray:
+    """First check m in [0, cap] at which each event column holds, else cap + 1.
+
+    Walk i draws on lane i.  At check m it stands at step k(m), with
+    position S_k and radius R_{k+1}: k(m) = m on the step clock, and with
+    ``timed`` the last k whose time T_k (the sum of the first k durations)
+    is at most m.  ``event(S, R)`` gets those per-walk positions and radii
+    of the active trials as (active, B) arrays, one column per check of a
+    block, and returns a boolean (active, B) or (active, B, columns) array.
+    A block holds ``engine._iid_block(t0, cap + 1, active)`` checks, and a
+    trial leaves once every column is decided (see the module docstring).
+    """
+    out = np.empty((trials, columns), dtype=np.int64)
+    idx = np.arange(trials, dtype=np.int64)
+    times = np.full((trials, columns), cap + 1, dtype=np.int64)  # of the active trials
+    # per walk and active trial: step k(t0), its time T_k (both kept on the
+    # time clock only; else k(t0) = t0) and the offset S_k - s0
+    state = [(np.zeros(trials, np.int64), np.zeros(trials, np.int64),
+              np.zeros(trials, w.law.arrays[0].dtype)) for w in walks]
+    t0 = 0
+    while t0 <= cap and idx.size:
+        n = idx.size
+        B = engine._iid_block(t0, cap + 1, n)
+        S, R = [], []
+        for lane, (w, (k, T, off)) in enumerate(zip(walks, state)):
+            zeta, nu, rad = w.law.arrays
+            clocked = timed and not w.law.unit_time
+            b = w.law.table.draw(0, root_seed, idx, lane, k[:, None] if clocked else t0, B)
+            cum = np.empty((n, B + 1), dtype=off.dtype)  # offsets of S_k .. S_{k+B}
+            cum[:, 0] = off
+            np.cumsum(zeta[b], axis=1, out=cum[:, 1:])
+            cum[:, 1:] += off[:, None]
+            if clocked:
+                ends = np.cumsum(nu[b], axis=1)  # T_{k+1..k+B} - T_k
+                rel = T[:, None] + ends - t0     # >= 1, as T_{k+1} > t0
+                jumps = np.zeros((n, B + 1), dtype=np.int64)
+                inside = rel <= B
+                jumps[np.nonzero(inside)[0], rel[inside]] = 1
+                j = np.cumsum(jumps, axis=1)     # k(m) - k at m = t0 .. t0 + B
+                cum = np.take_along_axis(cum, j, axis=1)
+                b = np.take_along_axis(b, j[:, :B], axis=1)
+                last = j[:, B]
+                T = T + np.where(last > 0, ends[np.arange(n), last - 1], 0)
+                k = k + last
+            S.append(float(w.s0) + cum[:, :B])
+            R.append(rad[b])
+            state[lane] = (k, T, cum[:, B])
+        ev = np.asarray(event(S, R)).reshape(n, B, columns)
+        hit = ev.any(axis=1)
+        rows = np.nonzero(hit.any(axis=1))[0]
+        if rows.size:
+            first = np.where(hit[rows], t0 + ev[rows].argmax(axis=1), cap + 1)
+            times[rows] = np.minimum(times[rows], first)
+            done = rows[(times[rows] <= cap).all(axis=1)]
+            out[idx[done]] = times[done]
+            keep = np.ones(n, dtype=bool)
+            keep[done] = False
+            idx, times = idx[keep], times[keep]
+            state = [tuple(a[keep] for a in s) for s in state]
+        t0 += B
+    out[idx] = times
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -449,12 +522,29 @@ def oracle_ball_meeting_survival(law1: StepLaw, law2: StepLaw, s01: int, s02: in
 
 
 _EVENT_ORACLES = {
-    "hit": lambda law, s0, horizon, arg: oracle_exact_hit_survival(law, s0, int(arg), horizon),
-    "lookaround": lambda law, s0, horizon, arg: oracle_lookaround_survival(law, s0, int(arg), horizon),
-    "reach": lambda law, s0, horizon, arg: oracle_reach_survival(law, s0, int(arg), horizon),
-    "exit": lambda law, s0, horizon, arg: oracle_exit_survival(law, s0, int(arg), horizon),
-    "position": lambda law, s0, horizon, arg: oracle_position_probability(law, s0, horizon, int(arg)),
+    "hit": lambda law, s0, horizon, arg: oracle_exact_hit_survival(law, s0, arg, horizon),
+    "lookaround": lambda law, s0, horizon, arg: oracle_lookaround_survival(law, s0, arg, horizon),
+    "reach": lambda law, s0, horizon, arg: oracle_reach_survival(law, s0, arg, horizon),
+    "exit": lambda law, s0, horizon, arg: oracle_exit_survival(law, s0, arg, horizon),
+    "position": lambda law, s0, horizon, arg: oracle_position_probability(law, s0, horizon, arg),
 }
+
+
+def _parse_event(event: str, law2: StepLaw | None, s02) -> tuple[str, int | None]:
+    """An event spec as (name, integer argument), checked before any work."""
+    name, _, arg = event.partition(":")
+    if name in ("meeting", "ballmeeting"):
+        if law2 is None or s02 is None:
+            raise ValueError(f"event {name!r} needs a second walk")
+        return name, None
+    if name not in _EVENT_ORACLES:
+        raise ValueError(f"unknown oracle event {name!r}")
+    if not arg:
+        raise ValueError(f"event {name!r} needs an argument, e.g. {name}:3")
+    try:
+        return name, int(arg)
+    except ValueError:
+        raise ValueError(f"event {name!r} needs an integer argument, got {arg!r}") from None
 
 
 def exact_dp_oracle(law: StepLaw, s0: int, horizon: int, event: str,
@@ -465,16 +555,10 @@ def exact_dp_oracle(law: StepLaw, s0: int, horizon: int, event: str,
     forms; ``position`` is a point probability).  With a second law,
     ``meeting`` and ``ballmeeting`` act on the difference walk.
     """
-    name, _, arg = event.partition(":")
-    if name in ("meeting", "ballmeeting"):
-        if law2 is None or s02 is None:
-            raise ValueError(f"event {name!r} needs a second walk")
+    name, arg = _parse_event(event, law2, s02)
+    if arg is None:
         fn = oracle_meeting_survival if name == "meeting" else oracle_ball_meeting_survival
         return fn(law, law2, s0, s02, horizon)
-    if name not in _EVENT_ORACLES:
-        raise ValueError(f"unknown oracle event {name!r}")
-    if not arg:
-        raise ValueError(f"event {name!r} needs an argument, e.g. {name}:3")
     return _EVENT_ORACLES[name](law, s0, horizon, arg)
 
 
@@ -486,7 +570,9 @@ def mc_event_frequency(law: StepLaw, s0: int, horizon: int, event: str,
                        trials: int, root_seed: int, law2: StepLaw | None = None,
                        s02: int | None = None) -> float:
     """Empirical frequency of the oracle events, using the same conventions."""
-    name, _, arg = event.partition(":")
+    name, target = _parse_event(event, law2, s02)
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     hits = 0
     for start in range(0, trials, _CHUNK):
         idx = np.arange(start, min(start + _CHUNK, trials), dtype=np.int64)
@@ -499,7 +585,6 @@ def mc_event_frequency(law: StepLaw, s0: int, horizon: int, event: str,
                 ok = (np.abs(S1 - S2) > R1 + R2).all(axis=1)
             hits += int(ok.sum())
             continue
-        target = int(arg)
         if name == "hit":
             ok = (S1 != target).all(axis=1)
         elif name == "lookaround":
@@ -515,10 +600,8 @@ def mc_event_frequency(law: StepLaw, s0: int, horizon: int, event: str,
             else:
                 inside = S1 >= -target
             ok = inside.all(axis=1)
-        elif name == "position":
-            ok = S1[:, horizon] == target
         else:
-            raise ValueError(f"unknown event {name!r}")
+            ok = S1[:, horizon] == target
         hits += int(ok.sum())
     return hits / trials
 
@@ -572,32 +655,10 @@ def check_escape_under_drift(w: LookAroundWalk, x: float, trials: int = 20000,
     _require(float(drift) > 0, "escape check requires E[zeta] > 0")
     _require(x < w.s0, "escape check requires a target x < s0")
     h2 = 2 * horizon
-    alive_h = 0
-    alive_2h = 0
-    block = 512
-    for start in range(0, trials, _CHUNK):
-        n = min(_CHUNK, trials - start)
-        idx = np.arange(start, start + n, dtype=np.int64)
-        s_prev = np.full(n, float(w.s0))
-        alive = np.ones(n, dtype=bool)
-        at_h = None
-        t0 = 0
-        while t0 <= h2:
-            # never straddle the horizon boundary: the half-horizon snapshot
-            # must be taken after exactly horizon+1 checks
-            limit = horizon + 1 if t0 <= horizon else h2 + 1
-            B = min(block, limit - t0)
-            S_blk, R_blk = _sample_block(w.law, root_seed, idx, 0, t0, B, s_prev)
-            # check at times t0..t0+B-1 pairs (S_n, R_{n+1})
-            S_check = np.concatenate([s_prev[:, None], S_blk[:, :-1]], axis=1)
-            ok = np.abs(S_check - x) > R_blk
-            alive &= ok.all(axis=1)
-            s_prev = S_blk[:, -1].astype(float)
-            t0 += B
-            if at_h is None and t0 == horizon + 1:
-                at_h = alive.copy()
-        alive_h += int(at_h.sum())
-        alive_2h += int(alive.sum())
+    T = _stopping_times([w], lambda S, R: np.abs(S[0] - x) <= R[0],
+                        trials, h2, root_seed)
+    alive_h = int((T > horizon).sum())
+    alive_2h = int((T > h2).sum())
     est_h = alive_h / trials
     est_2h = alive_2h / trials
     lo, hi = wilson_interval(alive_2h, trials)
@@ -639,31 +700,8 @@ def check_zero_drift_reach_tail(w: LookAroundWalk, x: float, trials: int = 30000
     offsets = sorted(set(float(o) for o in x_offsets) | {float(x) - float(w.s0)})
     _require(all(o > 0 for o in offsets), "offsets must be positive")
     levels = np.array([w.s0 + o for o in offsets])
-    T = np.full((trials, len(levels)), cap + 1, dtype=np.int64)
-    block = 1024
-    for start in range(0, trials, _CHUNK):
-        n = min(_CHUNK, trials - start)
-        idx = np.arange(start, start + n, dtype=np.int64)
-        s_prev = np.full(n, float(w.s0))
-        t0 = 0
-        Tc = T[start:start + n]
-        while t0 <= cap:
-            B = min(block, cap + 1 - t0)
-            S_blk, R_blk = _sample_block(w.law, root_seed, idx, 0, t0, B, s_prev)
-            S_check = np.concatenate([s_prev[:, None], S_blk[:, :-1]], axis=1)
-            w_vals = S_check + R_blk
-            for k, level in enumerate(levels):
-                unset = Tc[:, k] > cap
-                if not unset.any():
-                    continue
-                reach = w_vals >= level
-                has = reach.any(axis=1) & unset
-                if has.any():
-                    Tc[has, k] = t0 + reach[has].argmax(axis=1)
-            s_prev = S_blk[:, -1].astype(float)
-            t0 += B
-            if (Tc <= cap).all():
-                break
+    T = _stopping_times([w], lambda S, R: (S[0] + R[0])[..., None] >= levels,
+                        trials, cap, root_seed, columns=len(levels))
     main_k = offsets.index(float(x) - float(w.s0))
     curves = [SurvivalCurve.from_samples(T[:, k], cap) for k in range(len(levels))]
     main_curve = curves[main_k]
@@ -744,40 +782,13 @@ def check_exit_time_tail(w: LookAroundWalk, rho: float, trials: int = 20000,
     drift = float(w.law.mean_zeta)
     if u_max is None:
         u_max = max(64, int(8 * max(1.0, rho) ** 2))
-    tau = np.full(trials, u_max + 1, dtype=np.int64)
-    block = 512
-    for start in range(0, trials, _CHUNK):
-        n = min(_CHUNK, trials - start)
-        idx = np.arange(start, start + n, dtype=np.int64)
-        s_prev = np.full(n, float(w.s0))
-        t0 = 0
-        tc = tau[start:start + n]
-        if drift == 0:
-            out0 = abs(float(w.s0)) > rho
-        elif drift > 0:
-            out0 = float(w.s0) > rho
-        else:
-            out0 = float(w.s0) < -rho
-        if out0:
-            tc[:] = 0
-            continue
-        while t0 < u_max:
-            B = min(block, u_max - t0)
-            S_blk, _ = _sample_block(w.law, root_seed, idx, 0, t0, B, s_prev)
-            if drift == 0:
-                outside = np.abs(S_blk) > rho
-            elif drift > 0:
-                outside = S_blk > rho
-            else:
-                outside = S_blk < -rho
-            unset = tc > u_max
-            has = outside.any(axis=1) & unset
-            if has.any():
-                tc[has] = t0 + 1 + outside[has].argmax(axis=1)
-            s_prev = S_blk[:, -1].astype(float)
-            t0 += B
-            if (tc <= u_max).all():
-                break
+    if drift == 0:
+        outside = lambda S, R: np.abs(S[0]) > rho
+    elif drift > 0:
+        outside = lambda S, R: S[0] > rho
+    else:
+        outside = lambda S, R: S[0] < -rho
+    tau = _stopping_times([w], outside, trials, u_max, root_seed)[:, 0]
     grid = np.unique(np.linspace(1, u_max, n_points).astype(np.int64))
     counts = (tau[None, :] > grid[:, None]).sum(axis=1).astype(np.float64)
     curve = SurvivalCurve(grid, counts, float(trials), censor_cap=u_max)
@@ -843,79 +854,16 @@ def check_upper_deviation_bound(w: LookAroundWalk, mu: float, n: int, y: float,
 # two walks avoiding a separating corridor
 
 
-def _joint_min_times_unit(w1: LookAroundWalk, w2: LookAroundWalk, lo: float, hi: float,
-                          trials: int, cap: int, root_seed: int) -> np.ndarray:
-    out = np.full(trials, cap + 1, dtype=np.int64)
-    block = 512
-    for start in range(0, trials, _CHUNK):
-        n = min(_CHUNK, trials - start)
-        idx = np.arange(start, start + n, dtype=np.int64)
-        s1 = np.full(n, float(w1.s0))
-        s2 = np.full(n, float(w2.s0))
-        t0 = 0
-        while t0 <= cap and idx.size:
-            B = min(block, cap + 1 - t0)
-            S1, R1 = _sample_block(w1.law, root_seed, idx, 0, t0, B, s1)
-            S2, R2 = _sample_block(w2.law, root_seed, idx, 1, t0, B, s2)
-            C1 = np.concatenate([s1[:, None], S1[:, :-1]], axis=1)
-            C2 = np.concatenate([s2[:, None], S2[:, :-1]], axis=1)
-            sigma_hit = np.abs(C1 - C2) <= R1 + R2
-            d1 = np.maximum(lo - C1, C1 - hi).clip(min=0)
-            d2 = np.maximum(lo - C2, C2 - hi).clip(min=0)
-            any_hit = sigma_hit | (d1 <= R1) | (d2 <= R2)
-            has = any_hit.any(axis=1)
-            if has.any():
-                out[idx[has]] = t0 + any_hit[has].argmax(axis=1)
-                keep = ~has
-                idx = idx[keep]
-                S1, S2 = S1[keep], S2[keep]
-            s1 = S1[:, -1].astype(float)
-            s2 = S2[:, -1].astype(float)
-            t0 += B
-    return out
+def _corridor_times(w1: LookAroundWalk, w2: LookAroundWalk, lo: float, hi: float,
+                    trials: int, cap: int, root_seed: int) -> np.ndarray:
+    """min(sigma, tau1, tau2) per trial on the time clock, cap + 1 if past cap."""
+    def contact(S, R):
+        (S1, S2), (R1, R2) = S, R
+        d1 = np.maximum(lo - S1, S1 - hi).clip(min=0)
+        d2 = np.maximum(lo - S2, S2 - hi).clip(min=0)
+        return (np.abs(S1 - S2) <= R1 + R2) | (d1 <= R1) | (d2 <= R2)
 
-
-def _joint_min_times_general(w1: LookAroundWalk, w2: LookAroundWalk, lo: float, hi: float,
-                             trials: int, cap: int, root_seed: int) -> np.ndarray:
-    out = np.full(trials, cap + 1, dtype=np.int64)
-    for trial in range(trials):
-        t_min = cap + 1
-        paths = []
-        for wid, w in ((0, w1), (1, w2)):
-            steps_needed = cap + 2
-            path = sample_walk(w, steps_needed, root_seed, trial=trial, walk_id=wid)
-            paths.append(path)
-        p1, p2 = paths
-
-        def k_of(path, m):
-            return int(np.searchsorted(path.times, m, side="right") - 1)
-
-        def interval_dist(s):
-            return max(lo - s, s - hi, 0.0)
-
-        # tau events trigger at each walk's own step times
-        for path in (p1, p2):
-            for k in range(len(path.times)):
-                m = int(path.times[k])
-                if m > cap:
-                    break
-                if interval_dist(float(path.positions[k])) <= float(path.radii[k]):
-                    t_min = min(t_min, m)
-                    break
-        # sigma evaluated at merged jump times
-        jumps = np.unique(np.concatenate([p1.times, p2.times, [0]]))
-        for m in jumps:
-            m = int(m)
-            if m > cap or m >= t_min:
-                break
-            k1 = k_of(p1, m)
-            k2 = k_of(p2, m)
-            if abs(float(p1.positions[k1]) - float(p2.positions[k2])) <= \
-                    float(p1.radii[k1]) + float(p2.radii[k2]):
-                t_min = min(t_min, m)
-                break
-        out[trial] = t_min
-    return out
+    return _stopping_times([w1, w2], contact, trials, cap, root_seed, timed=True)[:, 0]
 
 
 def check_joint_corridor_avoidance(w1: LookAroundWalk, w2: LookAroundWalk,
@@ -935,10 +883,7 @@ def check_joint_corridor_avoidance(w1: LookAroundWalk, w2: LookAroundWalk,
     """
     lo, hi = float(interval[0]), float(interval[1])
     _require(hi - lo > 2, "corridor needs y - x > 2")
-    if w1.law.unit_time and w2.law.unit_time:
-        times = _joint_min_times_unit(w1, w2, lo, hi, trials, cap, root_seed)
-    else:
-        times = _joint_min_times_general(w1, w2, lo, hi, trials, cap, root_seed)
+    times = _corridor_times(w1, w2, lo, hi, trials, cap, root_seed)
     curve = SurvivalCurve.from_samples(times, cap)
     if fit_u_min is None:
         d1 = max(lo - w1.s0, w1.s0 - hi, 1.0)

@@ -113,6 +113,42 @@ def test_stationary_residual_on_random_kernels():
                 assert acc == pi[j2]  # exact rational stationarity
 
 
+ZERO_EXIT = ("dim 1\nscouts 1\nstates a c\ninit 1 a\n"
+             "trans a * -> 1 a (+1) | 0 c (0)\ntrans c * -> 1 c (0)\n")
+
+
+def test_stationary_ignores_zero_probability_exits():
+    # a zero entry leaving a class is no edge, in classes() and in the solve
+    from scoutsim.analysis import KernelEntry
+    k = _kernel(ZERO_EXIT)
+    assert [c.recurrent for c in classes(k).classes] == [True, True]
+    assert stationary_distribution(k, ("a",)) == [1]
+    assert effective_drift(k, ("a",)) == (Fraction(1),)
+    rows = ((KernelEntry(1.0, 0, (1,)), KernelEntry(0.0, 1, (0,))),
+            (KernelEntry(1.0, 1, (0,)),))
+    k = ReducedKernel(1, ("a", "c"), rows)
+    assert not k.is_exact
+    assert stationary_distribution(k, ("a",)) == [1.0]
+
+
+def test_stationary_zero_entries_change_nothing():
+    # zero entries added inside a class leave the law bit for bit unchanged
+    from scoutsim.analysis import KernelEntry
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        k = random_rational_kernel(rng, int(rng.integers(2, 6)), 1)
+        for info in classes(k).recurrent_classes():
+            idx = [k.states.index(s) for s in info.states]
+            padded = tuple(row + (KernelEntry(Fraction(0), idx[0], (0,)),)
+                           if q in idx else row for q, row in enumerate(k.rows))
+            for conv in (lambda p: p, float):
+                base, extra = (ReducedKernel(1, k.states, tuple(
+                    tuple(KernelEntry(conv(e.probability), e.to, e.move) for e in row)
+                    for row in rows)) for rows in (k.rows, padded))
+                assert stationary_distribution(base, info.states) == \
+                    stationary_distribution(extra, info.states)
+
+
 # exact linear solves
 
 

@@ -149,6 +149,14 @@ def test_analyze_json(capsys):
     assert body["classes"][0]["drift"] == ["0"]
 
 
+def test_analyze_zero_probability_exit(tmp_path, capsys):
+    proto = tmp_path / "zero_exit.proto"
+    proto.write_text("dim 1\nscouts 1\nstates a c\ninit 1 a\n"
+                     "trans a * -> 1 a (+1) | 0 c (0)\ntrans c * -> 1 c (0)\n")
+    assert main(["analyze", "--protocol", str(proto)]) == 0
+    assert json.loads(capsys.readouterr().out)["protocol_hash"]
+
+
 def test_analyze_with_rays(capsys):
     assert main(["analyze", "--protocol", "builtin:srw?d=2", "--ray-width", "4"]) == 0
     body = json.loads(capsys.readouterr().out)
@@ -211,6 +219,21 @@ def test_config_cli_overrides(tmp_path, capsys):
      "--tail", "--trials", "5", "--k-min", "0"],
     ["renewal", "--protocol", "builtin:independent_walks?d=1,c=2", "--horizon", "8",
      "--tail", "--trials", "5", "--k-min", "5", "--k-max", "2"],
+    # malformed laws, intervals, events and targets
+    ["lemma", "escape", "--law", "bogus"],
+    ["lemma", "escape", "--law", "1/2:1;1/3:-1"],
+    ["lemma", "escape", "--law", "1/0:1"],
+    ["lemma", "corridor", "--law2", "bogus"],
+    ["lemma", "corridor", "--law2", "srw", "--interval", "5"],
+    ["lemma", "corridor", "--law2", "srw", "--interval", "a:b"],
+    ["oracle", "--law", "bogus", "--event", "hit:1", "--horizon", "3"],
+    ["oracle", "--law", "srw", "--law2", "1/2:1;1/3:-1", "--event", "meeting",
+     "--horizon", "3"],
+    ["oracle", "--law", "srw", "--event", "hit:x", "--horizon", "3"],
+    ["oracle", "--law", "srw", "--event", "meeting", "--horizon", "3"],
+    ["hitting", "--protocol", "builtin:srw?d=1", "--targets", "99999999999999999999"],
+    ["hitting", "--protocol", "builtin:srw?d=1", "--targets", "-9223372036854775809"],
+    ["hitting", "--protocol", "builtin:srw?d=1", "--targets", "a"],
 ])
 def test_edge_inputs_exit_usage(argv, capsys):
     assert main(argv) == 1

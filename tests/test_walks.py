@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from scoutsim import engine
 from scoutsim.errors import BudgetExceededError, PreconditionError
 from scoutsim.tails import SurvivalCurve, fit_tail
 from scoutsim.walks import (CHECKS, LookAroundWalk, NAMED_LAWS, StepLaw,
@@ -23,6 +24,7 @@ from scoutsim.walks import (CHECKS, LookAroundWalk, NAMED_LAWS, StepLaw,
                             oracle_meeting_survival,
                             oracle_position_probability,
                             oracle_reach_survival, parse_law, sample_walk)
+from scoutsim.walks import _corridor_times, _stopping_times
 
 
 def srw():
@@ -452,12 +454,11 @@ def test_corridor_interval_validation():
 
 
 def test_corridor_general_time_path_matches_unit():
-    # nu == 1 laws routed through the general path must agree with the fast one
-    from scoutsim.walks import _joint_min_times_general, _joint_min_times_unit
+    # nu == 1 laws: the block helper agrees with the per-trial reference loop
     w1 = LookAroundWalk(srw(), 6.0)
     w2 = LookAroundWalk(srw(), -6.0)
-    a = _joint_min_times_unit(w1, w2, -2.0, 2.0, 40, 128, 3)
-    b = _joint_min_times_general(w1, w2, -2.0, 2.0, 40, 128, 3)
+    a = _corridor_times(w1, w2, -2.0, 2.0, 40, 128, 3)
+    b = corridor_times_per_trial(w1, w2, -2.0, 2.0, 40, 128, 3)
     assert np.array_equal(a, b)
 
 
@@ -465,22 +466,20 @@ def test_corridor_time_translation_deterministic():
     # walk1 descends one unit per two time units from 10; walk2 sits at -10.
     # It detects [0,4] (radius 1) at position 5, i.e. at time 10; the balls
     # meet only at time 36; so min(sigma, tau1, tau2) = 10 exactly.
-    from scoutsim.walks import _joint_min_times_general
     w1 = LookAroundWalk(make_law([(1, -1, 2, 1.0)]), 10.0)
     w2 = LookAroundWalk(make_law([(1, 0, 1, 1.0)]), -10.0)
-    times = _joint_min_times_general(w1, w2, 0.0, 4.0, 5, 128, 1)
+    times = _corridor_times(w1, w2, 0.0, 4.0, 5, 128, 1)
     assert np.all(times == 10)
 
 
 def test_corridor_general_matches_bruteforce_time_scan():
     # independent oracle: evaluate the three clocks at every integer time
-    from scoutsim.walks import _joint_min_times_general
     law1 = make_law([("1/2", 1, 2, 1.0), ("1/2", -1, 1, 2.0)])
     law2 = make_law([("1/3", 2, 1, 1.0), ("2/3", -1, 3, 1.0)])
     w1 = LookAroundWalk(law1, 7.0)
     w2 = LookAroundWalk(law2, -7.0)
     cap = 96
-    got = _joint_min_times_general(w1, w2, -2.0, 2.0, 30, cap, 13)
+    got = _corridor_times(w1, w2, -2.0, 2.0, 30, cap, 13)
     for trial in range(30):
         p1 = sample_walk(w1, cap + 2, 13, trial=trial, walk_id=0)
         p2 = sample_walk(w2, cap + 2, 13, trial=trial, walk_id=1)
@@ -503,8 +502,7 @@ def test_corridor_factorization_against_oracle():
     # and the factors are independent; check the product at small u
     w1 = LookAroundWalk(srw(), 6.0)
     w2 = LookAroundWalk(srw(), -6.0)
-    from scoutsim.walks import _joint_min_times_unit
-    times = _joint_min_times_unit(w1, w2, -2.0, 2.0, 40000, 64, 11)
+    times = _corridor_times(w1, w2, -2.0, 2.0, 40000, 64, 11)
     for u in (4, 16):
         p1 = float(oracle_interval_survival(srw(), 6, -2, 2, u))
         p2 = float(oracle_interval_survival(srw(), -6, -2, 2, u))
@@ -512,6 +510,168 @@ def test_corridor_factorization_against_oracle():
         got = float((times > u).mean())
         sigma = math.sqrt(want * (1 - want) / 40000)
         assert abs(got - want) <= 4 * sigma + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the stopping-time block helper against the loops it replaced
+
+
+def corridor_times_per_trial(w1, w2, lo, hi, trials, cap, root_seed):
+    """Reference: one Python loop per trial over each walk's own step times
+    (tau_i) and the merged jump times (sigma)."""
+    out = np.full(trials, cap + 1, dtype=np.int64)
+    for trial in range(trials):
+        t_min = cap + 1
+        p1, p2 = (sample_walk(w, cap + 2, root_seed, trial=trial, walk_id=wid)
+                  for wid, w in ((0, w1), (1, w2)))
+
+        def k_of(path, m):
+            return int(np.searchsorted(path.times, m, side="right") - 1)
+
+        for path in (p1, p2):
+            for k in range(len(path.times)):
+                m = int(path.times[k])
+                if m > cap:
+                    break
+                s = float(path.positions[k])
+                if max(lo - s, s - hi, 0.0) <= float(path.radii[k]):
+                    t_min = min(t_min, m)
+                    break
+        for m in np.unique(np.concatenate([p1.times, p2.times, [0]])):
+            m = int(m)
+            if m > cap or m >= t_min:
+                break
+            k1, k2 = k_of(p1, m), k_of(p2, m)
+            if abs(float(p1.positions[k1]) - float(p2.positions[k2])) <= \
+                    float(p1.radii[k1]) + float(p2.radii[k2]):
+                t_min = m
+                break
+        out[trial] = t_min
+    return out
+
+
+def reach_times_fixed_blocks(w, levels, trials, cap, root_seed, block=16):
+    """Reference: the fixed-block loop of the reach-tail check, no trial dropped."""
+    zeta, _, rad = w.law.arrays
+    idx = np.arange(trials, dtype=np.int64)
+    T = np.full((trials, len(levels)), cap + 1, dtype=np.int64)
+    s_prev = np.full(trials, float(w.s0))
+    t0 = 0
+    while t0 <= cap:
+        B = min(block, cap + 1 - t0)
+        b = w.law.table.draw(0, root_seed, idx, 0, t0, B)
+        S_blk = s_prev[:, None] + np.cumsum(zeta[b], axis=1)
+        S_check = np.concatenate([s_prev[:, None], S_blk[:, :-1]], axis=1)
+        w_vals = S_check + rad[b]
+        for k, level in enumerate(levels):
+            reach = w_vals >= level
+            has = reach.any(axis=1) & (T[:, k] > cap)
+            T[has, k] = t0 + reach[has].argmax(axis=1)
+        s_prev = S_blk[:, -1].astype(float)
+        t0 += B
+    return T
+
+
+def reach_times(w, levels, trials, cap, root_seed):
+    levels = np.asarray(levels, dtype=float)
+    return _stopping_times([w], lambda S, R: (S[0] + R[0])[..., None] >= levels,
+                           trials, cap, root_seed, columns=len(levels))
+
+
+# zero drift; the second law has durations (ignored on the step clock),
+# fractional radii and zero steps
+REACH_LAWS = ("srw", "1/3:1,2,1.5;1/6:-2,1,2.5;1/2:0,3")
+# unit pair, and laws with durations 1 to 3
+CORRIDOR_PAIRS = (("srw", "srw"),
+                  ("1/2:1,2,1;1/2:-1,1,2", "1/3:2,1,1;2/3:-1,3,1"))
+
+
+@pytest.mark.parametrize("budget", [1, 7, 2**40])
+@pytest.mark.parametrize("law_text", REACH_LAWS)
+@pytest.mark.parametrize("cap", [1, 150])
+def test_stopping_times_match_fixed_blocks(monkeypatch, budget, law_text, cap):
+    monkeypatch.setattr(engine, "_IID_VARIATES", budget)
+    w = LookAroundWalk(parse_law(law_text), 0.0)
+    levels = (1.5, 3, 5, 8)
+    got = reach_times(w, levels, 40, cap, 21)
+    assert np.array_equal(got, reach_times_fixed_blocks(w, levels, 40, cap, 21))
+
+
+@pytest.mark.parametrize("budget", [1, 7, 2**40])
+@pytest.mark.parametrize("pair", CORRIDOR_PAIRS)
+@pytest.mark.parametrize("s0,cap", [((7.0, -7.0), 96), ((5.5, -6.5), 96), ((7.0, -7.0), 1)])
+def test_corridor_times_match_per_trial_loop(monkeypatch, budget, pair, s0, cap):
+    monkeypatch.setattr(engine, "_IID_VARIATES", budget)
+    w1 = LookAroundWalk(parse_law(pair[0]), s0[0])
+    w2 = LookAroundWalk(parse_law(pair[1]), s0[1])
+    got = _corridor_times(w1, w2, -2.0, 2.0, 30, cap, 13)
+    want = corridor_times_per_trial(w1, w2, -2.0, 2.0, 30, cap, 13)
+    assert np.array_equal(got, want)
+    if cap > 1:
+        assert (want <= cap).any() and (want > cap).any()
+
+
+@pytest.mark.parametrize("pair", CORRIDOR_PAIRS)
+def test_trial_decided_on_last_check_of_block(monkeypatch, pair):
+    # size the first block so that trial 0's stopping time is its last check
+    w1 = LookAroundWalk(parse_law(pair[0]), 7.0)
+    w2 = LookAroundWalk(parse_law(pair[1]), -7.0)
+    trials, cap = 20, 400
+    want = corridor_times_per_trial(w1, w2, -2.0, 2.0, trials, cap, 5)
+    n = int(want[0])
+    assert 1 <= n < cap
+    monkeypatch.setattr(engine, "_IID_VARIATES", (n + 1) * trials)
+    assert engine._iid_block(0, cap + 1, trials) == n + 1
+    assert np.array_equal(_corridor_times(w1, w2, -2.0, 2.0, trials, cap, 5), want)
+    w = LookAroundWalk(parse_law(REACH_LAWS[0]))
+    levels = (2, 4)
+    want = reach_times_fixed_blocks(w, levels, trials, cap, 5)
+    n = int(want[0].max())
+    monkeypatch.setattr(engine, "_IID_VARIATES", (n + 1) * trials)
+    assert np.array_equal(reach_times(w, levels, trials, cap, 5), want)
+
+
+def test_every_level_decided_in_one_block(monkeypatch):
+    # each walk reaches every level within the first block: one block is drawn
+    blocks = []
+    block_rule = engine._iid_block
+    monkeypatch.setattr(engine, "_iid_block", lambda *a: blocks.append(a) or block_rule(*a))
+    monkeypatch.setattr(engine, "_IID_VARIATES", 8 * 10)
+    up = LookAroundWalk(NAMED_LAWS["up"](), 0.0)
+    got = reach_times(up, (2, 4, 6, 8), 10, 500, 3)
+    assert len(blocks) == 1
+    assert (got == [1, 3, 5, 7]).all()
+
+
+def test_sample_walk_keeps_fractional_start():
+    path = sample_walk(LookAroundWalk(srw(), 0.5), 4, 0)
+    assert path.positions.dtype == np.float64
+    assert (path.positions - 0.5 == sample_walk(LookAroundWalk(srw()), 4, 0).positions).all()
+    assert sample_walk(LookAroundWalk(srw(), 2.0), 4, 0).positions.dtype == np.int64
+
+
+@pytest.mark.parametrize("law_text,want", [("1:-1", 6), ("1:-1,2", 12)])
+def test_corridor_fractional_start(law_text, want):
+    # from 10.5 the walk sees [0, 4] from 5.5, after 5.5 steps rounded up
+    w1 = LookAroundWalk(parse_law(law_text), 10.5)
+    w2 = LookAroundWalk(parse_law("1:0"), -10.0)
+    assert (_corridor_times(w1, w2, 0.0, 4.0, 3, 64, 1) == want).all()
+    assert (corridor_times_per_trial(w1, w2, 0.0, 4.0, 3, 64, 1) == want).all()
+
+
+@pytest.mark.parametrize("kwargs,match", [
+    ({"event": "meeting"}, "second walk"),
+    ({"event": "ballmeeting", "law2": NAMED_LAWS["srw"]()}, "second walk"),
+    ({"event": "hit:x"}, "integer"),
+    ({"event": "hit"}, "argument"),
+    ({"event": "bogus:1"}, "unknown"),
+    ({"event": "hit:1", "trials": 0}, "trials"),
+])
+def test_mc_event_frequency_checks_arguments(kwargs, match):
+    args = {"law": srw(), "s0": 0, "horizon": 4, "trials": 10, "root_seed": 1}
+    args.update(kwargs)
+    with pytest.raises(ValueError, match=match):
+        mc_event_frequency(**args)
 
 
 def test_checks_registry():

@@ -294,15 +294,24 @@ def cmd_lemma(args, argv) -> int:
     return EXIT_OK if res.passed else EXIT_FAIL
 
 
+def _integer_start(value: float, flag: str) -> int:
+    """A start the exact oracle accepts: an integer, not a truncated float."""
+    if not float(value).is_integer():
+        raise UsageError(f"{flag} must be an integer for the exact oracle, got {value}")
+    return int(value)
+
+
 def cmd_oracle(args, argv) -> int:
     law = _parse_law(args.law, "--law")
     law2 = _parse_law(args.law2, "--law2") if args.law2 else None
+    s0 = _integer_start(args.s0, "--s0")
+    s02 = _integer_start(args.s02, "--s02")
     try:
-        prob = walks.exact_dp_oracle(law, int(args.s0), args.horizon, args.event,
-                                     law2=law2, s02=int(args.s02))
+        prob = walks.exact_dp_oracle(law, s0, args.horizon, args.event,
+                                     law2=law2, s02=s02)
     except ValueError as exc:  # the event spec; checked before any work
         raise UsageError(f"--event: {exc}") from None
-    body = {"event": args.event, "horizon": args.horizon, "s0": int(args.s0),
+    body = {"event": args.event, "horizon": args.horizon, "s0": s0,
             "probability": str(prob), "probability_float": float(prob)}
     payload = _dump_json(body)
     _write_output(args.out_dir, "oracle.json", payload, argv)

@@ -5,14 +5,25 @@ read from the current configuration, then each scout independently draws a
 (state, move) pair from its matching rule row.  The variate consumed by
 scout i at step n of replica r is ``streams.uniforms(root_seed, r, i, n)``,
 so scalar stepping, vectorized batches, and threaded replica chunks all
-produce bit-identical trajectories.  :class:`VectorSim` fetches these
-variates a block of steps at a time, keyed by the same absolute counters,
-so prefetching changes no value.  Every path turns a variate into a branch
-of the rule row through the one sampler, :class:`streams.Categorical`:
-scalar stepping bisects the row, :class:`VectorSim` compares a gathered
-row per scout, and the iid block path draws whole blocks from one row.
-All three compare against the same floats; a row of ``Fraction``
+produce bit-identical trajectories.  Every path turns a variate into a
+branch of the rule row through the one sampler, :class:`streams.Categorical`:
+the scalar kernel bisects the row's list, :class:`VectorSim` compares a
+gathered row per scout, and the iid block path draws whole blocks from one
+row.  All three compare against the same floats; a row of ``Fraction``
 probabilities is cumulated exactly and only then rounded.
+
+One scalar kernel, :func:`_kernel`, serves :func:`run`, :func:`iter_run`
+and :func:`step`.  It steps one replica on plain Python ints: each scout's
+state index and its grid key taken from the origin, so any origin runs.
+Scouts share a point exactly when their keys are equal, the environment
+mask is the OR of the co-located scouts' state bits, and the rule row of a
+(state, mask) pair comes from a cache filled on first use.  The kernel
+fetches the uniforms of up to 1024 steps with one ``streams.uniforms`` call,
+keyed by the absolute (replica, scout, step) counters, as :class:`VectorSim`
+prefetches up to 64: the counters fix every value, so no partition of the
+steps into blocks changes one.  :func:`run` writes each block into its
+trace arrays; :func:`iter_run` builds a :class:`Configuration` only when it
+yields one.
 
 Protocols whose scouts all walk i.i.d. take the block path for hitting
 times, first meetings and meeting gaps.  A block after step t0 is
@@ -26,12 +37,12 @@ order.
 Hitting and meeting measurements stream; they never materialize traces, so
 caps of 2**24 steps run in bounded memory.
 
-Simulation paths carry each grid point as one int64 key: k = x for d = 1
-and k = x * 2**32 + y for d = 2.  A move adds its own key, two scouts share
-a point exactly when their keys are equal, and keys sort like the points
-in ``np.unique(axis=0)`` order.  The d = 2 key is exact while every
-coordinate stays inside (-2**31, 2**31), so a d = 2 run whose origin plus
-cap (or horizon) steps could leave that range raises
+The vectorized paths carry each grid point as one int64 key: k = x for
+d = 1 and k = x * 2**32 + y for d = 2.  A move adds its own key, two scouts
+share a point exactly when their keys are equal, and keys sort like the
+points in ``np.unique(axis=0)`` order.  The d = 2 key is exact while every
+coordinate stays inside (-2**31, 2**31), so a vectorized d = 2 run whose
+origin plus cap (or horizon) steps could leave that range raises
 :class:`PreconditionError` before it starts; targets farther from the
 origin than the cap can never be hit and are dropped before packing.
 Positions leave the engine unpacked, in their (..., scouts, d) layout.
@@ -43,17 +54,18 @@ target.  The iid path looks up each scout's key block the same way.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import streams
 from .errors import PreconditionError
-from .protocol import (Configuration, ProtocolError, ScoutProtocol,
-                       environment_of, protocol_hash)
+from .protocol import Configuration, ProtocolError, ScoutProtocol, protocol_hash
 from .tails import CensoredSummary, SurvivalCurve, summarize_censored
 
 DEFAULT_CAP = 1 << 20
@@ -73,6 +85,11 @@ _HIT_WINDOW = 64
 # d = 2 grid keys are exact while |coordinate| < _KEY_HALF (see _pack)
 _KEY_HALF = 1 << 31
 _KEY_LOW = (1 << 32) - 1
+_INT64_LIMIT = 1 << 63
+# steps of the scalar kernel per streams call (see _kernel)
+_KERNEL_BLOCK = 1024
+# an unbounded iter_run packs d = 2 keys for this many steps (see _key_width)
+_UNBOUNDED_STEPS = 1 << 56
 
 
 class ResourceLimitError(RuntimeError):
@@ -178,7 +195,8 @@ class _Compiled:
             [[self.state_index[o.state] for o in r] for r in outcomes], np.int16)
         self.row_move = self.table.pad([[o.move for o in r] for r in outcomes], np.int8)
         self.row_key = _pack(self.row_move.astype(np.int64))
-        self.max_move = int(np.abs(self.row_move).max(initial=0))
+        # widened first: abs of the int8 move -128 wraps to -128
+        self.max_move = int(np.abs(self.row_move.astype(np.int64)).max(initial=0))
 
         self.env_free = not self.exact_rows
         if self.n_states <= 16:
@@ -211,11 +229,32 @@ class _Compiled:
                     break
             self.iid_single = ok
 
+        # the scalar kernel's rows by key width, then by mask << 6 | state;
+        # filled on first use by kernel_row
+        self.kernel_rows: dict[int, dict[int, tuple]] = {}
+
     def dispatch_row(self, state_idx: int, mask: int) -> int:
         row = self.exact_rows.get((state_idx, mask), -1)
         if row < 0:
             row = int(self.wildcard_row[state_idx])
         return row
+
+    def kernel_row(self, width: int, state_idx: int, mask: int) -> tuple:
+        """Cache and return the kernel row of a state in an environment: the
+        cumulative list, the last branch, and each branch's successor state
+        and move key."""
+        row = self.dispatch_row(state_idx, mask)
+        if row < 0:
+            names = self.protocol.state_names
+            env = sorted(names[j] for j in range(self.n_states) if mask >> j & 1)
+            raise ProtocolError(f"no matching rule for state {names[state_idx]!r} "
+                                f"with environment {env}")
+        k = int(self.table.length[row])
+        moves = self.row_move[row, :k].tolist()
+        keys = [m[0] if self.d == 1 else m[0] * width + m[1] for m in moves]
+        entry = (self.table.lists[row], k - 1, self.row_state[row, :k].tolist(), keys)
+        self.kernel_rows.setdefault(width, {})[mask << 6 | state_idx] = entry
+        return entry
 
 
 @lru_cache(maxsize=128)
@@ -227,25 +266,71 @@ def _compile(p: ScoutProtocol) -> _Compiled:
 # scalar stepping
 
 
-def _advance(p: ScoutProtocol, comp: _Compiled, cfg: Configuration, ufn) -> Configuration:
-    envs = [environment_of(cfg, i + 1) for i in range(comp.c)]
-    new_pos = []
-    new_states = []
-    for i in range(comp.c):
-        si = comp.state_index[cfg.states[i]]
-        mask = 0
-        for name in envs[i]:
-            mask |= 1 << comp.state_index[name]
-        row = comp.dispatch_row(si, mask)
-        if row < 0:
-            raise ProtocolError(
-                f"no matching rule for state {cfg.states[i]!r} with environment "
-                f"{sorted(envs[i])}")
-        branch = comp.table.select_one(row, ufn(i, cfg.time))
-        new_states.append(p.state_names[comp.row_state[row, branch]])
-        move = comp.row_move[row, branch]
-        new_pos.append(tuple(int(x) + int(m) for x, m in zip(cfg.positions[i], move)))
-    return Configuration(tuple(new_pos), tuple(new_states), cfg.time + 1)
+def _key_width(reach: int) -> int:
+    """Width W of the scalar kernel's d = 2 keys dx * W + dy: the least power
+    of two from 2**32 up that keeps every |dy| <= ``reach`` exact."""
+    return 1 << max(32, reach.bit_length() + 1)
+
+
+def _kernel(comp: _Compiled, seed: SeedSpec, keys: list[int], states: list[int],
+            t: int, n: int, width: int) -> tuple[list[int], list[int]]:
+    """Advance one replica n steps from time t on plain Python ints.
+
+    ``keys`` and ``states`` hold each scout's key (relative to the origin,
+    packed with ``width``; see :func:`_key_width`) and state index at time
+    t.  Returns the keys and states after each step, flat: entry b * c + i
+    is scout i at time t + b + 1.  A step with an uncovered environment
+    ends the block early; the call that starts at that step raises
+    :class:`ProtocolError`, so streaming callers see every earlier step.
+    """
+    c = comp.c
+    rows = comp.kernel_rows.setdefault(width, {})
+    pairs = [] if comp.env_free else list(combinations(range(c), 2))
+    # one list of floats per scout, read a step at a time through zip, so the
+    # block holds c lists rather than one list per step
+    u = streams.uniforms(seed.root_seed, seed.replica, np.arange(c, dtype=np.int64)[:, None],
+                         np.arange(t, t + n, dtype=np.uint64)).tolist()
+    out_keys: list[int] = []
+    out_states: list[int] = []
+    for ub in zip(*u):
+        # bit s of masks[i]: some other scout at i's point is in state s
+        masks = [0] * c
+        for i, j in pairs:
+            if keys[i] == keys[j]:
+                masks[i] |= 1 << states[j]
+                masks[j] |= 1 << states[i]
+        new_keys = []
+        new_states = []
+        for key, s, mask, x in zip(keys, states, masks, ub):
+            entry = rows.get(mask << 6 | s)
+            if entry is None:
+                if out_states and comp.dispatch_row(s, mask) < 0:
+                    return out_keys, out_states
+                entry = comp.kernel_row(width, s, mask)
+            cum, last, succ, move = entry
+            b = bisect_right(cum, x)  # Categorical.select_one, inlined
+            if b > last:
+                b = last
+            new_keys.append(key + move[b])
+            new_states.append(succ[b])
+        keys, states = new_keys, new_states
+        out_keys += keys
+        out_states += states
+    return out_keys, out_states
+
+
+def _configuration(comp: _Compiled, keys: list[int], states: list[int], time: int,
+                   width: int) -> Configuration:
+    """The configuration of kernel keys and state indices."""
+    origin = comp.protocol.initial_position
+    if comp.d == 1:
+        positions = tuple((origin[0] + k,) for k in keys)
+    else:
+        half = width >> 1
+        positions = tuple((origin[0] + dx, origin[1] + dy - half)
+                          for dx, dy in (divmod(k + half, width) for k in keys))
+    names = comp.protocol.state_names
+    return Configuration(positions, tuple(names[s] for s in states), time)
 
 
 def step(cfg: Configuration, p: ScoutProtocol, seed: SeedSpec) -> Configuration:
@@ -256,8 +341,13 @@ def step(cfg: Configuration, p: ScoutProtocol, seed: SeedSpec) -> Configuration:
     cfg.time).
     """
     comp = _compile(p)
-    ufn = lambda i, n: streams.uniform_scalar(seed.root_seed, seed.replica, i, n)
-    return _advance(p, comp, cfg, ufn)
+    origin = p.initial_position
+    offsets = [tuple(x - o for x, o in zip(q, origin)) for q in cfg.positions]
+    width = _key_width(max(abs(q[-1]) for q in offsets) + comp.max_move)
+    keys = [q[0] if comp.d == 1 else q[0] * width + q[1] for q in offsets]
+    states = [comp.state_index[s] for s in cfg.states]
+    keys, states = _kernel(comp, seed, keys, states, cfg.time, 1, width)
+    return _configuration(comp, keys, states, cfg.time + 1, width)
 
 
 def initial_configuration(p: ScoutProtocol) -> Configuration:
@@ -265,41 +355,22 @@ def initial_configuration(p: ScoutProtocol) -> Configuration:
                          p.initial_states, 0)
 
 
-class _BufferedUniforms:
-    """Blockwise prefetch of the per-(scout, step) streams of one replica.
-
-    Purely an efficiency device: values are identical to scalar queries.
-    """
-
-    def __init__(self, root_seed: int, replica: int, n_scouts: int, block: int = 1024):
-        self.root = root_seed
-        self.replica = replica
-        self.c = n_scouts
-        self.block = block
-        self.base = -1
-        self.buf: np.ndarray | None = None
-
-    def __call__(self, scout: int, n: int) -> float:
-        if self.buf is None or not self.base <= n < self.base + self.block:
-            self.base = (n // self.block) * self.block
-            steps = np.arange(self.base, self.base + self.block, dtype=np.int64)
-            self.buf = streams.uniforms(self.root, np.int64(self.replica),
-                                        np.arange(self.c, dtype=np.int64)[:, None],
-                                        steps[None, :])
-        return float(self.buf[scout, n - self.base])
-
-
 def iter_run(p: ScoutProtocol, seed: SeedSpec, horizon: int | None = None) -> Iterator[Configuration]:
     """Stream configurations 0, 1, ... without storing them (memory-free run)."""
     comp = _compile(p)
-    ufn = _BufferedUniforms(seed.root_seed, seed.replica, comp.c)
-    cfg = initial_configuration(p)
-    yield cfg
-    n = 0
-    while horizon is None or n < horizon:
-        cfg = _advance(p, comp, cfg, ufn)
-        yield cfg
-        n += 1
+    yield initial_configuration(p)
+    width = _key_width((_UNBOUNDED_STEPS if horizon is None else horizon) * comp.max_move)
+    c = comp.c
+    keys = [0] * c
+    states = comp.init_state_idx.tolist()
+    t = 0
+    while horizon is None or t < horizon:
+        n = _KERNEL_BLOCK if horizon is None else min(_KERNEL_BLOCK, horizon - t)
+        out_keys, out_states = _kernel(comp, seed, keys, states, t, n, width)
+        for b in range(0, len(out_states), c):
+            t += 1
+            keys, states = out_keys[b:b + c], out_states[b:b + c]
+            yield _configuration(comp, keys, states, t, width)
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +427,30 @@ def run(p: ScoutProtocol, horizon: int, seed: SeedSpec) -> Trace:
             f"trace of horizon {horizon} needs ~{footprint >> 20} MiB; "
             "use iter_run for streaming")
     positions = np.empty((horizon + 1, comp.c, comp.d), dtype=np.int64)
+    keys_out = positions[..., -1]  # keys from the origin until unpacked at the end
     state_idx = np.empty((horizon + 1, comp.c), dtype=np.int16)
-    for n, cfg in enumerate(iter_run(p, seed, horizon)):
-        positions[n] = cfg.positions
-        state_idx[n] = [comp.state_index[s] for s in cfg.states]
+    # the memory limit keeps horizon * max_move below 2**31, so keys of width
+    # 2**32 are exact int64 keys in the layout of _pack
+    width = 1 << 32
+    keys = [0] * comp.c
+    states = comp.init_state_idx.tolist()
+    keys_out[0] = keys
+    state_idx[0] = states
+    t = 0
+    while t < horizon:
+        out_keys, out_states = _kernel(comp, seed, keys, states, t,
+                                       min(_KERNEL_BLOCK, horizon - t), width)
+        n = len(out_states) // comp.c
+        keys_out[t + 1:t + 1 + n] = np.reshape(out_keys, (n, comp.c))
+        state_idx[t + 1:t + 1 + n] = np.reshape(out_states, (n, comp.c))
+        keys, states = out_keys[-comp.c:], out_states[-comp.c:]
+        t += n
+    _unpack_in_place(positions)
+    for x0, lo, hi in zip(p.initial_position, positions.min(axis=(0, 1)).tolist(),
+                          positions.max(axis=(0, 1)).tolist()):
+        if not -_INT64_LIMIT <= x0 + lo <= x0 + hi < _INT64_LIMIT:
+            raise OverflowError("a position of the trace leaves int64")
+    positions += comp.origin
     return Trace(p, seed, positions, state_idx)
 
 

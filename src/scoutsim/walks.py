@@ -85,8 +85,8 @@ class StepLaw:
                 raise ValueError("negative probability")
             if int(o.nu) != o.nu or o.nu < 1:
                 raise ValueError("nu must be a positive integer")
-            if float(o.radius) < 1:
-                raise ValueError("radius must be >= 1")
+            if not 1 <= float(o.radius) < math.inf:  # also rejects NaN
+                raise ValueError(f"radius must be finite and >= 1, got {o.radius}")
             total += float(o.probability)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"outcome probabilities sum to {total!r}, not 1")

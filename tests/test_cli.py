@@ -1,9 +1,11 @@
 """Exit-code contract, reproducibility, and parallelism neutrality of the CLI."""
 
+import hashlib
 import json
 
 import pytest
 
+from scoutsim import walks
 from scoutsim.cli import main
 
 SRW_TEXT = """\
@@ -61,11 +63,43 @@ def test_simulate_json_format(capsys):
     assert "protocol_hash" in body
 
 
+# sha256 of `simulate` stdout, recorded with the per-step Configuration
+# stepper that the integer scalar kernel replaced; horizons cross several
+# 1024-step kernel blocks
+@pytest.mark.parametrize("protocol,horizon,seed,replica,fmt,digest", [
+    ("builtin:anchored_geometric?d=1,p=1/2", 2100, 7, 2, "csv",
+     "45af0f73beac33e1ccd3ccdf7dd4d102199d76bda943dce2d5d0c58866754927"),
+    ("builtin:anchored_geometric?d=1,p=1/2", 2100, 7, 2, "json",
+     "a48d20f7910e0455380b50d84c0fe047c2b6295fb6158d8281f85a18faa516c3"),
+    ("builtin:anchored_geometric?d=2,p=1/2", 1500, 11, 0, "csv",
+     "9c6b0d1ef92feccc9895ea15d2a0337fb249de44db2b0da8bcee1799c9ac5b09"),
+    ("builtin:anchored_geometric?d=2,p=1/2", 1500, 11, 0, "json",
+     "776266784d54819ec9bf66f4551f195af065ed9f48aa0edc8a38132eb3a02c13"),
+    ("builtin:srw?d=2", 1100, 5, 3, "csv",
+     "96d7101458e635e61939807a94ba9886cb951dea05d23e4ecd0cb7c6ffebf125"),
+    ("builtin:srw?d=2", 1100, 5, 3, "json",
+     "93da80e73d3100aa9e2b309af721b2c73d91bba47956d34a7876afdfe0e3e77a"),
+])
+def test_simulate_bytes_pinned(protocol, horizon, seed, replica, fmt, digest, capsys):
+    assert main(["simulate", "--protocol", protocol, "--horizon", str(horizon),
+                 "--seed", str(seed), "--replica", str(replica), "--format", fmt]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_oracle_exact(capsys):
     assert main(["oracle", "--law", "srw", "--event", "hit:1",
                  "--horizon", "3"]) == 0
     body = json.loads(capsys.readouterr().out)
     assert body["probability"] == "3/8"
+
+
+def test_oracle_integer_float_start(capsys):
+    # a float flag holding an integer is that integer
+    assert main(["oracle", "--law", "srw", "--event", "hit:1", "--horizon", "3",
+                 "--s0", "-2.0"]) == 0
+    body = json.loads(capsys.readouterr().out)
+    want = walks.exact_dp_oracle(walks.parse_law("srw"), -2, 3, "hit:1")
+    assert body["s0"] == -2 and body["probability"] == str(want)
 
 
 def test_lemma_pass_fail_and_precondition(capsys):
@@ -234,6 +268,14 @@ def test_config_cli_overrides(tmp_path, capsys):
     ["hitting", "--protocol", "builtin:srw?d=1", "--targets", "99999999999999999999"],
     ["hitting", "--protocol", "builtin:srw?d=1", "--targets", "-9223372036854775809"],
     ["hitting", "--protocol", "builtin:srw?d=1", "--targets", "a"],
+    # the exact oracle needs integer starts; look radii must be finite
+    ["oracle", "--law", "srw", "--event", "hit:1", "--horizon", "3", "--s0", "0.5"],
+    ["oracle", "--law", "srw", "--law2", "srw", "--event", "meeting", "--horizon", "3",
+     "--s02", "-1.5"],
+    ["oracle", "--law", "srw", "--event", "hit:1", "--horizon", "3", "--s0", "nan"],
+    ["lemma", "escape", "--law", "1/2:1,1,nan;1/2:1", "--x", "-5", "--trials", "100",
+     "--horizon", "16"],
+    ["oracle", "--law", "1/2:1,1,inf;1/2:-1", "--event", "lookaround:3", "--horizon", "3"],
 ])
 def test_edge_inputs_exit_usage(argv, capsys):
     assert main(argv) == 1

@@ -1,6 +1,7 @@
 """Engine contracts: stepping semantics, determinism, hitting, meetings."""
 
 import dataclasses
+import functools
 import itertools
 from fractions import Fraction
 
@@ -10,8 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from scoutsim import (SeedSpec, builtin, meeting_times, monte_carlo_hitting,
                       parse_protocol, run, step)
-from scoutsim import engine
+from scoutsim import engine, streams
 from scoutsim.errors import PreconditionError
+from scoutsim.protocol import (Configuration, EnvPattern, Outcome, ProtocolError,
+                               ScoutProtocol, TransitionRule, environment_of)
 from scoutsim.engine import (ResourceLimitError, VectorSim,
                              _hit_times_general_chunk, _hit_times_iid_chunk,
                              first_meeting_times,
@@ -101,9 +104,7 @@ def test_trace_legality():
     assert tr.state_idx.max() < len(p.state_names)
 
 
-def test_simultaneous_environment_semantics():
-    # under a sequential (buggy) update scout 2 would see an empty point
-    text = """\
+SIMULTANEOUS = """\
 dim 1
 scouts 2
 states a b
@@ -114,7 +115,11 @@ trans a * -> 1 a (0)
 trans b {a} -> 1 b (-1)
 trans b * -> 1 b (0)
 """
-    p = parse_protocol(text)
+
+
+def test_simultaneous_environment_semantics():
+    # under a sequential (buggy) update scout 2 would see an empty point
+    p = parse_protocol(SIMULTANEOUS)
     tr = run(p, 2, SeedSpec(0))
     assert tuple(tr.positions[1, :, 0]) == (1, -1)
     assert tuple(tr.positions[2, :, 0]) == (1, -1)
@@ -171,6 +176,188 @@ def test_run_memory_guard():
     p = builtin("srw", d=1)
     with pytest.raises(ResourceLimitError, match="iter_run"):
         run(p, 1 << 27, SeedSpec(0))
+
+
+# ---------------------------------------------------------------------------
+# the scalar kernel against a reference stepper
+#
+# The reference is the per-step stepper the kernel replaced, kept here as an
+# independent check: environments through protocol.environment_of, the rule
+# found among the protocol's own rules, the branch by Categorical.select_one
+# on streams.uniform_scalar, and one Configuration per step.
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_tables(p):
+    rules = {}
+    for k, rule in enumerate(p.rules):
+        env = None if rule.pattern.is_wildcard else frozenset(rule.pattern.states)
+        rules[rule.state, env] = k
+    return rules, streams.Categorical([[o.probability for o in r.outcomes] for r in p.rules])
+
+
+def _reference_step(p, cfg, seed):
+    rules, table = _reference_tables(p)
+    envs = [environment_of(cfg, i + 1) for i in range(p.scouts)]
+    positions, states = [], []
+    for i, (state, env) in enumerate(zip(cfg.states, envs)):
+        k = rules.get((state, env), rules.get((state, None)))
+        if k is None:
+            raise ProtocolError(
+                f"no matching rule for state {state!r} with environment {sorted(env)}")
+        u = streams.uniform_scalar(seed.root_seed, seed.replica, i, cfg.time)
+        o = p.rules[k].outcomes[table.select_one(k, u)]
+        positions.append(tuple(x + m for x, m in zip(cfg.positions[i], o.move)))
+        states.append(o.state)
+    return Configuration(tuple(positions), tuple(states), cfg.time + 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_trace(p, seed, horizon):
+    cfgs = [initial_configuration(p)]
+    for _ in range(horizon):
+        cfgs.append(_reference_step(p, cfgs[-1], seed))
+    return cfgs
+
+
+def _eighteen_state_protocol():
+    """Two scouts over 18 states, beyond the dense lookup table: stochastic
+    wildcard rows, and an exact rule for sharing a point with state s17."""
+    n = 18
+    names = tuple(f"s{i:02d}" for i in range(n))
+    rules = []
+    for i, name in enumerate(names):
+        rules.append(TransitionRule(name, EnvPattern.wildcard(), (
+            Outcome(Fraction(1, 2), names[(i + 1) % n], (1,)),
+            Outcome(Fraction(1, 3), names[(i + 7) % n], (0,)),
+            Outcome(Fraction(1, 6), name, (-1,)))))
+        rules.append(TransitionRule(name, EnvPattern.exact([names[-1]]), (
+            Outcome(Fraction(1, 2), names[0], (1,)),
+            Outcome(Fraction(1, 2), names[-1], (-1,)))))
+    return ScoutProtocol(dim=1, scouts=2, state_names=names, initial_position=(0,),
+                         initial_states=(names[0], names[-1]), rules=tuple(rules))
+
+
+def _anchored_d2_far():
+    # an origin beyond the int64 key range of the vectorized paths
+    return dataclasses.replace(builtin("anchored_geometric", d=2, p="1/2"),
+                               initial_position=(2**31 + 5, -2**40))
+
+
+def _short_float_row_protocol():
+    # a float row summing to 0.8: uniforms from 0.8 up take the last outcome
+    rules = (TransitionRule("A", EnvPattern.wildcard(), (
+        Outcome(0.5, "A", (1,)), Outcome(0.3, "A", (-1,)))),)
+    return ScoutProtocol(dim=1, scouts=1, state_names=("A",), initial_position=(0,),
+                         initial_states=("A",), rules=rules)
+
+
+KERNEL_CASES = {
+    "det_plus": lambda: parse_protocol(DET_PLUS),
+    "opposite": lambda: parse_protocol(OPPOSITE),
+    "simultaneous": lambda: parse_protocol(SIMULTANEOUS),
+    "anchored_d1": lambda: builtin("anchored_geometric", d=1, p="1/2"),
+    "anchored_d2": lambda: builtin("anchored_geometric", d=2, p="1/2"),
+    "eighteen_states": _eighteen_state_protocol,
+    "anchored_d2_far": _anchored_d2_far,
+    "short_float_row": _short_float_row_protocol,
+}
+KERNEL_SEED = SeedSpec(2024, replica=3)
+KERNEL_HORIZON = 2049
+
+
+@pytest.mark.parametrize("horizon", [0, 1, 1023, 1024, 1025, KERNEL_HORIZON])
+@pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+def test_run_matches_reference_stepper(name, horizon):
+    p = KERNEL_CASES[name]()
+    ref = _reference_trace(p, KERNEL_SEED, KERNEL_HORIZON)[:horizon + 1]
+    tr = run(p, horizon, KERNEL_SEED)
+    assert [tr.config(n) for n in range(horizon + 1)] == ref
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+def test_iter_run_matches_reference_stepper(name):
+    p = KERNEL_CASES[name]()
+    ref = _reference_trace(p, KERNEL_SEED, KERNEL_HORIZON)
+    assert list(iter_run(p, KERNEL_SEED, 1025)) == ref[:1026]
+    assert list(itertools.islice(iter_run(p, KERNEL_SEED), KERNEL_HORIZON + 1)) == ref
+
+
+@pytest.mark.parametrize("time", [0, 1, 1023, 1500])
+@pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+def test_step_matches_reference_stepper(name, time):
+    p = KERNEL_CASES[name]()
+    ref = _reference_trace(p, KERNEL_SEED, KERNEL_HORIZON)
+    assert step(ref[time], p, KERNEL_SEED) == ref[time + 1]
+
+
+def test_step_far_from_origin_matches_reference():
+    # one shared shift keeps co-location; scouts 2**41 apart need wide keys
+    p = builtin("anchored_geometric", d=2, p="1/2")
+    cfg = _reference_trace(p, KERNEL_SEED, KERNEL_HORIZON)[1500]
+    shifted = dataclasses.replace(
+        cfg, positions=tuple((x + 3, y + 2**40) for x, y in cfg.positions))
+    assert step(shifted, p, KERNEL_SEED) == _reference_step(p, shifted, KERNEL_SEED)
+    q = builtin("independent_walks", d=2, c=3)
+    apart = Configuration(((0, 2**41), (5, -2**41), (-2**62, 7)), q.initial_states, 9)
+    assert step(apart, q, KERNEL_SEED) == _reference_step(q, apart, KERNEL_SEED)
+
+
+def _uncovered_protocol():
+    """Four scouts at one point in states d, c, b, a (declared c, b, a, d).
+    Scout c leaves with probability 1/8 per step; d then sees {a, b}, which
+    no rule of d covers."""
+    stay = (Outcome(Fraction(1), "d", (0,)),)
+    rules = (
+        TransitionRule("d", EnvPattern.exact(["a", "b", "c"]), stay),
+        TransitionRule("c", EnvPattern.exact(["a", "b", "d"]), (
+            Outcome(Fraction(7, 8), "c", (0,)), Outcome(Fraction(1, 8), "c", (1,)))),
+        TransitionRule("c", EnvPattern.wildcard(), (Outcome(Fraction(1), "c", (0,)),)),
+        TransitionRule("b", EnvPattern.wildcard(), (Outcome(Fraction(1), "b", (0,)),)),
+        TransitionRule("a", EnvPattern.wildcard(), (Outcome(Fraction(1), "a", (0,)),)),
+    )
+    return ScoutProtocol(dim=1, scouts=4, state_names=("c", "b", "a", "d"),
+                         initial_position=(0,), initial_states=("d", "c", "b", "a"),
+                         rules=rules)
+
+
+def test_longest_move_of_minus_128():
+    # the longest move bounds the reach that targets and key widths rely on
+    rules = (TransitionRule("A", EnvPattern.wildcard(), (Outcome(Fraction(1), "A", (-128,)),)),)
+    p = ScoutProtocol(dim=1, scouts=1, state_names=("A",), initial_position=(0,),
+                      initial_states=("A",), rules=rules)
+    assert engine._compile(p).max_move == 128
+    assert hitting_time(p, (-256,), 2, SeedSpec(0)).time == 2
+
+
+def test_run_leaving_int64_raises():
+    p = dataclasses.replace(parse_protocol(DET_PLUS), initial_position=(2**63 - 3,))
+    assert run(p, 2, SeedSpec(0)).positions[-1, 0, 0] == 2**63 - 1
+    with pytest.raises(OverflowError):
+        run(p, 3, SeedSpec(0))
+
+
+def test_uncovered_environment_raises_after_every_earlier_step():
+    p = _uncovered_protocol()
+    message = "no matching rule for state 'd' with environment ['a', 'b']"
+    ref = [initial_configuration(p)]
+    with pytest.raises(ProtocolError) as err:
+        while True:
+            ref.append(_reference_step(p, ref[-1], KERNEL_SEED))
+    assert str(err.value) == message
+    assert len(ref) > 2  # the failing step is not the first of its block
+    assert [run(p, len(ref) - 1, KERNEL_SEED).config(n) for n in range(len(ref))] == ref
+    with pytest.raises(ProtocolError) as err:
+        run(p, 1024, KERNEL_SEED)
+    assert str(err.value) == message
+    streamed = []
+    with pytest.raises(ProtocolError) as err:
+        for cfg in iter_run(p, KERNEL_SEED):
+            streamed.append(cfg)
+    assert str(err.value) == message and streamed == ref
+    with pytest.raises(ProtocolError) as err:
+        step(ref[-1], p, KERNEL_SEED)
+    assert str(err.value) == message
 
 
 # hitting

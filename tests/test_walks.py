@@ -44,6 +44,13 @@ def test_law_validation():
         make_law([(1, 0, 0)])
 
 
+@pytest.mark.parametrize("radius", [math.nan, math.inf])
+def test_law_rejects_non_finite_radius(radius):
+    # NaN compares false with everything, so `radius < 1` let it through
+    with pytest.raises(ValueError, match="radius must be finite"):
+        make_law([("1/2", 1, 1, radius), ("1/2", -1)])
+
+
 def test_law_moments_exact():
     law = make_law([("3/4", 1), ("1/4", -1)])
     assert law.mean_zeta == Fraction(1, 2)

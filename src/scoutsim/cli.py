@@ -221,6 +221,8 @@ def cmd_analyze(args, argv) -> int:
 
 def cmd_renewal(args, argv) -> int:
     p = _load_protocol(args.protocol)
+    if p.scouts != 2:
+        raise PreconditionError(f"renewal needs a two-scout protocol, not {p.scouts} scouts")
     trace = engine.run(p, args.horizon, engine.SeedSpec(args.seed, args.replica))
     mr = renewal.extract_renewal(trace)
     lines = ["k,Y,A,R"]

@@ -25,17 +25,22 @@ steps into blocks changes one.  :func:`run` writes each block into its
 trace arrays; :func:`iter_run` builds a :class:`Configuration` only when it
 yields one.
 
-Protocols whose scouts all walk i.i.d. take the block path for hitting
-times, first meetings and meeting gaps.  A block after step t0 is
+Hitting times, first meetings and meeting gaps read one source,
+:class:`_BlockSource`, with one loop each.  The source holds the active
+replicas of a replica range and hands out the grid keys of a block of steps
+as one step-major (steps, replicas, scouts) array; between blocks, a loop
+drops the replicas it has finished with, as soon as there is one.
+Protocols whose scouts all walk i.i.d. draw each scout's block from its one
+row and cumulate the moves: a block after step t0 is
 min(cap - t0, max(1, V // R)) steps for R active replicas and a budget of
 V = 2**14 variates per scout, so blocks start short while most replicas
-run and grow as they finish.  Every draw is keyed by its absolute step, so
-the partition changes no value: the block path equals the stepwise
-:class:`VectorSim` loop bit for bit, meeting gaps in its (time, replica)
-order.
-
-Hitting and meeting measurements stream; they never materialize traces, so
-caps of 2**24 steps run in bounded memory.
+run and grow as they finish.  All other protocols step a
+:class:`VectorSim` in blocks that double from one step up to 32: a block
+after step t0 is min(32, cap - t0, max(1, t0)) steps.  Every draw is keyed
+by its absolute step, so neither the path nor the partition changes a
+value: each event equals the stepwise :class:`VectorSim` loop bit for bit,
+meeting gaps in its (time, replica) order.  These measurements never
+materialize traces, so caps of 2**24 steps run in bounded memory.
 
 The vectorized paths carry each grid point as one int64 key: k = x for
 d = 1 and k = x * 2**32 + y for d = 2.  A move adds its own key, two scouts
@@ -46,10 +51,9 @@ origin plus cap (or horizon) steps could leave that range raises
 :class:`PreconditionError` before it starts; targets farther from the
 origin than the cap can never be hit and are dropped before packing.
 Positions leave the engine unpacked, in their (..., scouts, d) layout.
-Target detection buffers the keys of a 64-step window and looks them all
-up with one ``searchsorted`` among the sorted distinct target keys: per
-step O(replicas * scouts * log targets), not a compare against every
-target.  The iid path looks up each scout's key block the same way.
+Hitting looks every key of a block up with one ``searchsorted`` among the
+sorted distinct target keys: per step O(replicas * scouts * log targets),
+not a compare against every target.
 """
 
 from __future__ import annotations
@@ -77,11 +81,12 @@ _CENSORED_FLAG_FRACTION = 0.01
 # call and hold no larger buffer than without prefetching
 _PREFETCH_VARIATES = 1 << 13
 _PREFETCH_MAX_STEPS = 64
-# variates per scout in one block of the iid paths (see _iid_block): a
+# variates per scout in one iid block of _BlockSource (see _iid_block): a
 # block's arrays stay near 128 KiB however many replicas are active
 _IID_VARIATES = 1 << 14
-# steps between target lookups (and compactions) of the general hitting path
-_HIT_WINDOW = 64
+# most steps per block of _BlockSource when it steps a VectorSim; blocks
+# double up to it, so replicas that finish early run no whole window
+_HIT_WINDOW = 32
 # d = 2 grid keys are exact while |coordinate| < _KEY_HALF (see _pack)
 _KEY_HALF = 1 << 31
 _KEY_LOW = (1 << 32) - 1
@@ -582,7 +587,7 @@ def run_batch(p: ScoutProtocol, horizon: int, root_seed: int, replicas: int,
 
 
 # ---------------------------------------------------------------------------
-# hitting times
+# stopping times: one block source, one loop per event
 
 
 def _iid_block(t0: int, cap: int, active: int) -> int:
@@ -591,40 +596,97 @@ def _iid_block(t0: int, cap: int, active: int) -> int:
     return min(cap - t0, max(1, _IID_VARIATES // active))
 
 
-def _iid_trajectories(comp: _Compiled, root_seed: int, reps: np.ndarray,
-                      keys: np.ndarray, t0: int, B: int) -> list[np.ndarray]:
-    """Each scout's keys after steps t0+1 .. t0+B, as (replicas, B)."""
-    trajs = []
-    for i, row in enumerate(comp.wildcard_row[comp.init_state_idx]):
-        branch = comp.table.draw(row, root_seed, reps, i, t0, B)
-        trajs.append(keys[:, i, None] + np.cumsum(comp.row_key[row][branch], axis=1))
-    return trajs
+class _BlockSource:
+    """Grid keys of a range of replicas, one block of steps at a time.
+
+    Iterating yields ``(t0, keys)``: the keys (B, R, c) of steps t0+1 ..
+    t0+B for the R active replicas, step-major, until the cap or until no
+    replica is left.  Between blocks, :meth:`drop` stops finished replicas.
+    Protocols whose scouts all walk i.i.d. draw each scout's block from its
+    one row and cumulate the moves, B by :func:`_iid_block`; all others
+    step a :class:`VectorSim`, B = min(_HIT_WINDOW, cap - t0, max(1, t0)).
+    Every draw is keyed by its absolute (replica, scout, step) counter, so
+    neither the path, the block lengths nor the drop times change a key.
+    """
+
+    def __init__(self, p: ScoutProtocol, start: int, n: int, cap: int, root_seed: int):
+        comp = _compile(p)
+        _check_key_range(comp, cap)
+        self.comp = comp
+        self.cap = cap
+        self.root_seed = root_seed
+        self.start = start
+        self.replicas = np.arange(start, start + n, dtype=np.int64)
+        self.time = 0
+        self.keys = np.full((n, comp.c), comp.origin_key, dtype=np.int64)
+        self.sim = None if comp.iid_single else VectorSim(p, n, root_seed, start)
+
+    @property
+    def rows(self) -> np.ndarray:
+        """Each active replica's row in arrays over the whole range."""
+        return self.replicas - self.start
+
+    def __iter__(self) -> Iterator[tuple[int, np.ndarray]]:
+        comp = self.comp
+        while self.replicas.size and self.time < self.cap:
+            t0 = self.time
+            if self.sim is None:
+                B = _iid_block(t0, self.cap, self.replicas.size)
+                keys = np.empty((B,) + self.keys.shape, dtype=np.int64)
+                for i, row in enumerate(comp.wildcard_row[comp.init_state_idx]):
+                    branch = comp.table.draw(row, self.root_seed, self.replicas, i, t0, B)
+                    np.cumsum(comp.row_key[row][branch.T], axis=0, out=keys[:, :, i])
+                keys += self.keys
+            else:
+                B = min(_HIT_WINDOW, self.cap - t0, max(1, t0))
+                keys = np.empty((B,) + self.keys.shape, dtype=np.int64)
+                for b in range(B):
+                    self.sim.step()
+                    keys[b] = self.sim.keys
+            self.keys = keys[-1]
+            self.time = t0 + B
+            yield t0, keys
+
+    def drop(self, done: np.ndarray) -> None:
+        """Stop the active replicas marked ``done``, if there are any."""
+        if done.any():
+            keep = ~done
+            self.replicas = self.replicas[keep]
+            self.keys = self.keys[keep]
+            if self.sim is not None:
+                self.sim.compact(keep)
+
+
+def _in_chunks(work, replicas: int, threads: int, chunk: int, empty: np.ndarray) -> np.ndarray:
+    """``work(start, n)`` over consecutive chunks of the replicas, concatenated."""
+    ranges = [(s, min(chunk, replicas - s)) for s in range(0, replicas, chunk)]
+    if threads > 1 and len(ranges) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(lambda r: work(*r), ranges))
+    else:
+        parts = [work(*r) for r in ranges]
+    return np.concatenate(parts) if parts else empty
+
+
+# hitting times
 
 
 def _target_keys(comp: _Compiled, targets: np.ndarray,
                  cap: int) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct keys of the targets within reach of the cap, and each
-    target's column among them (-1 for a target out of reach).
+    target's column among them (the number of keys for a target out of
+    reach).
 
     A target farther from the origin than cap steps of the longest move can
     never be hit, so it is dropped before packing, where it could alias a
-    reachable point.
+    reachable point.  The caller has checked the key range for the cap.
     """
-    _check_key_range(comp, cap)
     span = cap * comp.max_move
     near = ((targets >= comp.origin - span) & (targets <= comp.origin + span)).all(axis=1)
     keys, inverse = np.unique(_pack(targets[near]), return_inverse=True)
-    columns = np.full(targets.shape[0], -1, dtype=np.int64)
+    columns = np.full(targets.shape[0], keys.size, dtype=np.int64)
     columns[near] = inverse.reshape(-1)
     return keys, columns
-
-
-def _target_columns(ht: np.ndarray, columns: np.ndarray, cap: int) -> np.ndarray:
-    """Hit times per caller target from hit times per distinct target key."""
-    out = np.full((ht.shape[0], columns.size), cap + 1, dtype=np.int64)
-    near = columns >= 0
-    out[:, near] = ht[:, columns[near]]
-    return out
 
 
 def _find_targets(tkeys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -636,76 +698,23 @@ def _find_targets(tkeys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.n
     return i, j[i]
 
 
-def _first_hits(ht: np.ndarray, rows: np.ndarray, cols: np.ndarray, times: np.ndarray) -> None:
-    """ht[rows, cols] = min(ht[rows, cols], times), repeats included; ht is
-    C-contiguous, so the update goes through a flat view."""
-    np.minimum.at(ht.reshape(-1), rows * ht.shape[1] + cols, times)
-
-
-def _hit_times_iid_chunk(p: ScoutProtocol, targets: np.ndarray, n: int, cap: int,
-                         root_seed: int, replica_start: int) -> np.ndarray:
-    comp = _compile(p)
-    tkeys, columns = _target_keys(comp, targets, cap)
-    out = np.full((n, tkeys.size), cap + 1, dtype=np.int64)
-    if not tkeys.size:
-        return _target_columns(out, columns, cap)
-    reps = np.arange(replica_start, replica_start + n, dtype=np.int64)
-    keys = np.full((n, comp.c), comp.origin_key, dtype=np.int64)
-    ht = out.copy()
-    i, col = _find_targets(tkeys, keys)
-    ht[i // comp.c, col] = 0
-    t0 = 0
-    while t0 < cap and reps.size:
-        B = _iid_block(t0, cap, reps.size)
-        trajs = _iid_trajectories(comp, root_seed, reps, keys, t0, B)
-        for traj in trajs:
-            i, col = _find_targets(tkeys, traj)
-            r, b = np.divmod(i, B)
-            _first_hits(ht, r, col, t0 + 1 + b)
-        keys = np.stack([traj[:, -1] for traj in trajs], axis=1)
-        t0 += B
-        done = (ht <= cap).all(axis=1)
-        if done.any():
-            out[reps[done] - replica_start] = ht[done]
-            keep = ~done
-            reps, keys, ht = reps[keep], keys[keep], ht[keep]
-    if reps.size:
-        out[reps - replica_start] = ht
-    return _target_columns(out, columns, cap)
-
-
-def _hit_times_general_chunk(p: ScoutProtocol, targets: np.ndarray, n: int, cap: int,
-                             root_seed: int, replica_start: int) -> np.ndarray:
-    comp = _compile(p)
-    tkeys, columns = _target_keys(comp, targets, cap)
-    out = np.full((n, tkeys.size), cap + 1, dtype=np.int64)
-    if not tkeys.size:
-        return _target_columns(out, columns, cap)
-    sim = VectorSim(p, n, root_seed, replica_start)
-    ht = out.copy()
-    while sim.n_active:
-        # keys at steps t0 .. t0+B of one window, looked up together
-        t0 = sim.time
-        B = max(0, min(_HIT_WINDOW, cap - t0))
-        window = np.empty((B + 1,) + sim.keys.shape, dtype=np.int64)
-        window[0] = sim.keys
-        for b in range(1, B + 1):
-            sim.step()
-            window[b] = sim.keys
-        i, col = _find_targets(tkeys, window)
-        b, rs = np.divmod(i, window[0].size)
-        _first_hits(ht, rs // comp.c, col, t0 + b)
-        if sim.time >= cap:
-            break
-        done = (ht <= cap).all(axis=1)
-        if done.sum() > sim.n_active // 4:
-            out[sim.replicas[done] - replica_start] = ht[done]
-            keep = ~done
-            sim.compact(keep)
-            ht = ht[keep]
-    if sim.n_active:
-        out[sim.replicas - replica_start] = ht
-    return _target_columns(out, columns, cap)
+def _hit_times_chunk(p: ScoutProtocol, targets: np.ndarray, start: int, n: int,
+                     cap: int, root_seed: int) -> np.ndarray:
+    src = _BlockSource(p, start, n, cap, root_seed)
+    tkeys, columns = _target_keys(src.comp, targets, cap)
+    T = tkeys.size
+    # a column per distinct target key, and a last one, never hit, for the
+    # targets out of reach
+    out = np.full((n, T + 1), cap + 1, dtype=np.int64)
+    out[:, :T][:, tkeys == src.comp.origin_key] = 0
+    src.drop((out[:, :T] <= cap).all(axis=1))
+    for t0, keys in src:
+        rows = src.rows
+        i, col = _find_targets(tkeys, keys)
+        b, k = np.divmod(i, keys[0].size)
+        np.minimum.at(out.reshape(-1), rows[k // src.comp.c] * (T + 1) + col, t0 + 1 + b)
+        src.drop((out[rows, :T] <= cap).all(axis=1))
+    return out[:, columns]
 
 
 def hit_times(p: ScoutProtocol, targets: Sequence[Sequence[int]], replicas: int,
@@ -723,29 +732,16 @@ def hit_times(p: ScoutProtocol, targets: Sequence[Sequence[int]], replicas: int,
     targets_arr = np.array([tuple(t) for t in targets], dtype=np.int64)
     if targets_arr.ndim != 2 or targets_arr.shape[1] != comp.d:
         raise ValueError("targets must be points of the protocol dimension")
-    fn = _hit_times_iid_chunk if comp.iid_single else _hit_times_general_chunk
-    ranges = [(s, min(chunk, replicas - s)) for s in range(0, replicas, chunk)]
-
-    def work(rng):
-        start, count = rng
-        return fn(p, targets_arr, count, cap, root_seed, start)
-
-    if threads > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(work, ranges))
-    else:
-        parts = [work(r) for r in ranges]
-    return np.concatenate(parts, axis=0) if parts else np.zeros((0, len(targets)), np.int64)
+    return _in_chunks(lambda start, n: _hit_times_chunk(p, targets_arr, start, n, cap, root_seed),
+                      replicas, threads, chunk, np.zeros((0, len(targets)), np.int64))
 
 
 def hitting_time(p: ScoutProtocol, x: Sequence[int], cap: int, seed: SeedSpec) -> HittingResult:
     """First n <= cap at which some scout occupies x, else censored."""
     if cap < 0:
         raise ValueError("cap must be >= 0")
-    comp = _compile(p)
-    fn = _hit_times_iid_chunk if comp.iid_single else _hit_times_general_chunk
-    times = fn(p, np.array([tuple(x)], dtype=np.int64), 1, cap,
-               seed.root_seed, seed.replica)
+    times = _hit_times_chunk(p, np.array([tuple(x)], dtype=np.int64), seed.replica, 1,
+                             cap, seed.root_seed)
     t = int(times[0, 0])
     return HittingResult(tuple(int(v) for v in x), None if t > cap else t, cap)
 
@@ -814,55 +810,21 @@ def meeting_times(t: Trace) -> list[int]:
 def first_meeting_times(p: ScoutProtocol, replicas: int, cap: int, root_seed: int,
                         threads: int = 1, chunk: int = 8192) -> np.ndarray:
     """First n >= 1 with both scouts co-located, per replica; cap+1 censored."""
-    comp = _compile(p)
-    if comp.c != 2:
+    if _compile(p).c != 2:
         raise ValueError("first_meeting_times needs a two-scout protocol")
-    _check_key_range(comp, cap)
-    ranges = [(s, min(chunk, replicas - s)) for s in range(0, replicas, chunk)]
-    fn = _first_meeting_iid_chunk if comp.iid_single else _first_meeting_general_chunk
-
-    def work(rng):
-        return fn(p, rng[1], cap, root_seed, rng[0])
-
-    if threads > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(work, ranges))
-    else:
-        parts = [work(r) for r in ranges]
-    return np.concatenate(parts) if parts else np.zeros(0, np.int64)
+    return _in_chunks(lambda start, n: _first_meeting_chunk(p, start, n, cap, root_seed),
+                      replicas, threads, chunk, np.zeros(0, np.int64))
 
 
-def _first_meeting_iid_chunk(p: ScoutProtocol, n: int, cap: int, root_seed: int,
-                             replica_start: int) -> np.ndarray:
-    comp = _compile(p)
-    reps = np.arange(replica_start, replica_start + n, dtype=np.int64)
-    keys = np.full((n, comp.c), comp.origin_key, dtype=np.int64)
+def _first_meeting_chunk(p: ScoutProtocol, start: int, n: int, cap: int,
+                         root_seed: int) -> np.ndarray:
+    src = _BlockSource(p, start, n, cap, root_seed)
     out = np.full(n, cap + 1, dtype=np.int64)
-    t0 = 0
-    while t0 < cap and reps.size:
-        B = _iid_block(t0, cap, reps.size)
-        trajs = _iid_trajectories(comp, root_seed, reps, keys, t0, B)
-        met = trajs[0] == trajs[1]
-        has = met.any(1)
-        hit_time = t0 + 1 + met[has].argmax(1)
-        out[reps[has] - replica_start] = hit_time
-        keep = ~has
-        reps = reps[keep]
-        keys = np.stack([trajs[0][keep, -1], trajs[1][keep, -1]], axis=1)
-        t0 += B
-    return out
-
-
-def _first_meeting_general_chunk(p: ScoutProtocol, n: int, cap: int, root_seed: int,
-                                 replica_start: int) -> np.ndarray:
-    sim = VectorSim(p, n, root_seed, replica_start)
-    out = np.full(n, cap + 1, dtype=np.int64)
-    while sim.n_active and sim.time < cap:
-        sim.step()
-        met = sim.keys[:, 0] == sim.keys[:, 1]
-        if met.any():
-            out[sim.replicas[met] - replica_start] = sim.time
-            sim.compact(~met)
+    for t0, keys in src:
+        met = keys[..., 0] == keys[..., 1]
+        has = met.any(axis=0)
+        out[src.rows[has]] = t0 + 1 + met[:, has].argmax(axis=0)
+        src.drop(has)
     return out
 
 
@@ -872,67 +834,27 @@ def meeting_gap_samples(p: ScoutProtocol, replicas: int, cap: int, root_seed: in
 
     Raising k_min discards the burn-in gaps tied to the fixed initial state
     pair; the remaining gaps are pooled across the k range, in order of
-    meeting time and then replica on every path.
+    meeting time and then replica.
     """
-    comp = _compile(p)
-    if comp.c != 2:
+    if _compile(p).c != 2:
         raise ValueError("meeting gaps need a two-scout protocol")
     if not 1 <= k_min <= k_max:
         raise ValueError("need 1 <= k_min <= k_max")
-    _check_key_range(comp, cap)
-    fn = _meeting_gaps_iid if comp.iid_single else _meeting_gaps_general
-    return fn(p, replicas, cap, root_seed, k_min, k_max)
-
-
-def _meeting_gaps_iid(p: ScoutProtocol, replicas: int, cap: int, root_seed: int,
-                      k_min: int, k_max: int) -> np.ndarray:
-    comp = _compile(p)
-    reps = np.arange(replicas, dtype=np.int64)
-    keys = np.full((replicas, comp.c), comp.origin_key, dtype=np.int64)
-    last = np.zeros(replicas, dtype=np.int64)
+    src = _BlockSource(p, 0, replicas, cap, root_seed)
+    last = np.zeros(replicas, dtype=np.int64)  # each replica's latest meeting
     count = np.zeros(replicas, dtype=np.int64)
     gaps: list[np.ndarray] = []
-    t0 = 0
-    while t0 < cap and reps.size:
-        B = _iid_block(t0, cap, reps.size)
-        trajs = _iid_trajectories(comp, root_seed, reps, keys, t0, B)
-        met = trajs[0] == trajs[1]
-        t = t0 + 1 + np.arange(B, dtype=np.int64)
-        k = count[:, None] + np.cumsum(met, axis=1)  # index of each step's meeting
-        upto = np.maximum.accumulate(np.where(met, t, 0), axis=1)
-        np.maximum(upto, last[:, None], out=upto)  # last meeting at or before each step
-        before = np.concatenate([last[:, None], upto[:, :-1]], axis=1)
-        # nonzero over the (B, R) transpose lists meetings by time, then replica
-        b, r = np.nonzero((met & (k >= k_min) & (k <= k_max)).T)
-        gaps.append(t[b] - before[r, b])
-        count, last = k[:, -1], upto[:, -1]
-        keys = np.stack([traj[:, -1] for traj in trajs], axis=1)
-        t0 += B
-        keep = count < k_max
-        if not keep.all():
-            reps, keys, last, count = reps[keep], keys[keep], last[keep], count[keep]
-    return np.concatenate(gaps) if gaps else np.zeros(0, dtype=np.int64)
-
-
-def _meeting_gaps_general(p: ScoutProtocol, replicas: int, cap: int, root_seed: int,
-                          k_min: int, k_max: int) -> np.ndarray:
-    sim = VectorSim(p, replicas, root_seed)
-    last = np.zeros(replicas, dtype=np.int64)
-    count = np.zeros(replicas, dtype=np.int64)
-    gaps: list[np.ndarray] = []
-    while sim.n_active and sim.time < cap:
-        sim.step()
-        met = sim.keys[:, 0] == sim.keys[:, 1]
-        if met.any():
-            count[met] += 1
-            eligible = met & (count >= k_min)
-            if eligible.any():
-                gaps.append(sim.time - last[eligible])
-            last[met] = sim.time
-            full = count >= k_max
-            if full.any():
-                keep = ~full
-                sim.compact(keep)
-                last = last[keep]
-                count = count[keep]
+    for t0, keys in src:
+        rows = src.rows
+        met = keys[..., 0] == keys[..., 1]
+        t = t0 + 1 + np.arange(met.shape[0], dtype=np.int64)
+        k = count[rows] + np.cumsum(met, axis=0)  # index of each step's meeting
+        upto = np.maximum.accumulate(np.where(met, t[:, None], 0), axis=0)
+        np.maximum(upto, last[rows], out=upto)  # last meeting at or before each step
+        before = np.concatenate([last[rows][None], upto[:-1]])
+        # nonzero on (B, R) lists meetings by time, then replica
+        b, r = np.nonzero(met & (k >= k_min) & (k <= k_max))
+        gaps.append(t[b] - before[b, r])
+        count[rows], last[rows] = k[-1], upto[-1]
+        src.drop(k[-1] >= k_max)
     return np.concatenate(gaps) if gaps else np.zeros(0, dtype=np.int64)

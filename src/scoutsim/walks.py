@@ -85,6 +85,8 @@ class StepLaw:
                 raise ValueError("negative probability")
             if int(o.nu) != o.nu or o.nu < 1:
                 raise ValueError("nu must be a positive integer")
+            if not -math.inf < o.zeta < math.inf:  # also rejects NaN
+                raise ValueError(f"zeta must be finite, got {o.zeta}")
             if not 1 <= float(o.radius) < math.inf:  # also rejects NaN
                 raise ValueError(f"radius must be finite and >= 1, got {o.radius}")
             total += float(o.probability)

@@ -276,6 +276,10 @@ def test_config_cli_overrides(tmp_path, capsys):
     ["lemma", "escape", "--law", "1/2:1,1,nan;1/2:1", "--x", "-5", "--trials", "100",
      "--horizon", "16"],
     ["oracle", "--law", "1/2:1,1,inf;1/2:-1", "--event", "lookaround:3", "--horizon", "3"],
+    # displacements must be finite: 1.0e400 parses to an infinite float
+    ["lemma", "escape", "--law", "1/2:1.0e400;1/2:-1", "--x", "-5", "--trials", "50",
+     "--horizon", "16"],
+    ["oracle", "--law", "1/2:1.0e400;1/2:-1", "--event", "hit:2", "--horizon", "3"],
 ])
 def test_edge_inputs_exit_usage(argv, capsys):
     assert main(argv) == 1
@@ -338,3 +342,15 @@ def test_hitting_beyond_key_range_exits_one_line(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("precondition violation:")
     assert "2**31" in err[0]
+
+
+@pytest.mark.parametrize("spec", ["builtin:srw?d=1", "builtin:anchored_geometric?d=2"])
+def test_renewal_needs_two_scouts(spec, capsys):
+    # renewal extraction reads one scout pair; other scout counts stop
+    # before the run with one line
+    assert main(["renewal", "--protocol", spec, "--horizon", "10"]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(err) == 1 and err[0].startswith("precondition violation:")
+    assert "two-scout" in err[0]

@@ -15,11 +15,7 @@ from scoutsim import engine, streams
 from scoutsim.errors import PreconditionError
 from scoutsim.protocol import (Configuration, EnvPattern, Outcome, ProtocolError,
                                ScoutProtocol, TransitionRule, environment_of)
-from scoutsim.engine import (ResourceLimitError, VectorSim,
-                             _hit_times_general_chunk, _hit_times_iid_chunk,
-                             first_meeting_times,
-                             _first_meeting_general_chunk,
-                             _first_meeting_iid_chunk, _meeting_gaps_general,
+from scoutsim.engine import (ResourceLimitError, VectorSim, first_meeting_times,
                              hit_times, hitting_time, initial_configuration,
                              iter_run, meeting_gap_samples, run_batch)
 
@@ -397,11 +393,19 @@ def test_hitting_survival_matches_enumeration():
     assert abs(freq - 0.375) <= 4 * sigma
 
 
-def test_hit_times_fast_and_general_paths_agree():
+def _vectorsim_path(monkeypatch, p):
+    """Send an i.i.d. protocol down the block source's VectorSim path."""
+    comp = engine._compile(p)
+    assert comp.iid_single
+    monkeypatch.setattr(comp, "iid_single", False)
+
+
+def test_hit_times_fast_and_general_paths_agree(monkeypatch):
     p = builtin("srw", d=1)
-    targets = np.array([(1,), (-2,)], dtype=np.int64)
-    a = _hit_times_iid_chunk(p, targets, 300, 500, 9, 0)
-    b = _hit_times_general_chunk(p, targets, 300, 500, 9, 0)
+    targets = [(1,), (-2,)]
+    a = hit_times(p, targets, 300, 500, 9)
+    _vectorsim_path(monkeypatch, p)
+    b = hit_times(p, targets, 300, 500, 9)
     assert np.array_equal(a, b)
 
 
@@ -428,10 +432,8 @@ def test_hit_times_general_path_matches_oracle(name, d, targets):
     p = builtin(name, d=d)
     cap = 300
     want = _hit_times_oracle(p, targets, 10, cap, 4)
-    got = _hit_times_general_chunk(p, np.array(targets, dtype=np.int64), 10, cap, 4, 0)
-    assert np.array_equal(got, want)
-    if name == "anchored_geometric":  # general path under hit_times, chunked
-        assert np.array_equal(hit_times(p, targets, 10, cap, 4, chunk=3), want)
+    assert np.array_equal(hit_times(p, targets, 10, cap, 4), want)
+    assert np.array_equal(hit_times(p, targets, 10, cap, 4, chunk=3), want)
     origin = targets.index((0,) * d)
     far = [i for i, t in enumerate(targets) if max(map(abs, t)) > cap]
     assert (want[:, origin] == 0).all() and (want[:, far] == cap + 1).all()
@@ -473,10 +475,15 @@ def test_three_scout_env_protocol_batch_matches_run():
 
 
 def test_hit_times_threads_and_chunks_identical():
-    p = builtin("independent_walks", d=1, c=2)
-    a = hit_times(p, [(2,)], 400, 800, 3, threads=1, chunk=57)
-    b = hit_times(p, [(2,)], 400, 800, 3, threads=4, chunk=128)
-    assert np.array_equal(a, b)
+    # both paths of the block source: i.i.d. walks and the anchored sweeper
+    for p in (builtin("independent_walks", d=1, c=2),
+              builtin("anchored_geometric", d=1, p="1/2")):
+        a = hit_times(p, [(2,), (-3,)], 400, 800, 3, threads=1, chunk=57)
+        b = hit_times(p, [(2,), (-3,)], 400, 800, 3, threads=4, chunk=128)
+        assert np.array_equal(a, b)
+        a = first_meeting_times(p, 400, 800, 3, threads=1, chunk=57)
+        b = first_meeting_times(p, 400, 800, 3, threads=4, chunk=128)
+        assert np.array_equal(a, b)
 
 
 def test_monte_carlo_degenerate_target():
@@ -556,11 +563,52 @@ def test_meeting_times_needs_two_scouts():
         meeting_times(tr)
 
 
-def test_first_meeting_paths_agree():
+def _first_meetings_stepwise(p, replicas, cap, root_seed):
+    """Reference first meetings: a VectorSim stepped once per loop, the
+    replicas that met compacted away at once."""
+    sim = VectorSim(p, replicas, root_seed)
+    out = np.full(replicas, cap + 1, dtype=np.int64)
+    while sim.n_active and sim.time < cap:
+        sim.step()
+        met = sim.keys[:, 0] == sim.keys[:, 1]
+        if met.any():
+            out[sim.replicas[met]] = sim.time
+            sim.compact(~met)
+    return out
+
+
+def _meeting_gaps_stepwise(p, replicas, cap, root_seed, k_min, k_max):
+    """Reference meeting gaps: a VectorSim stepped once per loop, gaps taken
+    per step in replica order, a replica compacted away at its k_max-th
+    meeting."""
+    sim = VectorSim(p, replicas, root_seed)
+    last = np.zeros(replicas, dtype=np.int64)
+    count = np.zeros(replicas, dtype=np.int64)
+    gaps = []
+    while sim.n_active and sim.time < cap:
+        sim.step()
+        met = sim.keys[:, 0] == sim.keys[:, 1]
+        if met.any():
+            count[met] += 1
+            eligible = met & (count >= k_min)
+            if eligible.any():
+                gaps.append(sim.time - last[eligible])
+            last[met] = sim.time
+            full = count >= k_max
+            if full.any():
+                keep = ~full
+                sim.compact(keep)
+                last = last[keep]
+                count = count[keep]
+    return np.concatenate(gaps) if gaps else np.zeros(0, dtype=np.int64)
+
+
+def test_first_meeting_paths_agree(monkeypatch):
     p = builtin("independent_walks", d=1, c=2)
-    a = _first_meeting_iid_chunk(p, 500, 600, 21, 0)
-    b = _first_meeting_general_chunk(p, 500, 600, 21, 0)
-    assert np.array_equal(a, b)
+    want = _first_meetings_stepwise(p, 500, 600, 21)
+    assert np.array_equal(first_meeting_times(p, 500, 600, 21), want)
+    _vectorsim_path(monkeypatch, p)
+    assert np.array_equal(first_meeting_times(p, 500, 600, 21), want)
 
 
 @pytest.mark.parametrize("replicas", [5, 60])
@@ -569,12 +617,12 @@ def test_iid_block_budget_changes_no_value(monkeypatch, replicas):
     # finish, 2**40 one block up to the cap
     srw = builtin("srw", d=2)
     pair = builtin("independent_walks", d=1, c=2)
-    targets = np.array([(1, 0), (0, -2), (1, 0)], dtype=np.int64)
+    targets = [(1, 0), (0, -2), (1, 0)]
     results = []
     for budget in (1, 7, 2**40):
         monkeypatch.setattr(engine, "_IID_VARIATES", budget)
-        results.append((_hit_times_iid_chunk(srw, targets, replicas, 300, 5, 11),
-                        _first_meeting_iid_chunk(pair, replicas, 300, 5, 11),
+        results.append((hit_times(srw, targets, replicas, 300, 5, chunk=3),
+                        first_meeting_times(pair, replicas, 300, 5),
                         meeting_gap_samples(pair, replicas, 300, 5, k_min=2, k_max=9)))
     for got in results[1:]:
         for a, b in zip(results[0], got):
@@ -591,7 +639,7 @@ def test_iid_meeting_gaps_match_stepwise_loop(d, cap, k_min, k_max):
     p = builtin("independent_walks", d=d, c=2)
     assert engine._compile(p).iid_single
     got = meeting_gap_samples(p, 40, cap, 17, k_min, k_max)
-    want = _meeting_gaps_general(p, 40, cap, 17, k_min, k_max)
+    want = _meeting_gaps_stepwise(p, 40, cap, 17, k_min, k_max)
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
@@ -604,8 +652,62 @@ def test_iid_meeting_gaps_kmax_meeting_on_block_end(monkeypatch, k_max):
     monkeypatch.setattr(engine, "_IID_VARIATES", n_k * replicas)
     assert engine._iid_block(0, 400, replicas) == n_k
     got = meeting_gap_samples(p, replicas, 400, 8, 1, k_max)
-    want = _meeting_gaps_general(p, replicas, 400, 8, 1, k_max)
+    want = _meeting_gaps_stepwise(p, replicas, 400, 8, 1, k_max)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("k_max", [1, 3])
+def test_meeting_gaps_kmax_meeting_on_window_end(monkeypatch, k_max):
+    # the anchored sweeper steps a VectorSim; choose the longest window
+    # under which replica 0's k_max-th meeting is the last step of a block
+    p = builtin("anchored_geometric", d=1, p="1/2")
+    assert not engine._compile(p).iid_single
+    n_k = meeting_times(run(p, 400, SeedSpec(8)))[k_max]
+    for window in range(n_k, 0, -1):
+        monkeypatch.setattr(engine, "_HIT_WINDOW", window)
+        if n_k in {t0 + len(keys) for t0, keys in engine._BlockSource(p, 0, 1, 400, 8)}:
+            break
+    assert window > 1
+    got = meeting_gap_samples(p, 30, 400, 8, 1, k_max)
+    assert np.array_equal(got, _meeting_gaps_stepwise(p, 30, 400, 8, 1, k_max))
+
+
+# block partitions of the source: the default rules, one step per block, a
+# fixed odd block, and one block up to the cap
+PARTITIONS = {
+    "default": None,
+    "one_step": (lambda t0, cap, active: 1, 1),
+    "seven": (lambda t0, cap, active: min(cap - t0, 7), 7),
+    "whole": (lambda t0, cap, active: cap - t0, 1 << 30),
+}
+
+
+@pytest.fixture(params=sorted(PARTITIONS))
+def partition(request, monkeypatch):
+    rule = PARTITIONS[request.param]
+    if rule is not None:
+        monkeypatch.setattr(engine, "_iid_block", rule[0])
+        monkeypatch.setattr(engine, "_HIT_WINDOW", rule[1])
+    return request.param
+
+
+@pytest.mark.parametrize("name", ["independent_walks", "anchored_geometric"])
+def test_stopping_times_match_references_under_partitions(partition, name):
+    # an i.i.d. protocol (block draws) and an environment-dependent one
+    # (VectorSim windows), each against the references bit for bit
+    p = builtin(name, d=1) if name == "anchored_geometric" else builtin(name, d=1, c=2)
+    assert engine._compile(p).iid_single == (name == "independent_walks")
+    targets = [(1,), (0,), (-3,), (1,), (10**9,)]
+    want = _hit_times_oracle(p, targets, 12, 150, 5)
+    assert np.array_equal(hit_times(p, targets, 12, 150, 5, chunk=5), want)
+    assert hitting_time(p, (-3,), 150, SeedSpec(5, replica=7)).time == (
+        None if want[7, 2] > 150 else want[7, 2])
+    want = _first_meetings_stepwise(p, 60, 150, 5)
+    assert np.array_equal(first_meeting_times(p, 60, 150, 5, chunk=25), want)
+    for k_min, k_max in ((1, 64), (2, 3)):
+        want = _meeting_gaps_stepwise(p, 30, 150, 5, k_min, k_max)
+        got = meeting_gap_samples(p, 30, 150, 5, k_min, k_max)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_first_meeting_survival_slope():
@@ -645,12 +747,10 @@ def test_far_targets_do_not_alias():
     targets = [(1, 0), (0, 2**32), (2**40, -2**40), (-1, 2**32 - 1), (0, 0)]
     want = _hit_times_oracle(p, targets, 12, 200, 3)
     assert (want[:, 1:4] == 201).all() and (want[:, 0] <= 200).any()
-    got = _hit_times_general_chunk(p, np.array(targets, dtype=np.int64), 12, 200, 3, 0)
-    assert np.array_equal(got, want)
+    assert np.array_equal(hit_times(p, targets, 12, 200, 3), want)
     srw = builtin("srw", d=2)
     want = _hit_times_oracle(srw, targets, 12, 200, 3)
-    got = _hit_times_iid_chunk(srw, np.array(targets, dtype=np.int64), 12, 200, 3, 0)
-    assert np.array_equal(got, want)
+    assert np.array_equal(hit_times(srw, targets, 12, 200, 3), want)
 
 
 def test_key_range_error():
@@ -678,19 +778,19 @@ def test_hit_times_general_path_window_edges(cap):
     p = builtin("anchored_geometric", d=2)
     targets = [(x, y) for x in range(-2, 3) for y in range(-2, 3)] + [(9, 9)]
     want = _hit_times_oracle(p, targets, 10, cap, 6)
-    got = _hit_times_general_chunk(p, np.array(targets, dtype=np.int64), 10, cap, 6, 0)
-    assert np.array_equal(got, want)
+    assert np.array_equal(hit_times(p, targets, 10, cap, 6), want)
 
 
-def test_hit_times_general_path_done_on_window_boundary():
+def test_hit_times_general_path_done_on_window_boundary(monkeypatch):
     # deterministic +1 walk: the last target is hit at exactly step 64, a
-    # window boundary, where the replica finishes and is compacted away
+    # window boundary, where the replica finishes and is dropped; the walk
+    # is i.i.d., so it runs on block draws and then on VectorSim windows
     p = parse_protocol(DET_PLUS)
-    targets = np.array([(64,), (3,), (63,)], dtype=np.int64)
-    got = _hit_times_general_chunk(p, targets, 3, 200, 0, 0)
-    assert (got == [64, 3, 63]).all()
-    targets = np.array([(65,), (64,)], dtype=np.int64)
-    assert (_hit_times_general_chunk(p, targets, 3, 64, 0, 0) == [65, 64]).all()
+    for vectorsim in (False, True):
+        if vectorsim:
+            _vectorsim_path(monkeypatch, p)
+        assert (hit_times(p, [(64,), (3,), (63,)], 3, 200, 0) == [64, 3, 63]).all()
+        assert (hit_times(p, [(65,), (64,)], 3, 64, 0) == [65, 64]).all()
 
 
 def test_d2_batch_and_vectorsim_positions_at_negative_coordinates():

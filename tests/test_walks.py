@@ -51,6 +51,19 @@ def test_law_rejects_non_finite_radius(radius):
         make_law([("1/2", 1, 1, radius), ("1/2", -1)])
 
 
+@pytest.mark.parametrize("zeta", [math.nan, math.inf, -math.inf])
+def test_law_rejects_non_finite_zeta(zeta):
+    with pytest.raises(ValueError, match="zeta must be finite"):
+        make_law([("1/2", zeta), ("1/2", -1)])
+
+
+def test_parsed_law_rejects_overflowing_zeta():
+    # 1.0e400 parses to an infinite float: the escape check passed on it and
+    # the exact oracle overflowed
+    with pytest.raises(ValueError, match="zeta must be finite"):
+        parse_law("1/2:1.0e400;1/2:-1")
+
+
 def test_law_moments_exact():
     law = make_law([("3/4", 1), ("1/4", -1)])
     assert law.mean_zeta == Fraction(1, 2)

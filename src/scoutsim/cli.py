@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -33,6 +34,13 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # no option starts with -<digit>, so such an argument is always a
+        # value, also where it is not a plain number: --targets -2,1 or '-1;2',
+        # --interval -2:2
+        self._negative_number_matcher = re.compile(r"^-\d")
+
     def error(self, message):  # argparse default exits 2; the contract says 1
         raise UsageError(message)
 

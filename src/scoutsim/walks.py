@@ -12,14 +12,22 @@ PASS/FAIL verdicts against the expected shapes.  Verdicts are consistency
 statements about finite samples, not proofs.  Samplers draw steps through
 the package's one categorical sampler, :class:`streams.Categorical`, with
 the law as its one row: cumulated exactly when every probability is a
-``Fraction``, in float otherwise.  An exact forward dynamic
-program provides the independent oracle for every event with integer
-displacements.  It runs on Python integers: with D the lcm of the outcome
-probabilities' denominators, outcome j carries the integer weight
-a_j = p_j * D, and the surviving mass at each position after n steps is an
-integer numerator over D**n.  Integer sums and products are exact, so the
-one ``Fraction(numerator, D**n)`` built at the end equals the rational
-answer bit for bit.
+``Fraction``, in float otherwise.
+
+Each event is defined once, in one table (``_EVENTS``): a predicate
+cond(s, r) of a position and a radius at one check, and the first checked
+time as a function of the horizon.  The predicates use only ``abs``,
+comparisons and ``&``, so the same function serves the exact oracle (on
+Python ints), the Monte-Carlo frequency and the checks (on numpy arrays).
+Two-walk events act on S1 - S2 with radius R1 + R2: the difference law in
+the oracle, the sampled paths in the Monte Carlo.  One exact forward
+dynamic program, :func:`_dp_survival`, provides the independent oracle for
+every event with integer displacements.  It runs on Python integers: with
+D the lcm of the outcome probabilities' denominators, outcome j carries the
+integer weight a_j = p_j * D, and the surviving mass at each position after
+n steps is an integer numerator over D**n.  Integer sums and products are
+exact, so the one ``Fraction(numerator, D**n)`` built at the end equals the
+rational answer bit for bit.  Integer displacements must lie in int64.
 
 The escape, reach-tail, exit-time and corridor checks are stopping times,
 and one helper, :func:`_stopping_times`, finds them all: per trial and
@@ -29,11 +37,11 @@ over the active trials, so blocks grow as trials finish) and drops a trial
 once every column is decided.  Draws are keyed by (trial, walk, step)
 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11), so
 neither the partition nor the dropping changes a value, and integer
-displacements are carried exactly as int64 offsets from s0.  Single-walk
-checks run on the step clock.  The corridor runs on the integer time
-clock: at time m walk i stands at step k_i(m), the last k with
-T_k <= m, read per trial from the block's cumulated durations; for
-unit-time laws k(m) = m.
+displacements are carried exactly as int64 offsets from s0 (a run whose
+offsets could reach 2**63 is refused).  Single-walk checks run on the step
+clock.  The corridor runs on the integer time clock: at time m walk i
+stands at step k_i(m), the last k with T_k <= m, read per trial from the
+block's cumulated durations; for unit-time laws k(m) = m.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -55,6 +63,7 @@ from .tails import (InsufficientDataError, SurvivalCurve, TailFit,
                     fit_tail, wilson_interval)
 
 _DP_CELL_BUDGET = 8_000_000
+_INT64 = 1 << 63
 _CHUNK = 4096
 
 
@@ -87,6 +96,9 @@ class StepLaw:
                 raise ValueError("nu must be a positive integer")
             if not -math.inf < o.zeta < math.inf:  # also rejects NaN
                 raise ValueError(f"zeta must be finite, got {o.zeta}")
+            if (isinstance(o.zeta, int) or float(o.zeta).is_integer()) \
+                    and not -_INT64 <= o.zeta < _INT64:  # integer steps are int64
+                raise ValueError(f"an integer zeta must lie in int64, got {o.zeta}")
             if not 1 <= float(o.radius) < math.inf:  # also rejects NaN
                 raise ValueError(f"radius must be finite and >= 1, got {o.radius}")
             total += float(o.probability)
@@ -105,9 +117,10 @@ class StepLaw:
     @cached_property
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-outcome zeta (int64 when every zeta is an integer), nu and radius."""
-        zeta = np.array([float(o.zeta) for o in self.outcomes])
         if self.integer_zeta:
-            zeta = zeta.astype(np.int64)
+            zeta = np.array([int(o.zeta) for o in self.outcomes], dtype=np.int64)
+        else:
+            zeta = np.array([float(o.zeta) for o in self.outcomes])
         return (zeta, np.array([int(o.nu) for o in self.outcomes], dtype=np.int64),
                 np.array([float(o.radius) for o in self.outcomes]))
 
@@ -275,6 +288,11 @@ def _stopping_times(walks: Sequence[LookAroundWalk], event, trials: int, cap: in
     A block holds ``engine._iid_block(t0, cap + 1, active)`` checks, and a
     trial leaves once every column is decided (see the module docstring).
     """
+    for w in walks:
+        if w.law.integer_zeta and \
+                (cap + 1) * max(abs(int(o.zeta)) for o in w.law.outcomes) >= _INT64:
+            raise PreconditionError("integer walk offsets could leave int64: "
+                                    "(cap + 1) * max|zeta| >= 2**63")
     out = np.empty((trials, columns), dtype=np.int64)
     idx = np.arange(trials, dtype=np.int64)
     times = np.full((trials, columns), cap + 1, dtype=np.int64)  # of the active trials
@@ -374,46 +392,82 @@ class _MoveTable(dict):
         return moves
 
 
-def _advance(dist: dict[int, int], moves: _MoveTable) -> dict[int, int]:
-    """One step of the integer forward DP: each position's mass along its moves."""
-    new: dict[int, int] = defaultdict(int)
-    for s, w in dist.items():
-        for z, a in moves[s]:
-            new[s + z] += w * a
-    return new
-
-
-def _budget_check(law: StepLaw, horizon: int, factor: int = 1) -> None:
+def _budget_check(law: StepLaw, horizon: int) -> None:
     span = max(1, int(max(abs(float(o.zeta)) for o in law.outcomes)))
-    cells = (2 * span * horizon + 1) * max(horizon, 1) * len(law.outcomes) * factor
+    cells = (2 * span * horizon + 1) * max(horizon, 1) * len(law.outcomes)
     if cells > _DP_CELL_BUDGET:
         raise BudgetExceededError(f"DP would touch ~{cells} cells")
 
 
-def _dp_survival_radius(law: StepLaw, s0: int, horizon: int, cond) -> Fraction:
-    """P(for all n in [0, horizon]: not cond(S_n, floor(R_{n+1}))).
+def _exit_cond(rho, law: StepLaw):
+    """Outside the exit set, which the drift sign chooses: past rho on either
+    side for a centered walk, past rho in the drift direction otherwise."""
+    drift = float(law.mean_zeta)
+    if drift == 0:
+        return lambda s, r: abs(s) > rho
+    if drift > 0:
+        return lambda s, r: s > rho
+    return lambda s, r: s < -rho
+
+
+def _interval_cond(lo, hi):
+    """Within look distance of [lo, hi]: dist(s, [lo, hi]) <= r, as r >= 0."""
+    return lambda s, r: (lo - r <= s) & (s <= hi + r)
+
+
+class _Event(NamedTuple):
+    cond: Callable                    # (arg, law) -> cond(s, r): the event at one check
+    first: Callable[[int], int] = lambda horizon: 0  # first checked time
+    pair: bool = False                # on S1 - S2 with radius R1 + R2
+
+
+# the one event table (see the module docstring); ``position`` "survives"
+# exactly when S_horizon = y
+_EVENTS = {
+    "hit": _Event(lambda t, law: lambda s, r: s == t),
+    "lookaround": _Event(lambda t, law: lambda s, r: abs(s - t) <= r),
+    "reach": _Event(lambda x, law: lambda s, r: s + r >= x),
+    "exit": _Event(_exit_cond),
+    "position": _Event(lambda y, law: lambda s, r: s != y, first=lambda horizon: horizon),
+    "meeting": _Event(lambda _, law: lambda s, r: s == 0, first=lambda horizon: 1, pair=True),
+    "ballmeeting": _Event(lambda _, law: lambda s, r: abs(s) <= r, pair=True),
+}
+
+
+def _dp_survival(law: StepLaw, s0: int, horizon: int, cond, check_from: int = 0) -> Fraction:
+    """P(for all n in [check_from, horizon]: not cond(S_n, floor(R_{n+1}))).
 
     The check at time n is paired with the radius of the outcome performing
     step n+1, including one final unmoved draw at n = horizon.  Every event
     compares an integer g(S_n) with R, and for integer g, g <= R exactly when
     g <= floor(R), so ``cond`` sees the integer floor.  It runs once per
-    (position, distinct radius).
+    (position, distinct radius); where it kills no outcome the position
+    moves by the one shared tuple of all outcomes, keeping all D of its
+    weight, so an event of the position alone is the case where ``cond``
+    ignores r.
     """
     _budget_check(law, horizon + 1)
     D, outs = _exact_outcomes(law)
     radii = {r for _a, _z, r in outs}
+    every = _merged((a, z) for a, z, _r in outs)
 
     def rule(s):
-        free = {r for r in radii if not cond(s, r)}
-        return _merged((a, z) for a, z, r in outs if r in free)
+        dead = {r for r in radii if cond(s, r)}
+        return _merged((a, z) for a, z, r in outs if r not in dead) if dead else every
 
-    moves = _MoveTable(rule)
+    checked, unchecked = _MoveTable(rule), _MoveTable(lambda s: every)
     dist = {int(s0): 1}
-    for _ in range(horizon):
-        dist = _advance(dist, moves)
-        if not dist:
+    for n in range(horizon):
+        moves = checked if n >= check_from else unchecked
+        new: dict[int, int] = defaultdict(int)
+        for s, w in dist.items():  # each position's mass along its moves
+            for z, a in moves[s]:
+                new[s + z] += w * a
+        if not new:
             return Fraction(0)
-    total = sum(w * sum(a for _z, a in moves[s]) for s, w in dist.items())
+        dist = new
+    last = checked if horizon >= check_from else unchecked
+    total = sum(w * sum(a for _z, a in last[s]) for s, w in dist.items())
     return Fraction(total, D ** (horizon + 1))
 
 
@@ -424,123 +478,77 @@ def _integral(x) -> int:
     return int(x)
 
 
-def _dp_survival_position(law: StepLaw, s0: int, horizon: int, cond,
-                          check_from: int = 0) -> Fraction:
-    """P(for all n in [check_from, horizon]: not cond(S_n))."""
-    _budget_check(law, horizon + 1)
-    D, outs = _exact_outcomes(law)
-    every = _merged((a, z) for a, z, _r in outs)
-    unchecked = _MoveTable(lambda s: every)
-    checked = _MoveTable(lambda s: () if cond(s) else every)
-    dist = {int(s0): 1}
-    for n in range(horizon):
-        dist = _advance(dist, unchecked if n < check_from else checked)
-        if not dist:
-            return Fraction(0)
-    total = sum(w for s, w in dist.items() if horizon < check_from or not cond(s))
-    return Fraction(total, D ** horizon)
+def _difference_law(law1: StepLaw, law2: StepLaw) -> StepLaw:
+    """The law of S1 - S2 with radius R1 + R2, for independent unit-time walks."""
+    if not (law1.unit_time and law2.unit_time):
+        raise PreconditionError("two-walk oracles need unit-time laws")
+    return StepLaw(tuple(LawOutcome(Fraction(o1.probability) * Fraction(o2.probability),
+                                    o1.zeta - o2.zeta, 1, float(o1.radius) + float(o2.radius))
+                         for o1 in law1.outcomes for o2 in law2.outcomes))
+
+
+def _oracle(name: str, law: StepLaw, s0: int, horizon: int, arg=None,
+            law2: StepLaw | None = None, s02: int | None = None) -> Fraction:
+    """P(event ``name`` never holds at a checked time), by the exact DP."""
+    make_cond, first, pair = _EVENTS[name]
+    if pair:
+        law, s0 = _difference_law(law, law2), s0 - s02
+    return _dp_survival(law, s0, horizon, make_cond(arg, law), first(horizon))
 
 
 def oracle_exact_hit_survival(law: StepLaw, s0: int, target: int, horizon: int) -> Fraction:
     """P(S_n != target for all n <= horizon)."""
-    return _dp_survival_position(law, s0, horizon, lambda s: s == target)
+    return _oracle("hit", law, s0, horizon, target)
 
 
 def oracle_lookaround_survival(law: StepLaw, s0: int, target: int, horizon: int) -> Fraction:
     """P(|S_n - target| > R_{n+1} for all n <= horizon)."""
-    target = _integral(target)
-    return _dp_survival_radius(law, s0, horizon, lambda s, r: abs(s - target) <= r)
+    return _oracle("lookaround", law, s0, horizon, _integral(target))
 
 
 def oracle_reach_survival(law: StepLaw, s0: int, x: int, horizon: int) -> Fraction:
     """P(S_n + R_{n+1} < x for all n <= horizon)."""
-    x = _integral(x)
-    return _dp_survival_radius(law, s0, horizon, lambda s, r: s + r >= x)
+    return _oracle("reach", law, s0, horizon, _integral(x))
 
 
 def oracle_interval_survival(law: StepLaw, s0: int, lo: int, hi: int, horizon: int) -> Fraction:
     """P(dist(S_n, [lo, hi]) > R_{n+1} for all n <= horizon)."""
     if hi < lo:
         raise ValueError("empty interval")
-    lo, hi = _integral(lo), _integral(hi)
-
-    def cond(s, r):
-        d = lo - s if s < lo else (s - hi if s > hi else 0)
-        return d <= r
-
-    return _dp_survival_radius(law, s0, horizon, cond)
+    return _dp_survival(law, s0, horizon, _interval_cond(_integral(lo), _integral(hi)))
 
 
 def oracle_exit_survival(law: StepLaw, s0: int, rho: int, horizon: int) -> Fraction:
     """P(tau_rho > horizon) with the exit set chosen by the drift sign."""
-    drift = law.mean_zeta
-    if float(drift) == 0:
-        cond = lambda s: abs(s) > rho
-    elif float(drift) > 0:
-        cond = lambda s: s > rho
-    else:
-        cond = lambda s: s < -rho
-    return _dp_survival_position(law, s0, horizon, cond)
+    return _oracle("exit", law, s0, horizon, rho)
 
 
 def oracle_position_probability(law: StepLaw, s0: int, horizon: int, y: int) -> Fraction:
     """P(S_horizon = y)."""
-    _budget_check(law, horizon + 1)
-    D, outs = _exact_outcomes(law)
-    every = _merged((a, z) for a, z, _r in outs)
-    moves = _MoveTable(lambda s: every)
-    dist = {int(s0): 1}
-    for _ in range(horizon):
-        dist = _advance(dist, moves)
-    return Fraction(dist.get(int(y), 0), D ** horizon)
-
-
-def _difference_law(law1: StepLaw, law2: StepLaw, sum_radii: bool) -> StepLaw:
-    if not (law1.unit_time and law2.unit_time):
-        raise PreconditionError("two-walk oracles need unit-time laws")
-    outs = []
-    for o1 in law1.outcomes:
-        for o2 in law2.outcomes:
-            p1 = o1.probability if isinstance(o1.probability, Fraction) else Fraction(o1.probability)
-            p2 = o2.probability if isinstance(o2.probability, Fraction) else Fraction(o2.probability)
-            r = float(o1.radius) + float(o2.radius) if sum_radii else 1.0
-            outs.append(LawOutcome(p1 * p2, o1.zeta - o2.zeta, 1, max(r, 1.0)))
-    return StepLaw(tuple(outs))
+    return _oracle("position", law, s0, horizon, y)
 
 
 def oracle_meeting_survival(law1: StepLaw, law2: StepLaw, s01: int, s02: int,
                             horizon: int) -> Fraction:
     """P(S1_n != S2_n for all 1 <= n <= horizon) for independent unit-time walks."""
-    diff = _difference_law(law1, law2, sum_radii=False)
-    return _dp_survival_position(diff, s01 - s02, horizon, lambda s: s == 0,
-                                 check_from=1)
+    return _oracle("meeting", law1, s01, horizon, law2=law2, s02=s02)
 
 
 def oracle_ball_meeting_survival(law1: StepLaw, law2: StepLaw, s01: int, s02: int,
                                  horizon: int) -> Fraction:
     """P(|S1_n - S2_n| > R1_{n+1} + R2_{n+1} for all n <= horizon)."""
-    diff = _difference_law(law1, law2, sum_radii=True)
-    return _dp_survival_radius(diff, s01 - s02, horizon, lambda s, r: abs(s) <= r)
-
-
-_EVENT_ORACLES = {
-    "hit": lambda law, s0, horizon, arg: oracle_exact_hit_survival(law, s0, arg, horizon),
-    "lookaround": lambda law, s0, horizon, arg: oracle_lookaround_survival(law, s0, arg, horizon),
-    "reach": lambda law, s0, horizon, arg: oracle_reach_survival(law, s0, arg, horizon),
-    "exit": lambda law, s0, horizon, arg: oracle_exit_survival(law, s0, arg, horizon),
-    "position": lambda law, s0, horizon, arg: oracle_position_probability(law, s0, horizon, arg),
-}
+    return _oracle("ballmeeting", law1, s01, horizon, law2=law2, s02=s02)
 
 
 def _parse_event(event: str, law2: StepLaw | None, s02) -> tuple[str, int | None]:
     """An event spec as (name, integer argument), checked before any work."""
     name, _, arg = event.partition(":")
-    if name in ("meeting", "ballmeeting"):
+    if name not in _EVENTS:
+        raise ValueError(f"unknown oracle event {name!r}")
+    if _EVENTS[name].pair:
         if law2 is None or s02 is None:
             raise ValueError(f"event {name!r} needs a second walk")
         return name, None
-    if name not in _EVENT_ORACLES:
-        raise ValueError(f"unknown oracle event {name!r}")
     if not arg:
         raise ValueError(f"event {name!r} needs an argument, e.g. {name}:3")
     try:
@@ -558,10 +566,7 @@ def exact_dp_oracle(law: StepLaw, s0: int, horizon: int, event: str,
     ``meeting`` and ``ballmeeting`` act on the difference walk.
     """
     name, arg = _parse_event(event, law2, s02)
-    if arg is None:
-        fn = oracle_meeting_survival if name == "meeting" else oracle_ball_meeting_survival
-        return fn(law, law2, s0, s02, horizon)
-    return _EVENT_ORACLES[name](law, s0, horizon, arg)
+    return _oracle(name, law, s0, horizon, arg, law2, s02)
 
 
 # ---------------------------------------------------------------------------
@@ -572,39 +577,19 @@ def mc_event_frequency(law: StepLaw, s0: int, horizon: int, event: str,
                        trials: int, root_seed: int, law2: StepLaw | None = None,
                        s02: int | None = None) -> float:
     """Empirical frequency of the oracle events, using the same conventions."""
-    name, target = _parse_event(event, law2, s02)
+    name, arg = _parse_event(event, law2, s02)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    make_cond, first, pair = _EVENTS[name]
+    cond, m = make_cond(arg, law), first(horizon)
     hits = 0
     for start in range(0, trials, _CHUNK):
         idx = np.arange(start, min(start + _CHUNK, trials), dtype=np.int64)
-        S1, R1 = _paths(law, root_seed, idx, 0, s0, horizon)
-        if name in ("meeting", "ballmeeting"):
+        S, R = _paths(law, root_seed, idx, 0, s0, horizon)
+        if pair:
             S2, R2 = _paths(law2, root_seed, idx, 1, s02, horizon)
-            if name == "meeting":
-                ok = (S1[:, 1:] != S2[:, 1:]).all(axis=1)
-            else:
-                ok = (np.abs(S1 - S2) > R1 + R2).all(axis=1)
-            hits += int(ok.sum())
-            continue
-        if name == "hit":
-            ok = (S1 != target).all(axis=1)
-        elif name == "lookaround":
-            ok = (np.abs(S1 - target) > R1).all(axis=1)
-        elif name == "reach":
-            ok = (S1 + R1 < target).all(axis=1)
-        elif name == "exit":
-            drift = float(law.mean_zeta)
-            if drift == 0:
-                inside = np.abs(S1) <= target
-            elif drift > 0:
-                inside = S1 <= target
-            else:
-                inside = S1 >= -target
-            ok = inside.all(axis=1)
-        else:
-            ok = S1[:, horizon] == target
-        hits += int(ok.sum())
+            S, R = S - S2, R + R2
+        hits += int((~cond(S[:, m:], R[:, m:]).any(axis=1)).sum())
     return hits / trials
 
 
@@ -657,8 +642,8 @@ def check_escape_under_drift(w: LookAroundWalk, x: float, trials: int = 20000,
     _require(float(drift) > 0, "escape check requires E[zeta] > 0")
     _require(x < w.s0, "escape check requires a target x < s0")
     h2 = 2 * horizon
-    T = _stopping_times([w], lambda S, R: np.abs(S[0] - x) <= R[0],
-                        trials, h2, root_seed)
+    seen = _EVENTS["lookaround"].cond(x, w.law)
+    T = _stopping_times([w], lambda S, R: seen(S[0], R[0]), trials, h2, root_seed)
     alive_h = int((T > horizon).sum())
     alive_2h = int((T > h2).sum())
     est_h = alive_h / trials
@@ -702,7 +687,8 @@ def check_zero_drift_reach_tail(w: LookAroundWalk, x: float, trials: int = 30000
     offsets = sorted(set(float(o) for o in x_offsets) | {float(x) - float(w.s0)})
     _require(all(o > 0 for o in offsets), "offsets must be positive")
     levels = np.array([w.s0 + o for o in offsets])
-    T = _stopping_times([w], lambda S, R: (S[0] + R[0])[..., None] >= levels,
+    reached = _EVENTS["reach"].cond(levels, w.law)  # one column per level
+    T = _stopping_times([w], lambda S, R: reached(S[0][..., None], R[0][..., None]),
                         trials, cap, root_seed, columns=len(levels))
     main_k = offsets.index(float(x) - float(w.s0))
     curves = [SurvivalCurve.from_samples(T[:, k], cap) for k in range(len(levels))]
@@ -781,16 +767,11 @@ def check_exit_time_tail(w: LookAroundWalk, rho: float, trials: int = 20000,
     """
     _require(not w.law.zeta_identically_zero,
              "exit-time check requires P(zeta = 0) < 1")
-    drift = float(w.law.mean_zeta)
     if u_max is None:
         u_max = max(64, int(8 * max(1.0, rho) ** 2))
-    if drift == 0:
-        outside = lambda S, R: np.abs(S[0]) > rho
-    elif drift > 0:
-        outside = lambda S, R: S[0] > rho
-    else:
-        outside = lambda S, R: S[0] < -rho
-    tau = _stopping_times([w], outside, trials, u_max, root_seed)[:, 0]
+    outside = _exit_cond(rho, w.law)
+    tau = _stopping_times([w], lambda S, R: outside(S[0], R[0]),
+                          trials, u_max, root_seed)[:, 0]
     grid = np.unique(np.linspace(1, u_max, n_points).astype(np.int64))
     counts = (tau[None, :] > grid[:, None]).sum(axis=1).astype(np.float64)
     curve = SurvivalCurve(grid, counts, float(trials), censor_cap=u_max)
@@ -859,11 +840,12 @@ def check_upper_deviation_bound(w: LookAroundWalk, mu: float, n: int, y: float,
 def _corridor_times(w1: LookAroundWalk, w2: LookAroundWalk, lo: float, hi: float,
                     trials: int, cap: int, root_seed: int) -> np.ndarray:
     """min(sigma, tau1, tau2) per trial on the time clock, cap + 1 if past cap."""
+    balls = _EVENTS["ballmeeting"].cond(None, None)
+    seen = _interval_cond(lo, hi)
+
     def contact(S, R):
         (S1, S2), (R1, R2) = S, R
-        d1 = np.maximum(lo - S1, S1 - hi).clip(min=0)
-        d2 = np.maximum(lo - S2, S2 - hi).clip(min=0)
-        return (np.abs(S1 - S2) <= R1 + R2) | (d1 <= R1) | (d2 <= R2)
+        return balls(S1 - S2, R1 + R2) | seen(S1, R1) | seen(S2, R2)
 
     return _stopping_times([w1, w2], contact, trials, cap, root_seed, timed=True)[:, 0]
 

@@ -86,6 +86,53 @@ def test_simulate_bytes_pinned(protocol, horizon, seed, replica, fmt, digest, ca
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+# sha256 of `lemma` and `oracle` stdout, recorded before the walks events
+# moved into one table read by the exact DP, the Monte-Carlo frequency and
+# the checks
+CORRIDOR_LAWS = ["--law", "1/2:1,2,1;1/2:-1,1,2", "--law2", "1/3:2,1,1;2/3:-1,3,1"]
+ORACLE_LAW = ["--law", "1/3:1,1,1.5;1/6:-2,1,2.5;1/2:0", "--horizon", "12", "--s0", "-1"]
+ORACLE_LAW2 = ["--law2", "1/4:1,1,2;1/4:-1,1,1;1/2:0,1,1"]
+
+
+@pytest.mark.parametrize("argv,code,digest", [
+    (["lemma", "escape", "--law", "drift34", "--x", "-20", "--trials", "3000",
+      "--horizon", "512", "--seed", "2"], 0,
+     "fdd045bcb7a954e4d8a75e9e04800eb37e807a8e57680e445cf71ac3b5c3598d"),
+    (["lemma", "reach-tail", "--law", "srw", "--x", "10", "--trials", "2000",
+      "--cap", "4096", "--seed", "5"], 0,
+     "a646081b988bf1eceede58d5fa5dbc49a7d8f9736be189e808b3d26b00a4eca9"),
+    (["lemma", "exit-time", "--rho", "5", "--trials", "8000", "--seed", "4",
+      "--law", "srw"], 0,
+     "2f6e601d2745ecb6ee8aaed0c00fe17d5636199835f579336835e991050fbe4e"),
+    (["lemma", "corridor", "--law", "srw", "--law2", "srw", "--s0", "8", "--s02", "-8",
+      "--trials", "3000", "--cap", "4096", "--seed", "90"], 0,
+     "89f1bae3bc1b0a0514a779c36c168aeca8131d895451f5299a478e01ed3f8ef6"),
+    (["lemma", "corridor", *CORRIDOR_LAWS, "--s0", "7", "--s02", "-7",
+      "--trials", "300", "--cap", "512", "--seed", "13"], 3,
+     "9708bdffc444edb2bd65cd94a565046280f9c8bcc337d69a60bcd4e60c0ec9d6"),
+    (["lemma", "corridor", *CORRIDOR_LAWS, "--s0", "6.5", "--s02", "-6.5",
+      "--trials", "1000", "--cap", "2048", "--seed", "13"], 0,
+     "66890d3f785d8d420bd0fac5e350fd1cec7645ec76f1feb9f1c5e281cb8f9ff8"),
+    (["oracle", *ORACLE_LAW, "--event", "hit:2"], 0,
+     "76d344d6eb290fa116a21cb6c1e117e6aab9f1a2e6d4a7daa1edc1a30e1606bc"),
+    (["oracle", *ORACLE_LAW, "--event", "lookaround:3"], 0,
+     "424fed014537ea934c2ddf49164626c24459aaa02abbe695265a7653e2c38084"),
+    (["oracle", *ORACLE_LAW, "--event", "reach:4"], 0,
+     "bb73caa15b29d6d55d6be22c9353f2d048539e0b4a0aaee0a353c9fa3f1c78c3"),
+    (["oracle", *ORACLE_LAW, "--event", "exit:3"], 0,
+     "214c643d86ff550fee093e365e94a2c436eced89daeb29b4f75519c795cb8973"),
+    (["oracle", *ORACLE_LAW, "--event", "position:2"], 0,
+     "3b7342b38a2b586d326a2e23f5390a991115322828a11526556e2169ec2a654d"),
+    (["oracle", *ORACLE_LAW, "--event", "meeting", *ORACLE_LAW2, "--s02", "2"], 0,
+     "81933dcc763f5ff3c56257c24d361650022e24f881d4ffa52b454e3cc15dbf02"),
+    (["oracle", *ORACLE_LAW, "--event", "ballmeeting", *ORACLE_LAW2, "--s02", "7"], 0,
+     "56a288f81462f23afa35c3161b8ba5dd64cedee580f38f2dcaf299637d054fe1"),
+])
+def test_walks_bytes_pinned(argv, code, digest, capsys):
+    assert main(argv) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_oracle_exact(capsys):
     assert main(["oracle", "--law", "srw", "--event", "hit:1",
                  "--horizon", "3"]) == 0
@@ -280,11 +327,47 @@ def test_config_cli_overrides(tmp_path, capsys):
     ["lemma", "escape", "--law", "1/2:1.0e400;1/2:-1", "--x", "-5", "--trials", "50",
      "--horizon", "16"],
     ["oracle", "--law", "1/2:1.0e400;1/2:-1", "--event", "hit:2", "--horizon", "3"],
+    # integer displacements are int64: 10**400 overflowed converting to
+    # float, and 2**63 wrapped to -2**63
+    ["oracle", "--law", f"1/2:{10**400};1/2:-1", "--event", "hit:2", "--horizon", "3"],
+    ["lemma", "escape", "--law", "1/2:9223372036854775808;1/2:-1", "--x", "-5",
+     "--trials", "50", "--horizon", "16"],
 ])
 def test_edge_inputs_exit_usage(argv, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("usage error:")
+
+
+def test_lemma_offsets_beyond_int64_exit_one_line(capsys):
+    # 33 steps of 2**62 wrapped the int64 walk offsets: the escape check
+    # passed with estimate 0.34, where the walk escapes with probability 15/16
+    assert main(["lemma", "escape", "--law", "1/2:4611686018427387904;1/2:-1",
+                 "--x", "-5", "--trials", "50", "--horizon", "16"]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(err) == 1 and err[0].startswith("precondition violation:")
+
+
+@pytest.mark.parametrize("argv,same", [
+    (["hitting", "--protocol", "builtin:srw?d=2", "--targets", "-2,1", "--replicas", "5",
+      "--cap", "64"], ["--targets=-2,1"]),
+    (["hitting", "--protocol", "builtin:srw?d=1", "--targets", "-1;2", "--replicas", "5",
+      "--cap", "64"], ["--targets=-1;2"]),
+    # -2:2 is the flag's default
+    (["lemma", "corridor", "--law2", "srw", "--s0", "8", "--s02", "-8", "--trials", "50",
+      "--cap", "64", "--interval", "-2:2"], []),
+])
+def test_negative_leading_option_values(argv, same, capsys):
+    # argparse took a value starting with "-" that is not a plain number
+    # for an option: "expected one argument"
+    code = main(argv)
+    assert code in (0, 3)
+    out = capsys.readouterr().out
+    flag = argv.index("--targets" if same else "--interval")
+    assert main(argv[:flag] + same + argv[flag + 2:]) == code
+    assert capsys.readouterr().out == out
 
 
 def test_config_key_of_absent_flag_exits_usage(tmp_path, capsys):

@@ -24,7 +24,7 @@ from scoutsim.walks import (CHECKS, LookAroundWalk, NAMED_LAWS, StepLaw,
                             oracle_meeting_survival,
                             oracle_position_probability,
                             oracle_reach_survival, parse_law, sample_walk)
-from scoutsim.walks import _corridor_times, _stopping_times
+from scoutsim.walks import _CHUNK, _corridor_times, _paths, _stopping_times
 
 
 def srw():
@@ -81,6 +81,34 @@ def test_envelope_delta_finite_support():
     for u in np.linspace(0, law.max_reach + 2, 50):
         tail = 1.0 if u < law.max_reach else 0.0
         assert tail <= math.exp(-u**delta) / delta + 1e-12
+
+
+@pytest.mark.parametrize("zeta", [2**63, -2**63 - 1, 10**400, 2.0**63],
+                         ids=["2**63", "-2**63-1", "10**400", "2.0**63"])
+def test_law_rejects_integer_zeta_beyond_int64(zeta):
+    # integer displacements are carried as int64: 2**63 wrapped to -2**63
+    # and 10**400 overflowed converting to float
+    with pytest.raises(ValueError, match="int64"):
+        make_law([("1/2", zeta), ("1/2", -1)])
+
+
+def test_law_int64_zeta_extremes_exact():
+    law = make_law([("1/2", 2**63 - 1), ("1/2", -2**63)])
+    assert law.arrays[0].tolist() == [2**63 - 1, -2**63]
+    # arrays built through float rounded 2**53 + 1 to 2**53
+    assert parse_law("1/2:9007199254740993;1/2:-1").arrays[0][0] == 9007199254740993
+
+
+def test_stopping_times_reject_offsets_beyond_int64():
+    # 33 steps of 2**62 wrapped the int64 offsets: the escape estimate read
+    # 0.34 where the walk escapes with probability 15/16
+    w = LookAroundWalk(parse_law("1/2:4611686018427387904;1/2:-1"))
+    with pytest.raises(PreconditionError, match="int64"):
+        check_escape_under_drift(w, -5, trials=50, horizon=16)
+    with pytest.raises(PreconditionError, match="int64"):
+        _stopping_times([w], lambda S, R: S[0] < -5, 3, 1, 0)
+    # one step of 2**62 fits
+    assert (_stopping_times([w], lambda S, R: S[0] < -5, 3, 0, 0) == 1).all()
 
 
 def test_parse_law_named_and_literal():
@@ -692,6 +720,68 @@ def test_mc_event_frequency_checks_arguments(kwargs, match):
     args.update(kwargs)
     with pytest.raises(ValueError, match=match):
         mc_event_frequency(**args)
+
+
+def mc_event_frequency_branches(law, s0, horizon, event, trials, root_seed,
+                                law2=None, s02=None):
+    """Reference: one branch per event on the sampled paths of both walks,
+    the estimator as it was before the events moved into one table."""
+    name, _, arg = event.partition(":")
+    target = int(arg) if arg else None
+    idx = np.arange(trials, dtype=np.int64)
+    S1, R1 = _paths(law, root_seed, idx, 0, s0, horizon)
+    if name in ("meeting", "ballmeeting"):
+        S2, R2 = _paths(law2, root_seed, idx, 1, s02, horizon)
+        if name == "meeting":
+            ok = (S1[:, 1:] != S2[:, 1:]).all(axis=1)
+        else:
+            ok = (np.abs(S1 - S2) > R1 + R2).all(axis=1)
+    elif name == "hit":
+        ok = (S1 != target).all(axis=1)
+    elif name == "lookaround":
+        ok = (np.abs(S1 - target) > R1).all(axis=1)
+    elif name == "reach":
+        ok = (S1 + R1 < target).all(axis=1)
+    elif name == "exit":
+        drift = float(law.mean_zeta)
+        if drift == 0:
+            inside = np.abs(S1) <= target
+        elif drift > 0:
+            inside = S1 <= target
+        else:
+            inside = S1 >= -target
+        ok = inside.all(axis=1)
+    else:
+        ok = S1[:, horizon] == target
+    return int(ok.sum()) / trials
+
+
+def random_integer_law(rng):
+    weights = rng.integers(1, 7, size=int(rng.integers(1, 5)))
+    return make_law([(Fraction(int(w), int(weights.sum())), int(rng.integers(-3, 4)), 1,
+                      float(rng.choice([1.0, 1.5, 2.0, 3.5]))) for w in weights])
+
+
+@pytest.mark.parametrize("name", ["hit", "lookaround", "reach", "exit", "position",
+                                  "meeting", "ballmeeting"])
+def test_mc_event_frequency_matches_branch_reference(name):
+    rng = np.random.default_rng(sum(map(ord, name)))
+    cases = 0
+    for case in range(40):
+        law1, law2 = random_integer_law(rng), random_integer_law(rng)
+        s01, s02 = (int(v) for v in rng.integers(-4, 5, size=2))
+        horizon = int(rng.integers(0, 10))
+        if case < 4:  # position at horizon 0 and meetings from one start
+            horizon, s02 = 0 if case < 2 else horizon, s01
+        arg = int(rng.integers(0, 4)) if name == "exit" else s01 + int(rng.integers(-3, 4))
+        event = name if name in ("meeting", "ballmeeting") else f"{name}:{arg}"
+        trials = 1 if case == 4 else int(rng.choice([37, 500, _CHUNK + 3]))
+        want = mc_event_frequency_branches(law1, s01, horizon, event, trials, case,
+                                           law2=law2, s02=s02)
+        assert mc_event_frequency(law1, s01, horizon, event, trials, case,
+                                  law2=law2, s02=s02) == want, (case, event)
+        cases += 0 < want < 1
+    assert cases >= 5  # some cases are neither sure nor impossible
 
 
 def test_checks_registry():

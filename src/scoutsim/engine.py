@@ -7,10 +7,11 @@ scout i at step n of replica r is ``streams.uniforms(root_seed, r, i, n)``,
 so scalar stepping, vectorized batches, and threaded replica chunks all
 produce bit-identical trajectories.  Every path turns a variate into a
 branch of the rule row through the one sampler, :class:`streams.Categorical`:
-the scalar kernel bisects the row's list, :class:`VectorSim` compares a
-gathered row per scout, and the iid block path draws whole blocks from one
-row.  All three compare against the same floats; a row of ``Fraction``
-probabilities is cumulated exactly and only then rounded.
+the scalar kernel bisects the row's list, :class:`VectorSim` counts the
+partial sums <= u of a gathered row per scout, and the iid block path
+draws whole blocks from one row.  All three compare against the same
+floats; a row of ``Fraction`` probabilities is cumulated exactly and only
+then rounded.
 
 One scalar kernel, :func:`_kernel`, serves :func:`run`, :func:`iter_run`
 and :func:`step`.  It steps one replica on plain Python ints: each scout's
@@ -24,6 +25,14 @@ prefetches up to 64: the counters fix every value, so no partition of the
 steps into blocks changes one.  :func:`run` writes each block into its
 trace arrays; :func:`iter_run` builds a :class:`Configuration` only when it
 yields one.
+
+:class:`VectorSim` steps all replicas through flat tables of the compiled
+protocol: a scout's environment mask is the OR of its co-located scouts'
+state bits, its rule row is one ``take`` from the (state, mask) table at
+state << n_states | mask (protocols of more than 16 states dispatch each
+distinct pair instead), and its successor state and move key are ``take``s
+at row * row_width + branch.  Both stepping paths report an uncovered
+environment with the same :meth:`_Compiled.no_rule` message.
 
 Hitting times, first meetings and meeting gaps read one source,
 :class:`_BlockSource`, with one loop each.  The source holds the active
@@ -197,23 +206,29 @@ class _Compiled:
         outcomes = [rule.outcomes for rule in p.rules]
         self.table = streams.Categorical([[o.probability for o in r] for r in outcomes])
         self.row_state = self.table.pad(
-            [[self.state_index[o.state] for o in r] for r in outcomes], np.int16)
+            [[self.state_index[o.state] for o in r] for r in outcomes], np.int64)
         self.row_move = self.table.pad([[o.move for o in r] for r in outcomes], np.int8)
         self.row_key = _pack(self.row_move.astype(np.int64))
+        # VectorSim's tables, indexed by row * row_width + branch
+        self.row_width = self.row_state.shape[1]
+        self.flat_state = self.row_state.reshape(-1)
+        self.flat_key = self.row_key.reshape(-1)
+        self.state_bit = np.int64(1) << np.arange(self.n_states, dtype=np.int64)
         # widened first: abs of the int8 move -128 wraps to -128
         self.max_move = int(np.abs(self.row_move.astype(np.int64)).max(initial=0))
 
         self.env_free = not self.exact_rows
+        # the row of (state, mask) at lut[state << n_states | mask]
         if self.n_states <= 16:
             lut = np.tile(self.wildcard_row[:, None], (1, 1 << self.n_states))
             for (si, mask), ridx in self.exact_rows.items():
                 lut[si, mask] = ridx
-            self.lut = lut
+            self.lut = lut.reshape(-1)
         else:
             self.lut = None
 
         self.init_state_idx = np.array(
-            [self.state_index[s] for s in p.initial_states], dtype=np.int16)
+            [self.state_index[s] for s in p.initial_states], dtype=np.int64)
         self.origin = np.array(p.initial_position, dtype=np.int64)
         self.origin_key = _pack(self.origin)
 
@@ -244,16 +259,20 @@ class _Compiled:
             row = int(self.wildcard_row[state_idx])
         return row
 
+    def no_rule(self, state_idx: int, mask: int) -> ProtocolError:
+        """The error for a state in an environment that no rule covers."""
+        names = self.protocol.state_names
+        env = sorted(names[j] for j in range(self.n_states) if mask >> j & 1)
+        return ProtocolError(f"no matching rule for state {names[state_idx]!r} "
+                             f"with environment {env}")
+
     def kernel_row(self, width: int, state_idx: int, mask: int) -> tuple:
         """Cache and return the kernel row of a state in an environment: the
         cumulative list, the last branch, and each branch's successor state
         and move key."""
         row = self.dispatch_row(state_idx, mask)
         if row < 0:
-            names = self.protocol.state_names
-            env = sorted(names[j] for j in range(self.n_states) if mask >> j & 1)
-            raise ProtocolError(f"no matching rule for state {names[state_idx]!r} "
-                                f"with environment {env}")
+            raise self.no_rule(state_idx, mask)
         k = int(self.table.length[row])
         moves = self.row_move[row, :k].tolist()
         keys = [m[0] if self.d == 1 else m[0] * width + m[1] for m in moves]
@@ -474,7 +493,8 @@ class VectorSim:
 
     Positions are held as grid keys (replicas, scouts); they are exact while
     every coordinate stays inside (-2**31, 2**31), which the drivers check
-    for their cap or horizon before they start.
+    for their cap or horizon before they start.  States are int64 indices
+    into the compiled protocol's flat tables (see the module docstring).
     """
 
     def __init__(self, p: ScoutProtocol, n_replicas: int, root_seed: int,
@@ -509,19 +529,13 @@ class VectorSim:
         self._u = self._u[:, keep]
 
     def _lookup_rows(self, masks: np.ndarray) -> np.ndarray:
-        comp = self.comp
-        if comp.lut is not None:
-            return comp.lut[self.states.astype(np.int64), masks]
-        rows = np.empty(self.states.shape, dtype=np.int32)
-        flat_s = self.states.ravel()
-        flat_m = masks.ravel()
-        flat_r = rows.ravel()
-        pairs = np.stack([flat_s.astype(np.int64), flat_m], axis=1)
+        """Rows of the (state, mask) pairs without a dense table: each
+        distinct pair dispatched once."""
+        pairs = np.stack([self.states.ravel(), masks.ravel()], axis=1)
         uniq, inverse = np.unique(pairs, axis=0, return_inverse=True)
         table = np.array([self.comp.dispatch_row(int(s), int(m)) for s, m in uniq],
                          dtype=np.int32)
-        flat_r[:] = table[inverse]
-        return rows
+        return table[inverse].reshape(masks.shape)
 
     def _uniforms(self, n: int) -> np.ndarray:
         """Variates (replicas, scouts) of step n, refilling the block when spent."""
@@ -540,24 +554,26 @@ class VectorSim:
         self.time += 1
         if R == 0:
             return
-        c = comp.c
-        if comp.env_free or c == 1:
-            masks = np.zeros((R, c), dtype=np.int64)
+        states = self.states
+        if comp.env_free or comp.c == 1:
+            masks = np.zeros(states.shape, dtype=np.int64)
         else:
             # bit s of masks[r, i]: some other scout at i's point is in state s
             co = self.keys[:, :, None] == self.keys[:, None, :]
             co &= self._off_diagonal
-            bits = np.int64(1) << self.states.astype(np.int64)
+            bits = comp.state_bit.take(states)
             masks = np.bitwise_or.reduce(np.where(co, bits[:, None, :], 0), axis=2)
-        rows = self._lookup_rows(masks)
-        if (rows < 0).any():
-            bad = np.argwhere(rows < 0)[0]
-            name = comp.protocol.state_names[int(self.states[bad[0], bad[1]])]
-            raise ProtocolError(f"no matching rule for state {name!r}")
-        u = self._uniforms(self.time - 1)
-        branch = comp.table.select(rows, u)
-        self.states = comp.row_state[rows, branch]
-        self.keys += comp.row_key[rows, branch]
+        if comp.lut is None:
+            rows = self._lookup_rows(masks)
+        else:
+            rows = comp.lut.take(states << comp.n_states | masks)
+        if rows.min() < 0:
+            r, i = np.argwhere(rows < 0)[0]
+            raise comp.no_rule(int(states[r, i]), int(masks[r, i]))
+        branch = comp.table.select(rows, self._uniforms(self.time - 1))
+        flat = rows * comp.row_width + branch
+        self.states = comp.flat_state.take(flat)
+        self.keys += comp.flat_key.take(flat)
 
 
 def run_batch(p: ScoutProtocol, horizon: int, root_seed: int, replicas: int,

@@ -266,44 +266,42 @@ def divergence_flag(curve: SurvivalCurve | CensoredSummary) -> str:
     moving).  Infinite: a good power-law fit with slope >= -1, whose tail
     integral diverges.  Anything else is inconclusive.
     """
-    if isinstance(curve, CensoredSummary):
-        curve = curve.curve
-    if curve.total <= 0:
-        raise InsufficientDataError("empty survival curve")
-    if curve.thresholds.size == 0:
-        raise InsufficientDataError("survival curve has no thresholds")
-    probs = curve.probabilities()
-    censored_frac = float(probs[-1]) if curve.censor_cap is not None else 0.0
-    blocks = probs * curve.thresholds
-    total_mass = float(blocks.sum())
-    last_increment = float(blocks[-1]) / total_mass if total_mass > 0 else 0.0
-    if censored_frac < FINITE_CENSORED_MAX and last_increment < FINITE_TAIL_INCREMENT_MAX:
-        return FINITE
-    try:
-        fit = fit_tail(curve, "power")
-    except InsufficientDataError:
-        return INCONCLUSIVE
-    if fit.slope >= INFINITE_SLOPE_MIN - 1e-12 and fit.r_squared >= FIT_R2_MIN:
-        return INFINITE
-    return INCONCLUSIVE
+    return divergence_report(curve)["verdict"]
 
 
 def divergence_report(curve: SurvivalCurve | CensoredSummary) -> dict:
+    """The :func:`divergence_flag` verdict with the statistics behind it:
+    the censored fraction, the last doubling's share of the tail mass, the
+    power fit (None when too few thresholds qualify) and, for a summary,
+    its mean."""
     summary = curve if isinstance(curve, CensoredSummary) else None
     c = curve.curve if isinstance(curve, CensoredSummary) else curve
-    verdict = divergence_flag(c)
+    if c.total <= 0:
+        raise InsufficientDataError("empty survival curve")
+    if c.thresholds.size == 0:
+        raise InsufficientDataError("survival curve has no thresholds")
     probs = c.probabilities()
+    censored_frac = float(probs[-1]) if c.censor_cap is not None else 0.0
     blocks = probs * c.thresholds
+    total_mass = float(blocks.sum())
+    last_increment = float(blocks[-1]) / total_mass if total_mass > 0 else 0.0
+    try:
+        fit = fit_tail(c, "power")
+    except InsufficientDataError:
+        fit = None
+    if censored_frac < FINITE_CENSORED_MAX and last_increment < FINITE_TAIL_INCREMENT_MAX:
+        verdict = FINITE
+    elif fit is not None and fit.slope >= INFINITE_SLOPE_MIN - 1e-12 \
+            and fit.r_squared >= FIT_R2_MIN:
+        verdict = INFINITE
+    else:
+        verdict = INCONCLUSIVE
     body = {
         "verdict": verdict,
         "censored_fraction": float(probs[-1]),
-        "tail_mass_last_increment": float(blocks[-1] / blocks.sum()) if blocks.sum() > 0 else 0.0,
+        "tail_mass_last_increment": last_increment,
+        "power_fit": None if fit is None else fit.to_json(),
     }
-    try:
-        fit = fit_tail(c, "power")
-        body["power_fit"] = fit.to_json()
-    except InsufficientDataError:
-        body["power_fit"] = None
     if summary is not None:
         body["mean"] = summary.mean
         body["mean_is_lower_bound"] = summary.mean_is_lower_bound

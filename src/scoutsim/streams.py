@@ -16,10 +16,12 @@ function (see the known-answer tests).
 :class:`Categorical` is the one sampler that turns these uniforms into
 outcomes of finite distributions: a scout's rule row in the engine, a
 reduced-kernel row in the analysis, a step law in the walks.  Branch b of a
-row is drawn by u when cum[b-1] <= u < cum[b].  A row whose probabilities
-are all ``Fraction`` is cumulated exactly and each partial sum rounded to
-float once; any other row is cumulated in float.  The scalar, vector and
-block paths compare against the same floats, so they pick the same branch.
+row is drawn by u when cum[b-1] <= u < cum[b], the last branch by every u
+from cum[-2] up: the branch is the number of the row's first length - 1
+partial sums that are <= u.  A row whose probabilities are all
+``Fraction`` is cumulated exactly and each partial sum rounded to float
+once; any other row is cumulated in float.  The scalar, vector and block
+paths compare against the same floats, so they pick the same branch.
 """
 
 from __future__ import annotations
@@ -167,11 +169,12 @@ def uniform_block(root_seed: int, replica: int, scout: int, start: int, count: i
 class Categorical:
     """Finite distributions as padded cumulative rows.
 
-    ``cum[j]`` holds the cumulative probabilities of row j, padded with 2.0
-    (above every uniform) past its ``length[j]`` outcomes.  A float row
-    summing below 1 gives the remainder to its last outcome: every
-    selection is clamped to ``length - 1``.  Payloads (successor states,
-    moves, step sizes) stay with the caller, indexed by the branch.
+    ``lists[j]`` holds the cumulative probabilities of row j.  ``cum[j]``
+    holds them too, but with the last of its ``length[j]`` outcomes and the
+    padding past them raised to 2.0, above every uniform: a float row
+    summing below 1 gives the remainder to its last outcome, and counting
+    the entries <= u gives the branch with no clamp.  Payloads (successor
+    states, moves, step sizes) stay with the caller, indexed by the branch.
     """
 
     def __init__(self, rows):
@@ -186,6 +189,7 @@ class Categorical:
             self.lists.append(cum)
         self.length = np.array([len(c) for c in self.lists], dtype=np.int64)
         self.cum = self.pad(self.lists, np.float64, fill=2.0)
+        self.cum[np.arange(self.length.size), self.length - 1] = 2.0
 
     def pad(self, values, dtype, fill=0) -> np.ndarray:
         """Per-outcome ``values`` (one list per row) in the layout of ``cum``."""
@@ -196,17 +200,22 @@ class Categorical:
         return out
 
     def select(self, rows, u: np.ndarray) -> np.ndarray:
-        """Branch of each uniform in ``u`` under its row.
+        """Branch of each uniform in ``u`` under its row: the count of the
+        row's entries of ``cum`` that are <= u.  Rows never decrease, so
+        this is :meth:`select_one`'s clamped bisection.
 
-        ``rows`` is an array of ``u``'s shape, or one row index.  One row is
-        searched through its own unpadded slice; gathered rows count the
-        entries <= u, which is the same branch because rows never decrease.
+        ``rows`` is an array of ``u``'s shape, or one row index.  The count
+        adds one compare per column of ``cum`` but the last, which is 2.0
+        in every row; one row compares only its own partial sums.
         """
         if np.ndim(rows) == 0:
-            branch = np.searchsorted(self.cum[rows, :self.length[rows]], u, side="right")
+            bounds = self.lists[rows][:-1]
         else:
-            branch = (self.cum[rows] <= u[..., None]).sum(axis=-1)
-        return np.minimum(branch, self.length[rows] - 1, out=branch)
+            bounds = (col[rows] for col in self.cum.T[:-1])
+        branch = np.zeros(np.shape(u), dtype=np.int64)
+        for c in bounds:
+            branch += u >= c
+        return branch
 
     def select_one(self, row: int, u: float) -> int:
         """:meth:`select` for one uniform, by bisection of the row's list."""

@@ -159,30 +159,11 @@ class StepLaw:
             return mz / mn
         return float(mz) / float(mn)
 
-    def envelope_delta(self) -> float:
-        """A delta for which P(|zeta|+R > u) <= (1/delta) exp(-u**delta) holds.
 
-        Finite support makes the tail vanish beyond max reach, so a valid
-        delta always exists; this returns (a lower bound on) the largest one
-        found by bisection.
-        """
-        B = max(self.max_reach, 1.0)
-        lo, hi = 1e-9, 4.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if mid * math.exp(B**mid) <= 1.0:
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
-
-def make_law(entries: Sequence[tuple], require_envelope: bool = False) -> StepLaw:
+def make_law(entries: Sequence[tuple]) -> StepLaw:
     """Law from (probability, zeta[, nu[, radius]]) tuples.
 
-    Probabilities given as strings or Fractions stay exact.  With
-    ``require_envelope`` the stretched-exponential tail envelope is checked
-    explicitly (finite-support laws always satisfy it).
+    Probabilities given as strings or Fractions stay exact.
     """
     outs = []
     for e in entries:
@@ -195,10 +176,7 @@ def make_law(entries: Sequence[tuple], require_envelope: bool = False) -> StepLa
         nu = e[2] if len(e) > 2 else 1
         radius = e[3] if len(e) > 3 else 1.0
         outs.append(LawOutcome(prob, zeta, int(nu), float(radius)))
-    law = StepLaw(tuple(outs))
-    if require_envelope and law.envelope_delta() <= 0:
-        raise ValueError("law violates the stretched-exponential envelope")
-    return law
+    return StepLaw(tuple(outs))
 
 
 NAMED_LAWS: dict[str, Callable[[], StepLaw]] = {
@@ -246,12 +224,23 @@ class WalkPath:
     times: np.ndarray
 
 
+def _check_offsets(law: StepLaw, steps: int) -> None:
+    """Raise PreconditionError unless ``steps`` integer steps of ``law`` keep
+    every offset from s0 inside int64."""
+    if law.integer_zeta and steps * max(abs(int(o.zeta)) for o in law.outcomes) >= _INT64:
+        raise PreconditionError("integer walk offsets could leave int64: "
+                                f"{steps} steps * max|zeta| >= 2**63")
+
+
 def sample_walk(w: LookAroundWalk, horizon: int, seed_root: int,
                 trial: int = 0, walk_id: int = 0) -> WalkPath:
     """Deterministic single path: draw indices are (seed_root, trial, walk_id, step).
 
-    Positions are int64 when the steps and s0 are integers, float otherwise.
+    Positions are int64 when the steps and s0 are integers, float otherwise;
+    a horizon whose integer offsets could leave int64 raises
+    PreconditionError.
     """
+    _check_offsets(w.law, horizon + 1)
     zeta, nu, rad = w.law.arrays
     b = w.law.table.draw(0, seed_root, trial, walk_id, 0, horizon + 1)
     S = np.empty(horizon + 1, dtype=zeta.dtype if float(w.s0).is_integer() else float)
@@ -267,6 +256,7 @@ def sample_walk(w: LookAroundWalk, horizon: int, seed_root: int,
 def _paths(law: StepLaw, root_seed: int, trials_idx, walk_id: int, s0,
            horizon: int) -> tuple[np.ndarray, np.ndarray]:
     """Positions S_0..S_horizon, as float, and the radii R_1..R_{horizon+1}."""
+    _check_offsets(law, horizon + 1)
     zeta, _, rad = law.arrays
     b = law.table.draw(0, root_seed, trials_idx, walk_id, 0, horizon + 1)
     S = np.empty(b.shape)
@@ -289,10 +279,7 @@ def _stopping_times(walks: Sequence[LookAroundWalk], event, trials: int, cap: in
     trial leaves once every column is decided (see the module docstring).
     """
     for w in walks:
-        if w.law.integer_zeta and \
-                (cap + 1) * max(abs(int(o.zeta)) for o in w.law.outcomes) >= _INT64:
-            raise PreconditionError("integer walk offsets could leave int64: "
-                                    "(cap + 1) * max|zeta| >= 2**63")
+        _check_offsets(w.law, cap + 1)
     out = np.empty((trials, columns), dtype=np.int64)
     idx = np.arange(trials, dtype=np.int64)
     times = np.full((trials, columns), cap + 1, dtype=np.int64)  # of the active trials

@@ -354,6 +354,91 @@ def test_uncovered_environment_raises_after_every_earlier_step():
     with pytest.raises(ProtocolError) as err:
         step(ref[-1], p, KERNEL_SEED)
     assert str(err.value) == message
+    # the vectorized path names the environment too
+    with pytest.raises(ProtocolError) as err:
+        hitting_time(p, (5,), 1024, KERNEL_SEED)
+    assert str(err.value) == message
+    with pytest.raises(ProtocolError) as err:
+        run_batch(p, 1024, KERNEL_SEED.root_seed, 1, KERNEL_SEED.replica)
+    assert str(err.value) == message
+
+
+# ---------------------------------------------------------------------------
+# VectorSim against the stepper its flat tables replaced
+#
+# The reference is VectorSim.step as it was before: the environment masks by
+# a reduce over a (replicas, scouts, scouts) array, each (state, mask) pair
+# dispatched through _Compiled.dispatch_row, the branch by a count over the
+# true cumulative rows clamped to the last branch, and the successor state
+# and move key gathered from the 2-d row tables.  It draws each step's
+# uniforms on its own, with no prefetch.
+
+
+def _reference_select(table, rows, u):
+    """Categorical.select as it was: a sorted search of one row's unpadded
+    partial sums, or a count over the gathered true rows, then a clamp."""
+    cum = table.pad(table.lists, np.float64, fill=2.0)
+    if np.ndim(rows) == 0:
+        branch = np.searchsorted(cum[rows, :table.length[rows]], u, side="right")
+    else:
+        branch = (cum[rows] <= u[..., None]).sum(axis=-1)
+    return np.minimum(branch, table.length[rows] - 1)
+
+
+class _ReferenceVectorSim:
+    def __init__(self, p, n, root_seed, replica_start):
+        self.comp = comp = engine._compile(p)
+        self.root_seed = root_seed
+        self.replicas = np.arange(replica_start, replica_start + n, dtype=np.int64)
+        self.keys = np.full((n, comp.c), comp.origin_key, dtype=np.int64)
+        self.states = np.tile(comp.init_state_idx.astype(np.int16), (n, 1))
+        self.time = 0
+
+    def compact(self, keep):
+        self.replicas, self.keys, self.states = (
+            self.replicas[keep], self.keys[keep], self.states[keep])
+
+    def step(self):
+        comp = self.comp
+        R, c = self.states.shape
+        co = self.keys[:, :, None] == self.keys[:, None, :]
+        co &= ~np.eye(c, dtype=bool)
+        bits = np.int64(1) << self.states.astype(np.int64)
+        masks = np.bitwise_or.reduce(np.where(co, bits[:, None, :], 0), axis=2)
+        rows = np.array([[comp.dispatch_row(int(s), int(m)) for s, m in zip(sr, mr)]
+                         for sr, mr in zip(self.states, masks)], dtype=np.int64).reshape(R, c)
+        u = streams.uniforms(self.root_seed, self.replicas[:, None],
+                             np.arange(c, dtype=np.int64)[None, :], self.time)
+        branch = _reference_select(comp.table, rows, u)
+        self.states = comp.row_state[rows, branch].astype(np.int16)
+        self.keys = self.keys + comp.row_key[rows, branch]
+        self.time += 1
+
+
+VECTOR_CASES = {
+    "anchored_d1": lambda: builtin("anchored_geometric", d=1, p="1/2"),
+    "anchored_d2": lambda: builtin("anchored_geometric", d=2, p="1/2"),
+    "eighteen_states": _eighteen_state_protocol,
+    "independent_walks_c2": lambda: builtin("independent_walks", d=1, c=2),
+    "srw": lambda: builtin("srw", d=1),
+    "short_float_row": _short_float_row_protocol,
+}
+
+
+@pytest.mark.parametrize("name", sorted(VECTOR_CASES))
+def test_vector_step_matches_reference(name):
+    p = VECTOR_CASES[name]()
+    sim = VectorSim(p, 9, 2024, replica_start=5)
+    ref = _ReferenceVectorSim(p, 9, 2024, 5)
+    for t in range(2048):
+        if t == 1001:  # mid-way through a prefetched block of uniforms
+            keep = np.arange(sim.n_active) % 3 != 1
+            sim.compact(keep)
+            ref.compact(keep)
+        sim.step()
+        ref.step()
+        assert np.array_equal(sim.keys, ref.keys), t
+        assert np.array_equal(sim.states, ref.states), t
 
 
 # hitting

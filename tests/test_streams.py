@@ -124,11 +124,19 @@ def test_out_of_range_root_seed_rejected():
 
 @st.composite
 def _rows(draw):
-    """A row of 1-5 outcomes: all Fraction, all float, or mixed; some short of 1."""
-    cells = draw(st.lists(st.tuples(st.integers(0, 12), st.booleans()),
-                          min_size=1, max_size=5).filter(lambda c: any(w for w, _ in c)))
+    """A row of 1-64 outcomes: all Fraction, all float, or mixed; some short of
+    1; zero-probability outcomes, often in runs, repeat a partial sum."""
+    cells = draw(st.lists(st.tuples(st.one_of(st.just(0), st.integers(1, 12)), st.booleans()),
+                          min_size=1, max_size=64).filter(lambda c: any(w for w, _ in c)))
     scale = Fraction(100 - draw(st.integers(0, 5)), sum(w for w, _ in cells) * 100)
     return [float(w * scale) if as_float else w * scale for w, as_float in cells]
+
+
+def _searchsorted_select(table, row, u):
+    """Categorical.select of one row as it was: a sorted search of the row's
+    unpadded partial sums, clamped to the last branch."""
+    cum = np.array(table.lists[row])
+    return np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
 
 
 def _reference_cum(row):
@@ -149,6 +157,7 @@ def test_categorical_selections_agree(rows, extra_u):
             for j, ref in enumerate(refs)}
     for j in want:
         assert table.select(j, u).tolist() == want[j]
+        assert _searchsorted_select(table, j, u).tolist() == want[j]
         assert [table.select_one(j, float(x)) for x in u] == want[j]
     # a gather over padded rows of different lengths
     which = np.arange(u.size) % len(rows)

@@ -73,16 +73,6 @@ def test_law_moments_exact():
     assert law2.effective_drift() == 0
 
 
-def test_envelope_delta_finite_support():
-    # direct maximization: the bound must dominate the exact tail everywhere
-    law = make_law([("1/2", 2, 1, 3.0), ("1/2", -1, 2, 1.0)])
-    delta = law.envelope_delta()
-    assert delta > 0
-    for u in np.linspace(0, law.max_reach + 2, 50):
-        tail = 1.0 if u < law.max_reach else 0.0
-        assert tail <= math.exp(-u**delta) / delta + 1e-12
-
-
 @pytest.mark.parametrize("zeta", [2**63, -2**63 - 1, 10**400, 2.0**63],
                          ids=["2**63", "-2**63-1", "10**400", "2.0**63"])
 def test_law_rejects_integer_zeta_beyond_int64(zeta):
@@ -109,6 +99,21 @@ def test_stopping_times_reject_offsets_beyond_int64():
         _stopping_times([w], lambda S, R: S[0] < -5, 3, 1, 0)
     # one step of 2**62 fits
     assert (_stopping_times([w], lambda S, R: S[0] < -5, 3, 0, 0) == 1).all()
+
+
+def test_sampled_paths_reject_offsets_beyond_int64():
+    # three steps of 2**62 wrapped: sample_walk ended at -2**63 where the walk
+    # stands at 2**63, and the paths of mc_event_frequency likewise
+    w = LookAroundWalk(parse_law("1/2:4611686018427387904;1/2:-1"))
+    with pytest.raises(PreconditionError, match="int64"):
+        sample_walk(w, 3, 0, trial=2)
+    with pytest.raises(PreconditionError, match="int64"):
+        mc_event_frequency(w.law, 0, 3, "hit:5", 4, 0)
+    with pytest.raises(PreconditionError, match="int64"):
+        mc_event_frequency(srw(), 0, 3, "meeting", 4, 0, law2=w.law, s02=0)
+    # horizon 0 takes no step
+    assert sample_walk(w, 0, 0, trial=2).positions.tolist() == [0]
+    assert mc_event_frequency(w.law, 0, 0, "hit:5", 4, 0) == 1.0
 
 
 def test_parse_law_named_and_literal():

@@ -29,19 +29,24 @@ n steps is an integer numerator over D**n.  Integer sums and products are
 exact, so the one ``Fraction(numerator, D**n)`` built at the end equals the
 rational answer bit for bit.  Integer displacements must lie in int64.
 
-The escape, reach-tail, exit-time and corridor checks are stopping times,
-and one helper, :func:`_stopping_times`, finds them all: per trial and
-event column, the first check m in [0, cap] at which the event holds.  It
-draws in blocks of ``engine._iid_block`` checks (2**14 variates per walk
-over the active trials, so blocks grow as trials finish) and drops a trial
-once every column is decided.  Draws are keyed by (trial, walk, step)
-(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11), so
-neither the partition nor the dropping changes a value, and integer
+Every Monte-Carlo estimate is a stopping time found by one sampler,
+:func:`_stopping_times` (the full-path ``_paths`` and its ``_CHUNK`` loop
+are gone; :func:`sample_walk` stays the single-path API): per trial and
+event column, the first check m in [check_from, cap] at which the event
+holds.  The frequency asks if its event fails at every check from its first
+checked time, the deviation check if S_n >= y at check n.  It draws in
+blocks of ``engine._iid_block`` checks (2**14 variates per walk over the
+active trials, so blocks grow as trials finish) and drops a trial once
+every column is decided.  Draws are keyed by (trial, walk, step) (Salmon et
+al., "Parallel random numbers: as easy as 1, 2, 3", SC'11), and integer
 displacements are carried exactly as int64 offsets from s0 (a run whose
-offsets could reach 2**63 is refused).  Single-walk checks run on the step
-clock.  The corridor runs on the integer time clock: at time m walk i
-stands at step k_i(m), the last k with T_k <= m, read per trial from the
-block's cumulated durations; for unit-time laws k(m) = m.
+offsets could reach 2**63 is refused), so for integer steps neither the
+partition nor the dropping changes a value.  Float steps are summed block
+by block, so float-step ``lemma`` results are not pinned across block
+partitions.  Single-walk checks run on the step clock.  The corridor runs
+on the integer time clock: at time m walk i stands at step k_i(m), the last
+k with T_k <= m, read per trial from the block's cumulated durations; for
+unit-time laws k(m) = m.
 """
 
 from __future__ import annotations
@@ -64,7 +69,6 @@ from .tails import (InsufficientDataError, SurvivalCurve, TailFit,
 
 _DP_CELL_BUDGET = 8_000_000
 _INT64 = 1 << 63
-_CHUNK = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -224,50 +228,41 @@ class WalkPath:
     times: np.ndarray
 
 
-def _check_offsets(law: StepLaw, steps: int) -> None:
-    """Raise PreconditionError unless ``steps`` integer steps of ``law`` keep
-    every offset from s0 inside int64."""
-    if law.integer_zeta and steps * max(abs(int(o.zeta)) for o in law.outcomes) >= _INT64:
-        raise PreconditionError("integer walk offsets could leave int64: "
-                                f"{steps} steps * max|zeta| >= 2**63")
+def _check_offsets(law: StepLaw, steps: int, start: int = 0) -> None:
+    """Raise PreconditionError unless ``steps`` integer steps of ``law`` from
+    an integer start of absolute value ``start`` stay inside int64."""
+    if law.integer_zeta and start + steps * max(abs(int(o.zeta)) for o in law.outcomes) >= _INT64:
+        raise PreconditionError("integer walk positions could leave int64: "
+                                f"|s0| + {steps} steps * max|zeta| >= 2**63")
 
 
 def sample_walk(w: LookAroundWalk, horizon: int, seed_root: int,
                 trial: int = 0, walk_id: int = 0) -> WalkPath:
     """Deterministic single path: draw indices are (seed_root, trial, walk_id, step).
 
-    Positions are int64 when the steps and s0 are integers, float otherwise;
-    a horizon whose integer offsets could leave int64 raises
-    PreconditionError.
+    Positions are int64 when the steps and s0 are integer-valued, float
+    otherwise; integer positions that could leave int64 raise PreconditionError.
     """
-    _check_offsets(w.law, horizon + 1)
     zeta, nu, rad = w.law.arrays
+    exact = zeta.dtype == np.int64 and float(w.s0).is_integer()
+    s0 = int(w.s0) if exact else w.s0  # a float start would round the int steps
+    _check_offsets(w.law, horizon + 1, abs(s0) if exact else 0)
     b = w.law.table.draw(0, seed_root, trial, walk_id, 0, horizon + 1)
-    S = np.empty(horizon + 1, dtype=zeta.dtype if float(w.s0).is_integer() else float)
-    S[0] = w.s0
+    S = np.empty(horizon + 1, dtype=np.int64 if exact else float)
+    S[0] = s0
     if horizon:
-        S[1:] = w.s0 + np.cumsum(zeta[b[:-1]])
+        S[1:] = s0 + np.cumsum(zeta[b[:-1]])
     T = np.zeros(horizon + 1, dtype=np.int64)
     if horizon:
         T[1:] = np.cumsum(nu[b[:-1]])
     return WalkPath(S, rad[b], T)
 
 
-def _paths(law: StepLaw, root_seed: int, trials_idx, walk_id: int, s0,
-           horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    """Positions S_0..S_horizon, as float, and the radii R_1..R_{horizon+1}."""
-    _check_offsets(law, horizon + 1)
-    zeta, _, rad = law.arrays
-    b = law.table.draw(0, root_seed, trials_idx, walk_id, 0, horizon + 1)
-    S = np.empty(b.shape)
-    S[:, 0] = s0
-    S[:, 1:] = s0 + np.cumsum(zeta[b[:, :-1]], axis=1)
-    return S, rad[b]
-
-
 def _stopping_times(walks: Sequence[LookAroundWalk], event, trials: int, cap: int,
-                    root_seed: int, columns: int = 1, timed: bool = False) -> np.ndarray:
-    """First check m in [0, cap] at which each event column holds, else cap + 1.
+                    root_seed: int, columns: int = 1, timed: bool = False,
+                    check_from: int = 0) -> np.ndarray:
+    """First check m in [check_from, cap] at which each event column holds,
+    else cap + 1.
 
     Walk i draws on lane i.  At check m it stands at step k(m), with
     position S_k and radius R_{k+1}: k(m) = m on the step clock, and with
@@ -316,6 +311,8 @@ def _stopping_times(walks: Sequence[LookAroundWalk], event, trials: int, cap: in
             R.append(rad[b])
             state[lane] = (k, T, cum[:, B])
         ev = np.asarray(event(S, R)).reshape(n, B, columns)
+        if t0 < check_from:  # checks before check_from never count
+            ev = ev & (np.arange(t0, t0 + B) >= check_from)[:, None]
         hit = ev.any(axis=1)
         rows = np.nonzero(hit.any(axis=1))[0]
         if rows.size:
@@ -568,16 +565,17 @@ def mc_event_frequency(law: StepLaw, s0: int, horizon: int, event: str,
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     make_cond, first, pair = _EVENTS[name]
-    cond, m = make_cond(arg, law), first(horizon)
-    hits = 0
-    for start in range(0, trials, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, trials), dtype=np.int64)
-        S, R = _paths(law, root_seed, idx, 0, s0, horizon)
-        if pair:
-            S2, R2 = _paths(law2, root_seed, idx, 1, s02, horizon)
-            S, R = S - S2, R + R2
-        hits += int((~cond(S[:, m:], R[:, m:]).any(axis=1)).sum())
-    return hits / trials
+    cond = make_cond(arg, law)
+    ws = [LookAroundWalk(law, s0)]
+    if pair:
+        ws.append(LookAroundWalk(law2, s02))
+
+    def holds(S, R):  # a pair acts on S1 - S2 with radius R1 + R2
+        return cond(S[0] - S[1], R[0] + R[1]) if pair else cond(S[0], R[0])
+
+    T = _stopping_times(ws, holds, trials, horizon, root_seed,
+                        check_from=first(horizon))
+    return int((T > horizon).sum()) / trials
 
 
 # ---------------------------------------------------------------------------
@@ -802,15 +800,13 @@ def check_upper_deviation_bound(w: LookAroundWalk, mu: float, n: int, y: float,
         return n * float(logsumexp(logp + t * zs)) - t * y
 
     zmax = max(1.0, float(np.abs(zs).max()))
-    res = minimize_scalar(objective, bounds=(1e-9, 60.0 / zmax), method="bounded")
+    t_max = 60.0 / zmax
+    t_min = 1e-9 if t_max >= 1e-9 else t_max / 2  # below t_max past max|zeta| = 6e10
+    res = minimize_scalar(objective, bounds=(t_min, t_max), method="bounded")
     bound = min(1.0, math.exp(res.fun))
 
-    zeta = w.law.arrays[0]
-    count = 0
-    for start in range(0, trials, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, trials), dtype=np.int64)
-        S_n = zeta[w.law.table.draw(0, root_seed, idx, 0, 0, n)].sum(axis=1)
-        count += int((S_n >= y).sum())
+    T = _stopping_times([w], lambda S, R: S[0] >= y, trials, n, root_seed, check_from=n)
+    count = int((T <= n).sum())
     freq = count / trials
     lo, hi = wilson_interval(count, trials)
     return CheckResult("upper-deviation", freq <= bound,

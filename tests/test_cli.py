@@ -127,10 +127,27 @@ ORACLE_LAW2 = ["--law2", "1/4:1,1,2;1/4:-1,1,1;1/2:0,1,1"]
      "81933dcc763f5ff3c56257c24d361650022e24f881d4ffa52b454e3cc15dbf02"),
     (["oracle", *ORACLE_LAW, "--event", "ballmeeting", *ORACLE_LAW2, "--s02", "7"], 0,
      "56a288f81462f23afa35c3161b8ba5dd64cedee580f38f2dcaf299637d054fe1"),
+    # recorded before the deviation check moved from chunked full paths onto
+    # the stopping-time helper; more than 4096 trials
+    (["lemma", "deviation", "--law", "srw", "--mu", "0.2", "--n", "100", "--y", "20",
+      "--trials", "5000", "--seed", "3"], 0,
+     "1e9a49b8c2a7dcdf039b0b6ef90f406235f3f0916a648222ef1df45507613f67"),
+    (["lemma", "deviation", "--law", "lazy", "--mu", "0.1", "--n", "64", "--y", "8",
+      "--trials", "6000", "--seed", "7"], 0,
+     "72e78d2893c9f35a434c62c707e712cd1e5356e5982873866f8a364db0393662"),
 ])
 def test_walks_bytes_pinned(argv, code, digest, capsys):
     assert main(argv) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_lemma_deviation_large_steps(capsys):
+    # max|zeta| = 1e11 put the bound optimizer's lower bound above its upper
+    # bound, and the ValueError escaped as a traceback
+    assert main(["lemma", "deviation", "--law", "1/2:100000000000;1/2:-100000000000",
+                 "--mu", "1", "--n", "4", "--y", "4", "--trials", "10"]) in (0, 3)
+    body = json.loads(capsys.readouterr().out)
+    assert body["details"]["chernoff_bound"] == 1.0
 
 
 def test_oracle_exact(capsys):

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
+from scipy.special import logsumexp
 
 from scoutsim import engine
 from scoutsim.errors import BudgetExceededError, PreconditionError
@@ -24,7 +26,7 @@ from scoutsim.walks import (CHECKS, LookAroundWalk, NAMED_LAWS, StepLaw,
                             oracle_meeting_survival,
                             oracle_position_probability,
                             oracle_reach_survival, parse_law, sample_walk)
-from scoutsim.walks import _CHUNK, _corridor_times, _paths, _stopping_times
+from scoutsim.walks import _corridor_times, _stopping_times
 
 
 def srw():
@@ -480,6 +482,80 @@ def test_deviation_preconditions():
         check_upper_deviation_bound(LookAroundWalk(srw()), 0.5, 100, 10)
 
 
+def deviation_count_chunked(law, n, y, trials, root_seed, chunk=4096):
+    """Reference: the deviation check's count of S_n >= y as it was before it
+    moved onto the stopping-time helper, every full path in chunks of trials."""
+    zeta = law.arrays[0]
+    count = 0
+    for start in range(0, trials, chunk):
+        idx = np.arange(start, min(start + chunk, trials), dtype=np.int64)
+        S_n = zeta[law.table.draw(0, root_seed, idx, 0, 0, n)].sum(axis=1)
+        count += int((S_n >= y).sum())
+    return count
+
+
+def random_centered_law(rng):
+    """A random integer law with E[zeta] = 0: a last unit step cancels the mean."""
+    weights = [int(v) for v in rng.integers(1, 7, size=int(rng.integers(1, 4)))]
+    zetas = [int(v) for v in rng.integers(-3, 4, size=len(weights))]
+    moment = sum(w * z for w, z in zip(weights, zetas))
+    if moment:
+        weights.append(abs(moment))
+        zetas.append(-1 if moment > 0 else 1)
+    return make_law([(Fraction(w, sum(weights)), z, 1, float(rng.choice([1.0, 2.5])))
+                     for w, z in zip(weights, zetas)])
+
+
+def test_deviation_count_matches_chunked_reference():
+    rng = np.random.default_rng(50)
+    cases = 0
+    for case in range(12):
+        law = random_centered_law(rng)
+        n = int(rng.integers(1, 40))
+        mu = float(rng.choice([0.05, 0.2, 0.5]))
+        y = mu * n + float(rng.integers(0, 4))
+        trials = int(rng.choice([1, 300, 4099, 9000]))
+        res = check_upper_deviation_bound(LookAroundWalk(law), mu, n, y,
+                                          trials=trials, root_seed=case)
+        want = deviation_count_chunked(law, n, y, trials, case)
+        assert res.estimate == want / trials, (case, n, y, trials)
+        cases += 0 < want < trials
+    assert cases >= 4  # some counts are neither 0 nor every trial
+
+
+def chernoff_old_bounds(law, n, y):
+    """Reference: the bound optimized on (1e-9, 60 / max|zeta|), valid while
+    that interval is not empty."""
+    logp = np.log([float(o.probability) for o in law.outcomes])
+    zs = np.array([float(o.zeta) for o in law.outcomes])
+    zmax = max(1.0, float(np.abs(zs).max()))
+    res = minimize_scalar(lambda t: n * float(logsumexp(logp + t * zs)) - t * y,
+                          bounds=(1e-9, 60.0 / zmax), method="bounded")
+    return min(1.0, math.exp(res.fun)), float(res.x)
+
+
+@pytest.mark.parametrize("law_text,n,y", [
+    ("srw", 100, 20), ("lazy", 64, 8), ("1/2:0.1;1/2:-0.1", 300, 3.0),
+    ("1/2:100000;1/2:-100000", 16, 800000),
+    ("1/2:60000000000;1/2:-60000000000", 4, 4),  # the interval is one point
+])
+def test_deviation_bound_unchanged_where_old_bounds_valid(law_text, n, y):
+    law = parse_law(law_text)
+    res = check_upper_deviation_bound(LookAroundWalk(law), 0.01, n, y, trials=10)
+    bound, t = chernoff_old_bounds(law, n, y)
+    assert (res.details["chernoff_bound"], res.details["optimal_t"]) == (bound, t)
+
+
+def test_deviation_large_steps_bounded():
+    # past max|zeta| = 6e10 the optimizer's lower bound 1e-9 exceeded its
+    # upper bound 60 / max|zeta|, and minimize_scalar raised ValueError
+    w = LookAroundWalk(parse_law("1/2:100000000000;1/2:-100000000000"))
+    res = check_upper_deviation_bound(w, 1, 4, 4, trials=10)
+    assert 0 < res.details["optimal_t"] <= 60 / 1e11
+    assert res.details["chernoff_bound"] == 1.0
+    assert res.estimate == deviation_count_chunked(w.law, 4, 4, 10, 0) / 10
+
+
 def test_corridor_separating_drifts_flat():
     # walks drifting apart with the corridor behind both: survival stays 1
     up = LookAroundWalk(NAMED_LAWS["up"](), 10.0)
@@ -696,6 +772,26 @@ def test_every_level_decided_in_one_block(monkeypatch):
     assert (got == [1, 3, 5, 7]).all()
 
 
+def test_sample_walk_rejects_start_beyond_int64():
+    # the start was added after only the offsets were bounded: from 2**63 - 2
+    # the third position wrapped to -2**63
+    up = parse_law("up")
+    with pytest.raises(PreconditionError, match="int64"):
+        sample_walk(LookAroundWalk(up, 2**63 - 2), 3, 0)
+    with pytest.raises(PreconditionError, match="int64"):
+        sample_walk(LookAroundWalk(up, -float(2**63)), 0, 0)
+    assert sample_walk(LookAroundWalk(up, 2**63 - 2), 0, 0).positions.tolist() == [2**63 - 2]
+
+
+def test_sample_walk_adds_integer_start_exactly():
+    # a float start was summed in float: from 2.0**62 every position read 2**62
+    path = sample_walk(LookAroundWalk(parse_law("up"), float(2**62)), 3, 0)
+    assert path.positions.dtype == np.int64
+    assert path.positions.tolist() == [2**62, 2**62 + 1, 2**62 + 2, 2**62 + 3]
+    assert sample_walk(LookAroundWalk(parse_law("up"), 2**62), 3, 0).positions.tolist() \
+        == [2**62, 2**62 + 1, 2**62 + 2, 2**62 + 3]
+
+
 def test_sample_walk_keeps_fractional_start():
     path = sample_walk(LookAroundWalk(srw(), 0.5), 4, 0)
     assert path.positions.dtype == np.float64
@@ -727,6 +823,18 @@ def test_mc_event_frequency_checks_arguments(kwargs, match):
         mc_event_frequency(**args)
 
 
+def paths(law, root_seed, trials_idx, walk_id, s0, horizon):
+    """Reference sampler: every full path, positions S_0..S_horizon as float
+    and radii R_1..R_{horizon+1}, as mc_event_frequency drew them before it
+    moved onto the stopping-time helper."""
+    zeta, _, rad = law.arrays
+    b = law.table.draw(0, root_seed, trials_idx, walk_id, 0, horizon + 1)
+    S = np.empty(b.shape)
+    S[:, 0] = s0
+    S[:, 1:] = s0 + np.cumsum(zeta[b[:, :-1]], axis=1)
+    return S, rad[b]
+
+
 def mc_event_frequency_branches(law, s0, horizon, event, trials, root_seed,
                                 law2=None, s02=None):
     """Reference: one branch per event on the sampled paths of both walks,
@@ -734,9 +842,9 @@ def mc_event_frequency_branches(law, s0, horizon, event, trials, root_seed,
     name, _, arg = event.partition(":")
     target = int(arg) if arg else None
     idx = np.arange(trials, dtype=np.int64)
-    S1, R1 = _paths(law, root_seed, idx, 0, s0, horizon)
+    S1, R1 = paths(law, root_seed, idx, 0, s0, horizon)
     if name in ("meeting", "ballmeeting"):
-        S2, R2 = _paths(law2, root_seed, idx, 1, s02, horizon)
+        S2, R2 = paths(law2, root_seed, idx, 1, s02, horizon)
         if name == "meeting":
             ok = (S1[:, 1:] != S2[:, 1:]).all(axis=1)
         else:
@@ -780,13 +888,30 @@ def test_mc_event_frequency_matches_branch_reference(name):
             horizon, s02 = 0 if case < 2 else horizon, s01
         arg = int(rng.integers(0, 4)) if name == "exit" else s01 + int(rng.integers(-3, 4))
         event = name if name in ("meeting", "ballmeeting") else f"{name}:{arg}"
-        trials = 1 if case == 4 else int(rng.choice([37, 500, _CHUNK + 3]))
+        trials = 1 if case == 4 else int(rng.choice([37, 500, 4099]))
         want = mc_event_frequency_branches(law1, s01, horizon, event, trials, case,
                                            law2=law2, s02=s02)
         assert mc_event_frequency(law1, s01, horizon, event, trials, case,
                                   law2=law2, s02=s02) == want, (case, event)
         cases += 0 < want < 1
     assert cases >= 5  # some cases are neither sure nor impossible
+
+
+@pytest.mark.parametrize("budget", [1, 7])
+@pytest.mark.parametrize("name", ["position", "meeting", "reach"])
+def test_mc_event_frequency_check_from_across_blocks(monkeypatch, budget, name):
+    # blocks of one or a few checks: the first checked time falls inside and
+    # past the first blocks
+    monkeypatch.setattr(engine, "_IID_VARIATES", budget * 30)
+    rng = np.random.default_rng(budget)
+    for case in range(6):
+        law1, law2 = random_integer_law(rng), random_integer_law(rng)
+        horizon = int(rng.integers(0, 12))
+        event = "meeting" if name == "meeting" else f"{name}:{int(rng.integers(-3, 4))}"
+        want = mc_event_frequency_branches(law1, 0, horizon, event, 30, case,
+                                           law2=law2, s02=1)
+        assert mc_event_frequency(law1, 0, horizon, event, 30, case,
+                                  law2=law2, s02=1) == want, (case, event)
 
 
 def test_checks_registry():

@@ -25,9 +25,18 @@ dynamic program, :func:`_dp_survival`, provides the independent oracle for
 every event with integer displacements.  It runs on Python integers: with
 D the lcm of the outcome probabilities' denominators, outcome j carries the
 integer weight a_j = p_j * D, and the surviving mass at each position after
-n steps is an integer numerator over D**n.  Integer sums and products are
-exact, so the one ``Fraction(numerator, D**n)`` built at the end equals the
-rational answer bit for bit.  Integer displacements must lie in int64.
+n steps is an integer numerator over D**n.  The numerators of all positions
+are packed into one int, one slot of W bits per position with W a multiple
+of 8 and 2**W > D**horizon, so that no carry crosses a slot (Kronecker
+substitution); slots step by g, the gcd of the displacement differences,
+so a law with steps +-10 packs only the positions it can reach.  Each
+distinct floor radius has one mask, all-ones slots at the positions where
+the event does not hold, built once over the reachable range; a step is
+one AND with each mask and one shift-and-add per merged (radius,
+displacement) outcome, and empty low slots are shifted out after each
+step.  Integer sums and products are exact, so the one
+``Fraction(numerator, D**n)`` built at the end equals the rational answer
+bit for bit.  Integer displacements must lie in int64.
 
 Every Monte-Carlo estimate is a stopping time found by one sampler,
 :func:`_stopping_times` (the full-path ``_paths`` and its ``_CHUNK`` loop
@@ -41,12 +50,16 @@ every column is decided.  Draws are keyed by (trial, walk, step) (Salmon et
 al., "Parallel random numbers: as easy as 1, 2, 3", SC'11), and integer
 displacements are carried exactly as int64 offsets from s0 (a run whose
 offsets could reach 2**63 is refused), so for integer steps neither the
-partition nor the dropping changes a value.  Float steps are summed block
-by block, so float-step ``lemma`` results are not pinned across block
-partitions.  Single-walk checks run on the step clock.  The corridor runs
-on the integer time clock: at time m walk i stands at step k_i(m), the last
-k with T_k <= m, read per trial from the block's cumulated durations; for
-unit-time laws k(m) = m.
+partition nor the dropping changes a value.  A walk with integer steps and
+an integer s0 has int64 positions, s0 + offset.  The frequency then compares
+each radius as its int64 floor, clamped at a power of two above every
+distance its event can compare, so each comparison is exact and no sum
+leaves int64; a run whose positions, argument and clamp could reach 2**63
+is refused.  Float steps are summed block by block, so float-step ``lemma``
+results are not pinned across block partitions.  Single-walk checks run on
+the step clock.  The corridor runs on the integer time clock: at time m
+walk i stands at step k_i(m), the last k with T_k <= m, read per trial from
+the block's cumulated durations; for unit-time laws k(m) = m.
 """
 
 from __future__ import annotations
@@ -231,9 +244,22 @@ class WalkPath:
 def _check_offsets(law: StepLaw, steps: int, start: int = 0) -> None:
     """Raise PreconditionError unless ``steps`` integer steps of ``law`` from
     an integer start of absolute value ``start`` stay inside int64."""
-    if law.integer_zeta and start + steps * max(abs(int(o.zeta)) for o in law.outcomes) >= _INT64:
+    if law.integer_zeta and start + steps * _max_step(law) >= _INT64:
         raise PreconditionError("integer walk positions could leave int64: "
                                 f"|s0| + {steps} steps * max|zeta| >= 2**63")
+
+
+def _max_step(law: StepLaw) -> int:
+    return max(abs(int(o.zeta)) for o in law.outcomes)
+
+
+def _start(w: LookAroundWalk, steps: int) -> int | float:
+    """The walk's start: an int when its steps and s0 are integer-valued, so
+    positions are carried exactly in int64 (``steps`` steps from it must stay
+    inside int64), a float otherwise."""
+    exact = w.law.integer_zeta and float(w.s0).is_integer()
+    _check_offsets(w.law, steps, abs(int(w.s0)) if exact else 0)
+    return int(w.s0) if exact else float(w.s0)
 
 
 def sample_walk(w: LookAroundWalk, horizon: int, seed_root: int,
@@ -244,11 +270,9 @@ def sample_walk(w: LookAroundWalk, horizon: int, seed_root: int,
     otherwise; integer positions that could leave int64 raise PreconditionError.
     """
     zeta, nu, rad = w.law.arrays
-    exact = zeta.dtype == np.int64 and float(w.s0).is_integer()
-    s0 = int(w.s0) if exact else w.s0  # a float start would round the int steps
-    _check_offsets(w.law, horizon + 1, abs(s0) if exact else 0)
+    s0 = _start(w, horizon + 1)  # a float start would round the int steps
     b = w.law.table.draw(0, seed_root, trial, walk_id, 0, horizon + 1)
-    S = np.empty(horizon + 1, dtype=np.int64 if exact else float)
+    S = np.empty(horizon + 1, dtype=np.int64 if isinstance(s0, int) else float)
     S[0] = s0
     if horizon:
         S[1:] = s0 + np.cumsum(zeta[b[:-1]])
@@ -265,7 +289,8 @@ def _stopping_times(walks: Sequence[LookAroundWalk], event, trials: int, cap: in
     else cap + 1.
 
     Walk i draws on lane i.  At check m it stands at step k(m), with
-    position S_k and radius R_{k+1}: k(m) = m on the step clock, and with
+    position S_k (int64 when the steps and s0 are integer-valued, float
+    otherwise) and radius R_{k+1}: k(m) = m on the step clock, and with
     ``timed`` the last k whose time T_k (the sum of the first k durations)
     is at most m.  ``event(S, R)`` gets those per-walk positions and radii
     of the active trials as (active, B) arrays, one column per check of a
@@ -273,8 +298,7 @@ def _stopping_times(walks: Sequence[LookAroundWalk], event, trials: int, cap: in
     A block holds ``engine._iid_block(t0, cap + 1, active)`` checks, and a
     trial leaves once every column is decided (see the module docstring).
     """
-    for w in walks:
-        _check_offsets(w.law, cap + 1)
+    starts = [_start(w, cap + 1) for w in walks]
     out = np.empty((trials, columns), dtype=np.int64)
     idx = np.arange(trials, dtype=np.int64)
     times = np.full((trials, columns), cap + 1, dtype=np.int64)  # of the active trials
@@ -287,7 +311,7 @@ def _stopping_times(walks: Sequence[LookAroundWalk], event, trials: int, cap: in
         n = idx.size
         B = engine._iid_block(t0, cap + 1, n)
         S, R = [], []
-        for lane, (w, (k, T, off)) in enumerate(zip(walks, state)):
+        for lane, (w, s0, (k, T, off)) in enumerate(zip(walks, starts, state)):
             zeta, nu, rad = w.law.arrays
             clocked = timed and not w.law.unit_time
             b = w.law.table.draw(0, root_seed, idx, lane, k[:, None] if clocked else t0, B)
@@ -307,7 +331,7 @@ def _stopping_times(walks: Sequence[LookAroundWalk], event, trials: int, cap: in
                 last = j[:, B]
                 T = T + np.where(last > 0, ends[np.arange(n), last - 1], 0)
                 k = k + last
-            S.append(float(w.s0) + cum[:, :B])
+            S.append(s0 + cum[:, :B])
             R.append(rad[b])
             state[lane] = (k, T, cum[:, B])
         ev = np.asarray(event(S, R)).reshape(n, B, columns)
@@ -350,30 +374,6 @@ def _exact_outcomes(law: StepLaw) -> tuple[int, list[tuple[int, int, int]]]:
     if sum(a for a, _z, _r in outs) != D:
         raise PreconditionError("exact oracle needs probabilities summing exactly to 1")
     return D, outs
-
-
-def _merged(weighted) -> tuple[tuple[int, int], ...]:
-    """(zeta, weight) pairs with one entry per displacement and no zero weight."""
-    acc: dict[int, int] = defaultdict(int)
-    for a, z in weighted:
-        acc[z] += a
-    return tuple((z, a) for z, a in acc.items() if a)
-
-
-class _MoveTable(dict):
-    """Position -> the merged (zeta, weight) moves that survive there.
-
-    ``rule(s)`` runs once per position, on first lookup; the DP then costs a
-    dict lookup per (position, step).
-    """
-
-    def __init__(self, rule):
-        super().__init__()
-        self.rule = rule
-
-    def __missing__(self, s: int):
-        moves = self[s] = self.rule(s)
-        return moves
 
 
 def _budget_check(law: StepLaw, horizon: int) -> None:
@@ -425,33 +425,66 @@ def _dp_survival(law: StepLaw, s0: int, horizon: int, cond, check_from: int = 0)
     step n+1, including one final unmoved draw at n = horizon.  Every event
     compares an integer g(S_n) with R, and for integer g, g <= R exactly when
     g <= floor(R), so ``cond`` sees the integer floor.  It runs once per
-    (position, distinct radius); where it kills no outcome the position
-    moves by the one shared tuple of all outcomes, keeping all D of its
-    weight, so an event of the position alone is the case where ``cond``
-    ignores r.
+    (position of the reachable range, distinct radius), and an event of the
+    position alone is the case where ``cond`` ignores r.
+
+    The surviving mass is packed into one int P: slot i, ``width`` bits wide
+    (a multiple of 8 with 2**width > D**horizon), holds the numerator of
+    position base + g * i, where g is the gcd of the differences z - zmin of
+    the displacements, so every S_n is s0 + n * zmin + g * j and only those
+    positions take a slot.  Slots are nonnegative and sum to at most D**n,
+    so no carry crosses a slot.  Radius r has one mask per residue mod g
+    that some S_n takes, over that residue's positions in the reachable
+    range [lo, hi], built once from bytes: all-ones slots where
+    ``cond(s, r)`` is false.  A step is new P = sum over the merged
+    outcomes (r, z) of a_{r,z} * (P & mask_r >> offset) << (z - zmin) / g *
+    width, with the mask shifted to P's base; before ``check_from`` the mask
+    is skipped.  Empty low slots are shifted out after each step, so an
+    event that prunes the support pays only for the occupied width.  The
+    slots are unpacked once, at the end.
     """
     _budget_check(law, horizon + 1)
     D, outs = _exact_outcomes(law)
-    radii = {r for _a, _z, r in outs}
-    every = _merged((a, z) for a, z, _r in outs)
-
-    def rule(s):
-        dead = {r for r in radii if cond(s, r)}
-        return _merged((a, z) for a, z, r in outs if r not in dead) if dead else every
-
-    checked, unchecked = _MoveTable(rule), _MoveTable(lambda s: every)
-    dist = {int(s0): 1}
+    outs = [(a, z, r) for a, z, r in outs if a]  # zero weights move no mass
+    zs = [z for _a, z, _r in outs]
+    zmin = min(zs)
+    g = math.gcd(*(z - zmin for z in zs)) or 1  # S_n = s0 + n * zmin + g * j
+    lo, hi = s0 + horizon * min(zmin, 0), s0 + horizon * max(max(zs), 0)  # reachable
+    k = ((D ** horizon).bit_length() + 7) // 8  # bytes per slot
+    width = 8 * k
+    moves: dict[int | None, dict[int, int]] = {}  # radius (None: unchecked) -> zeta -> weight
+    for a, z, r in outs:
+        for key in (r, None):
+            moves.setdefault(key, defaultdict(int))[z] += a
+    steps = {r: [((z - zmin) // g * width, a) for z, a in m.items()] for r, m in moves.items()}
+    radii = [r for r in moves if r is not None]
+    # per residue mod g that some S_n takes, its positions in [lo, hi]: slot
+    # j of a mask holds the position lo + (c - lo) % g + g * j
+    residues = {(s0 + n * zmin) % g for n in range(horizon + 1)}
+    alive = {(r, c): [r is None or not cond(s, r) for s in range(lo + (c - lo) % g, hi + 1, g)]
+             for r in moves for c in residues}
+    ones, zeros = b"\xff" * k, bytes(k)
+    masks = {(r, c): int.from_bytes(b"".join(ones if ok else zeros for ok in alive[r, c]), "little")
+             for r in radii for c in residues}
+    P, base, low = 1, s0, (1 << width) - 1
     for n in range(horizon):
-        moves = checked if n >= check_from else unchecked
-        new: dict[int, int] = defaultdict(int)
-        for s, w in dist.items():  # each position's mass along its moves
-            for z, a in moves[s]:
-                new[s + z] += w * a
+        off, new = (base - lo) // g * width, 0
+        for r in (radii if n >= check_from else (None,)):
+            Q = P if r is None else P & (masks[r, base % g] >> off)
+            for shift, a in steps[r]:
+                term = (Q if a == 1 else a * Q) << shift  # 1 * Q would copy Q
+                new = new + term if new else term
         if not new:
             return Fraction(0)
-        dist = new
-    last = checked if horizon >= check_from else unchecked
-    total = sum(w * sum(a for _z, a in last[s]) for s, w in dist.items())
+        if not new & low:  # shift out the empty low slots
+            empty = ((new & -new).bit_length() - 1) // width
+            new, base = new >> empty * width, base + g * empty
+        P, base = new, base + zmin
+    data = P.to_bytes(-(-P.bit_length() // width) * k, "little")
+    slots = [int.from_bytes(data[i:i + k], "little") for i in range(0, len(data), k)]
+    total = sum(sum(moves[r].values())
+                * sum(w for w, ok in zip(slots, alive[r, base % g][(base - lo) // g:]) if ok)
+                for r in (radii if horizon >= check_from else (None,)))
     return Fraction(total, D ** (horizon + 1))
 
 
@@ -569,9 +602,22 @@ def mc_event_frequency(law: StepLaw, s0: int, horizon: int, event: str,
     ws = [LookAroundWalk(law, s0)]
     if pair:
         ws.append(LookAroundWalk(law2, s02))
+    starts = [_start(w, horizon + 1) for w in ws]
+    exact = all(isinstance(s, int) for s in starts)
+    if exact:  # int64 positions: see the module docstring
+        extents = [abs(s) + horizon * _max_step(w.law) for s, w in zip(starts, ws)]
+        far = abs(starts[0] - (starts[1] if pair else arg))
+        clamp = 1 << (far + horizon * sum(_max_step(w.law) for w in ws)).bit_length()
+        if max(abs(arg or 0), *extents) + clamp >= _INT64:
+            raise PreconditionError(
+                "integer walk events could leave int64: max(|arg|, |s0| + "
+                f"{horizon} steps * max|zeta|) + 2**{clamp.bit_length() - 1} >= 2**63")
 
     def holds(S, R):  # a pair acts on S1 - S2 with radius R1 + R2
-        return cond(S[0] - S[1], R[0] + R[1]) if pair else cond(S[0], R[0])
+        s, r = (S[0] - S[1], R[0] + R[1]) if pair else (S[0], R[0])
+        if exact:  # for integer g, g <= r exactly when g <= floor(r)
+            r = np.floor(np.minimum(r, clamp)).astype(np.int64)
+        return cond(s, r)
 
     T = _stopping_times(ws, holds, trials, horizon, root_seed,
                         check_from=first(horizon))
@@ -786,8 +832,9 @@ def check_upper_deviation_bound(w: LookAroundWalk, mu: float, n: int, y: float,
     """Empirical P(S_n >= y) against the optimized exponential-moment bound.
 
     The bound exp(min_t [n log E e^(t zeta) - t y]) is computed from the
-    law's exact moment generating function; PASS means the frequency does
-    not exceed it.
+    law's exact moment generating function, minimized over u = t * max|zeta|
+    (max|zeta| taken as at least 1) in [1e-9, 60]; PASS means the frequency
+    does not exceed it.
     """
     _require(float(w.law.mean_zeta) == 0, "deviation check requires E[zeta] = 0")
     _require(float(w.s0) == 0, "deviation check requires s0 = 0")
@@ -796,13 +843,12 @@ def check_upper_deviation_bound(w: LookAroundWalk, mu: float, n: int, y: float,
     logp = np.log([float(o.probability) for o in w.law.outcomes])
     zs = np.array([float(o.zeta) for o in w.law.outcomes])
 
-    def objective(t: float) -> float:
-        return n * float(logsumexp(logp + t * zs)) - t * y
-
     zmax = max(1.0, float(np.abs(zs).max()))
-    t_max = 60.0 / zmax
-    t_min = 1e-9 if t_max >= 1e-9 else t_max / 2  # below t_max past max|zeta| = 6e10
-    res = minimize_scalar(objective, bounds=(t_min, t_max), method="bounded")
+
+    def objective(u: float) -> float:  # at t = u / max|zeta|: the tolerance is scale-free
+        return n * float(logsumexp(logp + u * (zs / zmax))) - u * (y / zmax)
+
+    res = minimize_scalar(objective, bounds=(1e-9, 60.0), method="bounded")
     bound = min(1.0, math.exp(res.fun))
 
     T = _stopping_times([w], lambda S, R: S[0] >= y, trials, n, root_seed, check_from=n)
@@ -813,7 +859,7 @@ def check_upper_deviation_bound(w: LookAroundWalk, mu: float, n: int, y: float,
                        {"mu": mu, "n": n, "y": y, "trials": trials},
                        root_seed, estimate=freq, ci=(lo, hi),
                        details={"chernoff_bound": bound,
-                                "optimal_t": float(res.x)})
+                                "optimal_t": float(res.x) / zmax})
 
 
 # ---------------------------------------------------------------------------

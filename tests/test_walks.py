@@ -3,6 +3,7 @@ samplers, and the statistical tail checks."""
 
 import itertools
 import math
+from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 from scipy.special import logsumexp
 
-from scoutsim import engine
+from scoutsim import engine, walks
 from scoutsim.errors import BudgetExceededError, PreconditionError
 from scoutsim.tails import SurvivalCurve, fit_tail
 from scoutsim.walks import (CHECKS, LookAroundWalk, NAMED_LAWS, StepLaw,
@@ -116,6 +117,29 @@ def test_sampled_paths_reject_offsets_beyond_int64():
     # horizon 0 takes no step
     assert sample_walk(w, 0, 0, trial=2).positions.tolist() == [0]
     assert mc_event_frequency(w.law, 0, 0, "hit:5", 4, 0) == 1.0
+
+
+def test_mc_event_frequency_exact_at_large_positions():
+    # positions were compared as float64: S_0..S_3 and the target all rounded
+    # to 2**60, so a hit at 2**60 + 5 read as certain
+    big = 2**60
+    up, zero = parse_law("up"), parse_law("zero")
+    cases = [(up, big, 3, f"hit:{big + 5}", None, None),
+             (parse_law("1:1,1,2.5"), big, 3, f"reach:{big + 6}", None, None),
+             (parse_law("1:1,1,2.5"), big, 4, f"reach:{big + 6}", None, None),
+             (up, big, 3, "meeting", zero, big + 5),
+             # radius floor(1.5 + 1.5) = 3 reaches S1 - S2 = -3 at step 3
+             (parse_law("1:1,1,1.5"), big, 2, "ballmeeting", parse_law("1:0,1,1.5"), big + 6),
+             (parse_law("1:1,1,1.5"), big, 3, "ballmeeting", parse_law("1:0,1,1.5"), big + 6)]
+    for law, s0, horizon, event, law2, s02 in cases:
+        want = exact_dp_oracle(law, s0, horizon, event, law2=law2, s02=s02)
+        assert mc_event_frequency(law, s0, horizon, event, 5, 0, law2=law2, s02=s02) == want, event
+    got = [mc_event_frequency(*c[:4], 5, 0, law2=c[4], s02=c[5]) for c in cases]
+    assert got == [1, 1, 0, 1, 1, 0]
+    # event arguments and distances that int64 cannot carry are refused
+    for arg in (2**63, -2**63 - 1, 2**62):
+        with pytest.raises(PreconditionError, match="int64"):
+            mc_event_frequency(srw(), 0, 3, f"lookaround:{arg}", 5, 0)
 
 
 def test_parse_law_named_and_literal():
@@ -311,6 +335,129 @@ def test_mc_matches_oracle_4sigma():
         f = mc_event_frequency(law, 0, horizon, event, 30000, 77)
         sigma = math.sqrt(p * (1 - p) / 30000)
         assert abs(f - p) <= 4 * sigma + 1e-9, (event, f, p)
+
+
+# ---------------------------------------------------------------------------
+# the packed DP against the dict-of-positions DP it replaced
+
+
+def dict_dp_survival(law: StepLaw, s0: int, horizon: int, cond, check_from: int = 0) -> Fraction:
+    """Reference: one dict of integer numerators per step, keyed by position,
+    with the merged (zeta, weight) moves that survive there looked up once
+    per position."""
+    walks._budget_check(law, horizon + 1)
+    D, outs = walks._exact_outcomes(law)
+    radii = {r for _a, _z, r in outs}
+
+    def merged(weighted):
+        acc = defaultdict(int)
+        for a, z in weighted:
+            acc[z] += a
+        return tuple((z, a) for z, a in acc.items() if a)
+
+    every = merged((a, z) for a, z, _r in outs)
+    checked, unchecked = {}, {}
+
+    def moves(table, s, rule):
+        if s not in table:
+            table[s] = rule(s)
+        return table[s]
+
+    def rule(s):
+        dead = {r for r in radii if cond(s, r)}
+        return merged((a, z) for a, z, r in outs if r not in dead) if dead else every
+
+    dist = {int(s0): 1}
+    for n in range(horizon):
+        table, how = (checked, rule) if n >= check_from else (unchecked, lambda s: every)
+        new = defaultdict(int)
+        for s, w in dist.items():
+            for z, a in moves(table, s, how):
+                new[s + z] += w * a
+        if not new:
+            return Fraction(0)
+        dist = new
+    table, how = (checked, rule) if horizon >= check_from else (unchecked, lambda s: every)
+    total = sum(w * sum(a for _z, a in moves(table, s, how)) for s, w in dist.items())
+    return Fraction(total, D ** (horizon + 1))
+
+
+def random_dp_law(rng) -> StepLaw:
+    """1-4 outcomes with zeta in [-3, 3], radii in {1, 1.5, 2, 3.7} and some
+    zero weights; about a quarter of the laws take the probabilities 1/7,
+    1/9, 1/11 and the rest, so that D reaches 7 * 9 * 11 with four outcomes."""
+    size = int(rng.integers(1, 5))
+    if rng.random() < 0.25:
+        probs = [Fraction(1, 7), Fraction(1, 9), Fraction(1, 11)][:size - 1]
+        probs.append(1 - sum(probs, Fraction(0)))
+    else:
+        weights = [int(v) for v in rng.integers(0, 5, size=size)]
+        weights[int(rng.integers(size))] += 1
+        probs = [Fraction(w, sum(weights)) for w in weights]
+    return make_law([(p, int(rng.integers(-3, 4)), 1, float(rng.choice([1, 1.5, 2, 3.7])))
+                     for p in probs])
+
+
+def dp_case(name: str, law: StepLaw, s0: int, horizon: int, arg, law2=None, s02=None):
+    """The (law, s0, horizon, cond, check_from) that ``walks._oracle`` runs."""
+    make_cond, first, pair = walks._EVENTS[name]
+    if pair:
+        law, s0 = walks._difference_law(law, law2), s0 - s02
+    return law, s0, horizon, make_cond(arg, law), first(horizon)
+
+
+def test_packed_dp_matches_dict_dp():
+    # no check before the first meeting check; a walk that never moves;
+    # steps 1000 apart, which pack every 1000th position
+    wide = parse_law("1/4:1000,1,2.5;1/4:-1000;1/2:0,1,2")
+    for case in [dp_case("meeting", srw(), 3, 0, None, srw(), 3),
+                 dp_case("hit", parse_law("zero"), 2, 9, 2),
+                 dp_case("reach", parse_law("1/2:0,1,3.7;1/2:0"), 2, 9, 5),
+                 dp_case("lookaround", wide, 7, 6, 1009),
+                 dp_case("ballmeeting", wide, 7, 4, None, srw(), -994)]:
+        assert walks._dp_survival(*case) == dict_dp_survival(*case)
+    rng = np.random.default_rng(13)
+    seen = defaultdict(int)
+    for _ in range(420):
+        name = sorted(walks._EVENTS)[int(rng.integers(len(walks._EVENTS)))]
+        law, law2 = random_dp_law(rng), random_dp_law(rng)
+        s0, s02 = int(rng.integers(-6, 7)), int(rng.integers(-6, 7))
+        horizon = int(rng.integers(0, 26 if not walks._EVENTS[name].pair else 14))
+        arg = int(rng.integers(-8, 9))
+        case = dp_case(name, law, s0, horizon, arg, law2, s02)
+        want = dict_dp_survival(*case)
+        assert walks._dp_survival(*case) == want, (name, law, s0, horizon, arg, law2, s02)
+        seen[name] += 1
+        seen["dead"] += want == 0
+        seen["large D"] += math.lcm(*(Fraction(o.probability).denominator
+                                      for o in case[0].outcomes)) % 693 == 0
+        zs = [int(o.zeta) for o in case[0].outcomes if o.probability]
+        seen["stride > 1"] += math.gcd(*(z - min(zs) for z in zs)) > 1
+    assert len(seen) == len(walks._EVENTS) + 3 and min(seen.values()) >= 10, seen
+
+
+@pytest.mark.parametrize("law_text,name,arg,horizon", [
+    ("up", "hit", 3, 5),                       # every path hits at step 3
+    ("srw", "exit", 0, 4),                     # centred: |S_1| = 1 > 0
+    ("1/2:1,1,2;1/2:-1,1,1.5", "lookaround", 0, 3),  # S_0 = 0 within every radius
+    ("srw", "position", 1, 4),                 # parity: S_4 is even
+])
+def test_packed_dp_all_mass_dies(law_text, name, arg, horizon):
+    case = dp_case(name, parse_law(law_text), 0, horizon, arg)
+    assert walks._dp_survival(*case) == dict_dp_survival(*case) == 0
+    assert isinstance(walks._dp_survival(*case), Fraction)
+
+
+def test_packed_dp_budget_at_the_same_cell_count(monkeypatch):
+    # cells = (2 * span * (horizon + 1) + 1) * (horizon + 1) * outcomes
+    law = parse_law("1/4:3;1/4:-2;1/2:0")
+    monkeypatch.setattr(walks, "_DP_CELL_BUDGET", (2 * 3 * 8 + 1) * 8 * 3)
+    case = dp_case("hit", law, 0, 7, 5)
+    assert walks._dp_survival(*case) == dict_dp_survival(*case)
+    case = dp_case("hit", law, 0, 8, 5)
+    for dp in (walks._dp_survival, dict_dp_survival):
+        with pytest.raises(BudgetExceededError, match=f"~{(2 * 3 * 9 + 1) * 9 * 3} cells"):
+            dp(*case)
 
 
 # ---------------------------------------------------------------------------
@@ -536,14 +683,26 @@ def chernoff_old_bounds(law, n, y):
 
 @pytest.mark.parametrize("law_text,n,y", [
     ("srw", 100, 20), ("lazy", 64, 8), ("1/2:0.1;1/2:-0.1", 300, 3.0),
-    ("1/2:100000;1/2:-100000", 16, 800000),
-    ("1/2:60000000000;1/2:-60000000000", 4, 4),  # the interval is one point
 ])
 def test_deviation_bound_unchanged_where_old_bounds_valid(law_text, n, y):
+    # laws with max|zeta| <= 1 optimize over t itself
     law = parse_law(law_text)
     res = check_upper_deviation_bound(LookAroundWalk(law), 0.01, n, y, trials=10)
     bound, t = chernoff_old_bounds(law, n, y)
     assert (res.details["chernoff_bound"], res.details["optimal_t"]) == (bound, t)
+
+
+@pytest.mark.parametrize("scale,n,y", [(100000, 16, 8), (60000000000, 4, 4), (3, 100, 20)])
+def test_deviation_bound_scale_free(scale, n, y):
+    # the optimizer's absolute tolerance acted on t, so steps of +-1e5 stopped
+    # at t = 4.56e-6 with the bound 0.1301, where the optimum is 0.1233
+    unit = check_upper_deviation_bound(LookAroundWalk(srw()), 0.01, n, y, trials=10)
+    law = parse_law(f"1/2:{scale};1/2:-{scale}")
+    res = check_upper_deviation_bound(LookAroundWalk(law), 0.01, n, y * scale, trials=10)
+    assert res.details["chernoff_bound"] == unit.details["chernoff_bound"]
+    assert res.details["optimal_t"] == pytest.approx(unit.details["optimal_t"] / scale, rel=1e-12)
+    if scale == 100000:
+        assert res.details["chernoff_bound"] == pytest.approx(0.1233, abs=1e-4)
 
 
 def test_deviation_large_steps_bounded():

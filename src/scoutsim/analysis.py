@@ -12,6 +12,16 @@ chains of scout pairs, and thick-ray domains.
 Exactness matters here: whether a drift is zero, and whether return
 displacements vanish identically, are sign/support questions that floating
 point cannot settle.
+
+Sampling from the reduced chain goes through one walker,
+:class:`_ChainWalk`: return triples (:func:`kernel_renewal_samples`) on
+lane 0 and pilot runs for ray widths (:func:`ray_domain`) on lane 1.  Step
+t+1 of chain i uses the uniform at counter (i, lane, t), so each block of
+steps draws its uniforms in one call, and finished chains are dropped
+between blocks.  Blocks double from one step up to 32 by
+:func:`engine._stepped_block`, the rule the engine's block source uses
+when it steps a ``VectorSim``; being keyed by the absolute counter, no
+value depends on the block lengths or the drop times.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -29,7 +39,7 @@ from scipy.sparse.csgraph import connected_components
 from . import streams
 from .errors import PreconditionError
 from .protocol import ProtocolError, ScoutProtocol
-from .engine import _compile
+from .engine import SeedSpec, _compile, _stepped_block
 
 STATIONARY_RESIDUAL_TOL = 1e-12
 
@@ -436,11 +446,55 @@ class RenewalSamples:
         return int(self.nu.size)
 
 
-def _sampler(k: ReducedKernel) -> tuple[streams.Categorical, np.ndarray, np.ndarray]:
-    """The kernel rows as a categorical table, with successor states and moves."""
-    table = streams.Categorical([[e.probability for e in row] for row in k.rows])
-    return (table, table.pad([[e.to for e in row] for row in k.rows], np.int64),
-            table.pad([[e.move for e in row] for row in k.rows], np.int64))
+class _ChainWalk:
+    """Chains of a reduced kernel from one start state, a block of steps at
+    a time, keyed as the module docstring says.
+
+    Iterating yields ``(t0, states, disp)``: the states (n, B) and the
+    displacements from the start (n, B, d) after steps t0+1 .. t0+B of the
+    n active chains, until the cap or until no chain is left.  Between
+    blocks, :meth:`drop` stops finished chains.
+    """
+
+    def __init__(self, k: ReducedKernel, start: int, count: int, root_seed: int,
+                 lane: int, cap: int):
+        self.table = streams.Categorical([[e.probability for e in row] for row in k.rows])
+        self.to = self.table.pad([[e.to for e in row] for row in k.rows], np.int64)
+        self.mv = self.table.pad([[e.move for e in row] for row in k.rows], np.int64)
+        self.root_seed = root_seed
+        self.lane = np.int64(lane)
+        self.cap = cap
+        self.time = 0
+        self.chains = np.arange(count, dtype=np.int64)
+        self.states = np.full(count, start, dtype=np.int64)
+        self.disp = np.zeros((count, k.dim), dtype=np.int64)
+
+    def __iter__(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        while self.chains.size and self.time < self.cap:
+            t0 = self.time
+            B = _stepped_block(t0, self.cap)
+            u = streams.uniforms(self.root_seed, self.chains[:, None], self.lane,
+                                 t0 + np.arange(B, dtype=np.int64))
+            states = np.empty(u.shape, dtype=np.int64)
+            disp = np.empty(u.shape + self.disp.shape[1:], dtype=np.int64)
+            s = self.states
+            for b in range(B):
+                branch = self.table.select(s, u[:, b])
+                disp[:, b] = self.mv[s, branch]
+                s = states[:, b] = self.to[s, branch]
+            np.cumsum(disp, axis=1, out=disp)
+            disp += self.disp[:, None]
+            self.states, self.disp = s, disp[:, -1]
+            self.time = t0 + B
+            yield t0, states, disp
+
+    def drop(self, done: np.ndarray) -> None:
+        """Stop the active chains marked ``done``, if there are any."""
+        if done.any():
+            keep = ~done
+            self.chains = self.chains[keep]
+            self.states = self.states[keep]
+            self.disp = self.disp[keep]
 
 
 def kernel_renewal_samples(k: ReducedKernel, q0: str, count: int,
@@ -448,38 +502,28 @@ def kernel_renewal_samples(k: ReducedKernel, q0: str, count: int,
     """Sample i.i.d. return triples of the reduced chain observed at q0.
 
     The triples' law does not depend on history before the first visit to
-    q0, so chains start at q0 directly.  Vectorized across samples; every
-    draw is keyed by (root_seed, sample, 0, step).
+    q0, so chains start at q0 directly.  A :class:`_ChainWalk` on lane 0
+    steps them; each chain stops at its first return.
     """
     rep = classes(k)
     home = next((c for c in rep.classes if q0 in c.states), None)
     if home is None or not home.recurrent:
         raise PreconditionError(f"state {q0!r} is not in a recurrent class")
 
-    table, to, mv = _sampler(k)
     q0_idx = k.states.index(q0)
-    reps = np.arange(count, dtype=np.int64)
-    state = np.full(count, q0_idx, dtype=np.int64)
-    disp = np.zeros((count, k.dim), dtype=np.int64)
     zeta = np.zeros((count, k.dim), dtype=np.int64)
     nu = np.zeros(count, dtype=np.int64)
-    t = 0
-    active = np.arange(count)
-    while active.size:
-        if t >= max_steps:
-            raise RuntimeError("return sampling exceeded the step budget")
-        u = streams.uniforms(root_seed, reps[active], np.int64(0), np.int64(t))
-        s = state[active]
-        branch = table.select(s, u)
-        state[active] = to[s, branch]
-        disp[active] += mv[s, branch]
-        t += 1
-        back = state[active] == q0_idx
-        if back.any():
-            done = active[back]
-            zeta[done] = disp[done]
-            nu[done] = t  # all chains started at q0 at step 0
-            active = active[~back]
+    walk = _ChainWalk(k, q0_idx, count, root_seed, 0, max_steps)
+    for t0, states, disp in walk:
+        back = states == q0_idx
+        done = back.any(axis=1)
+        first = back[done].argmax(axis=1)
+        ids = walk.chains[done]
+        zeta[ids] = disp[done, first]
+        nu[ids] = t0 + 1 + first  # all chains started at q0 at step 0
+        walk.drop(done)
+    if walk.chains.size:
+        raise RuntimeError("return sampling exceeded the step budget")
     return RenewalSamples(zeta, nu, 2 * nu)
 
 
@@ -664,24 +708,17 @@ class RayDomain:
 def _estimate_half_width(k: ReducedKernel, cls: Sequence[str], direction,
                          root_seed: int, pilot_runs: int = 200,
                          pilot_steps: int = 512) -> float:
-    """99th-percentile excursion perpendicular to the drift over pilot runs."""
-    table, to, mv = _sampler(k)
-    start = k.states.index(cls[0])
-    reps = np.arange(pilot_runs, dtype=np.int64)
-    state = np.full(pilot_runs, start, dtype=np.int64)
-    pos = np.zeros((pilot_runs, k.dim), dtype=np.int64)
+    """99th-percentile excursion perpendicular to the drift over pilot runs
+    (a :class:`_ChainWalk` on lane 1), in sup norm without a drift."""
     worst = np.zeros(pilot_runs)
-    for t in range(pilot_steps):
-        u = streams.uniforms(root_seed, reps, np.int64(1), np.int64(t))
-        branch = table.select(state, u)
-        pos += mv[state, branch]
-        state = to[state, branch]
+    for _, _, pos in _ChainWalk(k, k.states.index(cls[0]), pilot_runs, root_seed, 1,
+                                pilot_steps):
         if direction is None:
-            cur = np.abs(pos).max(axis=1)
+            cur = np.abs(pos).max(axis=2)
         else:
             ax, ay = direction
-            cur = np.abs(-pos[:, 0] * ay + pos[:, 1] * ax)
-        np.maximum(worst, cur, out=worst)
+            cur = np.abs(-pos[..., 0] * ay + pos[..., 1] * ax)
+        np.maximum(worst, cur.max(axis=1), out=worst)
     return float(np.quantile(worst, 0.99)) + 1.0
 
 
@@ -694,8 +731,11 @@ def ray_domain(p: ScoutProtocol, M: float | None = None, root_seed: int = 0,
     class the exact offset radius plus the state count is used.  Zero-drift
     classes carry the zero flag: the intended region is a bounded set whose
     canonical shape is not pinned down, so membership falls back to a
-    sup-norm ball and the ray is marked ambiguous.
+    sup-norm ball and the ray is marked ambiguous.  A user width must be
+    finite and positive.
     """
+    if M is not None and not (math.isfinite(M) and M > 0):
+        raise ValueError(f"ray width must be finite and > 0, got {M}")
     if p.dim != 2:
         raise PreconditionError("ray domains are defined on the plane")
     k = reduce_kernel(p, scout)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from datetime import datetime, timezone
@@ -212,6 +213,8 @@ def cmd_hitting(args, argv) -> int:
 
 
 def cmd_analyze(args, argv) -> int:
+    if args.ray_width is not None and not (math.isfinite(args.ray_width) and args.ray_width > 0):
+        raise UsageError(f"--ray-width must be finite and > 0, got {args.ray_width}")
     p = _load_protocol(args.protocol)
     if not 1 <= args.scout <= p.scouts:
         raise UsageError(f"--scout must be in [1, {p.scouts}], got {args.scout}")

@@ -45,10 +45,12 @@ min(cap - t0, max(1, V // R)) steps for R active replicas and a budget of
 V = 2**14 variates per scout, so blocks start short while most replicas
 run and grow as they finish.  All other protocols step a
 :class:`VectorSim` in blocks that double from one step up to 32: a block
-after step t0 is min(32, cap - t0, max(1, t0)) steps.  Every draw is keyed
-by its absolute step, so neither the path nor the partition changes a
-value: each event equals the stepwise :class:`VectorSim` loop bit for bit,
-meeting gaps in its (time, replica) order.  These measurements never
+after step t0 is min(32, cap - t0, max(1, t0)) steps, by
+:func:`_stepped_block`, which the reduced-kernel walker of :mod:`.analysis`
+shares.  Every draw is keyed by its absolute step, so neither the path
+nor the partition changes a value: each event equals the stepwise
+:class:`VectorSim` loop bit for bit, meeting gaps in its (time, replica)
+order.  These measurements never
 materialize traces, so caps of 2**24 steps run in bounded memory.
 
 The vectorized paths carry each grid point as one int64 key: k = x for
@@ -93,7 +95,7 @@ _PREFETCH_MAX_STEPS = 64
 # variates per scout in one iid block of _BlockSource (see _iid_block): a
 # block's arrays stay near 128 KiB however many replicas are active
 _IID_VARIATES = 1 << 14
-# most steps per block of _BlockSource when it steps a VectorSim; blocks
+# most steps per block stepped one at a time (see _stepped_block); blocks
 # double up to it, so replicas that finish early run no whole window
 _HIT_WINDOW = 32
 # d = 2 grid keys are exact while |coordinate| < _KEY_HALF (see _pack)
@@ -612,6 +614,12 @@ def _iid_block(t0: int, cap: int, active: int) -> int:
     return min(cap - t0, max(1, _IID_VARIATES // active))
 
 
+def _stepped_block(t0: int, cap: int) -> int:
+    """Steps of a block stepped one at a time after step t0: doubling from
+    one up to _HIT_WINDOW, and at most up to the cap."""
+    return min(_HIT_WINDOW, cap - t0, max(1, t0))
+
+
 class _BlockSource:
     """Grid keys of a range of replicas, one block of steps at a time.
 
@@ -620,7 +628,7 @@ class _BlockSource:
     replica is left.  Between blocks, :meth:`drop` stops finished replicas.
     Protocols whose scouts all walk i.i.d. draw each scout's block from its
     one row and cumulate the moves, B by :func:`_iid_block`; all others
-    step a :class:`VectorSim`, B = min(_HIT_WINDOW, cap - t0, max(1, t0)).
+    step a :class:`VectorSim`, B by :func:`_stepped_block`.
     Every draw is keyed by its absolute (replica, scout, step) counter, so
     neither the path, the block lengths nor the drop times change a key.
     """
@@ -654,7 +662,7 @@ class _BlockSource:
                     np.cumsum(comp.row_key[row][branch.T], axis=0, out=keys[:, :, i])
                 keys += self.keys
             else:
-                B = min(_HIT_WINDOW, self.cap - t0, max(1, t0))
+                B = _stepped_block(t0, self.cap)
                 keys = np.empty((B,) + self.keys.shape, dtype=np.int64)
                 for b in range(B):
                     self.sim.step()

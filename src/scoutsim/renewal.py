@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import chi2
 
-from .engine import Trace, meeting_times
+from .engine import Trace
 from .errors import PreconditionError
 from .protocol import ScoutProtocol, protocol_hash
 from .tails import (CensoredSummary, InsufficientDataError, SurvivalCurve,

@@ -160,12 +160,6 @@ def uniform_scalar(root_seed: int, replica: int, scout: int, step: int) -> float
     return float(uniforms(root_seed, replica, scout, np.uint64(step)))
 
 
-def uniform_block(root_seed: int, replica: int, scout: int, start: int, count: int) -> np.ndarray:
-    """Stream values for steps start .. start+count-1 of one (replica, scout)."""
-    steps = np.arange(start, start + count, dtype=np.uint64)
-    return uniforms(root_seed, replica, scout, steps)
-
-
 class Categorical:
     """Finite distributions as padded cumulative rows.
 

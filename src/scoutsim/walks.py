@@ -443,6 +443,8 @@ def _dp_survival(law: StepLaw, s0: int, horizon: int, cond, check_from: int = 0)
     event that prunes the support pays only for the occupied width.  The
     slots are unpacked once, at the end.
     """
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
     _budget_check(law, horizon + 1)
     D, outs = _exact_outcomes(law)
     outs = [(a, z, r) for a, z, r in outs if a]  # zero weights move no mass
@@ -597,6 +599,8 @@ def mc_event_frequency(law: StepLaw, s0: int, horizon: int, event: str,
     name, arg = _parse_event(event, law2, s02)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
     make_cond, first, pair = _EVENTS[name]
     cond = make_cond(arg, law)
     ws = [LookAroundWalk(law, s0)]

@@ -67,23 +67,25 @@ def return_nonzero_probability(k: ReducedKernel, truncate: int = 60) -> float:
     """Lower bound on P(first return to state 0 has nonzero displacement).
 
     Truncated forward distribution over (state, displacement); exact up to
-    the mass still circulating after `truncate` steps.
+    the mass still circulating after `truncate` steps.  Each row is
+    converted to float once.
     """
     from collections import defaultdict
 
+    rows = [[(e.to, e.move, float(e.probability)) for e in row] for row in k.rows]
     dist = {(0, (0,) * k.dim): 1.0}
     hit_nonzero = 0.0
     for _ in range(truncate):
         new: dict = defaultdict(float)
         for (q, disp), w in dist.items():
-            for e in k.rows[q]:
-                nd = tuple(a + m for a, m in zip(disp, e.move))
-                p = w * float(e.probability)
-                if e.to == 0:
+            for to, move, prob in rows[q]:
+                nd = tuple(a + m for a, m in zip(disp, move))
+                p = w * prob
+                if to == 0:
                     if any(nd):
                         hit_nonzero += p
                 else:
-                    new[(e.to, nd)] += p
+                    new[(to, nd)] += p
         dist = new
         if not dist:
             break

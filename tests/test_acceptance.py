@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from scoutsim import SeedSpec, builtin, parse_protocol
-from scoutsim.analysis import (classes, degeneracy_check, effective_drift,
-                               kernel_renewal_samples, product_kernel)
-from scoutsim import streams
+from scoutsim.analysis import (_ChainWalk, classes, degeneracy_check,
+                               effective_drift, kernel_renewal_samples,
+                               product_kernel)
 from scoutsim.engine import (Trace, first_meeting_times, hit_times,
                              monte_carlo_hitting_multi, run_batch)
 from scoutsim.renewal import (FINITE, INFINITE, divergence_flag,
@@ -288,26 +288,11 @@ def test_criterion_05_exact_drift_identities():
 
 
 def _confinement_holds(k, verdict, root_seed, chains=64, steps=512):
-    table = streams.Categorical([[e.probability for e in row] for row in k.rows])
-    to = table.pad([[e.to for e in row] for row in k.rows], np.int64)
-    mv = table.pad([[e.move for e in row] for row in k.rows], np.int64)
-    root = None
-    for name, off in verdict.offsets.items():
-        if off == (0,) * k.dim:
-            root = k.states.index(name)
-            break
-    state = np.full(chains, root, dtype=np.int64)
-    pos = np.zeros((chains, k.dim), dtype=np.int64)
+    root = next(k.states.index(name) for name, off in verdict.offsets.items()
+                if off == (0,) * k.dim)
     offsets = np.array([verdict.offsets[s] for s in k.states], dtype=np.int64)
-    reps = np.arange(chains, dtype=np.int64)
-    for t in range(steps):
-        u = streams.uniforms(root_seed, reps, np.int64(0), np.int64(t))
-        b = table.select(state, u)
-        pos += mv[state, b]
-        state = to[state, b]
-        if not np.array_equal(pos, offsets[state]):
-            return False
-    return True
+    return all(np.array_equal(disp, offsets[states])
+               for _, states, disp in _ChainWalk(k, root, chains, root_seed, 0, steps))
 
 
 def test_criterion_06_degeneracy_soundness():

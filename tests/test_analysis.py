@@ -1,19 +1,21 @@
 """Exact automaton analysis: classes, drift, degeneracy, products, rays."""
 
+import hashlib
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from scoutsim import builtin, parse_protocol
-from scoutsim.analysis import (PreconditionError, ReducedKernel, ThickRay,
+from scoutsim import builtin, parse_protocol, streams
+from scoutsim.analysis import (KernelEntry, PreconditionError, ReducedKernel, ThickRay,
                                analyze_protocol, classes, degeneracy_check,
                                difference_drift, effective_drift,
                                joint_product_chain, kernel_renewal_samples,
                                product_kernel, ray_domain, reduce_kernel,
                                renewal_samples, stationary_distribution)
-from scoutsim.analysis import _solve_exact
+from scoutsim.analysis import _ChainWalk, _solve_exact
 from scoutsim.engine import SeedSpec
 from scoutsim.tails import SurvivalCurve, fit_tail
 
@@ -359,6 +361,123 @@ def test_return_time_exponential_tail():
     assert fit.slope < 0
 
 
+def test_renewal_step_budget():
+    k = _kernel(HALF_DRIFT)
+    with pytest.raises(RuntimeError, match="step budget"):
+        kernel_renewal_samples(k, "a", 5, root_seed=0, max_steps=1)
+    assert np.all(kernel_renewal_samples(k, "a", 5, root_seed=0, max_steps=2).nu == 2)
+
+
+# sha256 of the (zeta, nu) bytes, recorded with the per-step sampling loop
+# that the block walker replaced
+RENEWAL_DIGESTS = [
+    "9f685197799a6b883a59ab4b9d27349233ea985909a1e26351770914e5ff26a1",
+    "78a9deffb3feaac6911dc55a9fac7fbfecaf2b910a99c3d2a07ce9aea8a9880a",
+    "d833e85b37e20e7112073e3d00524e025e8c94f5ea919313a10d32b1161e547f",
+    "287fd207dbb4dea18ef50e7cc4234093dfc513043feb5b4d055ac5471e7bba99",
+]
+
+
+def _renewal_digest(rs):
+    return hashlib.sha256(rs.zeta.tobytes() + rs.nu.tobytes()).hexdigest()
+
+
+def test_renewal_samples_pinned():
+    rng = np.random.default_rng(1414)
+    for i, digest in enumerate(RENEWAL_DIGESTS):
+        k = random_rational_kernel(rng, int(rng.integers(2, 6)), 1 + i % 2)
+        q0 = classes(k).recurrent_classes()[0].states[0]
+        assert _renewal_digest(kernel_renewal_samples(k, q0, 3000, root_seed=40 + i)) == digest
+    rs = kernel_renewal_samples(reduce_kernel(builtin("srw", d=2)), "walk", 2000, root_seed=7)
+    assert _renewal_digest(rs) == \
+        "0e50058e58f4279b1e9f06a007b0413ca7ec2e3cf00b5e73607f36eade0f59d7"
+
+
+# the reduced-kernel walker
+
+
+def _walk_stepwise(k, start, count, root_seed, lane, cap):
+    """Reference: the per-step loop the walker replaced, one streams call
+    per step.  States (count, cap) and displacements (count, cap, d)."""
+    table = streams.Categorical([[e.probability for e in row] for row in k.rows])
+    to = table.pad([[e.to for e in row] for row in k.rows], np.int64)
+    mv = table.pad([[e.move for e in row] for row in k.rows], np.int64)
+    reps = np.arange(count, dtype=np.int64)
+    state = np.full(count, start, dtype=np.int64)
+    pos = np.zeros((count, k.dim), dtype=np.int64)
+    states = np.empty((count, cap), dtype=np.int64)
+    disp = np.empty((count, cap, k.dim), dtype=np.int64)
+    for t in range(cap):
+        u = streams.uniforms(root_seed, reps, np.int64(lane), np.int64(t))
+        branch = table.select(state, u)
+        pos = pos + mv[state, branch]
+        state = to[state, branch]
+        states[:, t] = state
+        disp[:, t] = pos
+    return states, disp
+
+
+def _float_rows(k):
+    return ReducedKernel(k.dim, k.states, tuple(
+        tuple(KernelEntry(float(e.probability), e.to, e.move) for e in row)
+        for row in k.rows))
+
+
+@pytest.mark.parametrize("cap", [1, 33, 100])
+@pytest.mark.parametrize("lane", [0, 1])
+@pytest.mark.parametrize("d", [1, 2])
+def test_chain_walk_matches_stepwise_loop(cap, lane, d):
+    rng = np.random.default_rng(cap * 10 + lane * 2 + d)
+    for trial in range(4):
+        k = random_rational_kernel(rng, int(rng.integers(1, 7)), d)
+        if trial == 3:
+            k = _float_rows(k)
+        start, count, seed = int(rng.integers(k.n_states)), 37, int(rng.integers(1000))
+        want_states, want_disp = _walk_stepwise(k, start, count, seed, lane, cap)
+        walk = _ChainWalk(k, start, count, seed, lane, cap)
+        end = 0
+        for t0, states, disp in walk:
+            assert t0 == end
+            end = t0 + states.shape[1]
+            assert np.array_equal(states, want_states[walk.chains, t0:end])
+            assert np.array_equal(disp, want_disp[walk.chains, t0:end])
+            # drop chains at uneven times, a block at a time
+            walk.drop(rng.random(walk.chains.size) < (0.3 if t0 % 3 else 0.0))
+        assert end == cap or walk.chains.size == 0
+
+
+def _return_nonzero_probability_reference(k, truncate=60):
+    """Reference: the helper in conftest before it converted each row to
+    float once; the same floats summed in the same order."""
+    from collections import defaultdict
+    dist = {(0, (0,) * k.dim): 1.0}
+    hit_nonzero = 0.0
+    for _ in range(truncate):
+        new = defaultdict(float)
+        for (q, disp), w in dist.items():
+            for e in k.rows[q]:
+                nd = tuple(a + m for a, m in zip(disp, e.move))
+                p = w * float(e.probability)
+                if e.to == 0:
+                    if any(nd):
+                        hit_nonzero += p
+                else:
+                    new[(e.to, nd)] += p
+        dist = new
+        if not dist:
+            break
+    return hit_nonzero
+
+
+def test_return_nonzero_probability_matches_reference():
+    from conftest import random_degenerate_kernel, return_nonzero_probability
+    rng = np.random.default_rng(66)
+    for trial in range(12):
+        make = random_degenerate_kernel if trial % 3 == 0 else random_rational_kernel
+        k = make(rng, int(rng.integers(2, 5)), 1 + trial % 2)
+        assert return_nonzero_probability(k, 25) == _return_nonzero_probability_reference(k, 25)
+
+
 # product chains
 
 
@@ -448,6 +567,12 @@ def test_ray_domain_zero_drift_flagged():
     assert r.ambiguous_zero_drift
     assert r.width_source == "estimate"
     assert r.ray.width > 1
+
+
+@pytest.mark.parametrize("width", [math.nan, math.inf, -5.0, 0.0])
+def test_ray_domain_rejects_bad_width(width):
+    with pytest.raises(ValueError, match="finite and > 0"):
+        ray_domain(builtin("srw", d=2), M=width)
 
 
 def test_ray_domain_needs_plane():

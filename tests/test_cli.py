@@ -255,6 +255,36 @@ def test_analyze_zero_probability_exit(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["protocol_hash"]
 
 
+def test_analyze_bad_ray_width_rejected_before_loading(capsys):
+    assert main(["analyze", "--protocol", "no/such/file", "--ray-width", "nan"]) == 1
+    assert capsys.readouterr().err.startswith("usage error: --ray-width")
+
+
+# sha256 of `analyze` stdout, recorded with the per-step ray-width loop that
+# the block walker replaced: estimated widths in sup norm (srw) and across a
+# drift (the two-state protocol)
+DRIFT2 = ("dim 2\nscouts 1\nstates a b\ninit 1 a\n"
+          "trans a * -> 1/2 a (+1,0) | 1/2 b (0,+1)\n"
+          "trans b * -> 1/3 a (0,-1) | 2/3 b (+1,+1)\n")
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["--protocol", "builtin:srw?d=2"],
+     "8b06c3169bf8a873f52f5327ff15d083a91bc54f56a95ca690d47c975eabd2e8"),
+    (["--protocol", "builtin:srw?d=2", "--seed", "5"],
+     "eaba47a061b7a5f6348fdec43c8e1f5bd480b8da33b8ad410d71973952dbf96f"),
+    (["--protocol", "builtin:anchored_geometric?d=2,p=1/2", "--scout", "2"],
+     "2ec01c407d63a2270f3a2f71a8394d2a07f211423ff63de9f9f746442b4322a1"),
+    (["--protocol", "DRIFT2", "--seed", "2"],
+     "fbf08631944baaf391d4024790a516eb9f10bfbd268156def0b0c105777b74e3"),
+])
+def test_analyze_bytes_pinned(argv, digest, tmp_path, capsys):
+    proto = tmp_path / "drift2.proto"
+    proto.write_text(DRIFT2)
+    assert main(["analyze"] + [str(proto) if a == "DRIFT2" else a for a in argv]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_analyze_with_rays(capsys):
     assert main(["analyze", "--protocol", "builtin:srw?d=2", "--ray-width", "4"]) == 0
     body = json.loads(capsys.readouterr().out)
@@ -349,6 +379,10 @@ def test_config_cli_overrides(tmp_path, capsys):
     ["oracle", "--law", f"1/2:{10**400};1/2:-1", "--event", "hit:2", "--horizon", "3"],
     ["lemma", "escape", "--law", "1/2:9223372036854775808;1/2:-1", "--x", "-5",
      "--trials", "50", "--horizon", "16"],
+    # a ray width must be finite and positive: nan was written as JSON NaN,
+    # and widths <= 0 gave rays that contain no point
+    *(["analyze", "--protocol", "builtin:srw?d=2", "--ray-width", w]
+      for w in ("nan", "-5", "0", "inf")),
 ])
 def test_edge_inputs_exit_usage(argv, capsys):
     assert main(argv) == 1

@@ -44,7 +44,7 @@ def test_broadcast_invariance():
 
 
 def test_block_matches_elementwise():
-    blk = streams.uniform_block(5, 9, 1, 100, 64)
+    blk = streams.uniforms(5, 9, 1, np.arange(100, 164, dtype=np.uint64))
     ref = np.array([streams.uniform_scalar(5, 9, 1, 100 + j) for j in range(64)])
     assert np.array_equal(blk, ref)
 
@@ -67,7 +67,7 @@ def test_uniformity_chi_square():
 
 
 def test_serial_correlation_along_steps():
-    u = streams.uniform_block(9, 0, 0, 0, 100000)
+    u = streams.uniforms(9, 0, 0, np.arange(100000, dtype=np.uint64))
     lag1 = np.corrcoef(u[:-1], u[1:])[0, 1]
     assert abs(lag1) < 0.02
     # pairs must also cover the unit square uniformly

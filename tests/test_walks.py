@@ -119,6 +119,24 @@ def test_sampled_paths_reject_offsets_beyond_int64():
     assert mc_event_frequency(w.law, 0, 0, "hit:5", 4, 0) == 1.0
 
 
+def test_negative_horizon_rejected():
+    # the oracles ended in AttributeError, and the frequency of a hit at the
+    # start read 1.0
+    law = srw()
+    calls = [lambda: exact_dp_oracle(law, 0, -3, "hit:1"),
+             lambda: exact_dp_oracle(law, 0, -1, "meeting", law2=law, s02=2),
+             lambda: oracle_interval_survival(law, 0, -1, 1, -2),
+             lambda: oracle_exit_survival(law, 0, 3, -1),
+             lambda: mc_event_frequency(law, 0, -3, "hit:0", 10, 0),
+             lambda: mc_event_frequency(law, 0, -1, "meeting", 10, 0, law2=law, s02=2)]
+    for call in calls:
+        with pytest.raises(ValueError, match="horizon must be >= 0"):
+            call()
+    # horizon 0 checks the start only
+    assert exact_dp_oracle(law, 0, 0, "hit:0") == 0
+    assert mc_event_frequency(law, 0, 0, "hit:0", 10, 0) == 0.0
+
+
 def test_mc_event_frequency_exact_at_large_positions():
     # positions were compared as float64: S_0..S_3 and the target all rounded
     # to 2**60, so a hit at 2**60 + 5 read as certain

@@ -8,7 +8,6 @@ from .protocol import (
     ProtocolSyntaxError,
     ProtocolValidationError,
     ScoutProtocol,
-    StateId,
     TransitionRule,
     Violation,
     builtin,

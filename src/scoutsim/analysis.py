@@ -42,6 +42,9 @@ from .protocol import ProtocolError, ScoutProtocol
 from .engine import SeedSpec, _compile, _stepped_block
 
 STATIONARY_RESIDUAL_TOL = 1e-12
+# an estimated ray width reads this many pilot runs of this many steps
+_PILOT_RUNS = 200
+_PILOT_STEPS = 512
 
 
 @dataclass(frozen=True)
@@ -706,13 +709,13 @@ class RayDomain:
 
 
 def _estimate_half_width(k: ReducedKernel, cls: Sequence[str], direction,
-                         root_seed: int, pilot_runs: int = 200,
-                         pilot_steps: int = 512) -> float:
-    """99th-percentile excursion perpendicular to the drift over pilot runs
-    (a :class:`_ChainWalk` on lane 1), in sup norm without a drift."""
-    worst = np.zeros(pilot_runs)
-    for _, _, pos in _ChainWalk(k, k.states.index(cls[0]), pilot_runs, root_seed, 1,
-                                pilot_steps):
+                         root_seed: int) -> float:
+    """99th-percentile excursion perpendicular to the drift over
+    _PILOT_RUNS pilot runs of _PILOT_STEPS steps (a :class:`_ChainWalk` on
+    lane 1), in sup norm without a drift."""
+    worst = np.zeros(_PILOT_RUNS)
+    for _, _, pos in _ChainWalk(k, k.states.index(cls[0]), _PILOT_RUNS, root_seed, 1,
+                                _PILOT_STEPS):
         if direction is None:
             cur = np.abs(pos).max(axis=2)
         else:

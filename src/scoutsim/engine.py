@@ -79,13 +79,12 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import streams
-from .errors import PreconditionError
+from .errors import BudgetExceededError, PreconditionError
 from .protocol import Configuration, ProtocolError, ScoutProtocol, protocol_hash
 from .tails import CensoredSummary, SurvivalCurve, summarize_censored
 
 DEFAULT_CAP = 1 << 20
 _MEMORY_LIMIT_BYTES = 1 << 28
-_CENSORED_FLAG_FRACTION = 0.01
 # VectorSim draws at most this many variates per streams call, over at most
 # _PREFETCH_MAX_STEPS steps: small batches amortize the per-call overhead,
 # and batches of more than _PREFETCH_VARIATES scout-steps draw one step per
@@ -108,7 +107,7 @@ _KERNEL_BLOCK = 1024
 _UNBOUNDED_STEPS = 1 << 56
 
 
-class ResourceLimitError(RuntimeError):
+class ResourceLimitError(BudgetExceededError):
     """A materializing run would exceed the memory policy."""
 
 
@@ -175,6 +174,13 @@ def _check_key_range(comp: "_Compiled", steps: int) -> None:
             raise PreconditionError(
                 f"d = 2 coordinates must stay below 2**31 in absolute value; origin "
                 f"{comp.protocol.initial_position} plus {steps} steps reaches {reach}")
+
+
+def _check_cap(cap: int) -> None:
+    """Raise PreconditionError unless the censor marker cap + 1 fits int64."""
+    if cap + 1 >= _INT64_LIMIT:
+        raise PreconditionError(f"cap must be below 2**63 - 1, so that the censor "
+                                f"marker cap + 1 fits int64; got {cap}")
 
 
 # ---------------------------------------------------------------------------
@@ -270,15 +276,14 @@ class _Compiled:
 
     def kernel_row(self, width: int, state_idx: int, mask: int) -> tuple:
         """Cache and return the kernel row of a state in an environment: the
-        cumulative list, the last branch, and each branch's successor state
-        and move key."""
+        cumulative list and each branch's successor state and move key."""
         row = self.dispatch_row(state_idx, mask)
         if row < 0:
             raise self.no_rule(state_idx, mask)
         k = int(self.table.length[row])
         moves = self.row_move[row, :k].tolist()
         keys = [m[0] if self.d == 1 else m[0] * width + m[1] for m in moves]
-        entry = (self.table.lists[row], k - 1, self.row_state[row, :k].tolist(), keys)
+        entry = (self.table.lists[row], self.row_state[row, :k].tolist(), keys)
         self.kernel_rows.setdefault(width, {})[mask << 6 | state_idx] = entry
         return entry
 
@@ -333,10 +338,8 @@ def _kernel(comp: _Compiled, seed: SeedSpec, keys: list[int], states: list[int],
                 if out_states and comp.dispatch_row(s, mask) < 0:
                     return out_keys, out_states
                 entry = comp.kernel_row(width, s, mask)
-            cum, last, succ, move = entry
+            cum, succ, move = entry
             b = bisect_right(cum, x)  # Categorical.select_one, inlined
-            if b > last:
-                b = last
             new_keys.append(key + move[b])
             new_states.append(succ[b])
         keys, states = new_keys, new_states
@@ -403,19 +406,6 @@ def iter_run(p: ScoutProtocol, seed: SeedSpec, horizon: int | None = None) -> It
 # traces
 
 
-class _ConfigSeq(Sequence):
-    def __init__(self, trace: "Trace"):
-        self._trace = trace
-
-    def __len__(self) -> int:
-        return self._trace.positions.shape[0]
-
-    def __getitem__(self, n):
-        if isinstance(n, slice):
-            return [self[i] for i in range(*n.indices(len(self)))]
-        return self._trace.config(n)
-
-
 @dataclass
 class Trace:
     """Time-indexed joint positions and states from one seeded run."""
@@ -436,10 +426,6 @@ class Trace:
             tuple(names[j] for j in self.state_idx[n]),
             n,
         )
-
-    @property
-    def configurations(self) -> Sequence:
-        return _ConfigSeq(self)
 
 
 def run(p: ScoutProtocol, horizon: int, seed: SeedSpec) -> Trace:
@@ -636,6 +622,7 @@ class _BlockSource:
     def __init__(self, p: ScoutProtocol, start: int, n: int, cap: int, root_seed: int):
         comp = _compile(p)
         _check_key_range(comp, cap)
+        _check_cap(cap)
         self.comp = comp
         self.cap = cap
         self.root_seed = root_seed
@@ -812,8 +799,7 @@ def monte_carlo_hitting_multi(p: ScoutProtocol, targets: Sequence[Sequence[int]]
     out = []
     for k, tgt in enumerate(targets):
         label = "hitting:" + ",".join(str(int(v)) for v in tgt)
-        summ = summarize_censored(label, times[:, k], cap, root_seed,
-                                  _CENSORED_FLAG_FRACTION)
+        summ = summarize_censored(label, times[:, k], cap, root_seed)
         out.append(HittingSummary(tuple(int(v) for v in tgt), summ, phash, cap_default))
     return out
 

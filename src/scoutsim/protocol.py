@@ -47,13 +47,9 @@ class ProtocolError(ValueError):
 class ProtocolSyntaxError(ProtocolError):
     """Malformed protocol text; carries the 1-based line number."""
 
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+    def __init__(self, message: str, line: int | None = None):
         self.line = line
-        self.column = column
-        where = ""
-        if line is not None:
-            where = f" (line {line}" + (f", column {column})" if column is not None else ")")
-        super().__init__(message + where)
+        super().__init__(message if line is None else f"{message} (line {line})")
 
 
 @dataclass(frozen=True)
@@ -71,14 +67,6 @@ class ProtocolValidationError(ProtocolError):
     def __init__(self, violations: Sequence[Violation]):
         self.violations = list(violations)
         super().__init__("; ".join(v.message for v in self.violations))
-
-
-@dataclass(frozen=True)
-class StateId:
-    """A named automaton state together with its ordinal in the state list."""
-
-    name: str
-    index: int
 
 
 @dataclass(frozen=True)
@@ -130,10 +118,6 @@ class ScoutProtocol:
     initial_position: tuple[int, ...]
     initial_states: tuple[str, ...]
     rules: tuple[TransitionRule, ...]
-
-    @property
-    def states(self) -> tuple[StateId, ...]:
-        return tuple(StateId(n, i) for i, n in enumerate(self.state_names))
 
     def canonical(self) -> "ScoutProtocol":
         """Equivalent protocol in canonical order (sorted states and rules)."""
@@ -474,16 +458,6 @@ def environment_of(cfg: Configuration, i: int) -> frozenset[str]:
 # builtins
 
 
-def _coerce_prob(p) -> Fraction:
-    if isinstance(p, Fraction):
-        return p
-    if isinstance(p, str):
-        return Fraction(p)
-    if isinstance(p, int):
-        return Fraction(p)
-    return Fraction(p)  # exact binary expansion of a float
-
-
 def builtin(name: str, params: Mapping | None = None, **kw) -> ScoutProtocol:
     """Construct a named built-in protocol.
 
@@ -503,7 +477,7 @@ def builtin(name: str, params: Mapping | None = None, **kw) -> ScoutProtocol:
         _reject_extras(name, merged)
         return _independent_walks(d, c)
     if name == "anchored_geometric":
-        p = _coerce_prob(merged.pop("p", Fraction(1, 2)))
+        p = Fraction(merged.pop("p", Fraction(1, 2)))  # a float's exact binary expansion
         merged.pop("c", None)
         _reject_extras(name, merged)
         if not (0 < p < 1):

@@ -20,13 +20,13 @@ from scipy.stats import chi2
 from .engine import Trace
 from .errors import PreconditionError
 from .protocol import ScoutProtocol, protocol_hash
-from .tails import (CensoredSummary, InsufficientDataError, SurvivalCurve,
-                    TailFit, fit_tail)
+from .tails import (CENSORED_FLAG_FRACTION, FIT_R2_MIN, CensoredSummary,
+                    InsufficientDataError, SurvivalCurve, TailFit, fit_tail)
 
-FINITE_CENSORED_MAX = 0.01
 FINITE_TAIL_INCREMENT_MAX = 0.01
 INFINITE_SLOPE_MIN = -1.0
-FIT_R2_MIN = 0.95
+# chi-square cells of markov_homogeneity are merged up to this expectation
+HOMOGENEITY_MIN_EXPECTED = 5.0
 
 
 class EnvelopeViolation(AssertionError):
@@ -141,12 +141,12 @@ class MeetingTailResult:
 
 def meeting_tail(p: ScoutProtocol, k_range: tuple[int, int] = (1, 64),
                  trials: int = 2000, cap: int = 1 << 14,
-                 root_seed: int = 0, r2_min: float = FIT_R2_MIN) -> MeetingTailResult:
+                 root_seed: int = 0) -> MeetingTailResult:
     """Fit of the inter-meeting gap tail in sqrt(u) coordinates.
 
     Gaps with meeting index k in ``k_range`` are pooled across replicas.
     PASS means the log-survival is well described by a line in sqrt(u)
-    (quality >= 0.95): consistent with a stretched-exponential or faster
+    (r_squared >= FIT_R2_MIN): consistent with a stretched-exponential or faster
     gap decay.  Heavier (power-law) gap tails bend the plot and fail.  When
     no meeting beyond time 0 occurs in any replica, the result reports that
     as evidence against frequent meetings instead of a fit.
@@ -167,7 +167,7 @@ def meeting_tail(p: ScoutProtocol, k_range: tuple[int, int] = (1, 64),
     except InsufficientDataError:
         return MeetingTailResult(curve, None, False, "insufficient-gap-data",
                                  int(gaps.size), None, phash, root_seed)
-    passed = fit.r_squared >= r2_min and fit.slope < 0
+    passed = fit.r_squared >= FIT_R2_MIN and fit.slope < 0
     verdict = ("consistent with stretched-exponential gap decay" if passed
                else "not consistent with stretched-exponential gap decay")
     return MeetingTailResult(curve, fit, passed, verdict, int(gaps.size),
@@ -261,7 +261,8 @@ INCONCLUSIVE = "inconclusive"
 def divergence_flag(curve: SurvivalCurve | CensoredSummary) -> str:
     """Classify a stopping-time tail as finite- or infinite-mean consistent.
 
-    Finite: censoring below 1% and the last threshold-doubling adds less
+    Finite: censoring below CENSORED_FLAG_FRACTION (1%), so the mean is not
+    flagged as a lower bound, and the last threshold-doubling adds less
     than 1% to the accumulated tail mass (the mean estimate has stopped
     moving).  Infinite: a good power-law fit with slope >= -1, whose tail
     integral diverges.  Anything else is inconclusive.
@@ -289,7 +290,7 @@ def divergence_report(curve: SurvivalCurve | CensoredSummary) -> dict:
         fit = fit_tail(c, "power")
     except InsufficientDataError:
         fit = None
-    if censored_frac < FINITE_CENSORED_MAX and last_increment < FINITE_TAIL_INCREMENT_MAX:
+    if censored_frac < CENSORED_FLAG_FRACTION and last_increment < FINITE_TAIL_INCREMENT_MAX:
         verdict = FINITE
     elif fit is not None and fit.slope >= INFINITE_SLOPE_MIN - 1e-12 \
             and fit.r_squared >= FIT_R2_MIN:
@@ -320,12 +321,13 @@ def _bucket_move(dy: np.ndarray) -> int:
     return min(int(np.abs(dy).max()), 3)
 
 
-def markov_homogeneity(mrs: list[MeetingRenewal], min_expected: float = 5.0) -> float:
+def markov_homogeneity(mrs: list[MeetingRenewal]) -> float:
     """p-value of early-vs-late homogeneity of the renewal transition law.
 
     For each state pair A_k, the empirical law of (Y_{k+1}-Y_k, A_{k+1},
     R_{k+1}) over the first half of indices is compared with the second
-    half by a pooled chi-square; cells with small expectation are merged.
+    half by a pooled chi-square; cells expecting fewer than
+    HOMOGENEITY_MIN_EXPECTED counts are merged.
     A small p-value indicates the conditional law drifts with k, which the
     homogeneity of the underlying process forbids.
     """
@@ -343,7 +345,7 @@ def markov_homogeneity(mrs: list[MeetingRenewal], min_expected: float = 5.0) -> 
     dof = 0
     for cond, outcomes in table.items():
         counts = np.array([v for v in outcomes.values()], dtype=np.float64)
-        if counts.sum() < 2 * min_expected or counts.shape[0] < 2:
+        if counts.sum() < 2 * HOMOGENEITY_MIN_EXPECTED or counts.shape[0] < 2:
             continue
         col = counts.sum(axis=0)
         if (col == 0).any():
@@ -356,7 +358,7 @@ def markov_homogeneity(mrs: list[MeetingRenewal], min_expected: float = 5.0) -> 
         for i in order:
             acc = acc + counts[i]
             expected = acc.sum() * col / total
-            if (expected >= min_expected).all():
+            if (expected >= HOMOGENEITY_MIN_EXPECTED).all():
                 merged.append(acc.copy())
                 acc = np.zeros(2)
         if merged and acc.sum() > 0:

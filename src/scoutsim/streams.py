@@ -163,12 +163,13 @@ def uniform_scalar(root_seed: int, replica: int, scout: int, step: int) -> float
 class Categorical:
     """Finite distributions as padded cumulative rows.
 
-    ``lists[j]`` holds the cumulative probabilities of row j.  ``cum[j]``
-    holds them too, but with the last of its ``length[j]`` outcomes and the
-    padding past them raised to 2.0, above every uniform: a float row
-    summing below 1 gives the remainder to its last outcome, and counting
-    the entries <= u gives the branch with no clamp.  Payloads (successor
-    states, moves, step sizes) stay with the caller, indexed by the branch.
+    ``lists[j]`` holds the partial sums of row j with the last of them
+    raised to 2.0, above every uniform, and ``cum[j]`` holds the same list
+    padded with 2.0 past its ``length[j]`` outcomes.  So counting the
+    entries <= u, or bisecting the list, gives the branch with no clamp, and
+    the last outcome takes the remainder of a float row summing below 1.
+    Payloads (successor states, moves, step sizes) stay with the caller,
+    indexed by the branch.
     """
 
     def __init__(self, rows):
@@ -180,10 +181,10 @@ class Categorical:
             for p in row:
                 acc += p if exact else float(p)
                 cum.append(float(acc))
+            cum[-1] = 2.0
             self.lists.append(cum)
         self.length = np.array([len(c) for c in self.lists], dtype=np.int64)
         self.cum = self.pad(self.lists, np.float64, fill=2.0)
-        self.cum[np.arange(self.length.size), self.length - 1] = 2.0
 
     def pad(self, values, dtype, fill=0) -> np.ndarray:
         """Per-outcome ``values`` (one list per row) in the layout of ``cum``."""
@@ -196,7 +197,7 @@ class Categorical:
     def select(self, rows, u: np.ndarray) -> np.ndarray:
         """Branch of each uniform in ``u`` under its row: the count of the
         row's entries of ``cum`` that are <= u.  Rows never decrease, so
-        this is :meth:`select_one`'s clamped bisection.
+        this is :meth:`select_one`'s bisection.
 
         ``rows`` is an array of ``u``'s shape, or one row index.  The count
         adds one compare per column of ``cum`` but the last, which is 2.0
@@ -213,8 +214,7 @@ class Categorical:
 
     def select_one(self, row: int, u: float) -> int:
         """:meth:`select` for one uniform, by bisection of the row's list."""
-        cum = self.lists[row]
-        return min(bisect_right(cum, u), len(cum) - 1)
+        return bisect_right(self.lists[row], u)
 
     def draw(self, row: int, root_seed: int, replicas, lane: int, t0: int,
              count: int) -> np.ndarray:

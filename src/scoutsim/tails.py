@@ -15,8 +15,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# a tail fit reads only thresholds with at least MIN_FIT_SURVIVORS survivors
+# and needs MIN_FIT_POINTS of them; a fit passes a quality check when its
+# r_squared is at least FIT_R2_MIN
 MIN_FIT_SURVIVORS = 30
 MIN_FIT_POINTS = 4
+FIT_R2_MIN = 0.95
+# the two-sided 95% standard normal quantile of every confidence interval
+Z95 = 1.959963984540054
+# a censored-sample mean is a lower bound once more than this fraction of
+# the samples is censored
+CENSORED_FLAG_FRACTION = 0.01
 
 MODELS = ("power", "exponential", "stretched")
 
@@ -29,7 +38,7 @@ def dyadic_thresholds(cap: int) -> np.ndarray:
     """Thresholds 1, 2, 4, ... not exceeding cap."""
     if cap < 1:
         return np.zeros(0, dtype=np.int64)
-    top = int(math.floor(math.log2(cap)))
+    top = int(cap).bit_length() - 1  # floor(log2(cap)); a float log2 rounds 2**53 - 1 up to 53
     return np.array([1 << j for j in range(top + 1)], dtype=np.int64)
 
 
@@ -60,12 +69,11 @@ class SurvivalCurve:
             raise ValueError("survivors cannot exceed total")
 
     @staticmethod
-    def from_samples(samples: np.ndarray, cap: int,
-                     thresholds: np.ndarray | None = None) -> "SurvivalCurve":
-        """Curve of P(sample > u); values above cap are treated as censored."""
+    def from_samples(samples: np.ndarray, cap: int) -> "SurvivalCurve":
+        """Curve of P(sample > u) over the dyadic thresholds up to cap;
+        values above cap are treated as censored."""
         samples = np.asarray(samples)
-        if thresholds is None:
-            thresholds = dyadic_thresholds(cap)
+        thresholds = dyadic_thresholds(cap)
         counts = (samples[None, :] > thresholds[:, None]).sum(axis=1)
         return SurvivalCurve(thresholds, counts.astype(np.float64),
                              float(samples.size), censor_cap=cap)
@@ -135,19 +143,19 @@ def _transform(u: np.ndarray, model: str) -> np.ndarray:
     raise ValueError(f"unknown tail model {model!r} (choose from {MODELS})")
 
 
-def fit_tail(curve: SurvivalCurve, model: str,
-             min_survivors: float = MIN_FIT_SURVIVORS) -> TailFit:
+def fit_tail(curve: SurvivalCurve, model: str) -> TailFit:
     """Fit log-survival against the model's transformed threshold axis.
 
-    Only thresholds with at least ``min_survivors`` surviving samples enter
-    the fit; fewer than four eligible points raises InsufficientDataError.
+    Only thresholds with at least MIN_FIT_SURVIVORS surviving samples enter
+    the fit; fewer than MIN_FIT_POINTS eligible points raises
+    InsufficientDataError.
     """
-    eligible = curve.survivors >= min_survivors
+    eligible = curve.survivors >= MIN_FIT_SURVIVORS
     u = curve.thresholds[eligible].astype(np.float64)
     s = curve.survivors[eligible]
     if u.size < MIN_FIT_POINTS:
         raise InsufficientDataError(
-            f"{u.size} thresholds with >= {min_survivors} survivors; need {MIN_FIT_POINTS}")
+            f"{u.size} thresholds with >= {MIN_FIT_SURVIVORS} survivors; need {MIN_FIT_POINTS}")
     x = _transform(u, model)
     y = np.log(s / float(curve.total))
     slope, intercept = np.polyfit(x, y, 1)
@@ -163,15 +171,15 @@ def fit_tail(curve: SurvivalCurve, model: str,
                    curve.thresholds[eligible].copy(), s.copy())
 
 
-def wilson_interval(successes: float, trials: float, z: float = 1.959963984540054) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion (default 95%)."""
+def wilson_interval(successes: float, trials: float) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
     phat = successes / trials
-    z2 = z * z
+    z2 = Z95 * Z95
     denom = 1.0 + z2 / trials
     center = (phat + z2 / (2 * trials)) / denom
-    half = z * math.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials * trials)) / denom
+    half = Z95 * math.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials * trials)) / denom
     lo = 0.0 if successes == 0 else max(0.0, center - half)
     hi = 1.0 if successes == trials else min(1.0, center + half)
     return lo, hi
@@ -212,12 +220,13 @@ class CensoredSummary:
         }
 
 
-def summarize_censored(label: str, samples: np.ndarray, cap: int, root_seed: int,
-                       censored_flag_threshold: float = 0.01) -> CensoredSummary:
+def summarize_censored(label: str, samples: np.ndarray, cap: int,
+                       root_seed: int) -> CensoredSummary:
     """Build a summary from stopping-time samples (censored values > cap).
 
-    The mean is computed over uncensored samples only; when more than the
-    threshold fraction is censored it is flagged as a lower bound.
+    The mean is computed over uncensored samples only, with a 95% normal
+    interval; when more than CENSORED_FLAG_FRACTION of the samples is
+    censored it is flagged as a lower bound.
     """
     samples = np.asarray(samples, dtype=np.int64)
     censored = samples > cap
@@ -230,10 +239,10 @@ def summarize_censored(label: str, samples: np.ndarray, cap: int, root_seed: int
         kept = samples[~censored].astype(np.float64)
         mean = float(kept.mean())
         if kept.size > 1:
-            half = 1.959963984540054 * float(kept.std(ddof=1)) / math.sqrt(kept.size)
+            half = Z95 * float(kept.std(ddof=1)) / math.sqrt(kept.size)
         else:
             half = 0.0
         lo, hi = mean - half, mean + half
     frac = n_cens / n if n else 0.0
     return CensoredSummary(label, curve, n, n_cens, mean, lo, hi, cap, root_seed,
-                           mean_is_lower_bound=frac > censored_flag_threshold)
+                           mean_is_lower_bound=frac > CENSORED_FLAG_FRACTION)

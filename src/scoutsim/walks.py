@@ -39,11 +39,10 @@ step.  Integer sums and products are exact, so the one
 bit for bit.  Integer displacements must lie in int64.
 
 Every Monte-Carlo estimate is a stopping time found by one sampler,
-:func:`_stopping_times` (the full-path ``_paths`` and its ``_CHUNK`` loop
-are gone; :func:`sample_walk` stays the single-path API): per trial and
-event column, the first check m in [check_from, cap] at which the event
-holds.  The frequency asks if its event fails at every check from its first
-checked time, the deviation check if S_n >= y at check n.  It draws in
+:func:`_stopping_times` (:func:`sample_walk` is the single-path API): per
+trial and event column, the first check m in [check_from, cap] at which
+the event holds.  The frequency asks if its event fails at every check from
+its first checked time, the deviation check if S_n >= y at check n.  It draws in
 blocks of ``engine._iid_block`` checks (2**14 variates per walk over the
 active trials, so blocks grow as trials finish) and drops a trial once
 every column is decided.  Draws are keyed by (trial, walk, step) (Salmon et
@@ -77,11 +76,20 @@ from scipy.special import logsumexp
 
 from . import engine, streams
 from .errors import BudgetExceededError, PreconditionError
-from .tails import (InsufficientDataError, SurvivalCurve, TailFit,
-                    fit_tail, wilson_interval)
+from .protocol import ROW_SUM_TOLERANCE
+from .tails import (FIT_R2_MIN, MIN_FIT_POINTS, MIN_FIT_SURVIVORS, InsufficientDataError,
+                    SurvivalCurve, TailFit, fit_tail, wilson_interval)
 
 _DP_CELL_BUDGET = 8_000_000
 _INT64 = 1 << 63
+# verdict thresholds of the checks: a reach-tail slope may miss -1/2 by
+# REACH_SLOPE_TOL and its offset scaling needs r_squared >=
+# REACH_SCALING_R2_MIN; a corridor slope must stay at or above
+# CORRIDOR_SLOPE_FLOOR.  The exit-time curve has EXIT_GRID_POINTS thresholds.
+REACH_SLOPE_TOL = 0.07
+REACH_SCALING_R2_MIN = 0.85
+CORRIDOR_SLOPE_FLOOR = -1.15
+EXIT_GRID_POINTS = 12
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +127,7 @@ class StepLaw:
             if not 1 <= float(o.radius) < math.inf:  # also rejects NaN
                 raise ValueError(f"radius must be finite and >= 1, got {o.radius}")
             total += float(o.probability)
-        if abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > ROW_SUM_TOLERANCE:
             raise ValueError(f"outcome probabilities sum to {total!r}, not 1")
 
     @property
@@ -164,10 +172,6 @@ class StepLaw:
     @property
     def unit_time(self) -> bool:
         return all(o.nu == 1 for o in self.outcomes)
-
-    @property
-    def max_reach(self) -> float:
-        return max(abs(float(o.zeta)) + float(o.radius) for o in self.outcomes)
 
     def effective_drift(self):
         """Mean displacement per unit time, E[zeta] / E[nu]."""
@@ -298,6 +302,7 @@ def _stopping_times(walks: Sequence[LookAroundWalk], event, trials: int, cap: in
     A block holds ``engine._iid_block(t0, cap + 1, active)`` checks, and a
     trial leaves once every column is decided (see the module docstring).
     """
+    engine._check_cap(cap)
     starts = [_start(w, cap + 1) for w in walks]
     out = np.empty((trials, columns), dtype=np.int64)
     idx = np.arange(trials, dtype=np.int64)
@@ -696,24 +701,27 @@ def check_escape_under_drift(w: LookAroundWalk, x: float, trials: int = 20000,
 # zero-drift reach-time tail
 
 
-def _restrict(curve: SurvivalCurve, u_min: float) -> SurvivalCurve:
-    keep = curve.thresholds >= u_min
-    return SurvivalCurve(curve.thresholds[keep], curve.survivors[keep],
-                         curve.total, curve.censor_cap)
+def _asymptotic_fit(curve: SurvivalCurve, distance: float) -> TailFit:
+    """Power fit over the thresholds u >= 2 * distance**2, past the transient
+    of a start that far from its target, or over the whole curve when fewer
+    than MIN_FIT_POINTS thresholds lie there."""
+    keep = curve.thresholds >= 2.0 * distance * distance
+    if keep.sum() >= MIN_FIT_POINTS:
+        curve = SurvivalCurve(curve.thresholds[keep], curve.survivors[keep],
+                              curve.total, curve.censor_cap)
+    return fit_tail(curve, "power")
 
 
 def check_zero_drift_reach_tail(w: LookAroundWalk, x: float, trials: int = 30000,
                                 cap: int = 1 << 14, root_seed: int = 0,
-                                x_offsets: Sequence[float] = (2, 4, 6, 8),
-                                slope_tol: float = 0.07,
-                                r2_min: float = 0.95) -> CheckResult:
+                                x_offsets: Sequence[float] = (2, 4, 6, 8)) -> CheckResult:
     """Tail of the first time S_n + R_{n+1} reaches level x, for E[zeta] = 0.
 
     Fits a power law on dyadic thresholds from the asymptotic window
     u >= 2 (x - s0)^2 upward (below it the curve still carries the
     distance-to-level transient).  PASS requires slope -1/2 within
-    tolerance, fit quality, and survival at a deep common threshold scaling
-    linearly across the offset grid.  Also reports the smallest offset at
+    REACH_SLOPE_TOL, fit quality FIT_R2_MIN, and survival at a deep common
+    threshold scaling linearly across the offset grid.  Also reports the smallest offset at
     which the -1/2 law already holds, and the dyadic tail-mass blocks whose
     growth signals a divergent mean.
     """
@@ -728,27 +736,20 @@ def check_zero_drift_reach_tail(w: LookAroundWalk, x: float, trials: int = 30000
     main_k = offsets.index(float(x) - float(w.s0))
     curves = [SurvivalCurve.from_samples(T[:, k], cap) for k in range(len(levels))]
     main_curve = curves[main_k]
-
-    def asymptotic_fit(curve, offset):
-        fitted = _restrict(curve, 2.0 * offset * offset)
-        if fitted.thresholds.size < 4:
-            fitted = curve
-        return fit_tail(fitted, "power")
-
     try:
-        fit = asymptotic_fit(main_curve, offsets[main_k])
+        fit = _asymptotic_fit(main_curve, offsets[main_k])
     except InsufficientDataError:
         return CheckResult("zero-drift-reach-tail", False,
                            {"x": x, "trials": trials, "cap": cap}, root_seed,
                            details={"reason": "insufficient tail data"})
-    slope_ok = abs(fit.slope + 0.5) <= slope_tol
-    r2_ok = fit.r_squared >= r2_min
+    slope_ok = abs(fit.slope + 0.5) <= REACH_SLOPE_TOL
+    r2_ok = fit.r_squared >= FIT_R2_MIN
 
     # linear scaling of survival in the offset, read at a deep common threshold
     probe_u = None
     for u in reversed(main_curve.thresholds):
         col = [c.survivors[list(c.thresholds).index(u)] for c in curves]
-        if all(s >= 30 for s in col):
+        if all(s >= MIN_FIT_SURVIVORS for s in col):
             probe_u = int(u)
             probe = np.array([s / trials for s in col])
             break
@@ -762,15 +763,15 @@ def check_zero_drift_reach_tail(w: LookAroundWalk, x: float, trials: int = 30000
         resid = probe - A @ coef
         ss_tot = float(((probe - probe.mean()) ** 2).sum())
         scaling_r2 = 1.0 - float(resid @ resid) / ss_tot if ss_tot > 0 else 1.0
-        scaling_ok = scaling_r2 >= 0.85 and coef[0] > 0
+        scaling_ok = scaling_r2 >= REACH_SCALING_R2_MIN and coef[0] > 0
 
     r_estimate = None
     for k, off in enumerate(offsets):
         try:
-            f = asymptotic_fit(curves[k], off)
+            f = _asymptotic_fit(curves[k], off)
         except InsufficientDataError:
             continue
-        if abs(f.slope + 0.5) <= slope_tol and f.r_squared >= r2_min:
+        if abs(f.slope + 0.5) <= REACH_SLOPE_TOL and f.r_squared >= FIT_R2_MIN:
             r_estimate = off
             break
 
@@ -792,13 +793,12 @@ def check_zero_drift_reach_tail(w: LookAroundWalk, x: float, trials: int = 30000
 
 
 def check_exit_time_tail(w: LookAroundWalk, rho: float, trials: int = 20000,
-                         root_seed: int = 0, u_max: int | None = None,
-                         n_points: int = 12) -> CheckResult:
+                         root_seed: int = 0, u_max: int | None = None) -> CheckResult:
     """Exponential tail of the first exit past distance rho.
 
     The exit set follows the drift sign: two-sided for centered walks,
     one-sided in the drift direction otherwise.  PASS needs a negative
-    slope on semi-log axes with fit quality at least 0.95.
+    slope on semi-log axes with fit quality at least FIT_R2_MIN.
     """
     _require(not w.law.zeta_identically_zero,
              "exit-time check requires P(zeta = 0) < 1")
@@ -807,7 +807,7 @@ def check_exit_time_tail(w: LookAroundWalk, rho: float, trials: int = 20000,
     outside = _exit_cond(rho, w.law)
     tau = _stopping_times([w], lambda S, R: outside(S[0], R[0]),
                           trials, u_max, root_seed)[:, 0]
-    grid = np.unique(np.linspace(1, u_max, n_points).astype(np.int64))
+    grid = np.unique(np.linspace(1, u_max, EXIT_GRID_POINTS).astype(np.int64))
     counts = (tau[None, :] > grid[:, None]).sum(axis=1).astype(np.float64)
     curve = SurvivalCurve(grid, counts, float(trials), censor_cap=u_max)
     mean_exit = float(np.minimum(tau, u_max).mean())
@@ -820,7 +820,7 @@ def check_exit_time_tail(w: LookAroundWalk, rho: float, trials: int = 20000,
                            details={"reason": "insufficient tail data",
                                     "mean_exit": mean_exit,
                                     "curve": curve.to_json()})
-    passed = fit.slope < 0 and fit.r_squared >= 0.95
+    passed = fit.slope < 0 and fit.r_squared >= FIT_R2_MIN
     return CheckResult("exit-time-tail", passed,
                        {"rho": rho, "trials": trials, "u_max": u_max},
                        root_seed, estimate=fit.slope, fit=fit,
@@ -886,31 +886,23 @@ def _corridor_times(w1: LookAroundWalk, w2: LookAroundWalk, lo: float, hi: float
 def check_joint_corridor_avoidance(w1: LookAroundWalk, w2: LookAroundWalk,
                                    interval: tuple[float, float],
                                    trials: int = 20000, cap: int = 1 << 13,
-                                   root_seed: int = 0,
-                                   slope_floor: float = -1.15,
-                                   fit_u_min: float | None = None) -> CheckResult:
+                                   root_seed: int = 0) -> CheckResult:
     """Tail of min(sigma, tau1, tau2): ball contact or corridor detection.
 
     sigma is the first time the look-around balls intersect, tau_i the
     first time walk i detects the corridor [x, y].  All three clocks run in
     time units (step durations accumulate).  The power law is fitted from
     the asymptotic window past the initial-separation transient.  PASS
-    means the fitted slope stays at or above the floor, the signature of a
-    divergent mean.
+    means the fitted slope stays at or above CORRIDOR_SLOPE_FLOOR, the
+    signature of a divergent mean.
     """
     lo, hi = float(interval[0]), float(interval[1])
     _require(hi - lo > 2, "corridor needs y - x > 2")
     times = _corridor_times(w1, w2, lo, hi, trials, cap, root_seed)
     curve = SurvivalCurve.from_samples(times, cap)
-    if fit_u_min is None:
-        d1 = max(lo - w1.s0, w1.s0 - hi, 1.0)
-        d2 = max(lo - w2.s0, w2.s0 - hi, 1.0)
-        fit_u_min = 2.0 * max(d1, d2) ** 2
-    restricted = _restrict(curve, fit_u_min)
-    if restricted.thresholds.size < 4:
-        restricted = curve
+    far = max(lo - w1.s0, w1.s0 - hi, lo - w2.s0, w2.s0 - hi, 1.0)
     try:
-        fit = fit_tail(restricted, "power")
+        fit = _asymptotic_fit(curve, far)
     except InsufficientDataError:
         zero_at_one = float(curve.survivors[0]) == 0.0
         return CheckResult("joint-corridor-avoidance", False,
@@ -918,7 +910,7 @@ def check_joint_corridor_avoidance(w1: LookAroundWalk, w2: LookAroundWalk,
                            root_seed, estimate=0.0,
                            details={"reason": "no survivors" if zero_at_one
                                     else "insufficient tail data"})
-    passed = fit.slope >= slope_floor
+    passed = fit.slope >= CORRIDOR_SLOPE_FLOOR
     return CheckResult("joint-corridor-avoidance", passed,
                        {"interval": [lo, hi], "trials": trials, "cap": cap,
                         "s0": [w1.s0, w2.s0]},

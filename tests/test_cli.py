@@ -488,3 +488,41 @@ def test_renewal_needs_two_scouts(spec, capsys):
     assert captured.out == ""
     assert len(err) == 1 and err[0].startswith("precondition violation:")
     assert "two-scout" in err[0]
+
+
+# sha256 of `hitting` and `renewal --tail` stdout, recorded before the
+# verdict thresholds (fit floor, normal quantile, censoring flag, fit point
+# and survivor counts) became named constants.  13% and 28% of the hitting
+# runs are censored, so the lower-bound flag, the interval and the power
+# fit all show
+@pytest.mark.parametrize("argv,digest", [
+    (["hitting", "--protocol", "builtin:srw?d=1", "--targets", "2;-6", "--replicas", "400",
+      "--cap", "256", "--seed", "7"],
+     "3933ac8feb5e4947d63371e1b23a04161d2ff74c6c3949a005b63408fa6ecb07"),
+    (["renewal", "--protocol", "builtin:anchored_geometric?d=1,p=1/2", "--horizon", "512",
+      "--tail", "--trials", "200", "--cap", "512", "--seed", "3"],
+     "b06466f87225b33555c74d554a996e8915661d4244185719daea4860047608c7"),
+])
+def test_verdict_bytes_pinned(argv, digest, capsys):
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,prefix", [
+    # a trace past the memory limit raised ResourceLimitError, a traceback
+    (["simulate", "--protocol", "builtin:srw?d=1", "--horizon", "30000000"],
+     "budget exceeded:"),
+    (["renewal", "--protocol", "builtin:independent_walks?d=1,c=2", "--horizon", "20000000"],
+     "budget exceeded:"),
+    # the censor marker cap + 1 overflowed int64: OverflowError from np.full
+    (["hitting", "--protocol", "builtin:srw?d=1", "--targets", "1", "--replicas", "2",
+      "--cap", str(2**63 - 1)], "precondition violation:"),
+    (["renewal", "--protocol", "builtin:anchored_geometric?d=1,p=1/2", "--horizon", "16",
+      "--tail", "--trials", "5", "--cap", str(2**63 - 1)], "precondition violation:"),
+    (["lemma", "reach-tail", "--law", "zero", "--trials", "5", "--cap", str(2**63 - 1)],
+     "precondition violation:"),
+])
+def test_limits_exit_one_line(argv, prefix, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(prefix)

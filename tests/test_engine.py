@@ -64,7 +64,7 @@ def test_run_horizon_zero():
     p = parse_protocol(DET_PLUS)
     tr = run(p, 0, SeedSpec(1))
     assert tr.horizon == 0
-    assert tr.configurations[0] == initial_configuration(p)
+    assert tr.config(0) == initial_configuration(p)
 
 
 def test_run_deterministic_positions():
@@ -172,6 +172,19 @@ def test_run_memory_guard():
     p = builtin("srw", d=1)
     with pytest.raises(ResourceLimitError, match="iter_run"):
         run(p, 1 << 27, SeedSpec(0))
+
+
+def test_cap_marker_must_fit_int64():
+    # the censor marker cap + 1 overflowed np.full with an OverflowError
+    p, pair = builtin("srw", d=1), builtin("independent_walks", d=1, c=2)
+    for call in (lambda cap: hit_times(p, [(1,)], 2, cap, 0),
+                 lambda cap: first_meeting_times(pair, 2, cap, 0),
+                 lambda cap: meeting_gap_samples(pair, 2, cap, 0)):
+        with pytest.raises(PreconditionError, match="cap"):
+            call(2**63 - 1)
+    # the largest cap whose marker fits; the origin is hit at time 0
+    assert hit_times(p, [(0,)], 2, 2**63 - 2, 0).tolist() == [[0], [0]]
+    assert monte_carlo_hitting(p, (0,), 2, cap=2**63 - 2).curve.thresholds[-1] == 2**62
 
 
 # ---------------------------------------------------------------------------
@@ -374,15 +387,22 @@ def test_uncovered_environment_raises_after_every_earlier_step():
 # uniforms on its own, with no prefetch.
 
 
-def _reference_select(table, rows, u):
-    """Categorical.select as it was: a sorted search of one row's unpadded
-    partial sums, or a count over the gathered true rows, then a clamp."""
-    cum = table.pad(table.lists, np.float64, fill=2.0)
-    if np.ndim(rows) == 0:
-        branch = np.searchsorted(cum[rows, :table.length[rows]], u, side="right")
-    else:
-        branch = (cum[rows] <= u[..., None]).sum(axis=-1)
-    return np.minimum(branch, table.length[rows] - 1)
+def _reference_select(p, rows, u):
+    """Categorical.select as it was: a count over the gathered true partial
+    sums of the rule rows (exact for Fraction rows), padded with 2.0, then
+    a clamp to the last branch."""
+    sums = []
+    for rule in p.rules:
+        probs = [o.probability for o in rule.outcomes]
+        if all(isinstance(q, Fraction) for q in probs):
+            sums.append([float(c) for c in itertools.accumulate(probs)])
+        else:
+            sums.append(list(itertools.accumulate(float(q) for q in probs)))
+    width = max(len(c) for c in sums)
+    cum = np.array([c + [2.0] * (width - len(c)) for c in sums])
+    length = np.array([len(c) for c in sums])
+    branch = (cum[rows] <= u[..., None]).sum(axis=-1)
+    return np.minimum(branch, length[rows] - 1)
 
 
 class _ReferenceVectorSim:
@@ -409,7 +429,7 @@ class _ReferenceVectorSim:
                          for sr, mr in zip(self.states, masks)], dtype=np.int64).reshape(R, c)
         u = streams.uniforms(self.root_seed, self.replicas[:, None],
                              np.arange(c, dtype=np.int64)[None, :], self.time)
-        branch = _reference_select(comp.table, rows, u)
+        branch = _reference_select(comp.protocol, rows, u)
         self.states = comp.row_state[rows, branch].astype(np.int16)
         self.keys = self.keys + comp.row_key[rows, branch]
         self.time += 1

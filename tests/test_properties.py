@@ -9,7 +9,7 @@ from scoutsim import SeedSpec, parse_protocol, run, serialize
 from scoutsim.protocol import (EnvPattern, Outcome, ScoutProtocol,
                                TransitionRule)
 from scoutsim.renewal import trap_detect
-from scoutsim.tails import SurvivalCurve
+from scoutsim.tails import SurvivalCurve, dyadic_thresholds
 
 
 @st.composite
@@ -101,3 +101,17 @@ def test_survival_curve_from_samples_invariants(samples, log_cap):
     # censored samples survive every threshold below the cap
     n_cens = sum(1 for s in samples if s > cap)
     assert curve.survivors[-1] >= n_cens
+
+
+@given(st.integers(1, 2**63 - 2))
+def test_dyadic_thresholds_are_the_powers_of_two_up_to_the_cap(cap):
+    # a float log2 rounded 2**53 - 1 up to 53, so the last threshold
+    # exceeded the cap, and from 2**63 - 512 up it overflowed int64
+    t = dyadic_thresholds(cap)
+    assert t.tolist() == [1 << j for j in range(len(t))]
+    assert int(t[-1]) <= cap < 2 * int(t[-1])
+
+
+def test_dyadic_thresholds_near_float_rounding():
+    assert dyadic_thresholds(2**53 - 1)[-1] == 2**52
+    assert dyadic_thresholds(2**63 - 2)[-1] == 2**62

@@ -104,6 +104,18 @@ def test_stopping_times_reject_offsets_beyond_int64():
     assert (_stopping_times([w], lambda S, R: S[0] < -5, 3, 0, 0) == 1).all()
 
 
+def test_stopping_times_reject_cap_marker_beyond_int64():
+    # the zero law passes the offset check (its largest step is 0), and the
+    # censor marker cap + 1 overflowed np.full with an OverflowError
+    w = LookAroundWalk(NAMED_LAWS["zero"]())
+    with pytest.raises(PreconditionError, match="cap"):
+        check_zero_drift_reach_tail(w, 2, trials=5, cap=2**63 - 1)
+    with pytest.raises(PreconditionError, match="cap"):
+        mc_event_frequency(w.law, 0, 2**63 - 1, "hit:5", 4, 0)
+    # the largest cap whose marker fits; the event holds at time 0
+    assert (_stopping_times([w], lambda S, R: S[0] == 0, 3, 2**63 - 2, 0) == 0).all()
+
+
 def test_sampled_paths_reject_offsets_beyond_int64():
     # three steps of 2**62 wrapped: sample_walk ended at -2**63 where the walk
     # stands at 2**63, and the paths of mc_event_frequency likewise

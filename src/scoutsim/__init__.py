@@ -19,16 +19,12 @@ from .protocol import (
 )
 from .engine import (
     DEFAULT_CAP,
-    HittingResult,
     HittingSummary,
     ResourceLimitError,
     SeedSpec,
     Trace,
     VectorSim,
-    hitting_time,
     iter_run,
-    meeting_times,
-    monte_carlo_hitting,
     monte_carlo_hitting_multi,
     run,
     step,
@@ -52,10 +48,8 @@ from .analysis import (
     degeneracy_check,
     difference_drift,
     effective_drift,
-    joint_product_chain,
     ray_domain,
     reduce_kernel,
-    renewal_samples,
 )
 from .walks import (
     LawOutcome,
@@ -68,12 +62,9 @@ from .walks import (
 )
 from .renewal import (
     MeetingRenewal,
-    TrapReport,
     divergence_flag,
-    explorer_cover_time,
     extract_renewal,
     meeting_tail,
-    trap_detect,
 )
 
 __version__ = "0.1.0"

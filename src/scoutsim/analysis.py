@@ -39,7 +39,7 @@ from scipy.sparse.csgraph import connected_components
 from . import streams
 from .errors import PreconditionError
 from .protocol import ProtocolError, ScoutProtocol
-from .engine import SeedSpec, _compile, _stepped_block
+from .engine import _compile, _stepped_block
 
 STATIONARY_RESIDUAL_TOL = 1e-12
 # an estimated ray width reads this many pilot runs of this many steps
@@ -530,20 +530,6 @@ def kernel_renewal_samples(k: ReducedKernel, q0: str, count: int,
     return RenewalSamples(zeta, nu, 2 * nu)
 
 
-def renewal_samples(p: ScoutProtocol, scout: int, q0: str, count: int,
-                    seed: SeedSpec) -> RenewalSamples:
-    """Return triples (zeta, nu, R=2*nu) of a scout's reduced chain at q0.
-
-    Precondition: q0 lies in a recurrent class reachable from the scout's
-    initial state.
-    """
-    k = reduce_kernel(p, scout)
-    if k.states.index(q0) not in _reachable_set(k.rows, k.initial_state):
-        raise PreconditionError(
-            f"state {q0!r} unreachable from {k.states[k.initial_state]!r}")
-    return kernel_renewal_samples(k, q0, count, seed.root_seed)
-
-
 # ---------------------------------------------------------------------------
 # product chains
 
@@ -592,11 +578,6 @@ def _scout_kernels(p: ScoutProtocol) -> tuple[ReducedKernel, ReducedKernel]:
     if p.scouts != 2:
         raise PreconditionError("joint product chain needs exactly two scouts")
     return reduce_kernel(p, 1), reduce_kernel(p, 2)
-
-
-def joint_product_chain(p: ScoutProtocol, difference: bool = False) -> ReducedKernel:
-    """Product chain of a two-scout protocol's reduced kernels."""
-    return product_kernel(*_scout_kernels(p), difference=difference)
 
 
 def difference_drift(p_or_pair, cls: Sequence[str] | None = None):

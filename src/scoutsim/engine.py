@@ -80,7 +80,8 @@ import numpy as np
 
 from . import streams
 from .errors import BudgetExceededError, PreconditionError
-from .protocol import Configuration, ProtocolError, ScoutProtocol, protocol_hash
+from .protocol import (Configuration, ProtocolError, ProtocolValidationError, ScoutProtocol,
+                       protocol_hash, validate)
 from .tails import CensoredSummary, SurvivalCurve, summarize_censored
 
 DEFAULT_CAP = 1 << 20
@@ -105,6 +106,11 @@ _INT64_LIMIT = 1 << 63
 _KERNEL_BLOCK = 1024
 # an unbounded iter_run packs d = 2 keys for this many steps (see _key_width)
 _UNBOUNDED_STEPS = 1 << 56
+# validate codes that leave no tables to build: a rule with no outcomes, or
+# a state name that is not declared.  Rows that do not sum to 1, moves
+# outside the unit box and uncovered environments still compile; an
+# uncovered environment fails at the step that meets it (_Compiled.no_rule)
+_UNCOMPILABLE = ("empty-row", "unknown-state")
 
 
 class ResourceLimitError(BudgetExceededError):
@@ -117,17 +123,6 @@ class SeedSpec:
 
     root_seed: int
     replica: int = 0
-
-
-@dataclass(frozen=True)
-class HittingResult:
-    target: tuple[int, ...]
-    time: int | None
-    cap: int
-
-    @property
-    def censored(self) -> bool:
-        return self.time is None
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +186,9 @@ class _Compiled:
     """Dispatch tables of a protocol, shared by scalar and vector stepping."""
 
     def __init__(self, p: ScoutProtocol):
+        bad = [v for v in validate(p) if v.code in _UNCOMPILABLE]
+        if bad:
+            raise ProtocolValidationError(bad)
         self.protocol = p
         self.d = p.dim
         self.c = p.scouts
@@ -747,16 +745,6 @@ def hit_times(p: ScoutProtocol, targets: Sequence[Sequence[int]], replicas: int,
                       replicas, threads, chunk, np.zeros((0, len(targets)), np.int64))
 
 
-def hitting_time(p: ScoutProtocol, x: Sequence[int], cap: int, seed: SeedSpec) -> HittingResult:
-    """First n <= cap at which some scout occupies x, else censored."""
-    if cap < 0:
-        raise ValueError("cap must be >= 0")
-    times = _hit_times_chunk(p, np.array([tuple(x)], dtype=np.int64), seed.replica, 1,
-                             cap, seed.root_seed)
-    t = int(times[0, 0])
-    return HittingResult(tuple(int(v) for v in x), None if t > cap else t, cap)
-
-
 @dataclass
 class HittingSummary:
     """Monte-Carlo hitting estimate for one target."""
@@ -776,13 +764,6 @@ class HittingSummary:
         body["protocol_hash"] = self.protocol_hash
         body["cap_policy"] = "default" if self.cap_is_default else "user"
         return body
-
-
-def monte_carlo_hitting(p: ScoutProtocol, x: Sequence[int], replicas: int,
-                        cap: int | None = None, root_seed: int = 0,
-                        threads: int = 1) -> HittingSummary:
-    """Survival curve over dyadic thresholds plus censoring-aware mean estimate."""
-    return monte_carlo_hitting_multi(p, [x], replicas, cap, root_seed, threads)[0]
 
 
 def monte_carlo_hitting_multi(p: ScoutProtocol, targets: Sequence[Sequence[int]],
@@ -806,15 +787,6 @@ def monte_carlo_hitting_multi(p: ScoutProtocol, targets: Sequence[Sequence[int]]
 
 # ---------------------------------------------------------------------------
 # meetings (two-scout protocols)
-
-
-def meeting_times(t: Trace) -> list[int]:
-    """All meeting times of a two-scout trace, with time 0 included by convention."""
-    if t.positions.shape[1] != 2:
-        raise ValueError("meeting_times needs a two-scout trace")
-    eq = (t.positions[:, 0, :] == t.positions[:, 1, :]).all(axis=1)
-    eq[0] = True
-    return [int(n) for n in np.flatnonzero(eq)]
 
 
 def first_meeting_times(p: ScoutProtocol, replicas: int, cap: int, root_seed: int,

@@ -4,9 +4,9 @@ Sampling a two-scout trace at the times the scouts share a grid point
 yields a renewal sequence (Y_k, A_k, R_k): the meeting point, the state
 pair there, and the gap since the previous meeting.  The gap dominates how
 far either scout strayed in between, which makes the sequence a faithful
-coarse view of the joint process: diagnostics on it (gap tails, trapping,
-coverage indices, divergence of hitting-time means) are packaged here as
-falsifiable checks on concrete protocols, never as proofs.  Verdicts use
+coarse view of the joint process: diagnostics on it (the gap tail, and
+the divergence of hitting-time means) are packaged here as falsifiable
+checks on concrete protocols, never as proofs.  Verdicts use
 "consistent with" vocabulary throughout.
 """
 
@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
 
 from .engine import Trace
 from .errors import PreconditionError
@@ -25,8 +24,6 @@ from .tails import (CENSORED_FLAG_FRACTION, FIT_R2_MIN, CensoredSummary,
 
 FINITE_TAIL_INCREMENT_MAX = 0.01
 INFINITE_SLOPE_MIN = -1.0
-# chi-square cells of markov_homogeneity are merged up to this expectation
-HOMOGENEITY_MIN_EXPECTED = 5.0
 
 
 class EnvelopeViolation(AssertionError):
@@ -175,81 +172,6 @@ def meeting_tail(p: ScoutProtocol, k_range: tuple[int, int] = (1, 64),
 
 
 # ---------------------------------------------------------------------------
-# trapping
-
-
-@dataclass
-class TrapReport:
-    found: bool
-    settle_index: int | None = None
-    center: tuple[int, ...] | None = None
-    radius: int | None = None
-    horizon: int = 0
-
-    def to_json(self) -> dict:
-        return {"found": self.found, "settle_index": self.settle_index,
-                "center": None if self.center is None else list(self.center),
-                "radius": self.radius, "horizon": self.horizon}
-
-
-def trap_detect(positions: np.ndarray, r_grid: list[int] | None = None) -> TrapReport:
-    """Smallest grid radius and earliest index confining the whole suffix.
-
-    Scans radii in ascending order; for each, the earliest settle index is
-    found from suffix coordinate extrema (linear time).  Confinement only
-    counts as trapping when the suffix outlasts the crossing time of the
-    box it actually fills (at least 2*spread+2 steps): the tail of any path
-    fits in a ball vacuously, which is evidence of nothing.  found at
-    radius r implies found at any larger radius with an earlier-or-equal
-    settle index.
-    """
-    positions = np.asarray(positions)
-    if positions.ndim == 1:
-        positions = positions[:, None]
-    if positions.size == 0:
-        raise ValueError("empty position sequence")
-    if r_grid is None:
-        r_grid = [1 << j for j in range(11)]
-    n = positions.shape[0]
-    suf_max = np.maximum.accumulate(positions[::-1], axis=0)[::-1]
-    suf_min = np.minimum.accumulate(positions[::-1], axis=0)[::-1]
-    spread = np.maximum(suf_max - positions, positions - suf_min).max(axis=1)
-    remaining = (n - 1) - np.arange(n)
-    dwells = np.maximum(2 * spread + 2, 8)
-    qualifies = remaining >= dwells
-    for r in sorted(r_grid):
-        ok = (spread < r) & qualifies
-        if ok.any():
-            tau = int(np.argmax(ok))
-            return TrapReport(True, tau, tuple(int(v) for v in positions[tau]),
-                              int(r), n - 1)
-    return TrapReport(False, horizon=n - 1)
-
-
-# ---------------------------------------------------------------------------
-# explorer coverage
-
-
-def explorer_cover_time(mr: MeetingRenewal, x) -> int | None:
-    """First k with |Y_k - x| <= R_{k+1} in sup norm; None when censored.
-
-    Only k up to the second-to-last renewal is decidable (the test needs
-    the following gap).  Enlarging the renewal never increases the result.
-    """
-    if mr.count == 0:
-        raise PreconditionError("empty renewal")
-    x = np.asarray(x, dtype=np.int64)
-    usable = mr.count - 1
-    if usable <= 0:
-        return None
-    dist = np.abs(mr.points[:usable] - x[None, :]).max(axis=1)
-    hits = dist <= mr.gaps[1:usable + 1]
-    if not hits.any():
-        return None
-    return int(np.argmax(hits))
-
-
-# ---------------------------------------------------------------------------
 # divergence flag
 
 
@@ -308,70 +230,3 @@ def divergence_report(curve: SurvivalCurve | CensoredSummary) -> dict:
         body["mean_is_lower_bound"] = summary.mean_is_lower_bound
     return body
 
-
-# ---------------------------------------------------------------------------
-# homogeneity of the renewal chain
-
-
-def _bucket_gap(r: int) -> int:
-    return min(int(r).bit_length(), 6)
-
-
-def _bucket_move(dy: np.ndarray) -> int:
-    return min(int(np.abs(dy).max()), 3)
-
-
-def markov_homogeneity(mrs: list[MeetingRenewal]) -> float:
-    """p-value of early-vs-late homogeneity of the renewal transition law.
-
-    For each state pair A_k, the empirical law of (Y_{k+1}-Y_k, A_{k+1},
-    R_{k+1}) over the first half of indices is compared with the second
-    half by a pooled chi-square; cells expecting fewer than
-    HOMOGENEITY_MIN_EXPECTED counts are merged.
-    A small p-value indicates the conditional law drifts with k, which the
-    homogeneity of the underlying process forbids.
-    """
-    table: dict[tuple, dict[tuple, list[int]]] = {}
-    for mr in mrs:
-        K = mr.count
-        for k in range(K - 1):
-            half = 0 if k < (K - 1) / 2 else 1
-            cond = mr.state_pairs[k]
-            out = (_bucket_move(mr.points[k + 1] - mr.points[k]),
-                   mr.state_pairs[k + 1], _bucket_gap(int(mr.gaps[k + 1])))
-            cell = table.setdefault(cond, {}).setdefault(out, [0, 0])
-            cell[half] += 1
-    stat = 0.0
-    dof = 0
-    for cond, outcomes in table.items():
-        counts = np.array([v for v in outcomes.values()], dtype=np.float64)
-        if counts.sum() < 2 * HOMOGENEITY_MIN_EXPECTED or counts.shape[0] < 2:
-            continue
-        col = counts.sum(axis=0)
-        if (col == 0).any():
-            continue
-        # merge rows whose expected counts fall short
-        order = np.argsort(counts.sum(axis=1))
-        merged = []
-        acc = np.zeros(2)
-        total = counts.sum()
-        for i in order:
-            acc = acc + counts[i]
-            expected = acc.sum() * col / total
-            if (expected >= HOMOGENEITY_MIN_EXPECTED).all():
-                merged.append(acc.copy())
-                acc = np.zeros(2)
-        if merged and acc.sum() > 0:
-            merged[-1] += acc
-        counts = np.array(merged)
-        if counts.shape[0] < 2:
-            continue
-        row = counts.sum(axis=1, keepdims=True)
-        colf = counts.sum(axis=0, keepdims=True)
-        expected = row * colf / counts.sum()
-        mask = expected > 0
-        stat += float((((counts - expected) ** 2)[mask] / expected[mask]).sum())
-        dof += (counts.shape[0] - 1) * (counts.shape[1] - 1)
-    if dof == 0:
-        return 1.0
-    return float(chi2.sf(stat, dof))

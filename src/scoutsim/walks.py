@@ -495,13 +495,6 @@ def _dp_survival(law: StepLaw, s0: int, horizon: int, cond, check_from: int = 0)
     return Fraction(total, D ** (horizon + 1))
 
 
-def _integral(x) -> int:
-    """``x`` as an int; the floor-radius comparison is exact only for integers."""
-    if x != int(x):
-        raise PreconditionError(f"exact radius events need integer arguments, got {x!r}")
-    return int(x)
-
-
 def _difference_law(law1: StepLaw, law2: StepLaw) -> StepLaw:
     """The law of S1 - S2 with radius R1 + R2, for independent unit-time walks."""
     if not (law1.unit_time and law2.unit_time):
@@ -509,59 +502,6 @@ def _difference_law(law1: StepLaw, law2: StepLaw) -> StepLaw:
     return StepLaw(tuple(LawOutcome(Fraction(o1.probability) * Fraction(o2.probability),
                                     o1.zeta - o2.zeta, 1, float(o1.radius) + float(o2.radius))
                          for o1 in law1.outcomes for o2 in law2.outcomes))
-
-
-def _oracle(name: str, law: StepLaw, s0: int, horizon: int, arg=None,
-            law2: StepLaw | None = None, s02: int | None = None) -> Fraction:
-    """P(event ``name`` never holds at a checked time), by the exact DP."""
-    make_cond, first, pair = _EVENTS[name]
-    if pair:
-        law, s0 = _difference_law(law, law2), s0 - s02
-    return _dp_survival(law, s0, horizon, make_cond(arg, law), first(horizon))
-
-
-def oracle_exact_hit_survival(law: StepLaw, s0: int, target: int, horizon: int) -> Fraction:
-    """P(S_n != target for all n <= horizon)."""
-    return _oracle("hit", law, s0, horizon, target)
-
-
-def oracle_lookaround_survival(law: StepLaw, s0: int, target: int, horizon: int) -> Fraction:
-    """P(|S_n - target| > R_{n+1} for all n <= horizon)."""
-    return _oracle("lookaround", law, s0, horizon, _integral(target))
-
-
-def oracle_reach_survival(law: StepLaw, s0: int, x: int, horizon: int) -> Fraction:
-    """P(S_n + R_{n+1} < x for all n <= horizon)."""
-    return _oracle("reach", law, s0, horizon, _integral(x))
-
-
-def oracle_interval_survival(law: StepLaw, s0: int, lo: int, hi: int, horizon: int) -> Fraction:
-    """P(dist(S_n, [lo, hi]) > R_{n+1} for all n <= horizon)."""
-    if hi < lo:
-        raise ValueError("empty interval")
-    return _dp_survival(law, s0, horizon, _interval_cond(_integral(lo), _integral(hi)))
-
-
-def oracle_exit_survival(law: StepLaw, s0: int, rho: int, horizon: int) -> Fraction:
-    """P(tau_rho > horizon) with the exit set chosen by the drift sign."""
-    return _oracle("exit", law, s0, horizon, rho)
-
-
-def oracle_position_probability(law: StepLaw, s0: int, horizon: int, y: int) -> Fraction:
-    """P(S_horizon = y)."""
-    return _oracle("position", law, s0, horizon, y)
-
-
-def oracle_meeting_survival(law1: StepLaw, law2: StepLaw, s01: int, s02: int,
-                            horizon: int) -> Fraction:
-    """P(S1_n != S2_n for all 1 <= n <= horizon) for independent unit-time walks."""
-    return _oracle("meeting", law1, s01, horizon, law2=law2, s02=s02)
-
-
-def oracle_ball_meeting_survival(law1: StepLaw, law2: StepLaw, s01: int, s02: int,
-                                 horizon: int) -> Fraction:
-    """P(|S1_n - S2_n| > R1_{n+1} + R2_{n+1} for all n <= horizon)."""
-    return _oracle("ballmeeting", law1, s01, horizon, law2=law2, s02=s02)
 
 
 def _parse_event(event: str, law2: StepLaw | None, s02) -> tuple[str, int | None]:
@@ -583,14 +523,18 @@ def _parse_event(event: str, law2: StepLaw | None, s02) -> tuple[str, int | None
 
 def exact_dp_oracle(law: StepLaw, s0: int, horizon: int, event: str,
                     law2: StepLaw | None = None, s02: int | None = None) -> Fraction:
-    """Dispatch an event spec like ``hit:3``, ``reach:10``, ``meeting``.
+    """P(the event never holds at a checked time), by the exact DP, for an
+    event spec like ``hit:3``, ``reach:10``, ``meeting``.
 
     Single-walk events: hit, lookaround, reach, exit, position (survival
     forms; ``position`` is a point probability).  With a second law,
     ``meeting`` and ``ballmeeting`` act on the difference walk.
     """
     name, arg = _parse_event(event, law2, s02)
-    return _oracle(name, law, s0, horizon, arg, law2, s02)
+    make_cond, first, pair = _EVENTS[name]
+    if pair:
+        law, s0 = _difference_law(law, law2), s0 - s02
+    return _dp_survival(law, s0, horizon, make_cond(arg, law), first(horizon))
 
 
 # ---------------------------------------------------------------------------

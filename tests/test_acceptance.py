@@ -24,8 +24,7 @@ from scoutsim.renewal import (FINITE, INFINITE, divergence_flag,
 from scoutsim.tails import SurvivalCurve, fit_tail, summarize_censored
 from scoutsim.walks import (LookAroundWalk, exact_dp_oracle,
                             check_joint_corridor_avoidance,
-                            mc_event_frequency, oracle_exact_hit_survival,
-                            parse_law)
+                            mc_event_frequency, parse_law)
 
 from conftest import (random_degenerate_kernel, random_rational_kernel,
                       random_two_scout_protocol, return_nonzero_probability)
@@ -104,7 +103,7 @@ def test_criterion_02_hitting_law_slope(srw_hitting):
     worst = 0.0
     n = srw_hitting.size
     for u in (1, 2, 4, 8, 16, 32, 64):
-        p_exact = float(oracle_exact_hit_survival(srw_law, 0, 1, u))
+        p_exact = float(exact_dp_oracle(srw_law, 0, u, "hit:1"))
         f = float((srw_hitting > u).mean())
         sigma = math.sqrt(p_exact * (1 - p_exact) / n)
         z = abs(f - p_exact) / sigma

@@ -12,11 +12,9 @@ from scoutsim import builtin, parse_protocol, streams
 from scoutsim.analysis import (KernelEntry, PreconditionError, ReducedKernel, ThickRay,
                                analyze_protocol, classes, degeneracy_check,
                                difference_drift, effective_drift,
-                               joint_product_chain, kernel_renewal_samples,
-                               product_kernel, ray_domain, reduce_kernel,
-                               renewal_samples, stationary_distribution)
+                               kernel_renewal_samples, product_kernel, ray_domain,
+                               reduce_kernel, stationary_distribution)
 from scoutsim.analysis import _ChainWalk, _solve_exact
-from scoutsim.engine import SeedSpec
 from scoutsim.tails import SurvivalCurve, fit_tail
 
 from conftest import random_rational_kernel
@@ -305,7 +303,7 @@ def test_degeneracy_matches_simulated_confinement():
 
 def test_renewal_deterministic_selfloop():
     p = parse_protocol("dim 1\nscouts 1\nstates a\ninit 1 a\ntrans a * -> 1 a (+1)\n")
-    rs = renewal_samples(p, 1, "a", 20, SeedSpec(1))
+    rs = kernel_renewal_samples(reduce_kernel(p, 1), "a", 20, 1)
     assert np.all(rs.zeta[:, 0] == 1)
     assert np.all(rs.nu == 1)
     assert np.all(rs.R == 2)
@@ -313,17 +311,10 @@ def test_renewal_deterministic_selfloop():
 
 def test_renewal_two_cycle():
     p = parse_protocol(HALF_DRIFT)
-    rs = renewal_samples(p, 1, "a", 20, SeedSpec(1))
+    rs = kernel_renewal_samples(reduce_kernel(p, 1), "a", 20, 1)
     assert np.all(rs.zeta[:, 0] == 1)
     assert np.all(rs.nu == 2)
     assert np.all(rs.R == 4)
-
-
-def test_renewal_unreachable_state():
-    text = ("dim 1\nscouts 1\nstates a b\ninit 1 a\n"
-            "trans a * -> 1 a (0)\ntrans b * -> 1 b (0)\n")
-    with pytest.raises(PreconditionError, match="unreachable"):
-        renewal_samples(parse_protocol(text), 1, "b", 5, SeedSpec(0))
 
 
 def test_renewal_reward_identity_on_random_kernels():
@@ -501,10 +492,11 @@ def test_joint_product_chain_protocol():
     text = ("dim 1\nscouts 2\nstates a b\ninit 1 a\ninit 2 b\n"
             "trans a * -> 1 a (+1)\ntrans b * -> 0.5 b (+1) | 0.5 b (-1)\n")
     p = parse_protocol(text)
-    kd = joint_product_chain(p, difference=True)
+    k1, k2 = reduce_kernel(p, 1), reduce_kernel(p, 2)
+    kd = product_kernel(k1, k2, difference=True)
     assert kd.dim == 1
     assert difference_drift(p) == (Fraction(1),)
-    full = joint_product_chain(p)
+    full = product_kernel(k1, k2)
     assert full.dim == 2
 
 

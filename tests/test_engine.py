@@ -9,15 +9,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scoutsim import (SeedSpec, builtin, meeting_times, monte_carlo_hitting,
-                      parse_protocol, run, step)
+from scoutsim import (SeedSpec, builtin, monte_carlo_hitting_multi, parse_protocol,
+                      run, step)
 from scoutsim import engine, streams
 from scoutsim.errors import PreconditionError
 from scoutsim.protocol import (Configuration, EnvPattern, Outcome, ProtocolError,
-                               ScoutProtocol, TransitionRule, environment_of)
+                               ProtocolValidationError, ScoutProtocol, TransitionRule,
+                               environment_of)
 from scoutsim.engine import (ResourceLimitError, VectorSim, first_meeting_times,
-                             hit_times, hitting_time, initial_configuration,
-                             iter_run, meeting_gap_samples, run_batch)
+                             hit_times, initial_configuration, iter_run,
+                             meeting_gap_samples, run_batch)
+from scoutsim.renewal import extract_renewal
 
 DET_PLUS = "dim 1\nscouts 1\nstates A\ninit 1 A\ntrans A * -> 1 A (+1)\n"
 
@@ -184,7 +186,8 @@ def test_cap_marker_must_fit_int64():
             call(2**63 - 1)
     # the largest cap whose marker fits; the origin is hit at time 0
     assert hit_times(p, [(0,)], 2, 2**63 - 2, 0).tolist() == [[0], [0]]
-    assert monte_carlo_hitting(p, (0,), 2, cap=2**63 - 2).curve.thresholds[-1] == 2**62
+    [s] = monte_carlo_hitting_multi(p, [(0,)], 2, cap=2**63 - 2)
+    assert s.curve.thresholds[-1] == 2**62
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +339,7 @@ def test_longest_move_of_minus_128():
     p = ScoutProtocol(dim=1, scouts=1, state_names=("A",), initial_position=(0,),
                       initial_states=("A",), rules=rules)
     assert engine._compile(p).max_move == 128
-    assert hitting_time(p, (-256,), 2, SeedSpec(0)).time == 2
+    assert hit_times(p, [(-256,)], 1, 2, 0)[0, 0] == 2
 
 
 def test_run_leaving_int64_raises():
@@ -369,11 +372,49 @@ def test_uncovered_environment_raises_after_every_earlier_step():
     assert str(err.value) == message
     # the vectorized path names the environment too
     with pytest.raises(ProtocolError) as err:
-        hitting_time(p, (5,), 1024, KERNEL_SEED)
+        hit_times(p, [(5,)], KERNEL_SEED.replica + 1, 1024, KERNEL_SEED.root_seed)
     assert str(err.value) == message
     with pytest.raises(ProtocolError) as err:
         run_batch(p, 1024, KERNEL_SEED.root_seed, 1, KERNEL_SEED.replica)
     assert str(err.value) == message
+
+
+def _uncompilable(rule_state="A", outcome_state="A", pattern=(), init="A", outcomes=True):
+    """A two-scout protocol over the one declared state A, built in code past
+    the parser, with one name swapped for an undeclared one or no outcomes."""
+    pattern = EnvPattern.exact(pattern) if pattern else EnvPattern.wildcard()
+    row = (Outcome(Fraction(1), outcome_state, (1,)),) if outcomes else ()
+    return ScoutProtocol(dim=1, scouts=2, state_names=("A",), initial_position=(0,),
+                         initial_states=(init, "A"),
+                         rules=(TransitionRule(rule_state, pattern, row),))
+
+
+UNCOMPILABLE = {
+    "empty-row": ("empty-row", dict(outcomes=False)),
+    "outcome-state": ("unknown-state", dict(outcome_state="B")),
+    "rule-state": ("unknown-state", dict(rule_state="B")),
+    "pattern-state": ("unknown-state", dict(pattern=("B",))),
+    "initial-state": ("unknown-state", dict(init="B")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNCOMPILABLE))
+def test_uncompilable_protocol_refused_on_every_path(case):
+    # these ended in IndexError (no outcomes) or KeyError (undeclared name)
+    code, kwargs = UNCOMPILABLE[case]
+    p = _uncompilable(**kwargs)
+    seed = SeedSpec(0)
+    calls = (lambda: run(p, 5, seed),
+             lambda: list(iter_run(p, seed, 5)),
+             lambda: step(initial_configuration(p), p, seed),
+             lambda: run_batch(p, 5, 0, 2),
+             lambda: VectorSim(p, 2, 0),
+             lambda: hit_times(p, [(1,)], 2, 8, 0),
+             lambda: first_meeting_times(p, 2, 8, 0))
+    for call in calls:
+        with pytest.raises(ProtocolValidationError) as err:
+            call()
+        assert [v.code for v in err.value.violations] == [code]
 
 
 # ---------------------------------------------------------------------------
@@ -466,16 +507,13 @@ def test_vector_step_matches_reference(name):
 
 def test_hitting_at_origin_is_zero():
     p = builtin("srw", d=1)
-    r = hitting_time(p, (0,), 10, SeedSpec(0))
-    assert r.time == 0 and not r.censored
+    assert hit_times(p, [(0,)], 1, 10, 0)[0, 0] == 0
 
 
 def test_hitting_deterministic():
     p = parse_protocol(DET_PLUS)
-    r = hitting_time(p, (7,), 100, SeedSpec(0))
-    assert r.time == 7
-    r = hitting_time(p, (-1,), 100, SeedSpec(0))
-    assert r.censored and r.time is None
+    assert hit_times(p, [(7,)], 1, 100, 0)[0, 0] == 7
+    assert hit_times(p, [(-1,)], 1, 100, 0)[0, 0] == 101  # censored: cap + 1
 
 
 def test_hitting_survival_matches_enumeration():
@@ -593,7 +631,7 @@ def test_hit_times_threads_and_chunks_identical():
 
 def test_monte_carlo_degenerate_target():
     p = parse_protocol(DET_PLUS)
-    s = monte_carlo_hitting(p, (3,), replicas=200, cap=64, root_seed=1)
+    s = monte_carlo_hitting_multi(p, [(3,)], replicas=200, cap=64, root_seed=1)[0]
     assert s.summary.mean == 3.0
     assert s.summary.ci_low == s.summary.ci_high == 3.0
     assert s.summary.n_censored == 0
@@ -601,15 +639,15 @@ def test_monte_carlo_degenerate_target():
 
 def test_monte_carlo_mean_nondecreasing_in_cap():
     p = builtin("srw", d=1)
-    lo = monte_carlo_hitting(p, (1,), replicas=4000, cap=1 << 8, root_seed=2)
-    hi = monte_carlo_hitting(p, (1,), replicas=4000, cap=1 << 12, root_seed=2)
+    lo = monte_carlo_hitting_multi(p, [(1,)], replicas=4000, cap=1 << 8, root_seed=2)[0]
+    hi = monte_carlo_hitting_multi(p, [(1,)], replicas=4000, cap=1 << 12, root_seed=2)[0]
     assert hi.summary.mean >= lo.summary.mean
     assert hi.summary.n_censored <= lo.summary.n_censored
 
 
 def test_monte_carlo_censored_flag():
     p = builtin("srw", d=1)
-    s = monte_carlo_hitting(p, (1,), replicas=2000, cap=16, root_seed=2)
+    s = monte_carlo_hitting_multi(p, [(1,)], replicas=2000, cap=16, root_seed=2)[0]
     assert s.summary.censored_fraction > 0.01
     assert s.summary.mean_is_lower_bound
 
@@ -620,7 +658,7 @@ def test_anchored_mean_matches_epoch_calculation():
     # E[L | hit] = 10; the hit lands 4 steps into its epoch, giving
     # E[T] = E[K] E[L] - (E[L | hit] - 4) = 32 * 5/2 - 6 = 74 exactly.
     p = builtin("anchored_geometric", d=1, p="1/2")
-    s = monte_carlo_hitting(p, (4,), replicas=6000, cap=1 << 12, root_seed=8)
+    s = monte_carlo_hitting_multi(p, [(4,)], replicas=6000, cap=1 << 12, root_seed=8)[0]
     assert s.summary.censored_fraction < 0.001
     assert s.summary.ci_low <= 74.0 <= s.summary.ci_high
 
@@ -630,7 +668,7 @@ def test_anchored_censoring_vanishes_with_cap():
     fracs = []
     widths = []
     for cap in (1 << 6, 1 << 8, 1 << 10):
-        s = monte_carlo_hitting(p, (4,), replicas=3000, cap=cap, root_seed=9)
+        s = monte_carlo_hitting_multi(p, [(4,)], replicas=3000, cap=cap, root_seed=9)[0]
         fracs.append(s.summary.censored_fraction)
         if s.summary.mean is not None:
             widths.append(s.summary.ci_high - s.summary.ci_low)
@@ -640,7 +678,7 @@ def test_anchored_censoring_vanishes_with_cap():
 
 def test_survival_curve_invariants():
     p = builtin("srw", d=1)
-    s = monte_carlo_hitting(p, (1,), replicas=3000, cap=1 << 10, root_seed=4)
+    s = monte_carlo_hitting_multi(p, [(1,)], replicas=3000, cap=1 << 10, root_seed=4)[0]
     c = s.curve
     assert np.all(np.diff(c.survivors) <= 0)
     assert c.survivors.max() <= c.total
@@ -654,18 +692,18 @@ def test_meeting_times_stay_put():
     text = ("dim 1\nscouts 2\nstates a b\ninit 1 a\ninit 2 b\n"
             "trans a * -> 1 a (0)\ntrans b * -> 1 b (0)\n")
     tr = run(parse_protocol(text), 10, SeedSpec(0))
-    assert meeting_times(tr) == list(range(11))
+    assert extract_renewal(tr).meeting_times.tolist() == list(range(11))
 
 
 def test_meeting_times_opposite_never_remeet():
     tr = run(parse_protocol(OPPOSITE), 50, SeedSpec(0))
-    assert meeting_times(tr) == [0]
+    assert extract_renewal(tr).meeting_times.tolist() == [0]
 
 
 def test_meeting_times_needs_two_scouts():
     tr = run(builtin("srw", d=1), 10, SeedSpec(0))
     with pytest.raises(ValueError, match="two-scout"):
-        meeting_times(tr)
+        extract_renewal(tr)
 
 
 def _first_meetings_stepwise(p, replicas, cap, root_seed):
@@ -753,7 +791,7 @@ def test_iid_meeting_gaps_kmax_meeting_on_block_end(monkeypatch, k_max):
     # size the first block so that replica 0's k_max-th meeting is its last step
     p = builtin("independent_walks", d=1, c=2)
     replicas = 30
-    n_k = meeting_times(run(p, 400, SeedSpec(8)))[k_max]
+    n_k = extract_renewal(run(p, 400, SeedSpec(8))).meeting_times[k_max]
     monkeypatch.setattr(engine, "_IID_VARIATES", n_k * replicas)
     assert engine._iid_block(0, 400, replicas) == n_k
     got = meeting_gap_samples(p, replicas, 400, 8, 1, k_max)
@@ -767,7 +805,7 @@ def test_meeting_gaps_kmax_meeting_on_window_end(monkeypatch, k_max):
     # under which replica 0's k_max-th meeting is the last step of a block
     p = builtin("anchored_geometric", d=1, p="1/2")
     assert not engine._compile(p).iid_single
-    n_k = meeting_times(run(p, 400, SeedSpec(8)))[k_max]
+    n_k = extract_renewal(run(p, 400, SeedSpec(8))).meeting_times[k_max]
     for window in range(n_k, 0, -1):
         monkeypatch.setattr(engine, "_HIT_WINDOW", window)
         if n_k in {t0 + len(keys) for t0, keys in engine._BlockSource(p, 0, 1, 400, 8)}:
@@ -805,8 +843,8 @@ def test_stopping_times_match_references_under_partitions(partition, name):
     targets = [(1,), (0,), (-3,), (1,), (10**9,)]
     want = _hit_times_oracle(p, targets, 12, 150, 5)
     assert np.array_equal(hit_times(p, targets, 12, 150, 5, chunk=5), want)
-    assert hitting_time(p, (-3,), 150, SeedSpec(5, replica=7)).time == (
-        None if want[7, 2] > 150 else want[7, 2])
+    # replica 7 alone: a one-replica range that starts past replica 0
+    assert hit_times(p, [(-3,)], 8, 150, 5, chunk=1)[7, 0] == want[7, 2]
     want = _first_meetings_stepwise(p, 60, 150, 5)
     assert np.array_equal(first_meeting_times(p, 60, 150, 5, chunk=25), want)
     for k_min, k_max in ((1, 64), (2, 3)):
@@ -864,7 +902,7 @@ def test_key_range_error():
     with pytest.raises(PreconditionError, match="2\\*\\*31"):
         hit_times(far, [(0, 0)], 2, 100, 0)
     with pytest.raises(PreconditionError, match="2\\*\\*31"):
-        hitting_time(far, (0, 0), 100, SeedSpec(0))
+        hit_times(far, [(0, 0)], 1, 100, 0)
     with pytest.raises(PreconditionError, match="2\\*\\*31"):
         run_batch(far, 100, 0, 2)
     with pytest.raises(PreconditionError, match="2\\*\\*31"):

@@ -2,7 +2,10 @@
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 import typing
 
 import scoutsim
@@ -26,9 +29,22 @@ def _public_functions():
 
 
 def test_type_hints_resolve():
-    # analysis.renewal_samples annotated SeedSpec without importing it
+    # a hint naming another module's type resolves only if the module imports
+    # it; renewal.extract_renewal takes an engine.Trace
     names = []
     for name, obj in _public_functions():
         typing.get_type_hints(obj)
         names.append(name)
-    assert "scoutsim.analysis.renewal_samples" in names
+    assert "scoutsim.renewal.extract_renewal" in names
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # no module of the package uses scipy.stats, and importing it would add
+    # set-up time and memory to every run
+    code = "import sys, scoutsim; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(scoutsim.__file__))]
+        + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"

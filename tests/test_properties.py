@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from scoutsim import SeedSpec, parse_protocol, run, serialize
 from scoutsim.protocol import (EnvPattern, Outcome, ScoutProtocol,
                                TransitionRule)
-from scoutsim.renewal import trap_detect
 from scoutsim.tails import SurvivalCurve, dyadic_thresholds
 
 
@@ -74,18 +73,6 @@ def test_state_relabeling_preserves_positions(p, seed):
     a = run(p, 60, SeedSpec(seed))
     b = run(q, 60, SeedSpec(seed))
     assert np.array_equal(a.positions, b.positions)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.integers(-3, 3), min_size=12, max_size=200),
-       st.integers(1, 6))
-def test_trap_monotonicity(steps, r_small):
-    path = np.cumsum(np.array(steps))
-    small = trap_detect(path, r_grid=[r_small])
-    big = trap_detect(path, r_grid=[r_small * 2])
-    if small.found:
-        assert big.found
-        assert big.settle_index <= small.settle_index
 
 
 @settings(max_examples=40, deadline=None)

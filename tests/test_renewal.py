@@ -1,17 +1,15 @@
-"""Meeting renewals, gap tails, traps, coverage, divergence verdicts."""
+"""Meeting renewals, gap tails, divergence verdicts."""
 
 import numpy as np
 import pytest
 
 from scoutsim import SeedSpec, builtin, parse_protocol, run
-from scoutsim.engine import (first_meeting_times, monte_carlo_hitting,
-                             monte_carlo_hitting_multi)
+from scoutsim.engine import first_meeting_times, monte_carlo_hitting_multi
 from scoutsim.errors import PreconditionError
 from scoutsim.renewal import (FINITE, INFINITE,
-                              EnvelopeViolation, MeetingRenewal,
+                              EnvelopeViolation,
                               divergence_flag, divergence_report,
-                              explorer_cover_time, extract_renewal,
-                              markov_homogeneity, meeting_tail, trap_detect)
+                              extract_renewal, meeting_tail)
 from scoutsim.tails import InsufficientDataError, SurvivalCurve, summarize_censored
 
 STAY_PUT = ("dim 1\nscouts 2\nstates a b\ninit 1 a\ninit 2 b\n"
@@ -157,87 +155,15 @@ def test_engine_meeting_survival_matches_difference_oracle():
     # the engine simulates two interactionless scouts; the oracle runs the
     # difference walk: P(N_1 > 1) = 1/2, P(N_1 > 2) = 3/8
     from scoutsim.engine import first_meeting_times as fmt
-    from scoutsim.walks import NAMED_LAWS, oracle_meeting_survival
+    from scoutsim.walks import NAMED_LAWS, exact_dp_oracle
     srw = NAMED_LAWS["srw"]()
     p = builtin("independent_walks", d=1, c=2)
     times = fmt(p, 30000, 64, root_seed=17)
     for u in (1, 2, 4, 8):
-        want = float(oracle_meeting_survival(srw, srw, 0, 0, u))
+        want = float(exact_dp_oracle(srw, 0, u, "meeting", law2=srw, s02=0))
         got = float((times > u).mean())
         sigma = (want * (1 - want) / 30000) ** 0.5
         assert abs(got - want) <= 4 * sigma, (u, got, want)
-
-
-# traps
-
-
-def test_trap_constant_sequence():
-    rep = trap_detect(np.zeros((50, 1), dtype=np.int64))
-    assert rep.found and rep.settle_index == 0 and rep.radius == 1
-
-
-def test_trap_drift_path_not_found():
-    rep = trap_detect(np.arange(3000)[:, None])
-    assert not rep.found
-
-
-def test_trap_frozen_tail():
-    rng = np.random.default_rng(0)
-    path = np.cumsum(rng.choice([-1, 1], size=100))
-    path = np.concatenate([path, np.full(150, path[-1])])
-    rep = trap_detect(path)
-    assert rep.found and rep.settle_index <= 100
-
-
-def test_trap_monotinicity_in_radius():
-    rng = np.random.default_rng(2)
-    path = np.cumsum(rng.choice([-1, 0, 1], size=400))
-    found = {}
-    for r in (1, 2, 4, 8, 16, 32, 64):
-        rep = trap_detect(path, r_grid=[r])
-        if rep.found:
-            found[r] = rep.settle_index
-    radii = sorted(found)
-    for r1, r2 in zip(radii, radii[1:]):
-        assert found[r2] <= found[r1]
-
-
-# explorer coverage
-
-
-def test_cover_time_at_start():
-    mr = extract_renewal(run(parse_protocol(STAY_PUT), 10, SeedSpec(0)))
-    assert explorer_cover_time(mr, (0,)) == 0
-
-
-def test_cover_time_censored():
-    mr = extract_renewal(run(parse_protocol(STAY_PUT), 10, SeedSpec(0)))
-    assert explorer_cover_time(mr, (5,)) is None
-
-
-def test_cover_time_planar_sweep_stabilizes():
-    # anchor/column-scout renewal of the planar sweep protocol: the cover
-    # index of (2,1) needs a gap of at least 2, which every excursion epoch
-    # provides; the empirical mean settles as replicas double
-    p = builtin("anchored_geometric", d=2, p="1/2")
-    target = (2, 1)
-
-    def mean_cover(n_replicas):
-        vals = []
-        for rep in range(n_replicas):
-            mr = extract_renewal(run(p, 600, SeedSpec(33, rep)), pair=(1, 2))
-            k = explorer_cover_time(mr, target)
-            if k is not None:
-                vals.append(k)
-        assert len(vals) >= 0.95 * n_replicas
-        arr = np.array(vals, dtype=float)
-        half = 1.96 * arr.std(ddof=1) / np.sqrt(arr.size)
-        return arr.mean(), half
-
-    m1, h1 = mean_cover(60)
-    m2, h2 = mean_cover(120)
-    assert np.isfinite(m2)
-    assert abs(m1 - m2) <= h1 + h2
 
 
 def test_extract_pair_selection_validates():
@@ -247,18 +173,6 @@ def test_extract_pair_selection_validates():
         extract_renewal(tr)
     with pytest.raises(ValueError, match="bad scout pair"):
         extract_renewal(tr, pair=(1, 4))
-
-
-def test_cover_time_monotone_in_renewal_length():
-    p = builtin("independent_walks", d=1, c=2)
-    long = extract_renewal(run(p, 4000, SeedSpec(9)))
-    short = MeetingRenewal(long.meeting_times[:10], long.points[:10],
-                           long.state_pairs[:10], long.gaps[:10])
-    for x in ((2,), (5,), (9,)):
-        k_long = explorer_cover_time(long, x)
-        k_short = explorer_cover_time(short, x)
-        if k_short is not None:
-            assert k_long is not None and k_long <= k_short
 
 
 # divergence verdicts
@@ -281,16 +195,16 @@ def test_divergence_steep_tail_finite():
 
 def test_divergence_flag_on_simulated_controls():
     srw = builtin("srw", d=1)
-    s = monte_carlo_hitting(srw, (1,), replicas=8000, cap=1 << 14, root_seed=3)
+    s = monte_carlo_hitting_multi(srw, [(1,)], replicas=8000, cap=1 << 14, root_seed=3)[0]
     assert divergence_flag(s.summary) == INFINITE
 
     det = parse_protocol("dim 1\nscouts 1\nstates A\ninit 1 A\ntrans A * -> 1 A (+1)\n")
-    d = monte_carlo_hitting(det, (7,), replicas=100, cap=1 << 9, root_seed=3)
+    d = monte_carlo_hitting_multi(det, [(7,)], replicas=100, cap=1 << 9, root_seed=3)[0]
     assert divergence_flag(d.summary) == FINITE
     assert d.summary.mean == 7.0
 
     trip = builtin("independent_walks", d=1, c=3)
-    t = monte_carlo_hitting(trip, (3,), replicas=6000, cap=1 << 16, root_seed=3)
+    t = monte_carlo_hitting_multi(trip, [(3,)], replicas=6000, cap=1 << 16, root_seed=3)[0]
     assert divergence_flag(t.summary) == FINITE
 
 
@@ -317,20 +231,7 @@ def test_divergence_report_fields():
 
 def test_divergence_origin_target_degenerate():
     det = parse_protocol("dim 1\nscouts 1\nstates A\ninit 1 A\ntrans A * -> 1 A (+1)\n")
-    s = monte_carlo_hitting(det, (0,), replicas=50, cap=64, root_seed=1)
+    s = monte_carlo_hitting_multi(det, [(0,)], replicas=50, cap=64, root_seed=1)[0]
     assert s.summary.mean == 0.0
     assert divergence_flag(s.summary) == FINITE
 
-
-# homogeneity
-
-
-def test_homogeneity_srw_pair():
-    p = builtin("independent_walks", d=1, c=2)
-    mrs = [extract_renewal(run(p, 1 << 12, SeedSpec(21, rep))) for rep in range(8)]
-    assert markov_homogeneity(mrs) > 0.01
-
-
-def test_homogeneity_degenerate_single_cell():
-    mrs = [extract_renewal(run(parse_protocol(STAY_PUT), 200, SeedSpec(0)))]
-    assert markov_homogeneity(mrs) == 1.0

@@ -20,14 +20,10 @@ from scoutsim.walks import (CHECKS, LookAroundWalk, NAMED_LAWS, StepLaw,
                             check_joint_corridor_avoidance,
                             check_upper_deviation_bound,
                             check_zero_drift_reach_tail, exact_dp_oracle,
-                            make_law, mc_event_frequency,
-                            oracle_exact_hit_survival, oracle_exit_survival,
-                            oracle_interval_survival,
-                            oracle_lookaround_survival,
-                            oracle_meeting_survival,
-                            oracle_position_probability,
-                            oracle_reach_survival, parse_law, sample_walk)
-from scoutsim.walks import _corridor_times, _stopping_times
+                            make_law, mc_event_frequency, parse_law,
+                            sample_walk)
+from scoutsim.walks import (_EVENTS, _corridor_times, _dp_survival, _interval_cond,
+                            _stopping_times)
 
 
 def srw():
@@ -137,8 +133,6 @@ def test_negative_horizon_rejected():
     law = srw()
     calls = [lambda: exact_dp_oracle(law, 0, -3, "hit:1"),
              lambda: exact_dp_oracle(law, 0, -1, "meeting", law2=law, s02=2),
-             lambda: oracle_interval_survival(law, 0, -1, 1, -2),
-             lambda: oracle_exit_survival(law, 0, 3, -1),
              lambda: mc_event_frequency(law, 0, -3, "hit:0", 10, 0),
              lambda: mc_event_frequency(law, 0, -1, "meeting", 10, 0, law2=law, s02=2)]
     for call in calls:
@@ -147,6 +141,14 @@ def test_negative_horizon_rejected():
     # horizon 0 checks the start only
     assert exact_dp_oracle(law, 0, 0, "hit:0") == 0
     assert mc_event_frequency(law, 0, 0, "hit:0", 10, 0) == 0.0
+
+
+@pytest.mark.parametrize("name", sorted(_EVENTS))
+def test_oracle_rejects_negative_horizon_for_every_event(name):
+    law = srw()
+    spec, pair = (name, dict(law2=law, s02=2)) if _EVENTS[name].pair else (f"{name}:1", {})
+    with pytest.raises(ValueError, match="horizon must be >= 0"):
+        exact_dp_oracle(law, 0, -1, spec, **pair)
 
 
 def test_mc_event_frequency_exact_at_large_positions():
@@ -213,24 +215,24 @@ def enumerate_event(law: StepLaw, s0: int, horizon: int, indicator) -> Fraction:
 def test_oracles_match_enumeration(law_text, s0, horizon):
     law = parse_law(law_text)
     target = 2
-    got = oracle_exact_hit_survival(law, s0, target, horizon)
+    got = exact_dp_oracle(law, s0, horizon, f"hit:{target}")
     want = enumerate_event(law, s0, horizon,
                            lambda path, radii: target not in path)
     assert got == want
 
-    got = oracle_lookaround_survival(law, s0, target, horizon)
+    got = exact_dp_oracle(law, s0, horizon, f"lookaround:{target}")
     want = enumerate_event(
         law, s0, horizon,
         lambda path, radii: all(abs(x - target) > r for x, r in zip(path, radii)))
     assert got == want
 
-    got = oracle_reach_survival(law, s0, target, horizon)
+    got = exact_dp_oracle(law, s0, horizon, f"reach:{target}")
     want = enumerate_event(
         law, s0, horizon,
         lambda path, radii: all(x + r < target for x, r in zip(path, radii)))
     assert got == want
 
-    got = oracle_interval_survival(law, s0, -1, 1, horizon)
+    got = _dp_survival(law, s0, horizon, _interval_cond(-1, 1))
 
     def dist(x):
         return max(-1 - x, x - 1, 0)
@@ -254,7 +256,7 @@ def test_position_and_exit_oracles_match_enumeration(law_text):
     law = parse_law(law_text)
     horizon = 4
     for s0, y in ((0, 0), (1, 2), (-1, -3)):
-        got = oracle_position_probability(law, s0, horizon, y)
+        got = exact_dp_oracle(law, s0, horizon, f"position:{y}")
         want = enumerate_event(law, s0, horizon, lambda path, radii: path[-1] == y)
         assert got == want
     drift = law.mean_zeta
@@ -265,7 +267,7 @@ def test_position_and_exit_oracles_match_enumeration(law_text):
             out = lambda x: x > rho
         else:
             out = lambda x: x < -rho
-        got = oracle_exit_survival(law, s0, rho, horizon)
+        got = exact_dp_oracle(law, s0, horizon, f"exit:{rho}")
         want = enumerate_event(law, s0, horizon,
                                lambda path, radii: not any(out(x) for x in path))
         assert got == want
@@ -317,36 +319,36 @@ def test_two_walk_oracles_match_enumeration(law_text1, law_text2, s01, s02):
 def test_radius_oracles_need_integer_arguments():
     # the floor(R) comparison is exact only against integer distances
     law = parse_law(ENUM_LAWS[1])
-    with pytest.raises(PreconditionError, match="integer"):
-        oracle_lookaround_survival(law, 0, 2.5, 3)
-    assert oracle_reach_survival(law, 0, 2.0, 3) == oracle_reach_survival(law, 0, 2, 3)
+    for spec in ("lookaround:2.5", "reach:2.0"):
+        with pytest.raises(ValueError, match="integer argument"):
+            exact_dp_oracle(law, 0, 3, spec)
 
 
 def test_oracle_frozen_values():
-    assert oracle_exact_hit_survival(srw(), 0, 1, 3) == Fraction(3, 8)
-    assert oracle_position_probability(srw(), 0, 2, 0) == Fraction(1, 2)
+    assert exact_dp_oracle(srw(), 0, 3, "hit:1") == Fraction(3, 8)
+    assert exact_dp_oracle(srw(), 0, 2, "position:0") == Fraction(1, 2)
     up = NAMED_LAWS["up"]()
-    assert oracle_exact_hit_survival(up, 0, 5, 4) == 1
-    assert oracle_exact_hit_survival(up, 0, 5, 5) == 0
-    assert oracle_meeting_survival(srw(), srw(), 0, 0, 1) == Fraction(1, 2)
-    assert oracle_meeting_survival(srw(), srw(), 0, 0, 2) == Fraction(3, 8)
+    assert exact_dp_oracle(up, 0, 4, "hit:5") == 1
+    assert exact_dp_oracle(up, 0, 5, "hit:5") == 0
+    assert exact_dp_oracle(srw(), 0, 1, "meeting", law2=srw(), s02=0) == Fraction(1, 2)
+    assert exact_dp_oracle(srw(), 0, 2, "meeting", law2=srw(), s02=0) == Fraction(3, 8)
 
 
 def test_oracle_exit_deterministic():
     up = NAMED_LAWS["up"]()
-    assert oracle_exit_survival(up, 0, 5, 5) == 1
-    assert oracle_exit_survival(up, 0, 5, 6) == 0
+    assert exact_dp_oracle(up, 0, 5, "exit:5") == 1
+    assert exact_dp_oracle(up, 0, 6, "exit:5") == 0
 
 
 def test_oracle_requires_integer_zeta():
     law = make_law([("1/2", 0.5), ("1/2", -0.5)])
     with pytest.raises(PreconditionError, match="integer"):
-        oracle_exact_hit_survival(law, 0, 1, 3)
+        exact_dp_oracle(law, 0, 3, "hit:1")
 
 
 def test_oracle_budget_guard():
     with pytest.raises(BudgetExceededError):
-        oracle_exact_hit_survival(srw(), 0, 1, 1 << 20)
+        exact_dp_oracle(srw(), 0, 1 << 20, "hit:1")
 
 
 def test_oracle_dispatcher():
@@ -429,7 +431,7 @@ def random_dp_law(rng) -> StepLaw:
 
 
 def dp_case(name: str, law: StepLaw, s0: int, horizon: int, arg, law2=None, s02=None):
-    """The (law, s0, horizon, cond, check_from) that ``walks._oracle`` runs."""
+    """The (law, s0, horizon, cond, check_from) that ``exact_dp_oracle`` runs."""
     make_cond, first, pair = walks._EVENTS[name]
     if pair:
         law, s0 = walks._difference_law(law, law2), s0 - s02
@@ -597,7 +599,7 @@ def test_reach_tail_srw_slope():
     assert res.fit.r_squared >= 0.95
     # small-u cross-check of the reach event against the exact oracle
     for u in (8, 32):
-        p = float(oracle_reach_survival(srw(), 0, 10, u))
+        p = float(exact_dp_oracle(srw(), 0, u, "reach:10"))
         f = mc_event_frequency(srw(), 0, u, "reach:10", 20000, 5)
         assert abs(f - p) <= 4 * math.sqrt(p * (1 - p) / 20000)
     # tail blocks grow without stabilizing: divergent-mean signature
@@ -611,7 +613,7 @@ def test_exit_tail_srw():
     assert res.passed
     assert res.fit.slope < 0 and res.fit.r_squared >= 0.95
     # exact small-u agreement with the DP oracle
-    p16 = float(oracle_exit_survival(srw(), 0, 5, 16))
+    p16 = float(exact_dp_oracle(srw(), 0, 16, "exit:5"))
     thr = list(res.fit.thresholds)
     # the fitted curve used counts; compare the raw survival at a grid point
     # via a fresh frequency estimate
@@ -822,8 +824,8 @@ def test_corridor_factorization_against_oracle():
     w2 = LookAroundWalk(srw(), -6.0)
     times = _corridor_times(w1, w2, -2.0, 2.0, 40000, 64, 11)
     for u in (4, 16):
-        p1 = float(oracle_interval_survival(srw(), 6, -2, 2, u))
-        p2 = float(oracle_interval_survival(srw(), -6, -2, 2, u))
+        p1 = float(_dp_survival(srw(), 6, u, _interval_cond(-2, 2)))
+        p2 = float(_dp_survival(srw(), -6, u, _interval_cond(-2, 2)))
         want = p1 * p2
         got = float((times > u).mean())
         sigma = math.sqrt(want * (1 - want) / 40000)

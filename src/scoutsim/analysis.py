@@ -11,7 +11,11 @@ chains of scout pairs, and thick-ray domains.
 
 Exactness matters here: whether a drift is zero, and whether return
 displacements vanish identically, are sign/support questions that floating
-point cannot settle.
+point cannot settle.  The support is decided once, by :func:`_edges`: a
+zero-probability entry is no edge (:attr:`ReducedKernel.support`).  The
+classes, stationary laws, degeneracy verdicts and the reachable part of the
+difference chain all read it, and one breadth-first search (:func:`_bfs`)
+walks it.
 
 Sampling from the reduced chain goes through one walker,
 :class:`_ChainWalk`: return triples (:func:`kernel_renewal_samples`) on
@@ -54,6 +58,13 @@ class KernelEntry:
     move: tuple[int, ...]
 
 
+def _edges(row) -> tuple[KernelEntry, ...]:
+    """A row's positive-probability entries: the one place the module decides
+    that a zero-probability entry is no edge.  Exactly: a rational below float
+    range is an edge, and a float product that underflowed to 0.0 is not."""
+    return tuple(e for e in row if e.probability > 0)
+
+
 @dataclass(frozen=True)
 class ReducedKernel:
     """Empty-environment transition kernel of one scout."""
@@ -82,6 +93,11 @@ class ReducedKernel:
             if total != 1:
                 return False
         return True
+
+    @cached_property
+    def support(self) -> tuple[tuple[KernelEntry, ...], ...]:
+        """Each state's edges (see :func:`_edges`): the support digraph."""
+        return tuple(_edges(row) for row in self.rows)
 
     def state_matrix(self):
         """State-marginal transition probabilities P[q][q'], exact when possible."""
@@ -187,13 +203,8 @@ def classes(k: ReducedKernel) -> ClassReport:
     A class is recurrent exactly when no support edge leaves it.
     """
     n = k.n_states
-    rows_idx = []
-    cols_idx = []
-    for q, row in enumerate(k.rows):
-        for e in row:
-            if float(e.probability) > 0:
-                rows_idx.append(q)
-                cols_idx.append(e.to)
+    rows_idx = [q for q, row in enumerate(k.support) for _ in row]
+    cols_idx = [e.to for row in k.support for e in row]
     graph = csr_matrix((np.ones(len(rows_idx)), (rows_idx, cols_idx)), shape=(n, n))
     n_comp, labels = connected_components(graph, directed=True, connection="strong")
     members: dict[int, list[int]] = {}
@@ -203,14 +214,7 @@ def classes(k: ReducedKernel) -> ClassReport:
     infos = []
     for mem in ordered:
         mem_set = set(mem)
-        closed = True
-        for q in mem:
-            for e in k.rows[q]:
-                if float(e.probability) > 0 and e.to not in mem_set:
-                    closed = False
-                    break
-            if not closed:
-                break
+        closed = all(e.to in mem_set for q in mem for e in k.support[q])
         infos.append(ClassInfo(tuple(k.states[q] for q in mem), closed))
     return ClassReport(k, infos)
 
@@ -269,14 +273,12 @@ def stationary_distribution(k: ReducedKernel, cls: Sequence[str]):
     idx = [k.states.index(s) for s in cls]
     pos = {q: j for j, q in enumerate(idx)}
     m = len(idx)
-    # (from, to, probability) on the class; zero entries are no edges, as in classes()
-    edges = []
+    edges = []  # (from, to, probability) on the class
     for j, q in enumerate(idx):
-        for e in k.rows[q]:
-            if float(e.probability) > 0:
-                if e.to not in pos:
-                    raise PreconditionError(f"class {cls} is not closed")
-                edges.append((j, pos[e.to], e.probability))
+        for e in k.support[q]:
+            if e.to not in pos:
+                raise PreconditionError(f"class {cls} is not closed")
+            edges.append((j, pos[e.to], e.probability))
     if k.is_exact:
         A = [[0] * m for _ in range(m)]       # A = P^T - I on the class
         for j, to, p in edges:
@@ -354,82 +356,55 @@ def degeneracy_check(k: ReducedKernel, cls: Sequence[str]) -> DegeneracyVerdict:
 
 
 def _degeneracy(k: ReducedKernel, states: Sequence[str]) -> DegeneracyVerdict:
-    idx = sorted(k.states.index(s) for s in states)
-    inside = set(idx)
-    edges: dict[int, list[tuple[int, tuple[int, ...]]]] = {q: [] for q in idx}
-    for q in idx:
-        for e in k.rows[q]:
-            if float(e.probability) > 0:
-                edges[q].append((e.to, e.move))
-
-    root = idx[0]
-    x: dict[int, tuple[int, ...]] = {root: (0,) * k.dim}
-    parent: dict[int, tuple[int, tuple[int, ...]]] = {}
-    order = [root]
-    head = 0
-    conflict: tuple[int, int, tuple[int, ...]] | None = None
-    while head < len(order) and conflict is None:
-        q = order[head]
-        head += 1
-        for to, move in edges[q]:
-            expected = tuple(a + m for a, m in zip(x[q], move))
-            if to not in x:
-                x[to] = expected
-                parent[to] = (q, move)
-                order.append(to)
-            elif x[to] != expected:
-                conflict = (q, to, move)
-                break
-
+    root = min(k.states.index(s) for s in states)
+    tree = _bfs(k.support, root)  # the class: it is closed and strongly connected
+    x = {}
+    for q, link in tree.items():
+        x[q] = (0,) * k.dim if link is None else \
+            tuple(a + m for a, m in zip(x[link[0]], link[1]))
+    # the first inconsistent support edge in (BFS order, row order)
+    conflict = next(((q, e.move, e.to) for q in tree for e in k.support[q]
+                     if x[e.to] != tuple(a + m for a, m in zip(x[q], e.move))), None)
     if conflict is None:
-        offsets = {k.states[q]: x[q] for q in idx}
+        offsets = {k.states[q]: x[q] for q in sorted(tree)}
         radius = max((max(abs(c) for c in v) for v in offsets.values()), default=0)
         return DegeneracyVerdict(True, offsets=offsets, radius=float(radius))
 
-    q, to, move = conflict
-
-    def tree_path(node: int) -> list[tuple[int, tuple[int, ...], int]]:
-        rev = []
-        while node != root:
-            par, mv = parent[node]
-            rev.append((par, mv, node))
-            node = par
-        return list(reversed(rev))
-
-    back = _bfs_path(edges, to, root)
+    q, move, to = conflict
+    back = _tree_path(_bfs(k.support, to), root)
     back_disp = tuple(sum(m[a] for _, m, _ in back) for a in range(k.dim))
     net1 = tuple(xa + ma + ba for xa, ma, ba in zip(x[q], move, back_disp))
     if any(net1):
-        cycle = tree_path(q) + [(q, move, to)] + back
+        cycle = _tree_path(tree, q) + [conflict] + back
     else:
         # the all-tree route to `to` closes to a different (hence nonzero) sum
-        cycle = tree_path(to) + back
+        cycle = _tree_path(tree, to) + back
     named = tuple((k.states[a], m, k.states[b]) for a, m, b in cycle)
     return DegeneracyVerdict(False, witness_cycle=named)
 
 
-def _bfs_path(edges, src: int, dst: int):
-    if src == dst:
-        return []
-    seen = {src: None}
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for q in frontier:
-            for to, move in edges[q]:
-                if to not in seen:
-                    seen[to] = (q, move)
-                    if to == dst:
-                        path = []
-                        node = to
-                        while node != src:
-                            par, mv = seen[node]
-                            path.append((par, mv, node))
-                            node = par
-                        return list(reversed(path))
-                    nxt.append(to)
-        frontier = nxt
-    raise PreconditionError("class is not strongly connected")
+def _bfs(support, root: int) -> dict[int, tuple[int, tuple[int, ...]] | None]:
+    """Breadth-first tree over ``support`` (rows of entries, by state) from
+    ``root``: each reached state -> (parent, move), root -> None, in
+    discovery order."""
+    tree = {root: None}
+    order = [root]
+    for q in order:
+        for e in support[q]:
+            if e.to not in tree:
+                tree[e.to] = (q, e.move)
+                order.append(e.to)
+    return tree
+
+
+def _tree_path(tree, node: int) -> list[tuple[int, tuple[int, ...], int]]:
+    """Edges (parent, move, child) of ``tree`` from its root to ``node``."""
+    path = []
+    while tree[node] is not None:
+        par, move = tree[node]
+        path.append((par, move, node))
+        node = par
+    return path[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -544,26 +519,27 @@ def product_kernel(k1: ReducedKernel, k2: ReducedKernel,
     if k1.dim != k2.dim:
         raise ValueError("kernels must share a dimension")
     names = tuple(f"{a}|{b}" for a in k1.states for b in k2.states)
-    rows = _ProductRows(k1, k2, difference)
+    rows = _ProductRows(k1.rows, k2.rows, difference)
     dim = k1.dim if difference else k1.dim + k2.dim
     return ReducedKernel(dim, names, tuple(rows[q] for q in range(len(names))),
                          initial_state=k1.initial_state * k2.n_states + k2.initial_state)
 
 
 class _ProductRows(dict):
-    """Rows of :func:`product_kernel` by joint state q1 * n2 + q2, each
-    built on first access."""
+    """Rows of two independent scouts run jointly, by joint state
+    q1 * n2 + q2, each built on first access from the scouts' ``rows1``
+    and ``rows2`` (rows or supports), as :func:`product_kernel` says."""
 
-    def __init__(self, k1: ReducedKernel, k2: ReducedKernel, difference: bool):
+    def __init__(self, rows1, rows2, difference: bool):
         super().__init__()
-        self.k1, self.k2, self.difference = k1, k2, difference
+        self.rows1, self.rows2, self.difference = rows1, rows2, difference
 
     def __missing__(self, q: int) -> tuple[KernelEntry, ...]:
-        n2 = self.k2.n_states
+        n2 = len(self.rows2)
         q1, q2 = divmod(q, n2)
         entries = []
-        for e1 in self.k1.rows[q1]:
-            for e2 in self.k2.rows[q2]:
+        for e1 in self.rows1[q1]:
+            for e2 in self.rows2[q2]:
                 prob = e1.probability * e2.probability
                 if self.difference:
                     move = tuple(a - b for a, b in zip(e1.move, e2.move))
@@ -574,41 +550,39 @@ class _ProductRows(dict):
         return row
 
 
-def _scout_kernels(p: ScoutProtocol) -> tuple[ReducedKernel, ReducedKernel]:
-    if p.scouts != 2:
-        raise PreconditionError("joint product chain needs exactly two scouts")
-    return reduce_kernel(p, 1), reduce_kernel(p, 2)
+class _ProductSupport(_ProductRows):
+    """The :func:`_edges` of the product of two supports (floats may underflow)."""
+
+    def __missing__(self, q: int) -> tuple[KernelEntry, ...]:
+        row = self[q] = _edges(super().__missing__(q))
+        return row
 
 
-def difference_drift(p_or_pair, cls: Sequence[str] | None = None):
+def difference_drift(p_or_pair):
     """Drift vector of the difference walk of two independent scouts.
 
-    Accepts a two-scout protocol or a (kernel, kernel) pair.  The class
-    defaults to the first recurrent class reachable from the joint initial
-    state; by independence every recurrent class gives drift1 - drift2.
-    Without ``cls`` only the joint states reachable from the initial pair
-    are built, in the full product kernel's order, so the classes, the
-    class chosen and its stationary law are those of the full kernel.
+    Accepts a two-scout protocol or a (kernel, kernel) pair.  The class is
+    the first recurrent class reachable from the joint initial state; by
+    independence every recurrent class gives drift1 - drift2.  Only the
+    reachable joint states are built, in the full product kernel's order,
+    so the classes, the class chosen and its law are the full kernel's.
     """
     if isinstance(p_or_pair, ScoutProtocol):
-        k1, k2 = _scout_kernels(p_or_pair)
+        if p_or_pair.scouts != 2:
+            raise PreconditionError("joint product chain needs exactly two scouts")
+        k1, k2 = reduce_kernel(p_or_pair, 1), reduce_kernel(p_or_pair, 2)
     else:
         k1, k2 = p_or_pair
-    if cls is not None:
-        return effective_drift(product_kernel(k1, k2, difference=True), cls)
     if k1.dim != k2.dim:
         raise ValueError("kernels must share a dimension")
-    rows = _ProductRows(k1, k2, difference=True)
+    support = _ProductSupport(k1.support, k2.support, difference=True)
     start = k1.initial_state * k2.n_states + k2.initial_state
-    joint = sorted(_reachable_set(rows, start))  # builds exactly these rows
+    joint = sorted(_bfs(support, start))  # builds exactly these rows
     index = {q: i for i, q in enumerate(joint)}
-    # a zero-probability entry may lead outside the reachable states; it
-    # adds nothing to the drift or the balance equations
     kd = ReducedKernel(
         k1.dim, tuple(f"{k1.states[q // k2.n_states]}|{k2.states[q % k2.n_states]}"
                       for q in joint),
-        tuple(tuple(KernelEntry(e.probability, index[e.to], e.move) for e in rows[q]
-                    if float(e.probability) > 0)
+        tuple(tuple(KernelEntry(e.probability, index[e.to], e.move) for e in support[q])
               for q in joint),
         initial_state=index[start])
     rec = [c for c in classes(kd).classes if c.recurrent]
@@ -616,22 +590,6 @@ def difference_drift(p_or_pair, cls: Sequence[str] | None = None):
         raise PreconditionError("no recurrent class reachable from the start")
     states = rec[0].states
     return _drift(kd, states, stationary_distribution(kd, states))
-
-
-def _reachable_set(rows, src: int) -> set[int]:
-    """States reachable from ``src`` along positive-probability entries of
-    ``rows`` (a kernel's rows, or anything indexed by state)."""
-    seen = {src}
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for q in frontier:
-            for e in rows[q]:
-                if float(e.probability) > 0 and e.to not in seen:
-                    seen.add(e.to)
-                    nxt.append(e.to)
-        frontier = nxt
-    return seen
 
 
 # ---------------------------------------------------------------------------
@@ -706,47 +664,40 @@ def _estimate_half_width(k: ReducedKernel, cls: Sequence[str], direction,
     return float(np.quantile(worst, 0.99)) + 1.0
 
 
-def ray_domain(p: ScoutProtocol, M: float | None = None, root_seed: int = 0,
-               scout: int = 1) -> RayDomain:
-    """Per-recurrent-class thick rays of a single-scout planar protocol.
+def ray_domain(report: ClassReport, M: float | None = None,
+               root_seed: int = 0) -> RayDomain:
+    """Per-recurrent-class thick rays of a single-scout planar kernel.
 
-    Directions come from exact drifts.  The width is user-supplied or
-    estimated from pilot runs (and labeled accordingly); for a degenerate
-    class the exact offset radius plus the state count is used.  Zero-drift
-    classes carry the zero flag: the intended region is a bounded set whose
-    canonical shape is not pinned down, so membership falls back to a
-    sup-norm ball and the ray is marked ambiguous.  A user width must be
-    finite and positive.
+    Reads the drifts and degeneracy verdicts of ``report``, the
+    :func:`analyze_protocol` (or :func:`analyze_kernel`) report of the
+    scout.  The width is user-supplied or estimated from pilot runs (and
+    labeled accordingly); for a degenerate zero-drift class the exact
+    offset radius plus the state count is used.  Zero-drift classes carry
+    the zero flag: the intended region is a bounded set whose canonical
+    shape is not pinned down, so membership falls back to a sup-norm ball,
+    and the ray is marked ambiguous unless the class is degenerate.  A user
+    width must be finite and positive.
     """
     if M is not None and not (math.isfinite(M) and M > 0):
         raise ValueError(f"ray width must be finite and > 0, got {M}")
-    if p.dim != 2:
+    k = report.kernel
+    if k.dim != 2:
         raise PreconditionError("ray domains are defined on the plane")
-    k = reduce_kernel(p, scout)
-    rep = classes(k)
     rays = []
-    for info in rep.recurrent_classes():
-        drift = _drift(k, info.states, stationary_distribution(k, info.states))
-        norm = math.hypot(float(drift[0]), float(drift[1]))
-        if norm > 0:
-            direction = (float(drift[0]) / norm, float(drift[1]) / norm)
-            if M is not None:
-                rays.append(ClassRay(info.states, ThickRay(direction, float(M)), "user"))
-            else:
-                w = _estimate_half_width(k, info.states, direction, root_seed)
-                rays.append(ClassRay(info.states, ThickRay(direction, w), "estimate"))
-            continue
-        verdict = _degeneracy(k, info.states)
-        if verdict.degenerate:
-            width = float(M) if M is not None else verdict.radius + k.n_states
-            rays.append(ClassRay(info.states, ThickRay(None, width),
-                                 "user" if M is not None else "exact-offsets"))
+    for info in report.recurrent_classes():
+        dx, dy = (float(v) for v in info.drift)
+        norm = math.hypot(dx, dy)
+        direction = (dx / norm, dy / norm) if norm > 0 else None
+        degenerate = direction is None and info.degeneracy.degenerate
+        if M is not None:
+            width, source = float(M), "user"
+        elif degenerate:
+            width, source = info.degeneracy.radius + k.n_states, "exact-offsets"
         else:
-            width = float(M) if M is not None else \
-                _estimate_half_width(k, info.states, None, root_seed)
-            rays.append(ClassRay(info.states, ThickRay(None, width),
-                                 "user" if M is not None else "estimate",
-                                 ambiguous_zero_drift=True))
+            width = _estimate_half_width(k, info.states, direction, root_seed)
+            source = "estimate"
+        rays.append(ClassRay(info.states, ThickRay(direction, width), source,
+                             ambiguous_zero_drift=direction is None and not degenerate))
     return RayDomain(rays)
 
 
@@ -759,8 +710,7 @@ def analyze_kernel(k: ReducedKernel) -> ClassReport:
     rep = classes(k)
     for info in rep.recurrent_classes():
         info.pi = stationary_distribution(k, info.states)
-        drift = _drift(k, info.states, info.pi)
-        info.drift = drift
+        info.drift = drift = _drift(k, info.states, info.pi)
         info.degeneracy = _degeneracy(k, info.states)
         fl = [float(v) for v in drift]
         norm = math.sqrt(sum(v * v for v in fl))

@@ -98,7 +98,11 @@ _RANGES = (
     ("replica", 0, streams.COUNTER_LIMIT),
     ("seed", 0, streams.SEED_LIMIT),
     ("k_min", 1, None),
+    ("n", 0, None),
+    ("threads", 1, None),
 )
+# float flags that must be finite on every subcommand that has them
+_FINITE = ("s0", "s02", "x", "rho", "mu", "y")
 
 
 def _check_ranges(args) -> None:
@@ -109,6 +113,10 @@ def _check_ranges(args) -> None:
         if value < least or (above is not None and value >= above):
             bound = f">= {least}" if above is None else f"in [{least}, {above})"
             raise UsageError(f"--{name.replace('_', '-')} must be {bound}, got {value}")
+    for name in _FINITE:
+        value = getattr(args, name, None)
+        if value is not None and not math.isfinite(value):
+            raise UsageError(f"--{name} must be finite, got {value}")
     k_min, k_max = getattr(args, "k_min", None), getattr(args, "k_max", None)
     if k_max is not None and k_max < k_min:
         raise UsageError(f"--k-max must be >= --k-min ({k_min}), got {k_max}")
@@ -222,7 +230,7 @@ def cmd_analyze(args, argv) -> int:
     body = report.to_json()
     body["protocol_hash"] = protocol_hash(p)
     if p.dim == 2:
-        dom = ray_domain(p, M=args.ray_width, root_seed=args.seed, scout=args.scout)
+        dom = ray_domain(report, M=args.ray_width, root_seed=args.seed)
         body["ray_domain"] = dom.to_json()
     payload = _dump_json(body)
     _write_output(args.out_dir, "analysis.json", payload, argv)
@@ -271,11 +279,12 @@ def _build_walks(args) -> tuple[walks.LookAroundWalk, walks.LookAroundWalk | Non
 def _parse_interval(text: str) -> tuple[float, float]:
     lo, sep, hi = text.partition(":")
     try:
-        if not sep:
+        lo, hi = float(lo), float(hi)
+        if not (sep and math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError
-        return float(lo), float(hi)
+        return lo, hi
     except ValueError:
-        raise UsageError(f"--interval must be LO:HI with numbers, got {text!r}") from None
+        raise UsageError(f"--interval must be LO:HI with finite numbers, got {text!r}") from None
 
 
 def cmd_lemma(args, argv) -> int:

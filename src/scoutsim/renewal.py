@@ -52,36 +52,26 @@ class MeetingRenewal:
         return rows
 
 
-def extract_renewal(t: Trace, pair: tuple[int, int] | None = None) -> MeetingRenewal:
+def extract_renewal(t: Trace) -> MeetingRenewal:
     """Meetings of a two-scout trace, with the envelope invariant enforced.
 
-    For every k and every n between consecutive meetings, each watched
-    scout's sup-norm distance to both endpoints Y_{k-1} and Y_k must be at
-    most the gap R_k; a violation raises EnvelopeViolation (it cannot
-    happen under unit moves and indicates a corrupted trace).
-
-    A trace with more than two scouts needs an explicit ``pair`` of 1-based
-    scout indices to watch; for two scouts the pair defaults to (1, 2).
+    For every k and every n between consecutive meetings, each scout's
+    sup-norm distance to both endpoints Y_{k-1} and Y_k must be at most the
+    gap R_k; a violation raises EnvelopeViolation (it cannot happen under
+    unit moves and indicates a corrupted trace).
     """
-    c = t.positions.shape[1]
-    if pair is None:
-        if c != 2:
-            raise ValueError("renewal extraction needs a two-scout trace "
-                             "(or an explicit scout pair)")
-        pair = (1, 2)
-    i, j = pair[0] - 1, pair[1] - 1
-    if not (0 <= i < c and 0 <= j < c and i != j):
-        raise ValueError(f"bad scout pair {pair} for {c} scouts")
-    eq = (t.positions[:, i, :] == t.positions[:, j, :]).all(axis=1)
+    if t.positions.shape[1] != 2:
+        raise ValueError("renewal extraction needs a two-scout trace")
+    eq = (t.positions[:, 0, :] == t.positions[:, 1, :]).all(axis=1)
     eq[0] = True
     times = np.flatnonzero(eq).astype(np.int64)
-    pts = t.positions[times, i, :]
+    pts = t.positions[times, 0, :]
     names = t.protocol.state_names
-    pairs = [(names[t.state_idx[n, i]], names[t.state_idx[n, j]]) for n in times]
+    pairs = [(names[t.state_idx[n, 0]], names[t.state_idx[n, 1]]) for n in times]
     gaps = np.zeros(times.size, dtype=np.int64)
     gaps[1:] = np.diff(times)
     if times.size > 1:
-        _check_envelope(t.positions[:, (i, j), :], times, pts, gaps)
+        _check_envelope(t.positions, times, pts, gaps)
     return MeetingRenewal(times, pts, pairs, gaps)
 
 

@@ -2,10 +2,11 @@
 
 The survival curve is the shared substrate for every tail diagnostic in the
 package: hitting times, meeting gaps, reach times of look-around walks.
-Counts are kept rather than probabilities so that curves from parallel
-replica batches merge associatively.  ``survivors`` is stored as float64 so
-that analytically generated curves (exact probabilities scaled by a power of
-two) pass through the fitting path without rounding.
+Counts are kept rather than probabilities: a tail fit reads only the
+thresholds with enough survivors, and the CSV output reports survivors and
+totals.  ``survivors`` is stored as float64 so that analytically generated
+curves (exact probabilities scaled by a power of two) pass through the
+fitting path without rounding.
 """
 
 from __future__ import annotations
@@ -80,12 +81,6 @@ class SurvivalCurve:
 
     def probabilities(self) -> np.ndarray:
         return self.survivors / float(self.total)
-
-    def merge(self, other: "SurvivalCurve") -> "SurvivalCurve":
-        if not np.array_equal(self.thresholds, other.thresholds):
-            raise ValueError("cannot merge curves over different thresholds")
-        return SurvivalCurve(self.thresholds, self.survivors + other.survivors,
-                             self.total + other.total, self.censor_cap)
 
     def csv_rows(self) -> list[tuple]:
         def fmt(x: float):

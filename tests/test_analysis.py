@@ -531,7 +531,7 @@ def test_ray_membership_examples():
 
 def test_ray_domain_drifted_class():
     text = ("dim 2\nscouts 1\nstates a\ninit 1 a\ntrans a * -> 1 a (+1,0)\n")
-    dom = ray_domain(parse_protocol(text), M=5.0)
+    dom = ray_domain(analyze_protocol(parse_protocol(text)), M=5.0)
     assert len(dom.rays) == 1
     r = dom.rays[0]
     assert r.ray.direction == (1.0, 0.0)
@@ -544,7 +544,7 @@ def test_ray_domain_degenerate_class():
     text = ("dim 2\nscouts 1\nstates a b\ninit 1 a\n"
             "trans a * -> 1 b (+1,0)\ntrans b * -> 1 a (-1,0)\n")
     p = parse_protocol(text)
-    dom = ray_domain(p)
+    dom = ray_domain(analyze_protocol(p))
     r = dom.rays[0]
     assert r.ray.direction is None
     assert r.width_source == "exact-offsets"
@@ -553,7 +553,7 @@ def test_ray_domain_degenerate_class():
 
 
 def test_ray_domain_zero_drift_flagged():
-    dom = ray_domain(builtin("srw", d=2), root_seed=4)
+    dom = ray_domain(analyze_protocol(builtin("srw", d=2)), root_seed=4)
     r = dom.rays[0]
     assert r.ray.direction is None
     assert r.ambiguous_zero_drift
@@ -564,12 +564,12 @@ def test_ray_domain_zero_drift_flagged():
 @pytest.mark.parametrize("width", [math.nan, math.inf, -5.0, 0.0])
 def test_ray_domain_rejects_bad_width(width):
     with pytest.raises(ValueError, match="finite and > 0"):
-        ray_domain(builtin("srw", d=2), M=width)
+        ray_domain(analyze_protocol(builtin("srw", d=2)), M=width)
 
 
 def test_ray_domain_needs_plane():
     with pytest.raises(PreconditionError, match="plane"):
-        ray_domain(builtin("srw", d=1))
+        ray_domain(analyze_protocol(builtin("srw", d=1)))
 
 
 def test_analyze_protocol_report():
@@ -636,3 +636,17 @@ def test_difference_drift_equals_full_kernel_drift():
                           "trans a * -> 1 a (+1) | 0 c (0)\ntrans b * -> 1 b (0)\n"
                           "trans c * -> 1 c (0)\n")
     assert difference_drift(zero) == (Fraction(1),)
+    # each scout leaves its start for a class reached with probability
+    # 1e-200; both at once has probability 1e-400, 0.0 as a float, so the
+    # joint class b|d is not reachable and b|e is the first one
+    eps = 1e-200
+    k1 = ReducedKernel(1, ("a", "b", "f"), (
+        (KernelEntry(1 - eps, 2, (0,)), KernelEntry(eps, 1, (0,))),
+        (KernelEntry(1.0, 1, (1,)),),
+        (KernelEntry(1.0, 2, (0,)),)))
+    k2 = ReducedKernel(1, ("c", "d", "e"), (
+        (KernelEntry(1 - eps, 2, (0,)), KernelEntry(eps, 1, (0,))),
+        (KernelEntry(1.0, 1, (0,)),),
+        (KernelEntry(1.0, 2, (5,)),)))
+    assert eps * eps == 0.0
+    assert difference_drift((k1, k2)) == _full_kernel_difference_drift(k1, k2) == (-4.0,)

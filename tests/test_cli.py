@@ -247,12 +247,30 @@ def test_analyze_json(capsys):
     assert body["classes"][0]["drift"] == ["0"]
 
 
+# a zero-probability entry that leaves its class is no edge
+ZERO_EXIT = ("dim 1\nscouts 1\nstates a c\ninit 1 a\n"
+             "trans a * -> 1 a (+1) | 0 c (0)\ntrans c * -> 1 c (0)\n")
+
+
 def test_analyze_zero_probability_exit(tmp_path, capsys):
     proto = tmp_path / "zero_exit.proto"
-    proto.write_text("dim 1\nscouts 1\nstates a c\ninit 1 a\n"
-                     "trans a * -> 1 a (+1) | 0 c (0)\ntrans c * -> 1 c (0)\n")
+    proto.write_text(ZERO_EXIT)
     assert main(["analyze", "--protocol", str(proto)]) == 0
     assert json.loads(capsys.readouterr().out)["protocol_hash"]
+
+
+def test_analyze_exit_below_float_range(tmp_path, capsys):
+    # 10^-400 is 0.0 as a float, but it is an edge: `a` is transient.  Read
+    # as no edge, `a` was a closed class and its exact stationary check
+    # failed with an ArithmeticError traceback
+    tiny, rest = "1/1" + "0" * 400, "9" * 400 + "/1" + "0" * 400
+    proto = tmp_path / "tiny_exit.proto"
+    proto.write_text("dim 1\nscouts 1\nstates a c\ninit 1 a\n"
+                     f"trans a * -> {rest} a (+1) | {tiny} c (0)\ntrans c * -> 1 c (0)\n")
+    assert main(["analyze", "--protocol", str(proto)]) == 0
+    body = json.loads(capsys.readouterr().out)
+    assert [(c["states"], c["recurrent"]) for c in body["classes"]] == \
+        [(["a"], False), (["c"], True)]
 
 
 def test_analyze_bad_ray_width_rejected_before_loading(capsys):
@@ -277,11 +295,21 @@ DRIFT2 = ("dim 2\nscouts 1\nstates a b\ninit 1 a\n"
      "2ec01c407d63a2270f3a2f71a8394d2a07f211423ff63de9f9f746442b4322a1"),
     (["--protocol", "DRIFT2", "--seed", "2"],
      "fbf08631944baaf391d4024790a516eb9f10bfbd268156def0b0c105777b74e3"),
+    # user widths on drifted and degenerate classes, on an ambiguous
+    # zero-drift class, and a zero-probability exit
+    (["--protocol", "builtin:anchored_geometric?d=2,p=1/2", "--scout", "2",
+      "--ray-width", "3"],
+     "01feeb29f974a125fddcab7402a0e6b2b0be92fad08ae0b2d559a4264d531e3d"),
+    (["--protocol", "builtin:srw?d=2", "--ray-width", "3"],
+     "43f17ee624fc53602468d0763e942e08a155da93e73d0068a8637562619a22c0"),
+    (["--protocol", "ZERO_EXIT"],
+     "0d4d34fbbdf6be970a10cfe9afd5404b70a981d3d15b85aa8186a79430992930"),
 ])
 def test_analyze_bytes_pinned(argv, digest, tmp_path, capsys):
-    proto = tmp_path / "drift2.proto"
-    proto.write_text(DRIFT2)
-    assert main(["analyze"] + [str(proto) if a == "DRIFT2" else a for a in argv]) == 0
+    files = {"DRIFT2": DRIFT2, "ZERO_EXIT": ZERO_EXIT}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main(["analyze"] + [str(tmp_path / a) if a in files else a for a in argv]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
@@ -383,6 +411,18 @@ def test_config_cli_overrides(tmp_path, capsys):
     # and widths <= 0 gave rays that contain no point
     *(["analyze", "--protocol", "builtin:srw?d=2", "--ray-width", w]
       for w in ("nan", "-5", "0", "inf")),
+    # lemma floats must be finite: --x inf gave a LinAlgError traceback,
+    # --rho inf an OverflowError from int(8 * rho**2), --rho nan ran to a
+    # FAIL verdict
+    ["lemma", "reach-tail", "--x", "inf", "--trials", "5"],
+    ["lemma", "exit-time", "--rho", "inf", "--trials", "5"],
+    ["lemma", "exit-time", "--rho", "nan", "--trials", "5"],
+    ["lemma", "corridor", "--law2", "srw", "--s02", "nan", "--trials", "5"],
+    ["lemma", "corridor", "--law2", "srw", "--interval=-inf:2", "--trials", "5"],
+    # negative counts: --n -5 passed, --threads -3 was accepted silently
+    ["lemma", "deviation", "--n", "-5", "--trials", "5"],
+    ["hitting", "--protocol", "builtin:srw?d=1", "--targets", "1", "--replicas", "5",
+     "--cap", "8", "--threads", "-3"],
 ])
 def test_edge_inputs_exit_usage(argv, capsys):
     assert main(argv) == 1
@@ -526,3 +566,19 @@ def test_limits_exit_one_line(argv, prefix, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(prefix)
+
+
+def test_analyze_solves_each_class_once(monkeypatch, capsys):
+    # the ray domain reads the class report: one stationary solve and one
+    # degeneracy check per recurrent class (10 here)
+    from scoutsim import analysis
+    calls = {"stationary_distribution": 0, "_degeneracy": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(analysis, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(analysis, name, counted)
+    assert main(["analyze", "--protocol", "builtin:anchored_geometric?d=2,p=1/2",
+                 "--scout", "2"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["ray_domain"]["rays"]) == 10
+    assert calls == {"stationary_distribution": 10, "_degeneracy": 10}

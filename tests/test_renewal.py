@@ -1,5 +1,7 @@
 """Meeting renewals, gap tails, divergence verdicts."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -78,16 +80,19 @@ def test_envelope_check_matches_per_meeting_loop():
         p = builtin(name, d=d, **params)
         for rep in range(12):
             tr = run(p, 300, SeedSpec(5, rep))
+            # scouts 1 and 2 (anchored d=2 has three): extraction reads a
+            # two-scout trace
+            tr = replace(tr, positions=tr.positions[:, :2], state_idx=tr.state_idx[:, :2])
             if rep % 3:  # corrupt one coordinate of one scout at one step
                 n, i, k = rng.integers(1, 301), rng.integers(2), rng.integers(d)
                 tr.positions[n, i, k] += rng.integers(-5, 6)
             want = _envelope_message(tr, (1, 2))
             if want is None:
-                extract_renewal(tr, pair=(1, 2))
+                extract_renewal(tr)
             else:
                 violations += 1
                 with pytest.raises(EnvelopeViolation) as info:
-                    extract_renewal(tr, pair=(1, 2))
+                    extract_renewal(tr)
                 assert str(info.value) == want
     assert violations >= 5
 
@@ -164,15 +169,6 @@ def test_engine_meeting_survival_matches_difference_oracle():
         got = float((times > u).mean())
         sigma = (want * (1 - want) / 30000) ** 0.5
         assert abs(got - want) <= 4 * sigma, (u, got, want)
-
-
-def test_extract_pair_selection_validates():
-    p = builtin("anchored_geometric", d=2, p="1/2")
-    tr = run(p, 50, SeedSpec(1))
-    with pytest.raises(ValueError, match="explicit scout pair"):
-        extract_renewal(tr)
-    with pytest.raises(ValueError, match="bad scout pair"):
-        extract_renewal(tr, pair=(1, 4))
 
 
 # divergence verdicts

@@ -92,8 +92,10 @@ _MEMORY_LIMIT_BYTES = 1 << 28
 # call and hold no larger buffer than without prefetching
 _PREFETCH_VARIATES = 1 << 13
 _PREFETCH_MAX_STEPS = 64
-# variates per scout in one iid block of _BlockSource (see _iid_block): a
-# block's arrays stay near 128 KiB however many replicas are active
+# variates per scout in one iid block of _BlockSource (see _iid_block):
+# however many replicas are active, a block's per-scout arrays (uniforms,
+# branches, keys) stay near 128 KiB, and its Philox passes run in the
+# streams workspace rather than in arrays of their own
 _IID_VARIATES = 1 << 14
 # most steps per block stepped one at a time (see _stepped_block); blocks
 # double up to it, so replicas that finish early run no whole window

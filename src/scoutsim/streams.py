@@ -11,7 +11,11 @@ counter ``(step_lo, step_hi, replica, scout)`` under a key derived from the
 root seed.  The implementation keeps the four 32-bit lanes in uint64 arrays
 and runs the rounds in place, which is considerably faster in numpy than a
 literal 32-bit transcription; outputs are bit-identical to the reference
-function (see the known-answer tests).
+function (see the known-answer tests).  The lanes and the two products of a
+round live in a workspace of 6 x ``_CHUNK`` words (1.5 MiB) that each thread
+makes once and reuses on every call.  A call runs in passes of at most
+``_CHUNK`` counters, cut along its leading axes, so it allocates only its
+result, and the memory kept stays at the workspace however large a call is.
 
 :class:`Categorical` is the one sampler that turns these uniforms into
 outcomes of finite distributions: a scout's rule row in the engine, a
@@ -26,6 +30,8 @@ paths compare against the same floats, so they pick the same branch.
 
 from __future__ import annotations
 
+import math
+import threading
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -43,13 +49,13 @@ _INV53 = float(2.0**-53)
 SEED_LIMIT = 1 << 64  # the root seed fills the two 32-bit key words
 
 
-def _philox_u64(x0, x1, x2, x3, key0: int, key1: int):
+def _philox_u64(lanes, key0: int, key1: int):
     """Philox-4x32-10 on uint64 lanes holding 32-bit values, in place.
 
-    Returns the four output lanes (aliases of the work buffers).
+    ``lanes`` holds the four counter words and two scratch lanes of the same
+    shape.  Returns the four output lanes (aliases of ``lanes``).
     """
-    a = np.empty_like(x0)
-    b = np.empty_like(x0)
+    x0, x1, x2, x3, a, b = lanes
     m0 = np.uint64(_M0)
     m1 = np.uint64(_M1)
     k0 = key0 & 0xFFFFFFFF
@@ -73,14 +79,12 @@ def _philox_u64(x0, x1, x2, x3, key0: int, key1: int):
 
 def philox4x32(c0, c1, c2, c3, k0, k1):
     """One Philox-4x32-10 block: four uint32 counter words -> four uint32 words."""
-    lanes = []
     shape = np.broadcast(np.asarray(c0), np.asarray(c1),
                          np.asarray(c2), np.asarray(c3)).shape
-    for c in (c0, c1, c2, c3):
-        lane = np.empty(shape, dtype=np.uint64)
+    lanes = [np.empty(shape, dtype=np.uint64) for _ in range(_LANES)]
+    for lane, c in zip(lanes, (c0, c1, c2, c3)):
         lane[...] = np.asarray(c, dtype=np.uint64) & _LO32
-        lanes.append(lane)
-    w = _philox_u64(lanes[0], lanes[1], lanes[2], lanes[3], int(k0), int(k1))
+    w = _philox_u64(lanes, int(k0), int(k1))
     return tuple(x.astype(np.uint32) for x in w)
 
 
@@ -95,52 +99,101 @@ def _key_words(root_seed: int) -> tuple[int, int]:
     return root & 0xFFFFFFFF, root >> 32
 
 
-_CHUNK = 1 << 15  # keep the working set cache-resident
+_CHUNK = 1 << 15  # counters per Philox pass: keeps the working set cache-resident
+_LANES = 6  # four counter words and two products per round
+_local = threading.local()
+
+
+def _workspace() -> np.ndarray:
+    """This thread's Philox workspace: _LANES rows of _CHUNK words (1.5 MiB).
+
+    It is made on a thread's first call and reused by every later one, so a
+    pass allocates nothing, and calls from different threads never share
+    it.  Only the pages a pass writes are resident: small calls touch a few.
+    Every row starts on a 64-byte cache line.  A plain ``np.empty`` of this
+    size starts 16 bytes into one, after the allocator's chunk header, and
+    there the rounds ran about 15% slower (AVX-512 Xeon, numpy 2.4).
+    """
+    ws = getattr(_local, "ws", None)
+    if ws is None:
+        raw = np.empty(_LANES * _CHUNK + 8, dtype=np.uint64)
+        skip = -raw.ctypes.data % 64 // 8
+        ws = _local.ws = raw[skip:skip + _LANES * _CHUNK].reshape(_LANES, _CHUNK)
+    return ws
+
+
+def _pieces(shape: tuple):
+    """Index tuples cutting an array of ``shape`` into blocks of at most
+    _CHUNK entries: runs of whole sub-arrays along the first axis where one
+    sub-array fits, otherwise one first-axis index at a time, recursively."""
+    inner = math.prod(shape[1:])
+    if inner > _CHUNK:
+        for i in range(shape[0]):
+            for rest in _pieces(shape[1:]):
+                yield (i,) + rest
+    else:
+        run = _CHUNK // max(inner, 1)
+        for s in range(0, shape[0], run):
+            yield (slice(s, s + run),)
 
 
 COUNTER_LIMIT = 1 << 32  # replica and scout each fill one 32-bit counter word
 
 
-def _counter_word(values, name: str) -> np.ndarray:
-    """``values`` as uint64, rejecting any that would not fit 32 bits.
+def _counter_word(values, name: str, bits: int = 32) -> np.ndarray:
+    """``values`` as uint64, refusing any that is not an integer in [0, 2**bits).
 
-    Masking instead would let e.g. replica r and r + 2**32 share a stream.
-    The range test reduces the input once, before it is broadcast.
+    Casting instead would let e.g. replica r and r + 2**32, step -1 and
+    2**64 - 1, or step 1.7 and step 1 share a stream.  The range test is one
+    reduction of the input before it is broadcast: below 64 bits the largest
+    cast word, since a negative value casts to at least 2**63; for 64 bits
+    the smallest value of a signed input.
     """
     values = np.asarray(values)
-    if values.size and (values.min() < 0 or values.max() >= COUNTER_LIMIT):
-        raise ValueError(f"{name} counter outside [0, 2**32)")
-    return values.astype(np.uint64, copy=False)
+    kind = values.dtype.kind
+    if kind in "iu":
+        words = values.astype(np.uint64, copy=False)
+        if bits < 64:
+            bad = values.size and words.max() >= 1 << bits
+        else:
+            bad = kind == "i" and values.size and values.min() < 0
+        if not bad:
+            return words
+    raise ValueError(f"{name} counter must be an integer in [0, 2**{bits})")
+
+
+def _philox_into(out: np.ndarray, step, replica, scout, k0: int, k1: int) -> None:
+    """Fill ``out`` (at most _CHUNK entries) with the 64 bits at each counter,
+    the counter words broadcast to its shape."""
+    if out.ndim == 0:  # unpacking the lanes needs an axis
+        out = out.reshape(1)
+    lanes = _workspace()[:, :out.size].reshape((_LANES,) + out.shape)
+    np.bitwise_and(step, _LO32, out=lanes[0])
+    np.right_shift(step, _S32, out=lanes[1])
+    lanes[2][...] = replica
+    lanes[3][...] = scout
+    w0, w1, _, _ = _philox_u64(lanes, k0, k1)
+    np.left_shift(w0, _S32, out=out)
+    out |= w1
 
 
 def raw64(root_seed: int, replica, scout, step) -> np.ndarray:
     """64 uniform bits at counter (root_seed, replica, scout, step).
 
     ``root_seed`` must lie in [0, 2**64), ``replica`` and ``scout`` in
-    [0, 2**32); ``step`` uses all 64 counter bits.
+    [0, 2**32), and ``step`` in [0, 2**64); every counter must be an integer.
     """
     replica = _counter_word(replica, "replica")
     scout = _counter_word(scout, "scout")
-    step = np.asarray(step, dtype=np.uint64)
-    shape = np.broadcast(step, replica, scout).shape
-    x0 = np.empty(shape, dtype=np.uint64)
-    x1 = np.empty(shape, dtype=np.uint64)
-    x2 = np.empty(shape, dtype=np.uint64)
-    x3 = np.empty(shape, dtype=np.uint64)
-    x0[...] = step & _LO32
-    x1[...] = step >> _S32
-    x2[...] = replica
-    x3[...] = scout
+    step = _counter_word(step, "step", 64)
     k0, k1 = _key_words(root_seed)
-    out = np.empty(shape, dtype=np.uint64)
-    f0, f1, f2, f3 = (x.reshape(-1) for x in (x0, x1, x2, x3))
-    fo = out.reshape(-1)
-    for s in range(0, fo.size, _CHUNK):
-        sl = slice(s, min(s + _CHUNK, fo.size))
-        w0, w1, _, _ = _philox_u64(f0[sl], f1[sl], f2[sl], f3[sl], k0, k1)
-        view = fo[sl]
-        np.left_shift(w0, _S32, out=view)
-        view |= w1
+    out = np.empty(np.broadcast(step, replica, scout).shape, dtype=np.uint64)
+    if out.size <= _CHUNK:
+        _philox_into(out, step, replica, scout, k0, k1)
+    else:
+        counters = [np.broadcast_to(c, out.shape) for c in (step, replica, scout)]
+        for piece in _pieces(out.shape):
+            _philox_into(out[piece], *(c[piece] for c in counters), k0, k1)
     return out
 
 
@@ -152,7 +205,9 @@ def uniforms(root_seed: int, replica, scout, step) -> np.ndarray:
     """
     bits = raw64(root_seed, replica, scout, step)
     bits >>= np.uint64(11)
-    return bits.astype(np.float64) * _INV53
+    u = bits.astype(np.float64)
+    u *= _INV53
+    return u[()]  # a 0-d call gives a float64 scalar
 
 
 def uniform_scalar(root_seed: int, replica: int, scout: int, step: int) -> float:

@@ -1,6 +1,9 @@
 """Counter-based stream contract: known answers, purity, uniformity."""
 
+import hashlib
 import itertools
+import sys
+import threading
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -93,7 +96,8 @@ def test_large_step_counters():
 
 
 def test_out_of_range_counters_rejected():
-    # masking to 32 bits would let replica 3 and 3 + 2**32 share a stream
+    # masking to 32 bits would let replica 3 and 3 + 2**32 share a stream,
+    # and casting would put step -1 on step 2**64 - 1, and 1.7 or 0.5 on 1 or 0
     with pytest.raises(ValueError, match="replica"):
         streams.uniforms(0, 3 + 2**32, 0, 5)
     with pytest.raises(ValueError, match="replica"):
@@ -102,9 +106,21 @@ def test_out_of_range_counters_rejected():
         streams.raw64(0, 3, 2**32, 5)
     with pytest.raises(ValueError, match="replica"):
         streams.uniform_scalar(0, -1, 0, 5)
+    with pytest.raises(ValueError, match="replica"):
+        streams.uniforms(1, np.array([3, -2], dtype=np.int8), 0, 0)
+    for bad in (np.array([-1]), -1, 1.7, np.array([2.0]), 2**64, True):
+        with pytest.raises(ValueError, match="step counter"):
+            streams.raw64(1, 0, 0, bad)
+    with pytest.raises(ValueError, match="replica counter"):
+        streams.raw64(1, 0.5, 0, 0)
+    with pytest.raises(ValueError, match="scout counter"):
+        streams.uniforms(1, 0, np.array([1.0, 2.0]), 0)
     top = 2**32 - 1
     assert streams.uniform_scalar(0, top, top, 5) == float(
         streams.uniforms(0, np.array([top]), np.uint64(top), 5)[0])
+    top = 2**64 - 1
+    assert streams.raw64(1, 0, 0, top) == streams.raw64(1, 0, 0, np.array([top], np.uint64))[0]
+    assert streams.raw64(1, 0, 0, np.int32(5)) == streams.raw64(1, 0, 0, 5)
 
 
 def test_out_of_range_root_seed_rejected():
@@ -116,6 +132,80 @@ def test_out_of_range_root_seed_rejected():
     top = 2**64 - 1
     assert streams.uniform_scalar(top, 0, 0, 0) == float(streams.uniforms(top, 0, 0, 0))
     assert streams.uniform_scalar(top, 0, 0, 0) != streams.uniform_scalar(0, 0, 0, 0)
+
+
+def _digest(a: np.ndarray) -> str:
+    return hashlib.sha256(a.astype("<u8").tobytes()).hexdigest()
+
+
+# sha256 of raw64's little-endian bytes, computed before the kernel ran in a
+# per-thread workspace: one call over several _CHUNK passes, one (R, B) call
+# at the i.i.d. block size with the high step word set, and two calls whose
+# rows span more than one pass along their first or second axis
+RAW64_PINS = [
+    (lambda: streams.raw64(7, np.arange(50000, dtype=np.int64), 3, 11),
+     "35c218927bd9e1a10a65d316d131890aa477c04dad45ea7e67cf6149ce83afc7"),
+    (lambda: streams.raw64(2**63 + 5, np.arange(8)[:, None], 1,
+                           np.arange(2048, dtype=np.uint64) + (1 << 33)),
+     "754b780f7d0f9436add88a0510777b33a15b7e9321bbfebecb7587f800b3eb9c"),
+    (lambda: streams.raw64(5, np.arange(3)[:, None, None], np.arange(2)[None, None, :],
+                           np.arange(40000, dtype=np.int64)[None, :, None]),
+     "74a1950d0d53be2c4999dc3c412c04277cf6d0ced054cb1f607c32ba83de16ba"),
+    (lambda: streams.raw64(9, 0, np.arange(3), np.arange(70000, dtype=np.uint64)[:, None]),
+     "8b060db226d140e630422941ab197da77afd5e97985a919770745f68e4c7d295"),
+]
+
+
+@pytest.mark.parametrize("call,digest", RAW64_PINS)
+def test_raw64_bytes_pinned(call, digest):
+    assert _digest(call()) == digest
+
+
+def test_raw64_threads_match_serial():
+    # each thread keeps its own workspace; a shared one would mix the lanes
+    # of passes that run at once (numpy drops the GIL inside large ufuncs)
+    calls = [(11, np.arange(16)[:, None], 0, np.arange(2048, dtype=np.int64)),
+             (12, 5, np.arange(2), np.arange(40000, dtype=np.uint64)[:, None]),
+             (13, np.arange(3), 1, 9)]
+    want = [streams.raw64(*args) for args in calls]
+    start = threading.Barrier(len(calls))
+    got: dict = {}
+
+    def work(i):
+        start.wait(timeout=60)
+        got[i] = [streams.raw64(*calls[i]) for _ in range(15)]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(calls))]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    for i, w in enumerate(want):
+        assert all(np.array_equal(g, w) for g in got[i])
+
+
+def test_raw64_edge_shapes():
+    # 0-d
+    one = streams.raw64(3, 4, 1, 9)
+    assert one.shape == () and one == streams.raw64(3, np.array([4]), 1, 9)[0]
+    assert isinstance(streams.uniforms(3, 4, 1, 9), np.float64)
+    # zero-size, small and past one pass
+    for shape in ((0,), (0, 5), (5, 0), (0, 40000), (40000, 0)):
+        steps = np.zeros(shape, dtype=np.int64)
+        assert streams.raw64(3, 4, 1, steps).shape == shape
+        assert streams.uniforms(3, 4, 1, steps).shape == shape
+    # a leading axis of 1 over rows of one pass or more
+    for n in (3, 40000):
+        steps = np.arange(n, dtype=np.int64)
+        flat = streams.raw64(3, 4, 1, steps)
+        assert np.array_equal(streams.raw64(3, 4, 1, steps[None, :]), flat[None, :])
+        assert np.array_equal(streams.raw64(3, np.array([[4]]), 1, steps[:, None])[:, 0], flat)
 
 
 # ---------------------------------------------------------------------------

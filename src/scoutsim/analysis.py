@@ -23,9 +23,9 @@ lane 0 and pilot runs for ray widths (:func:`ray_domain`) on lane 1.  Step
 t+1 of chain i uses the uniform at counter (i, lane, t), so each block of
 steps draws its uniforms in one call, and finished chains are dropped
 between blocks.  Blocks double from one step up to 32 by
-:func:`engine._stepped_block`, the rule the engine's block source uses
-when it steps a ``VectorSim``; being keyed by the absolute counter, no
-value depends on the block lengths or the drop times.
+:func:`engine._stepped_block`, the rule ``VectorSim.blocks`` uses for
+protocols it steps one step at a time; being keyed by the absolute
+counter, no value depends on the block lengths or the drop times.
 """
 
 from __future__ import annotations
@@ -98,16 +98,6 @@ class ReducedKernel:
     def support(self) -> tuple[tuple[KernelEntry, ...], ...]:
         """Each state's edges (see :func:`_edges`): the support digraph."""
         return tuple(_edges(row) for row in self.rows)
-
-    def state_matrix(self):
-        """State-marginal transition probabilities P[q][q'], exact when possible."""
-        n = self.n_states
-        zero = Fraction(0) if self.is_exact else 0.0
-        P = [[zero for _ in range(n)] for _ in range(n)]
-        for q, row in enumerate(self.rows):
-            for e in row:
-                P[q][e.to] = P[q][e.to] + e.probability
-        return P
 
 
 def reduce_kernel(p: ScoutProtocol, scout: int = 1) -> ReducedKernel:

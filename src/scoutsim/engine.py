@@ -20,11 +20,11 @@ Scouts share a point exactly when their keys are equal, the environment
 mask is the OR of the co-located scouts' state bits, and the rule row of a
 (state, mask) pair comes from a cache filled on first use.  The kernel
 fetches the uniforms of up to 1024 steps with one ``streams.uniforms`` call,
-keyed by the absolute (replica, scout, step) counters, as :class:`VectorSim`
-prefetches up to 64: the counters fix every value, so no partition of the
-steps into blocks changes one.  :func:`run` writes each block into its
-trace arrays; :func:`iter_run` builds a :class:`Configuration` only when it
-yields one.
+keyed by the absolute (replica, scout, step) counters, as
+:meth:`VectorSim.blocks` fetches a block's: the counters fix every value,
+so no partition of the steps into blocks changes one.  :func:`run` writes
+each block into its trace arrays; :func:`iter_run` builds a
+:class:`Configuration` only when it yields one.
 
 :class:`VectorSim` steps all replicas through flat tables of the compiled
 protocol: a scout's environment mask is the OR of its co-located scouts'
@@ -34,24 +34,24 @@ distinct pair instead), and its successor state and move key are ``take``s
 at row * row_width + branch.  Both stepping paths report an uncovered
 environment with the same :meth:`_Compiled.no_rule` message.
 
-Hitting times, first meetings and meeting gaps read one source,
-:class:`_BlockSource`, with one loop each.  The source holds the active
-replicas of a replica range and hands out the grid keys of a block of steps
-as one step-major (steps, replicas, scouts) array; between blocks, a loop
-drops the replicas it has finished with, as soon as there is one.
-Protocols whose scouts all walk i.i.d. draw each scout's block from its one
-row and cumulate the moves: a block after step t0 is
-min(cap - t0, max(1, V // R)) steps for R active replicas and a budget of
-V = 2**14 variates per scout, so blocks start short while most replicas
-run and grow as they finish.  All other protocols step a
-:class:`VectorSim` in blocks that double from one step up to 32: a block
-after step t0 is min(32, cap - t0, max(1, t0)) steps, by
-:func:`_stepped_block`, which the reduced-kernel walker of :mod:`.analysis`
-shares.  Every draw is keyed by its absolute step, so neither the path
-nor the partition changes a value: each event equals the stepwise
-:class:`VectorSim` loop bit for bit, meeting gaps in its (time, replica)
-order.  These measurements never
-materialize traces, so caps of 2**24 steps run in bounded memory.
+Hitting times, first meetings, meeting gaps and :func:`run_batch` read one
+source, :meth:`VectorSim.blocks`, with one loop each.  A
+:class:`VectorSim` holds the active replicas of a replica range and hands
+out the grid keys and states of a block of steps as step-major (steps,
+replicas, scouts) arrays; between blocks, a loop drops the replicas it has
+finished with, as soon as there is one.  Protocols whose scouts all walk
+i.i.d. draw each scout's block from its one row and cumulate the moves: a
+block after step t0 is min(cap - t0, max(1, V // R)) steps for R active
+replicas and a budget of V = 2**14 variates per scout, so blocks start
+short while most replicas run and grow as they finish.  All other
+protocols draw a block's uniforms with one ``streams.uniforms`` call and
+take one :meth:`VectorSim.step` per step: a block after step t0 is
+min(32, cap - t0, max(1, t0)) steps, by :func:`_stepped_block`, which the
+reduced-kernel walker of :mod:`.analysis` shares.  Every draw is keyed by
+its absolute step, so neither the path nor the partition changes a value:
+each event equals a loop of single steps bit for bit, meeting gaps in its
+(time, replica) order.  These measurements never materialize traces, so
+caps of 2**24 steps run in bounded memory.
 
 The vectorized paths carry each grid point as one int64 key: k = x for
 d = 1 and k = x * 2**32 + y for d = 2.  A move adds its own key, two scouts
@@ -86,13 +86,7 @@ from .tails import CensoredSummary, SurvivalCurve, summarize_censored
 
 DEFAULT_CAP = 1 << 20
 _MEMORY_LIMIT_BYTES = 1 << 28
-# VectorSim draws at most this many variates per streams call, over at most
-# _PREFETCH_MAX_STEPS steps: small batches amortize the per-call overhead,
-# and batches of more than _PREFETCH_VARIATES scout-steps draw one step per
-# call and hold no larger buffer than without prefetching
-_PREFETCH_VARIATES = 1 << 13
-_PREFETCH_MAX_STEPS = 64
-# variates per scout in one iid block of _BlockSource (see _iid_block):
+# variates per scout in one iid block of VectorSim.blocks (see _iid_block):
 # however many replicas are active, a block's per-scout arrays (uniforms,
 # branches, keys) stay near 128 KiB, and its Philox passes run in the
 # streams workspace rather than in arrays of their own
@@ -174,9 +168,9 @@ def _check_key_range(comp: "_Compiled", steps: int) -> None:
 
 
 def _check_cap(cap: int) -> None:
-    """Raise PreconditionError unless the censor marker cap + 1 fits int64."""
-    if cap + 1 >= _INT64_LIMIT:
-        raise PreconditionError(f"cap must be below 2**63 - 1, so that the censor "
+    """Raise PreconditionError unless cap >= 0 and its censor marker fits int64."""
+    if not 0 <= cap < _INT64_LIMIT - 1:
+        raise PreconditionError(f"cap must be in [0, 2**63 - 1), so that the censor "
                                 f"marker cap + 1 fits int64; got {cap}")
 
 
@@ -470,19 +464,32 @@ def run(p: ScoutProtocol, horizon: int, seed: SeedSpec) -> Trace:
 # vectorized replica simulation
 
 
-class VectorSim:
-    """Many replicas of one protocol advanced in lockstep.
+def _iid_block(t0: int, cap: int, active: int) -> int:
+    """Steps of the iid block after step t0: the variate budget over the
+    active replicas, at least one and at most up to the cap."""
+    return min(cap - t0, max(1, _IID_VARIATES // active))
 
-    Rows can be dropped with :meth:`compact` as replicas finish; remaining
-    rows keep their absolute replica indices, so trajectories are unaffected
-    by when (or whether) compaction happens.  Uniforms are drawn for a block
-    of steps at once, keyed by the absolute (replica, scout, step) counters,
-    so the block size never changes a trajectory either.
+
+def _stepped_block(t0: int, cap: int) -> int:
+    """Steps of a block stepped one at a time after step t0: doubling from
+    one up to _HIT_WINDOW, and at most up to the cap."""
+    return min(_HIT_WINDOW, cap - t0, max(1, t0))
+
+
+class VectorSim:
+    """The active replicas of a replica range, advanced in lockstep.
+
+    :meth:`blocks` advances them a block of steps at a time, and
+    :meth:`drop` stops the ones a caller has finished with; the remaining
+    rows keep their absolute replica indices.  Every variate is keyed by
+    its absolute (replica, scout, step) counter, so neither the block
+    lengths nor when (or whether) replicas are dropped changes a
+    trajectory.  :meth:`step` advances one step on given variates.
 
     Positions are held as grid keys (replicas, scouts); they are exact while
-    every coordinate stays inside (-2**31, 2**31), which the drivers check
-    for their cap or horizon before they start.  States are int64 indices
-    into the compiled protocol's flat tables (see the module docstring).
+    every coordinate stays inside (-2**31, 2**31), which :meth:`blocks`
+    checks for its cap before it starts.  States are int64 indices into the
+    compiled protocol's flat tables (see the module docstring).
     """
 
     def __init__(self, p: ScoutProtocol, n_replicas: int, root_seed: int,
@@ -497,9 +504,6 @@ class VectorSim:
         self.time = 0
         self._scouts = np.arange(comp.c, dtype=np.int64)
         self._off_diagonal = ~np.eye(comp.c, dtype=bool)
-        # uniforms (block steps, replicas, scouts) for steps _u_start onwards
-        self._u = np.empty((0, n_replicas, comp.c))
-        self._u_start = 0
 
     @property
     def n_active(self) -> int:
@@ -514,7 +518,11 @@ class VectorSim:
         self.replicas = self.replicas[keep]
         self.keys = self.keys[keep]
         self.states = self.states[keep]
-        self._u = self._u[:, keep]
+
+    def drop(self, done: np.ndarray) -> None:
+        """Stop the active replicas marked ``done``, if there are any."""
+        if done.any():
+            self.compact(~done)
 
     def _lookup_rows(self, masks: np.ndarray) -> np.ndarray:
         """Rows of the (state, mask) pairs without a dense table: each
@@ -525,22 +533,12 @@ class VectorSim:
                          dtype=np.int32)
         return table[inverse].reshape(masks.shape)
 
-    def _uniforms(self, n: int) -> np.ndarray:
-        """Variates (replicas, scouts) of step n, refilling the block when spent."""
-        if n - self._u_start >= self._u.shape[0]:
-            R, c = self.keys.shape
-            B = max(1, min(_PREFETCH_MAX_STEPS, _PREFETCH_VARIATES // (R * c)))
-            steps = n + np.arange(B, dtype=np.int64)
-            self._u = streams.uniforms(self.root_seed, self.replicas[None, :, None],
-                                       self._scouts[None, None, :], steps[:, None, None])
-            self._u_start = n
-        return self._u[n - self._u_start]
-
-    def step(self) -> None:
+    def step(self, u: np.ndarray) -> None:
+        """Advance one step on ``u`` (replicas, scouts), the variates of step
+        ``time`` of the active replicas."""
         comp = self.comp
-        R = self.replicas.size
         self.time += 1
-        if R == 0:
+        if self.replicas.size == 0:
             return
         states = self.states
         if comp.env_free or comp.c == 1:
@@ -558,10 +556,51 @@ class VectorSim:
         if rows.min() < 0:
             r, i = np.argwhere(rows < 0)[0]
             raise comp.no_rule(int(states[r, i]), int(masks[r, i]))
-        branch = comp.table.select(rows, self._uniforms(self.time - 1))
+        branch = comp.table.select(rows, u)
         flat = rows * comp.row_width + branch
         self.states = comp.flat_state.take(flat)
         self.keys += comp.flat_key.take(flat)
+
+    def blocks(self, cap: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """Advance the active replicas to step ``cap``, a block at a time.
+
+        Yields ``(t0, keys, states)``: the grid keys and state indices
+        (B, R, c) of steps t0+1 .. t0+B for the R active replicas,
+        step-major, until the cap or until no replica is left.  An i.i.d.
+        walk never changes state, so there ``states`` is one (1, R, c) view
+        that broadcasts over the block.  The block rules are in the module
+        docstring.  The key range and the cap are checked on the call.
+        """
+        _check_key_range(self.comp, cap)
+        _check_cap(cap)
+        return self._blocks(cap)
+
+    def _blocks(self, cap: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        comp = self.comp
+        while self.replicas.size and self.time < cap:
+            t0 = self.time
+            if comp.iid_single:
+                B = _iid_block(t0, cap, self.replicas.size)
+                keys = np.empty((B,) + self.keys.shape, dtype=np.int64)
+                for i, row in enumerate(comp.wildcard_row[comp.init_state_idx]):
+                    branch = comp.table.draw(row, self.root_seed, self.replicas, i, t0, B)
+                    np.cumsum(comp.row_key[row][branch.T], axis=0, out=keys[:, :, i])
+                keys += self.keys
+                self.keys = keys[-1]
+                self.time = t0 + B
+                states = self.states[None]
+            else:
+                B = _stepped_block(t0, cap)
+                u = streams.uniforms(self.root_seed, self.replicas[None, :, None],
+                                     self._scouts[None, None, :],
+                                     np.arange(t0, t0 + B, dtype=np.int64)[:, None, None])
+                keys = np.empty((B,) + self.keys.shape, dtype=np.int64)
+                states = np.empty_like(keys)
+                for b in range(B):
+                    self.step(u[b])
+                    keys[b] = self.keys
+                    states[b] = self.states
+            yield t0, keys, states
 
 
 def run_batch(p: ScoutProtocol, horizon: int, root_seed: int, replicas: int,
@@ -576,96 +615,23 @@ def run_batch(p: ScoutProtocol, horizon: int, root_seed: int, replicas: int,
     footprint = replicas * (horizon + 1) * comp.c * (8 * comp.d + 2)
     if footprint > _MEMORY_LIMIT_BYTES:
         raise ResourceLimitError("batch too large; chunk the replica range")
-    _check_key_range(comp, horizon)
     sim = VectorSim(p, replicas, root_seed, replica_start)
+    blocks = sim.blocks(horizon)
     positions = np.empty((replicas, horizon + 1, comp.c, comp.d), dtype=np.int64)
-    keys = positions[..., -1]  # keys until unpacked in place at the end
+    keys_out = positions[..., -1]  # keys until unpacked in place at the end
     state_idx = np.empty((replicas, horizon + 1, comp.c), dtype=np.int16)
-    for t in range(horizon + 1):
-        keys[:, t] = sim.keys
-        state_idx[:, t] = sim.states
-        if t < horizon:
-            sim.step()
+    keys_out[:, 0] = sim.keys
+    state_idx[:, 0] = sim.states
+    for t0, keys, states in blocks:
+        steps = slice(t0 + 1, t0 + 1 + len(keys))
+        keys_out[:, steps] = keys.swapaxes(0, 1)
+        state_idx[:, steps] = states.swapaxes(0, 1)
     _unpack_in_place(positions)
     return positions, state_idx
 
 
 # ---------------------------------------------------------------------------
-# stopping times: one block source, one loop per event
-
-
-def _iid_block(t0: int, cap: int, active: int) -> int:
-    """Steps of the iid block after step t0: the variate budget over the
-    active replicas, at least one and at most up to the cap."""
-    return min(cap - t0, max(1, _IID_VARIATES // active))
-
-
-def _stepped_block(t0: int, cap: int) -> int:
-    """Steps of a block stepped one at a time after step t0: doubling from
-    one up to _HIT_WINDOW, and at most up to the cap."""
-    return min(_HIT_WINDOW, cap - t0, max(1, t0))
-
-
-class _BlockSource:
-    """Grid keys of a range of replicas, one block of steps at a time.
-
-    Iterating yields ``(t0, keys)``: the keys (B, R, c) of steps t0+1 ..
-    t0+B for the R active replicas, step-major, until the cap or until no
-    replica is left.  Between blocks, :meth:`drop` stops finished replicas.
-    Protocols whose scouts all walk i.i.d. draw each scout's block from its
-    one row and cumulate the moves, B by :func:`_iid_block`; all others
-    step a :class:`VectorSim`, B by :func:`_stepped_block`.
-    Every draw is keyed by its absolute (replica, scout, step) counter, so
-    neither the path, the block lengths nor the drop times change a key.
-    """
-
-    def __init__(self, p: ScoutProtocol, start: int, n: int, cap: int, root_seed: int):
-        comp = _compile(p)
-        _check_key_range(comp, cap)
-        _check_cap(cap)
-        self.comp = comp
-        self.cap = cap
-        self.root_seed = root_seed
-        self.start = start
-        self.replicas = np.arange(start, start + n, dtype=np.int64)
-        self.time = 0
-        self.keys = np.full((n, comp.c), comp.origin_key, dtype=np.int64)
-        self.sim = None if comp.iid_single else VectorSim(p, n, root_seed, start)
-
-    @property
-    def rows(self) -> np.ndarray:
-        """Each active replica's row in arrays over the whole range."""
-        return self.replicas - self.start
-
-    def __iter__(self) -> Iterator[tuple[int, np.ndarray]]:
-        comp = self.comp
-        while self.replicas.size and self.time < self.cap:
-            t0 = self.time
-            if self.sim is None:
-                B = _iid_block(t0, self.cap, self.replicas.size)
-                keys = np.empty((B,) + self.keys.shape, dtype=np.int64)
-                for i, row in enumerate(comp.wildcard_row[comp.init_state_idx]):
-                    branch = comp.table.draw(row, self.root_seed, self.replicas, i, t0, B)
-                    np.cumsum(comp.row_key[row][branch.T], axis=0, out=keys[:, :, i])
-                keys += self.keys
-            else:
-                B = _stepped_block(t0, self.cap)
-                keys = np.empty((B,) + self.keys.shape, dtype=np.int64)
-                for b in range(B):
-                    self.sim.step()
-                    keys[b] = self.sim.keys
-            self.keys = keys[-1]
-            self.time = t0 + B
-            yield t0, keys
-
-    def drop(self, done: np.ndarray) -> None:
-        """Stop the active replicas marked ``done``, if there are any."""
-        if done.any():
-            keep = ~done
-            self.replicas = self.replicas[keep]
-            self.keys = self.keys[keep]
-            if self.sim is not None:
-                self.sim.compact(keep)
+# stopping times: one block loop per event
 
 
 def _in_chunks(work, replicas: int, threads: int, chunk: int, empty: np.ndarray) -> np.ndarray:
@@ -711,20 +677,21 @@ def _find_targets(tkeys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.n
 
 def _hit_times_chunk(p: ScoutProtocol, targets: np.ndarray, start: int, n: int,
                      cap: int, root_seed: int) -> np.ndarray:
-    src = _BlockSource(p, start, n, cap, root_seed)
-    tkeys, columns = _target_keys(src.comp, targets, cap)
+    sim = VectorSim(p, n, root_seed, start)
+    blocks = sim.blocks(cap)
+    tkeys, columns = _target_keys(sim.comp, targets, cap)
     T = tkeys.size
     # a column per distinct target key, and a last one, never hit, for the
     # targets out of reach
     out = np.full((n, T + 1), cap + 1, dtype=np.int64)
-    out[:, :T][:, tkeys == src.comp.origin_key] = 0
-    src.drop((out[:, :T] <= cap).all(axis=1))
-    for t0, keys in src:
-        rows = src.rows
+    out[:, :T][:, tkeys == sim.comp.origin_key] = 0
+    sim.drop((out[:, :T] <= cap).all(axis=1))
+    for t0, keys, _ in blocks:
+        rows = sim.replicas - start
         i, col = _find_targets(tkeys, keys)
         b, k = np.divmod(i, keys[0].size)
-        np.minimum.at(out.reshape(-1), rows[k // src.comp.c] * (T + 1) + col, t0 + 1 + b)
-        src.drop((out[rows, :T] <= cap).all(axis=1))
+        np.minimum.at(out.reshape(-1), rows[k // sim.comp.c] * (T + 1) + col, t0 + 1 + b)
+        sim.drop((out[rows, :T] <= cap).all(axis=1))
     return out[:, columns]
 
 
@@ -802,13 +769,14 @@ def first_meeting_times(p: ScoutProtocol, replicas: int, cap: int, root_seed: in
 
 def _first_meeting_chunk(p: ScoutProtocol, start: int, n: int, cap: int,
                          root_seed: int) -> np.ndarray:
-    src = _BlockSource(p, start, n, cap, root_seed)
+    sim = VectorSim(p, n, root_seed, start)
+    blocks = sim.blocks(cap)
     out = np.full(n, cap + 1, dtype=np.int64)
-    for t0, keys in src:
+    for t0, keys, _ in blocks:
         met = keys[..., 0] == keys[..., 1]
         has = met.any(axis=0)
-        out[src.rows[has]] = t0 + 1 + met[:, has].argmax(axis=0)
-        src.drop(has)
+        out[sim.replicas[has] - start] = t0 + 1 + met[:, has].argmax(axis=0)
+        sim.drop(has)
     return out
 
 
@@ -824,12 +792,13 @@ def meeting_gap_samples(p: ScoutProtocol, replicas: int, cap: int, root_seed: in
         raise ValueError("meeting gaps need a two-scout protocol")
     if not 1 <= k_min <= k_max:
         raise ValueError("need 1 <= k_min <= k_max")
-    src = _BlockSource(p, 0, replicas, cap, root_seed)
+    sim = VectorSim(p, replicas, root_seed)
+    blocks = sim.blocks(cap)
     last = np.zeros(replicas, dtype=np.int64)  # each replica's latest meeting
     count = np.zeros(replicas, dtype=np.int64)
     gaps: list[np.ndarray] = []
-    for t0, keys in src:
-        rows = src.rows
+    for t0, keys, _ in blocks:
+        rows = sim.replicas
         met = keys[..., 0] == keys[..., 1]
         t = t0 + 1 + np.arange(met.shape[0], dtype=np.int64)
         k = count[rows] + np.cumsum(met, axis=0)  # index of each step's meeting
@@ -840,5 +809,5 @@ def meeting_gap_samples(p: ScoutProtocol, replicas: int, cap: int, root_seed: in
         b, r = np.nonzero(met & (k >= k_min) & (k <= k_max))
         gaps.append(t[b] - before[b, r])
         count[rows], last[rows] = k[-1], upto[-1]
-        src.drop(k[-1] >= k_max)
+        sim.drop(k[-1] >= k_max)
     return np.concatenate(gaps) if gaps else np.zeros(0, dtype=np.int64)

@@ -467,17 +467,18 @@ def builtin(name: str, params: Mapping | None = None, **kw) -> ScoutProtocol:
     """
     merged = dict(params or {})
     merged.update(kw)
-    d = int(merged.pop("d", merged.pop("dim", 1)))
+    d = _number("d", merged.pop("d", merged.pop("dim", 1)), int)
     if name == "srw":
         merged.pop("c", None)
         _reject_extras(name, merged)
         return _srw(d)
     if name == "independent_walks":
-        c = int(merged.pop("c", merged.pop("scouts", 1)))
+        c = _number("c", merged.pop("c", merged.pop("scouts", 1)), int)
         _reject_extras(name, merged)
         return _independent_walks(d, c)
     if name == "anchored_geometric":
-        p = Fraction(merged.pop("p", Fraction(1, 2)))  # a float's exact binary expansion
+        # a float's exact binary expansion
+        p = _number("p", merged.pop("p", Fraction(1, 2)), Fraction)
         merged.pop("c", None)
         _reject_extras(name, merged)
         if not (0 < p < 1):
@@ -485,6 +486,15 @@ def builtin(name: str, params: Mapping | None = None, **kw) -> ScoutProtocol:
         proto = _anchored_1d(p) if d == 1 else _anchored_2d(p)
         return proto
     raise ProtocolError(f"unknown builtin {name!r}")
+
+
+def _number(name: str, value, kind: type):
+    """``kind(value)`` for the builtin parameter ``name``, or ProtocolError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, ArithmeticError):
+        raise ProtocolError(f"builtin parameter {name}={value!r} does not parse "
+                            f"as {kind.__name__}") from None
 
 
 def _reject_extras(name: str, merged: Mapping) -> None:

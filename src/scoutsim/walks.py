@@ -160,25 +160,12 @@ class StepLaw:
         return float(sum(float(o.probability) * float(o.zeta) for o in self.outcomes))
 
     @property
-    def mean_nu(self):
-        if self.is_exact:
-            return sum((o.probability * int(o.nu) for o in self.outcomes), Fraction(0))
-        return float(sum(float(o.probability) * float(o.nu) for o in self.outcomes))
-
-    @property
     def zeta_identically_zero(self) -> bool:
         return all(o.zeta == 0 for o in self.outcomes if float(o.probability) > 0)
 
     @property
     def unit_time(self) -> bool:
         return all(o.nu == 1 for o in self.outcomes)
-
-    def effective_drift(self):
-        """Mean displacement per unit time, E[zeta] / E[nu]."""
-        mz, mn = self.mean_zeta, self.mean_nu
-        if isinstance(mz, Fraction) and isinstance(mn, Fraction):
-            return mz / mn
-        return float(mz) / float(mn)
 
 
 def make_law(entries: Sequence[tuple]) -> StepLaw:

@@ -106,7 +106,8 @@ def test_stationary_residual_on_random_kernels():
         rep = classes(k)
         for info in rep.recurrent_classes():
             pi = stationary_distribution(k, info.states)
-            P = k.state_matrix()
+            P = [[sum((e.probability for e in row if e.to == q2), Fraction(0))
+                  for q2 in range(k.n_states)] for row in k.rows]
             idx = [k.states.index(s) for s in info.states]
             for j2, q2 in enumerate(idx):
                 acc = sum(pi[j] * P[q][q2] for j, q in enumerate(idx))

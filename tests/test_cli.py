@@ -568,6 +568,22 @@ def test_limits_exit_one_line(argv, prefix, capsys):
     assert len(err) == 1 and err[0].startswith(prefix)
 
 
+@pytest.mark.parametrize("spec,prefix", [
+    # each ended in a traceback: ValueError from int() or Fraction, and
+    # ZeroDivisionError from Fraction
+    ("srw?d=x", "usage error:"),
+    ("independent_walks?d=1,c=2.5", "usage error:"),
+    ("anchored_geometric?p=abc", "protocol error:"),
+    ("anchored_geometric?d=1,p=3/0", "protocol error:"),
+    ("anchored_geometric?p=nan", "protocol error:"),
+])
+def test_unparsable_builtin_parameter_exits_one_line(spec, prefix, capsys):
+    assert main(["hitting", "--protocol", "builtin:" + spec, "--targets", "1",
+                 "--replicas", "2", "--cap", "8"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(prefix)
+
+
 def test_analyze_solves_each_class_once(monkeypatch, capsys):
     # the ray domain reads the class report: one stationary solve and one
     # degeneracy check per recurrent class (10 here)

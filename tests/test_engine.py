@@ -34,6 +34,14 @@ trans L * -> 1 L (-1)
 """
 
 
+def _step(sim):
+    """One VectorSim step on its own draw of the (replicas, scouts) uniforms
+    of that step."""
+    sim.step(streams.uniforms(sim.root_seed, sim.replicas[:, None],
+                              np.arange(sim.keys.shape[1], dtype=np.int64)[None, :],
+                              sim.time))
+
+
 def test_step_deterministic_rule():
     p = parse_protocol(DET_PLUS)
     cfg = initial_configuration(p)
@@ -157,7 +165,7 @@ def test_many_state_protocol_uses_dict_dispatch():
     assert _compile(proto).lut is None
     sim = VectorSim(proto, 4, 7)
     for _ in range(25):
-        sim.step()
+        _step(sim)
     tr = run(proto, 25, SeedSpec(7))
     assert np.all(sim.positions[:, 0, 0] == tr.positions[-1, 0, 0])
 
@@ -177,13 +185,21 @@ def test_run_memory_guard():
 
 
 def test_cap_marker_must_fit_int64():
-    # the censor marker cap + 1 overflowed np.full with an OverflowError
+    # the censor marker cap + 1 overflowed np.full with an OverflowError; a
+    # negative cap ran no step and returned cap + 1 in every cell, also for
+    # the origin, which is hit at time 0
     p, pair = builtin("srw", d=1), builtin("independent_walks", d=1, c=2)
-    for call in (lambda cap: hit_times(p, [(1,)], 2, cap, 0),
+    anchored = builtin("anchored_geometric", d=1)
+    for call in (lambda cap: hit_times(p, [(1,), (0,)], 2, cap, 0),
+                 lambda cap: hit_times(anchored, [(1,), (0,)], 2, cap, 0),
                  lambda cap: first_meeting_times(pair, 2, cap, 0),
+                 lambda cap: first_meeting_times(anchored, 2, cap, 0),
                  lambda cap: meeting_gap_samples(pair, 2, cap, 0)):
-        with pytest.raises(PreconditionError, match="cap"):
-            call(2**63 - 1)
+        for cap in (2**63 - 1, -1, -5):
+            with pytest.raises(PreconditionError, match="cap"):
+                call(cap)
+    # cap 0 takes no step: only the origin is hit
+    assert hit_times(p, [(1,), (0,)], 2, 0, 0).tolist() == [[1, 0]] * 2
     # the largest cap whose marker fits; the origin is hit at time 0
     assert hit_times(p, [(0,)], 2, 2**63 - 2, 0).tolist() == [[0], [0]]
     [s] = monte_carlo_hitting_multi(p, [(0,)], 2, cap=2**63 - 2)
@@ -424,8 +440,8 @@ def test_uncompilable_protocol_refused_on_every_path(case):
 # a reduce over a (replicas, scouts, scouts) array, each (state, mask) pair
 # dispatched through _Compiled.dispatch_row, the branch by a count over the
 # true cumulative rows clamped to the last branch, and the successor state
-# and move key gathered from the 2-d row tables.  It draws each step's
-# uniforms on its own, with no prefetch.
+# and move key gathered from the 2-d row tables.  Both sides draw each
+# step's uniforms on their own.
 
 
 def _reference_select(p, rows, u):
@@ -492,11 +508,11 @@ def test_vector_step_matches_reference(name):
     sim = VectorSim(p, 9, 2024, replica_start=5)
     ref = _ReferenceVectorSim(p, 9, 2024, 5)
     for t in range(2048):
-        if t == 1001:  # mid-way through a prefetched block of uniforms
+        if t == 1001:
             keep = np.arange(sim.n_active) % 3 != 1
             sim.compact(keep)
             ref.compact(keep)
-        sim.step()
+        _step(sim)
         ref.step()
         assert np.array_equal(sim.keys, ref.keys), t
         assert np.array_equal(sim.states, ref.states), t
@@ -537,7 +553,7 @@ def test_hitting_survival_matches_enumeration():
 
 
 def _vectorsim_path(monkeypatch, p):
-    """Send an i.i.d. protocol down the block source's VectorSim path."""
+    """Send an i.i.d. protocol down the stepped path of VectorSim.blocks."""
     comp = engine._compile(p)
     assert comp.iid_single
     monkeypatch.setattr(comp, "iid_single", False)
@@ -582,34 +598,41 @@ def test_hit_times_general_path_matches_oracle(name, d, targets):
     assert (want[:, origin] == 0).all() and (want[:, far] == cap + 1).all()
 
 
-@pytest.mark.parametrize("replicas,block", [(40, 64), (3000, 1)])
-def test_vectorsim_compaction_mid_block_matches_scalar(replicas, block):
-    # compaction at steps that are not multiples of the prefetch block; with
-    # 3000 replicas x 3 scouts one streams call covers a single step
+@pytest.mark.parametrize("replicas", [40, 3000])
+def test_vectorsim_compaction_mid_block_matches_scalar(replicas):
+    # drops between blocks, after steps 4, 32 and 96, move the tracked
+    # replicas' rows; a 32-step block of 3000 replicas x 3 scouts draws its
+    # 288,000 uniforms in one call, over several Philox passes
     p = builtin("anchored_geometric", d=2)
     horizon = 150
     tracked = np.linspace(0, replicas - 1, 8).astype(np.int64)
     ref = {int(r): run(p, horizon, SeedSpec(9, replica=int(r))) for r in tracked}
     sim = VectorSim(p, replicas, 9)
     rng = np.random.default_rng(0)
-    for t in range(1, horizon + 1):
-        sim.step()
-        if t == 1:
-            assert sim._u.shape[0] == block
-        if t in (5, 37, 100):
-            keep = rng.random(sim.n_active) < 0.7
-            keep[np.isin(sim.replicas, tracked)] = True
-            sim.compact(keep)
-        rows = np.flatnonzero(np.isin(sim.replicas, tracked))
-        for row in rows:
+    ends = []
+    for t0, keys, states in sim.blocks(horizon):
+        positions = engine._unpack(keys, 2)
+        for row in np.flatnonzero(np.isin(sim.replicas, tracked)):
             tr = ref[int(sim.replicas[row])]
-            assert np.array_equal(sim.positions[row], tr.positions[t])
-            assert np.array_equal(sim.states[row], tr.state_idx[t])
+            assert np.array_equal(positions[:, row], tr.positions[t0 + 1:t0 + 1 + len(keys)])
+            assert np.array_equal(states[:, row], tr.state_idx[t0 + 1:t0 + 1 + len(keys)])
+        ends.append(sim.time)
+        if sim.time in (4, 32, 96):
+            done = rng.random(sim.n_active) >= 0.7
+            done[np.isin(sim.replicas, tracked)] = False
+            sim.drop(done)
+    assert ends[-1] == horizon and {4, 32, 96} <= set(ends)
     assert sim.n_active < replicas
 
 
-def test_three_scout_env_protocol_batch_matches_run():
-    p = builtin("anchored_geometric", d=2)
+@pytest.mark.parametrize("name,kw", [
+    ("anchored_geometric", {"d": 2}),  # three scouts, environment-dependent
+    ("independent_walks", {"d": 1, "c": 2}),  # i.i.d. block draws
+    ("srw", {"d": 2}),
+], ids=["anchored_d2", "independent_walks_c2", "srw_d2"])
+def test_three_scout_env_protocol_batch_matches_run(name, kw):
+    p = builtin(name, **kw)
+    assert engine._compile(p).iid_single == (name != "anchored_geometric")
     P, S = run_batch(p, 300, 13, replicas=6, replica_start=3)
     for k in range(6):
         tr = run(p, 300, SeedSpec(13, replica=3 + k))
@@ -618,7 +641,7 @@ def test_three_scout_env_protocol_batch_matches_run():
 
 
 def test_hit_times_threads_and_chunks_identical():
-    # both paths of the block source: i.i.d. walks and the anchored sweeper
+    # both paths of VectorSim.blocks: i.i.d. walks and the anchored sweeper
     for p in (builtin("independent_walks", d=1, c=2),
               builtin("anchored_geometric", d=1, p="1/2")):
         a = hit_times(p, [(2,), (-3,)], 400, 800, 3, threads=1, chunk=57)
@@ -712,7 +735,7 @@ def _first_meetings_stepwise(p, replicas, cap, root_seed):
     sim = VectorSim(p, replicas, root_seed)
     out = np.full(replicas, cap + 1, dtype=np.int64)
     while sim.n_active and sim.time < cap:
-        sim.step()
+        _step(sim)
         met = sim.keys[:, 0] == sim.keys[:, 1]
         if met.any():
             out[sim.replicas[met]] = sim.time
@@ -729,7 +752,7 @@ def _meeting_gaps_stepwise(p, replicas, cap, root_seed, k_min, k_max):
     count = np.zeros(replicas, dtype=np.int64)
     gaps = []
     while sim.n_active and sim.time < cap:
-        sim.step()
+        _step(sim)
         met = sim.keys[:, 0] == sim.keys[:, 1]
         if met.any():
             count[met] += 1
@@ -808,7 +831,7 @@ def test_meeting_gaps_kmax_meeting_on_window_end(monkeypatch, k_max):
     n_k = extract_renewal(run(p, 400, SeedSpec(8))).meeting_times[k_max]
     for window in range(n_k, 0, -1):
         monkeypatch.setattr(engine, "_HIT_WINDOW", window)
-        if n_k in {t0 + len(keys) for t0, keys in engine._BlockSource(p, 0, 1, 400, 8)}:
+        if n_k in {t0 + len(keys) for t0, keys, _ in VectorSim(p, 1, 8).blocks(400)}:
             break
     assert window > 1
     got = meeting_gap_samples(p, 30, 400, 8, 1, k_max)
@@ -942,7 +965,7 @@ def test_d2_batch_and_vectorsim_positions_at_negative_coordinates():
         P, S = run_batch(p, 300, 13, replicas=4, replica_start=2)
         sim = VectorSim(p, 4, 13, replica_start=2)
         for _ in range(300):
-            sim.step()
+            _step(sim)
         for k in range(4):
             tr = run(p, 300, SeedSpec(13, replica=2 + k))
             assert np.array_equal(tr.positions, P[k])

@@ -66,10 +66,8 @@ def test_parsed_law_rejects_overflowing_zeta():
 def test_law_moments_exact():
     law = make_law([("3/4", 1), ("1/4", -1)])
     assert law.mean_zeta == Fraction(1, 2)
-    assert law.effective_drift() == Fraction(1, 2)
     law2 = make_law([("1/2", 1, 2), ("1/2", -1, 2)])
-    assert law2.mean_nu == 2
-    assert law2.effective_drift() == 0
+    assert law2.mean_zeta == 0
 
 
 @pytest.mark.parametrize("zeta", [2**63, -2**63 - 1, 10**400, 2.0**63],
@@ -102,10 +100,15 @@ def test_stopping_times_reject_offsets_beyond_int64():
 
 def test_stopping_times_reject_cap_marker_beyond_int64():
     # the zero law passes the offset check (its largest step is 0), and the
-    # censor marker cap + 1 overflowed np.full with an OverflowError
+    # censor marker cap + 1 overflowed np.full with an OverflowError; a
+    # negative cap checked nothing and returned cap + 1, also where the
+    # event holds at time 0
     w = LookAroundWalk(NAMED_LAWS["zero"]())
+    for cap in (2**63 - 1, -1):
+        with pytest.raises(PreconditionError, match="cap"):
+            check_zero_drift_reach_tail(w, 2, trials=5, cap=cap)
     with pytest.raises(PreconditionError, match="cap"):
-        check_zero_drift_reach_tail(w, 2, trials=5, cap=2**63 - 1)
+        _stopping_times([w], lambda S, R: S[0] == 0, 3, -5, 0)
     with pytest.raises(PreconditionError, match="cap"):
         mc_event_frequency(w.law, 0, 2**63 - 1, "hit:5", 4, 0)
     # the largest cap whose marker fits; the event holds at time 0

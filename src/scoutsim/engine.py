@@ -8,8 +8,8 @@ so scalar stepping, vectorized batches, and threaded replica chunks all
 produce bit-identical trajectories.  Every path turns a variate into a
 branch of the rule row through the one sampler, :class:`streams.Categorical`:
 the scalar kernel bisects the row's list, :class:`VectorSim` counts the
-partial sums <= u of a gathered row per scout, and the iid block path
-draws whole blocks from one row.  All three compare against the same
+partial sums <= u of each scout's row, and the iid block path draws whole
+blocks from one row.  All three compare against the same
 floats; a row of ``Fraction`` probabilities is cumulated exactly and only
 then rounded.
 
@@ -27,12 +27,19 @@ each block into its trace arrays; :func:`iter_run` builds a
 :class:`Configuration` only when it yields one.
 
 :class:`VectorSim` steps all replicas through flat tables of the compiled
-protocol: a scout's environment mask is the OR of its co-located scouts'
-state bits, its rule row is one ``take`` from the (state, mask) table at
-state << n_states | mask (protocols of more than 16 states dispatch each
-distinct pair instead), and its successor state and move key are ``take``s
-at row * row_width + branch.  Both stepping paths report an uncovered
-environment with the same :meth:`_Compiled.no_rule` message.
+protocol.  A scout's rule row is one ``take`` from a dense dispatch table
+of (n + 1)**c entries for n states: the index holds the scout's own state
+as its top base-(n + 1) digit and, below it, one digit per other scout,
+s + 1 for one at the same point in state s and 0 for one elsewhere.  The
+indices of all scouts are one batched product of the co-location matrix
+with a constant weight matrix, and the entry is the row's flat base
+row * row_width, or -1 where no rule covers.  The branch counts the row's
+partial sums <= u at base + j, and the successor state and move key are
+``take``s at base + branch.  Environment-free protocols index by their own
+state alone; a protocol whose table would exceed 2**20 entries dispatches
+each distinct (state, environment mask) pair instead.  Both stepping paths
+report an uncovered environment with the same :meth:`_Compiled.no_rule`
+message.
 
 Hitting times, first meetings, meeting gaps and :func:`run_batch` read one
 source, :meth:`VectorSim.blocks`, with one loop each.  A
@@ -98,6 +105,8 @@ _HIT_WINDOW = 32
 _KEY_HALF = 1 << 31
 _KEY_LOW = (1 << 32) - 1
 _INT64_LIMIT = 1 << 63
+# most entries of VectorSim's dense dispatch table (see _Compiled._dense_table)
+_DENSE_LIMIT = 1 << 20
 # steps of the scalar kernel per streams call (see _kernel)
 _KERNEL_BLOCK = 1024
 # an unbounded iter_run packs d = 2 keys for this many steps (see _key_width)
@@ -215,19 +224,16 @@ class _Compiled:
         self.row_width = self.row_state.shape[1]
         self.flat_state = self.row_state.reshape(-1)
         self.flat_key = self.row_key.reshape(-1)
+        # column j of the partial sums at index row * row_width, for every
+        # column but the last, which is 2.0 in every row
+        flat_cum = self.table.cum.reshape(-1)
+        self.cum_columns = [flat_cum[j:] for j in range(self.row_width - 1)]
         self.state_bit = np.int64(1) << np.arange(self.n_states, dtype=np.int64)
         # widened first: abs of the int8 move -128 wraps to -128
         self.max_move = int(np.abs(self.row_move.astype(np.int64)).max(initial=0))
 
         self.env_free = not self.exact_rows
-        # the row of (state, mask) at lut[state << n_states | mask]
-        if self.n_states <= 16:
-            lut = np.tile(self.wildcard_row[:, None], (1, 1 << self.n_states))
-            for (si, mask), ridx in self.exact_rows.items():
-                lut[si, mask] = ridx
-            self.lut = lut.reshape(-1)
-        else:
-            self.lut = None
+        self.dense, self.weights = self._dense_table()
 
         self.init_state_idx = np.array(
             [self.state_index[s] for s in p.initial_states], dtype=np.int64)
@@ -254,6 +260,51 @@ class _Compiled:
         # the scalar kernel's rows by key width, then by mask << 6 | state;
         # filled on first use by kernel_row
         self.kernel_rows: dict[int, dict[int, tuple]] = {}
+
+    def _dense_table(self) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """VectorSim's dispatch table and the weights of its index.
+
+        A scout's index has one base-(n + 1) digit per other scout, in
+        scout order, and its own state's digit above them: digit s + 1 for
+        a scout in state s, and 0 for an other scout not at its point (no
+        digits for an environment-free protocol).  Entry k of the table is
+        row * row_width for the row :meth:`dispatch_row` picks, or -1 where
+        no rule covers.  ``weights[i, j]`` is the place value of scout j's
+        digit in scout i's index.  Past _DENSE_LIMIT entries the table is
+        None and VectorSim dispatches each distinct pair instead.
+        """
+        n, c = self.n_states, self.c
+        others = 0 if self.env_free else c - 1
+        span = (n + 1) ** others
+        if span * (n + 1) > _DENSE_LIMIT:
+            return None, None
+        # scout j is the (j - [j > i])-th other scout of scout i
+        i, j = np.indices((c, c))
+        weights = np.where(i == j, span, (n + 1) ** (j - (j > i)) if others else 0)
+        # the environment mask of each value of the others' digits
+        digit_bit = np.concatenate([[0], self.state_bit])
+        masks = np.zeros(span, dtype=np.int64)
+        rest = np.arange(span, dtype=np.int64)
+        for _ in range(others):
+            rest, digit = np.divmod(rest, n + 1)
+            masks |= digit_bit.take(digit)
+        # the row of each state in each distinct mask: the wildcard row, or
+        # the exact rule of that mask
+        uniq, inverse = np.unique(masks, return_inverse=True)
+        rows = np.repeat(self.wildcard_row[:, None].astype(np.int64), uniq.size, axis=1)
+        if self.exact_rows:
+            states, exact = np.array(list(self.exact_rows), dtype=np.int64).T
+            col = np.minimum(uniq.searchsorted(exact), uniq.size - 1)
+            found = uniq[col] == exact
+            rows[states[found], col[found]] = np.fromiter(self.exact_rows.values(),
+                                                          np.int64)[found]
+        table = np.full((n + 1, span), -1, dtype=np.int32)
+        table[1:] = self.bases(rows)[:, inverse]
+        return table.reshape(-1), weights
+
+    def bases(self, rows: np.ndarray) -> np.ndarray:
+        """row * row_width of each row index, and -1 for -1 (no rule)."""
+        return np.where(rows < 0, -1, rows * self.row_width)
 
     def dispatch_row(self, state_idx: int, mask: int) -> int:
         row = self.exact_rows.get((state_idx, mask), -1)
@@ -504,6 +555,10 @@ class VectorSim:
         self.time = 0
         self._scouts = np.arange(comp.c, dtype=np.int64)
         self._off_diagonal = ~np.eye(comp.c, dtype=bool)
+        # the columns (i, j) of every scout pair, all i before all j, so
+        # that one gather of the keys holds both sides of each compare
+        self._pairs = np.concatenate([np.repeat(self._scouts, comp.c),
+                                      np.tile(self._scouts, comp.c)])
 
     @property
     def n_active(self) -> int:
@@ -524,42 +579,63 @@ class VectorSim:
         if done.any():
             self.compact(~done)
 
-    def _lookup_rows(self, masks: np.ndarray) -> np.ndarray:
-        """Rows of the (state, mask) pairs without a dense table: each
-        distinct pair dispatched once."""
-        pairs = np.stack([self.states.ravel(), masks.ravel()], axis=1)
-        uniq, inverse = np.unique(pairs, axis=0, return_inverse=True)
-        table = np.array([self.comp.dispatch_row(int(s), int(m)) for s, m in uniq],
-                         dtype=np.int32)
-        return table[inverse].reshape(masks.shape)
+    def _masks(self) -> np.ndarray:
+        """Environment masks (replicas, scouts): bit s of masks[r, i] is set
+        when some other scout at i's point is in state s."""
+        comp = self.comp
+        if comp.env_free:
+            return np.zeros(self.states.shape, dtype=np.int64)
+        co = self.keys[:, :, None] == self.keys[:, None, :]
+        co &= self._off_diagonal
+        bits = comp.state_bit.take(self.states)
+        return np.bitwise_or.reduce(np.where(co, bits[:, None, :], 0), axis=2)
 
-    def step(self, u: np.ndarray) -> None:
+    def _lookup_bases(self) -> np.ndarray:
+        """:meth:`_bases` without a dense table: each distinct (state, mask)
+        pair dispatched once."""
+        comp = self.comp
+        pairs = np.stack([self.states.ravel(), self._masks().ravel()], axis=1)
+        uniq, inverse = np.unique(pairs, axis=0, return_inverse=True)
+        rows = np.array([comp.dispatch_row(int(s), int(m)) for s, m in uniq], dtype=np.int64)
+        return comp.bases(rows)[inverse].reshape(self.states.shape)
+
+    def _bases(self) -> np.ndarray:
+        """row * row_width of each active scout's rule row, or -1 where no
+        rule covers its environment: the dense table's entry at the index
+        of :meth:`_Compiled._dense_table`."""
+        comp = self.comp
+        if comp.dense is None:
+            return self._lookup_bases()
+        c = comp.c
+        sides = self.keys[:, self._pairs]
+        # co[r, i, j]: scouts i and j of row r share a point
+        co = (sides[:, :c * c] == sides[:, c * c:]).reshape(-1, c, c)
+        digits = self.states + 1
+        return comp.dense.take(np.matmul(co * comp.weights, digits[:, :, None])[..., 0])
+
+    def step(self, u: np.ndarray, keys: np.ndarray | None = None,
+             states: np.ndarray | None = None) -> None:
         """Advance one step on ``u`` (replicas, scouts), the variates of step
-        ``time`` of the active replicas."""
+        ``time`` of the active replicas.  The new keys and states are
+        written to ``keys`` and ``states`` when given, arrays of their
+        shape, and held from there."""
         comp = self.comp
         self.time += 1
         if self.replicas.size == 0:
             return
-        states = self.states
-        if comp.env_free or comp.c == 1:
-            masks = np.zeros(states.shape, dtype=np.int64)
-        else:
-            # bit s of masks[r, i]: some other scout at i's point is in state s
-            co = self.keys[:, :, None] == self.keys[:, None, :]
-            co &= self._off_diagonal
-            bits = comp.state_bit.take(states)
-            masks = np.bitwise_or.reduce(np.where(co, bits[:, None, :], 0), axis=2)
-        if comp.lut is None:
-            rows = self._lookup_rows(masks)
-        else:
-            rows = comp.lut.take(states << comp.n_states | masks)
-        if rows.min() < 0:
-            r, i = np.argwhere(rows < 0)[0]
-            raise comp.no_rule(int(states[r, i]), int(masks[r, i]))
-        branch = comp.table.select(rows, u)
-        flat = rows * comp.row_width + branch
-        self.states = comp.flat_state.take(flat)
-        self.keys += comp.flat_key.take(flat)
+        base = self._bases()
+        if base.min() < 0:
+            r, i = np.argwhere(base < 0)[0]
+            raise comp.no_rule(int(self.states[r, i]), int(self._masks()[r, i]))
+        # the branch is the count of the row's partial sums <= u, as in
+        # Categorical.select
+        flat = base
+        for column in comp.cum_columns:
+            flat = flat + (u >= column.take(base))
+        # flat is in range, so no index is clipped; unlike the default
+        # mode, "clip" writes to ``out`` without a buffer
+        self.states = comp.flat_state.take(flat, out=states, mode="clip")
+        self.keys = np.add(self.keys, comp.flat_key.take(flat), out=keys)
 
     def blocks(self, cap: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         """Advance the active replicas to step ``cap``, a block at a time.
@@ -597,9 +673,7 @@ class VectorSim:
                 keys = np.empty((B,) + self.keys.shape, dtype=np.int64)
                 states = np.empty_like(keys)
                 for b in range(B):
-                    self.step(u[b])
-                    keys[b] = self.keys
-                    states[b] = self.states
+                    self.step(u[b], keys[b], states[b])
             yield t0, keys, states
 
 

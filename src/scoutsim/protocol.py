@@ -483,15 +483,19 @@ def builtin(name: str, params: Mapping | None = None, **kw) -> ScoutProtocol:
         _reject_extras(name, merged)
         if not (0 < p < 1):
             raise ProtocolError(f"anchored_geometric needs p in (0,1), got {p}")
-        proto = _anchored_1d(p) if d == 1 else _anchored_2d(p)
-        return proto
+        _check_dim(d)
+        return _anchored_1d(p) if d == 1 else _anchored_2d(p)
     raise ProtocolError(f"unknown builtin {name!r}")
 
 
 def _number(name: str, value, kind: type):
-    """``kind(value)`` for the builtin parameter ``name``, or ProtocolError."""
+    """``kind(value)`` for the builtin parameter ``name``, or ProtocolError;
+    an int must equal the value, not truncate it."""
     try:
-        return kind(value)
+        number = kind(value)
+        if kind is int and not isinstance(value, str) and number != value:
+            raise ValueError(value)
+        return number
     except (TypeError, ValueError, ArithmeticError):
         raise ProtocolError(f"builtin parameter {name}={value!r} does not parse "
                             f"as {kind.__name__}") from None

@@ -576,6 +576,8 @@ def test_limits_exit_one_line(argv, prefix, capsys):
     ("anchored_geometric?p=abc", "protocol error:"),
     ("anchored_geometric?d=1,p=3/0", "protocol error:"),
     ("anchored_geometric?p=nan", "protocol error:"),
+    # returned the d = 2 sweeper
+    ("anchored_geometric?d=3,p=1/2", "protocol error:"),
 ])
 def test_unparsable_builtin_parameter_exits_one_line(spec, prefix, capsys):
     assert main(["hitting", "--protocol", "builtin:" + spec, "--targets", "1",

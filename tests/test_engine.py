@@ -147,27 +147,29 @@ def test_frequency_law_multinomial():
 
 
 def test_many_state_protocol_uses_dict_dispatch():
-    # beyond 16 states there is no dense lookup table; the fallback path
-    # must agree with the scalar stepper
-    from fractions import Fraction as F
-    from scoutsim.protocol import (EnvPattern, Outcome, ScoutProtocol,
-                                   TransitionRule)
-    from scoutsim.engine import _compile
-    n = 18
-    names = tuple(f"s{i:02d}" for i in range(n))
-    rules = tuple(
-        TransitionRule(names[i], EnvPattern.wildcard(),
-                       (Outcome(F(1), names[(i + 1) % n], (1,)),))
-        for i in range(n))
-    proto = ScoutProtocol(dim=1, scouts=1, state_names=names,
-                          initial_position=(0,), initial_states=(names[0],),
-                          rules=rules)
-    assert _compile(proto).lut is None
-    sim = VectorSim(proto, 4, 7)
-    for _ in range(25):
-        _step(sim)
-    tr = run(proto, 25, SeedSpec(7))
-    assert np.all(sim.positions[:, 0, 0] == tr.positions[-1, 0, 0])
+    # five scouts over 18 states: 19**5 entries are past the dense table, so
+    # VectorSim dispatches each distinct (state, mask) pair, and must agree
+    # with the scalar stepper
+    proto = _many_state_protocol(scouts=5)
+    assert engine._compile(proto).dense is None
+    P, S = run_batch(proto, 300, 7, replicas=4)
+    for k in range(4):
+        tr = run(proto, 300, SeedSpec(7, replica=k))
+        assert np.array_equal(tr.positions, P[k])
+        assert np.array_equal(tr.state_idx, S[k])
+
+
+@pytest.mark.parametrize("n", [18, 63])
+def test_two_scout_many_state_protocol_uses_dense_table(n):
+    # (n + 1)**2 entries: a dense table, where more than 16 states used to
+    # dispatch each distinct pair
+    proto = _many_state_protocol(n)
+    assert engine._compile(proto).dense.size == (n + 1) ** 2
+    P, S = run_batch(proto, 300, 11, replicas=5, replica_start=2)
+    for k in range(5):
+        tr = run(proto, 300, SeedSpec(11, replica=2 + k))
+        assert np.array_equal(tr.positions, P[k])
+        assert np.array_equal(tr.state_idx, S[k])
 
 
 def test_iter_run_streams_without_memory():
@@ -248,10 +250,10 @@ def _reference_trace(p, seed, horizon):
     return cfgs
 
 
-def _eighteen_state_protocol():
-    """Two scouts over 18 states, beyond the dense lookup table: stochastic
-    wildcard rows, and an exact rule for sharing a point with state s17."""
-    n = 18
+def _many_state_protocol(n=18, scouts=2):
+    """Scouts over n states, starting in s00 and s{n-1} by turns: stochastic
+    wildcard rows, and an exact rule for sharing a point with state s{n-1}
+    alone."""
     names = tuple(f"s{i:02d}" for i in range(n))
     rules = []
     for i, name in enumerate(names):
@@ -262,8 +264,9 @@ def _eighteen_state_protocol():
         rules.append(TransitionRule(name, EnvPattern.exact([names[-1]]), (
             Outcome(Fraction(1, 2), names[0], (1,)),
             Outcome(Fraction(1, 2), names[-1], (-1,)))))
-    return ScoutProtocol(dim=1, scouts=2, state_names=names, initial_position=(0,),
-                         initial_states=(names[0], names[-1]), rules=tuple(rules))
+    return ScoutProtocol(dim=1, scouts=scouts, state_names=names, initial_position=(0,),
+                         initial_states=tuple(names[-(k % 2)] for k in range(scouts)),
+                         rules=tuple(rules))
 
 
 def _anchored_d2_far():
@@ -286,7 +289,7 @@ KERNEL_CASES = {
     "simultaneous": lambda: parse_protocol(SIMULTANEOUS),
     "anchored_d1": lambda: builtin("anchored_geometric", d=1, p="1/2"),
     "anchored_d2": lambda: builtin("anchored_geometric", d=2, p="1/2"),
-    "eighteen_states": _eighteen_state_protocol,
+    "eighteen_states": _many_state_protocol,
     "anchored_d2_far": _anchored_d2_far,
     "short_float_row": _short_float_row_protocol,
 }
@@ -495,7 +498,7 @@ class _ReferenceVectorSim:
 VECTOR_CASES = {
     "anchored_d1": lambda: builtin("anchored_geometric", d=1, p="1/2"),
     "anchored_d2": lambda: builtin("anchored_geometric", d=2, p="1/2"),
-    "eighteen_states": _eighteen_state_protocol,
+    "eighteen_states": _many_state_protocol,
     "independent_walks_c2": lambda: builtin("independent_walks", d=1, c=2),
     "srw": lambda: builtin("srw", d=1),
     "short_float_row": _short_float_row_protocol,
@@ -516,6 +519,74 @@ def test_vector_step_matches_reference(name):
         ref.step()
         assert np.array_equal(sim.keys, ref.keys), t
         assert np.array_equal(sim.states, ref.states), t
+
+
+def _decoded_dense_table(comp):
+    """The dense dispatch table decoded entry by entry: the own state's
+    digit on top, one digit per other scout below it, 0 for a scout not at
+    the point and s + 1 for one in state s."""
+    n = comp.n_states
+    others = 0 if comp.env_free else comp.c - 1
+    entries = []
+    for k in range((n + 1) ** (others + 1)):
+        own, rest = divmod(k, (n + 1) ** others)
+        mask = 0
+        for _ in range(others):
+            rest, digit = divmod(rest, n + 1)
+            if digit:
+                mask |= 1 << (digit - 1)
+        row = comp.dispatch_row(own - 1, mask) if own else -1
+        entries.append(row * comp.row_width if row >= 0 else -1)
+    return entries
+
+
+def _two_state_environment_protocol():
+    """Two scouts with a rule for sensing states a and b at once, an
+    environment that one other scout never shows."""
+    def rule(state, pattern, move):
+        return TransitionRule(state, pattern, (Outcome(Fraction(1, 2), "a", (move,)),
+                                               Outcome(Fraction(1, 2), "b", (0,))))
+    rules = (rule("a", EnvPattern.wildcard(), 1), rule("a", EnvPattern.exact(["a", "b"]), -1),
+             rule("b", EnvPattern.wildcard(), -1), rule("b", EnvPattern.exact(["b"]), 1))
+    return ScoutProtocol(dim=1, scouts=2, state_names=("a", "b"), initial_position=(0,),
+                         initial_states=("a", "b"), rules=rules)
+
+
+def test_dense_table_encoding():
+    from conftest import random_two_scout_protocol
+    rng = np.random.default_rng(20)
+    protocols = [builtin("srw", d=1), builtin("srw", d=2),
+                 builtin("independent_walks", d=2, c=3),
+                 builtin("anchored_geometric", d=1), builtin("anchored_geometric", d=2),
+                 _uncovered_protocol(), _two_state_environment_protocol()]
+    protocols += [random_two_scout_protocol(rng, 1 + k % 2) for k in range(40)]
+    for p in protocols:
+        comp = engine._compile(p)
+        assert comp.dense.tolist() == _decoded_dense_table(comp)
+        # VectorSim's index of random configurations, with many shared
+        # points, against the OR of the co-located scouts' state bits
+        sim = VectorSim(p, 64, 0)
+        sim.keys = rng.integers(0, 3, size=sim.keys.shape)
+        sim.states = rng.integers(0, comp.n_states, size=sim.states.shape)
+        want = [[comp.dispatch_row(int(s), sum({1 << int(states[j]) for j in range(comp.c)
+                                                if j != i and keys[j] == keys[i]}))
+                 for i, s in enumerate(states)]
+                for keys, states in zip(sim.keys, sim.states)]
+        assert sim._bases().tolist() == [[r * comp.row_width if r >= 0 else -1 for r in row]
+                                         for row in want]
+
+
+@pytest.mark.parametrize("scouts", [3, 5])
+def test_many_state_hit_times_match_scalar_across_drops(scouts):
+    # three scouts on the dense table and five past it, environment-dependent
+    # rows; replicas finish, and are dropped, between blocks of every length
+    p = _many_state_protocol(scouts=scouts)
+    assert (engine._compile(p).dense is None) == (scouts == 5)
+    targets = [(1,), (3,), (8,), (-1,), (20,)]
+    want = _hit_times_oracle(p, targets, 12, 200, 5)
+    done = want.max(axis=1)
+    assert len(set(done[done <= 200].tolist())) > 4
+    assert np.array_equal(hit_times(p, targets, 12, 200, 5), want)
 
 
 # hitting

@@ -194,6 +194,23 @@ def test_builtin_bad_params():
         builtin("anchored_geometric", d=1, p="3/2")
 
 
+@pytest.mark.parametrize("d", [0, 3, -1])
+def test_builtin_anchored_refuses_unsupported_dim(d):
+    # each returned the d = 2 sweeper
+    with pytest.raises(ProtocolError, match=f"dim {d} unsupported"):
+        builtin("anchored_geometric", d=d, p="1/2")
+
+
+def test_builtin_refuses_non_integer_counts():
+    # d and c were truncated: c=2.9 built two scouts, d=1.5 a line
+    for name, kw in (("independent_walks", {"d": 1, "c": 2.9}), ("srw", {"d": 1.5}),
+                     ("anchored_geometric", {"d": Fraction(3, 2)})):
+        with pytest.raises(ProtocolError, match="does not parse as int"):
+            builtin(name, **kw)
+    assert builtin("independent_walks", d="2", c=3.0).scouts == 3
+    assert builtin("srw", {"d": "2"}).dim == 2
+
+
 def test_envpattern_sorted_unique():
     pat = EnvPattern.exact(["b", "a", "b"])
     assert pat.states == ("a", "b")

@@ -7,15 +7,16 @@ whenever the rule probabilities are rational (fraction-free elimination on
 integers, see :func:`_solve_exact`), and derives the quantities the
 structural dichotomies hinge on: per-class drift vectors, displacement
 degeneracy with explicit potential offsets or a witness cycle, product
-chains of scout pairs, and thick-ray domains.
+chains of scout pairs, the difference drift, and thick-ray domains.
 
 Exactness matters here: whether a drift is zero, and whether return
 displacements vanish identically, are sign/support questions that floating
 point cannot settle.  The support is decided once, by :func:`_edges`: a
 zero-probability entry is no edge (:attr:`ReducedKernel.support`).  The
-classes, stationary laws, degeneracy verdicts and the reachable part of the
-difference chain all read it, and one breadth-first search (:func:`_bfs`)
-walks it.
+classes, stationary laws, degeneracy potentials (one breadth-first search,
+:func:`_bfs`) and the product walk all read it.  :func:`difference_drift`
+walks the product only to find its first reachable recurrent class, and
+never solves that class's law: by independence its drift is drift1 - drift2.
 
 Sampling from the reduced chain goes through one walker,
 :class:`_ChainWalk`: return triples (:func:`kernel_renewal_samples`) on
@@ -192,21 +193,24 @@ def classes(k: ReducedKernel) -> ClassReport:
 
     A class is recurrent exactly when no support edge leaves it.
     """
-    n = k.n_states
-    rows_idx = [q for q, row in enumerate(k.support) for _ in row]
-    cols_idx = [e.to for row in k.support for e in row]
-    graph = csr_matrix((np.ones(len(rows_idx)), (rows_idx, cols_idx)), shape=(n, n))
-    n_comp, labels = connected_components(graph, directed=True, connection="strong")
+    return ClassReport(k, [ClassInfo(tuple(k.states[q] for q in mem), closed)
+                           for mem, closed in _components([[e.to for e in row]
+                                                           for row in k.support])])
+
+
+def _components(succ: Sequence[Sequence[int]]) -> list[tuple[list[int], bool]]:
+    """Strongly connected classes of the digraph with successor lists
+    ``succ``, ordered by their lowest member, each with whether no edge
+    leaves it."""
+    rows_idx = [q for q, row in enumerate(succ) for _ in row]
+    cols_idx = [to for row in succ for to in row]
+    graph = csr_matrix((np.ones(len(rows_idx)), (rows_idx, cols_idx)), shape=(len(succ),) * 2)
+    labels = connected_components(graph, directed=True, connection="strong")[1].tolist()
     members: dict[int, list[int]] = {}
     for q, lab in enumerate(labels):
-        members.setdefault(int(lab), []).append(q)
-    ordered = sorted(members.values(), key=min)
-    infos = []
-    for mem in ordered:
-        mem_set = set(mem)
-        closed = all(e.to in mem_set for q in mem for e in k.support[q])
-        infos.append(ClassInfo(tuple(k.states[q] for q in mem), closed))
-    return ClassReport(k, infos)
+        members.setdefault(lab, []).append(q)
+    return [(mem, all(labels[to] == labels[mem[0]] for q in mem for to in succ[q]))
+            for mem in sorted(members.values(), key=min)]
 
 
 # ---------------------------------------------------------------------------
@@ -501,61 +505,54 @@ def kernel_renewal_samples(k: ReducedKernel, q0: str, count: int,
 
 def product_kernel(k1: ReducedKernel, k2: ReducedKernel,
                    difference: bool = False) -> ReducedKernel:
-    """Kernel of two independent scouts run jointly.
+    """Kernel of two independent scouts run jointly, by joint state q1 * n2 + q2.
 
     Moves are concatenated, or reduced to scout1 - scout2 per axis when
     ``difference`` is set (the chain of the difference walk).
     """
     if k1.dim != k2.dim:
         raise ValueError("kernels must share a dimension")
+    n2 = k2.n_states
     names = tuple(f"{a}|{b}" for a in k1.states for b in k2.states)
-    rows = _ProductRows(k1.rows, k2.rows, difference)
+    rows = tuple(tuple(KernelEntry(e1.probability * e2.probability, e1.to * n2 + e2.to,
+                                   tuple(a - b for a, b in zip(e1.move, e2.move))
+                                   if difference else e1.move + e2.move)
+                       for e1 in row1 for e2 in row2)
+                 for row1 in k1.rows for row2 in k2.rows)
     dim = k1.dim if difference else k1.dim + k2.dim
-    return ReducedKernel(dim, names, tuple(rows[q] for q in range(len(names))),
-                         initial_state=k1.initial_state * k2.n_states + k2.initial_state)
+    return ReducedKernel(dim, names, rows, initial_state=k1.initial_state * n2 + k2.initial_state)
 
 
-class _ProductRows(dict):
-    """Rows of two independent scouts run jointly, by joint state
-    q1 * n2 + q2, each built on first access from the scouts' ``rows1``
-    and ``rows2`` (rows or supports), as :func:`product_kernel` says."""
-
-    def __init__(self, rows1, rows2, difference: bool):
-        super().__init__()
-        self.rows1, self.rows2, self.difference = rows1, rows2, difference
-
-    def __missing__(self, q: int) -> tuple[KernelEntry, ...]:
-        n2 = len(self.rows2)
-        q1, q2 = divmod(q, n2)
-        entries = []
-        for e1 in self.rows1[q1]:
-            for e2 in self.rows2[q2]:
-                prob = e1.probability * e2.probability
-                if self.difference:
-                    move = tuple(a - b for a, b in zip(e1.move, e2.move))
-                else:
-                    move = e1.move + e2.move
-                entries.append(KernelEntry(prob, e1.to * n2 + e2.to, move))
-        row = self[q] = tuple(entries)
-        return row
-
-
-class _ProductSupport(_ProductRows):
-    """The :func:`_edges` of the product of two supports (floats may underflow)."""
-
-    def __missing__(self, q: int) -> tuple[KernelEntry, ...]:
-        row = self[q] = _edges(super().__missing__(q))
-        return row
+def _product_walk(k1: ReducedKernel, k2: ReducedKernel) -> dict[int, list[int]]:
+    """Successors of each joint state q1 * n2 + q2 that two independent
+    scouts reach from their initial pair.  A pair of support edges is an
+    edge by the rule of :func:`_edges`: a product of two rationals always
+    is (so it is not formed), and a float product that underflowed is not."""
+    s1, s2, n2 = k1.support, k2.support, k2.n_states
+    succ: dict[int, list[int]] = {}
+    todo = [k1.initial_state * n2 + k2.initial_state]
+    while todo:
+        q = todo.pop()
+        if q not in succ:
+            q1, q2 = divmod(q, n2)
+            succ[q] = row = [e1.to * n2 + e2.to for e1 in s1[q1] for e2 in s2[q2]
+                             if isinstance(e1.probability, Fraction)
+                             and isinstance(e2.probability, Fraction)
+                             or e1.probability * e2.probability > 0]
+            todo += row
+    return succ
 
 
 def difference_drift(p_or_pair):
     """Drift vector of the difference walk of two independent scouts.
 
     Accepts a two-scout protocol or a (kernel, kernel) pair.  The class is
-    the first recurrent class reachable from the joint initial state; by
-    independence every recurrent class gives drift1 - drift2.  Only the
-    reachable joint states are built, in the full product kernel's order,
-    so the classes, the class chosen and its law are the full kernel's.
+    the first recurrent class reachable from the joint initial state, in
+    the full product kernel's order; the product is walked only to find it
+    and its law is never solved.  By independence that law has the scouts'
+    own laws as marginals, so the drift is drift1 - drift2 over the scouts'
+    classes that hold its factors.  A factor class that is not closed (only
+    where a float product underflowed) raises PreconditionError.
     """
     if isinstance(p_or_pair, ScoutProtocol):
         if p_or_pair.scouts != 2:
@@ -565,21 +562,16 @@ def difference_drift(p_or_pair):
         k1, k2 = p_or_pair
     if k1.dim != k2.dim:
         raise ValueError("kernels must share a dimension")
-    support = _ProductSupport(k1.support, k2.support, difference=True)
-    start = k1.initial_state * k2.n_states + k2.initial_state
-    joint = sorted(_bfs(support, start))  # builds exactly these rows
+    succ = _product_walk(k1, k2)
+    joint = sorted(succ)
     index = {q: i for i, q in enumerate(joint)}
-    kd = ReducedKernel(
-        k1.dim, tuple(f"{k1.states[q // k2.n_states]}|{k2.states[q % k2.n_states]}"
-                      for q in joint),
-        tuple(tuple(KernelEntry(e.probability, index[e.to], e.move) for e in support[q])
-              for q in joint),
-        initial_state=index[start])
-    rec = [c for c in classes(kd).classes if c.recurrent]
-    if not rec:
-        raise PreconditionError("no recurrent class reachable from the start")
-    states = rec[0].states
-    return _drift(kd, states, stationary_distribution(kd, states))
+    first = next(mem for mem, closed in _components([[index[to] for to in succ[q]]
+                                                     for q in joint]) if closed)
+    drifts = []
+    for k, q in zip((k1, k2), divmod(joint[first[0]], k2.n_states)):
+        cls = next(c.states for c in classes(k).classes if k.states[q] in c.states)
+        drifts.append(_drift(k, cls, stationary_distribution(k, cls)))
+    return tuple(a - b for a, b in zip(*drifts))
 
 
 # ---------------------------------------------------------------------------

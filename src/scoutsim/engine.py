@@ -36,8 +36,9 @@ with a constant weight matrix, and the entry is the row's flat base
 row * row_width, or -1 where no rule covers.  The branch counts the row's
 partial sums <= u at base + j, and the successor state and move key are
 ``take``s at base + branch.  Environment-free protocols index by their own
-state alone; a protocol whose table would exceed 2**20 entries dispatches
-each distinct (state, environment mask) pair instead.  Both stepping paths
+state alone; a protocol whose table would exceed 2**20 entries looks each
+scout's environment mask up among the sorted masks of its exact rules
+instead, and takes the wildcard row on a miss.  Both stepping paths
 report an uncovered environment with the same :meth:`_Compiled.no_rule`
 message.
 
@@ -234,6 +235,13 @@ class _Compiled:
 
         self.env_free = not self.exact_rows
         self.dense, self.weights = self._dense_table()
+        if self.dense is None:
+            # VectorSim._lookup_bases's tables: the exact rules' sorted masks,
+            # and each state's base in each and last in mask -1 (no rule's)
+            self.exact_masks = np.unique(np.fromiter((m for _, m in self.exact_rows), np.int64))
+            self.mask_bases = self.bases(np.array(
+                [[self.dispatch_row(q, m) for m in self.exact_masks.tolist() + [-1]]
+                 for q in range(self.n_states)], dtype=np.int64))
 
         self.init_state_idx = np.array(
             [self.state_index[s] for s in p.initial_states], dtype=np.int64)
@@ -271,7 +279,7 @@ class _Compiled:
         row * row_width for the row :meth:`dispatch_row` picks, or -1 where
         no rule covers.  ``weights[i, j]`` is the place value of scout j's
         digit in scout i's index.  Past _DENSE_LIMIT entries the table is
-        None and VectorSim dispatches each distinct pair instead.
+        None and :meth:`VectorSim._lookup_bases` looks masks up instead.
         """
         n, c = self.n_states, self.c
         others = 0 if self.env_free else c - 1
@@ -591,13 +599,13 @@ class VectorSim:
         return np.bitwise_or.reduce(np.where(co, bits[:, None, :], 0), axis=2)
 
     def _lookup_bases(self) -> np.ndarray:
-        """:meth:`_bases` without a dense table: each distinct (state, mask)
-        pair dispatched once."""
+        """:meth:`_bases` without a dense table: each scout's mask searched
+        among the exact rules' masks, the wildcard column on a miss."""
         comp = self.comp
-        pairs = np.stack([self.states.ravel(), self._masks().ravel()], axis=1)
-        uniq, inverse = np.unique(pairs, axis=0, return_inverse=True)
-        rows = np.array([comp.dispatch_row(int(s), int(m)) for s, m in uniq], dtype=np.int64)
-        return comp.bases(rows)[inverse].reshape(self.states.shape)
+        masks = self._masks()
+        col = comp.exact_masks.searchsorted(masks)
+        hit = comp.exact_masks.take(col, mode="clip") == masks
+        return comp.mask_bases[self.states, np.where(hit, col, comp.exact_masks.size)]
 
     def _bases(self) -> np.ndarray:
         """row * row_width of each active scout's rule row, or -1 where no

@@ -613,10 +613,12 @@ def test_difference_drift_equals_full_kernel_drift():
         p = random_two_scout_protocol(rng, 1 + trial % 2)
         want = _full_kernel_difference_drift(reduce_kernel(p, 1), reduce_kernel(p, 2))
         assert difference_drift(p) == want
-    for _ in range(20):
-        # several classes, transient states and periodic chains
-        k1 = random_rational_kernel(rng, int(rng.integers(1, 7)), 1)
-        k2 = random_rational_kernel(rng, int(rng.integers(1, 7)), 1)
+    for trial in range(40):
+        # several classes, transient states and periodic chains, on the
+        # line and on the plane
+        d = 1 + trial // 20
+        k1 = random_rational_kernel(rng, int(rng.integers(1, 7)), d)
+        k2 = random_rational_kernel(rng, int(rng.integers(1, 7)), d)
         k2 = ReducedKernel(k2.dim, k2.states, k2.rows, int(rng.integers(k2.n_states)))
         assert difference_drift((k1, k2)) == _full_kernel_difference_drift(k1, k2)
     periodic = _kernel("dim 1\nscouts 1\nstates a b\ninit 1 a\n"
@@ -632,6 +634,19 @@ def test_difference_drift_equals_full_kernel_drift():
     assert difference_drift((fork, still)) == \
         _full_kernel_difference_drift(fork, still) == (Fraction(1),)
     assert difference_drift((still, fork)) == (Fraction(-1),)
+    # phase: scout 1 alternates a, b and scout 2 forks to z0 or z3 on the
+    # same step, so a|z0 is never reached and the first reachable class
+    # lies over {z3} (drift 0 - (-1)), though scout 2's first recurrent
+    # class is {z0, z5} (drift 0 - 1)
+    flip = _kernel("dim 1\nscouts 1\nstates a b\ninit 1 a\n"
+                   "trans a * -> 1 b (0)\ntrans b * -> 1 a (0)\n")
+    phased = _kernel("dim 1\nscouts 1\nstates s z0 z3 z5\ninit 1 s\n"
+                     "trans s * -> 1/2 z0 (0) | 1/2 z3 (0)\n"
+                     "trans z0 * -> 1 z5 (+1)\ntrans z5 * -> 1 z0 (+1)\n"
+                     "trans z3 * -> 1 z3 (-1)\n")
+    assert classes(phased).recurrent_classes()[0].states == ("z0", "z5")
+    assert difference_drift((flip, phased)) == \
+        _full_kernel_difference_drift(flip, phased) == (Fraction(1),)
     # a zero-probability outcome leads nowhere reachable
     zero = parse_protocol("dim 1\nscouts 2\nstates a b c\ninit 1 a\ninit 2 b\n"
                           "trans a * -> 1 a (+1) | 0 c (0)\ntrans b * -> 1 b (0)\n"
@@ -651,3 +666,29 @@ def test_difference_drift_equals_full_kernel_drift():
         (KernelEntry(1.0, 2, (5,)),)))
     assert eps * eps == 0.0
     assert difference_drift((k1, k2)) == _full_kernel_difference_drift(k1, k2) == (-4.0,)
+    # scout 1 leaves a for b only with probability 10**-400, an edge of its
+    # own class {a, b}; times scout 2's float 0.5 it underflows, so the
+    # first product class lies over {a} alone, part of scout 1's class
+    tiny = Fraction(1, 10**400)
+    k1 = ReducedKernel(1, ("a", "b"), (
+        (KernelEntry(1 - tiny, 0, (1,)), KernelEntry(tiny, 1, (0,))),
+        (KernelEntry(Fraction(1), 0, (0,)),)))
+    k2 = ReducedKernel(1, ("c", "d"), (
+        (KernelEntry(0.5, 0, (0,)), KernelEntry(0.5, 1, (2,))),
+        (KernelEntry(0.5, 0, (0,)), KernelEntry(0.5, 1, (0,)))))
+    assert tiny * 0.5 == 0.0 and classes(k1).classes[0].states == ("a", "b")
+    got, want = difference_drift((k1, k2)), _full_kernel_difference_drift(k1, k2)
+    assert abs(got[0] - want[0]) <= 1e-12 and abs(got[0] - 0.5) <= 1e-12
+
+
+def test_difference_drift_transient_factor_raises():
+    # a leaves for the absorbing b only with probability 10**-400; times
+    # scout 2's float 1.0 that underflows, so the product class {a|c} is
+    # closed while a is transient in its own kernel
+    tiny = Fraction(1, 10**400)
+    k1 = ReducedKernel(1, ("a", "b"), (
+        (KernelEntry(1 - tiny, 0, (1,)), KernelEntry(tiny, 1, (0,))),
+        (KernelEntry(Fraction(1), 1, (0,)),)))
+    k2 = ReducedKernel(1, ("c",), ((KernelEntry(1.0, 0, (0,)),),))
+    with pytest.raises(PreconditionError, match=r"class \('a',\) is not closed"):
+        difference_drift((k1, k2))

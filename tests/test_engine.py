@@ -563,17 +563,33 @@ def test_dense_table_encoding():
     for p in protocols:
         comp = engine._compile(p)
         assert comp.dense.tolist() == _decoded_dense_table(comp)
+    # five scouts are past the dense table: 18 states, 63 states (the exact
+    # rule's mask is bit 62), and 18 states where s05 has no wildcard rule
+    many = _many_state_protocol(scouts=5)
+    fallback = [many, _many_state_protocol(63, scouts=5),
+                dataclasses.replace(many, rules=tuple(
+                    r for r in many.rules if r.state != "s05" or not r.pattern.is_wildcard))]
+    for k, p in enumerate(protocols + fallback):
+        comp = engine._compile(p)
+        assert (comp.dense is None) == (k >= len(protocols))
         # VectorSim's index of random configurations, with many shared
         # points, against the OR of the co-located scouts' state bits
         sim = VectorSim(p, 64, 0)
         sim.keys = rng.integers(0, 3, size=sim.keys.shape)
         sim.states = rng.integers(0, comp.n_states, size=sim.states.shape)
+        if comp.dense is None:
+            # half the scouts in the last state, which the exact rule senses
+            sim.states[rng.random(sim.states.shape) < 0.5] = comp.n_states - 1
         want = [[comp.dispatch_row(int(s), sum({1 << int(states[j]) for j in range(comp.c)
                                                 if j != i and keys[j] == keys[i]}))
                  for i, s in enumerate(states)]
                 for keys, states in zip(sim.keys, sim.states)]
         assert sim._bases().tolist() == [[r * comp.row_width if r >= 0 else -1 for r in row]
                                          for row in want]
+        if comp.dense is None:
+            rows = {r for row in want for r in row}
+            assert rows & set(comp.exact_rows.values()) and rows & set(comp.wildcard_row.tolist())
+            assert (-1 in rows) == (p is fallback[2])
 
 
 @pytest.mark.parametrize("scouts", [3, 5])

@@ -1,7 +1,6 @@
 """Simulation and exact analysis of finite-memory multi-scout grid exploration."""
 
 from .protocol import (
-    Configuration,
     EnvPattern,
     Outcome,
     ProtocolError,
@@ -11,7 +10,6 @@ from .protocol import (
     TransitionRule,
     Violation,
     builtin,
-    environment_of,
     parse_protocol,
     protocol_hash,
     serialize,
@@ -24,10 +22,8 @@ from .engine import (
     SeedSpec,
     Trace,
     VectorSim,
-    iter_run,
     monte_carlo_hitting_multi,
     run,
-    step,
 )
 from .tails import (
     InsufficientDataError,

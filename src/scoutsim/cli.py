@@ -454,6 +454,8 @@ def _apply_config(argv: list[str], parser: _Parser) -> list[str]:
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
+    if i == 0:
+        raise UsageError("--config must follow the subcommand")
     if i + 1 >= len(argv):
         raise UsageError("--config needs a file path")
     path = Path(argv[i + 1])

@@ -13,18 +13,17 @@ blocks from one row.  All three compare against the same
 floats; a row of ``Fraction`` probabilities is cumulated exactly and only
 then rounded.
 
-One scalar kernel, :func:`_kernel`, serves :func:`run`, :func:`iter_run`
-and :func:`step`.  It steps one replica on plain Python ints: each scout's
-state index and its grid key taken from the origin, so any origin runs.
-Scouts share a point exactly when their keys are equal, the environment
-mask is the OR of the co-located scouts' state bits, and the rule row of a
-(state, mask) pair comes from a cache filled on first use.  The kernel
-fetches the uniforms of up to 1024 steps with one ``streams.uniforms`` call,
-keyed by the absolute (replica, scout, step) counters, as
-:meth:`VectorSim.blocks` fetches a block's: the counters fix every value,
-so no partition of the steps into blocks changes one.  :func:`run` writes
-each block into its trace arrays; :func:`iter_run` builds a
-:class:`Configuration` only when it yields one.
+One scalar kernel, :func:`_kernel`, steps one replica for :func:`run` on
+plain Python ints: each scout's state index and its grid key taken from the
+origin, in the layout of :func:`_pack`, so any origin runs and the keys are
+the ones :class:`VectorSim` holds.  Scouts share a point exactly when their
+keys are equal, the environment mask is the OR of the co-located scouts'
+state bits, and the rule row of a (state, mask) pair comes from a cache
+filled on first use.  The kernel fetches the uniforms of up to 1024 steps
+with one ``streams.uniforms`` call, keyed by the absolute (replica, scout,
+step) counters, as :meth:`VectorSim.blocks` fetches a block's: the counters
+fix every value, so no partition of the steps into blocks changes one.
+:func:`run` writes each block into its trace arrays.
 
 :class:`VectorSim` steps all replicas through flat tables of the compiled
 protocol.  A scout's rule row is one ``take`` from a dense dispatch table
@@ -88,8 +87,8 @@ import numpy as np
 
 from . import streams
 from .errors import BudgetExceededError, PreconditionError
-from .protocol import (Configuration, ProtocolError, ProtocolValidationError, ScoutProtocol,
-                       protocol_hash, validate)
+from .protocol import (ProtocolError, ProtocolValidationError, ScoutProtocol, protocol_hash,
+                       validate)
 from .tails import CensoredSummary, SurvivalCurve, summarize_censored
 
 DEFAULT_CAP = 1 << 20
@@ -110,8 +109,6 @@ _INT64_LIMIT = 1 << 63
 _DENSE_LIMIT = 1 << 20
 # steps of the scalar kernel per streams call (see _kernel)
 _KERNEL_BLOCK = 1024
-# an unbounded iter_run packs d = 2 keys for this many steps (see _key_width)
-_UNBOUNDED_STEPS = 1 << 56
 # validate codes that leave no tables to build: a rule with no outcomes, or
 # a state name that is not declared.  Rows that do not sum to 1, moves
 # outside the unit box and uncovered environments still compile; an
@@ -265,9 +262,9 @@ class _Compiled:
                     break
             self.iid_single = ok
 
-        # the scalar kernel's rows by key width, then by mask << 6 | state;
-        # filled on first use by kernel_row
-        self.kernel_rows: dict[int, dict[int, tuple]] = {}
+        # the scalar kernel's rows by mask << 6 | state; filled on first use
+        # by kernel_row
+        self.kernel_rows: dict[int, tuple] = {}
 
     def _dense_table(self) -> tuple[np.ndarray | None, np.ndarray | None]:
         """VectorSim's dispatch table and the weights of its index.
@@ -327,17 +324,16 @@ class _Compiled:
         return ProtocolError(f"no matching rule for state {names[state_idx]!r} "
                              f"with environment {env}")
 
-    def kernel_row(self, width: int, state_idx: int, mask: int) -> tuple:
+    def kernel_row(self, state_idx: int, mask: int) -> tuple:
         """Cache and return the kernel row of a state in an environment: the
         cumulative list and each branch's successor state and move key."""
         row = self.dispatch_row(state_idx, mask)
         if row < 0:
             raise self.no_rule(state_idx, mask)
         k = int(self.table.length[row])
-        moves = self.row_move[row, :k].tolist()
-        keys = [m[0] if self.d == 1 else m[0] * width + m[1] for m in moves]
-        entry = (self.table.lists[row], self.row_state[row, :k].tolist(), keys)
-        self.kernel_rows.setdefault(width, {})[mask << 6 | state_idx] = entry
+        entry = (self.table.lists[row], self.row_state[row, :k].tolist(),
+                 self.row_key[row, :k].tolist())
+        self.kernel_rows[mask << 6 | state_idx] = entry
         return entry
 
 
@@ -350,25 +346,18 @@ def _compile(p: ScoutProtocol) -> _Compiled:
 # scalar stepping
 
 
-def _key_width(reach: int) -> int:
-    """Width W of the scalar kernel's d = 2 keys dx * W + dy: the least power
-    of two from 2**32 up that keeps every |dy| <= ``reach`` exact."""
-    return 1 << max(32, reach.bit_length() + 1)
-
-
 def _kernel(comp: _Compiled, seed: SeedSpec, keys: list[int], states: list[int],
-            t: int, n: int, width: int) -> tuple[list[int], list[int]]:
+            t: int, n: int) -> tuple[list[int], list[int]]:
     """Advance one replica n steps from time t on plain Python ints.
 
-    ``keys`` and ``states`` hold each scout's key (relative to the origin,
-    packed with ``width``; see :func:`_key_width`) and state index at time
-    t.  Returns the keys and states after each step, flat: entry b * c + i
-    is scout i at time t + b + 1.  A step with an uncovered environment
-    ends the block early; the call that starts at that step raises
-    :class:`ProtocolError`, so streaming callers see every earlier step.
+    ``keys`` and ``states`` hold each scout's grid key relative to the origin
+    (see :func:`_pack`) and state index at time t.  Returns the keys and
+    states after each step, flat: entry b * c + i is scout i at time
+    t + b + 1.  A step with an uncovered environment raises
+    :class:`ProtocolError`.
     """
     c = comp.c
-    rows = comp.kernel_rows.setdefault(width, {})
+    rows = comp.kernel_rows
     pairs = [] if comp.env_free else list(combinations(range(c), 2))
     # one list of floats per scout, read a step at a time through zip, so the
     # block holds c lists rather than one list per step
@@ -388,71 +377,15 @@ def _kernel(comp: _Compiled, seed: SeedSpec, keys: list[int], states: list[int],
         for key, s, mask, x in zip(keys, states, masks, ub):
             entry = rows.get(mask << 6 | s)
             if entry is None:
-                if out_states and comp.dispatch_row(s, mask) < 0:
-                    return out_keys, out_states
-                entry = comp.kernel_row(width, s, mask)
+                entry = comp.kernel_row(s, mask)
             cum, succ, move = entry
-            b = bisect_right(cum, x)  # Categorical.select_one, inlined
+            b = bisect_right(cum, x)  # the branch of Categorical.select
             new_keys.append(key + move[b])
             new_states.append(succ[b])
         keys, states = new_keys, new_states
         out_keys += keys
         out_states += states
     return out_keys, out_states
-
-
-def _configuration(comp: _Compiled, keys: list[int], states: list[int], time: int,
-                   width: int) -> Configuration:
-    """The configuration of kernel keys and state indices."""
-    origin = comp.protocol.initial_position
-    if comp.d == 1:
-        positions = tuple((origin[0] + k,) for k in keys)
-    else:
-        half = width >> 1
-        positions = tuple((origin[0] + dx, origin[1] + dy - half)
-                          for dx, dy in (divmod(k + half, width) for k in keys))
-    names = comp.protocol.state_names
-    return Configuration(positions, tuple(names[s] for s in states), time)
-
-
-def step(cfg: Configuration, p: ScoutProtocol, seed: SeedSpec) -> Configuration:
-    """Advance one synchronous step.
-
-    All environments are computed from ``cfg`` before any scout moves; each
-    scout then consumes exactly one stream value keyed by (replica, scout,
-    cfg.time).
-    """
-    comp = _compile(p)
-    origin = p.initial_position
-    offsets = [tuple(x - o for x, o in zip(q, origin)) for q in cfg.positions]
-    width = _key_width(max(abs(q[-1]) for q in offsets) + comp.max_move)
-    keys = [q[0] if comp.d == 1 else q[0] * width + q[1] for q in offsets]
-    states = [comp.state_index[s] for s in cfg.states]
-    keys, states = _kernel(comp, seed, keys, states, cfg.time, 1, width)
-    return _configuration(comp, keys, states, cfg.time + 1, width)
-
-
-def initial_configuration(p: ScoutProtocol) -> Configuration:
-    return Configuration(tuple(p.initial_position for _ in range(p.scouts)),
-                         p.initial_states, 0)
-
-
-def iter_run(p: ScoutProtocol, seed: SeedSpec, horizon: int | None = None) -> Iterator[Configuration]:
-    """Stream configurations 0, 1, ... without storing them (memory-free run)."""
-    comp = _compile(p)
-    yield initial_configuration(p)
-    width = _key_width((_UNBOUNDED_STEPS if horizon is None else horizon) * comp.max_move)
-    c = comp.c
-    keys = [0] * c
-    states = comp.init_state_idx.tolist()
-    t = 0
-    while horizon is None or t < horizon:
-        n = _KERNEL_BLOCK if horizon is None else min(_KERNEL_BLOCK, horizon - t)
-        out_keys, out_states = _kernel(comp, seed, keys, states, t, n, width)
-        for b in range(0, len(out_states), c):
-            t += 1
-            keys, states = out_keys[b:b + c], out_states[b:b + c]
-            yield _configuration(comp, keys, states, t, width)
 
 
 # ---------------------------------------------------------------------------
@@ -472,14 +405,6 @@ class Trace:
     def horizon(self) -> int:
         return self.positions.shape[0] - 1
 
-    def config(self, n: int) -> Configuration:
-        names = self.protocol.state_names
-        return Configuration(
-            tuple(tuple(int(x) for x in row) for row in self.positions[n]),
-            tuple(names[j] for j in self.state_idx[n]),
-            n,
-        )
-
 
 def run(p: ScoutProtocol, horizon: int, seed: SeedSpec) -> Trace:
     """Materialized trace of length horizon+1; identical for identical inputs."""
@@ -490,22 +415,20 @@ def run(p: ScoutProtocol, horizon: int, seed: SeedSpec) -> Trace:
     if footprint > _MEMORY_LIMIT_BYTES:
         raise ResourceLimitError(
             f"trace of horizon {horizon} needs ~{footprint >> 20} MiB; "
-            "use iter_run for streaming")
+            "hit_times and first_meeting_times stream without a trace")
     positions = np.empty((horizon + 1, comp.c, comp.d), dtype=np.int64)
     keys_out = positions[..., -1]  # keys from the origin until unpacked at the end
     state_idx = np.empty((horizon + 1, comp.c), dtype=np.int16)
-    # the memory limit keeps horizon * max_move below 2**31, so keys of width
-    # 2**32 are exact int64 keys in the layout of _pack
-    width = 1 << 32
+    # the memory limit keeps horizon * max_move below 2**31, so the keys from
+    # the origin are exact in the layout of _pack
     keys = [0] * comp.c
     states = comp.init_state_idx.tolist()
     keys_out[0] = keys
     state_idx[0] = states
     t = 0
     while t < horizon:
-        out_keys, out_states = _kernel(comp, seed, keys, states, t,
-                                       min(_KERNEL_BLOCK, horizon - t), width)
-        n = len(out_states) // comp.c
+        n = min(_KERNEL_BLOCK, horizon - t)
+        out_keys, out_states = _kernel(comp, seed, keys, states, t, n)
         keys_out[t + 1:t + 1 + n] = np.reshape(out_keys, (n, comp.c))
         state_idx[t + 1:t + 1 + n] = np.reshape(out_states, (n, comp.c))
         keys, states = out_keys[-comp.c:], out_states[-comp.c:]
@@ -718,6 +641,9 @@ def run_batch(p: ScoutProtocol, horizon: int, root_seed: int, replicas: int,
 
 def _in_chunks(work, replicas: int, threads: int, chunk: int, empty: np.ndarray) -> np.ndarray:
     """``work(start, n)`` over consecutive chunks of the replicas, concatenated."""
+    if replicas < 0 or threads < 1 or chunk < 1:
+        raise PreconditionError(f"need replicas >= 0, threads >= 1 and chunk >= 1; got "
+                                f"replicas={replicas}, threads={threads}, chunk={chunk}")
     ranges = [(s, min(chunk, replicas - s)) for s in range(0, replicas, chunk)]
     if threads > 1 and len(ranges) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

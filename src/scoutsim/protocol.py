@@ -119,19 +119,6 @@ class ScoutProtocol:
     initial_states: tuple[str, ...]
     rules: tuple[TransitionRule, ...]
 
-    def canonical(self) -> "ScoutProtocol":
-        """Equivalent protocol in canonical order (sorted states and rules)."""
-        return parse_protocol(serialize(self))
-
-
-@dataclass(frozen=True)
-class Configuration:
-    """Joint positions and states of all scouts at one time step."""
-
-    positions: tuple[tuple[int, ...], ...]
-    states: tuple[str, ...]
-    time: int = 0
-
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -438,23 +425,6 @@ def validate(p: ScoutProtocol) -> list[Violation]:
 
 
 # ---------------------------------------------------------------------------
-# environments
-
-
-def environment_of(cfg: Configuration, i: int) -> frozenset[str]:
-    """States sensed by scout i (1-based): states of co-located other scouts.
-
-    This is the set of raised bits of the binary environment vector; a state
-    contributed by several co-located scouts appears once.
-    """
-    c = len(cfg.positions)
-    if not 1 <= i <= c:
-        raise ValueError(f"scout index {i} out of range 1..{c}")
-    me = cfg.positions[i - 1]
-    return frozenset(cfg.states[j] for j in range(c) if j != i - 1 and cfg.positions[j] == me)
-
-
-# ---------------------------------------------------------------------------
 # builtins
 
 
@@ -463,13 +433,14 @@ def builtin(name: str, params: Mapping | None = None, **kw) -> ScoutProtocol:
 
     Names: ``srw`` (one simple-random-walk scout), ``independent_walks``
     (c non-interacting walk scouts), ``anchored_geometric`` (the d+1-scout
-    sweep protocol with excursion continuation probability p).
+    sweep protocol with excursion continuation probability p).  The fixed
+    kinds take a c (or scouts) only when it equals their own scout count.
     """
     merged = dict(params or {})
     merged.update(kw)
     d = _number("d", merged.pop("d", merged.pop("dim", 1)), int)
     if name == "srw":
-        merged.pop("c", None)
+        _check_count(name, merged, 1)
         _reject_extras(name, merged)
         return _srw(d)
     if name == "independent_walks":
@@ -479,11 +450,11 @@ def builtin(name: str, params: Mapping | None = None, **kw) -> ScoutProtocol:
     if name == "anchored_geometric":
         # a float's exact binary expansion
         p = _number("p", merged.pop("p", Fraction(1, 2)), Fraction)
-        merged.pop("c", None)
+        _check_dim(d)
+        _check_count(name, merged, d + 1)
         _reject_extras(name, merged)
         if not (0 < p < 1):
             raise ProtocolError(f"anchored_geometric needs p in (0,1), got {p}")
-        _check_dim(d)
         return _anchored_1d(p) if d == 1 else _anchored_2d(p)
     raise ProtocolError(f"unknown builtin {name!r}")
 
@@ -499,6 +470,15 @@ def _number(name: str, value, kind: type):
     except (TypeError, ValueError, ArithmeticError):
         raise ProtocolError(f"builtin parameter {name}={value!r} does not parse "
                             f"as {kind.__name__}") from None
+
+
+def _check_count(name: str, merged: dict, count: int) -> None:
+    """Take c and scouts out of ``merged``: each may only restate ``count``,
+    the builtin's own number of scouts."""
+    for key in ("c", "scouts"):
+        c = _number(key, merged.pop(key, count), int)
+        if c != count:
+            raise ProtocolError(f"builtin {name!r} has {count} scout(s), not {key}={c}")
 
 
 def _reject_extras(name: str, merged: Mapping) -> None:

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 import threading
-from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -252,7 +251,7 @@ class Categorical:
     def select(self, rows, u: np.ndarray) -> np.ndarray:
         """Branch of each uniform in ``u`` under its row: the count of the
         row's entries of ``cum`` that are <= u.  Rows never decrease, so
-        this is :meth:`select_one`'s bisection.
+        this is ``bisect_right`` of u in the row's list.
 
         ``rows`` is an array of ``u``'s shape, or one row index.  The count
         adds one compare per column of ``cum`` but the last, which is 2.0
@@ -266,10 +265,6 @@ class Categorical:
         for c in bounds:
             branch += u >= c
         return branch
-
-    def select_one(self, row: int, u: float) -> int:
-        """:meth:`select` for one uniform, by bisection of the row's list."""
-        return bisect_right(self.lists[row], u)
 
     def draw(self, row: int, root_seed: int, replicas, lane: int, t0: int,
              count: int) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,33 @@ import numpy as np
 from scoutsim.analysis import KernelEntry, ReducedKernel
 from scoutsim.protocol import (EnvPattern, Outcome, ScoutProtocol,
                                TransitionRule)
+
+
+# the environment semantics, stated independently of the engine's masks: the
+# reference steppers of tests/test_engine.py and the environment tests of
+# tests/test_protocol.py read these
+
+
+@dataclass(frozen=True)
+class Configuration:
+    """Joint positions and states of all scouts at one time step."""
+
+    positions: tuple[tuple[int, ...], ...]
+    states: tuple[str, ...]
+    time: int = 0
+
+
+def environment_of(cfg: Configuration, i: int) -> frozenset[str]:
+    """States sensed by scout i (1-based): states of co-located other scouts.
+
+    This is the set of raised bits of the binary environment vector; a state
+    contributed by several co-located scouts appears once.
+    """
+    c = len(cfg.positions)
+    if not 1 <= i <= c:
+        raise ValueError(f"scout index {i} out of range 1..{c}")
+    me = cfg.positions[i - 1]
+    return frozenset(cfg.states[j] for j in range(c) if j != i - 1 and cfg.positions[j] == me)
 
 
 def rational_probs(rng: np.random.Generator, k: int, denom: int = 16) -> list[Fraction]:

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -293,7 +294,7 @@ def test_degeneracy_matches_simulated_confinement():
     base = np.array(v.offsets[k.states[root]])
     for t in range(3000):
         u = streams.uniform_scalar(77, 0, 0, t)
-        e = k.rows[q][table.select_one(q, u)]
+        e = k.rows[q][bisect_right(table.lists[q], u)]
         pos += e.move
         q = e.to
         assert tuple(pos + base) == v.offsets[k.states[q]]

@@ -470,6 +470,24 @@ def test_config_key_of_absent_flag_exits_usage(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("usage error:")
 
 
+def test_config_before_subcommand_exits_usage(tmp_path, capsys):
+    # the config's value landed where the subcommand belongs: "invalid choice: '2'"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("horizon=2\n")
+    assert main(["--config", str(cfg), "simulate", "--protocol", "builtin:srw?d=1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["usage error: --config must follow the subcommand"]
+
+
+def test_builtin_scout_count_it_cannot_honour_exits_usage(capsys):
+    # printed a one-scout trace with exit 0
+    assert main(["simulate", "--protocol", "builtin:srw?d=2,c=3", "--horizon", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "protocol error: builtin 'srw' has 1 scout(s), not c=3"]
+
+
 RENEWAL_TAIL = ["renewal", "--protocol", "builtin:independent_walks?d=1,c=2",
                 "--horizon", "16", "--trials", "20", "--cap", "64", "--seed", "4"]
 

@@ -3,21 +3,20 @@
 import dataclasses
 import functools
 import itertools
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scoutsim import (SeedSpec, builtin, monte_carlo_hitting_multi, parse_protocol,
-                      run, step)
+from conftest import Configuration, environment_of
+from scoutsim import SeedSpec, builtin, monte_carlo_hitting_multi, parse_protocol, run
 from scoutsim import engine, streams
 from scoutsim.errors import PreconditionError
-from scoutsim.protocol import (Configuration, EnvPattern, Outcome, ProtocolError,
-                               ProtocolValidationError, ScoutProtocol, TransitionRule,
-                               environment_of)
-from scoutsim.engine import (ResourceLimitError, VectorSim, first_meeting_times,
-                             hit_times, initial_configuration, iter_run,
+from scoutsim.protocol import (EnvPattern, Outcome, ProtocolError, ProtocolValidationError,
+                               ScoutProtocol, TransitionRule)
+from scoutsim.engine import (ResourceLimitError, VectorSim, first_meeting_times, hit_times,
                              meeting_gap_samples, run_batch)
 from scoutsim.renewal import extract_renewal
 
@@ -42,23 +41,29 @@ def _step(sim):
                               sim.time))
 
 
+def _initial(p):
+    """The configuration of a protocol at time 0."""
+    return Configuration((p.initial_position,) * p.scouts, p.initial_states, 0)
+
+
+def _config(tr, n):
+    """The configuration of a trace at time n."""
+    names = tr.protocol.state_names
+    return Configuration(tuple(tuple(int(x) for x in row) for row in tr.positions[n]),
+                         tuple(names[j] for j in tr.state_idx[n]), n)
+
+
 def test_step_deterministic_rule():
     p = parse_protocol(DET_PLUS)
-    cfg = initial_configuration(p)
-    nxt = step(cfg, p, SeedSpec(0))
-    assert nxt.positions == ((1,),)
-    assert nxt.states == ("A",)
-    assert nxt.time == 1
+    assert _config(run(p, 1, SeedSpec(0)), 1) == Configuration(((1,),), ("A",), 1)
 
 
 def test_step_opposite_moves_and_environments():
-    from scoutsim import environment_of
     p = parse_protocol(OPPOSITE)
-    cfg = initial_configuration(p)
+    cfg = _initial(p)
     assert environment_of(cfg, 1) == frozenset({"L"})
     assert environment_of(cfg, 2) == frozenset({"R"})
-    nxt = step(cfg, p, SeedSpec(0))
-    assert nxt.positions == ((1,), (-1,))
+    assert _config(run(p, 1, SeedSpec(0)), 1).positions == ((1,), (-1,))
 
 
 def test_step_srw_frequency():
@@ -74,7 +79,7 @@ def test_run_horizon_zero():
     p = parse_protocol(DET_PLUS)
     tr = run(p, 0, SeedSpec(1))
     assert tr.horizon == 0
-    assert tr.config(0) == initial_configuration(p)
+    assert _config(tr, 0) == _initial(p)
 
 
 def test_run_deterministic_positions():
@@ -172,17 +177,9 @@ def test_two_scout_many_state_protocol_uses_dense_table(n):
         assert np.array_equal(tr.state_idx, S[k])
 
 
-def test_iter_run_streams_without_memory():
-    p = parse_protocol(DET_PLUS)
-    last = None
-    for cfg in itertools.islice(iter_run(p, SeedSpec(0)), 100):
-        last = cfg
-    assert last.positions == ((99,),)
-
-
 def test_run_memory_guard():
     p = builtin("srw", d=1)
-    with pytest.raises(ResourceLimitError, match="iter_run"):
+    with pytest.raises(ResourceLimitError, match="hit_times and first_meeting_times stream"):
         run(p, 1 << 27, SeedSpec(0))
 
 
@@ -208,13 +205,29 @@ def test_cap_marker_must_fit_int64():
     assert s.curve.thresholds[-1] == 2**62
 
 
+@pytest.mark.parametrize("bad", [dict(chunk=-1), dict(chunk=0), dict(replicas=-3),
+                                 dict(threads=0), dict(threads=-2)])
+def test_replica_chunks_refuse_bad_counts(bad):
+    # chunk=-1 returned an empty array for 4 replicas, chunk=0 ended in a
+    # bare range() error, replicas=-3 returned [] and threads < 1 ran serially
+    kw = {"replicas": 4, "threads": 1, "chunk": 8192, **bad}
+    pair = builtin("independent_walks", d=1, c=2)
+    for call in (lambda: hit_times(builtin("srw", d=1), [(1,)], cap=10, root_seed=0, **kw),
+                 lambda: first_meeting_times(pair, cap=10, root_seed=0, **kw)):
+        with pytest.raises(PreconditionError, match="need replicas >= 0, threads >= 1"):
+            call()
+    # no replicas is no work
+    assert hit_times(builtin("srw", d=1), [(1,)], 0, 10, 0).shape == (0, 1)
+    assert first_meeting_times(pair, 0, 10, 0).shape == (0,)
+
+
 # ---------------------------------------------------------------------------
 # the scalar kernel against a reference stepper
 #
 # The reference is the per-step stepper the kernel replaced, kept here as an
-# independent check: environments through protocol.environment_of, the rule
-# found among the protocol's own rules, the branch by Categorical.select_one
-# on streams.uniform_scalar, and one Configuration per step.
+# independent check: environments through conftest.environment_of, the rule
+# found among the protocol's own rules, the branch by bisection of the row's
+# Categorical list on streams.uniform_scalar, and one Configuration per step.
 
 
 @functools.lru_cache(maxsize=None)
@@ -236,7 +249,7 @@ def _reference_step(p, cfg, seed):
             raise ProtocolError(
                 f"no matching rule for state {state!r} with environment {sorted(env)}")
         u = streams.uniform_scalar(seed.root_seed, seed.replica, i, cfg.time)
-        o = p.rules[k].outcomes[table.select_one(k, u)]
+        o = p.rules[k].outcomes[bisect_right(table.lists[k], u)]
         positions.append(tuple(x + m for x, m in zip(cfg.positions[i], o.move)))
         states.append(o.state)
     return Configuration(tuple(positions), tuple(states), cfg.time + 1)
@@ -244,7 +257,7 @@ def _reference_step(p, cfg, seed):
 
 @functools.lru_cache(maxsize=None)
 def _reference_trace(p, seed, horizon):
-    cfgs = [initial_configuration(p)]
+    cfgs = [_initial(p)]
     for _ in range(horizon):
         cfgs.append(_reference_step(p, cfgs[-1], seed))
     return cfgs
@@ -303,35 +316,28 @@ def test_run_matches_reference_stepper(name, horizon):
     p = KERNEL_CASES[name]()
     ref = _reference_trace(p, KERNEL_SEED, KERNEL_HORIZON)[:horizon + 1]
     tr = run(p, horizon, KERNEL_SEED)
-    assert [tr.config(n) for n in range(horizon + 1)] == ref
+    assert [_config(tr, n) for n in range(horizon + 1)] == ref
 
 
-@pytest.mark.parametrize("name", sorted(KERNEL_CASES))
-def test_iter_run_matches_reference_stepper(name):
-    p = KERNEL_CASES[name]()
-    ref = _reference_trace(p, KERNEL_SEED, KERNEL_HORIZON)
-    assert list(iter_run(p, KERNEL_SEED, 1025)) == ref[:1026]
-    assert list(itertools.islice(iter_run(p, KERNEL_SEED), KERNEL_HORIZON + 1)) == ref
+def _kernel_step(p, cfg, seed):
+    """One step of the scalar kernel from ``cfg``, at any time: the kernel
+    reads the configuration as _pack keys from the origin."""
+    comp = engine._compile(p)
+    offsets = np.array(cfg.positions, dtype=np.int64) - comp.origin
+    keys, states = engine._kernel(comp, seed, engine._pack(offsets).tolist(),
+                                  [comp.state_index[s] for s in cfg.states], cfg.time, 1)
+    positions = engine._unpack(np.array(keys, dtype=np.int64), comp.d) + comp.origin
+    return Configuration(tuple(tuple(q) for q in positions.tolist()),
+                         tuple(p.state_names[s] for s in states), cfg.time + 1)
 
 
 @pytest.mark.parametrize("time", [0, 1, 1023, 1500])
 @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
 def test_step_matches_reference_stepper(name, time):
+    # a kernel call that starts off run's 1024-step block bounds
     p = KERNEL_CASES[name]()
     ref = _reference_trace(p, KERNEL_SEED, KERNEL_HORIZON)
-    assert step(ref[time], p, KERNEL_SEED) == ref[time + 1]
-
-
-def test_step_far_from_origin_matches_reference():
-    # one shared shift keeps co-location; scouts 2**41 apart need wide keys
-    p = builtin("anchored_geometric", d=2, p="1/2")
-    cfg = _reference_trace(p, KERNEL_SEED, KERNEL_HORIZON)[1500]
-    shifted = dataclasses.replace(
-        cfg, positions=tuple((x + 3, y + 2**40) for x, y in cfg.positions))
-    assert step(shifted, p, KERNEL_SEED) == _reference_step(p, shifted, KERNEL_SEED)
-    q = builtin("independent_walks", d=2, c=3)
-    apart = Configuration(((0, 2**41), (5, -2**41), (-2**62, 7)), q.initial_states, 9)
-    assert step(apart, q, KERNEL_SEED) == _reference_step(q, apart, KERNEL_SEED)
+    assert _kernel_step(p, ref[time], KERNEL_SEED) == ref[time + 1]
 
 
 def _uncovered_protocol():
@@ -371,23 +377,16 @@ def test_run_leaving_int64_raises():
 def test_uncovered_environment_raises_after_every_earlier_step():
     p = _uncovered_protocol()
     message = "no matching rule for state 'd' with environment ['a', 'b']"
-    ref = [initial_configuration(p)]
+    ref = [_initial(p)]
     with pytest.raises(ProtocolError) as err:
         while True:
             ref.append(_reference_step(p, ref[-1], KERNEL_SEED))
     assert str(err.value) == message
     assert len(ref) > 2  # the failing step is not the first of its block
-    assert [run(p, len(ref) - 1, KERNEL_SEED).config(n) for n in range(len(ref))] == ref
+    tr = run(p, len(ref) - 1, KERNEL_SEED)
+    assert [_config(tr, n) for n in range(len(ref))] == ref
     with pytest.raises(ProtocolError) as err:
         run(p, 1024, KERNEL_SEED)
-    assert str(err.value) == message
-    streamed = []
-    with pytest.raises(ProtocolError) as err:
-        for cfg in iter_run(p, KERNEL_SEED):
-            streamed.append(cfg)
-    assert str(err.value) == message and streamed == ref
-    with pytest.raises(ProtocolError) as err:
-        step(ref[-1], p, KERNEL_SEED)
     assert str(err.value) == message
     # the vectorized path names the environment too
     with pytest.raises(ProtocolError) as err:
@@ -424,8 +423,6 @@ def test_uncompilable_protocol_refused_on_every_path(case):
     p = _uncompilable(**kwargs)
     seed = SeedSpec(0)
     calls = (lambda: run(p, 5, seed),
-             lambda: list(iter_run(p, seed, 5)),
-             lambda: step(initial_configuration(p), p, seed),
              lambda: run_batch(p, 5, 0, 2),
              lambda: VectorSim(p, 2, 0),
              lambda: hit_times(p, [(1,)], 2, 8, 0),

@@ -1,11 +1,11 @@
-"""Protocol parsing, validation, environments, builtins, canonical form."""
+"""Protocol parsing, validation, environments, builtins, serialization."""
 
 from fractions import Fraction
 
 import pytest
 
-from scoutsim import (Configuration, EnvPattern, ProtocolSyntaxError,
-                      ProtocolValidationError, builtin, environment_of,
+from conftest import Configuration, environment_of
+from scoutsim import (EnvPattern, ProtocolSyntaxError, ProtocolValidationError, builtin,
                       parse_protocol, protocol_hash, serialize, validate)
 from scoutsim.protocol import ProtocolError
 
@@ -109,7 +109,6 @@ def test_round_trip_canonical():
     text = serialize(p)
     q = parse_protocol(text)
     assert serialize(q) == text
-    assert q == q.canonical()
     assert protocol_hash(q) == protocol_hash(p)
 
 
@@ -209,6 +208,20 @@ def test_builtin_refuses_non_integer_counts():
             builtin(name, **kw)
     assert builtin("independent_walks", d="2", c=3.0).scouts == 3
     assert builtin("srw", {"d": "2"}).dim == 2
+
+
+def test_builtin_refuses_a_scout_count_it_cannot_honour():
+    # srw with c=3 returned one scout, and anchored_geometric dropped c too
+    for name, d, own in (("srw", 1, 1), ("srw", 2, 1), ("anchored_geometric", 1, 2),
+                         ("anchored_geometric", 2, 3)):
+        for key in ("c", "scouts"):
+            for c in (own - 1, own + 1, "x"):
+                with pytest.raises(ProtocolError, match=f"{key}={c}|does not parse"):
+                    builtin(name, {"d": d, key: c})
+            assert builtin(name, {"d": d, key: str(own)}).scouts == own
+        # a c that restates the count does not let a scouts through
+        with pytest.raises(ProtocolError, match=f"scouts={own + 1}"):
+            builtin(name, {"d": d, "c": own, "scouts": own + 1})
 
 
 def test_envpattern_sorted_unique():

@@ -248,7 +248,7 @@ def test_categorical_selections_agree(rows, extra_u):
     for j in want:
         assert table.select(j, u).tolist() == want[j]
         assert _searchsorted_select(rows[j], u).tolist() == want[j]
-        assert [table.select_one(j, float(x)) for x in u] == want[j]
+        assert [bisect_right(table.lists[j], float(x)) for x in u] == want[j]
     # a gather over padded rows of different lengths
     which = np.arange(u.size) % len(rows)
     assert table.select(which, u).tolist() == [want[j][i] for i, j in enumerate(which)]
@@ -258,9 +258,9 @@ def test_categorical_selections_agree(rows, extra_u):
 def test_categorical_cumulates_exact_rows_exactly():
     row = [Fraction(1, 10), Fraction(2, 10), Fraction(7, 10)]
     # a float cumsum reaches 0.30000000000000004 and would pick branch 1
-    assert streams.Categorical([[float(p) for p in row]]).select_one(0, 0.3) == 1
+    assert bisect_right(streams.Categorical([[float(p) for p in row]]).lists[0], 0.3) == 1
     table = streams.Categorical([row])
-    assert table.select_one(0, 0.3) == 2
+    assert bisect_right(table.lists[0], 0.3) == 2
     assert table.select(0, np.array([0.3])).tolist() == [2]
 
 

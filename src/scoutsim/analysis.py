@@ -18,15 +18,17 @@ classes, stationary laws, degeneracy potentials (one breadth-first search,
 walks the product only to find its first reachable recurrent class, and
 never solves that class's law: by independence its drift is drift1 - drift2.
 
-Sampling from the reduced chain goes through one walker,
-:class:`_ChainWalk`: return triples (:func:`kernel_renewal_samples`) on
-lane 0 and pilot runs for ray widths (:func:`ray_domain`) on lane 1.  Step
-t+1 of chain i uses the uniform at counter (i, lane, t), so each block of
-steps draws its uniforms in one call, and finished chains are dropped
-between blocks.  Blocks double from one step up to 32 by
-:func:`engine._stepped_block`, the rule ``VectorSim.blocks`` uses for
-protocols it steps one step at a time; being keyed by the absolute
-counter, no value depends on the block lengths or the drop times.
+Sampling from the reduced chain runs on the engine's one stepped simulator:
+:func:`_kernel_sim` writes the kernel's rows as a protocol of wildcard
+rules and :class:`engine.VectorSim` steps it.  Return triples
+(:func:`kernel_renewal_samples`) read a one-scout copy, and pilot runs for
+ray widths (:func:`ray_domain`) the second scout of a two-scout copy, so
+step t+1 of chain i uses the uniform at counter (i, lane, t) with lane 0
+and 1.  Being keyed by the absolute counter, no value depends on the block
+lengths or on when finished chains are dropped.  A kernel that VectorSim
+cannot step is refused: one of more than 63 states (ProtocolError) or of
+a dimension above 2 (PreconditionError), such as the full product of two
+planar kernels.
 """
 
 from __future__ import annotations
@@ -35,16 +37,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from . import streams
 from .errors import PreconditionError
-from .protocol import ProtocolError, ScoutProtocol
-from .engine import _compile, _stepped_block
+from .protocol import EnvPattern, Outcome, ProtocolError, ScoutProtocol, TransitionRule
+from .engine import VectorSim, _compile, _unpack
 
 STATIONARY_RESIDUAL_TOL = 1e-12
 # an estimated ray width reads this many pilot runs of this many steps
@@ -418,55 +419,18 @@ class RenewalSamples:
         return int(self.nu.size)
 
 
-class _ChainWalk:
-    """Chains of a reduced kernel from one start state, a block of steps at
-    a time, keyed as the module docstring says.
-
-    Iterating yields ``(t0, states, disp)``: the states (n, B) and the
-    displacements from the start (n, B, d) after steps t0+1 .. t0+B of the
-    n active chains, until the cap or until no chain is left.  Between
-    blocks, :meth:`drop` stops finished chains.
-    """
-
-    def __init__(self, k: ReducedKernel, start: int, count: int, root_seed: int,
-                 lane: int, cap: int):
-        self.table = streams.Categorical([[e.probability for e in row] for row in k.rows])
-        self.to = self.table.pad([[e.to for e in row] for row in k.rows], np.int64)
-        self.mv = self.table.pad([[e.move for e in row] for row in k.rows], np.int64)
-        self.root_seed = root_seed
-        self.lane = np.int64(lane)
-        self.cap = cap
-        self.time = 0
-        self.chains = np.arange(count, dtype=np.int64)
-        self.states = np.full(count, start, dtype=np.int64)
-        self.disp = np.zeros((count, k.dim), dtype=np.int64)
-
-    def __iter__(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-        while self.chains.size and self.time < self.cap:
-            t0 = self.time
-            B = _stepped_block(t0, self.cap)
-            u = streams.uniforms(self.root_seed, self.chains[:, None], self.lane,
-                                 t0 + np.arange(B, dtype=np.int64))
-            states = np.empty(u.shape, dtype=np.int64)
-            disp = np.empty(u.shape + self.disp.shape[1:], dtype=np.int64)
-            s = self.states
-            for b in range(B):
-                branch = self.table.select(s, u[:, b])
-                disp[:, b] = self.mv[s, branch]
-                s = states[:, b] = self.to[s, branch]
-            np.cumsum(disp, axis=1, out=disp)
-            disp += self.disp[:, None]
-            self.states, self.disp = s, disp[:, -1]
-            self.time = t0 + B
-            yield t0, states, disp
-
-    def drop(self, done: np.ndarray) -> None:
-        """Stop the active chains marked ``done``, if there are any."""
-        if done.any():
-            keep = ~done
-            self.chains = self.chains[keep]
-            self.states = self.states[keep]
-            self.disp = self.disp[keep]
+def _kernel_sim(k: ReducedKernel, starts: Sequence[int], count: int,
+                root_seed: int) -> VectorSim:
+    """``count`` replicas of len(starts) independent copies of the reduced
+    chain at the origin, copy i from state ``starts[i]``: the kernel's rows
+    as a protocol of wildcard rules, one per state, for :class:`VectorSim`."""
+    rules = tuple(TransitionRule(name, EnvPattern.wildcard(),
+                                 tuple(Outcome(e.probability, k.states[e.to], e.move)
+                                       for e in row))
+                  for name, row in zip(k.states, k.rows))
+    p = ScoutProtocol(k.dim, len(starts), k.states, (0,) * k.dim,
+                      tuple(k.states[q] for q in starts), rules)
+    return VectorSim(p, count, root_seed)
 
 
 def kernel_renewal_samples(k: ReducedKernel, q0: str, count: int,
@@ -474,8 +438,8 @@ def kernel_renewal_samples(k: ReducedKernel, q0: str, count: int,
     """Sample i.i.d. return triples of the reduced chain observed at q0.
 
     The triples' law does not depend on history before the first visit to
-    q0, so chains start at q0 directly.  A :class:`_ChainWalk` on lane 0
-    steps them; each chain stops at its first return.
+    q0, so chains start at q0 directly: one scout of :func:`_kernel_sim`
+    per chain, on lane 0, stopped at its first return.
     """
     rep = classes(k)
     home = next((c for c in rep.classes if q0 in c.states), None)
@@ -485,16 +449,16 @@ def kernel_renewal_samples(k: ReducedKernel, q0: str, count: int,
     q0_idx = k.states.index(q0)
     zeta = np.zeros((count, k.dim), dtype=np.int64)
     nu = np.zeros(count, dtype=np.int64)
-    walk = _ChainWalk(k, q0_idx, count, root_seed, 0, max_steps)
-    for t0, states, disp in walk:
-        back = states == q0_idx
-        done = back.any(axis=1)
-        first = back[done].argmax(axis=1)
-        ids = walk.chains[done]
-        zeta[ids] = disp[done, first]
+    sim = _kernel_sim(k, [q0_idx], count, root_seed)
+    for t0, keys, states in sim.blocks(max_steps):
+        back = states[..., 0] == q0_idx  # (B, R), or (1, R) on the i.i.d. branch
+        done = back.any(axis=0)
+        first = back[:, done].argmax(axis=0)
+        ids = sim.replicas[done]
+        zeta[ids] = _unpack(keys[first, done, 0], k.dim)
         nu[ids] = t0 + 1 + first  # all chains started at q0 at step 0
-        walk.drop(done)
-    if walk.chains.size:
+        sim.drop(done)
+    if sim.n_active:
         raise RuntimeError("return sampling exceeded the step budget")
     return RenewalSamples(zeta, nu, 2 * nu)
 
@@ -632,17 +596,20 @@ class RayDomain:
 def _estimate_half_width(k: ReducedKernel, cls: Sequence[str], direction,
                          root_seed: int) -> float:
     """99th-percentile excursion perpendicular to the drift over
-    _PILOT_RUNS pilot runs of _PILOT_STEPS steps (a :class:`_ChainWalk` on
-    lane 1), in sup norm without a drift."""
+    _PILOT_RUNS pilot runs of _PILOT_STEPS steps, in sup norm without a
+    drift.  A pilot run is the second of two :func:`_kernel_sim` copies
+    from the class's first state, so it draws lane 1."""
+    start = k.states.index(cls[0])
+    sim = _kernel_sim(k, [start, start], _PILOT_RUNS, root_seed)
     worst = np.zeros(_PILOT_RUNS)
-    for _, _, pos in _ChainWalk(k, k.states.index(cls[0]), _PILOT_RUNS, root_seed, 1,
-                                _PILOT_STEPS):
+    for _, keys, _ in sim.blocks(_PILOT_STEPS):
+        pos = _unpack(keys[..., 1], k.dim)
         if direction is None:
             cur = np.abs(pos).max(axis=2)
         else:
             ax, ay = direction
             cur = np.abs(-pos[..., 0] * ay + pos[..., 1] * ax)
-        np.maximum(worst, cur.max(axis=1), out=worst)
+        np.maximum(worst, cur.max(axis=0), out=worst)
     return float(np.quantile(worst, 0.99)) + 1.0
 
 

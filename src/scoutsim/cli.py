@@ -57,13 +57,6 @@ def _load_protocol(src: str) -> ScoutProtocol:
                 if not v:
                     raise UsageError(f"bad builtin parameter {kv!r}")
                 params[k] = v
-        for key in ("d", "dim", "c", "scouts"):
-            if key in params:
-                try:
-                    params[key] = int(params[key])
-                except ValueError:
-                    raise UsageError(f"builtin parameter {key}={params[key]!r} is not "
-                                     f"an integer") from None
         return builtin(name, params)
     path = Path(src)
     return parse_protocol(path.read_text(encoding="utf-8"))

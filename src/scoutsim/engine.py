@@ -42,23 +42,24 @@ report an uncovered environment with the same :meth:`_Compiled.no_rule`
 message.
 
 Hitting times, first meetings, meeting gaps and :func:`run_batch` read one
-source, :meth:`VectorSim.blocks`, with one loop each.  A
-:class:`VectorSim` holds the active replicas of a replica range and hands
-out the grid keys and states of a block of steps as step-major (steps,
-replicas, scouts) arrays; between blocks, a loop drops the replicas it has
-finished with, as soon as there is one.  Protocols whose scouts all walk
-i.i.d. draw each scout's block from its one row and cumulate the moves: a
-block after step t0 is min(cap - t0, max(1, V // R)) steps for R active
-replicas and a budget of V = 2**14 variates per scout, so blocks start
-short while most replicas run and grow as they finish.  All other
-protocols draw a block's uniforms with one ``streams.uniforms`` call and
-take one :meth:`VectorSim.step` per step: a block after step t0 is
-min(32, cap - t0, max(1, t0)) steps, by :func:`_stepped_block`, which the
-reduced-kernel walker of :mod:`.analysis` shares.  Every draw is keyed by
-its absolute step, so neither the path nor the partition changes a value:
-each event equals a loop of single steps bit for bit, meeting gaps in its
-(time, replica) order.  These measurements never materialize traces, so
-caps of 2**24 steps run in bounded memory.
+source, :meth:`VectorSim.blocks`, with one loop each, and so do the return
+samples and ray-width pilots of :mod:`.analysis`, on a reduced kernel
+written as a protocol of wildcard rules.  A :class:`VectorSim` holds the
+active replicas of a replica range and hands out the grid keys and states
+of a block of steps as step-major (steps, replicas, scouts) arrays; between
+blocks, a loop drops the replicas it has finished with, as soon as there is
+one.  Protocols whose scouts all walk i.i.d. draw each scout's block from
+its one row and cumulate the moves: a block after step t0 is min(cap - t0,
+max(1, V // R)) steps for R active replicas and a budget of V = 2**14
+variates per scout, so blocks start short while most replicas run and grow
+as they finish.  All other protocols draw a block's uniforms with one
+``streams.uniforms`` call and take one :meth:`VectorSim.step` per step: a
+block after step t0 is min(32, cap - t0, max(1, t0)) steps, by
+:func:`_stepped_block`.  Every draw is keyed by its absolute step, so
+neither the path nor the partition changes a value: each event equals a
+loop of single steps bit for bit, meeting gaps in its (time, replica)
+order.  These measurements never materialize traces, so caps of 2**24 steps
+run in bounded memory.
 
 The vectorized paths carry each grid point as one int64 key: k = x for
 d = 1 and k = x * 2**32 + y for d = 2.  A move adds its own key, two scouts

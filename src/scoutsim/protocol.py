@@ -433,18 +433,20 @@ def builtin(name: str, params: Mapping | None = None, **kw) -> ScoutProtocol:
 
     Names: ``srw`` (one simple-random-walk scout), ``independent_walks``
     (c non-interacting walk scouts), ``anchored_geometric`` (the d+1-scout
-    sweep protocol with excursion continuation probability p).  The fixed
-    kinds take a c (or scouts) only when it equals their own scout count.
+    sweep protocol with excursion continuation probability p).  Parameters
+    may be strings, as the CLI passes them.  ``d`` may be given as ``dim``
+    and ``c`` as ``scouts``, or both when they agree.  The fixed kinds take
+    a c (or scouts) only when it equals their own scout count.
     """
     merged = dict(params or {})
     merged.update(kw)
-    d = _number("d", merged.pop("d", merged.pop("dim", 1)), int)
+    d = _either(name, merged, "d", "dim", 1)
     if name == "srw":
         _check_count(name, merged, 1)
         _reject_extras(name, merged)
         return _srw(d)
     if name == "independent_walks":
-        c = _number("c", merged.pop("c", merged.pop("scouts", 1)), int)
+        c = _either(name, merged, "c", "scouts", 1)
         _reject_extras(name, merged)
         return _independent_walks(d, c)
     if name == "anchored_geometric":
@@ -470,6 +472,16 @@ def _number(name: str, value, kind: type):
     except (TypeError, ValueError, ArithmeticError):
         raise ProtocolError(f"builtin parameter {name}={value!r} does not parse "
                             f"as {kind.__name__}") from None
+
+
+def _either(name: str, merged: dict, key: str, alias: str, default: int) -> int:
+    """The int given as ``key`` or ``alias``, both taken out of ``merged``,
+    or ``default``; ProtocolError when both are given and disagree."""
+    given = {k: _number(k, merged.pop(k), int) for k in (key, alias) if k in merged}
+    if len(set(given.values())) > 1:
+        raise ProtocolError(f"builtin {name!r} got {key}={given[key]} and "
+                            f"{alias}={given[alias]}, which disagree")
+    return next(iter(given.values()), default)
 
 
 def _check_count(name: str, merged: dict, count: int) -> None:

@@ -18,14 +18,15 @@ makes once and reuses on every call.  A call runs in passes of at most
 result, and the memory kept stays at the workspace however large a call is.
 
 :class:`Categorical` is the one sampler that turns these uniforms into
-outcomes of finite distributions: a scout's rule row in the engine, a
-reduced-kernel row in the analysis, a step law in the walks.  Branch b of a
-row is drawn by u when cum[b-1] <= u < cum[b], the last branch by every u
-from cum[-2] up: the branch is the number of the row's first length - 1
-partial sums that are <= u.  A row whose probabilities are all
-``Fraction`` is cumulated exactly and each partial sum rounded to float
-once; any other row is cumulated in float.  The scalar, vector and block
-paths compare against the same floats, so they pick the same branch.
+outcomes of finite distributions: a scout's rule row in the engine (which
+also steps the reduced kernels of the analysis) and a step law in the
+walks.  Branch b of a row is drawn by u when cum[b-1] <= u < cum[b], the
+last branch by every u from cum[-2] up: the branch is the number of the
+row's first length - 1 partial sums that are <= u.  A row whose
+probabilities are all ``Fraction`` is cumulated exactly and each partial
+sum rounded to float once; any other row is cumulated in float.  The
+scalar, vector and block paths compare against the same floats, so they
+pick the same branch.
 """
 
 from __future__ import annotations
@@ -248,21 +249,12 @@ class Categorical:
             out[j, :len(row)] = row
         return out
 
-    def select(self, rows, u: np.ndarray) -> np.ndarray:
-        """Branch of each uniform in ``u`` under its row: the count of the
-        row's entries of ``cum`` that are <= u.  Rows never decrease, so
-        this is ``bisect_right`` of u in the row's list.
-
-        ``rows`` is an array of ``u``'s shape, or one row index.  The count
-        adds one compare per column of ``cum`` but the last, which is 2.0
-        in every row; one row compares only its own partial sums.
-        """
-        if np.ndim(rows) == 0:
-            bounds = self.lists[rows][:-1]
-        else:
-            bounds = (col[rows] for col in self.cum.T[:-1])
+    def select(self, row: int, u: np.ndarray) -> np.ndarray:
+        """Branch of each uniform in ``u`` under one row: the count of the
+        row's partial sums before its last that are <= u.  Rows never
+        decrease, so this is ``bisect_right`` of u in the row's list."""
         branch = np.zeros(np.shape(u), dtype=np.int64)
-        for c in bounds:
+        for c in self.lists[row][:-1]:
             branch += u >= c
         return branch
 

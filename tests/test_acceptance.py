@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from scoutsim import SeedSpec, builtin, parse_protocol
-from scoutsim.analysis import (_ChainWalk, classes, degeneracy_check,
+from scoutsim.analysis import (_kernel_sim, classes, degeneracy_check,
                                effective_drift, kernel_renewal_samples,
                                product_kernel)
-from scoutsim.engine import (Trace, first_meeting_times, hit_times,
+from scoutsim.engine import (Trace, _unpack, first_meeting_times, hit_times,
                              monte_carlo_hitting_multi, run_batch)
 from scoutsim.renewal import (FINITE, INFINITE, divergence_flag,
                               extract_renewal, meeting_tail)
@@ -290,8 +290,10 @@ def _confinement_holds(k, verdict, root_seed, chains=64, steps=512):
     root = next(k.states.index(name) for name, off in verdict.offsets.items()
                 if off == (0,) * k.dim)
     offsets = np.array([verdict.offsets[s] for s in k.states], dtype=np.int64)
-    return all(np.array_equal(disp, offsets[states])
-               for _, states, disp in _ChainWalk(k, root, chains, root_seed, 0, steps))
+    # the i.i.d. branch hands out one (1, R) view of the states for a block
+    return all(np.array_equal(_unpack(keys[..., 0], k.dim),
+                              offsets[np.broadcast_to(states[..., 0], keys.shape[:2])])
+               for _, keys, states in _kernel_sim(k, [root], chains, root_seed).blocks(steps))
 
 
 def test_criterion_06_degeneracy_soundness():

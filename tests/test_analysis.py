@@ -15,7 +15,9 @@ from scoutsim.analysis import (KernelEntry, PreconditionError, ReducedKernel, Th
                                difference_drift, effective_drift,
                                kernel_renewal_samples, product_kernel, ray_domain,
                                reduce_kernel, stationary_distribution)
-from scoutsim.analysis import _ChainWalk, _solve_exact
+from scoutsim.analysis import _kernel_sim, _solve_exact
+from scoutsim.engine import _unpack
+from scoutsim.protocol import ProtocolError
 from scoutsim.tails import SurvivalCurve, fit_tail
 
 from conftest import random_rational_kernel
@@ -362,7 +364,7 @@ def test_renewal_step_budget():
 
 
 # sha256 of the (zeta, nu) bytes, recorded with the per-step sampling loop
-# that the block walker replaced
+# that block stepping replaced
 RENEWAL_DIGESTS = [
     "9f685197799a6b883a59ab4b9d27349233ea985909a1e26351770914e5ff26a1",
     "78a9deffb3feaac6911dc55a9fac7fbfecaf2b910a99c3d2a07ce9aea8a9880a",
@@ -386,25 +388,25 @@ def test_renewal_samples_pinned():
         "0e50058e58f4279b1e9f06a007b0413ca7ec2e3cf00b5e73607f36eade0f59d7"
 
 
-# the reduced-kernel walker
+# the reduced chain on VectorSim
 
 
 def _walk_stepwise(k, start, count, root_seed, lane, cap):
-    """Reference: the per-step loop the walker replaced, one streams call
-    per step.  States (count, cap) and displacements (count, cap, d)."""
+    """Reference: the per-step loop of the reduced chain, one streams call
+    per step and one bisection per chain.  States (count, cap) and
+    displacements (count, cap, d)."""
     table = streams.Categorical([[e.probability for e in row] for row in k.rows])
-    to = table.pad([[e.to for e in row] for row in k.rows], np.int64)
-    mv = table.pad([[e.move for e in row] for row in k.rows], np.int64)
     reps = np.arange(count, dtype=np.int64)
-    state = np.full(count, start, dtype=np.int64)
+    state = [start] * count
     pos = np.zeros((count, k.dim), dtype=np.int64)
     states = np.empty((count, cap), dtype=np.int64)
     disp = np.empty((count, cap, k.dim), dtype=np.int64)
     for t in range(cap):
         u = streams.uniforms(root_seed, reps, np.int64(lane), np.int64(t))
-        branch = table.select(state, u)
-        pos = pos + mv[state, branch]
-        state = to[state, branch]
+        entries = [k.rows[q][bisect_right(table.lists[q], x)]
+                   for q, x in zip(state, u.tolist())]
+        pos = pos + [e.move for e in entries]
+        state = [e.to for e in entries]
         states[:, t] = state
         disp[:, t] = pos
     return states, disp
@@ -416,27 +418,57 @@ def _float_rows(k):
         for row in k.rows))
 
 
+def _self_absorbing(d):
+    """One state that steps +-1 along the first axis: VectorSim's i.i.d. branch."""
+    moves = [(s,) + (0,) * (d - 1) for s in (1, -1)]
+    return ReducedKernel(d, ("a",), ((KernelEntry(Fraction(1, 3), 0, moves[0]),
+                                      KernelEntry(Fraction(2, 3), 0, moves[1])),))
+
+
 @pytest.mark.parametrize("cap", [1, 33, 100])
 @pytest.mark.parametrize("lane", [0, 1])
 @pytest.mark.parametrize("d", [1, 2])
 def test_chain_walk_matches_stepwise_loop(cap, lane, d):
+    # lane L is the last of L + 1 copies of the chain
     rng = np.random.default_rng(cap * 10 + lane * 2 + d)
-    for trial in range(4):
+    for trial in range(5):
         k = random_rational_kernel(rng, int(rng.integers(1, 7)), d)
         if trial == 3:
             k = _float_rows(k)
+        elif trial == 4:
+            k = _self_absorbing(d)
         start, count, seed = int(rng.integers(k.n_states)), 37, int(rng.integers(1000))
         want_states, want_disp = _walk_stepwise(k, start, count, seed, lane, cap)
-        walk = _ChainWalk(k, start, count, seed, lane, cap)
+        sim = _kernel_sim(k, [start] * (lane + 1), count, seed)
         end = 0
-        for t0, states, disp in walk:
+        for t0, keys, states in sim.blocks(cap):
             assert t0 == end
-            end = t0 + states.shape[1]
-            assert np.array_equal(states, want_states[walk.chains, t0:end])
-            assert np.array_equal(disp, want_disp[walk.chains, t0:end])
+            end = t0 + keys.shape[0]
+            rows = sim.replicas
+            got = np.broadcast_to(states[..., lane], keys.shape[:2])
+            assert np.array_equal(got.T, want_states[rows, t0:end])
+            assert np.array_equal(_unpack(keys[..., lane], d).swapaxes(0, 1),
+                                  want_disp[rows, t0:end])
             # drop chains at uneven times, a block at a time
-            walk.drop(rng.random(walk.chains.size) < (0.3 if t0 % 3 else 0.0))
-        assert end == cap or walk.chains.size == 0
+            sim.drop(rng.random(rows.size) < (0.3 if t0 % 3 else 0.0))
+        assert end == cap or sim.n_active == 0
+
+
+def test_kernel_sampling_refuses_what_vectorsim_cannot_step():
+    # the full product of two planar kernels has dim 4, past the grid keys
+    k = reduce_kernel(builtin("srw", d=2))
+    full = product_kernel(k, k)
+    assert full.dim == 4
+    with pytest.raises(PreconditionError, match="grid keys cover d = 1 and 2"):
+        kernel_renewal_samples(full, "walk|walk", 5, root_seed=0)
+    # a product of two 8-state kernels has 64 states
+    big = random_rational_kernel(np.random.default_rng(8), 8, 1)
+    wide = product_kernel(big, big)
+    with pytest.raises(ProtocolError, match="more than 63 states"):
+        kernel_renewal_samples(wide, classes(wide).recurrent_classes()[0].states[0], 5, 0)
+    # a product of line kernels is planar and still samples
+    line = reduce_kernel(builtin("srw", d=1))
+    assert kernel_renewal_samples(product_kernel(line, line), "walk|walk", 5, 0).zeta.shape == (5, 2)
 
 
 def _return_nonzero_probability_reference(k, truncate=60):

@@ -279,7 +279,7 @@ def test_analyze_bad_ray_width_rejected_before_loading(capsys):
 
 
 # sha256 of `analyze` stdout, recorded with the per-step ray-width loop that
-# the block walker replaced: estimated widths in sup norm (srw) and across a
+# block stepping replaced: estimated widths in sup norm (srw) and across a
 # drift (the two-state protocol)
 DRIFT2 = ("dim 2\nscouts 1\nstates a b\ninit 1 a\n"
           "trans a * -> 1/2 a (+1,0) | 1/2 b (0,+1)\n"
@@ -488,6 +488,16 @@ def test_builtin_scout_count_it_cannot_honour_exits_usage(capsys):
         "protocol error: builtin 'srw' has 1 scout(s), not c=3"]
 
 
+def test_builtin_disagreeing_scout_counts_exit_one_line(capsys):
+    # scouts=5 was dropped without a word and two scouts ran
+    assert main(["simulate", "--protocol", "builtin:independent_walks?d=1,c=2,scouts=5",
+                 "--horizon", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "protocol error: builtin 'independent_walks' got c=2 and scouts=5, which disagree"]
+
+
 RENEWAL_TAIL = ["renewal", "--protocol", "builtin:independent_walks?d=1,c=2",
                 "--horizon", "16", "--trials", "20", "--cap", "64", "--seed", "4"]
 
@@ -589,8 +599,8 @@ def test_limits_exit_one_line(argv, prefix, capsys):
 @pytest.mark.parametrize("spec,prefix", [
     # each ended in a traceback: ValueError from int() or Fraction, and
     # ZeroDivisionError from Fraction
-    ("srw?d=x", "usage error:"),
-    ("independent_walks?d=1,c=2.5", "usage error:"),
+    ("srw?d=x", "protocol error:"),
+    ("independent_walks?d=1,c=2.5", "protocol error:"),
     ("anchored_geometric?p=abc", "protocol error:"),
     ("anchored_geometric?d=1,p=3/0", "protocol error:"),
     ("anchored_geometric?p=nan", "protocol error:"),

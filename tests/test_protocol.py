@@ -224,6 +224,19 @@ def test_builtin_refuses_a_scout_count_it_cannot_honour():
             builtin(name, {"d": d, "c": own, "scouts": own + 1})
 
 
+def test_builtin_refuses_disagreeing_aliases():
+    # independent_walks dropped scouts=5 next to c=2, and every kind dim next to d
+    for name, key, alias in (("independent_walks", "c", "scouts"), ("srw", "d", "dim"),
+                             ("anchored_geometric", "d", "dim")):
+        with pytest.raises(ProtocolError, match=f"{key}=1 and {alias}=2, which disagree"):
+            builtin(name, {key: 1, alias: "2"})
+    with pytest.raises(ProtocolError, match="c=2 and scouts=5"):
+        builtin("independent_walks", d=1, c=2, scouts=5)
+    assert builtin("independent_walks", d=1, c=2, scouts="2").scouts == 2
+    assert builtin("independent_walks", {"scouts": "3"}).scouts == 3
+    assert builtin("srw", d=2, dim=2).dim == 2
+
+
 def test_envpattern_sorted_unique():
     pat = EnvPattern.exact(["b", "a", "b"])
     assert pat.states == ("a", "b")

@@ -40,8 +40,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import PreconditionError
 from .protocol import EnvPattern, Outcome, ProtocolError, ScoutProtocol, TransitionRule
@@ -201,17 +199,52 @@ def classes(k: ReducedKernel) -> ClassReport:
 
 def _components(succ: Sequence[Sequence[int]]) -> list[tuple[list[int], bool]]:
     """Strongly connected classes of the digraph with successor lists
-    ``succ``, ordered by their lowest member, each with whether no edge
-    leaves it."""
-    rows_idx = [q for q, row in enumerate(succ) for _ in row]
-    cols_idx = [to for row in succ for to in row]
-    graph = csr_matrix((np.ones(len(rows_idx)), (rows_idx, cols_idx)), shape=(len(succ),) * 2)
-    labels = connected_components(graph, directed=True, connection="strong")[1].tolist()
-    members: dict[int, list[int]] = {}
-    for q, lab in enumerate(labels):
-        members.setdefault(lab, []).append(q)
-    return [(mem, all(labels[to] == labels[mem[0]] for q in mem for to in succ[q]))
-            for mem in sorted(members.values(), key=min)]
+    ``succ``, ordered by their lowest member, members ascending, each with
+    whether no edge leaves it.
+
+    One depth-first pass of Tarjan's algorithm (SIAM J. Comput. 1972),
+    linear in nodes plus edges.  It keeps its own stack of (node, successor
+    iterator) frames, so no graph meets the recursion limit.  Self-loops
+    and repeated edges change nothing.
+    """
+    n = len(succ)
+    order = [-1] * n  # discovery index of each node, -1 before it
+    low = [0] * n  # lowest discovery index it reaches on the stack
+    label = [-1] * n  # class of each node, -1 while it is on the stack
+    stack: list[int] = []
+    found: list[list[int]] = []
+    seen = 0
+    for root in range(n):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = seen
+        seen += 1
+        stack.append(root)
+        frames = [(root, iter(succ[root]))]
+        while frames:
+            q, edges = frames[-1]
+            for to in edges:
+                if order[to] < 0:
+                    order[to] = low[to] = seen
+                    seen += 1
+                    stack.append(to)
+                    frames.append((to, iter(succ[to])))
+                    break
+                if label[to] < 0:
+                    low[q] = min(low[q], order[to])
+            else:
+                frames.pop()
+                if frames:
+                    parent = frames[-1][0]
+                    low[parent] = min(low[parent], low[q])
+                if low[q] == order[q]:
+                    mem = []
+                    while not mem or mem[-1] != q:
+                        mem.append(stack.pop())
+                        label[mem[-1]] = len(found)
+                    found.append(sorted(mem))
+    return [(mem, all(label[to] == label[mem[0]] for q in mem for to in succ[q]))
+            for mem in sorted(found)]
 
 
 # ---------------------------------------------------------------------------

@@ -52,13 +52,16 @@ one.  Protocols whose scouts all walk i.i.d. draw each scout's block from
 its one row and cumulate the moves: a block after step t0 is min(cap - t0,
 max(1, V // R)) steps for R active replicas and a budget of V = 2**14
 variates per scout, so blocks start short while most replicas run and grow
-as they finish.  All other protocols draw a block's uniforms with one
-``streams.uniforms`` call and take one :meth:`VectorSim.step` per step: a
-block after step t0 is min(32, cap - t0, max(1, t0)) steps, by
-:func:`_stepped_block`.  Every draw is keyed by its absolute step, so
-neither the path nor the partition changes a value: each event equals a
-loop of single steps bit for bit, meeting gaps in its (time, replica)
-order.  These measurements never materialize traces, so caps of 2**24 steps
+as they finish.  B * R never exceeds max(V, R), so the uniforms, branches,
+moves and keys of every block are written into one set of buffers that
+the :class:`VectorSim` makes at its first i.i.d. block, and a block is
+valid only until the next one.  All other protocols draw a block's
+uniforms with one ``streams.uniforms`` call and take one
+:meth:`VectorSim.step` per step: a block after step t0 is min(32, cap - t0,
+max(1, t0)) steps, by :func:`_stepped_block`.  Every draw is keyed by its
+absolute step, so neither the path nor the partition changes a value: each
+event equals a loop of single steps bit for bit, meeting gaps in its (time,
+replica) order.  These measurements never materialize traces, so caps of 2**24 steps
 run in bounded memory.
 
 The vectorized paths carry each grid point as one int64 key: k = x for
@@ -96,8 +99,8 @@ DEFAULT_CAP = 1 << 20
 _MEMORY_LIMIT_BYTES = 1 << 28
 # variates per scout in one iid block of VectorSim.blocks (see _iid_block):
 # however many replicas are active, a block's per-scout arrays (uniforms,
-# branches, keys) stay near 128 KiB, and its Philox passes run in the
-# streams workspace rather than in arrays of their own
+# branches, moves, keys) stay near 128 KiB, in buffers VectorSim reuses for
+# every block, and its Philox passes run in the streams workspace
 _IID_VARIATES = 1 << 14
 # most steps per block stepped one at a time (see _stepped_block); blocks
 # double up to it, so replicas that finish early run no whole window
@@ -491,6 +494,7 @@ class VectorSim:
         # that one gather of the keys holds both sides of each compare
         self._pairs = np.concatenate([np.repeat(self._scouts, comp.c),
                                       np.tile(self._scouts, comp.c)])
+        self._iid_buffers: tuple[np.ndarray, ...] | None = None
 
     @property
     def n_active(self) -> int:
@@ -569,6 +573,18 @@ class VectorSim:
         self.states = comp.flat_state.take(flat, out=states, mode="clip")
         self.keys = np.add(self.keys, comp.flat_key.take(flat), out=keys)
 
+    def _iid_workspace(self, size: int) -> tuple[np.ndarray, ...]:
+        """The i.i.d. path's buffers for blocks of up to ``size`` variates
+        per scout, made on the first block and remade only when a block
+        needs more: one scout's uniforms, branches and moves, the block's
+        keys of every scout, and the next block's base keys."""
+        if self._iid_buffers is None or self._iid_buffers[0].size < size:
+            c = self.comp.c
+            self._iid_buffers = (np.empty(size), np.empty(size, np.int64),
+                                 np.empty(size, np.int64), np.empty(size * c, np.int64),
+                                 np.empty(self.replicas.size * c, np.int64))
+        return self._iid_buffers
+
     def blocks(self, cap: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         """Advance the active replicas to step ``cap``, a block at a time.
 
@@ -578,6 +594,10 @@ class VectorSim:
         walk never changes state, so there ``states`` is one (1, R, c) view
         that broadcasts over the block.  The block rules are in the module
         docstring.  The key range and the cap are checked on the call.
+
+        A yielded block is valid only until the iteration resumes: the
+        i.i.d. path writes every block into the same buffers, so a caller
+        that keeps a block, or part of one, past that must copy it.
         """
         _check_key_range(self.comp, cap)
         _check_cap(cap)
@@ -588,13 +608,27 @@ class VectorSim:
         while self.replicas.size and self.time < cap:
             t0 = self.time
             if comp.iid_single:
-                B = _iid_block(t0, cap, self.replicas.size)
-                keys = np.empty((B,) + self.keys.shape, dtype=np.int64)
+                R = self.replicas.size
+                B = _iid_block(t0, cap, R)
+                # B * R of this block and of every later one up to this cap
+                # is at most the size asked for: R and cap - t0 only fall
+                u, branch, move, keys, base = self._iid_workspace(
+                    min(max(_IID_VARIATES, R), (cap - t0) * R))
+                # step-major (B, R) views, so that the gather runs in order
+                u, branch, move = (a[:B * R].reshape(B, R) for a in (u, branch, move))
+                keys = keys[:B * R * comp.c].reshape(B, R, comp.c)
+                steps = np.arange(t0, t0 + B, dtype=np.int64)[:, None]
                 for i, row in enumerate(comp.wildcard_row[comp.init_state_idx]):
-                    branch = comp.table.draw(row, self.root_seed, self.replicas, i, t0, B)
-                    np.cumsum(comp.row_key[row][branch.T], axis=0, out=keys[:, :, i])
-                keys += self.keys
-                self.keys = keys[-1]
+                    streams.uniforms(self.root_seed, self.replicas, self._scouts[i], steps,
+                                     out=u)
+                    comp.table.select(row, u, out=branch)
+                    # branch is in range, so no index is clipped
+                    np.take(comp.row_key[row], branch, out=move, mode="clip")
+                    move[0] += self.keys[:, i]
+                    np.cumsum(move, axis=0, out=keys[:, :, i])
+                # the next block's base, out of the block buffer it overwrites
+                self.keys = base[:R * comp.c].reshape(R, comp.c)
+                np.copyto(self.keys, keys[-1])
                 self.time = t0 + B
                 states = self.states[None]
             else:
@@ -679,8 +713,9 @@ def _find_targets(tkeys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.n
     """Flat indices of the keys equal to a target key, and those targets' columns."""
     flat = keys.reshape(-1)
     j = tkeys.searchsorted(flat)
-    np.minimum(j, tkeys.size - 1, out=j)
-    i = np.flatnonzero(tkeys[j] == flat)
+    # j = tkeys.size (a key past every target) clips to the last target,
+    # which it does not equal
+    i = np.flatnonzero(tkeys.take(j, mode="clip") == flat)
     return i, j[i]
 
 

@@ -15,7 +15,9 @@ function (see the known-answer tests).  The lanes and the two products of a
 round live in a workspace of 6 x ``_CHUNK`` words (1.5 MiB) that each thread
 makes once and reuses on every call.  A call runs in passes of at most
 ``_CHUNK`` counters, cut along its leading axes, so it allocates only its
-result, and the memory kept stays at the workspace however large a call is.
+result, or nothing where the caller passes ``out``; :func:`uniforms` turns
+the bits into floats in that same array.  The memory kept stays at the
+workspace however large a call is.
 
 :class:`Categorical` is the one sampler that turns these uniforms into
 outcomes of finite distributions: a scout's rule row in the engine (which
@@ -177,17 +179,23 @@ def _philox_into(out: np.ndarray, step, replica, scout, k0: int, k1: int) -> Non
     out |= w1
 
 
-def raw64(root_seed: int, replica, scout, step) -> np.ndarray:
+def raw64(root_seed: int, replica, scout, step, out: np.ndarray | None = None) -> np.ndarray:
     """64 uniform bits at counter (root_seed, replica, scout, step).
 
     ``root_seed`` must lie in [0, 2**64), ``replica`` and ``scout`` in
     [0, 2**32), and ``step`` in [0, 2**64); every counter must be an integer.
+    The bits are written to ``out`` when given, a uint64 array of the
+    counters' broadcast shape, and returned.
     """
     replica = _counter_word(replica, "replica")
     scout = _counter_word(scout, "scout")
     step = _counter_word(step, "step", 64)
     k0, k1 = _key_words(root_seed)
-    out = np.empty(np.broadcast(step, replica, scout).shape, dtype=np.uint64)
+    shape = np.broadcast(step, replica, scout).shape
+    if out is None:
+        out = np.empty(shape, dtype=np.uint64)
+    elif out.shape != shape or out.dtype != np.uint64:
+        raise ValueError(f"out must be a uint64 array of shape {shape}")
     if out.size <= _CHUNK:
         _philox_into(out, step, replica, scout, k0, k1)
     else:
@@ -197,17 +205,26 @@ def raw64(root_seed: int, replica, scout, step) -> np.ndarray:
     return out
 
 
-def uniforms(root_seed: int, replica, scout, step) -> np.ndarray:
+def uniforms(root_seed: int, replica, scout, step, out: np.ndarray | None = None) -> np.ndarray:
     """Uniform float64 samples in [0, 1), one per broadcast element.
 
     The value at a given (root_seed, replica, scout, step) never depends on
-    how the call is batched.
+    how the call is batched.  The samples are written to ``out`` when
+    given, a C-contiguous float64 array of the broadcast shape, and
+    returned; otherwise they fill one new array.  Either way the bits are
+    made in that array's memory and each word is turned into its float in
+    place.
     """
-    bits = raw64(root_seed, replica, scout, step)
+    if out is not None and not (out.dtype == np.float64 and out.flags.c_contiguous):
+        raise ValueError("out must be a C-contiguous float64 array")
+    bits = raw64(root_seed, replica, scout, step,
+                 out=None if out is None else out.view(np.uint64))
     bits >>= np.uint64(11)
-    u = bits.astype(np.float64)
+    u = bits.view(np.float64)
+    # one dimension and equal strides: numpy casts word by word, no copy
+    np.copyto(u.reshape(-1), bits.reshape(-1))
     u *= _INV53
-    return u[()]  # a 0-d call gives a float64 scalar
+    return u[()] if out is None else out  # a 0-d call gives a float64 scalar
 
 
 def uniform_scalar(root_seed: int, replica: int, scout: int, step: int) -> float:
@@ -249,14 +266,19 @@ class Categorical:
             out[j, :len(row)] = row
         return out
 
-    def select(self, row: int, u: np.ndarray) -> np.ndarray:
+    def select(self, row: int, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Branch of each uniform in ``u`` under one row: the count of the
         row's partial sums before its last that are <= u.  Rows never
-        decrease, so this is ``bisect_right`` of u in the row's list."""
-        branch = np.zeros(np.shape(u), dtype=np.int64)
+        decrease, so this is ``bisect_right`` of u in the row's list.  The
+        branches are written to ``out`` when given, an int64 array of u's
+        shape, and returned."""
+        if out is None:
+            out = np.zeros(np.shape(u), dtype=np.int64)
+        else:
+            out.fill(0)
         for c in self.lists[row][:-1]:
-            branch += u >= c
-        return branch
+            out += u >= c
+        return out
 
     def draw(self, row: int, root_seed: int, replicas, lane: int, t0: int,
              count: int) -> np.ndarray:

@@ -71,8 +71,6 @@ from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.special import logsumexp
 
 from . import engine, streams
 from .errors import BudgetExceededError, PreconditionError
@@ -769,8 +767,12 @@ def check_upper_deviation_bound(w: LookAroundWalk, mu: float, n: int, y: float,
     The bound exp(min_t [n log E e^(t zeta) - t y]) is computed from the
     law's exact moment generating function, minimized over u = t * max|zeta|
     (max|zeta| taken as at least 1) in [1e-9, 60]; PASS means the frequency
-    does not exceed it.
+    does not exceed it.  scipy's optimizer loads on the call, so importing
+    the package loads no scipy module.
     """
+    from scipy.optimize import minimize_scalar
+    from scipy.special import logsumexp
+
     _require(float(w.law.mean_zeta) == 0, "deviation check requires E[zeta] = 0")
     _require(float(w.s0) == 0, "deviation check requires s0 = 0")
     _require(mu > 0, "mu must be positive")

@@ -15,7 +15,7 @@ from scoutsim.analysis import (KernelEntry, PreconditionError, ReducedKernel, Th
                                difference_drift, effective_drift,
                                kernel_renewal_samples, product_kernel, ray_domain,
                                reduce_kernel, stationary_distribution)
-from scoutsim.analysis import _kernel_sim, _solve_exact
+from scoutsim.analysis import _components, _kernel_sim, _solve_exact
 from scoutsim.engine import _unpack
 from scoutsim.protocol import ProtocolError
 from scoutsim.tails import SurvivalCurve, fit_tail
@@ -77,6 +77,46 @@ def test_classes_two_closed():
     rep = classes(k)
     assert all(c.recurrent for c in rep.classes)
     assert len(rep.classes) == 2
+
+
+def _components_scipy(succ):
+    """The former body of analysis._components, on scipy's csgraph: the
+    reference for the Tarjan pass that replaced it."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+    rows_idx = [q for q, row in enumerate(succ) for _ in row]
+    cols_idx = [to for row in succ for to in row]
+    graph = csr_matrix((np.ones(len(rows_idx)), (rows_idx, cols_idx)), shape=(len(succ),) * 2)
+    labels = connected_components(graph, directed=True, connection="strong")[1].tolist()
+    members = {}
+    for q, lab in enumerate(labels):
+        members.setdefault(lab, []).append(q)
+    return [(mem, all(labels[to] == labels[mem[0]] for q in mem for to in succ[q]))
+            for mem in sorted(members.values(), key=min)]
+
+
+def test_components_match_scipy_reference():
+    # random digraphs of 0-200 nodes, sparse to dense, with empty rows,
+    # self-loops and repeated edges (drawn with replacement)
+    rng = np.random.default_rng(2024)
+    for trial in range(400):
+        n = int(rng.integers(0, 12 if trial % 2 else 201))
+        degree = rng.random() * 4
+        succ = [rng.integers(0, n, size=rng.poisson(degree)).tolist() if n else []
+                for _ in range(n)]
+        if n and trial % 5 == 0:
+            succ[0] = [0, 0] + succ[0]
+        assert _components(succ) == _components_scipy(succ), trial
+
+
+@pytest.mark.parametrize("cycle", [False, True], ids=["path", "cycle"])
+def test_components_deep_graph_needs_no_recursion(cycle):
+    # a depth-first search 20,000 nodes deep: far past the recursion limit
+    n = 20000
+    succ = [[q + 1] for q in range(n - 1)] + [[0] if cycle else []]
+    got = _components(succ)
+    assert got == _components_scipy(succ)
+    assert len(got) == (1 if cycle else n)
 
 
 def test_stationary_exact_two_state():

@@ -880,6 +880,36 @@ def test_iid_block_budget_changes_no_value(monkeypatch, replicas):
     assert results[0][2].size > 0
 
 
+@pytest.mark.parametrize("name,kw", [("srw", {"d": 1}), ("independent_walks", {"d": 2, "c": 2})],
+                         ids=["srw_d1", "independent_walks_d2"])
+def test_iid_blocks_share_one_workspace(name, kw):
+    # the i.i.d. path writes every block into the same buffers, so a block is
+    # valid until the iteration resumes: copies taken as the blocks come,
+    # with replicas dropped between blocks, equal the reference stepper
+    p = builtin(name, **kw)
+    assert engine._compile(p).iid_single
+    n, start, cap = 40, 3, 2000
+    ref = _ReferenceVectorSim(p, n, 11, start)
+    want = []
+    for _ in range(cap):
+        ref.step()
+        want.append(ref.keys)
+    sim = VectorSim(p, n, 11, replica_start=start)
+    rng = np.random.default_rng(4)
+    views, copies, end = [], [], 0
+    for t0, keys, states in sim.blocks(cap):
+        assert t0 == end
+        end = t0 + len(keys)
+        copies.append((t0, sim.replicas - start, keys.copy(), states.copy()))
+        views.append(keys)
+        sim.drop(rng.random(sim.n_active) < 0.2)
+    assert end == cap and len(copies) >= 3
+    assert all(np.shares_memory(views[0], v) for v in views[1:])
+    for t0, rows, keys, states in copies:
+        assert np.array_equal(keys, np.stack(want[t0:t0 + len(keys)])[:, rows])
+        assert np.array_equal(states[0], ref.states[rows])
+
+
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("cap,k_min,k_max", [
     (800, 1, 64), (800, 3, 3), (800, 1, 1), (1, 1, 4),

@@ -38,13 +38,40 @@ def test_type_hints_resolve():
     assert "scoutsim.renewal.extract_renewal" in names
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # no module of the package uses scipy.stats, and importing it would add
-    # set-up time and memory to every run
-    code = "import sys, scoutsim; print('scipy.stats' in sys.modules)"
+def _fresh_python(code: str) -> str:
+    """Run ``code`` in a new interpreter that imports this scoutsim; its stdout."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.dirname(os.path.dirname(scoutsim.__file__))]
         + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout
+
+
+SCIPY_LOADED = "[m for m in sys.modules if m.split('.')[0] == 'scipy']"
+
+
+def test_import_and_analyze_load_no_scipy():
+    # scipy's import adds set-up time and memory to every process, so the
+    # package loads it only on the one call that needs it (the deviation
+    # check's optimizer); the class pass of analyze runs without it
+    code = ("import contextlib, io, sys, scoutsim\n"
+            f"print({SCIPY_LOADED})\n"
+            "from scoutsim import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['analyze', '--protocol',\n"
+            "                     'builtin:anchored_geometric?d=2,p=1/2', '--scout', '2'])\n"
+            f"print(code, {SCIPY_LOADED})\n")
+    assert _fresh_python(code).splitlines() == ["[]", "0 []"]
+
+
+def test_deviation_check_loads_scipy_on_call():
+    # the values the check gave while scipy loaded with the package
+    code = ("from scoutsim.walks import NAMED_LAWS, LookAroundWalk, "
+            "check_upper_deviation_bound\n"
+            "r = check_upper_deviation_bound(LookAroundWalk(NAMED_LAWS['srw']()), 0.2, 100, 20,\n"
+            "                                trials=2000, root_seed=3)\n"
+            "print(r.passed, repr(r.estimate), repr(r.details['chernoff_bound']),\n"
+            "      repr(r.details['optimal_t']))\n")
+    assert _fresh_python(code).split() == ["True", "0.022", "0.13351367725439653",
+                                           "0.20273324737993798"]

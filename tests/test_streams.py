@@ -208,6 +208,29 @@ def test_raw64_edge_shapes():
         assert np.array_equal(streams.raw64(3, np.array([[4]]), 1, steps[:, None])[:, 0], flat)
 
 
+def test_out_arrays_receive_the_same_values():
+    # one pass and several, and a 0-d call: the values written to ``out``
+    # are the ones a fresh array gets, and ``out`` itself is returned
+    for reps, steps in ((np.arange(3)[:, None], np.arange(5, 15)),
+                        (np.arange(7)[:, None], np.arange(6000)),
+                        (np.int64(4), np.int64(9))):
+        shape = np.broadcast(reps, steps).shape
+        bits = np.empty(shape, dtype=np.uint64)
+        assert streams.raw64(3, reps, 1, steps, out=bits) is bits
+        assert np.array_equal(bits, streams.raw64(3, reps, 1, steps))
+        u = np.empty(shape)
+        assert streams.uniforms(3, reps, 1, steps, out=u) is u
+        assert np.array_equal(u, streams.uniforms(3, reps, 1, steps))
+        branch = np.full(shape, 7, dtype=np.int64)
+        table = streams.Categorical([[Fraction(1, 4)] * 4])
+        assert table.select(0, u, out=branch) is branch
+        assert np.array_equal(branch, table.select(0, u))
+    with pytest.raises(ValueError, match="shape"):
+        streams.raw64(3, np.arange(3)[:, None], 1, np.arange(4), out=np.empty(4, np.uint64))
+    with pytest.raises(ValueError, match="C-contiguous float64"):
+        streams.uniforms(3, 4, 1, np.arange(4), out=np.empty((4, 2))[:, 0])
+
+
 # ---------------------------------------------------------------------------
 # categorical tables
 

@@ -8,15 +8,19 @@ so scalar stepping, vectorized batches, and threaded replica chunks all
 produce bit-identical trajectories.  Every path turns a variate into a
 branch of the rule row through the one sampler, :class:`streams.Categorical`:
 the scalar kernel bisects the row's list, :class:`VectorSim` counts the
-partial sums <= u of each scout's row, and the iid block path draws whole
-blocks from one row.  All three compare against the same
-floats; a row of ``Fraction`` probabilities is cumulated exactly and only
-then rounded.
+partial sums <= u of each scout's row, and the iid block path,
+:func:`_iid_steps`, draws whole blocks from one row.  All three compare
+against the same floats; a row of ``Fraction`` probabilities is cumulated
+exactly and only then rounded.
 
-One scalar kernel, :func:`_kernel`, steps one replica for :func:`run` on
-plain Python ints: each scout's state index and its grid key taken from the
-origin, in the layout of :func:`_pack`, so any origin runs and the keys are
-the ones :class:`VectorSim` holds.  Scouts share a point exactly when their
+:func:`run` materializes one replica's trace with its grid keys taken from
+the origin, in the layout of :func:`_pack`, so any origin runs and the keys
+are the ones :class:`VectorSim` holds.  It takes one of two routes.  A
+protocol whose scouts all walk i.i.d. fills the trace through
+:func:`_iid_steps`, the block routine of :class:`VectorSim`, as one replica
+in blocks of min(horizon - t, 2**14) steps.  Every other protocol steps the
+one scalar kernel, :func:`_kernel`, on plain Python ints: each scout's state
+index and its grid key.  Scouts share a point exactly when their
 keys are equal, the environment mask is the OR of the co-located scouts'
 state bits, and the rule row of a (state, mask) pair comes from a cache
 filled on first use.  The kernel fetches the uniforms of up to 1024 steps
@@ -49,14 +53,14 @@ active replicas of a replica range and hands out the grid keys and states
 of a block of steps as step-major (steps, replicas, scouts) arrays; between
 blocks, a loop drops the replicas it has finished with, as soon as there is
 one.  Protocols whose scouts all walk i.i.d. draw each scout's block from
-its one row and cumulate the moves: a block after step t0 is min(cap - t0,
-max(1, V // R)) steps for R active replicas and a budget of V = 2**14
-variates per scout, so blocks start short while most replicas run and grow
-as they finish.  B * R never exceeds max(V, R), so the uniforms, branches,
-moves and keys of every block are written into one set of buffers that
-the :class:`VectorSim` makes at its first i.i.d. block, and a block is
-valid only until the next one.  All other protocols draw a block's
-uniforms with one ``streams.uniforms`` call and take one
+its one row and cumulate the moves, in :func:`_iid_steps`: a block after
+step t0 is min(cap - t0, max(1, V // R)) steps for R active replicas and a
+budget of V = 2**14 variates per scout, so blocks start short while most
+replicas run and grow as they finish.  B * R never exceeds max(V, R), so
+the uniforms, branches, moves and keys of every block are written into one
+set of buffers that the :class:`VectorSim` makes at its first i.i.d. block,
+and a block is valid only until the next one.  All other protocols draw a
+block's uniforms with one ``streams.uniforms`` call and take one
 :meth:`VectorSim.step` per step: a block after step t0 is min(32, cap - t0,
 max(1, t0)) steps, by :func:`_stepped_block`.  Every draw is keyed by its
 absolute step, so neither the path nor the partition changes a value: each
@@ -97,9 +101,9 @@ from .tails import CensoredSummary, SurvivalCurve, summarize_censored
 
 DEFAULT_CAP = 1 << 20
 _MEMORY_LIMIT_BYTES = 1 << 28
-# variates per scout in one iid block of VectorSim.blocks (see _iid_block):
-# however many replicas are active, a block's per-scout arrays (uniforms,
-# branches, moves, keys) stay near 128 KiB, in buffers VectorSim reuses for
+# variates per scout in one iid block of VectorSim.blocks or run (see
+# _iid_block): however many replicas are active, a block's per-scout arrays
+# (uniforms, branches, moves, keys) stay near 128 KiB, in buffers reused for
 # every block, and its Philox passes run in the streams workspace
 _IID_VARIATES = 1 << 14
 # most steps per block stepped one at a time (see _stepped_block); blocks
@@ -410,33 +414,52 @@ class Trace:
         return self.positions.shape[0] - 1
 
 
-def run(p: ScoutProtocol, horizon: int, seed: SeedSpec) -> Trace:
-    """Materialized trace of length horizon+1; identical for identical inputs."""
+def _check_horizon(horizon: int) -> None:
     if horizon < 0:
-        raise ValueError("horizon must be >= 0")
+        raise PreconditionError(f"horizon must be >= 0, got {horizon}")
+
+
+def run(p: ScoutProtocol, horizon: int, seed: SeedSpec) -> Trace:
+    """Materialized trace of length horizon+1; identical for identical inputs.
+
+    A protocol whose scouts all walk i.i.d. (:attr:`_Compiled.iid_single`)
+    fills the trace by :func:`_iid_steps`, the block routine of
+    :meth:`VectorSim.blocks`; every other protocol steps :func:`_kernel`.
+    The root seed and the replica counter are checked at every horizon.
+    """
+    _check_horizon(horizon)
     comp = _compile(p)
     footprint = (horizon + 1) * comp.c * (8 * comp.d + 2)
     if footprint > _MEMORY_LIMIT_BYTES:
         raise ResourceLimitError(
             f"trace of horizon {horizon} needs ~{footprint >> 20} MiB; "
             "hit_times and first_meeting_times stream without a trace")
+    streams.check_counters(seed.root_seed, seed.replica)
     positions = np.empty((horizon + 1, comp.c, comp.d), dtype=np.int64)
     keys_out = positions[..., -1]  # keys from the origin until unpacked at the end
     state_idx = np.empty((horizon + 1, comp.c), dtype=np.int16)
     # the memory limit keeps horizon * max_move below 2**31, so the keys from
     # the origin are exact in the layout of _pack
-    keys = [0] * comp.c
-    states = comp.init_state_idx.tolist()
-    keys_out[0] = keys
-    state_idx[0] = states
+    keys_out[0] = 0
+    state_idx[:] = comp.init_state_idx  # an i.i.d. walk never changes state
     t = 0
-    while t < horizon:
-        n = min(_KERNEL_BLOCK, horizon - t)
-        out_keys, out_states = _kernel(comp, seed, keys, states, t, n)
-        keys_out[t + 1:t + 1 + n] = np.reshape(out_keys, (n, comp.c))
-        state_idx[t + 1:t + 1 + n] = np.reshape(out_states, (n, comp.c))
-        keys, states = out_keys[-comp.c:], out_states[-comp.c:]
-        t += n
+    if comp.iid_single:
+        replica = np.array([seed.replica], dtype=np.int64)
+        temps = _iid_temps(_iid_block(0, horizon, 1))  # the longest block
+        while t < horizon:
+            n = _iid_block(t, horizon, 1)
+            # (steps, 1 replica, scouts) views of the trace
+            _iid_steps(comp, seed.root_seed, replica, keys_out[t, None], t,
+                       keys_out[t + 1:t + 1 + n, None], temps)
+            t += n
+    else:
+        while t < horizon:
+            n = min(_KERNEL_BLOCK, horizon - t)
+            out_keys, out_states = _kernel(comp, seed, keys_out[t].tolist(),
+                                           state_idx[t].tolist(), t, n)
+            keys_out[t + 1:t + 1 + n] = np.reshape(out_keys, (n, comp.c))
+            state_idx[t + 1:t + 1 + n] = np.reshape(out_states, (n, comp.c))
+            t += n
     _unpack_in_place(positions)
     for x0, lo, hi in zip(p.initial_position, positions.min(axis=(0, 1)).tolist(),
                           positions.max(axis=(0, 1)).tolist()):
@@ -456,6 +479,32 @@ def _iid_block(t0: int, cap: int, active: int) -> int:
     return min(cap - t0, max(1, _IID_VARIATES // active))
 
 
+def _iid_temps(size: int) -> tuple[np.ndarray, ...]:
+    """:func:`_iid_steps`'s buffers for blocks of up to ``size`` variates per
+    scout: one scout's uniforms, branches and moves."""
+    return np.empty(size), np.empty(size, np.int64), np.empty(size, np.int64)
+
+
+def _iid_steps(comp: _Compiled, root_seed: int, replicas: np.ndarray, base: np.ndarray,
+               t0: int, keys: np.ndarray, temps: tuple[np.ndarray, ...]) -> None:
+    """Write the grid keys of steps t0+1 .. t0+B of i.i.d. walks into ``keys``
+    (B, R, c): scout i of replica ``replicas[r]`` draws each step's branch
+    from its one row and adds the move to ``base[r, i]``, its key at step
+    t0.  ``temps`` comes from :func:`_iid_temps`, for at least B * R
+    variates."""
+    B, R, _ = keys.shape
+    # step-major (B, R) views, so that the gather runs in order
+    u, branch, move = (a[:B * R].reshape(B, R) for a in temps)
+    steps = np.arange(t0, t0 + B, dtype=np.int64)[:, None]
+    for i, row in enumerate(comp.wildcard_row[comp.init_state_idx]):
+        streams.uniforms(root_seed, replicas, i, steps, out=u)
+        comp.table.select(row, u, out=branch)
+        # branch is in range, so no index is clipped
+        np.take(comp.row_key[row], branch, out=move, mode="clip")
+        move[0] += base[:, i]
+        np.cumsum(move, axis=0, out=keys[:, :, i])
+
+
 def _stepped_block(t0: int, cap: int) -> int:
     """Steps of a block stepped one at a time after step t0: doubling from
     one up to _HIT_WINDOW, and at most up to the cap."""
@@ -470,7 +519,9 @@ class VectorSim:
     rows keep their absolute replica indices.  Every variate is keyed by
     its absolute (replica, scout, step) counter, so neither the block
     lengths nor when (or whether) replicas are dropped changes a
-    trajectory.  :meth:`step` advances one step on given variates.
+    trajectory.  :meth:`step` advances one step on given variates.  The
+    replica count, the root seed and the replica range are checked on
+    construction, so a run of no steps refuses what a draw would.
 
     Positions are held as grid keys (replicas, scouts); they are exact while
     every coordinate stays inside (-2**31, 2**31), which :meth:`blocks`
@@ -482,9 +533,12 @@ class VectorSim:
                  replica_start: int = 0):
         comp = _compile(p)
         _check_key_range(comp, 0)
+        if n_replicas < 0:
+            raise PreconditionError(f"replicas must be >= 0, got {n_replicas}")
         self.comp = comp
         self.root_seed = root_seed
         self.replicas = np.arange(replica_start, replica_start + n_replicas, dtype=np.int64)
+        streams.check_counters(root_seed, self.replicas)
         self.keys = np.full((n_replicas, comp.c), comp.origin_key, dtype=np.int64)
         self.states = np.tile(comp.init_state_idx, (n_replicas, 1))
         self.time = 0
@@ -576,12 +630,11 @@ class VectorSim:
     def _iid_workspace(self, size: int) -> tuple[np.ndarray, ...]:
         """The i.i.d. path's buffers for blocks of up to ``size`` variates
         per scout, made on the first block and remade only when a block
-        needs more: one scout's uniforms, branches and moves, the block's
-        keys of every scout, and the next block's base keys."""
+        needs more: :func:`_iid_temps`, the block's keys of every scout,
+        and the next block's base keys."""
         if self._iid_buffers is None or self._iid_buffers[0].size < size:
             c = self.comp.c
-            self._iid_buffers = (np.empty(size), np.empty(size, np.int64),
-                                 np.empty(size, np.int64), np.empty(size * c, np.int64),
+            self._iid_buffers = (*_iid_temps(size), np.empty(size * c, np.int64),
                                  np.empty(self.replicas.size * c, np.int64))
         return self._iid_buffers
 
@@ -612,20 +665,10 @@ class VectorSim:
                 B = _iid_block(t0, cap, R)
                 # B * R of this block and of every later one up to this cap
                 # is at most the size asked for: R and cap - t0 only fall
-                u, branch, move, keys, base = self._iid_workspace(
+                *temps, keys, base = self._iid_workspace(
                     min(max(_IID_VARIATES, R), (cap - t0) * R))
-                # step-major (B, R) views, so that the gather runs in order
-                u, branch, move = (a[:B * R].reshape(B, R) for a in (u, branch, move))
                 keys = keys[:B * R * comp.c].reshape(B, R, comp.c)
-                steps = np.arange(t0, t0 + B, dtype=np.int64)[:, None]
-                for i, row in enumerate(comp.wildcard_row[comp.init_state_idx]):
-                    streams.uniforms(self.root_seed, self.replicas, self._scouts[i], steps,
-                                     out=u)
-                    comp.table.select(row, u, out=branch)
-                    # branch is in range, so no index is clipped
-                    np.take(comp.row_key[row], branch, out=move, mode="clip")
-                    move[0] += self.keys[:, i]
-                    np.cumsum(move, axis=0, out=keys[:, :, i])
+                _iid_steps(comp, self.root_seed, self.replicas, self.keys, t0, keys, temps)
                 # the next block's base, out of the block buffer it overwrites
                 self.keys = base[:R * comp.c].reshape(R, comp.c)
                 np.copyto(self.keys, keys[-1])
@@ -651,6 +694,7 @@ def run_batch(p: ScoutProtocol, horizon: int, root_seed: int, replicas: int,
     memory policy.  A d = 2 batch whose origin plus horizon steps could reach
     a coordinate of 2**31 in absolute value raises PreconditionError.
     """
+    _check_horizon(horizon)
     comp = _compile(p)
     footprint = replicas * (horizon + 1) * comp.c * (8 * comp.d + 2)
     if footprint > _MEMORY_LIMIT_BYTES:

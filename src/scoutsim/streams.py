@@ -164,6 +164,13 @@ def _counter_word(values, name: str, bits: int = 32) -> np.ndarray:
     raise ValueError(f"{name} counter must be an integer in [0, 2**{bits})")
 
 
+def check_counters(root_seed: int, replica) -> None:
+    """Raise the ValueError a draw would raise for an out-of-range root seed
+    or replica counter, without drawing."""
+    _key_words(root_seed)
+    _counter_word(replica, "replica")
+
+
 def _philox_into(out: np.ndarray, step, replica, scout, k0: int, k1: int) -> None:
     """Fill ``out`` (at most _CHUNK entries) with the 64 bits at each counter,
     the counter words broadcast to its shape."""

@@ -221,6 +221,55 @@ def test_replica_chunks_refuse_bad_counts(bad):
     assert first_meeting_times(pair, 0, 10, 0).shape == (0,)
 
 
+def test_seed_and_replica_counters_checked_at_every_horizon():
+    # at horizon or cap 0 no variate is drawn, and each of these calls
+    # returned; from 1 up the draw refused it.  Both now raise the draw's
+    # message before any step
+    srw, pair = builtin("srw", d=1), builtin("independent_walks", d=1, c=2)
+    anchored1 = builtin("anchored_geometric", d=1)
+    anchored2 = builtin("anchored_geometric", d=2)
+    calls = {
+        "run seed": lambda n: run(srw, n, SeedSpec(-1)),
+        "run replica": lambda n: run(anchored1, n, SeedSpec(0, -1)),
+        "run_batch seed": lambda n: run_batch(srw, n, -1, 2),
+        "run_batch last replica": lambda n: run_batch(srw, n, 0, 3, 2**32 - 2),
+        "hit_times seed": lambda n: hit_times(anchored2, [(1, 1)], 2, n, 2**64),
+        "first meetings seed": lambda n: first_meeting_times(pair, 2, n, -1),
+        "meeting gaps seed": lambda n: meeting_gap_samples(pair, 2, n, -1),
+        "VectorSim replica": lambda n: list(VectorSim(srw, 2, 0, 2**32).blocks(n)),
+    }
+    for name, call in calls.items():
+        messages = set()
+        for n in (0, 1, 5):
+            with pytest.raises(ValueError, match="counter must be|root seed") as err:
+                call(n)
+            messages.add(str(err.value))
+        assert len(messages) == 1, name
+    # the edges of the ranges still run
+    assert run(srw, 0, SeedSpec(2**64 - 1, 2**32 - 1)).horizon == 0
+    assert run_batch(srw, 0, 0, 2, 2**32 - 2)[0].shape == (2, 1, 1, 1)
+
+
+def test_negative_replica_counts_refused():
+    # these ended in numpy's "negative dimensions are not allowed"
+    srw, pair = builtin("srw", d=1), builtin("independent_walks", d=1, c=2)
+    for call in (lambda: VectorSim(srw, -2, 0),
+                 lambda: run_batch(srw, 5, 0, -2),
+                 lambda: meeting_gap_samples(pair, -2, 8, 0)):
+        with pytest.raises(PreconditionError) as err:
+            call()
+        assert str(err.value) == "replicas must be >= 0, got -2"
+
+
+def test_negative_horizon_refused_alike():
+    # run_batch reported the cap range of VectorSim.blocks instead
+    srw = builtin("srw", d=1)
+    for call in (lambda: run(srw, -1, SeedSpec(0)), lambda: run_batch(srw, -1, 0, 2)):
+        with pytest.raises(PreconditionError) as err:
+            call()
+        assert str(err.value) == "horizon must be >= 0, got -1"
+
+
 # ---------------------------------------------------------------------------
 # the scalar kernel against a reference stepper
 #
@@ -288,6 +337,12 @@ def _anchored_d2_far():
                                initial_position=(2**31 + 5, -2**40))
 
 
+def _srw_d2_far():
+    # an i.i.d. walk from an origin beyond the int64 key range of VectorSim:
+    # run keys it from the origin on its i.i.d. route too
+    return dataclasses.replace(builtin("srw", d=2), initial_position=(2**31 + 5, -2**40))
+
+
 def _short_float_row_protocol():
     # a float row summing to 0.8: uniforms from 0.8 up take the last outcome
     rules = (TransitionRule("A", EnvPattern.wildcard(), (
@@ -305,6 +360,11 @@ KERNEL_CASES = {
     "eighteen_states": _many_state_protocol,
     "anchored_d2_far": _anchored_d2_far,
     "short_float_row": _short_float_row_protocol,
+    # i.i.d. protocols, which run fills through _iid_steps (det_plus,
+    # opposite and short_float_row are i.i.d. too)
+    "iid_pair_d1": lambda: builtin("independent_walks", d=1, c=2),
+    "iid_pair_d2": lambda: builtin("independent_walks", d=2, c=2),
+    "srw_d2_far": _srw_d2_far,
 }
 KERNEL_SEED = SeedSpec(2024, replica=3)
 KERNEL_HORIZON = 2049
@@ -317,6 +377,12 @@ def test_run_matches_reference_stepper(name, horizon):
     ref = _reference_trace(p, KERNEL_SEED, KERNEL_HORIZON)[:horizon + 1]
     tr = run(p, horizon, KERNEL_SEED)
     assert [_config(tr, n) for n in range(horizon + 1)] == ref
+
+
+def test_kernel_cases_cover_both_routes():
+    iid = {name for name, make in KERNEL_CASES.items() if engine._compile(make()).iid_single}
+    assert iid == {"det_plus", "opposite", "short_float_row", "iid_pair_d1", "iid_pair_d2",
+                   "srw_d2_far"}
 
 
 def _kernel_step(p, cfg, seed):

@@ -9,16 +9,14 @@ produce bit-identical trajectories.  Every path turns a variate into a
 branch of the rule row through the one sampler, :class:`streams.Categorical`:
 the scalar kernel bisects the row's list, :class:`VectorSim` counts the
 partial sums <= u of each scout's row, and the iid block path,
-:func:`_iid_steps`, draws whole blocks from one row.  All three compare
-against the same floats; a row of ``Fraction`` probabilities is cumulated
-exactly and only then rounded.
+:meth:`VectorSim._iid_keys`, draws whole blocks from one row.  All three
+compare against the same floats; a row of ``Fraction`` probabilities is
+cumulated exactly and only then rounded.
 
-:func:`run` materializes one replica's trace with its grid keys taken from
-the origin, in the layout of :func:`_pack`, so any origin runs and the keys
-are the ones :class:`VectorSim` holds.  It takes one of two routes.  A
-protocol whose scouts all walk i.i.d. fills the trace through
-:func:`_iid_steps`, the block routine of :class:`VectorSim`, as one replica
-in blocks of min(horizon - t, 2**14) steps.  Every other protocol steps the
+:func:`run` materializes one replica's trace.  It takes one of two routes.
+A protocol whose scouts all walk i.i.d. is a one-replica :func:`run_batch`,
+so its trace comes from the i.i.d. block routine of :class:`VectorSim` in
+blocks of min(horizon - t, 2**14) steps.  Every other protocol steps the
 one scalar kernel, :func:`_kernel`, on plain Python ints: each scout's state
 index and its grid key.  Scouts share a point exactly when their
 keys are equal, the environment mask is the OR of the co-located scouts'
@@ -53,13 +51,14 @@ active replicas of a replica range and hands out the grid keys and states
 of a block of steps as step-major (steps, replicas, scouts) arrays; between
 blocks, a loop drops the replicas it has finished with, as soon as there is
 one.  Protocols whose scouts all walk i.i.d. draw each scout's block from
-its one row and cumulate the moves, in :func:`_iid_steps`: a block after
-step t0 is min(cap - t0, max(1, V // R)) steps for R active replicas and a
-budget of V = 2**14 variates per scout, so blocks start short while most
-replicas run and grow as they finish.  B * R never exceeds max(V, R), so
-the uniforms, branches, moves and keys of every block are written into one
-set of buffers that the :class:`VectorSim` makes at its first i.i.d. block,
-and a block is valid only until the next one.  All other protocols draw a
+its one row and cumulate the moves, in :meth:`VectorSim._iid_keys`: a
+block after step t0 is min(cap - t0, max(1, V // R)) steps for R active
+replicas and a budget of V = 2**14 variates per scout, so blocks start
+short while most replicas run and grow as they finish.  B * R never
+exceeds max(V, R), so the uniforms, branches, moves and keys of every
+block are written into one set of buffers that the :class:`VectorSim`
+makes at its first i.i.d. block, and a block is valid only until the next
+one.  All other protocols draw a
 block's uniforms with one ``streams.uniforms`` call and take one
 :meth:`VectorSim.step` per step: a block after step t0 is min(32, cap - t0,
 max(1, t0)) steps, by :func:`_stepped_block`.  Every draw is keyed by its
@@ -68,15 +67,16 @@ event equals a loop of single steps bit for bit, meeting gaps in its (time,
 replica) order.  These measurements never materialize traces, so caps of 2**24 steps
 run in bounded memory.
 
-The vectorized paths carry each grid point as one int64 key: k = x for
-d = 1 and k = x * 2**32 + y for d = 2.  A move adds its own key, two scouts
-share a point exactly when their keys are equal, and keys sort like the
-points in ``np.unique(axis=0)`` order.  The d = 2 key is exact while every
-coordinate stays inside (-2**31, 2**31), so a vectorized d = 2 run whose
-origin plus cap (or horizon) steps could leave that range raises
-:class:`PreconditionError` before it starts; targets farther from the
-origin than the cap can never be hit and are dropped before packing.
-Positions leave the engine unpacked, in their (..., scouts, d) layout.
+Every path carries each grid point as one int64 key of its offset (x, y)
+from the origin: k = x for d = 1 and k = x * 2**32 + y for d = 2.  A move
+adds its own key, scouts share a point exactly when their keys are equal,
+and keys sort like the offsets in ``np.unique(axis=0)`` order.  A run whose
+cap (or horizon) steps could take an offset to 2**31 for d = 2, or to 2**63
+for d = 1, raises :class:`PreconditionError` before it starts, whatever the
+origin.  Targets farther than the cap from the origin can never be hit and
+are dropped; the rest are packed as offsets.  :func:`_positions` turns keys
+into (..., scouts, d) positions and raises :class:`PositionOverflowError`
+for one outside int64.
 Hitting looks every key of a block up with one ``searchsorted`` among the
 sorted distinct target keys: per step O(replicas * scouts * log targets),
 not a compare against every target.
@@ -101,10 +101,10 @@ from .tails import CensoredSummary, SurvivalCurve, summarize_censored
 
 DEFAULT_CAP = 1 << 20
 _MEMORY_LIMIT_BYTES = 1 << 28
-# variates per scout in one iid block of VectorSim.blocks or run (see
-# _iid_block): however many replicas are active, a block's per-scout arrays
-# (uniforms, branches, moves, keys) stay near 128 KiB, in buffers reused for
-# every block, and its Philox passes run in the streams workspace
+# variates per scout in one iid block of VectorSim.blocks (see _iid_block):
+# however many replicas are active, a block's per-scout arrays (uniforms,
+# branches, moves, keys) stay near 128 KiB, in buffers reused for every
+# block, and its Philox passes run in the streams workspace
 _IID_VARIATES = 1 << 14
 # most steps per block stepped one at a time (see _stepped_block); blocks
 # double up to it, so replicas that finish early run no whole window
@@ -126,6 +126,10 @@ _UNCOMPILABLE = ("empty-row", "unknown-state")
 
 class ResourceLimitError(BudgetExceededError):
     """A materializing run would exceed the memory policy."""
+
+
+class PositionOverflowError(PreconditionError, OverflowError):
+    """A position of a run leaves int64."""
 
 
 @dataclass(frozen=True)
@@ -170,16 +174,30 @@ def _unpack_in_place(points: np.ndarray) -> None:
 
 
 def _check_key_range(comp: "_Compiled", steps: int) -> None:
-    """Raise PreconditionError unless every point within ``steps`` steps of
+    """Raise PreconditionError unless every offset within ``steps`` steps of
     the origin has an exact grid key."""
     if comp.d not in (1, 2):
         raise PreconditionError(f"grid keys cover d = 1 and 2, not d = {comp.d}")
-    if comp.d == 2:
-        reach = max(abs(v) for v in comp.protocol.initial_position) + steps * comp.max_move
-        if reach >= _KEY_HALF:
-            raise PreconditionError(
-                f"d = 2 coordinates must stay below 2**31 in absolute value; origin "
-                f"{comp.protocol.initial_position} plus {steps} steps reaches {reach}")
+    bits = 31 if comp.d == 2 else 63
+    if steps * comp.max_move >= 1 << bits:
+        raise PreconditionError(
+            f"d = {comp.d} offsets from the origin must stay below 2**{bits} in absolute "
+            f"value; {steps} steps of up to {comp.max_move} reach {steps * comp.max_move}")
+
+
+def _positions(comp: "_Compiled", points: np.ndarray) -> np.ndarray:
+    """Turn the grid keys from the origin held in ``points[..., -1]`` into
+    positions in place, and return ``points``: unpacked, checked to stay
+    inside int64, and moved by the origin."""
+    _unpack_in_place(points)
+    axes = tuple(range(points.ndim - 1))
+    origin = comp.protocol.initial_position
+    if not all(-_INT64_LIMIT <= x0 + lo and x0 + hi < _INT64_LIMIT for x0, lo, hi in zip(
+            origin, points.min(axis=axes, initial=0).tolist(),
+            points.max(axis=axes, initial=0).tolist())):
+        raise PositionOverflowError(f"a position leaves int64 (origin {origin})")
+    points += comp.origin
+    return points
 
 
 def _check_cap(cap: int) -> None:
@@ -251,7 +269,6 @@ class _Compiled:
         self.init_state_idx = np.array(
             [self.state_index[s] for s in p.initial_states], dtype=np.int64)
         self.origin = np.array(p.initial_position, dtype=np.int64)
-        self.origin_key = _pack(self.origin)
 
         # a scout whose initial state is environment-free and self-absorbing
         # performs an i.i.d. walk; protocols where every scout does qualify
@@ -423,9 +440,10 @@ def run(p: ScoutProtocol, horizon: int, seed: SeedSpec) -> Trace:
     """Materialized trace of length horizon+1; identical for identical inputs.
 
     A protocol whose scouts all walk i.i.d. (:attr:`_Compiled.iid_single`)
-    fills the trace by :func:`_iid_steps`, the block routine of
-    :meth:`VectorSim.blocks`; every other protocol steps :func:`_kernel`.
-    The root seed and the replica counter are checked at every horizon.
+    is a one-replica :func:`run_batch`; every other protocol steps
+    :func:`_kernel`.  The root seed and the replica counter are checked at
+    every horizon.  Any origin runs; a trace with a position outside int64
+    raises :class:`PositionOverflowError`.
     """
     _check_horizon(horizon)
     comp = _compile(p)
@@ -434,39 +452,26 @@ def run(p: ScoutProtocol, horizon: int, seed: SeedSpec) -> Trace:
         raise ResourceLimitError(
             f"trace of horizon {horizon} needs ~{footprint >> 20} MiB; "
             "hit_times and first_meeting_times stream without a trace")
+    if comp.iid_single:
+        positions, state_idx = run_batch(p, horizon, seed.root_seed, 1, seed.replica)
+        return Trace(p, seed, positions[0], state_idx[0])
     streams.check_counters(seed.root_seed, seed.replica)
     positions = np.empty((horizon + 1, comp.c, comp.d), dtype=np.int64)
-    keys_out = positions[..., -1]  # keys from the origin until unpacked at the end
+    keys_out = positions[..., -1]  # keys from the origin until _positions
     state_idx = np.empty((horizon + 1, comp.c), dtype=np.int16)
     # the memory limit keeps horizon * max_move below 2**31, so the keys from
     # the origin are exact in the layout of _pack
     keys_out[0] = 0
-    state_idx[:] = comp.init_state_idx  # an i.i.d. walk never changes state
+    state_idx[0] = comp.init_state_idx
     t = 0
-    if comp.iid_single:
-        replica = np.array([seed.replica], dtype=np.int64)
-        temps = _iid_temps(_iid_block(0, horizon, 1))  # the longest block
-        while t < horizon:
-            n = _iid_block(t, horizon, 1)
-            # (steps, 1 replica, scouts) views of the trace
-            _iid_steps(comp, seed.root_seed, replica, keys_out[t, None], t,
-                       keys_out[t + 1:t + 1 + n, None], temps)
-            t += n
-    else:
-        while t < horizon:
-            n = min(_KERNEL_BLOCK, horizon - t)
-            out_keys, out_states = _kernel(comp, seed, keys_out[t].tolist(),
-                                           state_idx[t].tolist(), t, n)
-            keys_out[t + 1:t + 1 + n] = np.reshape(out_keys, (n, comp.c))
-            state_idx[t + 1:t + 1 + n] = np.reshape(out_states, (n, comp.c))
-            t += n
-    _unpack_in_place(positions)
-    for x0, lo, hi in zip(p.initial_position, positions.min(axis=(0, 1)).tolist(),
-                          positions.max(axis=(0, 1)).tolist()):
-        if not -_INT64_LIMIT <= x0 + lo <= x0 + hi < _INT64_LIMIT:
-            raise OverflowError("a position of the trace leaves int64")
-    positions += comp.origin
-    return Trace(p, seed, positions, state_idx)
+    while t < horizon:
+        n = min(_KERNEL_BLOCK, horizon - t)
+        out_keys, out_states = _kernel(comp, seed, keys_out[t].tolist(),
+                                       state_idx[t].tolist(), t, n)
+        keys_out[t + 1:t + 1 + n] = np.reshape(out_keys, (n, comp.c))
+        state_idx[t + 1:t + 1 + n] = np.reshape(out_states, (n, comp.c))
+        t += n
+    return Trace(p, seed, _positions(comp, positions), state_idx)
 
 
 # ---------------------------------------------------------------------------
@@ -477,32 +482,6 @@ def _iid_block(t0: int, cap: int, active: int) -> int:
     """Steps of the iid block after step t0: the variate budget over the
     active replicas, at least one and at most up to the cap."""
     return min(cap - t0, max(1, _IID_VARIATES // active))
-
-
-def _iid_temps(size: int) -> tuple[np.ndarray, ...]:
-    """:func:`_iid_steps`'s buffers for blocks of up to ``size`` variates per
-    scout: one scout's uniforms, branches and moves."""
-    return np.empty(size), np.empty(size, np.int64), np.empty(size, np.int64)
-
-
-def _iid_steps(comp: _Compiled, root_seed: int, replicas: np.ndarray, base: np.ndarray,
-               t0: int, keys: np.ndarray, temps: tuple[np.ndarray, ...]) -> None:
-    """Write the grid keys of steps t0+1 .. t0+B of i.i.d. walks into ``keys``
-    (B, R, c): scout i of replica ``replicas[r]`` draws each step's branch
-    from its one row and adds the move to ``base[r, i]``, its key at step
-    t0.  ``temps`` comes from :func:`_iid_temps`, for at least B * R
-    variates."""
-    B, R, _ = keys.shape
-    # step-major (B, R) views, so that the gather runs in order
-    u, branch, move = (a[:B * R].reshape(B, R) for a in temps)
-    steps = np.arange(t0, t0 + B, dtype=np.int64)[:, None]
-    for i, row in enumerate(comp.wildcard_row[comp.init_state_idx]):
-        streams.uniforms(root_seed, replicas, i, steps, out=u)
-        comp.table.select(row, u, out=branch)
-        # branch is in range, so no index is clipped
-        np.take(comp.row_key[row], branch, out=move, mode="clip")
-        move[0] += base[:, i]
-        np.cumsum(move, axis=0, out=keys[:, :, i])
 
 
 def _stepped_block(t0: int, cap: int) -> int:
@@ -523,9 +502,9 @@ class VectorSim:
     replica count, the root seed and the replica range are checked on
     construction, so a run of no steps refuses what a draw would.
 
-    Positions are held as grid keys (replicas, scouts); they are exact while
-    every coordinate stays inside (-2**31, 2**31), which :meth:`blocks`
-    checks for its cap before it starts.  States are int64 indices into the
+    Positions are held as grid keys (replicas, scouts) of the offsets from
+    the origin, all 0 at step 0; :meth:`blocks` checks that its cap keeps
+    them exact before it starts.  States are int64 indices into the
     compiled protocol's flat tables (see the module docstring).
     """
 
@@ -539,7 +518,7 @@ class VectorSim:
         self.root_seed = root_seed
         self.replicas = np.arange(replica_start, replica_start + n_replicas, dtype=np.int64)
         streams.check_counters(root_seed, self.replicas)
-        self.keys = np.full((n_replicas, comp.c), comp.origin_key, dtype=np.int64)
+        self.keys = np.zeros((n_replicas, comp.c), dtype=np.int64)
         self.states = np.tile(comp.init_state_idx, (n_replicas, 1))
         self.time = 0
         self._scouts = np.arange(comp.c, dtype=np.int64)
@@ -556,8 +535,10 @@ class VectorSim:
 
     @property
     def positions(self) -> np.ndarray:
-        """Positions (replicas, scouts, d), unpacked from the keys."""
-        return _unpack(self.keys, self.comp.d)
+        """Positions (replicas, scouts, d) of the keys, by :func:`_positions`."""
+        points = np.empty(self.keys.shape + (self.comp.d,), dtype=np.int64)
+        points[..., -1] = self.keys
+        return _positions(self.comp, points)
 
     def compact(self, keep: np.ndarray) -> None:
         self.replicas = self.replicas[keep]
@@ -627,16 +608,38 @@ class VectorSim:
         self.states = comp.flat_state.take(flat, out=states, mode="clip")
         self.keys = np.add(self.keys, comp.flat_key.take(flat), out=keys)
 
-    def _iid_workspace(self, size: int) -> tuple[np.ndarray, ...]:
-        """The i.i.d. path's buffers for blocks of up to ``size`` variates
-        per scout, made on the first block and remade only when a block
-        needs more: :func:`_iid_temps`, the block's keys of every scout,
-        and the next block's base keys."""
+    def _iid_keys(self, cap: int) -> np.ndarray:
+        """Advance i.i.d. walks by the block after step ``time`` and return
+        its keys (B, R, c): each scout draws every step's branch from its one
+        row and cumulates the moves.  Every block is written into the same
+        buffers, remade only when a block needs more: one scout's uniforms,
+        branches and moves, the keys of every scout and the next base keys."""
+        comp, R, t0 = self.comp, self.replicas.size, self.time
+        B = _iid_block(t0, cap, R)
+        # B * R of this block and of every later one up to this cap is at
+        # most this size: R and cap - t0 only fall
+        size = min(max(_IID_VARIATES, R), (cap - t0) * R)
         if self._iid_buffers is None or self._iid_buffers[0].size < size:
-            c = self.comp.c
-            self._iid_buffers = (*_iid_temps(size), np.empty(size * c, np.int64),
-                                 np.empty(self.replicas.size * c, np.int64))
-        return self._iid_buffers
+            self._iid_buffers = (np.empty(size), np.empty(size, np.int64),
+                                 np.empty(size, np.int64), np.empty(size * comp.c, np.int64),
+                                 np.empty(R * comp.c, np.int64))
+        *temps, keys, base = self._iid_buffers
+        # step-major (B, R) views, so that the gather runs in order
+        u, branch, move = (a[:B * R].reshape(B, R) for a in temps)
+        keys = keys[:B * R * comp.c].reshape(B, R, comp.c)
+        steps = np.arange(t0, t0 + B, dtype=np.int64)[:, None]
+        for i, row in enumerate(comp.wildcard_row[comp.init_state_idx]):
+            streams.uniforms(self.root_seed, self.replicas, i, steps, out=u)
+            comp.table.select(row, u, out=branch)
+            # branch is in range, so no index is clipped
+            np.take(comp.row_key[row], branch, out=move, mode="clip")
+            move[0] += self.keys[:, i]
+            np.cumsum(move, axis=0, out=keys[:, :, i])
+        # the next block's base, out of the block buffer it overwrites
+        self.keys = base[:R * comp.c].reshape(R, comp.c)
+        np.copyto(self.keys, keys[-1])
+        self.time = t0 + B
+        return keys
 
     def blocks(self, cap: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         """Advance the active replicas to step ``cap``, a block at a time.
@@ -661,19 +664,7 @@ class VectorSim:
         while self.replicas.size and self.time < cap:
             t0 = self.time
             if comp.iid_single:
-                R = self.replicas.size
-                B = _iid_block(t0, cap, R)
-                # B * R of this block and of every later one up to this cap
-                # is at most the size asked for: R and cap - t0 only fall
-                *temps, keys, base = self._iid_workspace(
-                    min(max(_IID_VARIATES, R), (cap - t0) * R))
-                keys = keys[:B * R * comp.c].reshape(B, R, comp.c)
-                _iid_steps(comp, self.root_seed, self.replicas, self.keys, t0, keys, temps)
-                # the next block's base, out of the block buffer it overwrites
-                self.keys = base[:R * comp.c].reshape(R, comp.c)
-                np.copyto(self.keys, keys[-1])
-                self.time = t0 + B
-                states = self.states[None]
+                keys, states = self._iid_keys(cap), self.states[None]
             else:
                 B = _stepped_block(t0, cap)
                 u = streams.uniforms(self.root_seed, self.replicas[None, :, None],
@@ -691,8 +682,9 @@ def run_batch(p: ScoutProtocol, horizon: int, root_seed: int, replicas: int,
     """Positions (R, horizon+1, c, d) and state indices (R, horizon+1, c).
 
     Bit-identical to stacking :func:`run` over replicas; bounded by the same
-    memory policy.  A d = 2 batch whose origin plus horizon steps could reach
-    a coordinate of 2**31 in absolute value raises PreconditionError.
+    memory policy.  A horizon past the key range (see the module docstring)
+    raises PreconditionError, and a position outside int64
+    :class:`PositionOverflowError`.
     """
     _check_horizon(horizon)
     comp = _compile(p)
@@ -702,7 +694,7 @@ def run_batch(p: ScoutProtocol, horizon: int, root_seed: int, replicas: int,
     sim = VectorSim(p, replicas, root_seed, replica_start)
     blocks = sim.blocks(horizon)
     positions = np.empty((replicas, horizon + 1, comp.c, comp.d), dtype=np.int64)
-    keys_out = positions[..., -1]  # keys until unpacked in place at the end
+    keys_out = positions[..., -1]  # keys from the origin until _positions
     state_idx = np.empty((replicas, horizon + 1, comp.c), dtype=np.int16)
     keys_out[:, 0] = sim.keys
     state_idx[:, 0] = sim.states
@@ -710,19 +702,21 @@ def run_batch(p: ScoutProtocol, horizon: int, root_seed: int, replicas: int,
         steps = slice(t0 + 1, t0 + 1 + len(keys))
         keys_out[:, steps] = keys.swapaxes(0, 1)
         state_idx[:, steps] = states.swapaxes(0, 1)
-    _unpack_in_place(positions)
-    return positions, state_idx
+    return _positions(comp, positions), state_idx
 
 
 # ---------------------------------------------------------------------------
 # stopping times: one block loop per event
 
 
-def _in_chunks(work, replicas: int, threads: int, chunk: int, empty: np.ndarray) -> np.ndarray:
-    """``work(start, n)`` over consecutive chunks of the replicas, concatenated."""
+def _in_chunks(work, replicas: int, threads: int, chunk: int, root_seed: int,
+               empty: np.ndarray) -> np.ndarray:
+    """``work(start, n)`` over consecutive chunks of the replicas, concatenated;
+    the root seed and last replica counter are checked even for no replicas."""
     if replicas < 0 or threads < 1 or chunk < 1:
         raise PreconditionError(f"need replicas >= 0, threads >= 1 and chunk >= 1; got "
                                 f"replicas={replicas}, threads={threads}, chunk={chunk}")
+    streams.check_counters(root_seed, max(replicas - 1, 0))
     ranges = [(s, min(chunk, replicas - s)) for s in range(0, replicas, chunk)]
     if threads > 1 and len(ranges) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -743,12 +737,16 @@ def _target_keys(comp: _Compiled, targets: np.ndarray,
 
     A target farther from the origin than cap steps of the longest move can
     never be hit, so it is dropped before packing, where it could alias a
-    reachable point.  The caller has checked the key range for the cap.
+    reachable point; the others are packed as offsets from the origin, taken
+    in Python ints.  The caller has checked the key range for the cap.
     """
     span = cap * comp.max_move
-    near = ((targets >= comp.origin - span) & (targets <= comp.origin + span)).all(axis=1)
-    keys, inverse = np.unique(_pack(targets[near]), return_inverse=True)
-    columns = np.full(targets.shape[0], keys.size, dtype=np.int64)
+    offsets = [[x - x0 for x, x0 in zip(t, comp.protocol.initial_position)]
+               for t in targets.tolist()]
+    near = np.array([max(map(abs, o)) <= span for o in offsets], dtype=bool)
+    reach = np.array([o for o, ok in zip(offsets, near) if ok], dtype=np.int64)
+    keys, inverse = np.unique(_pack(reach.reshape(-1, comp.d)), return_inverse=True)
+    columns = np.full(len(offsets), keys.size, dtype=np.int64)
     columns[near] = inverse.reshape(-1)
     return keys, columns
 
@@ -772,7 +770,7 @@ def _hit_times_chunk(p: ScoutProtocol, targets: np.ndarray, start: int, n: int,
     # a column per distinct target key, and a last one, never hit, for the
     # targets out of reach
     out = np.full((n, T + 1), cap + 1, dtype=np.int64)
-    out[:, :T][:, tkeys == sim.comp.origin_key] = 0
+    out[:, :T][:, tkeys == 0] = 0  # the origin, hit at time 0
     sim.drop((out[:, :T] <= cap).all(axis=1))
     for t0, keys, _ in blocks:
         rows = sim.replicas - start
@@ -790,16 +788,17 @@ def hit_times(p: ScoutProtocol, targets: Sequence[Sequence[int]], replicas: int,
 
     Streaming: no trace is stored.  Trajectories depend only on
     (protocol, replica, root_seed) — never on the target set, chunking, or
-    thread count — so any execution plan yields the same array.  A d = 2
-    run whose origin plus cap steps could reach a coordinate of 2**31 in
-    absolute value raises PreconditionError (see the module docstring).
+    thread count — so any execution plan yields the same array.  A cap
+    past the key range (see the module docstring) raises PreconditionError,
+    from any origin.
     """
     comp = _compile(p)
     targets_arr = np.array([tuple(t) for t in targets], dtype=np.int64)
     if targets_arr.ndim != 2 or targets_arr.shape[1] != comp.d:
         raise ValueError("targets must be points of the protocol dimension")
     return _in_chunks(lambda start, n: _hit_times_chunk(p, targets_arr, start, n, cap, root_seed),
-                      replicas, threads, chunk, np.zeros((0, len(targets)), np.int64))
+                      replicas, threads, chunk, root_seed,
+                      np.zeros((0, len(targets)), np.int64))
 
 
 @dataclass
@@ -852,7 +851,7 @@ def first_meeting_times(p: ScoutProtocol, replicas: int, cap: int, root_seed: in
     if _compile(p).c != 2:
         raise ValueError("first_meeting_times needs a two-scout protocol")
     return _in_chunks(lambda start, n: _first_meeting_chunk(p, start, n, cap, root_seed),
-                      replicas, threads, chunk, np.zeros(0, np.int64))
+                      replicas, threads, chunk, root_seed, np.zeros(0, np.int64))
 
 
 def _first_meeting_chunk(p: ScoutProtocol, start: int, n: int, cap: int,

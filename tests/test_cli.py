@@ -531,19 +531,61 @@ def test_analyze_inexact_rational_row(tmp_path, capsys):
     assert len(err) == 1 and "row sum" in err[0]
 
 
-def test_hitting_beyond_key_range_exits_one_line(tmp_path, capsys):
-    # d = 2 grid keys need every reachable coordinate below 2**31; the
-    # origin plus the default cap of 2**20 steps passes that bound
-    f = tmp_path / "far.proto"
-    f.write_text("dim 2\nscouts 1\nstates A\ninit 1 A\norigin 2147483000 0\n"
+def _plane_walk(tmp_path, origin):
+    f = tmp_path / f"walk_{origin.replace(' ', '_')}.proto"
+    f.write_text(f"dim 2\nscouts 1\nstates A\ninit 1 A\norigin {origin}\n"
                  "trans A * -> 0.5 A (1,0) | 0.5 A (0,1)\n")
-    assert main(["validate", str(f)]) == 0
+    return str(f)
+
+
+def test_hitting_beyond_key_range_exits_one_line(tmp_path, capsys):
+    # d = 2 grid keys need every offset from the origin below 2**31, so a
+    # cap of 2**31 unit steps is refused, whatever the origin
+    f = _plane_walk(tmp_path, "0 0")
+    assert main(["validate", f]) == 0
     capsys.readouterr()
-    assert main(["hitting", "--protocol", str(f), "--targets", "2147483001,0",
-                 "--replicas", "4"]) == 1
+    assert main(["hitting", "--protocol", f, "--targets", "1,0",
+                 "--replicas", "4", "--cap", str(2**31)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("precondition violation:")
     assert "2**31" in err[0]
+
+
+def test_hitting_from_a_far_d2_origin(tmp_path, capsys):
+    # an origin past 2**31 exited 1 before any step; the keys are offsets
+    # from the origin now, so it runs as the same walk from 0 does
+    outs = []
+    for origin, target in (("2147483653 -1099511627776", "2147483654,-1099511627776"),
+                           ("0 0", "1,0")):
+        assert main(["hitting", "--protocol", _plane_walk(tmp_path, origin),
+                     "--targets", target, "--replicas", "40", "--cap", "64"]) == 0
+        outs.append(json.loads(capsys.readouterr().out)[0])
+    far, near = outs
+    assert far.pop("target") == [2147483654, -1099511627776] and near.pop("target") == [1, 0]
+    for key in ("label", "protocol_hash"):
+        far.pop(key), near.pop(key)
+    assert far == near and far["n_censored"] < 40
+
+
+FAR_INT64_WALKS = {
+    "simulate": "dim 1\nscouts 1\nstates A\ninit 1 A\norigin 9223372036854775805\n"
+                "trans A * -> 0.5 A (+1) | 0.5 A (-1)\n",
+    "renewal": "dim 1\nscouts 2\nstates A B\ninit 1 A\ninit 2 B\norigin 9223372036854775805\n"
+               "trans A * -> 0.5 A (+1) | 0.5 A (-1)\ntrans B * -> 0.5 B (+1) | 0.5 B (-1)\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(FAR_INT64_WALKS))
+def test_trace_leaving_int64_exits_one_line(command, tmp_path, capsys):
+    # a trace that leaves int64 ended in an OverflowError traceback
+    f = tmp_path / "far1.proto"
+    f.write_text(FAR_INT64_WALKS[command])
+    assert main([command, "--protocol", str(f), "--horizon", "10", "--seed", "2"]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(err) == 1 and err[0].startswith("precondition violation:")
+    assert "int64" in err[0]
 
 
 @pytest.mark.parametrize("spec", ["builtin:srw?d=1", "builtin:anchored_geometric?d=2"])

@@ -221,6 +221,17 @@ def test_replica_chunks_refuse_bad_counts(bad):
     assert first_meeting_times(pair, 0, 10, 0).shape == (0,)
 
 
+def test_zero_replicas_check_the_counters():
+    # with no replicas no chunk was made, so no seed or replica counter was
+    # checked: these returned empty arrays where one replica raised
+    srw, pair = builtin("srw", d=1), builtin("independent_walks", d=1, c=2)
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="root seed"):
+            hit_times(srw, [(1,)], n, 10, -1)
+        with pytest.raises(ValueError, match="root seed"):
+            first_meeting_times(pair, n, 10, 2**64)
+
+
 def test_seed_and_replica_counters_checked_at_every_horizon():
     # at horizon or cap 0 no variate is drawn, and each of these calls
     # returned; from 1 up the draw refused it.  Both now raise the draw's
@@ -332,14 +343,13 @@ def _many_state_protocol(n=18, scouts=2):
 
 
 def _anchored_d2_far():
-    # an origin beyond the int64 key range of the vectorized paths
+    # an origin whose d = 2 key does not fit int64: every path keys offsets
     return dataclasses.replace(builtin("anchored_geometric", d=2, p="1/2"),
                                initial_position=(2**31 + 5, -2**40))
 
 
 def _srw_d2_far():
-    # an i.i.d. walk from an origin beyond the int64 key range of VectorSim:
-    # run keys it from the origin on its i.i.d. route too
+    # the same origin on run's i.i.d. route, a one-replica run_batch
     return dataclasses.replace(builtin("srw", d=2), initial_position=(2**31 + 5, -2**40))
 
 
@@ -360,7 +370,7 @@ KERNEL_CASES = {
     "eighteen_states": _many_state_protocol,
     "anchored_d2_far": _anchored_d2_far,
     "short_float_row": _short_float_row_protocol,
-    # i.i.d. protocols, which run fills through _iid_steps (det_plus,
+    # i.i.d. protocols, which run takes as a one-replica run_batch (det_plus,
     # opposite and short_float_row are i.i.d. too)
     "iid_pair_d1": lambda: builtin("independent_walks", d=1, c=2),
     "iid_pair_d2": lambda: builtin("independent_walks", d=2, c=2),
@@ -533,7 +543,7 @@ class _ReferenceVectorSim:
         self.comp = comp = engine._compile(p)
         self.root_seed = root_seed
         self.replicas = np.arange(replica_start, replica_start + n, dtype=np.int64)
-        self.keys = np.full((n, comp.c), comp.origin_key, dtype=np.int64)
+        self.keys = np.zeros((n, comp.c), dtype=np.int64)  # offsets from the origin
         self.states = np.tile(comp.init_state_idx.astype(np.int16), (n, 1))
         self.time = 0
 
@@ -1100,23 +1110,85 @@ def test_far_targets_do_not_alias():
 
 
 def test_key_range_error():
-    far = _with_origin(builtin("anchored_geometric", d=2), (2**31 - 100, 0))
+    # keys hold offsets from the origin, so the bound is on the steps alone:
+    # below 2**31 for d = 2 and below 2**63 for d = 1, from any origin.  A
+    # target at the origin is hit at time 0, so a cap that passes the check
+    # runs no step
+    origin = (2**31 - 100, 0)
+    far = _with_origin(builtin("anchored_geometric", d=2), origin)
     pair = _with_origin(builtin("independent_walks", d=2, c=2), (0, -(2**31) + 50))
-    with pytest.raises(PreconditionError, match="2\\*\\*31"):
-        hit_times(far, [(0, 0)], 2, 100, 0)
-    with pytest.raises(PreconditionError, match="2\\*\\*31"):
-        hit_times(far, [(0, 0)], 1, 100, 0)
-    with pytest.raises(PreconditionError, match="2\\*\\*31"):
-        run_batch(far, 100, 0, 2)
-    with pytest.raises(PreconditionError, match="2\\*\\*31"):
-        first_meeting_times(pair, 2, 50, 0)
-    with pytest.raises(PreconditionError, match="2\\*\\*31"):
-        meeting_gap_samples(pair, 2, 50, 0)
-    with pytest.raises(PreconditionError, match="2\\*\\*31"):
-        VectorSim(_with_origin(far, (0, 2**31)), 2, 0)
+    for call in (lambda: hit_times(far, [origin], 2, 2**31, 0),
+                 lambda: hit_times(far, [origin], 1, 2**31, 0),
+                 lambda: run_batch(far, 2**31, 0, 0),
+                 lambda: first_meeting_times(pair, 2, 2**31, 0),
+                 lambda: meeting_gap_samples(pair, 2, 2**31, 0),
+                 lambda: VectorSim(far, 2, 0).blocks(2**31)):
+        with pytest.raises(PreconditionError, match="2\\*\\*31"):
+            call()
     # one step less stays inside the range
-    assert hit_times(far, [(0, 0)], 2, 99, 0).shape == (2, 1)
-    assert run_batch(far, 99, 0, 2)[0].shape == (2, 100, 3, 2)
+    assert hit_times(far, [origin], 2, 2**31 - 1, 0).tolist() == [[0], [0]]
+    assert run_batch(far, 2**31 - 1, 0, 0)[0].shape == (0, 2**31, 3, 2)
+    # d = 1 with moves of 2: 2**62 steps reach 2**63
+    rules = (TransitionRule("A", EnvPattern.wildcard(), (Outcome(Fraction(1), "A", (2,)),)),)
+    plus2 = ScoutProtocol(dim=1, scouts=1, state_names=("A",), initial_position=(2**63 - 1,),
+                          initial_states=("A",), rules=rules)
+    with pytest.raises(PreconditionError, match="2\\*\\*63"):
+        hit_times(plus2, [(2**63 - 1,)], 2, 2**62, 0)
+    assert hit_times(plus2, [(2**63 - 1,)], 2, 2**62 - 1, 0).tolist() == [[0], [0]]
+
+
+def _plus_one_from(origin):
+    return _with_origin(parse_protocol(DET_PLUS), origin)
+
+
+def test_run_batch_leaving_int64_raises_like_run():
+    # run_batch wrapped from 2**63 - 1 to -2**63 where run raised
+    srw = _with_origin(builtin("srw", d=1), (2**63 - 3,))
+    for p, seed in ((srw, 2), (_plus_one_from((2**63 - 3,)), 0),
+                    (_with_origin(parse_protocol(DET_PLUS.replace("+1", "-1")),
+                                  (-(2**63) + 3,)), 0)):
+        with pytest.raises(OverflowError):
+            run(p, 10, SeedSpec(seed))
+        with pytest.raises(OverflowError):
+            run_batch(p, 10, seed, 1)
+    # the steps before the wrap still run, on both paths
+    p = _plus_one_from((2**63 - 3,))
+    assert run_batch(p, 2, 0, 1)[0][0, :, 0, 0].tolist() == [2**63 - 3, 2**63 - 2, 2**63 - 1]
+    assert run(p, 2, SeedSpec(0)).positions[:, 0, 0].tolist() == [2**63 - 3, 2**63 - 2, 2**63 - 1]
+
+
+def test_hit_near_the_int64_edge():
+    # the reach filter computed origin + span in int64, which wrapped, so a
+    # point the walk stands on at step 2 was reported censored
+    srw = _with_origin(builtin("srw", d=1), (2**63 - 3,))
+    assert run(srw, 2, SeedSpec(2)).positions[2, 0, 0] == 2**63 - 1
+    assert hit_times(srw, [(2**63 - 1,)], 1, 10, 2).tolist() == [[2]]
+    low = _with_origin(builtin("srw", d=1), (-(2**63) + 2,))
+    want = _hit_times_oracle(low, [(-(2**63),), (-(2**63) + 1,)], 4, 2, 5)
+    assert np.array_equal(hit_times(low, [(-(2**63),), (-(2**63) + 1,)], 4, 2, 5), want)
+
+
+@pytest.mark.parametrize("make", [_srw_d2_far, _anchored_d2_far], ids=["srw", "anchored"])
+def test_far_d2_origin_runs_on_every_path(make):
+    # run_batch and hit_times refused this origin before any step, though
+    # run keyed it from the origin
+    p = make()
+    P, S = run_batch(p, 200, 13, replicas=4, replica_start=2)
+    for k in range(4):
+        tr = run(p, 200, SeedSpec(13, replica=2 + k))
+        assert np.array_equal(tr.positions, P[k])
+        assert np.array_equal(tr.state_idx, S[k])
+    sim = VectorSim(p, 4, 13, replica_start=2)
+    list(sim.blocks(200))
+    assert np.array_equal(sim.positions, P[:, -1])
+    # the origin, points some trace visits and a point out of reach
+    origin = p.initial_position
+    targets = [origin, tuple(P[1, 7, 0]), tuple(P[3, 150, -1]),
+               (origin[0] + 300, origin[1])]
+    want = _hit_times_oracle(p, targets, 6, 200, 13)
+    assert (want[:, 0] == 0).all() and (want[:, 1:3] <= 200).any()
+    assert np.array_equal(hit_times(p, targets, 6, 200, 13), want)
+    assert np.array_equal(hit_times(p, targets, 6, 200, 13, chunk=4), want)
 
 
 @pytest.mark.parametrize("cap", [1, 63, 64, 65, 130])

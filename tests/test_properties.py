@@ -1,11 +1,14 @@
 """Property tests of the structural invariants."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from scoutsim import SeedSpec, parse_protocol, run, serialize
+from scoutsim.engine import first_meeting_times, hit_times, run_batch
 from scoutsim.protocol import (EnvPattern, Outcome, ScoutProtocol,
                                TransitionRule)
 from scoutsim.tails import SurvivalCurve, dyadic_thresholds
@@ -73,6 +76,52 @@ def test_state_relabeling_preserves_positions(p, seed):
     a = run(p, 60, SeedSpec(seed))
     b = run(q, 60, SeedSpec(seed))
     assert np.array_equal(a.positions, b.positions)
+
+
+@st.composite
+def placed_protocols(draw):
+    """A protocol of :func:`protocols` at the origin, or within a few steps
+    of the key edge: +-2**31 per coordinate for d = 2, the ends of int64 for
+    d = 1, where a trace can leave int64."""
+    p = draw(protocols())
+    edge = 2**31 if p.dim == 2 else 2**63 - 1
+    origin = tuple(draw(st.sampled_from([0, 1, -1]))
+                   * (edge - draw(st.integers(-3 if p.dim == 2 else 0, 3)))
+                   for _ in range(p.dim))
+    return dataclasses.replace(p, initial_position=origin)
+
+
+def _first_times(hit: np.ndarray, horizon: int) -> np.ndarray:
+    """First true index along axis 1 of (replicas, horizon + 1, ...), and
+    horizon + 1 where there is none."""
+    return np.where(hit.any(axis=1), hit.argmax(axis=1), horizon + 1)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(placed_protocols(), st.integers(0, 2**64 - 1), st.integers(0, 4), st.integers(1, 3),
+       st.integers(0, 40))
+def test_paths_agree(p, seed, start, replicas, horizon):
+    # run_batch against stacked run; hit_times and first_meeting_times
+    # against first visits and first co-locations in run's traces
+    try:
+        traces = [run(p, horizon, SeedSpec(seed, start + k)) for k in range(replicas)]
+    except Exception as err:
+        with pytest.raises(type(err)):
+            run_batch(p, horizon, seed, replicas, start)
+        return
+    P, S = run_batch(p, horizon, seed, replicas, start)
+    assert np.array_equal(P, np.stack([tr.positions for tr in traces]))
+    assert np.array_equal(S, np.stack([tr.state_idx for tr in traces]))
+    # every point a scout of the first replica visits, the origin among them
+    targets = np.unique(P[0].reshape(-1, p.dim), axis=0)
+    hit = (P[:, :, :, None, :] == targets).all(axis=-1).any(axis=2)  # (R, H + 1, T)
+    got = hit_times(p, [tuple(t) for t in targets.tolist()], start + replicas, horizon, seed)
+    assert np.array_equal(got[start:], _first_times(hit, horizon))
+    if p.scouts == 2:
+        met = (P[:, :, 0] == P[:, :, 1]).all(axis=-1)
+        met[:, 0] = False  # a first meeting is at a step n >= 1
+        got = first_meeting_times(p, start + replicas, horizon, seed)
+        assert np.array_equal(got[start:], _first_times(met, horizon))
 
 
 @settings(max_examples=40, deadline=None)

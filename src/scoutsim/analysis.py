@@ -500,26 +500,6 @@ def kernel_renewal_samples(k: ReducedKernel, q0: str, count: int,
 # product chains
 
 
-def product_kernel(k1: ReducedKernel, k2: ReducedKernel,
-                   difference: bool = False) -> ReducedKernel:
-    """Kernel of two independent scouts run jointly, by joint state q1 * n2 + q2.
-
-    Moves are concatenated, or reduced to scout1 - scout2 per axis when
-    ``difference`` is set (the chain of the difference walk).
-    """
-    if k1.dim != k2.dim:
-        raise ValueError("kernels must share a dimension")
-    n2 = k2.n_states
-    names = tuple(f"{a}|{b}" for a in k1.states for b in k2.states)
-    rows = tuple(tuple(KernelEntry(e1.probability * e2.probability, e1.to * n2 + e2.to,
-                                   tuple(a - b for a, b in zip(e1.move, e2.move))
-                                   if difference else e1.move + e2.move)
-                       for e1 in row1 for e2 in row2)
-                 for row1 in k1.rows for row2 in k2.rows)
-    dim = k1.dim if difference else k1.dim + k2.dim
-    return ReducedKernel(dim, names, rows, initial_state=k1.initial_state * n2 + k2.initial_state)
-
-
 def _product_walk(k1: ReducedKernel, k2: ReducedKernel) -> dict[int, list[int]]:
     """Successors of each joint state q1 * n2 + q2 that two independent
     scouts reach from their initial pair.  A pair of support edges is an

@@ -16,6 +16,7 @@ import math
 import re
 import sys
 from datetime import datetime, timezone
+from fractions import Fraction
 from pathlib import Path
 
 from . import engine, renewal, streams, walks
@@ -112,7 +113,8 @@ def _check_ranges(args) -> None:
             raise UsageError(f"--{name.replace('_', '-')} must be {bound}, got {value}")
     for name in _FINITE:
         value = getattr(args, name, None)
-        if value is not None and not math.isfinite(value):
+        # an integer (oracle --s0) is finite and may not convert to a float
+        if isinstance(value, float) and not math.isfinite(value):
             raise UsageError(f"--{name} must be finite, got {value}")
     k_min, k_max = getattr(args, "k_min", None), getattr(args, "k_max", None)
     if k_max is not None and k_max < k_min:
@@ -313,24 +315,27 @@ def cmd_lemma(args, argv) -> int:
     return EXIT_OK if res.passed else EXIT_FAIL
 
 
-def _integer_start(value: float, flag: str) -> int:
-    """A start the exact oracle accepts: an integer, not a truncated float."""
-    if not float(value).is_integer():
-        raise UsageError(f"{flag} must be an integer for the exact oracle, got {value}")
-    return int(value)
+def _integer_start(text: str) -> int:
+    """A start the exact oracle accepts: an integer, read as a rational so
+    that no digit is rounded off (``2.0`` is 2)."""
+    try:
+        value = Fraction(text)
+        if value.denominator == 1:
+            return int(value)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise argparse.ArgumentTypeError(f"the exact oracle needs an integer, got {text!r}")
 
 
 def cmd_oracle(args, argv) -> int:
     law = _parse_law(args.law, "--law")
     law2 = _parse_law(args.law2, "--law2") if args.law2 else None
-    s0 = _integer_start(args.s0, "--s0")
-    s02 = _integer_start(args.s02, "--s02")
     try:
-        prob = walks.exact_dp_oracle(law, s0, args.horizon, args.event,
-                                     law2=law2, s02=s02)
+        prob = walks.exact_dp_oracle(law, args.s0, args.horizon, args.event,
+                                     law2=law2, s02=args.s02)
     except ValueError as exc:  # the event spec; checked before any work
         raise UsageError(f"--event: {exc}") from None
-    body = {"event": args.event, "horizon": args.horizon, "s0": s0,
+    body = {"event": args.event, "horizon": args.horizon, "s0": args.s0,
             "probability": str(prob), "probability_float": float(prob)}
     payload = _dump_json(body)
     _write_output(args.out_dir, "oracle.json", payload, argv)
@@ -418,8 +423,8 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("oracle", help="exact event probabilities")
     sp.add_argument("--law", required=True)
     sp.add_argument("--law2", default=None)
-    sp.add_argument("--s0", type=float, default=0)
-    sp.add_argument("--s02", type=float, default=0)
+    sp.add_argument("--s0", type=_integer_start, default=0)
+    sp.add_argument("--s02", type=_integer_start, default=0)
     sp.add_argument("--event", required=True,
                     help="hit:T | lookaround:T | reach:X | exit:R | position:Y | meeting")
     sp.add_argument("--horizon", type=int, required=True)

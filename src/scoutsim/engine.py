@@ -13,19 +13,17 @@ partial sums <= u of each scout's row, and the iid block path,
 compare against the same floats; a row of ``Fraction`` probabilities is
 cumulated exactly and only then rounded.
 
-:func:`run` materializes one replica's trace.  It takes one of two routes.
-A protocol whose scouts all walk i.i.d. is a one-replica :func:`run_batch`,
-so its trace comes from the i.i.d. block routine of :class:`VectorSim` in
-blocks of min(horizon - t, 2**14) steps.  Every other protocol steps the
-one scalar kernel, :func:`_kernel`, on plain Python ints: each scout's state
-index and its grid key.  Scouts share a point exactly when their
-keys are equal, the environment mask is the OR of the co-located scouts'
-state bits, and the rule row of a (state, mask) pair comes from a cache
-filled on first use.  The kernel fetches the uniforms of up to 1024 steps
-with one ``streams.uniforms`` call, keyed by the absolute (replica, scout,
-step) counters, as :meth:`VectorSim.blocks` fetches a block's: the counters
-fix every value, so no partition of the steps into blocks changes one.
-:func:`run` writes each block into its trace arrays.
+:func:`run` materializes one replica's trace: it is a one-replica
+:func:`run_batch`, and every trace comes from :meth:`VectorSim.blocks`.
+The scalar kernel, :func:`_kernel`, steps a lone replica on plain Python
+ints: each scout's state index and its grid key.  Scouts share a point
+exactly when their keys are equal, the environment mask is the OR of the
+co-located scouts' state bits, and the rule row of a (state, mask) pair
+comes from a cache filled on first use.  The kernel fetches the uniforms of
+its block with one ``streams.uniforms`` call, keyed by the absolute
+(replica, scout, step) counters, as :meth:`VectorSim.step`'s blocks are:
+the counters fix every value, so no partition of the steps into blocks,
+and no choice of stepper, changes one.
 
 :class:`VectorSim` steps all replicas through flat tables of the compiled
 protocol.  A scout's rule row is one ``take`` from a dense dispatch table
@@ -58,14 +56,15 @@ short while most replicas run and grow as they finish.  B * R never
 exceeds max(V, R), so the uniforms, branches, moves and keys of every
 block are written into one set of buffers that the :class:`VectorSim`
 makes at its first i.i.d. block, and a block is valid only until the next
-one.  All other protocols draw a
-block's uniforms with one ``streams.uniforms`` call and take one
-:meth:`VectorSim.step` per step: a block after step t0 is min(32, cap - t0,
-max(1, t0)) steps, by :func:`_stepped_block`.  Every draw is keyed by its
-absolute step, so neither the path nor the partition changes a value: each
-event equals a loop of single steps bit for bit, meeting gaps in its (time,
-replica) order.  These measurements never materialize traces, so caps of 2**24 steps
-run in bounded memory.
+one.  All other protocols step by the active count.  A lone active
+replica takes blocks of min(1024, cap - t0) steps of :func:`_kernel`; two
+or more draw a block's uniforms with one ``streams.uniforms`` call and take
+one :meth:`VectorSim.step` per step, in blocks of min(32, cap - t0,
+max(1, t0)) steps after step t0, by :func:`_stepped_block`.  Every draw is
+keyed by its absolute step, so neither the path nor the partition changes a
+value: each event equals a loop of single steps bit for bit, meeting gaps
+in its (time, replica) order.  These measurements never materialize traces,
+so caps of 2**24 steps run in bounded memory.
 
 Every path carries each grid point as one int64 key of its offset (x, y)
 from the origin: k = x for d = 1 and k = x * 2**32 + y for d = 2.  A move
@@ -115,7 +114,7 @@ _KEY_LOW = (1 << 32) - 1
 _INT64_LIMIT = 1 << 63
 # most entries of VectorSim's dense dispatch table (see _Compiled._dense_table)
 _DENSE_LIMIT = 1 << 20
-# steps of the scalar kernel per streams call (see _kernel)
+# steps per block of a lone replica on the scalar kernel (see VectorSim._kernel_keys)
 _KERNEL_BLOCK = 1024
 # validate codes that leave no tables to build: a rule with no outcomes, or
 # a state name that is not declared.  Rows that do not sum to 1, moves
@@ -431,47 +430,15 @@ class Trace:
         return self.positions.shape[0] - 1
 
 
-def _check_horizon(horizon: int) -> None:
-    if horizon < 0:
-        raise PreconditionError(f"horizon must be >= 0, got {horizon}")
-
-
 def run(p: ScoutProtocol, horizon: int, seed: SeedSpec) -> Trace:
     """Materialized trace of length horizon+1; identical for identical inputs.
 
-    A protocol whose scouts all walk i.i.d. (:attr:`_Compiled.iid_single`)
-    is a one-replica :func:`run_batch`; every other protocol steps
-    :func:`_kernel`.  The root seed and the replica counter are checked at
-    every horizon.  Any origin runs; a trace with a position outside int64
-    raises :class:`PositionOverflowError`.
+    A one-replica :func:`run_batch`, with its checks: its memory policy, the
+    root seed and the replica counter at every horizon, and a position
+    outside int64 raising :class:`PositionOverflowError` from any origin.
     """
-    _check_horizon(horizon)
-    comp = _compile(p)
-    footprint = (horizon + 1) * comp.c * (8 * comp.d + 2)
-    if footprint > _MEMORY_LIMIT_BYTES:
-        raise ResourceLimitError(
-            f"trace of horizon {horizon} needs ~{footprint >> 20} MiB; "
-            "hit_times and first_meeting_times stream without a trace")
-    if comp.iid_single:
-        positions, state_idx = run_batch(p, horizon, seed.root_seed, 1, seed.replica)
-        return Trace(p, seed, positions[0], state_idx[0])
-    streams.check_counters(seed.root_seed, seed.replica)
-    positions = np.empty((horizon + 1, comp.c, comp.d), dtype=np.int64)
-    keys_out = positions[..., -1]  # keys from the origin until _positions
-    state_idx = np.empty((horizon + 1, comp.c), dtype=np.int16)
-    # the memory limit keeps horizon * max_move below 2**31, so the keys from
-    # the origin are exact in the layout of _pack
-    keys_out[0] = 0
-    state_idx[0] = comp.init_state_idx
-    t = 0
-    while t < horizon:
-        n = min(_KERNEL_BLOCK, horizon - t)
-        out_keys, out_states = _kernel(comp, seed, keys_out[t].tolist(),
-                                       state_idx[t].tolist(), t, n)
-        keys_out[t + 1:t + 1 + n] = np.reshape(out_keys, (n, comp.c))
-        state_idx[t + 1:t + 1 + n] = np.reshape(out_states, (n, comp.c))
-        t += n
-    return Trace(p, seed, _positions(comp, positions), state_idx)
+    positions, state_idx = run_batch(p, horizon, seed.root_seed, 1, seed.replica)
+    return Trace(p, seed, positions[0], state_idx[0])
 
 
 # ---------------------------------------------------------------------------
@@ -641,6 +608,19 @@ class VectorSim:
         self.time = t0 + B
         return keys
 
+    def _kernel_keys(self, cap: int) -> tuple[np.ndarray, np.ndarray]:
+        """Advance the one active replica by the block after step ``time``,
+        min(_KERNEL_BLOCK, cap - time) steps of :func:`_kernel`, and return
+        its keys and states (B, 1, c)."""
+        t0, c = self.time, self.comp.c
+        B = min(_KERNEL_BLOCK, cap - t0)
+        keys, states = _kernel(self.comp, SeedSpec(self.root_seed, int(self.replicas[0])),
+                               self.keys[0].tolist(), self.states[0].tolist(), t0, B)
+        keys = np.array(keys, dtype=np.int64).reshape(B, 1, c)
+        states = np.array(states, dtype=np.int64).reshape(B, 1, c)
+        self.keys, self.states, self.time = keys[-1].copy(), states[-1].copy(), t0 + B
+        return keys, states
+
     def blocks(self, cap: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         """Advance the active replicas to step ``cap``, a block at a time.
 
@@ -648,8 +628,10 @@ class VectorSim:
         (B, R, c) of steps t0+1 .. t0+B for the R active replicas,
         step-major, until the cap or until no replica is left.  An i.i.d.
         walk never changes state, so there ``states`` is one (1, R, c) view
-        that broadcasts over the block.  The block rules are in the module
-        docstring.  The key range and the cap are checked on the call.
+        that broadcasts over the block.  Other protocols step a lone active
+        replica on :func:`_kernel` and two or more on :meth:`step`.  The
+        block rules are in the module docstring.  The key range and the cap
+        are checked on the call.
 
         A yielded block is valid only until the iteration resumes: the
         i.i.d. path writes every block into the same buffers, so a caller
@@ -665,6 +647,8 @@ class VectorSim:
             t0 = self.time
             if comp.iid_single:
                 keys, states = self._iid_keys(cap), self.states[None]
+            elif self.replicas.size == 1:
+                keys, states = self._kernel_keys(cap)
             else:
                 B = _stepped_block(t0, cap)
                 u = streams.uniforms(self.root_seed, self.replicas[None, :, None],
@@ -681,16 +665,22 @@ def run_batch(p: ScoutProtocol, horizon: int, root_seed: int, replicas: int,
               replica_start: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Positions (R, horizon+1, c, d) and state indices (R, horizon+1, c).
 
-    Bit-identical to stacking :func:`run` over replicas; bounded by the same
-    memory policy.  A horizon past the key range (see the module docstring)
-    raises PreconditionError, and a position outside int64
+    The one trace path: :func:`run` is this with R = 1, so stacking
+    :func:`run` over replicas gives the same arrays.  The traces come from
+    :meth:`VectorSim.blocks`.  Traces past _MEMORY_LIMIT_BYTES raise
+    :class:`ResourceLimitError`, a horizon past the key range (see the
+    module docstring) PreconditionError, and a position outside int64
     :class:`PositionOverflowError`.
     """
-    _check_horizon(horizon)
+    if horizon < 0:
+        raise PreconditionError(f"horizon must be >= 0, got {horizon}")
     comp = _compile(p)
     footprint = replicas * (horizon + 1) * comp.c * (8 * comp.d + 2)
     if footprint > _MEMORY_LIMIT_BYTES:
-        raise ResourceLimitError("batch too large; chunk the replica range")
+        raise ResourceLimitError(
+            f"{replicas} trace(s) of {horizon + 1} steps need ~{footprint >> 20} MiB, over "
+            f"the {_MEMORY_LIMIT_BYTES >> 20} MiB limit; hit_times and first_meeting_times "
+            "stream without a trace")
     sim = VectorSim(p, replicas, root_seed, replica_start)
     blocks = sim.blocks(horizon)
     positions = np.empty((replicas, horizon + 1, comp.c, comp.d), dtype=np.int64)

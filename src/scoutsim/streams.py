@@ -79,17 +79,6 @@ def _philox_u64(lanes, key0: int, key1: int):
     return x0, x1, x2, x3
 
 
-def philox4x32(c0, c1, c2, c3, k0, k1):
-    """One Philox-4x32-10 block: four uint32 counter words -> four uint32 words."""
-    shape = np.broadcast(np.asarray(c0), np.asarray(c1),
-                         np.asarray(c2), np.asarray(c3)).shape
-    lanes = [np.empty(shape, dtype=np.uint64) for _ in range(_LANES)]
-    for lane, c in zip(lanes, (c0, c1, c2, c3)):
-        lane[...] = np.asarray(c, dtype=np.uint64) & _LO32
-    w = _philox_u64(lanes, int(k0), int(k1))
-    return tuple(x.astype(np.uint32) for x in w)
-
-
 def _key_words(root_seed: int) -> tuple[int, int]:
     """The Philox key of a root seed in [0, 2**64).
 
@@ -232,11 +221,6 @@ def uniforms(root_seed: int, replica, scout, step, out: np.ndarray | None = None
     np.copyto(u.reshape(-1), bits.reshape(-1))
     u *= _INV53
     return u[()] if out is None else out  # a 0-d call gives a float64 scalar
-
-
-def uniform_scalar(root_seed: int, replica: int, scout: int, step: int) -> float:
-    """Single stream value; exact scalar equivalent of :func:`uniforms`."""
-    return float(uniforms(root_seed, replica, scout, np.uint64(step)))
 
 
 class Categorical:

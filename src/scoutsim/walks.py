@@ -258,6 +258,8 @@ def sample_walk(w: LookAroundWalk, horizon: int, seed_root: int,
     Positions are int64 when the steps and s0 are integer-valued, float
     otherwise; integer positions that could leave int64 raise PreconditionError.
     """
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
     zeta, nu, rad = w.law.arrays
     s0 = _start(w, horizon + 1)  # a float start would round the int steps
     b = w.law.table.draw(0, seed_root, trial, walk_id, 0, horizon + 1)
@@ -287,6 +289,8 @@ def _stopping_times(walks: Sequence[LookAroundWalk], event, trials: int, cap: in
     A block holds ``engine._iid_block(t0, cap + 1, active)`` checks, and a
     trial leaves once every column is decided (see the module docstring).
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     engine._check_cap(cap)
     starts = [_start(w, cap + 1) for w in walks]
     out = np.empty((trials, columns), dtype=np.int64)
@@ -531,8 +535,6 @@ def mc_event_frequency(law: StepLaw, s0: int, horizon: int, event: str,
                        s02: int | None = None) -> float:
     """Empirical frequency of the oracle events, using the same conventions."""
     name, arg = _parse_event(event, law2, s02)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     make_cond, first, pair = _EVENTS[name]

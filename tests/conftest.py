@@ -7,9 +7,30 @@ from fractions import Fraction
 
 import numpy as np
 
+from scoutsim import streams
 from scoutsim.analysis import KernelEntry, ReducedKernel
 from scoutsim.protocol import (EnvPattern, Outcome, ScoutProtocol,
                                TransitionRule)
+
+
+# the stream references: the known-answer entry point of Philox-4x32-10 and
+# a scalar draw, which tests compare the batched streams against
+
+
+def philox4x32(c0, c1, c2, c3, k0, k1):
+    """One Philox-4x32-10 block: four uint32 counter words -> four uint32 words."""
+    shape = np.broadcast(np.asarray(c0), np.asarray(c1),
+                         np.asarray(c2), np.asarray(c3)).shape
+    lanes = [np.empty(shape, dtype=np.uint64) for _ in range(6)]
+    for lane, c in zip(lanes, (c0, c1, c2, c3)):
+        lane[...] = np.asarray(c, dtype=np.uint64) & np.uint64(0xFFFFFFFF)
+    w = streams._philox_u64(lanes, int(k0), int(k1))
+    return tuple(x.astype(np.uint32) for x in w)
+
+
+def uniform_scalar(root_seed: int, replica: int, scout: int, step: int) -> float:
+    """Single stream value; exact scalar equivalent of :func:`streams.uniforms`."""
+    return float(streams.uniforms(root_seed, replica, scout, np.uint64(step)))
 
 
 # the environment semantics, stated independently of the engine's masks: the
@@ -150,3 +171,25 @@ def random_two_scout_protocol(rng: np.random.Generator, dim: int) -> ScoutProtoc
         initial_states=(groups[0][0], groups[1][0]),
         rules=tuple(rules),
     )
+
+
+def product_kernel(k1: ReducedKernel, k2: ReducedKernel,
+                   difference: bool = False) -> ReducedKernel:
+    """Kernel of two independent scouts run jointly, by joint state q1 * n2 + q2.
+
+    Moves are concatenated, or reduced to scout1 - scout2 per axis when
+    ``difference`` is set (the chain of the difference walk).  The
+    full-product reference for ``analysis.difference_drift``, which walks
+    the product without building it.
+    """
+    if k1.dim != k2.dim:
+        raise ValueError("kernels must share a dimension")
+    n2 = k2.n_states
+    names = tuple(f"{a}|{b}" for a in k1.states for b in k2.states)
+    rows = tuple(tuple(KernelEntry(e1.probability * e2.probability, e1.to * n2 + e2.to,
+                                   tuple(a - b for a, b in zip(e1.move, e2.move))
+                                   if difference else e1.move + e2.move)
+                       for e1 in row1 for e2 in row2)
+                 for row1 in k1.rows for row2 in k2.rows)
+    dim = k1.dim if difference else k1.dim + k2.dim
+    return ReducedKernel(dim, names, rows, initial_state=k1.initial_state * n2 + k2.initial_state)

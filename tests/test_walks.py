@@ -137,7 +137,10 @@ def test_negative_horizon_rejected():
     calls = [lambda: exact_dp_oracle(law, 0, -3, "hit:1"),
              lambda: exact_dp_oracle(law, 0, -1, "meeting", law2=law, s02=2),
              lambda: mc_event_frequency(law, 0, -3, "hit:0", 10, 0),
-             lambda: mc_event_frequency(law, 0, -1, "meeting", 10, 0, law2=law, s02=2)]
+             lambda: mc_event_frequency(law, 0, -1, "meeting", 10, 0, law2=law, s02=2),
+             # sample_walk ended in IndexError at -1 and "negative dimensions" at -3
+             lambda: sample_walk(LookAroundWalk(law), -1, 0),
+             lambda: sample_walk(LookAroundWalk(law), -3, 0)]
     for call in calls:
         with pytest.raises(ValueError, match="horizon must be >= 0"):
             call()
@@ -530,6 +533,30 @@ def test_sample_walk_time_component():
 
 # ---------------------------------------------------------------------------
 # checks
+
+
+_TRIALS_CALLS = {
+    check_escape_under_drift: lambda n: check_escape_under_drift(
+        LookAroundWalk(NAMED_LAWS["up"]()), -10.0, trials=n, horizon=16),
+    check_zero_drift_reach_tail: lambda n: check_zero_drift_reach_tail(
+        LookAroundWalk(srw()), 10.0, trials=n, cap=64),
+    check_exit_time_tail: lambda n: check_exit_time_tail(LookAroundWalk(srw()), 5, trials=n),
+    check_upper_deviation_bound: lambda n: check_upper_deviation_bound(
+        LookAroundWalk(srw()), 0.2, 100, 20.0, trials=n),
+    check_joint_corridor_avoidance: lambda n: check_joint_corridor_avoidance(
+        LookAroundWalk(srw(), 8), LookAroundWalk(srw(), -8), (-2, 2), trials=n, cap=64),
+    mc_event_frequency: lambda n: mc_event_frequency(srw(), 0, 3, "hit:1", n, 0),
+}
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+@pytest.mark.parametrize("name", sorted(CHECKS) + ["mc_event_frequency"])
+def test_trials_below_one_refused(name, trials):
+    # at trials=0 escape and deviation raised ZeroDivisionError, exit time
+    # warned "Mean of empty slice" and failed, reach tail and corridor failed;
+    # negative counts hit numpy's "negative dimensions"
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        _TRIALS_CALLS[CHECKS.get(name, mc_event_frequency)](trials)
 
 
 def test_escape_deterministic_up():

@@ -49,6 +49,8 @@ STATIONARY_RESIDUAL_TOL = 1e-12
 # an estimated ray width reads this many pilot runs of this many steps
 _PILOT_RUNS = 200
 _PILOT_STEPS = 512
+# kernel_renewal_samples raises when a chain has not returned in this many steps
+_RETURN_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -467,7 +469,7 @@ def _kernel_sim(k: ReducedKernel, starts: Sequence[int], count: int,
 
 
 def kernel_renewal_samples(k: ReducedKernel, q0: str, count: int,
-                           root_seed: int, max_steps: int = 10**7) -> RenewalSamples:
+                           root_seed: int) -> RenewalSamples:
     """Sample i.i.d. return triples of the reduced chain observed at q0.
 
     The triples' law does not depend on history before the first visit to
@@ -483,7 +485,7 @@ def kernel_renewal_samples(k: ReducedKernel, q0: str, count: int,
     zeta = np.zeros((count, k.dim), dtype=np.int64)
     nu = np.zeros(count, dtype=np.int64)
     sim = _kernel_sim(k, [q0_idx], count, root_seed)
-    for t0, keys, states in sim.blocks(max_steps):
+    for t0, keys, states in sim.blocks(_RETURN_STEPS):
         back = states[..., 0] == q0_idx  # (B, R), or (1, R) on the i.i.d. branch
         done = back.any(axis=0)
         first = back[:, done].argmax(axis=0)
@@ -630,7 +632,7 @@ def ray_domain(report: ClassReport, M: float | None = None,
                root_seed: int = 0) -> RayDomain:
     """Per-recurrent-class thick rays of a single-scout planar kernel.
 
-    Reads the drifts and degeneracy verdicts of ``report``, the
+    Reads the ray directions and degeneracy verdicts of ``report``, the
     :func:`analyze_protocol` (or :func:`analyze_kernel`) report of the
     scout.  The width is user-supplied or estimated from pilot runs (and
     labeled accordingly); for a degenerate zero-drift class the exact
@@ -647,9 +649,7 @@ def ray_domain(report: ClassReport, M: float | None = None,
         raise PreconditionError("ray domains are defined on the plane")
     rays = []
     for info in report.recurrent_classes():
-        dx, dy = (float(v) for v in info.drift)
-        norm = math.hypot(dx, dy)
-        direction = (dx / norm, dy / norm) if norm > 0 else None
+        direction = info.ray_direction
         degenerate = direction is None and info.degeneracy.degenerate
         if M is not None:
             width, source = float(M), "user"

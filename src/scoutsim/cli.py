@@ -99,8 +99,6 @@ _RANGES = (
     ("n", 0, None),
     ("threads", 1, None),
 )
-# float flags that must be finite on every subcommand that has them
-_FINITE = ("s0", "s02", "x", "rho", "mu", "y")
 
 
 def _check_ranges(args) -> None:
@@ -111,11 +109,6 @@ def _check_ranges(args) -> None:
         if value < least or (above is not None and value >= above):
             bound = f">= {least}" if above is None else f"in [{least}, {above})"
             raise UsageError(f"--{name.replace('_', '-')} must be {bound}, got {value}")
-    for name in _FINITE:
-        value = getattr(args, name, None)
-        # an integer (oracle --s0) is finite and may not convert to a float
-        if isinstance(value, float) and not math.isfinite(value):
-            raise UsageError(f"--{name} must be finite, got {value}")
     k_min, k_max = getattr(args, "k_min", None), getattr(args, "k_max", None)
     if k_max is not None and k_max < k_min:
         raise UsageError(f"--k-max must be >= --k-min ({k_min}), got {k_max}")
@@ -275,6 +268,22 @@ def _build_walks(args) -> tuple[walks.LookAroundWalk, walks.LookAroundWalk | Non
     return w1, w2
 
 
+def _finite(text: str) -> float | int:
+    """A finite ``float(text)``, or an exact int inside int64 where that float
+    would round an integer (9007199254740993 keeps its last digit)."""
+    try:
+        value, exact = float(text), Fraction(text)
+    except ValueError:  # Fraction refuses inf and nan
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    if exact == value or exact.denominator != 1:
+        return value
+    if not -_INT64 <= exact < _INT64:
+        raise argparse.ArgumentTypeError(f"an integer must fit int64, got {text!r}")
+    return int(exact)
+
+
 def _parse_interval(text: str) -> tuple[float, float]:
     lo, sep, hi = text.partition(":")
     try:
@@ -379,7 +388,9 @@ def build_parser() -> _Parser:
                     help="semicolon-separated points, e.g. '1;-2' or '2,1;0,3'")
     sp.add_argument("--replicas", type=int, default=1000)
     sp.add_argument("--cap", type=int, default=None)
-    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument("--threads", type=int, default=1,
+                    help="threads over whole chunks of 8192 replicas, so none start "
+                         "for 8192 replicas or fewer; no output byte changes")
     _add_common(sp)
     sp.set_defaults(fn=cmd_hitting)
 
@@ -406,13 +417,13 @@ def build_parser() -> _Parser:
     sp.add_argument("name")
     sp.add_argument("--law", default="srw")
     sp.add_argument("--law2", default=None)
-    sp.add_argument("--s0", type=float, default=0.0)
-    sp.add_argument("--s02", type=float, default=0.0)
-    sp.add_argument("--x", type=float, default=10.0)
-    sp.add_argument("--rho", type=float, default=5.0)
-    sp.add_argument("--mu", type=float, default=0.2)
+    sp.add_argument("--s0", type=_finite, default=0.0)
+    sp.add_argument("--s02", type=_finite, default=0.0)
+    sp.add_argument("--x", type=_finite, default=10.0)
+    sp.add_argument("--rho", type=_finite, default=5.0)
+    sp.add_argument("--mu", type=_finite, default=0.2)
     sp.add_argument("--n", type=int, default=100)
-    sp.add_argument("--y", type=float, default=20.0)
+    sp.add_argument("--y", type=_finite, default=20.0)
     sp.add_argument("--interval", default="-2:2")
     sp.add_argument("--trials", type=int, default=20000)
     sp.add_argument("--horizon", type=int, default=2048)

@@ -108,6 +108,8 @@ _IID_VARIATES = 1 << 14
 # most steps per block stepped one at a time (see _stepped_block); blocks
 # double up to it, so replicas that finish early run no whole window
 _HIT_WINDOW = 32
+# replicas per VectorSim of hit_times and first_meeting_times (see hit_times)
+_REPLICA_CHUNK = 8192
 # d = 2 grid keys are exact while |coordinate| < _KEY_HALF (see _pack)
 _KEY_HALF = 1 << 31
 _KEY_LOW = (1 << 32) - 1
@@ -699,15 +701,15 @@ def run_batch(p: ScoutProtocol, horizon: int, root_seed: int, replicas: int,
 # stopping times: one block loop per event
 
 
-def _in_chunks(work, replicas: int, threads: int, chunk: int, root_seed: int,
+def _in_chunks(work, replicas: int, threads: int, root_seed: int,
                empty: np.ndarray) -> np.ndarray:
     """``work(start, n)`` over consecutive chunks of the replicas, concatenated;
     the root seed and last replica counter are checked even for no replicas."""
-    if replicas < 0 or threads < 1 or chunk < 1:
-        raise PreconditionError(f"need replicas >= 0, threads >= 1 and chunk >= 1; got "
-                                f"replicas={replicas}, threads={threads}, chunk={chunk}")
+    if replicas < 0 or threads < 1:
+        raise PreconditionError(f"need replicas >= 0, threads >= 1; got "
+                                f"replicas={replicas}, threads={threads}")
     streams.check_counters(root_seed, max(replicas - 1, 0))
-    ranges = [(s, min(chunk, replicas - s)) for s in range(0, replicas, chunk)]
+    ranges = [(s, min(_REPLICA_CHUNK, replicas - s)) for s in range(0, replicas, _REPLICA_CHUNK)]
     if threads > 1 and len(ranges) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(lambda r: work(*r), ranges))
@@ -772,23 +774,22 @@ def _hit_times_chunk(p: ScoutProtocol, targets: np.ndarray, start: int, n: int,
 
 
 def hit_times(p: ScoutProtocol, targets: Sequence[Sequence[int]], replicas: int,
-              cap: int, root_seed: int, threads: int = 1,
-              chunk: int = 8192) -> np.ndarray:
+              cap: int, root_seed: int, threads: int = 1) -> np.ndarray:
     """First-passage times (replicas, n_targets); cap+1 marks censored.
 
     Streaming: no trace is stored.  Trajectories depend only on
-    (protocol, replica, root_seed) — never on the target set, chunking, or
-    thread count — so any execution plan yields the same array.  A cap
-    past the key range (see the module docstring) raises PreconditionError,
-    from any origin.
+    (protocol, replica, root_seed), so neither the target set, the replica
+    chunks nor the thread count changes the array.  Threads run whole
+    chunks of 8192 replicas, so they start only above 8192 replicas: on 2
+    cores, smaller chunks cost more than a second thread gives back.  A cap
+    past the key range (see the module docstring) raises PreconditionError.
     """
     comp = _compile(p)
     targets_arr = np.array([tuple(t) for t in targets], dtype=np.int64)
     if targets_arr.ndim != 2 or targets_arr.shape[1] != comp.d:
         raise ValueError("targets must be points of the protocol dimension")
     return _in_chunks(lambda start, n: _hit_times_chunk(p, targets_arr, start, n, cap, root_seed),
-                      replicas, threads, chunk, root_seed,
-                      np.zeros((0, len(targets)), np.int64))
+                      replicas, threads, root_seed, np.zeros((0, len(targets)), np.int64))
 
 
 @dataclass
@@ -836,12 +837,13 @@ def monte_carlo_hitting_multi(p: ScoutProtocol, targets: Sequence[Sequence[int]]
 
 
 def first_meeting_times(p: ScoutProtocol, replicas: int, cap: int, root_seed: int,
-                        threads: int = 1, chunk: int = 8192) -> np.ndarray:
-    """First n >= 1 with both scouts co-located, per replica; cap+1 censored."""
+                        threads: int = 1) -> np.ndarray:
+    """First n >= 1 with both scouts co-located, per replica; cap+1 censored.
+    Threads run whole chunks of 8192 replicas, as in :func:`hit_times`."""
     if _compile(p).c != 2:
         raise ValueError("first_meeting_times needs a two-scout protocol")
     return _in_chunks(lambda start, n: _first_meeting_chunk(p, start, n, cap, root_seed),
-                      replicas, threads, chunk, root_seed, np.zeros(0, np.int64))
+                      replicas, threads, root_seed, np.zeros(0, np.int64))
 
 
 def _first_meeting_chunk(p: ScoutProtocol, start: int, n: int, cap: int,

@@ -27,6 +27,7 @@ Canonical serialization sorts states and, per state, patterns lexicographically.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -342,15 +343,6 @@ def _row_sum_ok(outcomes: Sequence[Outcome]) -> bool:
     return abs(acc - 1.0) <= ROW_SUM_TOLERANCE
 
 
-def _subsets_upto(names: Sequence[str], k: int) -> list[frozenset[str]]:
-    from itertools import combinations
-
-    out: list[frozenset[str]] = []
-    for size in range(0, k + 1):
-        out.extend(frozenset(c) for c in combinations(names, size))
-    return out
-
-
 def validate(p: ScoutProtocol) -> list[Violation]:
     """All invariant violations of a structurally complete protocol.
 
@@ -409,15 +401,16 @@ def validate(p: ScoutProtocol) -> list[Violation]:
 
     # coverage: every state must dispatch every realizable environment
     if not any(x.code in ("unknown-state", "states") for x in v):
-        needed = _subsets_upto(p.state_names, max(p.scouts - 1, 0))
+        k = max(p.scouts - 1, 0)
+        realizable = sum(math.comb(len(p.state_names), j) for j in range(k + 1))
         for state in p.state_names:
             rows = [r for r in p.rules if r.state == state]
             if any(r.pattern.is_wildcard for r in rows):
                 continue
-            have = {frozenset(r.pattern.states) for r in rows if not r.pattern.is_wildcard}
+            have = {frozenset(r.pattern.states) for r in rows}
             if not rows:
                 v.append(Violation("uncovered", f"state {state!r} uncovered (no rules)"))
-            elif not all(s in have for s in needed):
+            elif sum(len(s) <= k for s in have) < realizable:
                 v.append(Violation("uncovered",
                                    f"state {state!r}: exact-set rules leave environments "
                                    "uncovered and there is no wildcard"))

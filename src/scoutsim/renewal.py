@@ -170,7 +170,7 @@ INFINITE = "infinite-mean-consistent"
 INCONCLUSIVE = "inconclusive"
 
 
-def divergence_flag(curve: SurvivalCurve | CensoredSummary) -> str:
+def divergence_flag(summary: CensoredSummary) -> str:
     """Classify a stopping-time tail as finite- or infinite-mean consistent.
 
     Finite: censoring below CENSORED_FLAG_FRACTION (1%), so the mean is not
@@ -179,44 +179,39 @@ def divergence_flag(curve: SurvivalCurve | CensoredSummary) -> str:
     moving).  Infinite: a good power-law fit with slope >= -1, whose tail
     integral diverges.  Anything else is inconclusive.
     """
-    return divergence_report(curve)["verdict"]
+    return divergence_report(summary)["verdict"]
 
 
-def divergence_report(curve: SurvivalCurve | CensoredSummary) -> dict:
-    """The :func:`divergence_flag` verdict with the statistics behind it:
-    the censored fraction, the last doubling's share of the tail mass, the
-    power fit (None when too few thresholds qualify) and, for a summary,
-    its mean."""
-    summary = curve if isinstance(curve, CensoredSummary) else None
-    c = curve.curve if isinstance(curve, CensoredSummary) else curve
+def divergence_report(summary: CensoredSummary) -> dict:
+    """The :func:`divergence_flag` verdict with the statistics behind it: the
+    summary's censored fraction and mean, the last doubling's share of the
+    tail mass, and the power fit (None when too few thresholds qualify)."""
+    c = summary.curve
     if c.total <= 0:
         raise InsufficientDataError("empty survival curve")
     if c.thresholds.size == 0:
         raise InsufficientDataError("survival curve has no thresholds")
-    probs = c.probabilities()
-    censored_frac = float(probs[-1]) if c.censor_cap is not None else 0.0
-    blocks = probs * c.thresholds
+    blocks = c.probabilities() * c.thresholds
     total_mass = float(blocks.sum())
     last_increment = float(blocks[-1]) / total_mass if total_mass > 0 else 0.0
     try:
         fit = fit_tail(c, "power")
     except InsufficientDataError:
         fit = None
-    if censored_frac < CENSORED_FLAG_FRACTION and last_increment < FINITE_TAIL_INCREMENT_MAX:
+    if (summary.censored_fraction < CENSORED_FLAG_FRACTION
+            and last_increment < FINITE_TAIL_INCREMENT_MAX):
         verdict = FINITE
     elif fit is not None and fit.slope >= INFINITE_SLOPE_MIN - 1e-12 \
             and fit.r_squared >= FIT_R2_MIN:
         verdict = INFINITE
     else:
         verdict = INCONCLUSIVE
-    body = {
+    return {
         "verdict": verdict,
-        "censored_fraction": float(probs[-1]),
+        "censored_fraction": summary.censored_fraction,
         "tail_mass_last_increment": last_increment,
         "power_fit": None if fit is None else fit.to_json(),
+        "mean": summary.mean,
+        "mean_is_lower_bound": summary.mean_is_lower_bound,
     }
-    if summary is not None:
-        body["mean"] = summary.mean
-        body["mean_is_lower_bound"] = summary.mean_is_lower_bound
-    return body
 

@@ -81,11 +81,12 @@ from .tails import (FIT_R2_MIN, MIN_FIT_POINTS, MIN_FIT_SURVIVORS, InsufficientD
 _DP_CELL_BUDGET = 8_000_000
 _INT64 = 1 << 63
 # verdict thresholds of the checks: a reach-tail slope may miss -1/2 by
-# REACH_SLOPE_TOL and its offset scaling needs r_squared >=
-# REACH_SCALING_R2_MIN; a corridor slope must stay at or above
+# REACH_SLOPE_TOL and its scaling over the offsets REACH_OFFSETS needs
+# r_squared >= REACH_SCALING_R2_MIN; a corridor slope must stay at or above
 # CORRIDOR_SLOPE_FLOOR.  The exit-time curve has EXIT_GRID_POINTS thresholds.
 REACH_SLOPE_TOL = 0.07
 REACH_SCALING_R2_MIN = 0.85
+REACH_OFFSETS = (2.0, 4.0, 6.0, 8.0)
 CORRIDOR_SLOPE_FLOOR = -1.15
 EXIT_GRID_POINTS = 12
 
@@ -644,21 +645,20 @@ def _asymptotic_fit(curve: SurvivalCurve, distance: float) -> TailFit:
 
 
 def check_zero_drift_reach_tail(w: LookAroundWalk, x: float, trials: int = 30000,
-                                cap: int = 1 << 14, root_seed: int = 0,
-                                x_offsets: Sequence[float] = (2, 4, 6, 8)) -> CheckResult:
+                                cap: int = 1 << 14, root_seed: int = 0) -> CheckResult:
     """Tail of the first time S_n + R_{n+1} reaches level x, for E[zeta] = 0.
 
     Fits a power law on dyadic thresholds from the asymptotic window
     u >= 2 (x - s0)^2 upward (below it the curve still carries the
     distance-to-level transient).  PASS requires slope -1/2 within
     REACH_SLOPE_TOL, fit quality FIT_R2_MIN, and survival at a deep common
-    threshold scaling linearly across the offset grid.  Also reports the smallest offset at
-    which the -1/2 law already holds, and the dyadic tail-mass blocks whose
-    growth signals a divergent mean.
+    threshold scaling linearly across the offsets REACH_OFFSETS and x - s0.
+    Also reports the smallest offset at which the -1/2 law already holds,
+    and the dyadic tail-mass blocks whose growth signals a divergent mean.
     """
     drift = w.law.mean_zeta
     _require(float(drift) == 0, "reach-tail check requires E[zeta] = 0")
-    offsets = sorted(set(float(o) for o in x_offsets) | {float(x) - float(w.s0)})
+    offsets = sorted(set(REACH_OFFSETS) | {float(x) - float(w.s0)})
     _require(all(o > 0 for o in offsets), "offsets must be positive")
     levels = np.array([w.s0 + o for o in offsets])
     reached = _EVENTS["reach"].cond(levels, w.law)  # one column per level
@@ -724,17 +724,19 @@ def check_zero_drift_reach_tail(w: LookAroundWalk, x: float, trials: int = 30000
 
 
 def check_exit_time_tail(w: LookAroundWalk, rho: float, trials: int = 20000,
-                         root_seed: int = 0, u_max: int | None = None) -> CheckResult:
-    """Exponential tail of the first exit past distance rho.
+                         root_seed: int = 0) -> CheckResult:
+    """Exponential tail of the first exit past distance rho >= 0.
 
     The exit set follows the drift sign: two-sided for centered walks,
-    one-sided in the drift direction otherwise.  PASS needs a negative
+    one-sided in the drift direction otherwise.  The curve runs to
+    u_max = max(64, 8 * max(1, rho)**2) steps.  PASS needs a negative
     slope on semi-log axes with fit quality at least FIT_R2_MIN.
     """
     _require(not w.law.zeta_identically_zero,
              "exit-time check requires P(zeta = 0) < 1")
-    if u_max is None:
-        u_max = max(64, int(8 * max(1.0, rho) ** 2))
+    _require(rho >= 0, f"exit-time check requires rho >= 0, got {rho}")
+    u_max = max(64, int(8 * max(1.0, rho) ** 2))
+    params = {"rho": rho, "trials": trials, "u_max": u_max}
     outside = _exit_cond(rho, w.law)
     tau = _stopping_times([w], lambda S, R: outside(S[0], R[0]),
                           trials, u_max, root_seed)[:, 0]
@@ -745,17 +747,13 @@ def check_exit_time_tail(w: LookAroundWalk, rho: float, trials: int = 20000,
     try:
         fit = fit_tail(curve, "exponential")
     except InsufficientDataError:
-        return CheckResult("exit-time-tail", False,
-                           {"rho": rho, "trials": trials, "u_max": u_max},
-                           root_seed,
+        return CheckResult("exit-time-tail", False, params, root_seed,
                            details={"reason": "insufficient tail data",
                                     "mean_exit": mean_exit,
                                     "curve": curve.to_json()})
     passed = fit.slope < 0 and fit.r_squared >= FIT_R2_MIN
-    return CheckResult("exit-time-tail", passed,
-                       {"rho": rho, "trials": trials, "u_max": u_max},
-                       root_seed, estimate=fit.slope, fit=fit,
-                       details={"mean_exit": mean_exit})
+    return CheckResult("exit-time-tail", passed, params, root_seed,
+                       estimate=fit.slope, fit=fit, details={"mean_exit": mean_exit})
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from scoutsim import SeedSpec, builtin, parse_protocol
+from scoutsim import SeedSpec, builtin, engine, parse_protocol
 from scoutsim.analysis import (_kernel_sim, classes, degeneracy_check,
                                effective_drift, kernel_renewal_samples)
 from scoutsim.engine import (Trace, _unpack, first_meeting_times, hit_times,
@@ -149,8 +149,31 @@ def _epoch_hit_frequencies(protocol, targets, marks_fn, horizon, replicas,
     """Per-epoch hit counts measured from batch traces.
 
     ``marks_fn(P, S)`` returns a boolean (replicas, horizon+1) array of
-    epoch-start steps; hits are counted once per epoch per target.
+    epoch-start steps; hits are counted once per epoch per target.  An
+    epoch [a, b) of a replica hits a target when the count of steps at
+    which some scout stands on it grows from a to b.
     """
+    epochs = 0
+    hits = {t: 0 for t in targets}
+    for rep_start in range(0, replicas, chunk):
+        n = min(chunk, replicas - rep_start)
+        P, S = run_batch(protocol, horizon, root_seed, n, replica_start=rep_start)
+        rows, steps = np.nonzero(marks_fn(P, S))
+        same = rows[1:] == rows[:-1]  # consecutive marks of one replica
+        r, a, b = rows[1:][same], steps[:-1][same], steps[1:][same]
+        epochs += int(same.sum())
+        for t in targets:
+            on = (P == np.array(t)).all(-1).any(-1)  # (n, horizon+1)
+            seen = np.zeros((n, horizon + 2), dtype=np.int64)
+            np.cumsum(on, axis=1, out=seen[:, 1:])  # seen[r, s]: steps < s on t
+            hits[t] += int((seen[r, b] > seen[r, a]).sum())
+    return epochs, hits
+
+
+def _epoch_hit_frequencies_loop(protocol, targets, marks_fn, horizon, replicas,
+                                root_seed, chunk=48):
+    """Reference for :func:`_epoch_hit_frequencies`: each epoch of each
+    replica scanned for each target."""
     epochs = 0
     hits = {t: 0 for t in targets}
     for rep_start in range(0, replicas, chunk):
@@ -167,6 +190,19 @@ def _epoch_hit_frequencies(protocol, targets, marks_fn, horizon, replicas,
                     if ((seg == tgt[None, None, :]).all(-1)).any():
                         hits[t] += 1
     return epochs, hits
+
+
+def test_epoch_hit_frequencies_match_loop():
+    p = builtin("anchored_geometric", d=1, p="1/2")
+    home = [p.state_names.index("b-home-"), p.state_names.index("b-home+")]
+
+    def marks(P, S):
+        return np.isin(S[:, :, 1], home) & (P[:, :, 1, 0] == 0)
+
+    args = (p, [(k,) for k in (-4, -2, -1, 1, 2, 4)], marks, 600, 10, 41)
+    got = _epoch_hit_frequencies(*args, chunk=4)
+    assert got == _epoch_hit_frequencies_loop(*args, chunk=4)
+    assert got[0] > 50 and all(got[1].values())
 
 
 def test_criterion_04_anchored_protocols_effective():
@@ -402,17 +438,20 @@ def test_criterion_09_joint_corridor_tail():
 # 10. bit-identical reruns and thread neutrality
 
 
-def test_criterion_10_determinism():
+def test_criterion_10_determinism(monkeypatch):
+    def chunked(chunk, protocol, *args, **kw):
+        monkeypatch.setattr(engine, "_REPLICA_CHUNK", chunk)
+        return hit_times(protocol, *args, **kw)
+
     p = builtin("independent_walks", d=1, c=2)
-    a = hit_times(p, [(2,)], 5000, 1 << 12, root_seed=100, threads=1, chunk=512)
-    b = hit_times(p, [(2,)], 5000, 1 << 12, root_seed=100, threads=8, chunk=173)
-    c = hit_times(p, [(2,)], 5000, 1 << 12, root_seed=100, threads=1, chunk=5000)
+    a = chunked(512, p, [(2,)], 5000, 1 << 12, root_seed=100, threads=1)
+    b = chunked(173, p, [(2,)], 5000, 1 << 12, root_seed=100, threads=8)
+    c = chunked(5000, p, [(2,)], 5000, 1 << 12, root_seed=100, threads=1)
     arrays_equal = np.array_equal(a, b) and np.array_equal(a, c)
 
     anchored = builtin("anchored_geometric", d=2, p="1/2")
-    t1 = hit_times(anchored, [(2, 1)], 300, 1 << 12, root_seed=101)
-    t2 = hit_times(anchored, [(2, 1)], 300, 1 << 12, root_seed=101, threads=4,
-                   chunk=97)
+    t1 = chunked(8192, anchored, [(2, 1)], 300, 1 << 12, root_seed=101)
+    t2 = chunked(97, anchored, [(2, 1)], 300, 1 << 12, root_seed=101, threads=4)
     general_equal = np.array_equal(t1, t2)
 
     r1 = meeting_tail(builtin("anchored_geometric", d=1, p="1/2"),

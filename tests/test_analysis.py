@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from scoutsim import builtin, parse_protocol, streams
+from scoutsim import analysis, builtin, parse_protocol, streams
 from scoutsim.analysis import (KernelEntry, PreconditionError, ReducedKernel, ThickRay,
                                analyze_protocol, classes, degeneracy_check,
                                difference_drift, effective_drift,
@@ -396,11 +396,13 @@ def test_return_time_exponential_tail():
     assert fit.slope < 0
 
 
-def test_renewal_step_budget():
+def test_renewal_step_budget(monkeypatch):
     k = _kernel(HALF_DRIFT)
+    monkeypatch.setattr(analysis, "_RETURN_STEPS", 1)
     with pytest.raises(RuntimeError, match="step budget"):
-        kernel_renewal_samples(k, "a", 5, root_seed=0, max_steps=1)
-    assert np.all(kernel_renewal_samples(k, "a", 5, root_seed=0, max_steps=2).nu == 2)
+        kernel_renewal_samples(k, "a", 5, root_seed=0)
+    monkeypatch.setattr(analysis, "_RETURN_STEPS", 2)
+    assert np.all(kernel_renewal_samples(k, "a", 5, root_seed=0).nu == 2)
 
 
 # sha256 of the (zeta, nu) bytes, recorded with the per-step sampling loop

@@ -182,6 +182,19 @@ def test_oracle_starts_parsed_exactly(argv, s0, probability, capsys):
     assert body["s0"] == s0 and body["probability"] == probability
 
 
+def test_lemma_starts_keep_integers_past_2_53(capsys):
+    # --s0 2**53 + 1 was read as the float 2**53, not above the target --x 2**53,
+    # and the escape check refused it
+    assert main(["lemma", "escape", "--law", "up", "--s0", "9007199254740993",
+                 "--x", "9007199254740992", "--trials", "5", "--horizon", "4"]) == 3
+    body = json.loads(capsys.readouterr().out)
+    assert body["parameters"]["s0"] == 9007199254740993 and body["estimate"] == 0.0
+    # a start a float holds exactly stays a float, as before
+    assert main(["lemma", "escape", "--law", "up", "--s0", "8", "--x", "2", "--trials", "5",
+                 "--horizon", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["parameters"]["s0"] == 8.0
+
+
 def test_lemma_pass_fail_and_precondition(capsys):
     # deviation check on the simple walk: PASS -> 0
     assert main(["lemma", "lemma50", "--law", "srw", "--mu", "0.2",
@@ -195,6 +208,8 @@ def test_lemma_pass_fail_and_precondition(capsys):
     # degenerate law violates the exit precondition -> 1
     assert main(["lemma", "lemma17", "--law", "zero", "--rho", "3",
                  "--trials", "100"]) == 1
+    # so does a negative radius (it exited 3 with a FAIL verdict)
+    assert main(["lemma", "exit-time", "--rho", "-3", "--trials", "5"]) == 1
 
 
 def test_lemma_statistical_fail_exit_code(capsys):
@@ -309,8 +324,10 @@ DRIFT2 = ("dim 2\nscouts 1\nstates a b\ninit 1 a\n"
      "eaba47a061b7a5f6348fdec43c8e1f5bd480b8da33b8ad410d71973952dbf96f"),
     (["--protocol", "builtin:anchored_geometric?d=2,p=1/2", "--scout", "2"],
      "2ec01c407d63a2270f3a2f71a8394d2a07f211423ff63de9f9f746442b4322a1"),
+    # the ray reads its class's direction, 0.8320502943378436 (it recomputed
+    # it with hypot, as ...437, and its width was 31.242254698199485)
     (["--protocol", "DRIFT2", "--seed", "2"],
-     "fbf08631944baaf391d4024790a516eb9f10bfbd268156def0b0c105777b74e3"),
+     "ef36031a64d8f98771d0b36b62b52781ce847163938c19bb7eceba932d90434a"),
     # user widths on drifted and degenerate classes, on an ambiguous
     # zero-drift class, and a zero-probability exit
     (["--protocol", "builtin:anchored_geometric?d=2,p=1/2", "--scout", "2",
@@ -435,6 +452,9 @@ def test_config_cli_overrides(tmp_path, capsys):
     ["lemma", "exit-time", "--rho", "inf", "--trials", "5"],
     ["lemma", "exit-time", "--rho", "nan", "--trials", "5"],
     ["lemma", "corridor", "--law2", "srw", "--s02", "nan", "--trials", "5"],
+    # an integer a float would round must fit int64
+    ["lemma", "escape", "--law", "up", "--s0", "92233720368547758090", "--trials", "5"],
+    ["lemma", "escape", "--law", "up", "--s0", "1e400", "--trials", "5"],
     ["lemma", "corridor", "--law2", "srw", "--interval=-inf:2", "--trials", "5"],
     # negative counts: --n -5 passed, --threads -3 was accepted silently
     ["lemma", "deviation", "--n", "-5", "--trials", "5"],

@@ -206,12 +206,10 @@ def test_cap_marker_must_fit_int64():
     assert s.curve.thresholds[-1] == 2**62
 
 
-@pytest.mark.parametrize("bad", [dict(chunk=-1), dict(chunk=0), dict(replicas=-3),
-                                 dict(threads=0), dict(threads=-2)])
+@pytest.mark.parametrize("bad", [dict(replicas=-3), dict(threads=0), dict(threads=-2)])
 def test_replica_chunks_refuse_bad_counts(bad):
-    # chunk=-1 returned an empty array for 4 replicas, chunk=0 ended in a
-    # bare range() error, replicas=-3 returned [] and threads < 1 ran serially
-    kw = {"replicas": 4, "threads": 1, "chunk": 8192, **bad}
+    # replicas=-3 returned [] and threads < 1 ran serially
+    kw = {"replicas": 4, "threads": 1, **bad}
     pair = builtin("independent_walks", d=1, c=2)
     for call in (lambda: hit_times(builtin("srw", d=1), [(1,)], cap=10, root_seed=0, **kw),
                  lambda: first_meeting_times(pair, cap=10, root_seed=0, **kw)):
@@ -451,7 +449,7 @@ def test_run_leaving_int64_raises():
         run(p, 3, SeedSpec(0))
 
 
-def test_uncovered_environment_raises_after_every_earlier_step():
+def test_uncovered_environment_raises_after_every_earlier_step(monkeypatch):
     p = _uncovered_protocol()
     message = "no matching rule for state 'd' with environment ['a', 'b']"
     ref = [_initial(p)]
@@ -468,9 +466,9 @@ def test_uncovered_environment_raises_after_every_earlier_step():
     # VectorSim.step names the environment too, and so does a lone replica
     # of each chunk on the scalar kernel
     for chunk in (8192, 1):
+        monkeypatch.setattr(engine, "_REPLICA_CHUNK", chunk)
         with pytest.raises(ProtocolError) as err:
-            hit_times(p, [(5,)], KERNEL_SEED.replica + 1, 1024, KERNEL_SEED.root_seed,
-                      chunk=chunk)
+            hit_times(p, [(5,)], KERNEL_SEED.replica + 1, 1024, KERNEL_SEED.root_seed)
         assert str(err.value) == message
     with pytest.raises(ProtocolError) as err:
         run_batch(p, 1024, KERNEL_SEED.root_seed, 1, KERNEL_SEED.replica)
@@ -645,14 +643,15 @@ def test_lone_replica_blocks_match_reference(name, drop_at):
     assert np.array_equal(sim.keys, ref.keys) and np.array_equal(sim.states, ref.states)
 
 
-def test_hit_times_lone_chunks_match():
-    # chunk=1 steps every replica on the scalar kernel from step 0; the
-    # default chunk steps VectorSim.step until one replica is left
+def test_hit_times_lone_chunks_match(monkeypatch):
+    # chunks of one replica step every replica on the scalar kernel from
+    # step 0; the default chunk steps VectorSim.step until one replica is left
     p = builtin("anchored_geometric", d=2, p="1/2")
     targets = [(x, y) for x in range(-3, 4) for y in range(-3, 4)] + [(9, 9)]
     want = hit_times(p, targets, 24, 600, 8)
     assert (want > 600).any() and (want[:, :-1] <= 600).any()
-    assert np.array_equal(hit_times(p, targets, 24, 600, 8, chunk=1), want)
+    monkeypatch.setattr(engine, "_REPLICA_CHUNK", 1)
+    assert np.array_equal(hit_times(p, targets, 24, 600, 8), want)
 
 
 def _decoded_dense_table(comp):
@@ -808,12 +807,13 @@ def _hit_times_oracle(p, targets, replicas, cap, root_seed):
                                (10**9, -10**9), (2, 2)]),
     ("srw", 2, [(1, 1), (-1, 0), (1, 1), (0, 0), (10**9, -10**9)]),
 ])
-def test_hit_times_general_path_matches_oracle(name, d, targets):
+def test_hit_times_general_path_matches_oracle(name, d, targets, monkeypatch):
     p = builtin(name, d=d)
     cap = 300
     want = _hit_times_oracle(p, targets, 10, cap, 4)
     assert np.array_equal(hit_times(p, targets, 10, cap, 4), want)
-    assert np.array_equal(hit_times(p, targets, 10, cap, 4, chunk=3), want)
+    monkeypatch.setattr(engine, "_REPLICA_CHUNK", 3)
+    assert np.array_equal(hit_times(p, targets, 10, cap, 4), want)
     origin = targets.index((0,) * d)
     far = [i for i, t in enumerate(targets) if max(map(abs, t)) > cap]
     assert (want[:, origin] == 0).all() and (want[:, far] == cap + 1).all()
@@ -861,16 +861,17 @@ def test_three_scout_env_protocol_batch_matches_run(name, kw):
         assert np.array_equal(tr.state_idx, S[k])
 
 
-def test_hit_times_threads_and_chunks_identical():
+def test_hit_times_threads_and_chunks_identical(monkeypatch):
     # both paths of VectorSim.blocks: i.i.d. walks and the anchored sweeper
+    def both(threads, chunk):
+        monkeypatch.setattr(engine, "_REPLICA_CHUNK", chunk)
+        return (hit_times(p, [(2,), (-3,)], 400, 800, 3, threads=threads),
+                first_meeting_times(p, 400, 800, 3, threads=threads))
+
     for p in (builtin("independent_walks", d=1, c=2),
               builtin("anchored_geometric", d=1, p="1/2")):
-        a = hit_times(p, [(2,), (-3,)], 400, 800, 3, threads=1, chunk=57)
-        b = hit_times(p, [(2,), (-3,)], 400, 800, 3, threads=4, chunk=128)
-        assert np.array_equal(a, b)
-        a = first_meeting_times(p, 400, 800, 3, threads=1, chunk=57)
-        b = first_meeting_times(p, 400, 800, 3, threads=4, chunk=128)
-        assert np.array_equal(a, b)
+        for a, b in zip(both(1, 57), both(4, 128)):
+            assert np.array_equal(a, b)
 
 
 def test_monte_carlo_degenerate_target():
@@ -1008,7 +1009,8 @@ def test_iid_block_budget_changes_no_value(monkeypatch, replicas):
     results = []
     for budget in (1, 7, 2**40):
         monkeypatch.setattr(engine, "_IID_VARIATES", budget)
-        results.append((hit_times(srw, targets, replicas, 300, 5, chunk=3),
+        monkeypatch.setattr(engine, "_REPLICA_CHUNK", 3)
+        results.append((hit_times(srw, targets, replicas, 300, 5),
                         first_meeting_times(pair, replicas, 300, 5),
                         meeting_gap_samples(pair, replicas, 300, 5, k_min=2, k_max=9)))
     for got in results[1:]:
@@ -1111,18 +1113,21 @@ def partition(request, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["independent_walks", "anchored_geometric"])
-def test_stopping_times_match_references_under_partitions(partition, name):
+def test_stopping_times_match_references_under_partitions(partition, name, monkeypatch):
     # an i.i.d. protocol (block draws) and an environment-dependent one
     # (VectorSim windows), each against the references bit for bit
     p = builtin(name, d=1) if name == "anchored_geometric" else builtin(name, d=1, c=2)
     assert engine._compile(p).iid_single == (name == "independent_walks")
     targets = [(1,), (0,), (-3,), (1,), (10**9,)]
     want = _hit_times_oracle(p, targets, 12, 150, 5)
-    assert np.array_equal(hit_times(p, targets, 12, 150, 5, chunk=5), want)
+    monkeypatch.setattr(engine, "_REPLICA_CHUNK", 5)
+    assert np.array_equal(hit_times(p, targets, 12, 150, 5), want)
     # replica 7 alone: a one-replica range that starts past replica 0
-    assert hit_times(p, [(-3,)], 8, 150, 5, chunk=1)[7, 0] == want[7, 2]
+    monkeypatch.setattr(engine, "_REPLICA_CHUNK", 1)
+    assert hit_times(p, [(-3,)], 8, 150, 5)[7, 0] == want[7, 2]
     want = _first_meetings_stepwise(p, 60, 150, 5)
-    assert np.array_equal(first_meeting_times(p, 60, 150, 5, chunk=25), want)
+    monkeypatch.setattr(engine, "_REPLICA_CHUNK", 25)
+    assert np.array_equal(first_meeting_times(p, 60, 150, 5), want)
     for k_min, k_max in ((1, 64), (2, 3)):
         want = _meeting_gaps_stepwise(p, 30, 150, 5, k_min, k_max)
         got = meeting_gap_samples(p, 30, 150, 5, k_min, k_max)
@@ -1232,7 +1237,7 @@ def test_hit_near_the_int64_edge():
 
 
 @pytest.mark.parametrize("make", [_srw_d2_far, _anchored_d2_far], ids=["srw", "anchored"])
-def test_far_d2_origin_runs_on_every_path(make):
+def test_far_d2_origin_runs_on_every_path(make, monkeypatch):
     # run_batch and hit_times refused this origin before any step, though
     # run keyed it from the origin
     p = make()
@@ -1251,7 +1256,8 @@ def test_far_d2_origin_runs_on_every_path(make):
     want = _hit_times_oracle(p, targets, 6, 200, 13)
     assert (want[:, 0] == 0).all() and (want[:, 1:3] <= 200).any()
     assert np.array_equal(hit_times(p, targets, 6, 200, 13), want)
-    assert np.array_equal(hit_times(p, targets, 6, 200, 13, chunk=4), want)
+    monkeypatch.setattr(engine, "_REPLICA_CHUNK", 4)
+    assert np.array_equal(hit_times(p, targets, 6, 200, 13), want)
 
 
 @pytest.mark.parametrize("cap", [1, 63, 64, 65, 130])

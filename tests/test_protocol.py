@@ -1,5 +1,7 @@
 """Protocol parsing, validation, environments, builtins, serialization."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -85,6 +87,33 @@ def test_partial_exact_coverage_needs_wildcard():
             "trans B * -> 1 B (0)\n")
     with pytest.raises(ProtocolValidationError, match="leave environments"):
         parse_protocol(text)
+
+
+def test_coverage_count_matches_enumeration():
+    # validate counts each state's exact-set rules of at most c-1 states
+    # against the number of such sets; the reference enumerates the sets
+    from scoutsim.protocol import Outcome, ScoutProtocol, TransitionRule
+    names = ("A", "B", "C")
+    sets = [c for k in range(4) for c in itertools.combinations(names, k)]
+    rng = random.Random(0)
+    for _ in range(300):
+        scouts = rng.randint(1, 3)
+        rules = tuple(TransitionRule(s, EnvPattern.exact(c), (Outcome(Fraction(1), s, (0,)),))
+                      for s in names for c in sets if rng.random() < 0.8)
+        rules += tuple(TransitionRule(s, EnvPattern.wildcard(), (Outcome(Fraction(1), s, (0,)),))
+                       for s in names if rng.random() < 0.2)
+        p = ScoutProtocol(dim=1, scouts=scouts, state_names=names, initial_position=(0,),
+                          initial_states=("A",) * scouts, rules=rules)
+        needed = [frozenset(c) for c in sets if len(c) < scouts]
+        want = []
+        for state in names:
+            rows = [r for r in rules if r.state == state]
+            have = {frozenset(r.pattern.states) for r in rows}
+            if rows and not any(r.pattern.is_wildcard for r in rows) and not all(
+                    s in have for s in needed):
+                want.append(f"state {state!r}: exact-set rules leave environments "
+                            "uncovered and there is no wildcard")
+        assert [v.message for v in validate(p) if "exact-set" in v.message] == want
 
 
 def test_validate_returns_violations_as_data():

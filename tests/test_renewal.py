@@ -12,7 +12,8 @@ from scoutsim.renewal import (FINITE, INFINITE,
                               EnvelopeViolation,
                               divergence_flag, divergence_report,
                               extract_renewal, meeting_tail)
-from scoutsim.tails import InsufficientDataError, SurvivalCurve, summarize_censored
+from scoutsim.tails import (CENSORED_FLAG_FRACTION, CensoredSummary, InsufficientDataError,
+                            SurvivalCurve, summarize_censored)
 
 STAY_PUT = ("dim 1\nscouts 2\nstates a b\ninit 1 a\ninit 2 b\n"
             "trans a * -> 1 a (0)\ntrans b * -> 1 b (0)\n")
@@ -174,19 +175,23 @@ def test_engine_meeting_survival_matches_difference_oracle():
 # divergence verdicts
 
 
-def _power_curve(slope, cap=1 << 20, total=2 ** 40):
+def _power_summary(slope, cap=1 << 20, total=2 ** 40):
+    """A summary whose survival curve is the analytic total * u**slope."""
     thresholds = np.array([1 << j for j in range(int(np.log2(cap)) + 1)],
                           dtype=np.int64)
     surv = np.array([total * u ** slope for u in thresholds])
-    return SurvivalCurve(thresholds, surv, float(total), censor_cap=cap)
+    curve = SurvivalCurve(thresholds, surv, float(total), censor_cap=cap)
+    censored = int(surv[-1])
+    return CensoredSummary("power", curve, total, censored, None, None, None, cap, 0,
+                           censored / total > CENSORED_FLAG_FRACTION)
 
 
 def test_divergence_power_half_infinite():
-    assert divergence_flag(_power_curve(-0.5)) == INFINITE
+    assert divergence_flag(_power_summary(-0.5)) == INFINITE
 
 
 def test_divergence_steep_tail_finite():
-    assert divergence_flag(_power_curve(-1.5)) == FINITE
+    assert divergence_flag(_power_summary(-1.5)) == FINITE
 
 
 def test_divergence_flag_on_simulated_controls():
@@ -219,8 +224,16 @@ def test_divergence_on_curve_without_thresholds():
     assert divergence_flag(ms) == INFINITE
 
 
+def test_divergence_censored_fraction_at_non_dyadic_cap():
+    # the last dyadic threshold below cap 1000 is 512: the report gave
+    # P(T > 512) = 0.1125 as its censored fraction, beside the summary's 33/400
+    [h] = monte_carlo_hitting_multi(builtin("srw", d=1), [(3,)], 400, cap=1000, root_seed=1)
+    assert h.summary.n_censored == 33
+    assert divergence_report(h.summary)["censored_fraction"] == 0.0825
+
+
 def test_divergence_report_fields():
-    rep = divergence_report(_power_curve(-0.5))
+    rep = divergence_report(_power_summary(-0.5))
     assert rep["verdict"] == INFINITE
     assert rep["power_fit"]["slope"] == pytest.approx(-0.5, abs=1e-9)
 

@@ -610,7 +610,7 @@ def test_reach_tail_degenerate_flat():
 def test_reach_tail_immediate():
     # target already inside the look radius: no survival at u=1
     res = check_zero_drift_reach_tail(LookAroundWalk(srw()), 1.0, trials=300,
-                                      cap=128, root_seed=1, x_offsets=(2, 3, 4, 5))
+                                      cap=128, root_seed=1)
     curve_zero = res.details.get("reason") is not None or res.estimate is not None
     assert curve_zero
 
@@ -653,13 +653,16 @@ def test_exit_tail_srw():
 
 def test_exit_tail_deterministic_step():
     res = check_exit_time_tail(LookAroundWalk(NAMED_LAWS["up"]()), 5,
-                               trials=100, root_seed=4, u_max=32)
+                               trials=100, root_seed=4)
     assert res.details["mean_exit"] == 6.0
 
 
 def test_exit_tail_precondition():
     with pytest.raises(PreconditionError, match="zeta = 0"):
         check_exit_time_tail(LookAroundWalk(NAMED_LAWS["zero"]()), 5)
+    # rho = -3 put every walk outside the set at step 0: a FAIL verdict
+    with pytest.raises(PreconditionError, match="rho >= 0"):
+        check_exit_time_tail(LookAroundWalk(srw()), -3, trials=5)
 
 
 def test_deviation_bound_srw():

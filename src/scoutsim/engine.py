@@ -76,9 +76,10 @@ origin.  Targets farther than the cap from the origin can never be hit and
 are dropped; the rest are packed as offsets.  :func:`_positions` turns keys
 into (..., scouts, d) positions and raises :class:`PositionOverflowError`
 for one outside int64.
-Hitting looks every key of a block up with one ``searchsorted`` among the
-sorted distinct target keys: per step O(replicas * scouts * log targets),
-not a compare against every target.
+Hitting compares a block's keys with each distinct target key when there
+are at most ``_FEW_TARGETS`` of them (4); with more, it looks every key up
+with one ``searchsorted`` among the sorted target keys: per step
+O(replicas * scouts * log targets), not a compare against every target.
 """
 
 from __future__ import annotations
@@ -108,6 +109,11 @@ _IID_VARIATES = 1 << 14
 # most steps per block stepped one at a time (see _stepped_block); blocks
 # double up to it, so replicas that finish early run no whole window
 _HIT_WINDOW = 32
+# most distinct target keys that _find_targets compares one at a time: a
+# compare per target costs about 1 ns a key and a searchsorted 4-8 ns, so
+# they break even near 4 targets on a 3000-key stepped block, and on a
+# 16,000-key i.i.d. block 4 targets take 36 us against 140 us
+_FEW_TARGETS = 4
 # replicas per VectorSim of hit_times and first_meeting_times (see hit_times)
 _REPLICA_CHUNK = 8192
 # d = 2 grid keys are exact while |coordinate| < _KEY_HALF (see _pack)
@@ -744,8 +750,16 @@ def _target_keys(comp: _Compiled, targets: np.ndarray,
 
 
 def _find_targets(tkeys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices of the keys equal to a target key, and those targets' columns."""
+    """Flat indices of the keys equal to a target key, and those targets' columns.
+
+    Up to _FEW_TARGETS target keys, one compare of the block per target;
+    past it, one ``searchsorted`` of every key among the sorted targets.
+    """
     flat = keys.reshape(-1)
+    if tkeys.size <= _FEW_TARGETS:
+        hits = [np.flatnonzero(flat == key) for key in tkeys]
+        return (np.concatenate(hits) if hits else np.zeros(0, np.intp),
+                np.repeat(np.arange(tkeys.size), [h.size for h in hits]))
     j = tkeys.searchsorted(flat)
     # j = tkeys.size (a key past every target) clips to the last target,
     # which it does not equal

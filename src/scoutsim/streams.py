@@ -8,12 +8,18 @@ workers in any order.
 
 The generator is Philox 4x32 with 10 rounds, evaluated directly at the
 counter ``(step_lo, step_hi, replica, scout)`` under a key derived from the
-root seed.  The implementation keeps the four 32-bit lanes in uint64 arrays
+root seed.  Of the four output words the bits are w0 << 32 | w1; w2 and w3
+are dropped.  The implementation keeps the 32-bit lanes in uint64 arrays
 and runs the rounds in place, which is considerably faster in numpy than a
-literal 32-bit transcription; outputs are bit-identical to the reference
-function (see the known-answer tests).  The lanes and the two products of a
-round live in a workspace of 6 x ``_CHUNK`` words (1.5 MiB) that each thread
-makes once and reuses on every call.  A call runs in passes of at most
+literal 32-bit transcription.  Round 1 reads only the counter words, so it
+runs on the counters as passed (the steps, and the replicas with the
+scouts) before anything is broadcast, and writes its four words at full
+size once.  Rounds 2-8 run at full size, and rounds 9 and 10 compute only
+what w0 and w1 read.  Outputs are bit-identical to the full ten-round
+reference, which lives in ``tests/conftest.py`` with the known-answer
+tests.  The lanes and the two products of a round live in a workspace of
+6 x ``_CHUNK`` words (1.5 MiB) that each thread makes once and reuses on
+every call.  A call runs in passes of at most
 ``_CHUNK`` counters, cut along its leading axes, so it allocates only its
 result, or nothing where the caller passes ``out``; :func:`uniforms` turns
 the bits into floats in that same array.  The memory kept stays at the
@@ -36,6 +42,7 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -49,34 +56,6 @@ _ROUNDS = 10
 _INV53 = float(2.0**-53)
 
 SEED_LIMIT = 1 << 64  # the root seed fills the two 32-bit key words
-
-
-def _philox_u64(lanes, key0: int, key1: int):
-    """Philox-4x32-10 on uint64 lanes holding 32-bit values, in place.
-
-    ``lanes`` holds the four counter words and two scratch lanes of the same
-    shape.  Returns the four output lanes (aliases of ``lanes``).
-    """
-    x0, x1, x2, x3, a, b = lanes
-    m0 = np.uint64(_M0)
-    m1 = np.uint64(_M1)
-    k0 = key0 & 0xFFFFFFFF
-    k1 = key1 & 0xFFFFFFFF
-    for _ in range(_ROUNDS):
-        np.multiply(x0, m0, out=a)          # a = M0 * c0
-        np.multiply(x2, m1, out=b)          # b = M1 * c2
-        np.right_shift(a, _S32, out=x0)     # x0 = hi0
-        a &= _LO32                          # a  = lo0
-        np.right_shift(b, _S32, out=x2)     # x2 = hi1
-        b &= _LO32                          # b  = lo1
-        x2 ^= x1
-        x2 ^= np.uint64(k0)                 # x2 = new c0
-        x0 ^= x3
-        x0 ^= np.uint64(k1)                 # x0 = new c2
-        x0, x1, x2, x3, a, b = x2, b, x0, a, x1, x3
-        k0 = (k0 + _W0) & 0xFFFFFFFF
-        k1 = (k1 + _W1) & 0xFFFFFFFF
-    return x0, x1, x2, x3
 
 
 def _key_words(root_seed: int) -> tuple[int, int]:
@@ -160,19 +139,86 @@ def check_counters(root_seed: int, replica) -> None:
     _counter_word(replica, "replica")
 
 
-def _philox_into(out: np.ndarray, step, replica, scout, k0: int, k1: int) -> None:
-    """Fill ``out`` (at most _CHUNK entries) with the 64 bits at each counter,
-    the counter words broadcast to its shape."""
+@lru_cache(maxsize=16)
+def _round_keys(k0: int, k1: int) -> tuple[tuple[np.uint64, np.uint64], ...]:
+    """The key pair of each of the _ROUNDS rounds, bumped by (W0, W1) a round.
+
+    Cached: making the 20 numpy scalars costs about two full passes."""
+    keys = []
+    for _ in range(_ROUNDS):
+        keys.append((np.uint64(k0), np.uint64(k1)))
+        k0, k1 = (k0 + _W0) & 0xFFFFFFFF, (k1 + _W1) & 0xFFFFFFFF
+    return tuple(keys)
+
+
+def _philox_into(out: np.ndarray, step, replica, scout, keys) -> None:
+    """Fill ``out`` (at most _CHUNK entries) with the 64 bits w0 << 32 | w1 of
+    Philox-4x32-10 at each counter, the counter words broadcast to its shape.
+
+    A round maps (c0, c1, c2, c3) to (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2),
+    hi(M0 c0) ^ c3 ^ k1, lo(M0 c0)), on uint64 lanes holding 32-bit words.
+    Round 1 runs on the counters as passed: c0 and c1 vary with the step
+    alone, c2 with the replica and c3 with the scout, so its products and
+    words are computed at those shapes, in the two scratch rows, and only
+    its four results are written at full size.  Rounds 2-8 run in place on
+    the four full lanes and the two scratch lanes.  The last two rounds
+    compute only what w0 and w1 read: round 9 the new c1 and c2, and
+    round 10 the product M1 c2 = hi << 32 | lo, whence
+    w0 << 32 | w1 = M1 c2 ^ (c1 ^ k0) << 32.
+    """
     if out.ndim == 0:  # unpacking the lanes needs an axis
         out = out.reshape(1)
-    lanes = _workspace()[:, :out.size].reshape((_LANES,) + out.shape)
-    np.bitwise_and(step, _LO32, out=lanes[0])
-    np.right_shift(step, _S32, out=lanes[1])
-    lanes[2][...] = replica
-    lanes[3][...] = scout
-    w0, w1, _, _ = _philox_u64(lanes, k0, k1)
-    np.left_shift(w0, _S32, out=out)
-    out |= w1
+    if not out.size:
+        return
+    ws = _workspace()
+    x0, x1, x2, x3, a, b = ws[:, :out.size].reshape((_LANES,) + out.shape)
+    m0, m1 = np.uint64(_M0), np.uint64(_M1)
+    # round 1 on the counters: ta has the step's shape and tb the joint
+    # shape of replica and scout, so every full write broadcasts one over
+    # the other along whole runs of axes (a word broadcast along a short
+    # inner axis, as a (1, R, 1) replica over scouts, is several times slower)
+    k0, k1 = keys[0]
+    ta = ws[4, :step.size].reshape(step.shape)
+    joint = np.broadcast_shapes(replica.shape, scout.shape)
+    tb = ws[5, :math.prod(joint)].reshape(joint)
+    np.bitwise_and(step, _LO32, out=ta)
+    ta *= m0                                # M0 * c0
+    np.bitwise_and(ta, _LO32, out=x3)       # new c3 = lo0
+    ta >>= _S32                             # hi0
+    np.bitwise_xor(scout, k1, out=tb)
+    np.bitwise_xor(ta, tb, out=x2)          # new c2 = hi0 ^ c3 ^ k1
+    np.right_shift(step, _S32, out=ta)
+    ta ^= k0                                # c1 ^ k0
+    np.multiply(replica, m1, out=tb)        # M1 * c2
+    np.bitwise_and(tb, _LO32, out=x1)       # new c1 = lo1
+    tb >>= _S32                             # hi1
+    np.bitwise_xor(tb, ta, out=x0)          # new c0 = hi1 ^ c1 ^ k0
+    for r in range(1, _ROUNDS - 2):
+        k0, k1 = keys[r]
+        np.multiply(x0, m0, out=a)          # a = M0 * c0
+        np.multiply(x2, m1, out=b)          # b = M1 * c2
+        np.right_shift(a, _S32, out=x0)     # x0 = hi0
+        a &= _LO32                          # a  = lo0
+        np.right_shift(b, _S32, out=x2)     # x2 = hi1
+        if r < _ROUNDS - 3:                 # round 8's new c1 is never read
+            b &= _LO32                      # b  = lo1
+        x2 ^= x1
+        x2 ^= k0                            # x2 = new c0
+        x0 ^= x3
+        x0 ^= k1                            # x0 = new c2
+        x0, x1, x2, x3, a, b = x2, b, x0, a, x1, x3
+    # round 9: new c1 = lo(M1 c2) and new c2 = hi(M0 c0) ^ c3 ^ k1; c1 is
+    # read only shifted up by 32 bits, so its high word needs no mask
+    np.multiply(x0, m0, out=a)
+    a >>= _S32
+    a ^= x3
+    a ^= keys[-2][1]                        # a = new c2
+    np.multiply(x2, m1, out=b)              # b = new c1, unmasked
+    # round 10 and the output: w0 << 32 | w1 = M1 c2 ^ (c1 ^ k0) << 32
+    np.multiply(a, m1, out=out)
+    b <<= _S32
+    out ^= b
+    out ^= keys[-1][0] << _S32
 
 
 def raw64(root_seed: int, replica, scout, step, out: np.ndarray | None = None) -> np.ndarray:
@@ -186,18 +232,23 @@ def raw64(root_seed: int, replica, scout, step, out: np.ndarray | None = None) -
     replica = _counter_word(replica, "replica")
     scout = _counter_word(scout, "scout")
     step = _counter_word(step, "step", 64)
-    k0, k1 = _key_words(root_seed)
+    keys = _round_keys(*_key_words(root_seed))
     shape = np.broadcast(step, replica, scout).shape
     if out is None:
         out = np.empty(shape, dtype=np.uint64)
     elif out.shape != shape or out.dtype != np.uint64:
         raise ValueError(f"out must be a uint64 array of shape {shape}")
     if out.size <= _CHUNK:
-        _philox_into(out, step, replica, scout, k0, k1)
-    else:
-        counters = [np.broadcast_to(c, out.shape) for c in (step, replica, scout)]
-        for piece in _pieces(out.shape):
-            _philox_into(out[piece], *(c[piece] for c in counters), k0, k1)
+        _philox_into(out, step, replica, scout, keys)
+        return out
+    # each counter keeps its own shape in every pass: it is cut only along
+    # its non-singleton axes, and takes index 0 where a piece takes an
+    # integer index along one of its singleton axes
+    counters = [c.reshape((1,) * (out.ndim - c.ndim) + c.shape) for c in (step, replica, scout)]
+    for piece in _pieces(out.shape):
+        own = [c[tuple(p if n > 1 else 0 if isinstance(p, int) else slice(None)
+                       for p, n in zip(piece, c.shape))] for c in counters]
+        _philox_into(out[piece], *own, keys)
     return out
 
 

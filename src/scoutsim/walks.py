@@ -79,6 +79,9 @@ from .tails import (FIT_R2_MIN, MIN_FIT_POINTS, MIN_FIT_SURVIVORS, InsufficientD
                     SurvivalCurve, TailFit, fit_tail, wilson_interval)
 
 _DP_CELL_BUDGET = 8_000_000
+# most steps per trial of the exit-time check: u_max = 8 * max(1, rho)**2
+# stays within it for rho up to about 362
+_EXIT_STEP_BUDGET = 1 << 20
 _INT64 = 1 << 63
 # verdict thresholds of the checks: a reach-tail slope may miss -1/2 by
 # REACH_SLOPE_TOL and its scaling over the offsets REACH_OFFSETS needs
@@ -658,14 +661,18 @@ def check_zero_drift_reach_tail(w: LookAroundWalk, x: float, trials: int = 30000
     """
     drift = w.law.mean_zeta
     _require(float(drift) == 0, "reach-tail check requires E[zeta] = 0")
-    offsets = sorted(set(REACH_OFFSETS) | {float(x) - float(w.s0)})
+    # the levels are taken as offsets from the start, and each walk's offset
+    # S - s0 is read back from its positions: both are exact for an integer
+    # walk from an integer start however far it lies from 0
+    s0 = _start(w, cap + 1)
+    main = float(Fraction(x) - Fraction(s0))
+    offsets = sorted(set(REACH_OFFSETS) | {main})
     _require(all(o > 0 for o in offsets), "offsets must be positive")
-    levels = np.array([w.s0 + o for o in offsets])
-    reached = _EVENTS["reach"].cond(levels, w.law)  # one column per level
-    T = _stopping_times([w], lambda S, R: reached(S[0][..., None], R[0][..., None]),
-                        trials, cap, root_seed, columns=len(levels))
-    main_k = offsets.index(float(x) - float(w.s0))
-    curves = [SurvivalCurve.from_samples(T[:, k], cap) for k in range(len(levels))]
+    reached = _EVENTS["reach"].cond(np.array(offsets), w.law)  # one column per level
+    T = _stopping_times([w], lambda S, R: reached((S[0] - s0)[..., None], R[0][..., None]),
+                        trials, cap, root_seed, columns=len(offsets))
+    main_k = offsets.index(main)
+    curves = [SurvivalCurve.from_samples(T[:, k], cap) for k in range(len(offsets))]
     main_curve = curves[main_k]
     try:
         fit = _asymptotic_fit(main_curve, offsets[main_k])
@@ -729,13 +736,21 @@ def check_exit_time_tail(w: LookAroundWalk, rho: float, trials: int = 20000,
 
     The exit set follows the drift sign: two-sided for centered walks,
     one-sided in the drift direction otherwise.  The curve runs to
-    u_max = max(64, 8 * max(1, rho)**2) steps.  PASS needs a negative
-    slope on semi-log axes with fit quality at least FIT_R2_MIN.
+    u_max = max(64, 8 * max(1, rho)**2) steps.  A rho whose 8 * rho**2
+    exceeds _EXIT_STEP_BUDGET (2**20 steps, so rho above about 362) raises
+    BudgetExceededError before any draw.  PASS needs a negative slope on
+    semi-log axes with fit quality at least FIT_R2_MIN.
     """
     _require(not w.law.zeta_identically_zero,
              "exit-time check requires P(zeta = 0) < 1")
     _require(rho >= 0, f"exit-time check requires rho >= 0, got {rho}")
-    u_max = max(64, int(8 * max(1.0, rho) ** 2))
+    r = max(1.0, rho)
+    steps = 8 * (r * r)  # a float past its range is inf, not an OverflowError
+    if steps > _EXIT_STEP_BUDGET:
+        raise BudgetExceededError(f"exit-time check would run {steps:.4g} steps per trial, "
+                                  f"over the budget of {_EXIT_STEP_BUDGET}; take rho <= "
+                                  f"{math.isqrt(_EXIT_STEP_BUDGET // 8)}")
+    u_max = max(64, int(steps))
     params = {"rho": rho, "trials": trials, "u_max": u_max}
     outside = _exit_cond(rho, w.law)
     tau = _stopping_times([w], lambda S, R: outside(S[0], R[0]),

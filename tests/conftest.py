@@ -17,6 +17,36 @@ from scoutsim.protocol import (EnvPattern, Outcome, ScoutProtocol,
 # a scalar draw, which tests compare the batched streams against
 
 
+def _philox_u64(lanes, key0: int, key1: int):
+    """Philox-4x32-10 on uint64 lanes holding 32-bit values, in place: all
+    ten rounds at full size, all four output words.
+
+    ``lanes`` holds the four counter words and two scratch lanes of the same
+    shape.  Returns the four output lanes (aliases of ``lanes``).
+    """
+    x0, x1, x2, x3, a, b = lanes
+    m0 = np.uint64(streams._M0)
+    m1 = np.uint64(streams._M1)
+    lo32, s32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+    k0 = key0 & 0xFFFFFFFF
+    k1 = key1 & 0xFFFFFFFF
+    for _ in range(streams._ROUNDS):
+        np.multiply(x0, m0, out=a)          # a = M0 * c0
+        np.multiply(x2, m1, out=b)          # b = M1 * c2
+        np.right_shift(a, s32, out=x0)      # x0 = hi0
+        a &= lo32                           # a  = lo0
+        np.right_shift(b, s32, out=x2)      # x2 = hi1
+        b &= lo32                           # b  = lo1
+        x2 ^= x1
+        x2 ^= np.uint64(k0)                 # x2 = new c0
+        x0 ^= x3
+        x0 ^= np.uint64(k1)                 # x0 = new c2
+        x0, x1, x2, x3, a, b = x2, b, x0, a, x1, x3
+        k0 = (k0 + streams._W0) & 0xFFFFFFFF
+        k1 = (k1 + streams._W1) & 0xFFFFFFFF
+    return x0, x1, x2, x3
+
+
 def philox4x32(c0, c1, c2, c3, k0, k1):
     """One Philox-4x32-10 block: four uint32 counter words -> four uint32 words."""
     shape = np.broadcast(np.asarray(c0), np.asarray(c1),
@@ -24,7 +54,7 @@ def philox4x32(c0, c1, c2, c3, k0, k1):
     lanes = [np.empty(shape, dtype=np.uint64) for _ in range(6)]
     for lane, c in zip(lanes, (c0, c1, c2, c3)):
         lane[...] = np.asarray(c, dtype=np.uint64) & np.uint64(0xFFFFFFFF)
-    w = streams._philox_u64(lanes, int(k0), int(k1))
+    w = _philox_u64(lanes, int(k0), int(k1))
     return tuple(x.astype(np.uint32) for x in w)
 
 

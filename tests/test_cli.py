@@ -195,6 +195,31 @@ def test_lemma_starts_keep_integers_past_2_53(capsys):
     assert json.loads(capsys.readouterr().out)["parameters"]["s0"] == 8.0
 
 
+def test_lemma_reach_tail_offsets_exact_past_2_53(capsys):
+    # x - s0 was taken in floats: float(2**53 + 11) - float(2**53 + 1) is 12.
+    # An integer walk from s0 draws the same offsets from any start, so the
+    # report is the one of s0 = 0, x = 10 but for x
+    argv = ["lemma", "reach-tail", "--law", "1/2:1;1/2:-1", "--trials", "50", "--cap", "64"]
+    bodies = []
+    for start in (["--s0", "9007199254740993", "--x", "9007199254741003"], ["--x", "10"]):
+        assert main(argv + start) == 3
+        bodies.append(json.loads(capsys.readouterr().out))
+    assert bodies[0]["parameters"]["offsets"] == [2.0, 4.0, 6.0, 8.0, 10.0]
+    assert bodies[0]["parameters"].pop("x") == 9007199254741003
+    assert bodies[1]["parameters"].pop("x") == 10.0
+    assert bodies[0] == bodies[1]
+
+
+def test_lemma_exit_time_step_budget(capsys):
+    # u_max = 8 * rho**2 had no bound: rho 1e6 ran 8e12 steps per trial
+    assert main(["lemma", "exit-time", "--rho", "1e6", "--trials", "5"]) == 1
+    err = capsys.readouterr().err
+    assert "budget" in err and len(err.strip().splitlines()) == 1
+    assert main(["lemma", "exit-time", "--rho", "363", "--trials", "5"]) == 1
+    capsys.readouterr()
+    assert main(["lemma", "exit-time", "--rho", "5", "--trials", "5"]) in (0, 3)
+
+
 def test_lemma_pass_fail_and_precondition(capsys):
     # deviation check on the simple walk: PASS -> 0
     assert main(["lemma", "lemma50", "--law", "srw", "--mu", "0.2",

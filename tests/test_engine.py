@@ -1112,6 +1112,26 @@ def partition(request, monkeypatch):
     return request.param
 
 
+@pytest.mark.parametrize("name,targets", [
+    ("srw1", [(0,), (2,), (2,), (-3,), (10**6,)]),
+    ("srw1", [(0,), (1,), (-1,), (2,), (-2,), (3,), (3,), (-4,), (10**6,)]),
+    ("srw2", [(0, 0), (1, 1), (1, 1), (-2, 0), (10**6, 0)]),
+    ("anchored2", [(0, 0), (1, 0), (1, 0), (0, -2), (3, 3), (10**6, 3)]),
+])
+def test_target_lookups_agree(monkeypatch, name, targets):
+    # a compare per target key and the searchsorted of every key find the
+    # same hits, with the origin, a repeated target and one out of reach
+    p = {"srw1": builtin("srw", d=1), "srw2": builtin("srw", d=2),
+         "anchored2": builtin("anchored_geometric", d=2)}[name]
+    got = []
+    for few in (0, 1 << 30):
+        monkeypatch.setattr(engine, "_FEW_TARGETS", few)
+        got.append(hit_times(p, targets, 40, 300, 11))
+    assert np.array_equal(got[0], got[1])
+    assert (got[0][:, 0] == 0).all() and (got[0][:, -1] == 301).all()
+    assert (got[0][:, 1:-1] <= 300).any()
+
+
 @pytest.mark.parametrize("name", ["independent_walks", "anchored_geometric"])
 def test_stopping_times_match_references_under_partitions(partition, name, monkeypatch):
     # an i.i.d. protocol (block draws) and an environment-dependent one

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 import sys
 import threading
 from bisect import bisect_right
@@ -155,6 +156,49 @@ RAW64_PINS = [
     (lambda: streams.raw64(9, 0, np.arange(3), np.arange(70000, dtype=np.uint64)[:, None]),
      "8b060db226d140e630422941ab197da77afd5e97985a919770745f68e4c7d295"),
 ]
+
+
+def _reference_raw64(root_seed, replica, scout, step):
+    """raw64 by the full ten-round reference: w0 << 32 | w1 at each counter."""
+    step = np.asarray(step, dtype=np.uint64)
+    w0, w1, _, _ = philox4x32(step & np.uint64(0xFFFFFFFF), step >> np.uint64(32),
+                              replica, scout, root_seed & 0xFFFFFFFF, root_seed >> 32)
+    return (w0.astype(np.uint64) << np.uint64(32)) | w1.astype(np.uint64)
+
+
+# broadcast shapes of raw64 calls: one pass, and past _CHUNK cut along the
+# first axis (70000, 3), along the second (3, 70000) and by integer indices
+# on the leading axes (2, 3, 40000) and (2, 40000, 2), where a piece of the
+# last is cut along its second axis
+RAW64_LAYOUT_SHAPES = [(), (5,), (4, 6), (3, 4, 5), (70000, 3), (3, 70000),
+                       (2, 3, 40000), (2, 40000, 2)]
+
+
+@pytest.mark.parametrize("shape", RAW64_LAYOUT_SHAPES)
+def test_raw64_matches_reference_in_every_layout(shape):
+    # every way of giving each axis to one counter, so each of step, replica
+    # and scout is the only non-singleton axis somewhere; a counter with no
+    # axis is a Python int or a 0-d array, and one whose leading axes are
+    # singletons drops them in every other layout; steps run past 2**32
+    rng = np.random.default_rng(len(shape) * 100 + sum(shape))
+    for k, owners in enumerate(itertools.product(range(3), repeat=len(shape))):
+        if math.prod(shape) > 1000 and k % 4 and len(set(owners)) > 1:
+            continue  # a quarter of the mixed large layouts keeps the test quick
+        counters = []
+        for c, bits in enumerate((64, 32, 32)):
+            sub = tuple(n if o == c else 1 for n, o in zip(shape, owners))
+            if k % 2:
+                while sub and sub[0] == 1:
+                    sub = sub[1:]
+            values = rng.integers(0, 2**bits, size=sub, dtype=np.uint64)
+            if not sub:
+                values = int(values) if k % 3 else values
+            counters.append(values)
+        step, replica, scout = counters
+        seed = int(rng.integers(0, 2**63)) * 2 + k % 2
+        got = streams.raw64(seed, replica, scout, step)
+        assert got.shape == shape
+        assert np.array_equal(got, _reference_raw64(seed, replica, scout, step))
 
 
 @pytest.mark.parametrize("call,digest", RAW64_PINS)

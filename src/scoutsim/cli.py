@@ -284,15 +284,14 @@ def _finite(text: str) -> float | int:
     return int(exact)
 
 
-def _parse_interval(text: str) -> tuple[float, float]:
+def _parse_interval(text: str) -> tuple[float | int, float | int]:
     lo, sep, hi = text.partition(":")
+    if not sep:
+        raise UsageError(f"--interval must be LO:HI, got {text!r}")
     try:
-        lo, hi = float(lo), float(hi)
-        if not (sep and math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError
-        return lo, hi
-    except ValueError:
-        raise UsageError(f"--interval must be LO:HI with finite numbers, got {text!r}") from None
+        return _finite(lo), _finite(hi)
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"--interval {text!r}: {exc}") from None
 
 
 def cmd_lemma(args, argv) -> int:

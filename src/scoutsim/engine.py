@@ -26,20 +26,20 @@ the counters fix every value, so no partition of the steps into blocks,
 and no choice of stepper, changes one.
 
 :class:`VectorSim` steps all replicas through flat tables of the compiled
-protocol.  A scout's rule row is one ``take`` from a dense dispatch table
-of (n + 1)**c entries for n states: the index holds the scout's own state
-as its top base-(n + 1) digit and, below it, one digit per other scout,
-s + 1 for one at the same point in state s and 0 for one elsewhere.  The
-indices of all scouts are one batched product of the co-location matrix
-with a constant weight matrix, and the entry is the row's flat base
-row * row_width, or -1 where no rule covers.  The branch counts the row's
-partial sums <= u at base + j, and the successor state and move key are
-``take``s at base + branch.  Environment-free protocols index by their own
-state alone; a protocol whose table would exceed 2**20 entries looks each
-scout's environment mask up among the sorted masks of its exact rules
-instead, and takes the wildcard row on a miss.  Both stepping paths
-report an uncovered environment with the same :meth:`_Compiled.no_rule`
-message.
+protocol.  One rule table, ``mask_bases`` from :meth:`_Compiled.dispatch_row`,
+holds each state's flat row base row * row_width (-1 where no rule covers)
+per exact rule's mask, and last for any other mask.  A scout's rule row is
+one ``take`` from a dense dispatch table of (n + 1)**c entries for n
+states, gathered from it: the index holds the scout's own state as its top
+base-(n + 1) digit and, below it, one digit per other scout, s + 1 for one
+at the same point in state s and 0 for one elsewhere.  The indices of all
+scouts are one batched product of the co-location matrix with a constant
+weight matrix.  The branch counts the row's partial sums <= u at base + j,
+and the successor state and move key are ``take``s at base + branch.
+Environment-free protocols index by their own state alone; past 2**20
+table entries, ``mask_bases`` is read at each scout's mask column instead.
+Both stepping paths report an uncovered environment with the same
+:meth:`_Compiled.no_rule` message.
 
 Hitting times, first meetings, meeting gaps and :func:`run_batch` read one
 source, :meth:`VectorSim.blocks`, with one loop each, and so do the return
@@ -240,10 +240,8 @@ class _Compiled:
             si = self.state_index[rule.state]
             if rule.pattern.is_wildcard:
                 self.wildcard_row[si] = row_idx
-            else:
-                mask = 0
-                for s in rule.pattern.states:
-                    mask |= 1 << self.state_index[s]
+            else:  # the OR of the pattern's state bits
+                mask = sum({1 << self.state_index[s] for s in rule.pattern.states})
                 self.exact_rows[(si, mask)] = row_idx
         outcomes = [rule.outcomes for rule in p.rules]
         self.table = streams.Categorical([[o.probability for o in r] for r in outcomes])
@@ -264,14 +262,13 @@ class _Compiled:
         self.max_move = int(np.abs(self.row_move.astype(np.int64)).max(initial=0))
 
         self.env_free = not self.exact_rows
+        # the rule table: each state's base (row * row_width, or -1 with no
+        # rule) per exact rule's sorted mask, and last in mask -1 for the rest
+        self.exact_masks = np.array(sorted({m for _, m in self.exact_rows}), dtype=np.int64)
+        rows = np.array([[self.dispatch_row(q, m) for m in self.exact_masks.tolist() + [-1]]
+                         for q in range(self.n_states)], dtype=np.int64)
+        self.mask_bases = np.where(rows < 0, -1, rows * self.row_width)
         self.dense, self.weights = self._dense_table()
-        if self.dense is None:
-            # VectorSim._lookup_bases's tables: the exact rules' sorted masks,
-            # and each state's base in each and last in mask -1 (no rule's)
-            self.exact_masks = np.unique(np.fromiter((m for _, m in self.exact_rows), np.int64))
-            self.mask_bases = self.bases(np.array(
-                [[self.dispatch_row(q, m) for m in self.exact_masks.tolist() + [-1]]
-                 for q in range(self.n_states)], dtype=np.int64))
 
         self.init_state_idx = np.array(
             [self.state_index[s] for s in p.initial_states], dtype=np.int64)
@@ -280,19 +277,10 @@ class _Compiled:
         # a scout whose initial state is environment-free and self-absorbing
         # performs an i.i.d. walk; protocols where every scout does qualify
         # for block simulation
-        self.iid_single = False
-        if self.env_free:
-            ok = True
-            for si in self.init_state_idx:
-                row = self.wildcard_row[si]
-                if row < 0:
-                    ok = False
-                    break
-                k = int(self.table.length[row])
-                if not np.all(self.row_state[row, :k] == si):
-                    ok = False
-                    break
-            self.iid_single = ok
+        self.iid_single = self.env_free and all(
+            row >= 0 and (self.row_state[row, :self.table.length[row]] == si).all()
+            for row, si in zip(self.wildcard_row[self.init_state_idx].tolist(),
+                               self.init_state_idx.tolist()))
 
         # the scalar kernel's rows by mask << 6 | state; filled on first use
         # by kernel_row
@@ -305,10 +293,10 @@ class _Compiled:
         scout order, and its own state's digit above them: digit s + 1 for
         a scout in state s, and 0 for an other scout not at its point (no
         digits for an environment-free protocol).  Entry k of the table is
-        row * row_width for the row :meth:`dispatch_row` picks, or -1 where
-        no rule covers.  ``weights[i, j]`` is the place value of scout j's
-        digit in scout i's index.  Past _DENSE_LIMIT entries the table is
-        None and :meth:`VectorSim._lookup_bases` looks masks up instead.
+        the rule table's (``mask_bases``) for the own state and the others'
+        mask.  ``weights[i, j]`` is the place value of scout j's digit in
+        scout i's index.  Past _DENSE_LIMIT entries the table is None and
+        :meth:`VectorSim._bases` reads ``mask_bases`` at each mask instead.
         """
         n, c = self.n_states, self.c
         others = 0 if self.env_free else c - 1
@@ -325,23 +313,17 @@ class _Compiled:
         for _ in range(others):
             rest, digit = np.divmod(rest, n + 1)
             masks |= digit_bit.take(digit)
-        # the row of each state in each distinct mask: the wildcard row, or
-        # the exact rule of that mask
-        uniq, inverse = np.unique(masks, return_inverse=True)
-        rows = np.repeat(self.wildcard_row[:, None].astype(np.int64), uniq.size, axis=1)
-        if self.exact_rows:
-            states, exact = np.array(list(self.exact_rows), dtype=np.int64).T
-            col = np.minimum(uniq.searchsorted(exact), uniq.size - 1)
-            found = uniq[col] == exact
-            rows[states[found], col[found]] = np.fromiter(self.exact_rows.values(),
-                                                          np.int64)[found]
         table = np.full((n + 1, span), -1, dtype=np.int32)
-        table[1:] = self.bases(rows)[:, inverse]
+        table[1:] = self.mask_bases[:, self.mask_columns(masks)]
         return table.reshape(-1), weights
 
-    def bases(self, rows: np.ndarray) -> np.ndarray:
-        """row * row_width of each row index, and -1 for -1 (no rule)."""
-        return np.where(rows < 0, -1, rows * self.row_width)
+    def mask_columns(self, masks: np.ndarray) -> np.ndarray:
+        """Column of each environment mask in ``mask_bases``: its exact
+        rules' column, or the last one for a mask no exact rule has."""
+        col = self.exact_masks.searchsorted(masks)
+        # the -1 never equals a mask, and stands in for a column past the end
+        found = np.append(self.exact_masks, -1).take(col) == masks
+        return np.where(found, col, self.exact_masks.size)
 
     def dispatch_row(self, state_idx: int, mask: int) -> int:
         row = self.exact_rows.get((state_idx, mask), -1)
@@ -525,39 +507,33 @@ class VectorSim:
         if done.any():
             self.compact(~done)
 
+    def _co_located(self) -> np.ndarray:
+        """co[r, i, j]: scouts i and j of row r share a point (i == j too)."""
+        c = self.comp.c
+        sides = self.keys[:, self._pairs]
+        return (sides[:, :c * c] == sides[:, c * c:]).reshape(-1, c, c)
+
     def _masks(self) -> np.ndarray:
         """Environment masks (replicas, scouts): bit s of masks[r, i] is set
         when some other scout at i's point is in state s."""
         comp = self.comp
         if comp.env_free:
             return np.zeros(self.states.shape, dtype=np.int64)
-        co = self.keys[:, :, None] == self.keys[:, None, :]
-        co &= self._off_diagonal
+        co = self._co_located() & self._off_diagonal
         bits = comp.state_bit.take(self.states)
         return np.bitwise_or.reduce(np.where(co, bits[:, None, :], 0), axis=2)
-
-    def _lookup_bases(self) -> np.ndarray:
-        """:meth:`_bases` without a dense table: each scout's mask searched
-        among the exact rules' masks, the wildcard column on a miss."""
-        comp = self.comp
-        masks = self._masks()
-        col = comp.exact_masks.searchsorted(masks)
-        hit = comp.exact_masks.take(col, mode="clip") == masks
-        return comp.mask_bases[self.states, np.where(hit, col, comp.exact_masks.size)]
 
     def _bases(self) -> np.ndarray:
         """row * row_width of each active scout's rule row, or -1 where no
         rule covers its environment: the dense table's entry at the index
-        of :meth:`_Compiled._dense_table`."""
+        of :meth:`_Compiled._dense_table`, or without one the rule table's
+        entry at the column of each scout's mask."""
         comp = self.comp
         if comp.dense is None:
-            return self._lookup_bases()
-        c = comp.c
-        sides = self.keys[:, self._pairs]
-        # co[r, i, j]: scouts i and j of row r share a point
-        co = (sides[:, :c * c] == sides[:, c * c:]).reshape(-1, c, c)
+            return comp.mask_bases[self.states, comp.mask_columns(self._masks())]
         digits = self.states + 1
-        return comp.dense.take(np.matmul(co * comp.weights, digits[:, :, None])[..., 0])
+        return comp.dense.take(np.matmul(self._co_located() * comp.weights,
+                                         digits[:, :, None])[..., 0])
 
     def step(self, u: np.ndarray, keys: np.ndarray | None = None,
              states: np.ndarray | None = None) -> None:

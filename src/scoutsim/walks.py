@@ -54,11 +54,13 @@ an integer s0 has int64 positions, s0 + offset.  The frequency then compares
 each radius as its int64 floor, clamped at a power of two above every
 distance its event can compare, so each comparison is exact and no sum
 leaves int64; a run whose positions, argument and clamp could reach 2**63
-is refused.  Float steps are summed block by block, so float-step ``lemma``
-results are not pinned across block partitions.  Single-walk checks run on
-the step clock.  The corridor runs on the integer time clock: at time m
-walk i stands at step k_i(m), the last k with T_k <= m, read per trial from
-the block's cumulated durations; for unit-time laws k(m) = m.
+is refused (:func:`_clamp`); the escape and corridor checks compare S - x,
+S - lo, hi - S and S1 - S2 by the same rule.  Float steps are summed block
+by block, so float-step ``lemma`` results are not pinned across block
+partitions.  Single-walk checks run on the step clock.  The corridor runs
+on the integer time clock: at time m walk i stands at step k_i(m), the
+last k with T_k <= m, read per trial from the block's cumulated
+durations; for unit-time laws k(m) = m.
 """
 
 from __future__ import annotations
@@ -234,14 +236,6 @@ class WalkPath:
     times: np.ndarray
 
 
-def _check_offsets(law: StepLaw, steps: int, start: int = 0) -> None:
-    """Raise PreconditionError unless ``steps`` integer steps of ``law`` from
-    an integer start of absolute value ``start`` stay inside int64."""
-    if law.integer_zeta and start + steps * _max_step(law) >= _INT64:
-        raise PreconditionError("integer walk positions could leave int64: "
-                                f"|s0| + {steps} steps * max|zeta| >= 2**63")
-
-
 def _max_step(law: StepLaw) -> int:
     return max(abs(int(o.zeta)) for o in law.outcomes)
 
@@ -251,7 +245,10 @@ def _start(w: LookAroundWalk, steps: int) -> int | float:
     positions are carried exactly in int64 (``steps`` steps from it must stay
     inside int64), a float otherwise."""
     exact = w.law.integer_zeta and float(w.s0).is_integer()
-    _check_offsets(w.law, steps, abs(int(w.s0)) if exact else 0)
+    reach = (abs(int(w.s0)) if exact else 0) + steps * _max_step(w.law)
+    if w.law.integer_zeta and reach >= _INT64:
+        raise PreconditionError("integer walk positions could leave int64: "
+                                f"|s0| + {steps} steps * max|zeta| >= 2**63")
     return int(w.s0) if exact else float(w.s0)
 
 
@@ -392,9 +389,42 @@ def _exit_cond(rho, law: StepLaw):
     return lambda s, r: s < -rho
 
 
-def _interval_cond(lo, hi):
-    """Within look distance of [lo, hi]: dist(s, [lo, hi]) <= r, as r >= 0."""
-    return lambda s, r: (lo - r <= s) & (s <= hi + r)
+def _interval_cond(lo, hi, clamp: int | None = None):
+    """Within look distance of [lo, hi]: dist(s, [lo, hi]) <= r, as r >= 0.
+
+    With a clamp (see :func:`_clamp`), exact for int64 s and float r: for
+    L = floor(lo), lo - s <= r when L - s <= floor(r), less one where
+    frac(r) < lo - L; for H = floor(hi), s - hi <= r when s - H <= floor(r),
+    plus one where frac(r) >= 1 - (hi - H), each fraction rounded up to a float.
+    """
+    if clamp is None:
+        return lambda s, r: (lo - r <= s) & (s <= hi + r)
+    L, H = math.floor(lo), math.floor(hi)
+    f, g = (x if x >= y else math.nextafter(x, math.inf)
+            for y in (Fraction(lo) - L, 1 + H - Fraction(hi)) for x in [float(y)])
+
+    def cond(s, r):
+        whole, q = np.minimum(r, clamp).astype(np.int64), r % 1
+        return (L - s <= whole - (q < f)) & (s - H <= whole + (q >= g))
+    return cond
+
+
+def _clamp(ws: Sequence[LookAroundWalk], starts: Sequence, steps: int, marks) -> int | None:
+    """None unless every start is an int (int64 positions), else the power of
+    two that exact comparisons clamp radii to: above every distance within
+    ``steps`` steps between starts and marks (event arguments or interval
+    bounds).  PreconditionError unless all stay inside int64, unwrapped."""
+    if not all(isinstance(s, int) for s in starts):
+        return None
+    points = [Fraction(p) for p in (*starts, *marks)]
+    far = max(abs(a - b) for a in points for b in points)
+    clamp = 1 << math.ceil(far + steps * sum(_max_step(w.law) for w in ws)).bit_length()
+    extents = [abs(s) + steps * _max_step(w.law) for s, w in zip(starts, ws)]
+    if max([*map(abs, marks), *extents]) + clamp >= _INT64:
+        raise PreconditionError(
+            "integer walk events could leave int64: max(|arg|, |s0| + "
+            f"{steps} steps * max|zeta|) + 2**{clamp.bit_length() - 1} >= 2**63")
+    return clamp
 
 
 class _Event(NamedTuple):
@@ -546,20 +576,11 @@ def mc_event_frequency(law: StepLaw, s0: int, horizon: int, event: str,
     ws = [LookAroundWalk(law, s0)]
     if pair:
         ws.append(LookAroundWalk(law2, s02))
-    starts = [_start(w, horizon + 1) for w in ws]
-    exact = all(isinstance(s, int) for s in starts)
-    if exact:  # int64 positions: see the module docstring
-        extents = [abs(s) + horizon * _max_step(w.law) for s, w in zip(starts, ws)]
-        far = abs(starts[0] - (starts[1] if pair else arg))
-        clamp = 1 << (far + horizon * sum(_max_step(w.law) for w in ws)).bit_length()
-        if max(abs(arg or 0), *extents) + clamp >= _INT64:
-            raise PreconditionError(
-                "integer walk events could leave int64: max(|arg|, |s0| + "
-                f"{horizon} steps * max|zeta|) + 2**{clamp.bit_length() - 1} >= 2**63")
+    clamp = _clamp(ws, [_start(w, horizon + 1) for w in ws], horizon, [] if pair else [arg])
 
     def holds(S, R):  # a pair acts on S1 - S2 with radius R1 + R2
         s, r = (S[0] - S[1], R[0] + R[1]) if pair else (S[0], R[0])
-        if exact:  # for integer g, g <= r exactly when g <= floor(r)
+        if clamp:  # for integer g, g <= r exactly when g <= floor(r)
             r = np.floor(np.minimum(r, clamp)).astype(np.int64)
         return cond(s, r)
 
@@ -617,7 +638,7 @@ def check_escape_under_drift(w: LookAroundWalk, x: float, trials: int = 20000,
     _require(float(drift) > 0, "escape check requires E[zeta] > 0")
     _require(x < w.s0, "escape check requires a target x < s0")
     h2 = 2 * horizon
-    seen = _EVENTS["lookaround"].cond(x, w.law)
+    seen = _interval_cond(x, x, _clamp([w], [_start(w, h2 + 1)], h2, [x]))
     T = _stopping_times([w], lambda S, R: seen(S[0], R[0]), trials, h2, root_seed)
     alive_h = int((T > horizon).sum())
     alive_2h = int((T > h2).sum())
@@ -735,7 +756,7 @@ def check_exit_time_tail(w: LookAroundWalk, rho: float, trials: int = 20000,
     """Exponential tail of the first exit past distance rho >= 0.
 
     The exit set follows the drift sign: two-sided for centered walks,
-    one-sided in the drift direction otherwise.  The curve runs to
+    one-sided in the drift direction otherwise; s0 must lie inside it.  The curve runs to
     u_max = max(64, 8 * max(1, rho)**2) steps.  A rho whose 8 * rho**2
     exceeds _EXIT_STEP_BUDGET (2**20 steps, so rho above about 362) raises
     BudgetExceededError before any draw.  PASS needs a negative slope on
@@ -744,6 +765,8 @@ def check_exit_time_tail(w: LookAroundWalk, rho: float, trials: int = 20000,
     _require(not w.law.zeta_identically_zero,
              "exit-time check requires P(zeta = 0) < 1")
     _require(rho >= 0, f"exit-time check requires rho >= 0, got {rho}")
+    outside = _exit_cond(rho, w.law)
+    _require(not outside(w.s0, 0), f"exit-time check requires s0 inside the exit set, got {w.s0}")
     r = max(1.0, rho)
     steps = 8 * (r * r)  # a float past its range is inf, not an OverflowError
     if steps > _EXIT_STEP_BUDGET:
@@ -752,7 +775,6 @@ def check_exit_time_tail(w: LookAroundWalk, rho: float, trials: int = 20000,
                                   f"{math.isqrt(_EXIT_STEP_BUDGET // 8)}")
     u_max = max(64, int(steps))
     params = {"rho": rho, "trials": trials, "u_max": u_max}
-    outside = _exit_cond(rho, w.law)
     tau = _stopping_times([w], lambda S, R: outside(S[0], R[0]),
                           trials, u_max, root_seed)[:, 0]
     grid = np.unique(np.linspace(1, u_max, EXIT_GRID_POINTS).astype(np.int64))
@@ -820,9 +842,10 @@ def check_upper_deviation_bound(w: LookAroundWalk, mu: float, n: int, y: float,
 
 def _corridor_times(w1: LookAroundWalk, w2: LookAroundWalk, lo: float, hi: float,
                     trials: int, cap: int, root_seed: int) -> np.ndarray:
-    """min(sigma, tau1, tau2) per trial on the time clock, cap + 1 if past cap."""
-    balls = _EVENTS["ballmeeting"].cond(None, None)
-    seen = _interval_cond(lo, hi)
+    """min(sigma, tau1, tau2) per trial on the time clock, cap + 1 if past
+    cap; exact for integer walks (see :func:`_interval_cond`)."""
+    clamp = _clamp([w1, w2], [_start(w, cap + 1) for w in (w1, w2)], cap, [lo, hi])
+    balls, seen = _interval_cond(0, 0, clamp), _interval_cond(lo, hi, clamp)
 
     def contact(S, R):
         (S1, S2), (R1, R2) = S, R
@@ -844,11 +867,12 @@ def check_joint_corridor_avoidance(w1: LookAroundWalk, w2: LookAroundWalk,
     means the fitted slope stays at or above CORRIDOR_SLOPE_FLOOR, the
     signature of a divergent mean.
     """
-    lo, hi = float(interval[0]), float(interval[1])
-    _require(hi - lo > 2, "corridor needs y - x > 2")
+    lo, hi = interval
+    _require(Fraction(hi) - Fraction(lo) > 2, "corridor needs y - x > 2")
     times = _corridor_times(w1, w2, lo, hi, trials, cap, root_seed)
     curve = SurvivalCurve.from_samples(times, cap)
-    far = max(lo - w1.s0, w1.s0 - hi, lo - w2.s0, w2.s0 - hi, 1.0)
+    far = float(max(1, *(Fraction(a) - Fraction(b) for w in (w1, w2)
+                         for a, b in ((lo, w.s0), (w.s0, hi)))))
     try:
         fit = _asymptotic_fit(curve, far)
     except InsufficientDataError:

@@ -210,6 +210,45 @@ def test_lemma_reach_tail_offsets_exact_past_2_53(capsys):
     assert bodies[0] == bodies[1]
 
 
+def test_lemma_corridor_exact_past_2_53(capsys):
+    # --interval was read with float() and compared with the positions in
+    # floats: the bounds became 2**53 + 12 and 2**53 + 16, and the slope read
+    # -0.283.  The same geometry from 0 gives the same report but for the
+    # interval and the starts
+    argv = ["lemma", "corridor", "--law", "srw", "--law2", "srw", "--trials", "300",
+            "--cap", "512"]
+    bodies = []
+    for where in (["--s0", "9007199254740993", "--s02", "9007199254741017",
+                   "--interval", "9007199254741003:9007199254741007"],
+                  ["--s0", "0", "--s02", "24", "--interval", "10:14"]):
+        assert main(argv + where) == 0
+        bodies.append(json.loads(capsys.readouterr().out))
+    assert bodies[0]["parameters"].pop("interval") == [9007199254741003, 9007199254741007]
+    assert bodies[0]["parameters"].pop("s0") == [9007199254740993, 9007199254741017]
+    assert bodies[1]["parameters"].pop("interval") == [10.0, 14.0]
+    assert bodies[1]["parameters"].pop("s0") == [0.0, 24.0]
+    assert bodies[0] == bodies[1]
+
+
+@pytest.mark.parametrize("argv", [
+    # S1 - S2 wrapped to -1028 in int64: every trial met at step 512
+    ["lemma", "corridor", "--law", "1:1,1,2", "--law2", "1:-1,1,2",
+     "--s0", "9223372036854775294", "--s02", "-9223372036854775294", "--interval", "0:10",
+     "--trials", "40", "--cap", "512"],
+    # S - x wrapped to -20: every walk saw x at step 0
+    ["lemma", "escape", "--law", "1:1,1,100", "--s0", "9223372036854775798",
+     "--x", "-9223372036854775798", "--trials", "20", "--horizon", "4"],
+    # a start outside the exit set exits at step 0: it could only FAIL
+    ["lemma", "exit-time", "--law", "srw", "--s0", "100", "--rho", "5", "--trials", "50"],
+])
+def test_lemma_geometry_refused(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(err) == 1 and err[0].startswith("precondition violation:")
+
+
 def test_lemma_exit_time_step_budget(capsys):
     # u_max = 8 * rho**2 had no bound: rho 1e6 ran 8e12 steps per trial
     assert main(["lemma", "exit-time", "--rho", "1e6", "--trials", "5"]) == 1

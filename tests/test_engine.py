@@ -725,6 +725,39 @@ def test_dense_table_encoding():
             assert (-1 in rows) == (p is fallback[2])
 
 
+def test_mask_lookup_matches_dense_table(monkeypatch):
+    # with no dense table, every protocol reads the rule table at each
+    # scout's mask column; the dense table is a gather of the same table, so
+    # hitting times, traces and the no-rule message are those of the dense path
+    rng = np.random.default_rng(30)
+    protocols = [builtin("anchored_geometric", d=1), builtin("anchored_geometric", d=2),
+                 _two_state_environment_protocol(), _uncovered_protocol()]
+    protocols += [random_two_scout_protocol(rng, 1 + k % 2) for k in range(20)]
+
+    def outputs(p):
+        near = range(-3, 4)
+        targets = list(itertools.product(near, repeat=p.dim))
+        try:
+            return (hit_times(p, targets, 12, 400, 3), *run_batch(p, 300, 5, 4, 2))
+        except ProtocolError as exc:
+            return str(exc)
+
+    want = [outputs(p) for p in protocols]
+    assert isinstance(want[3], str) and "no matching rule" in want[3]
+    monkeypatch.setattr(engine, "_DENSE_LIMIT", 0)
+    engine._compile.cache_clear()
+    try:
+        assert all(engine._compile(p).dense is None for p in protocols)
+        got = [outputs(p) for p in protocols]
+    finally:
+        engine._compile.cache_clear()
+    for k, (a, b) in enumerate(zip(got, want)):
+        if isinstance(b, str):
+            assert a == b, k
+        else:
+            assert all(np.array_equal(x, y) for x, y in zip(a, b)), k
+
+
 @pytest.mark.parametrize("scouts", [3, 5])
 def test_many_state_hit_times_match_scalar_across_drops(scouts):
     # three scouts on the dense table and five past it, environment-dependent

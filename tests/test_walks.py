@@ -663,6 +663,13 @@ def test_exit_tail_precondition():
     # rho = -3 put every walk outside the set at step 0: a FAIL verdict
     with pytest.raises(PreconditionError, match="rho >= 0"):
         check_exit_time_tail(LookAroundWalk(srw()), -3, trials=5)
+    # a start outside the exit set exits at step 0, a FAIL verdict with
+    # "insufficient tail data"; the set follows the drift sign
+    for law, s0 in ((srw(), 100), (srw(), -6), (NAMED_LAWS["drift34"](), 6)):
+        with pytest.raises(PreconditionError, match="inside the exit set"):
+            check_exit_time_tail(LookAroundWalk(law, s0), 5, trials=5)
+    for law, s0 in ((srw(), 3), (srw(), -5), (NAMED_LAWS["drift34"](), -100)):
+        check_exit_time_tail(LookAroundWalk(law, s0), 5, trials=5)
 
 
 def test_deviation_bound_srw():
@@ -798,6 +805,50 @@ def test_corridor_started_inside():
     assert not res.passed
     assert res.estimate == 0.0
     assert res.details["reason"] == "no survivors"
+
+
+def test_interval_cond_exact_for_integer_positions():
+    # the clamped form against exact rationals, with fractional bounds and
+    # radii whose sums a float rounds: a fraction of 2**-60 under 3.0, the
+    # bound 0.5 - 2**-54 against a radius fraction of 0.5, radii past 2**52,
+    # and one past int64, which only the clamp keeps from wrapping
+    bounds = [0, -2, 2, 2.5, -2.5, 2.0**-60, -(2.0**-60), 0.5 - 2.0**-54, 2**53 + 11,
+              -(2**60)]
+    radii = np.array([1.0, 1.5, 2.5, 3.0, 0.5 + 2.0**-54, 1 - 2.0**-53, 2.0**52 + 0.5,
+                      2.0**62 + 2.0**40, 1e30])
+    clamp = 1 << 62
+    for lo, hi in itertools.product(bounds, bounds):
+        if hi < lo:
+            continue
+        base = math.floor(lo)
+        s = np.array([base + d for d in range(-6, 7)] + [math.floor(hi) + d for d in (-3, 3)]
+                     + [0, 2**61, -(2**61)], dtype=np.int64)
+        got = _interval_cond(lo, hi, clamp)(s[:, None], radii[None, :])
+        want = [[Fraction(lo) - Fraction(r) <= v <= Fraction(hi) + Fraction(r)
+                 for r in radii.tolist()] for v in s.tolist()]
+        assert got.tolist() == want, (lo, hi)
+
+
+def test_corridor_times_exact_far_from_zero():
+    # bounds 2**53 + 11 and + 15 were compared in floats with the positions;
+    # integer walks keep every difference exact, so the times are those of
+    # the same geometry from 0
+    far = 2**53 + 1
+    for pair in CORRIDOR_PAIRS:
+        laws = [parse_law(t) for t in pair]
+        got = _corridor_times(LookAroundWalk(laws[0], far), LookAroundWalk(laws[1], far + 24),
+                              far + 10, far + 14, 200, 256, 7)
+        want = _corridor_times(LookAroundWalk(laws[0], 0), LookAroundWalk(laws[1], 24),
+                               10, 14, 200, 256, 7)
+        assert np.array_equal(got, want)
+        assert (want <= 256).any() and (want > 256).any()
+    # differences that could leave int64 are refused
+    with pytest.raises(PreconditionError, match="int64"):
+        _corridor_times(LookAroundWalk(srw(), 2**62), LookAroundWalk(srw(), -(2**62)),
+                        0, 10, 5, 16, 7)
+    with pytest.raises(PreconditionError, match="int64"):
+        check_escape_under_drift(LookAroundWalk(NAMED_LAWS["up"](), 2**62), -(2**62),
+                                 trials=5, horizon=4)
 
 
 def test_corridor_interval_validation():

@@ -54,7 +54,6 @@ from .walks import (
     exact_dp_oracle,
     make_law,
     parse_law,
-    sample_walk,
 )
 from .renewal import (
     MeetingRenewal,

@@ -543,8 +543,6 @@ class VectorSim:
         shape, and held from there."""
         comp = self.comp
         self.time += 1
-        if self.replicas.size == 0:
-            return
         base = self._bases()
         if base.min() < 0:
             r, i = np.argwhere(base < 0)[0]

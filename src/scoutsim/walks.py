@@ -1,10 +1,12 @@
 """Look-around random walks: samplers, exact oracles, and statistical checks.
 
 A step law is a finite-support distribution over triples (zeta, nu, R): the
-spatial displacement of a step, the time it took, and the radius within
+integer displacement of a step, the time it took, and the radius within
 which the walk can detect a target while standing at the pre-step position.
 The walk S_n = s0 + zeta_1 + ... + zeta_n paired with the radius sequence
 models a process that at time n "sees" everything within R_{n+1} of S_n.
+Displacements are integers in int64, as a scout's moves between grid
+points are; a rational-step law is an integer law on a scaled lattice.
 
 The checks estimate the tail laws such walks obey in the three structural
 regimes (positive drift, zero drift, degenerate steps) and report
@@ -14,20 +16,27 @@ the package's one categorical sampler, :class:`streams.Categorical`, with
 the law as its one row: cumulated exactly when every probability is a
 ``Fraction``, in float otherwise.
 
-Each event is defined once, in one table (``_EVENTS``): a predicate
-cond(s, r) of a position and a radius at one check, and the first checked
-time as a function of the horizon.  The predicates use only ``abs``,
-comparisons and ``&``, so the same function serves the exact oracle (on
-Python ints), the Monte-Carlo frequency and the checks (on numpy arrays).
-Two-walk events act on S1 - S2 with radius R1 + R2: the difference law in
-the oracle, the sampled paths in the Monte Carlo.  One exact forward
-dynamic program, :func:`_dp_survival`, provides the independent oracle for
-every event with integer displacements.  It runs on Python integers: with
-D the lcm of the outcome probabilities' denominators, outcome j carries the
-integer weight a_j = p_j * D, and the surviving mass at each position after
-n steps is an integer numerator over D**n.  The numerators of all positions
-are packed into one int, one slot of W bits per position with W a multiple
-of 8 and 2**W > D**horizon, so that no carry crosses a slot (Kronecker
+Every walk runs in one frame: its int64 offset S - s0 from its start, which
+does not depend on s0.  Each event is defined once, in one table
+(``_EVENTS``), as an interval [lo, hi] that it compares S with (a point
+for hit, position and the two-walk events, a half-line for reach and the
+one-sided exit) and the first checked time as a function of the horizon.
+Its marks move into the walk's frame once, as exact rationals
+(:func:`_frame`: lo - s0 and hi - s0; for two walks, S1 - S2 is compared
+with s02 - s01), and one comparison, :func:`_interval_cond`, decides every
+event exactly from any start, integer or not: within look distance of the
+interval, on it, or off it.  It uses only comparisons, ``-``, ``+``, ``^`` and
+``&``, so the same predicate serves the exact oracle (on Python ints) and
+the Monte-Carlo frequency and the checks (on int64 offsets).  Two-walk
+events act on S1 - S2 with radius R1 + R2: the difference law in the
+oracle, the sampled offsets in the Monte Carlo.  One exact forward dynamic
+program, :func:`_dp_survival`, run from offset 0, provides the independent
+oracle for every event.  It runs on Python integers: with D the lcm of the
+outcome probabilities' denominators, outcome j carries the integer weight
+a_j = p_j * D, and the surviving mass at each position after n steps is an
+integer numerator over D**n.  The numerators of all positions are packed
+into one int, one slot of W bits per position with W a multiple of 8 and
+2**W > D**horizon, so that no carry crosses a slot (Kronecker
 substitution); slots step by g, the gcd of the displacement differences,
 so a law with steps +-10 packs only the positions it can reach.  Each
 distinct floor radius has one mask, all-ones slots at the positions where
@@ -36,31 +45,27 @@ one AND with each mask and one shift-and-add per merged (radius,
 displacement) outcome, and empty low slots are shifted out after each
 step.  Integer sums and products are exact, so the one
 ``Fraction(numerator, D**n)`` built at the end equals the rational answer
-bit for bit.  Integer displacements must lie in int64.
+bit for bit.
 
 Every Monte-Carlo estimate is a stopping time found by one sampler,
-:func:`_stopping_times` (:func:`sample_walk` is the single-path API): per
-trial and event column, the first check m in [check_from, cap] at which
-the event holds.  The frequency asks if its event fails at every check from
-its first checked time, the deviation check if S_n >= y at check n.  It draws in
-blocks of ``engine._iid_block`` checks (2**14 variates per walk over the
-active trials, so blocks grow as trials finish) and drops a trial once
-every column is decided.  Draws are keyed by (trial, walk, step) (Salmon et
-al., "Parallel random numbers: as easy as 1, 2, 3", SC'11), and integer
-displacements are carried exactly as int64 offsets from s0 (a run whose
-offsets could reach 2**63 is refused), so for integer steps neither the
-partition nor the dropping changes a value.  A walk with integer steps and
-an integer s0 has int64 positions, s0 + offset.  The frequency then compares
-each radius as its int64 floor, clamped at a power of two above every
-distance its event can compare, so each comparison is exact and no sum
-leaves int64; a run whose positions, argument and clamp could reach 2**63
-is refused (:func:`_clamp`); the escape and corridor checks compare S - x,
-S - lo, hi - S and S1 - S2 by the same rule.  Float steps are summed block
-by block, so float-step ``lemma`` results are not pinned across block
-partitions.  Single-walk checks run on the step clock.  The corridor runs
-on the integer time clock: at time m walk i stands at step k_i(m), the
-last k with T_k <= m, read per trial from the block's cumulated
-durations; for unit-time laws k(m) = m.
+:func:`_stopping_times`: per trial and event column, the first check m in
+[check_from, cap] at which the event holds.  The frequency asks if its
+event fails at every check from its first checked time, the deviation
+check if S_n >= y at check n.  It draws in blocks of ``engine._iid_block``
+checks (2**14 variates per walk over the active trials, so blocks grow as
+trials finish) and drops a trial once every column is decided.  Draws are
+keyed by (trial, walk, step) (Salmon et al., "Parallel random numbers: as
+easy as 1, 2, 3", SC'11), and the offsets are carried exactly in int64
+(a run whose cap + 1 steps of max|zeta| reach 2**63 is refused, as in
+``engine._check_key_range``), so neither the partition nor the dropping
+changes a value.  The Monte Carlo splits each float radius into its whole
+part, clamped at 2**62, and its fraction (:func:`_split`), so each
+comparison is exact in int64; a run whose marks and offsets int64 cannot
+hold under that clamp is refused.  A geometry far from 0 therefore gives
+the report of the same geometry from 0.  Single-walk checks run on the
+step clock.  The corridor runs on the integer time clock: at time m walk i
+stands at step k_i(m), the last k with T_k <= m, read per trial from the
+block's cumulated durations; for unit-time laws k(m) = m.
 """
 
 from __future__ import annotations
@@ -85,6 +90,10 @@ _DP_CELL_BUDGET = 8_000_000
 # stays within it for rho up to about 362
 _EXIT_STEP_BUDGET = 1 << 20
 _INT64 = 1 << 63
+# the Monte Carlo clamps whole radii here: a run whose marks and offsets
+# stay below it decides every comparison as the radius itself would, and
+# no sum of its comparisons leaves int64
+_RADIUS_CLAMP = 1 << 62
 # verdict thresholds of the checks: a reach-tail slope may miss -1/2 by
 # REACH_SLOPE_TOL and its scaling over the offsets REACH_OFFSETS needs
 # r_squared >= REACH_SCALING_R2_MIN; a corridor slope must stay at or above
@@ -103,14 +112,18 @@ EXIT_GRID_POINTS = 12
 @dataclass(frozen=True)
 class LawOutcome:
     probability: Fraction | float
-    zeta: int | float
+    zeta: int
     nu: int = 1
     radius: float = 1.0
 
 
 @dataclass(frozen=True)
 class StepLaw:
-    """Finite-support law of (displacement, duration, look radius) triples."""
+    """Finite-support law of (displacement, duration, look radius) triples.
+
+    Displacements are integers in int64; a non-integer zeta raises
+    ValueError.
+    """
 
     outcomes: tuple[LawOutcome, ...]
 
@@ -125,8 +138,10 @@ class StepLaw:
                 raise ValueError("nu must be a positive integer")
             if not -math.inf < o.zeta < math.inf:  # also rejects NaN
                 raise ValueError(f"zeta must be finite, got {o.zeta}")
-            if (isinstance(o.zeta, int) or float(o.zeta).is_integer()) \
-                    and not -_INT64 <= o.zeta < _INT64:  # integer steps are int64
+            if not (isinstance(o.zeta, int) or float(o.zeta).is_integer()):
+                raise ValueError(f"zeta must be an integer (scale a rational-step law "
+                                 f"to an integer lattice), got {o.zeta}")
+            if not -_INT64 <= o.zeta < _INT64:  # steps are carried in int64
                 raise ValueError(f"an integer zeta must lie in int64, got {o.zeta}")
             if not 1 <= float(o.radius) < math.inf:  # also rejects NaN
                 raise ValueError(f"radius must be finite and >= 1, got {o.radius}")
@@ -145,21 +160,14 @@ class StepLaw:
 
     @cached_property
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-outcome zeta (int64 when every zeta is an integer), nu and radius."""
-        if self.integer_zeta:
-            zeta = np.array([int(o.zeta) for o in self.outcomes], dtype=np.int64)
-        else:
-            zeta = np.array([float(o.zeta) for o in self.outcomes])
-        return (zeta, np.array([int(o.nu) for o in self.outcomes], dtype=np.int64),
+        """Per-outcome zeta (int64), nu and radius."""
+        return (np.array([int(o.zeta) for o in self.outcomes], dtype=np.int64),
+                np.array([int(o.nu) for o in self.outcomes], dtype=np.int64),
                 np.array([float(o.radius) for o in self.outcomes]))
 
     @property
-    def integer_zeta(self) -> bool:
-        return all(float(o.zeta).is_integer() for o in self.outcomes)
-
-    @property
     def mean_zeta(self):
-        if self.is_exact and self.integer_zeta:
+        if self.is_exact:
             return sum((o.probability * int(o.zeta) for o in self.outcomes), Fraction(0))
         return float(sum(float(o.probability) * float(o.zeta) for o in self.outcomes))
 
@@ -227,90 +235,97 @@ class LookAroundWalk:
     s0: float = 0.0
 
 
-@dataclass
-class WalkPath:
-    """One sampled trajectory: S_0..S_h, radii R_1..R_{h+1}, times T_0..T_h."""
-
-    positions: np.ndarray
-    radii: np.ndarray
-    times: np.ndarray
-
-
 def _max_step(law: StepLaw) -> int:
     return max(abs(int(o.zeta)) for o in law.outcomes)
 
 
-def _start(w: LookAroundWalk, steps: int) -> int | float:
-    """The walk's start: an int when its steps and s0 are integer-valued, so
-    positions are carried exactly in int64 (``steps`` steps from it must stay
-    inside int64), a float otherwise."""
-    exact = w.law.integer_zeta and float(w.s0).is_integer()
-    reach = (abs(int(w.s0)) if exact else 0) + steps * _max_step(w.law)
-    if w.law.integer_zeta and reach >= _INT64:
-        raise PreconditionError("integer walk positions could leave int64: "
-                                f"|s0| + {steps} steps * max|zeta| >= 2**63")
-    return int(w.s0) if exact else float(w.s0)
+def _frame(s0, *marks) -> list:
+    """The marks as exact rational offsets from s0: the frame of a walk that
+    starts there.  An open side (-inf or inf) stays open."""
+    return [m if m in (-math.inf, math.inf) else Fraction(m) - Fraction(s0) for m in marks]
 
 
-def sample_walk(w: LookAroundWalk, horizon: int, seed_root: int,
-                trial: int = 0, walk_id: int = 0) -> WalkPath:
-    """Deterministic single path: draw indices are (seed_root, trial, walk_id, step).
+def _ceil_float(y: Fraction) -> float:
+    x = float(y)
+    return x if x >= y else math.nextafter(x, math.inf)
 
-    Positions are int64 when the steps and s0 are integer-valued, float
-    otherwise; integer positions that could leave int64 raise PreconditionError.
+
+def _interval_cond(lo, hi):
+    """Within look distance of [lo, hi]: dist(s, [lo, hi]) <= r + q, as r >= 0.
+
+    The one comparison of every walk event, exact for integer offsets s
+    (Python ints or int64 arrays) against bounds that are exact rationals,
+    or -inf and inf for an open side, with the radius given as its whole
+    part r and its fraction q in [0, 1) (:func:`_split`; the exact DP passes
+    integer radii).  For L = floor(lo), lo - s <= r + q when L - s <= r,
+    less one where q < lo - L; for H = floor(hi), s - hi <= r + q when
+    s - H <= r, plus one where q >= 1 - (hi - H), each fraction rounded up
+    to a float.
     """
-    if horizon < 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
-    zeta, nu, rad = w.law.arrays
-    s0 = _start(w, horizon + 1)  # a float start would round the int steps
-    b = w.law.table.draw(0, seed_root, trial, walk_id, 0, horizon + 1)
-    S = np.empty(horizon + 1, dtype=np.int64 if isinstance(s0, int) else float)
-    S[0] = s0
-    if horizon:
-        S[1:] = s0 + np.cumsum(zeta[b[:-1]])
-    T = np.zeros(horizon + 1, dtype=np.int64)
-    if horizon:
-        T[1:] = np.cumsum(nu[b[:-1]])
-    return WalkPath(S, rad[b], T)
+    L = None if lo == -math.inf else math.floor(lo)
+    H = None if hi == math.inf else math.floor(hi)
+    f = None if L is None else _ceil_float(Fraction(lo) - L)
+    g = None if H is None else _ceil_float(1 + H - Fraction(hi))
+
+    def cond(s, r, q=0):
+        below = True if L is None else L - s <= r - (q < f)
+        return below & (True if H is None else s - H <= r + (q >= g))
+    return cond
 
 
-def _stopping_times(walks: Sequence[LookAroundWalk], event, trials: int, cap: int,
+def _split(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Float radii as their int64 whole parts, clamped at _RADIUS_CLAMP, and
+    their fractions: the radius arguments of :func:`_interval_cond`."""
+    return np.minimum(r, _RADIUS_CLAMP).astype(np.int64), r % 1
+
+
+def _stopping_times(laws: Sequence[StepLaw], event, trials: int, cap: int,
                     root_seed: int, columns: int = 1, timed: bool = False,
-                    check_from: int = 0) -> np.ndarray:
+                    check_from: int = 0, marks: Sequence = ()) -> np.ndarray:
     """First check m in [check_from, cap] at which each event column holds,
     else cap + 1.
 
     Walk i draws on lane i.  At check m it stands at step k(m), with
-    position S_k (int64 when the steps and s0 are integer-valued, float
-    otherwise) and radius R_{k+1}: k(m) = m on the step clock, and with
-    ``timed`` the last k whose time T_k (the sum of the first k durations)
-    is at most m.  ``event(S, R)`` gets those per-walk positions and radii
-    of the active trials as (active, B) arrays, one column per check of a
-    block, and returns a boolean (active, B) or (active, B, columns) array.
-    A block holds ``engine._iid_block(t0, cap + 1, active)`` checks, and a
-    trial leaves once every column is decided (see the module docstring).
+    offset S_k - s0 (int64) and radius R_{k+1}: k(m) = m on the step clock,
+    and with ``timed`` the last k whose time T_k (the sum of the first k
+    durations) is at most m.  ``event(S, R)`` gets those per-walk offsets
+    and radii of the active trials as (active, B) arrays, one column per
+    check of a block, and returns a boolean (active, B) or (active, B,
+    columns) array.  ``marks`` are the bounds the event compares with, in
+    the walks' frame (:func:`_frame`); PreconditionError unless each mark,
+    plus one, plus cap steps of every walk stays below _RADIUS_CLAMP, so
+    that every comparison of :func:`_interval_cond` is exact in int64, and
+    unless cap + 1 steps of each walk stay inside int64.  A block holds
+    ``engine._iid_block(t0, cap + 1, active)`` checks, and a trial leaves
+    once every column is decided (see the module docstring).
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     engine._check_cap(cap)
-    starts = [_start(w, cap + 1) for w in walks]
+    for law in laws:
+        if (cap + 1) * _max_step(law) >= _INT64:
+            raise PreconditionError("walk offsets could leave int64: "
+                                    f"{cap + 1} steps * max|zeta| >= 2**63")
+    finite = [abs(m) for m in marks if m not in (-math.inf, math.inf)]
+    if max(finite, default=0) + 1 + cap * sum(map(_max_step, laws)) >= _RADIUS_CLAMP:
+        raise PreconditionError("walk events could leave int64: max|mark - s0| + 1 + "
+                                f"{cap} steps * max|zeta| >= 2**62")
     out = np.empty((trials, columns), dtype=np.int64)
     idx = np.arange(trials, dtype=np.int64)
     times = np.full((trials, columns), cap + 1, dtype=np.int64)  # of the active trials
     # per walk and active trial: step k(t0), its time T_k (both kept on the
     # time clock only; else k(t0) = t0) and the offset S_k - s0
-    state = [(np.zeros(trials, np.int64), np.zeros(trials, np.int64),
-              np.zeros(trials, w.law.arrays[0].dtype)) for w in walks]
+    state = [tuple(np.zeros(trials, np.int64) for _ in range(3)) for _ in laws]
     t0 = 0
     while t0 <= cap and idx.size:
         n = idx.size
         B = engine._iid_block(t0, cap + 1, n)
         S, R = [], []
-        for lane, (w, s0, (k, T, off)) in enumerate(zip(walks, starts, state)):
-            zeta, nu, rad = w.law.arrays
-            clocked = timed and not w.law.unit_time
-            b = w.law.table.draw(0, root_seed, idx, lane, k[:, None] if clocked else t0, B)
-            cum = np.empty((n, B + 1), dtype=off.dtype)  # offsets of S_k .. S_{k+B}
+        for lane, (law, (k, T, off)) in enumerate(zip(laws, state)):
+            zeta, nu, rad = law.arrays
+            clocked = timed and not law.unit_time
+            b = law.table.draw(0, root_seed, idx, lane, k[:, None] if clocked else t0, B)
+            cum = np.empty((n, B + 1), dtype=np.int64)  # offsets of S_k .. S_{k+B}
             cum[:, 0] = off
             np.cumsum(zeta[b], axis=1, out=cum[:, 1:])
             cum[:, 1:] += off[:, None]
@@ -326,7 +341,7 @@ def _stopping_times(walks: Sequence[LookAroundWalk], event, trials: int, cap: in
                 last = j[:, B]
                 T = T + np.where(last > 0, ends[np.arange(n), last - 1], 0)
                 k = k + last
-            S.append(s0 + cum[:, :B])
+            S.append(cum[:, :B])
             R.append(rad[b])
             state[lane] = (k, T, cum[:, B])
         ev = np.asarray(event(S, R)).reshape(n, B, columns)
@@ -349,7 +364,7 @@ def _stopping_times(walks: Sequence[LookAroundWalk], event, trials: int, cap: in
 
 
 # ---------------------------------------------------------------------------
-# exact dynamic-programming oracles
+# the events and their exact dynamic-programming oracle
 
 
 def _exact_outcomes(law: StepLaw) -> tuple[int, list[tuple[int, int, int]]]:
@@ -358,8 +373,6 @@ def _exact_outcomes(law: StepLaw) -> tuple[int, list[tuple[int, int, int]]]:
     D is the lcm of the probabilities' denominators and weight = p * D, so
     the weights sum to D exactly when the probabilities sum to 1.
     """
-    if not law.integer_zeta:
-        raise PreconditionError("the exact oracle requires integer displacements")
     probs = [o.probability if isinstance(o.probability, Fraction) else Fraction(o.probability)
              for o in law.outcomes]
     D = math.lcm(*(p.denominator for p in probs))
@@ -372,94 +385,69 @@ def _exact_outcomes(law: StepLaw) -> tuple[int, list[tuple[int, int, int]]]:
 
 
 def _budget_check(law: StepLaw, horizon: int) -> None:
-    span = max(1, int(max(abs(float(o.zeta)) for o in law.outcomes)))
+    span = max(1, _max_step(law))
     cells = (2 * span * horizon + 1) * max(horizon, 1) * len(law.outcomes)
     if cells > _DP_CELL_BUDGET:
         raise BudgetExceededError(f"DP would touch ~{cells} cells")
 
 
-def _exit_cond(rho, law: StepLaw):
-    """Outside the exit set, which the drift sign chooses: past rho on either
-    side for a centered walk, past rho in the drift direction otherwise."""
+def _exit_set(rho, law: StepLaw) -> tuple:
+    """The interval a walk exits, which the drift sign chooses: [-rho, rho]
+    for a centered walk, up to rho when it drifts up, down to -rho when it
+    drifts down."""
     drift = float(law.mean_zeta)
-    if drift == 0:
-        return lambda s, r: abs(s) > rho
-    if drift > 0:
-        return lambda s, r: s > rho
-    return lambda s, r: s < -rho
-
-
-def _interval_cond(lo, hi, clamp: int | None = None):
-    """Within look distance of [lo, hi]: dist(s, [lo, hi]) <= r, as r >= 0.
-
-    With a clamp (see :func:`_clamp`), exact for int64 s and float r: for
-    L = floor(lo), lo - s <= r when L - s <= floor(r), less one where
-    frac(r) < lo - L; for H = floor(hi), s - hi <= r when s - H <= floor(r),
-    plus one where frac(r) >= 1 - (hi - H), each fraction rounded up to a float.
-    """
-    if clamp is None:
-        return lambda s, r: (lo - r <= s) & (s <= hi + r)
-    L, H = math.floor(lo), math.floor(hi)
-    f, g = (x if x >= y else math.nextafter(x, math.inf)
-            for y in (Fraction(lo) - L, 1 + H - Fraction(hi)) for x in [float(y)])
-
-    def cond(s, r):
-        whole, q = np.minimum(r, clamp).astype(np.int64), r % 1
-        return (L - s <= whole - (q < f)) & (s - H <= whole + (q >= g))
-    return cond
-
-
-def _clamp(ws: Sequence[LookAroundWalk], starts: Sequence, steps: int, marks) -> int | None:
-    """None unless every start is an int (int64 positions), else the power of
-    two that exact comparisons clamp radii to: above every distance within
-    ``steps`` steps between starts and marks (event arguments or interval
-    bounds).  PreconditionError unless all stay inside int64, unwrapped."""
-    if not all(isinstance(s, int) for s in starts):
-        return None
-    points = [Fraction(p) for p in (*starts, *marks)]
-    far = max(abs(a - b) for a in points for b in points)
-    clamp = 1 << math.ceil(far + steps * sum(_max_step(w.law) for w in ws)).bit_length()
-    extents = [abs(s) + steps * _max_step(w.law) for s, w in zip(starts, ws)]
-    if max([*map(abs, marks), *extents]) + clamp >= _INT64:
-        raise PreconditionError(
-            "integer walk events could leave int64: max(|arg|, |s0| + "
-            f"{steps} steps * max|zeta|) + 2**{clamp.bit_length() - 1} >= 2**63")
-    return clamp
+    return -rho if drift <= 0 else -math.inf, rho if drift >= 0 else math.inf
 
 
 class _Event(NamedTuple):
-    cond: Callable                    # (arg, law) -> cond(s, r): the event at one check
+    bounds: Callable                  # (arg, law) -> (lo, hi): the interval S is compared with
+    kind: str                         # "near" (within look distance), "on" or "off" it
     first: Callable[[int], int] = lambda horizon: 0  # first checked time
-    pair: bool = False                # on S1 - S2 with radius R1 + R2
+    pair: bool = False                # on S1 - S2 with radius R1 + R2, compared with s02 - s01
 
 
 # the one event table (see the module docstring); ``position`` "survives"
 # exactly when S_horizon = y
 _EVENTS = {
-    "hit": _Event(lambda t, law: lambda s, r: s == t),
-    "lookaround": _Event(lambda t, law: lambda s, r: abs(s - t) <= r),
-    "reach": _Event(lambda x, law: lambda s, r: s + r >= x),
-    "exit": _Event(_exit_cond),
-    "position": _Event(lambda y, law: lambda s, r: s != y, first=lambda horizon: horizon),
-    "meeting": _Event(lambda _, law: lambda s, r: s == 0, first=lambda horizon: 1, pair=True),
-    "ballmeeting": _Event(lambda _, law: lambda s, r: abs(s) <= r, pair=True),
+    "hit": _Event(lambda t, law: (t, t), "on"),
+    "lookaround": _Event(lambda t, law: (t, t), "near"),
+    "reach": _Event(lambda x, law: (x, math.inf), "near"),
+    "exit": _Event(_exit_set, "off"),
+    "position": _Event(lambda y, law: (y, y), "off", first=lambda horizon: horizon),
+    "meeting": _Event(lambda _, law: (0, 0), "on", first=lambda horizon: 1, pair=True),
+    "ballmeeting": _Event(lambda _, law: (0, 0), "near", pair=True),
 }
 
 
-def _dp_survival(law: StepLaw, s0: int, horizon: int, cond, check_from: int = 0) -> Fraction:
-    """P(for all n in [check_from, horizon]: not cond(S_n, floor(R_{n+1}))).
+def _event_cond(event: _Event, arg, law: StepLaw, s0, s02=0) -> tuple[Callable, list]:
+    """The event as cond(s, r, q=0) of a walk's offsets s from s0 (for a
+    pair, of S1 - S2 from s0 - s02), and its bounds in that frame.  An
+    ``on`` or ``off`` event ignores the radius."""
+    marks = _frame(Fraction(s0) - Fraction(s02), *event.bounds(arg, law))
+    near = _interval_cond(*marks)
+    if event.kind == "near":
+        return near, marks
+    off = event.kind == "off"
+    return (lambda s, r, q=0: near(s, 0) ^ off), marks  # ^ True negates a bool or bool array
+
+
+def _dp_survival(law: StepLaw, horizon: int, cond, check_from: int = 0) -> Fraction:
+    """P(for all n in [check_from, horizon]: not cond(S_n, floor(R_{n+1})))
+    for the walk from offset 0.
 
     The check at time n is paired with the radius of the outcome performing
     step n+1, including one final unmoved draw at n = horizon.  Every event
-    compares an integer g(S_n) with R, and for integer g, g <= R exactly when
-    g <= floor(R), so ``cond`` sees the integer floor.  It runs once per
-    (position of the reachable range, distinct radius), and an event of the
-    position alone is the case where ``cond`` ignores r.
+    compares an integer offset with rational bounds within R, and for those
+    the comparison with R equals the comparison with floor(R)
+    (:func:`_interval_cond` at fraction 0), so ``cond`` sees the integer
+    floor.  It runs once per (position of the reachable range, distinct
+    radius), and an event of the position alone is the case where ``cond``
+    ignores r.
 
     The surviving mass is packed into one int P: slot i, ``width`` bits wide
     (a multiple of 8 with 2**width > D**horizon), holds the numerator of
     position base + g * i, where g is the gcd of the differences z - zmin of
-    the displacements, so every S_n is s0 + n * zmin + g * j and only those
+    the displacements, so every S_n is n * zmin + g * j and only those
     positions take a slot.  Slots are nonnegative and sum to at most D**n,
     so no carry crosses a slot.  Radius r has one mask per residue mod g
     that some S_n takes, over that residue's positions in the reachable
@@ -478,8 +466,8 @@ def _dp_survival(law: StepLaw, s0: int, horizon: int, cond, check_from: int = 0)
     outs = [(a, z, r) for a, z, r in outs if a]  # zero weights move no mass
     zs = [z for _a, z, _r in outs]
     zmin = min(zs)
-    g = math.gcd(*(z - zmin for z in zs)) or 1  # S_n = s0 + n * zmin + g * j
-    lo, hi = s0 + horizon * min(zmin, 0), s0 + horizon * max(max(zs), 0)  # reachable
+    g = math.gcd(*(z - zmin for z in zs)) or 1  # S_n = n * zmin + g * j
+    lo, hi = horizon * min(zmin, 0), horizon * max(max(zs), 0)  # reachable
     k = ((D ** horizon).bit_length() + 7) // 8  # bytes per slot
     width = 8 * k
     moves: dict[int | None, dict[int, int]] = {}  # radius (None: unchecked) -> zeta -> weight
@@ -490,13 +478,13 @@ def _dp_survival(law: StepLaw, s0: int, horizon: int, cond, check_from: int = 0)
     radii = [r for r in moves if r is not None]
     # per residue mod g that some S_n takes, its positions in [lo, hi]: slot
     # j of a mask holds the position lo + (c - lo) % g + g * j
-    residues = {(s0 + n * zmin) % g for n in range(horizon + 1)}
+    residues = {n * zmin % g for n in range(horizon + 1)}
     alive = {(r, c): [r is None or not cond(s, r) for s in range(lo + (c - lo) % g, hi + 1, g)]
              for r in moves for c in residues}
     ones, zeros = b"\xff" * k, bytes(k)
     masks = {(r, c): int.from_bytes(b"".join(ones if ok else zeros for ok in alive[r, c]), "little")
              for r in radii for c in residues}
-    P, base, low = 1, s0, (1 << width) - 1
+    P, base, low = 1, 0, (1 << width) - 1
     for n in range(horizon):
         off, new = (base - lo) // g * width, 0
         for r in (radii if n >= check_from else (None,)):
@@ -523,7 +511,8 @@ def _difference_law(law1: StepLaw, law2: StepLaw) -> StepLaw:
     if not (law1.unit_time and law2.unit_time):
         raise PreconditionError("two-walk oracles need unit-time laws")
     return StepLaw(tuple(LawOutcome(Fraction(o1.probability) * Fraction(o2.probability),
-                                    o1.zeta - o2.zeta, 1, float(o1.radius) + float(o2.radius))
+                                    int(o1.zeta) - int(o2.zeta), 1,
+                                    float(o1.radius) + float(o2.radius))
                          for o1 in law1.outcomes for o2 in law2.outcomes))
 
 
@@ -551,13 +540,15 @@ def exact_dp_oracle(law: StepLaw, s0: int, horizon: int, event: str,
 
     Single-walk events: hit, lookaround, reach, exit, position (survival
     forms; ``position`` is a point probability).  With a second law,
-    ``meeting`` and ``ballmeeting`` act on the difference walk.
+    ``meeting`` and ``ballmeeting`` act on the difference walk.  The DP runs
+    from offset 0, with the event's marks in the walk's frame.
     """
     name, arg = _parse_event(event, law2, s02)
-    make_cond, first, pair = _EVENTS[name]
-    if pair:
-        law, s0 = _difference_law(law, law2), s0 - s02
-    return _dp_survival(law, s0, horizon, make_cond(arg, law), first(horizon))
+    ev = _EVENTS[name]
+    if ev.pair:
+        law = _difference_law(law, law2)
+    cond, _ = _event_cond(ev, arg, law, s0, s02 if ev.pair else 0)
+    return _dp_survival(law, horizon, cond, ev.first(horizon))
 
 
 # ---------------------------------------------------------------------------
@@ -571,21 +562,16 @@ def mc_event_frequency(law: StepLaw, s0: int, horizon: int, event: str,
     name, arg = _parse_event(event, law2, s02)
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
-    make_cond, first, pair = _EVENTS[name]
-    cond = make_cond(arg, law)
-    ws = [LookAroundWalk(law, s0)]
-    if pair:
-        ws.append(LookAroundWalk(law2, s02))
-    clamp = _clamp(ws, [_start(w, horizon + 1) for w in ws], horizon, [] if pair else [arg])
+    ev = _EVENTS[name]
+    laws = [law, law2] if ev.pair else [law]
+    cond, marks = _event_cond(ev, arg, law, s0, s02 if ev.pair else 0)
 
     def holds(S, R):  # a pair acts on S1 - S2 with radius R1 + R2
-        s, r = (S[0] - S[1], R[0] + R[1]) if pair else (S[0], R[0])
-        if clamp:  # for integer g, g <= r exactly when g <= floor(r)
-            r = np.floor(np.minimum(r, clamp)).astype(np.int64)
-        return cond(s, r)
+        s, r = (S[0] - S[1], R[0] + R[1]) if ev.pair else (S[0], R[0])
+        return cond(s, *_split(r))
 
-    T = _stopping_times(ws, holds, trials, horizon, root_seed,
-                        check_from=first(horizon))
+    T = _stopping_times(laws, holds, trials, horizon, root_seed,
+                        check_from=ev.first(horizon), marks=marks)
     return int((T > horizon).sum()) / trials
 
 
@@ -638,8 +624,9 @@ def check_escape_under_drift(w: LookAroundWalk, x: float, trials: int = 20000,
     _require(float(drift) > 0, "escape check requires E[zeta] > 0")
     _require(x < w.s0, "escape check requires a target x < s0")
     h2 = 2 * horizon
-    seen = _interval_cond(x, x, _clamp([w], [_start(w, h2 + 1)], h2, [x]))
-    T = _stopping_times([w], lambda S, R: seen(S[0], R[0]), trials, h2, root_seed)
+    seen, marks = _event_cond(_EVENTS["lookaround"], x, w.law, w.s0)
+    T = _stopping_times([w.law], lambda S, R: seen(S[0], *_split(R[0])), trials, h2,
+                        root_seed, marks=marks)
     alive_h = int((T > horizon).sum())
     alive_2h = int((T > h2).sum())
     est_h = alive_h / trials
@@ -682,24 +669,27 @@ def check_zero_drift_reach_tail(w: LookAroundWalk, x: float, trials: int = 30000
     """
     drift = w.law.mean_zeta
     _require(float(drift) == 0, "reach-tail check requires E[zeta] = 0")
-    # the levels are taken as offsets from the start, and each walk's offset
-    # S - s0 is read back from its positions: both are exact for an integer
-    # walk from an integer start however far it lies from 0
-    s0 = _start(w, cap + 1)
-    main = float(Fraction(x) - Fraction(s0))
-    offsets = sorted(set(REACH_OFFSETS) | {main})
-    _require(all(o > 0 for o in offsets), "offsets must be positive")
-    reached = _EVENTS["reach"].cond(np.array(offsets), w.law)  # one column per level
-    T = _stopping_times([w], lambda S, R: reached((S[0] - s0)[..., None], R[0][..., None]),
-                        trials, cap, root_seed, columns=len(offsets))
-    main_k = offsets.index(main)
+    # the levels are offsets from the start, x - s0 among them
+    (main,) = _frame(w.s0, x)
+    marks = sorted({*map(Fraction, REACH_OFFSETS), main})
+    _require(all(m > 0 for m in marks), "offsets must be positive")
+    offsets = [float(m) for m in marks]
+    levels = [_event_cond(_EVENTS["reach"], m, w.law, 0)[0] for m in marks]
+
+    def reached(S, R):  # one column per level
+        r, q = _split(R[0])
+        return np.stack([level(S[0], r, q) for level in levels], axis=-1)
+
+    T = _stopping_times([w.law], reached, trials, cap, root_seed, columns=len(marks),
+                        marks=marks)
+    main_k = marks.index(main)
     curves = [SurvivalCurve.from_samples(T[:, k], cap) for k in range(len(offsets))]
     main_curve = curves[main_k]
     try:
         fit = _asymptotic_fit(main_curve, offsets[main_k])
     except InsufficientDataError:
         return CheckResult("zero-drift-reach-tail", False,
-                           {"x": x, "trials": trials, "cap": cap}, root_seed,
+                           {"x": x, "s0": w.s0, "trials": trials, "cap": cap}, root_seed,
                            details={"reason": "insufficient tail data"})
     slope_ok = abs(fit.slope + 0.5) <= REACH_SLOPE_TOL
     r2_ok = fit.r_squared >= FIT_R2_MIN
@@ -740,7 +730,7 @@ def check_zero_drift_reach_tail(w: LookAroundWalk, x: float, trials: int = 30000
     passed = slope_ok and r2_ok and scaling_ok
     return CheckResult(
         "zero-drift-reach-tail", passed,
-        {"x": x, "trials": trials, "cap": cap, "offsets": offsets},
+        {"x": x, "s0": w.s0, "trials": trials, "cap": cap, "offsets": offsets},
         root_seed, estimate=fit.slope, fit=fit,
         details={"scaling_r2": scaling_r2, "probe_threshold": probe_u,
                  "r_estimate": r_estimate, "tail_mass_blocks": tail_blocks,
@@ -765,8 +755,8 @@ def check_exit_time_tail(w: LookAroundWalk, rho: float, trials: int = 20000,
     _require(not w.law.zeta_identically_zero,
              "exit-time check requires P(zeta = 0) < 1")
     _require(rho >= 0, f"exit-time check requires rho >= 0, got {rho}")
-    outside = _exit_cond(rho, w.law)
-    _require(not outside(w.s0, 0), f"exit-time check requires s0 inside the exit set, got {w.s0}")
+    outside, marks = _event_cond(_EVENTS["exit"], rho, w.law, w.s0)
+    _require(not outside(0, 0), f"exit-time check requires s0 inside the exit set, got {w.s0}")
     r = max(1.0, rho)
     steps = 8 * (r * r)  # a float past its range is inf, not an OverflowError
     if steps > _EXIT_STEP_BUDGET:
@@ -774,10 +764,12 @@ def check_exit_time_tail(w: LookAroundWalk, rho: float, trials: int = 20000,
                                   f"over the budget of {_EXIT_STEP_BUDGET}; take rho <= "
                                   f"{math.isqrt(_EXIT_STEP_BUDGET // 8)}")
     u_max = max(64, int(steps))
-    params = {"rho": rho, "trials": trials, "u_max": u_max}
-    tau = _stopping_times([w], lambda S, R: outside(S[0], R[0]),
-                          trials, u_max, root_seed)[:, 0]
-    grid = np.unique(np.linspace(1, u_max, EXIT_GRID_POINTS).astype(np.int64))
+    params = {"rho": rho, "s0": w.s0, "trials": trials, "u_max": u_max}
+    tau = _stopping_times([w.law], lambda S, R: outside(S[0], 0),
+                          trials, u_max, root_seed, marks=marks)[:, 0]
+    # the return_inverse form: a plain np.unique imports numpy.ma
+    grid = np.unique(np.linspace(1, u_max, EXIT_GRID_POINTS).astype(np.int64),
+                     return_inverse=True)[0]
     counts = (tau[None, :] > grid[:, None]).sum(axis=1).astype(np.float64)
     curve = SurvivalCurve(grid, counts, float(trials), censor_cap=u_max)
     mean_exit = float(np.minimum(tau, u_max).mean())
@@ -825,7 +817,7 @@ def check_upper_deviation_bound(w: LookAroundWalk, mu: float, n: int, y: float,
     res = minimize_scalar(objective, bounds=(1e-9, 60.0), method="bounded")
     bound = min(1.0, math.exp(res.fun))
 
-    T = _stopping_times([w], lambda S, R: S[0] >= y, trials, n, root_seed, check_from=n)
+    T = _stopping_times([w.law], lambda S, R: S[0] >= y, trials, n, root_seed, check_from=n)
     count = int((T <= n).sum())
     freq = count / trials
     lo, hi = wilson_interval(count, trials)
@@ -843,15 +835,18 @@ def check_upper_deviation_bound(w: LookAroundWalk, mu: float, n: int, y: float,
 def _corridor_times(w1: LookAroundWalk, w2: LookAroundWalk, lo: float, hi: float,
                     trials: int, cap: int, root_seed: int) -> np.ndarray:
     """min(sigma, tau1, tau2) per trial on the time clock, cap + 1 if past
-    cap; exact for integer walks (see :func:`_interval_cond`)."""
-    clamp = _clamp([w1, w2], [_start(w, cap + 1) for w in (w1, w2)], cap, [lo, hi])
-    balls, seen = _interval_cond(0, 0, clamp), _interval_cond(lo, hi, clamp)
+    cap; exact from any starts (see :func:`_interval_cond`)."""
+    frames = [_frame(w.s0, lo, hi) for w in (w1, w2)]
+    seen1, seen2 = (_interval_cond(*f) for f in frames)
+    balls, pair = _event_cond(_EVENTS["ballmeeting"], None, w1.law, w1.s0, w2.s0)
 
     def contact(S, R):
         (S1, S2), (R1, R2) = S, R
-        return balls(S1 - S2, R1 + R2) | seen(S1, R1) | seen(S2, R2)
+        return (balls(S1 - S2, *_split(R1 + R2)) | seen1(S1, *_split(R1))
+                | seen2(S2, *_split(R2)))
 
-    return _stopping_times([w1, w2], contact, trials, cap, root_seed, timed=True)[:, 0]
+    return _stopping_times([w1.law, w2.law], contact, trials, cap, root_seed, timed=True,
+                           marks=[*frames[0], *frames[1], *pair])[:, 0]
 
 
 def check_joint_corridor_avoidance(w1: LookAroundWalk, w2: LookAroundWalk,
@@ -871,8 +866,8 @@ def check_joint_corridor_avoidance(w1: LookAroundWalk, w2: LookAroundWalk,
     _require(Fraction(hi) - Fraction(lo) > 2, "corridor needs y - x > 2")
     times = _corridor_times(w1, w2, lo, hi, trials, cap, root_seed)
     curve = SurvivalCurve.from_samples(times, cap)
-    far = float(max(1, *(Fraction(a) - Fraction(b) for w in (w1, w2)
-                         for a, b in ((lo, w.s0), (w.s0, hi)))))
+    far = float(max(1, *(d for w in (w1, w2) for a, b in [_frame(w.s0, lo, hi)]
+                         for d in (a, -b))))
     try:
         fit = _asymptotic_fit(curve, far)
     except InsufficientDataError:

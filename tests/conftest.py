@@ -9,6 +9,7 @@ import numpy as np
 
 from scoutsim import streams
 from scoutsim.analysis import KernelEntry, ReducedKernel
+from scoutsim.errors import PreconditionError
 from scoutsim.protocol import (EnvPattern, Outcome, ScoutProtocol,
                                TransitionRule)
 
@@ -223,3 +224,44 @@ def product_kernel(k1: ReducedKernel, k2: ReducedKernel,
                  for row1 in k1.rows for row2 in k2.rows)
     dim = k1.dim if difference else k1.dim + k2.dim
     return ReducedKernel(dim, names, rows, initial_state=k1.initial_state * n2 + k2.initial_state)
+
+
+# the single-path walk sampler: the corridor tests' reference for the
+# stopping-time sampler, walks._stopping_times
+
+
+@dataclass
+class WalkPath:
+    """One sampled trajectory: S_0..S_h, radii R_1..R_{h+1}, times T_0..T_h."""
+
+    positions: np.ndarray
+    radii: np.ndarray
+    times: np.ndarray
+
+
+def sample_walk(w, horizon: int, seed_root: int, trial: int = 0, walk_id: int = 0) -> WalkPath:
+    """Deterministic single path of a ``walks.LookAroundWalk``: draw indices
+    are (seed_root, trial, walk_id, step).
+
+    Positions are int64 when s0 is integer-valued, float otherwise; integer
+    positions that could leave int64 raise PreconditionError.
+    """
+    if horizon < 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    zeta, nu, rad = w.law.arrays
+    exact = float(w.s0).is_integer()  # a float start would round the int steps
+    step = max(abs(int(o.zeta)) for o in w.law.outcomes)
+    reach = (abs(int(w.s0)) if exact else 0) + (horizon + 1) * step
+    if reach >= 1 << 63:
+        raise PreconditionError("integer walk positions could leave int64: "
+                                f"|s0| + {horizon + 1} steps * max|zeta| >= 2**63")
+    s0 = int(w.s0) if exact else float(w.s0)
+    b = w.law.table.draw(0, seed_root, trial, walk_id, 0, horizon + 1)
+    S = np.empty(horizon + 1, dtype=np.int64 if exact else float)
+    S[0] = s0
+    if horizon:
+        S[1:] = s0 + np.cumsum(zeta[b[:-1]])
+    T = np.zeros(horizon + 1, dtype=np.int64)
+    if horizon:
+        T[1:] = np.cumsum(nu[b[:-1]])
+    return WalkPath(S, rad[b], T)

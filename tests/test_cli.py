@@ -5,8 +5,8 @@ import json
 
 import pytest
 
-from scoutsim import walks
-from scoutsim.cli import main
+from scoutsim import engine, walks
+from scoutsim.cli import _dump_json, main
 
 SRW_TEXT = """\
 dim 1
@@ -138,7 +138,14 @@ ORACLE_LAW2 = ["--law2", "1/4:1,1,2;1/4:-1,1,1;1/2:0,1,1"]
 ])
 def test_walks_bytes_pinned(argv, code, digest, capsys):
     assert main(argv) == code
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+    out = capsys.readouterr().out
+    if argv[1] in ("reach-tail", "exit-time"):
+        # these two were recorded before their parameters reported s0; every
+        # other byte is unchanged
+        body = json.loads(out)
+        assert body["parameters"].pop("s0") == 0.0
+        out = _dump_json(body)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_lemma_deviation_large_steps(capsys):
@@ -206,7 +213,9 @@ def test_lemma_reach_tail_offsets_exact_past_2_53(capsys):
         bodies.append(json.loads(capsys.readouterr().out))
     assert bodies[0]["parameters"]["offsets"] == [2.0, 4.0, 6.0, 8.0, 10.0]
     assert bodies[0]["parameters"].pop("x") == 9007199254741003
+    assert bodies[0]["parameters"].pop("s0") == 9007199254740993
     assert bodies[1]["parameters"].pop("x") == 10.0
+    assert bodies[1]["parameters"].pop("s0") == 0.0
     assert bodies[0] == bodies[1]
 
 
@@ -320,6 +329,17 @@ def test_hitting_outputs_and_reproducibility(srw_file, tmp_path, capsys):
     assert "divergence" in body and "protocol_hash" in body
     # timestamps only in the sidecar
     assert "created" in json.loads((out1 / "survival_1.csv.meta.json").read_text())
+
+
+def test_hitting_default_cap(tmp_path, capsys):
+    # without --cap the run is capped at engine.DEFAULT_CAP, and says so; a
+    # scout that always steps to 1 hits it at t = 1 in every replica
+    f = tmp_path / "step.proto"
+    f.write_text("dim 1\nscouts 1\nstates A\ninit 1 A\ntrans A * -> 1 A (1)\n")
+    assert main(["hitting", "--protocol", str(f), "--targets", "1", "--replicas", "8"]) == 0
+    (body,) = json.loads(capsys.readouterr().out)
+    assert body["cap_policy"] == "default" and body["cap"] == engine.DEFAULT_CAP
+    assert body["censored_fraction"] == 0.0 and body["mean"] == 1.0
 
 
 def test_hitting_threads_neutral(srw_file, tmp_path, capsys):
@@ -524,6 +544,9 @@ def test_config_cli_overrides(tmp_path, capsys):
     ["lemma", "deviation", "--n", "-5", "--trials", "5"],
     ["hitting", "--protocol", "builtin:srw?d=1", "--targets", "1", "--replicas", "5",
      "--cap", "8", "--threads", "-3"],
+    # displacements are integers: float steps ran, summed in float per block
+    ["oracle", "--law", "1/2:0.5;1/2:-0.5", "--event", "hit:1", "--horizon", "3"],
+    ["lemma", "reach-tail", "--law", "1/2:0.5;1/2:-0.5", "--trials", "5"],
 ])
 def test_edge_inputs_exit_usage(argv, capsys):
     assert main(argv) == 1

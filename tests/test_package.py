@@ -75,3 +75,14 @@ def test_deviation_check_loads_scipy_on_call():
             "      repr(r.details['optimal_t']))\n")
     assert _fresh_python(code).split() == ["True", "0.022", "0.13351367725439653",
                                            "0.20273324737993798"]
+
+
+def test_exit_time_check_loads_no_numpy_ma():
+    # a plain np.unique imports numpy.ma (about 1 MiB of peak RSS); the
+    # exit-time grid is built without it
+    code = ("import contextlib, io, sys\n"
+            "from scoutsim.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['lemma', 'exit-time', '--trials', '50'])\n"
+            "print(code in (0, 3), 'numpy.ma' in sys.modules)\n")
+    assert _fresh_python(code).split() == ["True", "False"]

@@ -274,6 +274,9 @@ def test_out_arrays_receive_the_same_values():
         streams.raw64(3, np.arange(3)[:, None], 1, np.arange(4), out=np.empty(4, np.uint64))
     with pytest.raises(ValueError, match="C-contiguous float64"):
         streams.uniforms(3, 4, 1, np.arange(4), out=np.empty((4, 2))[:, 0])
+    # a right-shaped out of another dtype is refused too
+    with pytest.raises(ValueError, match="uint64"):
+        streams.raw64(3, np.arange(3)[:, None], 1, np.arange(4), out=np.empty((3, 4), np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,11 @@ from scoutsim.walks import (CHECKS, LookAroundWalk, NAMED_LAWS, StepLaw,
                             check_joint_corridor_avoidance,
                             check_upper_deviation_bound,
                             check_zero_drift_reach_tail, exact_dp_oracle,
-                            make_law, mc_event_frequency, parse_law,
-                            sample_walk)
-from scoutsim.walks import (_EVENTS, _corridor_times, _dp_survival, _interval_cond,
-                            _stopping_times)
+                            make_law, mc_event_frequency, parse_law)
+from scoutsim.walks import (_EVENTS, _corridor_times, _dp_survival, _frame, _interval_cond,
+                            _split, _stopping_times)
+
+from conftest import sample_walk
 
 
 def srw():
@@ -54,6 +55,18 @@ def test_law_rejects_non_finite_radius(radius):
 def test_law_rejects_non_finite_zeta(zeta):
     with pytest.raises(ValueError, match="zeta must be finite"):
         make_law([("1/2", zeta), ("1/2", -1)])
+
+
+@pytest.mark.parametrize("zeta", [0.5, -0.1, 2.5, Fraction(1, 3)])
+def test_law_rejects_non_integer_zeta(zeta):
+    # a scout moves between grid points: a rational step is an integer step
+    # on a scaled lattice, and float steps were summed in float per block
+    with pytest.raises(ValueError, match="zeta must be an integer"):
+        make_law([("1/2", zeta), ("1/2", -1)])
+    with pytest.raises(ValueError, match="zeta must be an integer"):
+        parse_law(f"1/2:{float(zeta)};1/2:-1")
+    # an integer-valued float is that integer
+    assert parse_law("1/2:2.0;1/2:-1").arrays[0].tolist() == [2, -1]
 
 
 def test_parsed_law_rejects_overflowing_zeta():
@@ -93,9 +106,9 @@ def test_stopping_times_reject_offsets_beyond_int64():
     with pytest.raises(PreconditionError, match="int64"):
         check_escape_under_drift(w, -5, trials=50, horizon=16)
     with pytest.raises(PreconditionError, match="int64"):
-        _stopping_times([w], lambda S, R: S[0] < -5, 3, 1, 0)
+        _stopping_times([w.law], lambda S, R: S[0] < -5, 3, 1, 0)
     # one step of 2**62 fits
-    assert (_stopping_times([w], lambda S, R: S[0] < -5, 3, 0, 0) == 1).all()
+    assert (_stopping_times([w.law], lambda S, R: S[0] < -5, 3, 0, 0) == 1).all()
 
 
 def test_stopping_times_reject_cap_marker_beyond_int64():
@@ -108,11 +121,11 @@ def test_stopping_times_reject_cap_marker_beyond_int64():
         with pytest.raises(PreconditionError, match="cap"):
             check_zero_drift_reach_tail(w, 2, trials=5, cap=cap)
     with pytest.raises(PreconditionError, match="cap"):
-        _stopping_times([w], lambda S, R: S[0] == 0, 3, -5, 0)
+        _stopping_times([w.law], lambda S, R: S[0] == 0, 3, -5, 0)
     with pytest.raises(PreconditionError, match="cap"):
         mc_event_frequency(w.law, 0, 2**63 - 1, "hit:5", 4, 0)
     # the largest cap whose marker fits; the event holds at time 0
-    assert (_stopping_times([w], lambda S, R: S[0] == 0, 3, 2**63 - 2, 0) == 0).all()
+    assert (_stopping_times([w.law], lambda S, R: S[0] == 0, 3, 2**63 - 2, 0) == 0).all()
 
 
 def test_sampled_paths_reject_offsets_beyond_int64():
@@ -238,7 +251,7 @@ def test_oracles_match_enumeration(law_text, s0, horizon):
         lambda path, radii: all(x + r < target for x, r in zip(path, radii)))
     assert got == want
 
-    got = _dp_survival(law, s0, horizon, _interval_cond(-1, 1))
+    got = _dp_survival(law, horizon, _interval_cond(*_frame(s0, -1, 1)))
 
     def dist(x):
         return max(-1 - x, x - 1, 0)
@@ -347,9 +360,9 @@ def test_oracle_exit_deterministic():
 
 
 def test_oracle_requires_integer_zeta():
-    law = make_law([("1/2", 0.5), ("1/2", -0.5)])
-    with pytest.raises(PreconditionError, match="integer"):
-        exact_dp_oracle(law, 0, 3, "hit:1")
+    # the oracle refused the law; every walk now refuses it at construction
+    with pytest.raises(ValueError, match="integer"):
+        make_law([("1/2", 0.5), ("1/2", -0.5)])
 
 
 def test_oracle_budget_guard():
@@ -379,10 +392,10 @@ def test_mc_matches_oracle_4sigma():
 # the packed DP against the dict-of-positions DP it replaced
 
 
-def dict_dp_survival(law: StepLaw, s0: int, horizon: int, cond, check_from: int = 0) -> Fraction:
-    """Reference: one dict of integer numerators per step, keyed by position,
-    with the merged (zeta, weight) moves that survive there looked up once
-    per position."""
+def dict_dp_survival(law: StepLaw, horizon: int, cond, check_from: int = 0) -> Fraction:
+    """Reference: one dict of integer numerators per step, keyed by the
+    offset from the start, with the merged (zeta, weight) moves that survive
+    there looked up once per position."""
     walks._budget_check(law, horizon + 1)
     D, outs = walks._exact_outcomes(law)
     radii = {r for _a, _z, r in outs}
@@ -405,7 +418,7 @@ def dict_dp_survival(law: StepLaw, s0: int, horizon: int, cond, check_from: int 
         dead = {r for r in radii if cond(s, r)}
         return merged((a, z) for a, z, r in outs if r not in dead) if dead else every
 
-    dist = {int(s0): 1}
+    dist = {0: 1}
     for n in range(horizon):
         table, how = (checked, rule) if n >= check_from else (unchecked, lambda s: every)
         new = defaultdict(int)
@@ -437,11 +450,12 @@ def random_dp_law(rng) -> StepLaw:
 
 
 def dp_case(name: str, law: StepLaw, s0: int, horizon: int, arg, law2=None, s02=None):
-    """The (law, s0, horizon, cond, check_from) that ``exact_dp_oracle`` runs."""
-    make_cond, first, pair = walks._EVENTS[name]
-    if pair:
-        law, s0 = walks._difference_law(law, law2), s0 - s02
-    return law, s0, horizon, make_cond(arg, law), first(horizon)
+    """The (law, horizon, cond, check_from) that ``exact_dp_oracle`` runs."""
+    ev = walks._EVENTS[name]
+    if ev.pair:
+        law = walks._difference_law(law, law2)
+    cond, _ = walks._event_cond(ev, arg, law, s0, s02 if ev.pair else 0)
+    return law, horizon, cond, ev.first(horizon)
 
 
 def test_packed_dp_matches_dict_dp():
@@ -757,7 +771,12 @@ def chernoff_old_bounds(law, n, y):
     ("srw", 100, 20), ("lazy", 64, 8), ("1/2:0.1;1/2:-0.1", 300, 3.0),
 ])
 def test_deviation_bound_unchanged_where_old_bounds_valid(law_text, n, y):
-    # laws with max|zeta| <= 1 optimize over t itself
+    # laws with max|zeta| <= 1 optimize over t itself.  Only a float-step law
+    # has max|zeta| < 1, and step laws refuse float steps
+    if law_text == "1/2:0.1;1/2:-0.1":
+        with pytest.raises(ValueError, match="zeta must be an integer"):
+            parse_law(law_text)
+        return
     law = parse_law(law_text)
     res = check_upper_deviation_bound(LookAroundWalk(law), 0.01, n, y, trials=10)
     bound, t = chernoff_old_bounds(law, n, y)
@@ -808,22 +827,21 @@ def test_corridor_started_inside():
 
 
 def test_interval_cond_exact_for_integer_positions():
-    # the clamped form against exact rationals, with fractional bounds and
-    # radii whose sums a float rounds: a fraction of 2**-60 under 3.0, the
-    # bound 0.5 - 2**-54 against a radius fraction of 0.5, radii past 2**52,
-    # and one past int64, which only the clamp keeps from wrapping
+    # the floor-and-fraction form against exact rationals, with fractional
+    # bounds and radii whose sums a float rounds: a fraction of 2**-60 under
+    # 3.0, the bound 0.5 - 2**-54 against a radius fraction of 0.5, radii past
+    # 2**52, and one past int64, which only the clamp keeps from wrapping
     bounds = [0, -2, 2, 2.5, -2.5, 2.0**-60, -(2.0**-60), 0.5 - 2.0**-54, 2**53 + 11,
               -(2**60)]
     radii = np.array([1.0, 1.5, 2.5, 3.0, 0.5 + 2.0**-54, 1 - 2.0**-53, 2.0**52 + 0.5,
                       2.0**62 + 2.0**40, 1e30])
-    clamp = 1 << 62
     for lo, hi in itertools.product(bounds, bounds):
         if hi < lo:
             continue
         base = math.floor(lo)
         s = np.array([base + d for d in range(-6, 7)] + [math.floor(hi) + d for d in (-3, 3)]
                      + [0, 2**61, -(2**61)], dtype=np.int64)
-        got = _interval_cond(lo, hi, clamp)(s[:, None], radii[None, :])
+        got = _interval_cond(lo, hi)(s[:, None], *_split(radii[None, :]))
         want = [[Fraction(lo) - Fraction(r) <= v <= Fraction(hi) + Fraction(r)
                  for r in radii.tolist()] for v in s.tolist()]
         assert got.tolist() == want, (lo, hi)
@@ -849,6 +867,20 @@ def test_corridor_times_exact_far_from_zero():
     with pytest.raises(PreconditionError, match="int64"):
         check_escape_under_drift(LookAroundWalk(NAMED_LAWS["up"](), 2**62), -(2**62),
                                  trials=5, horizon=4)
+
+
+def test_corridor_times_exact_for_mixed_starts():
+    # with one start an integer and the other not, both walks were compared
+    # in floats, so the walk from 2**53 + 1 had its positions rounded: 219 of
+    # 300 trials differed.  Offsets from each start are exact, and the second
+    # walk starting 2**53 away changes nothing
+    far = 2**53 + 1
+    got = _corridor_times(LookAroundWalk(srw(), far), LookAroundWalk(srw(), 0.5),
+                          far + 10, far + 14, 300, 512, 7)
+    want = _corridor_times(LookAroundWalk(srw(), far), LookAroundWalk(srw(), 0),
+                           far + 10, far + 14, 300, 512, 7)
+    assert np.array_equal(got, want)
+    assert (want <= 512).any() and (want > 512).any()
 
 
 def test_corridor_interval_validation():
@@ -908,8 +940,8 @@ def test_corridor_factorization_against_oracle():
     w2 = LookAroundWalk(srw(), -6.0)
     times = _corridor_times(w1, w2, -2.0, 2.0, 40000, 64, 11)
     for u in (4, 16):
-        p1 = float(_dp_survival(srw(), 6, u, _interval_cond(-2, 2)))
-        p2 = float(_dp_survival(srw(), -6, u, _interval_cond(-2, 2)))
+        p1 = float(_dp_survival(srw(), u, _interval_cond(*_frame(6, -2, 2))))
+        p2 = float(_dp_survival(srw(), u, _interval_cond(*_frame(-6, -2, 2))))
         want = p1 * p2
         got = float((times > u).mean())
         sigma = math.sqrt(want * (1 - want) / 40000)
@@ -978,7 +1010,7 @@ def reach_times_fixed_blocks(w, levels, trials, cap, root_seed, block=16):
 
 def reach_times(w, levels, trials, cap, root_seed):
     levels = np.asarray(levels, dtype=float)
-    return _stopping_times([w], lambda S, R: (S[0] + R[0])[..., None] >= levels,
+    return _stopping_times([w.law], lambda S, R: (S[0] + R[0])[..., None] >= levels,
                            trials, cap, root_seed, columns=len(levels))
 
 

@@ -39,7 +39,9 @@ and the successor state and move key are ``take``s at base + branch.
 Environment-free protocols index by their own state alone; past 2**20
 table entries, ``mask_bases`` is read at each scout's mask column instead.
 Both stepping paths report an uncovered environment with the same
-:meth:`_Compiled.no_rule` message.
+:meth:`_Compiled.no_rule` message; a rule table with no -1
+(``_Compiled.covered``) cannot meet one, and :meth:`VectorSim.step` skips
+its check for it.
 
 Hitting times, first meetings, meeting gaps and :func:`run_batch` read one
 source, :meth:`VectorSim.blocks`, with one loop each, and so do the return
@@ -48,22 +50,28 @@ written as a protocol of wildcard rules.  A :class:`VectorSim` holds the
 active replicas of a replica range and hands out the grid keys and states
 of a block of steps as step-major (steps, replicas, scouts) arrays; between
 blocks, a loop drops the replicas it has finished with, as soon as there is
-one.  Protocols whose scouts all walk i.i.d. draw each scout's block from
-its one row and cumulate the moves, in :meth:`VectorSim._iid_keys`: a
-block after step t0 is min(cap - t0, max(1, V // R)) steps for R active
-replicas and a budget of V = 2**14 variates per scout, so blocks start
-short while most replicas run and grow as they finish.  B * R never
-exceeds max(V, R), so the uniforms, branches, moves and keys of every
-block are written into one set of buffers that the :class:`VectorSim`
-makes at its first i.i.d. block, and a block is valid only until the next
-one.  All other protocols step by the active count.  A lone active
-replica takes blocks of min(1024, cap - t0) steps of :func:`_kernel`; two
-or more draw a block's uniforms with one ``streams.uniforms`` call and take
-one :meth:`VectorSim.step` per step, in blocks of min(32, cap - t0,
-max(1, t0)) steps after step t0, by :func:`_stepped_block`.  Every draw is
-keyed by its absolute step, so neither the path nor the partition changes a
-value: each event equals a loop of single steps bit for bit, meeting gaps
-in its (time, replica) order.  These measurements never materialize traces,
+one.  One variate budget, V = 2**14, sizes every Philox draw of the block
+loop, i.i.d. and stepped, for R active replicas of c scouts.  Protocols
+whose scouts all walk i.i.d. draw each scout's block from its one row and
+cumulate the moves, in :meth:`VectorSim._iid_keys`: a block after step t0
+is min(cap - t0, max(1, V // R)) steps, so blocks start short while most
+replicas run and grow as they finish.  B * R never exceeds max(V, R), so
+the uniforms, branches, moves and keys of every block are written into one
+set of buffers that the :class:`VectorSim` makes at its first i.i.d.
+block, and a block is valid only until the next one.  All other protocols
+step by the active count.  A lone active replica takes blocks of
+min(1024, cap - t0) steps of :func:`_kernel`; two or more take one
+:meth:`VectorSim.step` per step, in blocks of min(32, cap - t0, max(1, t0))
+steps after step t0, by :func:`_stepped_block`, and a loop drops replicas
+between them.  Their uniforms come from a draw kept across blocks
+(:meth:`VectorSim._stepped_uniforms`): one ``streams.uniforms`` call for
+min(cap - t0, max(B, V // (R * c))) steps, so at 32 replicas of 3 scouts
+one call serves about five blocks, and a draw holds at most max(V, B * R * c)
+floats.  A block that runs past the draw starts the next one, which keeps
+the unread rows.  Every draw is keyed by its absolute step, so neither the
+path, the partition nor the draw lengths change a value: each event equals
+a loop of single steps bit for bit, meeting gaps in its (time, replica)
+order.  These measurements never materialize traces,
 so caps of 2**24 steps run in bounded memory.
 
 Every path carries each grid point as one int64 key of its offset (x, y)
@@ -101,10 +109,12 @@ from .tails import CensoredSummary, SurvivalCurve, summarize_censored
 
 DEFAULT_CAP = 1 << 20
 _MEMORY_LIMIT_BYTES = 1 << 28
-# variates per scout in one iid block of VectorSim.blocks (see _iid_block):
-# however many replicas are active, a block's per-scout arrays (uniforms,
-# branches, moves, keys) stay near 128 KiB, in buffers reused for every
-# block, and its Philox passes run in the streams workspace
+# the variate budget of every Philox draw of VectorSim.blocks: per scout in
+# one iid block (see _iid_block), whose per-scout arrays (uniforms, branches,
+# moves, keys) stay near 128 KiB in buffers reused for every block, and over
+# all scouts in one stepped draw (see VectorSim._stepped_uniforms), which
+# serves blocks until it runs out; each runs its Philox passes in the
+# streams workspace
 _IID_VARIATES = 1 << 14
 # most steps per block stepped one at a time (see _stepped_block); blocks
 # double up to it, so replicas that finish early run no whole window
@@ -268,6 +278,9 @@ class _Compiled:
         rows = np.array([[self.dispatch_row(q, m) for m in self.exact_masks.tolist() + [-1]]
                          for q in range(self.n_states)], dtype=np.int64)
         self.mask_bases = np.where(rows < 0, -1, rows * self.row_width)
+        # every (state, mask) has a rule, so no step can meet an uncovered
+        # environment and VectorSim.step looks for none
+        self.covered = bool(self.mask_bases.min() >= 0)
         self.dense, self.weights = self._dense_table()
 
         self.init_state_idx = np.array(
@@ -485,6 +498,9 @@ class VectorSim:
         self._pairs = np.concatenate([np.repeat(self._scouts, comp.c),
                                       np.tile(self._scouts, comp.c)])
         self._iid_buffers: tuple[np.ndarray, ...] | None = None
+        # the stepped path's draw: its first step, its replicas and its
+        # uniforms (steps, replicas, scouts); none yet
+        self._draw = 0, self.replicas, np.empty((0,) + self.keys.shape)
 
     @property
     def n_active(self) -> int:
@@ -544,7 +560,7 @@ class VectorSim:
         comp = self.comp
         self.time += 1
         base = self._bases()
-        if base.min() < 0:
+        if not comp.covered and base.min() < 0:
             r, i = np.argwhere(base < 0)[0]
             raise comp.no_rule(int(self.states[r, i]), int(self._masks()[r, i]))
         # the branch is the count of the row's partial sums <= u, as in
@@ -590,6 +606,30 @@ class VectorSim:
         self.time = t0 + B
         return keys
 
+    def _stepped_uniforms(self, B: int, cap: int) -> np.ndarray:
+        """The uniforms (B, R, c) of the B steps after step ``time`` for the
+        active replicas, read from the draw that holds them.  A draw covers
+        min(cap - t0, max(B, _IID_VARIATES // (R * c))) steps after its
+        first step t0, so at a few replicas one Philox call serves many
+        blocks; the draw that replaces it starts with its unread rows, so
+        no variate is drawn twice.  The replicas only fall and stay
+        ascending, so one ``searchsorted`` finds the survivors' columns."""
+        t0, R, c = self.time, self.replicas.size, self.comp.c
+        start, replicas, u = self._draw
+        u = u[t0 - start:t0 - start + B]
+        if replicas.size != R:
+            u = u[:, replicas.searchsorted(self.replicas)]
+        if len(u) < B:
+            drawn = np.empty((min(cap - t0, max(B, _IID_VARIATES // (R * c))), R, c))
+            drawn[:len(u)] = u
+            streams.uniforms(self.root_seed, self.replicas[None, :, None],
+                             self._scouts[None, None, :],
+                             np.arange(t0 + len(u), t0 + len(drawn),
+                                       dtype=np.int64)[:, None, None], out=drawn[len(u):])
+            self._draw = t0, self.replicas, drawn
+            u = drawn
+        return u[:B]
+
     def _kernel_keys(self, cap: int) -> tuple[np.ndarray, np.ndarray]:
         """Advance the one active replica by the block after step ``time``,
         min(_KERNEL_BLOCK, cap - time) steps of :func:`_kernel`, and return
@@ -633,9 +673,7 @@ class VectorSim:
                 keys, states = self._kernel_keys(cap)
             else:
                 B = _stepped_block(t0, cap)
-                u = streams.uniforms(self.root_seed, self.replicas[None, :, None],
-                                     self._scouts[None, None, :],
-                                     np.arange(t0, t0 + B, dtype=np.int64)[:, None, None])
+                u = self._stepped_uniforms(B, cap)
                 keys = np.empty((B,) + self.keys.shape, dtype=np.int64)
                 states = np.empty_like(keys)
                 for b in range(B):

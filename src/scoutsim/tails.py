@@ -60,13 +60,15 @@ class SurvivalCurve:
     def __post_init__(self) -> None:
         self.thresholds = np.asarray(self.thresholds, dtype=np.int64)
         self.survivors = np.asarray(self.survivors, dtype=np.float64)
-        if self.thresholds.shape != self.survivors.shape:
-            raise ValueError("thresholds and survivors must align")
-        if np.any(np.diff(self.thresholds) <= 0):
+        if self.thresholds.ndim != 1 or self.thresholds.shape != self.survivors.shape:
+            raise ValueError("thresholds and survivors must align in one dimension")
+        # slice compares: no int64 difference that can wrap, no temporary diff
+        t, s = self.thresholds, self.survivors
+        if (t[1:] <= t[:-1]).any():
             raise ValueError("thresholds must be strictly increasing")
-        if np.any(np.diff(self.survivors) > 0):
+        if (s[1:] > s[:-1]).any():
             raise ValueError("survivor counts must be nonincreasing")
-        if np.any(self.survivors > self.total):
+        if (s > self.total).any():
             raise ValueError("survivors cannot exceed total")
 
     @staticmethod

@@ -268,8 +268,11 @@ def _interval_cond(lo, hi):
     g = None if H is None else _ceil_float(1 + H - Fraction(hi))
 
     def cond(s, r, q=0):
-        below = True if L is None else L - s <= r - (q < f)
-        return below & (True if H is None else s - H <= r + (q >= g))
+        # q lies in [0, 1), so q < 0 and q >= 1 never hold: a bound with no
+        # fraction (f = 0, g = 1) compares r alone, and an open side nothing
+        below = None if L is None else L - s <= (r if f == 0 else r - (q < f))
+        above = None if H is None else s - H <= (r if g == 1 else r + (q >= g))
+        return above if below is None else below if above is None else below & above
     return cond
 
 

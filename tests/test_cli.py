@@ -6,7 +6,7 @@ import json
 import pytest
 
 from scoutsim import engine, walks
-from scoutsim.cli import _dump_json, main
+from scoutsim.cli import EXIT_IO, _dump_json, main
 
 SRW_TEXT = """\
 dim 1
@@ -794,3 +794,31 @@ def test_analyze_solves_each_class_once(monkeypatch, capsys):
                  "--scout", "2"]) == 0
     assert len(json.loads(capsys.readouterr().out)["ray_domain"]["rays"]) == 10
     assert calls == {"stationary_distribution": 10, "_degeneracy": 10}
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "no_equals", "last"])
+def test_config_errors_exit_one_usage_line(case, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("horizon 2\n")
+    path = {"missing": tmp_path / "none.cfg", "directory": tmp_path}.get(case, cfg)
+    argv = ["simulate", "--protocol", "builtin:srw?d=1", "--config"]
+    argv += [] if case == "last" else [str(path)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    want = {"missing": "usage error: cannot read config: ",
+            "directory": "usage error: cannot read config: ",
+            "no_equals": "usage error: bad config line 'horizon 2'",
+            "last": "usage error: --config needs a file path"}[case]
+    assert len(err) == 1 and err[0].startswith(want)
+
+
+def test_out_dir_on_a_regular_file_exits_io(srw_file, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["hitting", "--protocol", srw_file, "--targets", "1", "--replicas", "4",
+                 "--cap", "16", "--out-dir", str(taken)]) == EXIT_IO == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("I/O error: ")
+    assert taken.read_text() == ""

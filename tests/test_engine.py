@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import hashlib
 import itertools
 from bisect import bisect_right
 from fractions import Fraction
@@ -725,6 +726,31 @@ def test_dense_table_encoding():
             assert (-1 in rows) == (p is fallback[2])
 
 
+def test_covered_is_a_property_of_the_rule_table():
+    # a table with no uncovered (state, mask) entry skips VectorSim.step's
+    # coverage check; one with an uncovered entry keeps it, and names the
+    # environment on both gathers (test_mask_lookup_matches_dense_table)
+    from conftest import random_two_scout_protocol
+    rng = np.random.default_rng(21)
+    builtins = [builtin("anchored_geometric", d=1), builtin("anchored_geometric", d=2),
+                builtin("srw", d=2), builtin("independent_walks", d=1, c=2)]
+    assert all(engine._compile(p).covered for p in builtins)
+    assert not engine._compile(_uncovered_protocol()).covered
+    protocols = []
+    for k in range(40):
+        p = random_two_scout_protocol(rng, 1 + k % 2)
+        # and without the wildcard rules of the states that sense: uncovered
+        sensing = {r.state for r in p.rules if not r.pattern.is_wildcard}
+        protocols += [p, dataclasses.replace(p, rules=tuple(
+            r for r in p.rules if r.state not in sensing or not r.pattern.is_wildcard))]
+    covered = [engine._compile(p).covered for p in protocols]
+    # the dense table's entries that scouts read: own digit s + 1 >= 1
+    read = [engine._compile(p).dense.reshape(engine._compile(p).n_states + 1, -1)[1:]
+            for p in protocols]
+    assert covered == [int(t.min()) >= 0 for t in read]
+    assert 0 < sum(covered) < len(covered)
+
+
 def test_mask_lookup_matches_dense_table(monkeypatch):
     # with no dense table, every protocol reads the rule table at each
     # scout's mask column; the dense table is a gather of the same table, so
@@ -1127,12 +1153,15 @@ def test_meeting_gaps_kmax_meeting_on_window_end(monkeypatch, k_max):
 
 
 # block partitions of the source: the default rules, one step per block, a
-# fixed odd block, and one block up to the cap
+# fixed odd block, and one block up to the cap; each with the variate budget
+# that sizes the stepped draws: one step per draw, draws of 1009 // (R * c)
+# steps (1009 is prime, so no R * c divides it) that end inside a block, and
+# one draw up to the cap
 PARTITIONS = {
     "default": None,
-    "one_step": (lambda t0, cap, active: 1, 1),
-    "seven": (lambda t0, cap, active: min(cap - t0, 7), 7),
-    "whole": (lambda t0, cap, active: cap - t0, 1 << 30),
+    "one_step": (lambda t0, cap, active: 1, 1, 1),
+    "seven": (lambda t0, cap, active: min(cap - t0, 7), 7, 1009),
+    "whole": (lambda t0, cap, active: cap - t0, 1 << 30, 1 << 30),
 }
 
 
@@ -1142,7 +1171,38 @@ def partition(request, monkeypatch):
     if rule is not None:
         monkeypatch.setattr(engine, "_iid_block", rule[0])
         monkeypatch.setattr(engine, "_HIT_WINDOW", rule[1])
+        monkeypatch.setattr(engine, "_IID_VARIATES", rule[2])
     return request.param
+
+
+@pytest.mark.parametrize("budget", [1, 1009, 1 << 30])
+def test_stepped_draws_span_blocks(monkeypatch, budget):
+    # the budget sizes the stepped draws: one step each, 1009 // (R * c)
+    # steps that end inside a block, and one draw up to the cap.  Replicas
+    # dropped mid-draw, and the last one handed to the scalar kernel with
+    # its draw partly read, take the values of each replica's own trace
+    monkeypatch.setattr(engine, "_IID_VARIATES", budget)
+    p = builtin("anchored_geometric", d=1, p="1/2")
+    n, start, cap = 12, 3, 400
+    want = [run(p, cap, SeedSpec(11, replica=start + k)) for k in range(n)]
+    sim = VectorSim(p, n, 11, replica_start=start)
+    rng = np.random.default_rng(4)
+    handoff = None
+    for t0, keys, states in sim.blocks(cap):
+        for j, k in enumerate((sim.replicas - start).tolist()):
+            steps = slice(t0 + 1, t0 + 1 + len(keys))
+            assert np.array_equal(keys[:, j], want[k].positions[steps, :, 0])
+            assert np.array_equal(states[:, j], want[k].state_idx[steps])
+        if sim.n_active > 1:
+            draw_end = sim._draw[0] + len(sim._draw[2])
+            done = rng.random(sim.n_active) < 0.3
+            done[-1] = False
+            sim.drop(done)
+            if sim.n_active == 1:
+                handoff = sim.time, draw_end
+    assert sim.time == cap and handoff is not None
+    # the lone replica leaves rows of its draw unread unless each draw is one step
+    assert (handoff[1] > handoff[0]) == (budget > 1)
 
 
 @pytest.mark.parametrize("name,targets", [
@@ -1346,3 +1406,58 @@ def test_d2_batch_and_vectorsim_positions_at_negative_coordinates():
             assert np.array_equal(tr.state_idx, S[k])
             assert np.array_equal(sim.positions[k], tr.positions[-1])
         assert P.min() < 0
+
+
+# engine digests: sha256 of the little-endian int64 bytes of each result at
+# seeds 0, 7 and 12345.  The counters fix every value, so no block rule, draw
+# length or drop may move one; a new stream layout regenerates the table
+_ANCHORED1 = builtin("anchored_geometric", d=1, p="1/2")
+_ANCHORED2 = builtin("anchored_geometric", d=2, p="1/2")
+_PAIR = builtin("independent_walks", d=1, c=2)
+ENGINE_DIGESTS = {
+    # the sweep2d_hitting shape: 32 replicas, 81 targets, cap 1024
+    "sweep2d": (lambda s: hit_times(_ANCHORED2, [(x, y) for x in range(-4, 5)
+                                                 for y in range(-4, 5)], 32, 1024, s), (
+        "b90b66dbb49937bed7bf50959a2287864e0fe6e26609e041b2a40541bab28854",
+        "758887d60aa1edf26671b814be53c3e5d6f40072f6eda41c0c1e5b159f813e91",
+        "d93e8bd523a47b1809fdf4aeb45d90ad1aa0e2aced2b7ba619fb71e030045245")),
+    # replicas finish early, and the last one steps the scalar kernel
+    "anchored1_early": (lambda s: hit_times(_ANCHORED1, [(1,), (-1,), (2,)], 300, 4096, s), (
+        "ff45e09d10faa58a4cd8c50a48047ab951f5503a33ed391bcd05e5c101db4148",
+        "5ef53244ed1d0b943e627d4369aaa24602448f1db4408915b27a6332eabbdccd",
+        "720dd6332d3530cdab247eae41c309314f710f59c23ad9663d641c059a5bed84")),
+    "srw1": (lambda s: hit_times(builtin("srw", d=1), [(1,), (-4,), (9,)], 500, 1 << 13, s), (
+        "fbc163f6802de6bf18df29e3492fcd99257a29681a9e7309ab3ed0e298c081e3",
+        "3e49994385613fc724049a6e487eb671087f141d609a1ca6b076b27b8e032d45",
+        "8a7f9df3a4e07ac7a926c2db7cc925fb8c5f4c1b1120a5d3a63759e5d9f35c1d")),
+    "meet_anchored1": (lambda s: first_meeting_times(_ANCHORED1, 500, 1024, s), (
+        "a8704f414f12618238edb25424990a07096082a782f2451857e4fede0bb23ad0",
+        "fa0e4fa2a4ab4879bc238416d6210e487c9a8952a1b6d5bd0a7ca2ac48f4c186",
+        "6294238dc0a67ae1fcbc6961b3b09f4b20a61e12d6b11b45bbb6b9e1c149b28f")),
+    "gaps_anchored1": (lambda s: meeting_gap_samples(_ANCHORED1, 500, 1024, s, 1, 64), (
+        "8882667914d068c0bb003a3721bd3102a776323d268dc605c3f3f6bdf50dc4a2",
+        "b6f7854278faae96e256316f58235546d6de7b708abf2b7a8d2d569c8021a697",
+        "585e45d094d65d1cd96c1aecec37f964b4b129f801444420bc889b167b16381a")),
+    "meet_pair": (lambda s: first_meeting_times(_PAIR, 500, 1024, s), (
+        "46e1d43e1e8e985d6454b6565496be460d8431160867a438eb450f0ffdebbe57",
+        "058658a00a1c5624927b70b3bc5544925285dc9b8eade1e56cf7a0248649fe40",
+        "72f0bc92f84674dc0242ccedd855e4bb4bf6adcfd2b16c0d8825d527274e11f8")),
+    "gaps_pair": (lambda s: meeting_gap_samples(_PAIR, 500, 1024, s, 1, 64), (
+        "a0e317820b01c54b46be96094257597a33667414956d29df695e8ff9d105dfd7",
+        "a4a2a53a70e04ab73c5a35e3fbc66628794675a4df07bf560071946c82d81a1f",
+        "649d064fe9254d74dc23264f928d4cd94c5bcd35f885c07058ffd4462a147ee3")),
+    # positions, then state indices, of 8 traces of 300 steps
+    "run_batch_anchored2": (lambda s: np.concatenate(
+        [a.reshape(-1).astype(np.int64) for a in run_batch(_ANCHORED2, 300, s, 8)]), (
+        "f37282c17388580dcb36466541acec78f4701240ebbbc24257c31d52506a3af5",
+        "c443367b0d5df6cf080e50b8d3710a19a1f262642211508e3465e65898876417",
+        "a98285a980b38b5c007ddfa342a46c2e7dd86e44e18ccb6974607b0ebf09c2cd")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_DIGESTS))
+def test_engine_digests(name):
+    call, want = ENGINE_DIGESTS[name]
+    got = tuple(hashlib.sha256(np.ascontiguousarray(call(seed), dtype="<i8").tobytes()).hexdigest()
+                for seed in (0, 7, 12345))
+    assert got == want

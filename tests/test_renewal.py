@@ -244,3 +244,15 @@ def test_divergence_origin_target_degenerate():
     assert s.summary.mean == 0.0
     assert divergence_flag(s.summary) == FINITE
 
+
+
+def test_survival_curve_refuses_bad_curves():
+    # order is read by slice compares: thresholds 2**64 - 1 apart increase,
+    # where an int64 difference wraps to -1
+    curve = SurvivalCurve(np.array([-(2**63), 2**63 - 1]), np.array([3.0, 1.0]), 3.0)
+    assert curve.thresholds.tolist() == [-(2**63), 2**63 - 1]
+    for thresholds, survivors in (([1, 1], [2, 1]), ([2, 1], [2, 1]), ([1, 2], [1, 2]),
+                                  ([1, 2], [3, 1]), ([1, 2], [2]), ([[1, 2]], [[2, 1]]),
+                                  (1, 1)):
+        with pytest.raises(ValueError):
+            SurvivalCurve(np.array(thresholds), np.array(survivors, dtype=float), 2.0)
